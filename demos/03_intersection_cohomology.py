@@ -5,40 +5,35 @@ global sections modulo the maximal ideal have the h-vector as Betti
 numbers, and multiplication by the support function realizes the hard
 Lefschetz rank pattern.  On a centrally symmetric fan the point
 reflection splits everything into eigenspaces whose dimensions encode
-the lower bounds.
+the lower bounds.  An Analysis computes each of these once and keeps it.
 """
 
-from polyfan import cube, face_fan, support_function
-from polyfan.hvector import h_polynomial
+from polyfan import cube
+from polyfan.analysis import Analysis
 from polyfan.ihsheaf import (
-    build_mes,
     check_freeness_factorization,
     check_minimal_extension_axioms,
     check_refined_factorization,
     check_refined_splitting,
-    ih_poincare,
     kernel_dimensions,
-    lefschetz_rank_table,
-    refined_series,
-    sections_poincare,
 )
 
-box = cube(3)
-fan = face_fan(box)
-mes = build_mes(fan, 8)
-print("sheaf over the cube(3) fan, degree cap", mes.cap)
+box = Analysis(cube(3), 8)
+fan, mes = box.fan, box.sheaf
+print("sheaf over the cube(3) fan, degree cap", box.cap)
 print("generator degrees per cone dimension:")
 for k in range(4):
     cid = fan.cones_of_dim(k)[0]
     print(f"  dim {k}: {mes.modules[cid].gen_degrees}")
 print("axioms verified:", check_minimal_extension_axioms(mes))
 
-u = ih_poincare(mes)
-v = sections_poincare(mes)
-print("\nBetti numbers u(t)      =", list(u))
-print("h for comparison        =", list(h_polynomial(fan)))
-print("section dimensions v(t) =", list(v))
-print("v * (1-t^2)^3 == u up to cap:", check_freeness_factorization(mes))
+print("\nBetti numbers u(t)      =", list(box.u))
+print("h for comparison        =", list(box.h))
+print("section dimensions v(t) =", list(box.v))
+print(
+    "v * (1-t^2)^3 == u up to cap:",
+    check_freeness_factorization(box.u, box.v, box.dim, box.cap),
+)
 
 # Local-to-global bookkeeping: the kernels of the boundary restrictions.
 dims = kernel_dimensions(mes)
@@ -49,16 +44,18 @@ for k in range(4):
 
 # The reflection x -> -x acts on everything; its eigenspace dimensions
 # refine both Poincare series.
-u_ref, v_ref = refined_series(mes)
+u_ref, v_ref = box.refined
 print("\nrefined Betti numbers: plus =", list(u_ref.plus), " minus =", list(u_ref.minus))
-print("splitting identity:", check_refined_splitting(mes))
-print("refined factorization:", check_refined_factorization(mes))
+print("splitting identity:", check_refined_splitting(v_ref, box.v, box.cap))
+print(
+    "refined factorization:",
+    check_refined_factorization(u_ref, v_ref, box.dim, box.cap),
+)
 
 # Multiplication by the support function: injective below the middle
 # degree, surjective above.
-s = support_function(box, fan)
 print("\nLefschetz ranks (degree q -> q+2):")
-for q, (src, tgt, rank, inj, sur) in sorted(lefschetz_rank_table(mes, s).items()):
+for q, (src, tgt, rank, inj, sur) in sorted(box.rank_table.items()):
     pattern = "injective" if inj else ""
     pattern += " surjective" if sur else ""
     print(f"  {q:>2} -> {q+2:>2}: {src} -> {tgt}, rank {rank}  {pattern.strip()}")

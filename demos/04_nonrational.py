@@ -7,17 +7,10 @@ The polytope is the +-1 cube with two apexes at (0, 0, +-sqrt(2)).
 
 from fractions import Fraction
 
-from polyfan import Polytope, Quadratic, cube, face_fan, support_function
-from polyfan.hvector import check_cs_bounds, h_polynomial
-from polyfan.ihsheaf import (
-    build_mes,
-    check_betti_equals_h,
-    check_lefschetz_pattern,
-    check_minus_lefschetz_pattern,
-    ih_poincare,
-    refined_series,
-    sheaf_cs_report,
-)
+from polyfan import Field, Polytope, Quadratic, cube
+from polyfan.analysis import Analysis
+from polyfan.hvector import check_cs_bounds
+from polyfan.reports import failing_checks, ih_report, report_passes
 
 root2 = Quadratic(0, 1, 2)
 vertices = list(cube(3).vertices)
@@ -30,24 +23,25 @@ print("centrally symmetric:", p.is_centrally_symmetric())
 
 # The apexes poke out of the cube (sqrt(2) > 1), so the top and bottom
 # facets are replaced by eight triangles; four square facets survive.
-fan = face_fan(p)
-print("fan is complete over Q(sqrt 2):", fan.is_complete())
+analysis = Analysis(p, 8)
+print("fan is complete over Q(sqrt 2):", analysis.fan.is_complete())
 
-h = h_polynomial(fan)
-print("\nh =", list(h))
-bounds = check_cs_bounds(p)
+print("\nh =", list(analysis.h))
+bounds = check_cs_bounds(p, analysis.h)
 print("difference against (1+x)^3:", list(bounds.difference))
 print("bounds verified:", bounds.all_bounds_hold())
 
-mes = build_mes(fan, 8)
-print("\nBetti numbers:", list(ih_poincare(mes)))
-print("Betti = h(t^2):", check_betti_equals_h(mes))
-u_ref, _ = refined_series(mes)
-print("reflection minus-part:", list(u_ref.minus))
+# One report renders every sheaf invariant of the analysis: Betti
+# numbers, the reflection's minus part and both Lefschetz patterns.
+report = ih_report(analysis, Field.quadratic(2), "nonrational-bipyramid")
+checks = report["checks"]
+print("\nBetti numbers:", report["ih"]["betti"])
+print("Betti = h(t^2):", checks["betti_equals_h"])
+print("reflection minus-part:", report["ih"]["eigen_minus"])
+print("Lefschetz pattern:", checks["lefschetz_pattern"])
+print("minus-restricted Lefschetz:", checks["minus_lefschetz_pattern"])
 
-s = support_function(p, fan)
-print("Lefschetz pattern:", check_lefschetz_pattern(mes, s))
-print("minus-restricted Lefschetz:", check_minus_lefschetz_pattern(mes, s))
-
-report = sheaf_cs_report(p, 8)
-print("\nfull lower-bound verification:", report.ok())
+ok = report_passes(report) and bounds.all_bounds_hold()
+print("\nfull lower-bound verification:", ok)
+if not ok:
+    raise SystemExit(f"failed checks: {', '.join(failing_checks(report))}")

@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 from . import reports
+from .analysis import Analysis
+from .ihsheaf import DegreeCapError
 from .polytopes import (
     Polytope,
     PolytopeError,
@@ -58,7 +60,7 @@ def polytope_from_json(doc) -> tuple:
         if key not in doc:
             raise InputError(f"missing required key {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
     raw_field = doc["field"]
     if raw_field == "rational":
@@ -178,14 +180,14 @@ def _emit(report: dict, as_json: bool) -> int:
 
 def cmd_hvector(args) -> int:
     p, field, name = load_polytope_file(args.file)
-    return _emit(reports.hvector_report(p, field, name), args.json)
+    return _emit(reports.hvector_report(Analysis(p), field, name), args.json)
 
 
 def cmd_check_bounds(args) -> int:
     p, field, name = load_polytope_file(args.file)
     if not p.is_centrally_symmetric():
         raise InputError(f"{args.file}: polytope is not centrally symmetric")
-    return _emit(reports.bounds_report(p, field, name), args.json)
+    return _emit(reports.bounds_report(Analysis(p), field, name), args.json)
 
 
 def cmd_ih(args) -> int:
@@ -195,7 +197,7 @@ def cmd_ih(args) -> int:
             f"{args.file}: dimension {p.ambient_dim} exceeds --max-dim "
             f"{args.max_dim}"
         )
-    report = reports.ih_report(p, field, name, degree_cap=args.degree_cap)
+    report = reports.ih_report(Analysis(p, args.degree_cap), field, name)
     return _emit(report, args.json)
 
 
@@ -212,12 +214,13 @@ def cmd_report_all(args) -> int:
         p, field, name = load_polytope_file(str(path))
         if name is None:
             name = path.stem
+        analysis = Analysis(p, args.degree_cap)
         if p.is_centrally_symmetric():
-            report = reports.bounds_report(p, field, name)
+            report = reports.bounds_report(analysis, field, name)
         else:
-            report = reports.hvector_report(p, field, name)
+            report = reports.hvector_report(analysis, field, name)
         if p.ambient_dim <= args.max_dim:
-            ih_rep = reports.ih_report(p, field, name, degree_cap=args.degree_cap)
+            ih_rep = reports.ih_report(analysis, field, name)
             report["ih"] = ih_rep["ih"]
             report["checks"].update(ih_rep["checks"])
         all_reports.append(report)
@@ -286,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except (PolytopeError, FanError, ScalarParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DegreeCapError as exc:
+        print(f"error: --degree-cap: {exc}", file=sys.stderr)
         return 2
 
 

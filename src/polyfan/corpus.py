@@ -128,13 +128,3 @@ def sheaf_corpus() -> tuple:
         ("prism-over-diamond", nonsimplicial_cs_3polytope()),
         ("nonrational-bipyramid", nonrational_cs_polytope()),
     )
-
-
-@lru_cache(maxsize=None)
-def general_corpus() -> tuple:
-    """Corpus including non-symmetric members, for fan-level identities."""
-    from .polytopes import simplex
-
-    members = [(f"simplex-{n}", simplex(n)) for n in range(1, 5)]
-    members.extend(cs_corpus())
-    return tuple(members)

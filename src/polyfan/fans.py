@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Matrix, Vector
 from .polytopes import Polytope, dual_polytope
 from .posets import FacePoset
 from .scalars import sign
@@ -73,9 +72,6 @@ class Fan:
     def cones_of_dim(self, k: int) -> tuple:
         return tuple(sorted(c.id for c in self.cones.values() if c.dim == k))
 
-    def ray_vector(self, ray_id: int) -> Vector:
-        return self.rays[ray_id]
-
     def rays_of(self, cone_id: int) -> tuple:
         return tuple(self.rays[r] for r in self.cones[cone_id].ray_ids)
 
@@ -122,11 +118,6 @@ class Fan:
                 cached = (reduced, pivots)
             self._bases[cone_id] = cached
         return cached
-
-    def span_coordinates(self, cone_id: int, x: Vector) -> Vector:
-        """Coordinates of a vector of the cone's span in its basis."""
-        _, pivots = self.cone_basis(cone_id)
-        return tuple(x[j] for j in pivots)
 
     # -- structural predicates ------------------------------------------
 
@@ -206,10 +197,6 @@ class Fan:
     def boundary_fan(self, cone_id: int) -> "Fan":
         """The fan of proper faces of a cone, reusing ids."""
         return self._subfan(set(self.faces[cone_id]))
-
-    def skeleton(self, k: int) -> "Fan":
-        """Subfan of all cones of dimension <= k."""
-        return self._subfan({c.id for c in self.cones.values() if c.dim <= k})
 
     def _subfan(self, ids: set) -> "Fan":
         cones = {cid: self.cones[cid] for cid in ids}

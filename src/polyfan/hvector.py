@@ -120,18 +120,20 @@ class BoundsReport:
         }
 
 
-def check_cs_bounds(p: Polytope) -> BoundsReport:
+def check_cs_bounds(p: Polytope, h: IntPoly | None = None) -> BoundsReport:
     """h-vector lower-bound report for a centrally symmetric polytope.
 
     The difference h - (1+x)^n is reported with its nonnegativity,
     evenness, palindromicity and unimodality flags; is_minimum means the
     difference vanishes, which must coincide with P being a linear image
-    of the cross-polytope.
+    of the cross-polytope.  ``h`` is the h-polynomial of P's face fan
+    when the caller already has it.
     """
     if not p.is_centrally_symmetric():
         raise ValueError("check_cs_bounds requires a centrally symmetric polytope")
     n = p.ambient_dim
-    h = h_polynomial(face_fan(p))
+    if h is None:
+        h = h_polynomial(face_fan(p))
     difference = psub(h, binomial_poly(n))
     return BoundsReport(
         dim=n,

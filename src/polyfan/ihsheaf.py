@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from . import linalg
 from .fans import ConewiseLinear, Fan, FanError
@@ -27,6 +28,7 @@ from .polynomials import (
     IntPoly,
     RefinedSeries,
     binomial_poly,
+    coeff,
     padd,
     pmul,
     psub,
@@ -146,6 +148,7 @@ class MinimalExtensionSheaf:
         self._sections: dict = {}
         self._span_forms: dict = {}
         self._global: dict = {}
+        self._reflection: dict = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -411,6 +414,16 @@ class MinimalExtensionSheaf:
                 raise SheafError("reduction modulo m failed to clear pivots")
         return tuple(res[i] for i in data["complement"])
 
+    def reflection(self, q: int):
+        """Matrices of the point reflection at degree q, on the section
+        basis and on the quotient modulo m; built once per degree."""
+        cached = self._reflection.get(q)
+        if cached is None:
+            c = _involution_on_basis(self, q)
+            cached = (c, _involution_on_quotient(self, q, c))
+            self._reflection[q] = cached
+        return cached
+
 
 def _kernel_with_free(rows: list, total: int):
     pivots = linalg._rref_inplace(rows)
@@ -499,7 +512,7 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     facets = fan.facets_of(sid)
     gen_degrees = []
     lifts = []  # (degree, boundary section vector)
-    for q in range(0, mes.cap + 2, 2):
+    for q in range(0, mes.cap + 1, 2):
         basis, _free, m_coords = _boundary_quotient_data(mes, sid, q)
         rows = [list(r) for r in m_coords]
         pivots = linalg._rref_inplace(rows)
@@ -582,7 +595,6 @@ class SectionBasis:
     """Global sections per even degree: layout metadata plus basis vectors
     in concatenated per-maximal-cone coordinates."""
 
-    sheaf: "MinimalExtensionSheaf"
     max_ids: tuple
     degrees: tuple
     bases: dict  # q -> tuple of vectors
@@ -590,81 +602,51 @@ class SectionBasis:
     def dim(self, q: int) -> int:
         return len(self.bases.get(q, ()))
 
-    def components(self, q: int, index: int) -> dict:
-        """One basis element decoded as, per maximal cone, a tuple of
-        monomial-coefficient vectors (one per module generator)."""
-        vec = self.bases[q][index]
-        offsets, _ = self.sheaf.section_layout(self.max_ids, q)
-        out = {}
-        for cid, off in zip(self.max_ids, offsets):
-            blocks, _ = self.sheaf.gen_blocks(cid, q)
-            out[cid] = tuple(
-                tuple(vec[off + boff : off + boff + cnt])
-                for (_, _, boff, cnt) in blocks
-            )
-        return out
-
 
 def global_sections(mes: MinimalExtensionSheaf) -> SectionBasis:
     """Degreewise bases of the sections over all maximal cones."""
     if not mes.fan.is_complete():
         raise FanError("global sections require a complete fan")
     max_ids = mes.global_cone_ids()
-    degrees = tuple(range(0, mes.cap + 2, 2))
+    degrees = tuple(range(0, mes.cap + 1, 2))
     bases = {q: mes.global_data(q)["basis"] for q in degrees}
-    return SectionBasis(mes, max_ids, degrees, bases)
+    return SectionBasis(max_ids, degrees, bases)
+
+
+def _graded_dims(mes: MinimalExtensionSheaf, key: str) -> IntPoly:
+    if not mes.fan.is_complete():
+        raise FanError("Poincare series require a complete fan")
+    out = [0] * (mes.cap + 1)
+    for q in range(0, mes.cap + 1, 2):
+        out[q] = len(mes.global_data(q)[key])
+    return trim(out)
 
 
 def sections_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     """Graded dimensions of the global sections (a polynomial in t,
     truncated at the cap); the module-level Poincare series."""
-    if not mes.fan.is_complete():
-        raise FanError("Poincare series require a complete fan")
-    out = [0] * (mes.cap + 1)
-    for q in range(0, mes.cap + 2, 2):
-        if q <= mes.cap:
-            out[q] = len(mes.global_data(q)["basis"])
-    return trim(out)
+    return _graded_dims(mes, "basis")
 
 
 def ih_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     """Graded dimensions of global sections modulo the maximal ideal: the
     Betti numbers of combinatorial intersection cohomology."""
-    if not mes.fan.is_complete():
-        raise FanError("Poincare series require a complete fan")
-    out = [0] * (mes.cap + 1)
-    for q in range(0, mes.cap + 2, 2):
-        if q <= mes.cap:
-            out[q] = len(mes.global_data(q)["complement"])
-    return trim(out)
+    return _graded_dims(mes, "complement")
 
 
-def check_betti_equals_h(mes: MinimalExtensionSheaf, h: IntPoly | None = None) -> bool:
+def check_betti_equals_h(u: IntPoly, h: IntPoly, cap: int) -> bool:
     """Betti numbers equal the h-polynomial evaluated at t^2."""
-    if h is None:
-        h = h_polynomial(mes.fan)
-    expected = truncate_at(substitute_t_squared(h), mes.cap)
-    return ih_poincare(mes) == expected
+    return u == truncate_at(substitute_t_squared(h), cap)
 
 
-def check_freeness_factorization(mes: MinimalExtensionSheaf) -> bool:
+def check_freeness_factorization(u: IntPoly, v: IntPoly, n: int, cap: int) -> bool:
     """Sections = polynomials tensor quotient: v(t) * (1 - t^2)^n = u(t)
     coefficientwise up to the cap."""
-    v = sections_poincare(mes)
-    u = ih_poincare(mes)
-    n = mes.fan.dim
     factor = [0] * (2 * n + 1)
     for k in range(n + 1):
-        factor[2 * k] = (-1) ** k * _binom(n, k)
-    lhs = truncate_at(pmul(v, trim(factor)), mes.cap)
-    return lhs == truncate_at(u, mes.cap)
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+        factor[2 * k] = (-1) ** k * comb(n, k)
+    lhs = truncate_at(pmul(v, trim(factor)), cap)
+    return lhs == truncate_at(u, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +661,7 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
     for cid in fan.cone_ids():
         facets = fan.facets_of(cid)
         dims = [0] * (mes.cap + 1)
-        for q in range(0, mes.cap + 2, 2):
-            if q > mes.cap:
-                continue
+        for q in range(0, mes.cap + 1, 2):
             dim_e = mes.module_dim(cid, q)
             if not facets:
                 dims[q] = dim_e
@@ -717,13 +697,9 @@ def check_local_global_dims(mes: MinimalExtensionSheaf, cone_ids) -> bool:
         covered |= fan.faces[cid]
     max_ids = tuple(sorted(cid for cid in ids if cid not in covered))
     kernels = kernel_dimensions(mes)
-    from .polynomials import coeff as _coeff
-
-    for q in range(0, mes.cap + 2, 2):
-        if q > mes.cap:
-            continue
+    for q in range(0, mes.cap + 1, 2):
         basis, _ = mes.section_space(max_ids, q, wall_mode=False)
-        total = sum(_coeff(kernels[cid], q) for cid in ids)
+        total = sum(coeff(kernels[cid], q) for cid in ids)
         if len(basis) != total:
             return False
     return True
@@ -762,7 +738,8 @@ def _phi_permutation(mes: MinimalExtensionSheaf, q: int):
 
 def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
     """Matrix of the reflection on the section basis at degree q (exact;
-    raises if the reflection fails to preserve the section space)."""
+    raises if the reflection fails to preserve the section space).
+    Callers go through :meth:`MinimalExtensionSheaf.reflection`."""
     data = mes.global_data(q)
     basis, free_cols = data["basis"], data["free_cols"]
     apply = _phi_permutation(mes, q)
@@ -774,6 +751,19 @@ def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
     # cols[i] are coordinates of phi(basis[i]); matrix with those as columns.
     dim = len(basis)
     return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+
+
+def _involution_on_quotient(mes: MinimalExtensionSheaf, q: int, c_matrix):
+    """The reflection descended to sections modulo m, on the complement
+    coordinates of :meth:`global_data`."""
+    data = mes.global_data(q)
+    complement = data["complement"]
+    cols = []
+    for idx in complement:
+        coords = tuple(c_matrix[i][idx] for i in range(len(c_matrix)))
+        cols.append(mes.reduce_mod_m(q, coords))
+    k = len(complement)
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 def _eigen_split(matrix, dim: int):
@@ -804,75 +794,50 @@ def refined_series(mes: MinimalExtensionSheaf):
     v_minus = [0] * (cap + 1)
     u_plus = [0] * (cap + 1)
     u_minus = [0] * (cap + 1)
-    for q in range(0, cap + 2, 2):
-        if q > cap:
-            continue
-        c = _involution_on_basis(mes, q)
-        dim = len(c)
-        p, m = _eigen_split(c, dim)
-        v_plus[q], v_minus[q] = p, m
-        cbar = _involution_on_quotient(mes, q, c)
-        dq = len(mes.global_data(q)["complement"])
-        pq, mq = _eigen_split(cbar, dq)
-        u_plus[q], u_minus[q] = pq, mq
+    for q in range(0, cap + 1, 2):
+        c, cbar = mes.reflection(q)
+        v_plus[q], v_minus[q] = _eigen_split(c, len(c))
+        u_plus[q], u_minus[q] = _eigen_split(cbar, len(cbar))
     return (
         RefinedSeries(trim(u_plus), trim(u_minus)),
         RefinedSeries(trim(v_plus), trim(v_minus)),
     )
 
 
-def _involution_on_quotient(mes: MinimalExtensionSheaf, q: int, c_matrix):
-    """The reflection descended to sections modulo m, on the complement
-    coordinates of :meth:`global_data`."""
-    data = mes.global_data(q)
-    complement = data["complement"]
-    cols = []
-    for idx in complement:
-        coords = tuple(c_matrix[i][idx] for i in range(len(c_matrix)))
-        cols.append(mes.reduce_mod_m(q, coords))
-    k = len(complement)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-def phi_eigenspaces(mes: MinimalExtensionSheaf):
-    """Spec-facing name for :func:`refined_series`."""
-    return refined_series(mes)
-
-
-def check_refined_splitting(mes: MinimalExtensionSheaf) -> bool:
+def check_refined_splitting(v_ref: RefinedSeries, v: IntPoly, cap: int) -> bool:
     """2*(v_refined - 1) = (1 + chi)*(v - 1) up to the cap: away from
     degree zero the two eigenspaces of the sections have equal size."""
-    u_ref, v_ref = refined_series(mes)
-    v = sections_poincare(mes)
     one = RefinedSeries.of_int(1)
-    lhs = (v_ref - one).scale(2).truncate_at(mes.cap)
+    lhs = (v_ref - one).scale(2).truncate_at(cap)
     chi_plus_one = RefinedSeries((1,), (1,))
     v_minus_one = RefinedSeries(psub(v, (1,)), ())
-    rhs = (chi_plus_one * v_minus_one).truncate_at(mes.cap)
+    rhs = (chi_plus_one * v_minus_one).truncate_at(cap)
     return lhs == rhs
 
 
-def check_refined_factorization(mes: MinimalExtensionSheaf) -> bool:
+def check_refined_factorization(
+    u_ref: RefinedSeries, v_ref: RefinedSeries, n: int, cap: int
+) -> bool:
     """v_refined * (1 - chi t^2)^n = u_refined up to the cap."""
-    u_ref, v_ref = refined_series(mes)
-    n = mes.fan.dim
     base = RefinedSeries((1,), (0, 0, -1))
-    factor = base.power(n).truncate_at(mes.cap)
-    lhs = (v_ref * factor).truncate_at(mes.cap)
-    return lhs == u_ref.truncate_at(mes.cap)
+    factor = base.power(n).truncate_at(cap)
+    lhs = (v_ref * factor).truncate_at(cap)
+    return lhs == u_ref.truncate_at(cap)
 
 
-def check_minus_part_formula(mes: MinimalExtensionSheaf) -> bool:
+def check_minus_part_formula(u_ref: RefinedSeries, u: IntPoly, n: int, cap: int) -> bool:
     """2*u_refined = (u + (1+t^2)^n) + chi*(u - (1+t^2)^n) up to the cap."""
-    u_ref, _ = refined_series(mes)
-    u = ih_poincare(mes)
-    n = mes.fan.dim
     binT = substitute_t_squared(binomial_poly(n))
-    lhs = u_ref.scale(2).truncate_at(mes.cap)
-    rhs = RefinedSeries(
-        truncate_at(padd(u, binT), mes.cap), truncate_at(psub(u, binT), mes.cap)
-    )
+    lhs = u_ref.scale(2).truncate_at(cap)
+    rhs = RefinedSeries(truncate_at(padd(u, binT), cap), truncate_at(psub(u, binT), cap))
     return lhs == rhs
+
+
+def check_minus_dims_match_difference(u_ref: RefinedSeries, u: IntPoly, n: int) -> bool:
+    """Twice the minus-eigenspace dimensions of the quotient equal
+    u - (1+t^2)^n, with no truncation."""
+    binT = substitute_t_squared(binomial_poly(n))
+    return tuple(2 * c for c in u_ref.minus) == psub(u, binT)
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +868,9 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
     return out
 
 
-def lefschetz_rank_table(mes: MinimalExtensionSheaf, s: ConewiseLinear):
-    """Per degree: (dim source, dim target, rank, injective, surjective)."""
-    maps = lefschetz_maps(mes, s)
+def lefschetz_rank_table(mes: MinimalExtensionSheaf, maps: dict):
+    """Per degree of the :func:`lefschetz_maps` result: (dim source, dim
+    target, rank, injective, surjective)."""
     table = {}
     for q, matrix in sorted(maps.items()):
         src = len(mes.global_data(q)["complement"])
@@ -915,11 +880,9 @@ def lefschetz_rank_table(mes: MinimalExtensionSheaf, s: ConewiseLinear):
     return table
 
 
-def check_lefschetz_pattern(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> bool:
+def check_lefschetz_pattern(table: dict, n: int) -> bool:
     """Multiplication is injective below the middle degree and surjective
     above it: injective for q <= n - 1, surjective for q >= n - 1."""
-    n = mes.fan.dim
-    table = lefschetz_rank_table(mes, s)
     for q, (src, tgt, rk, inj, sur) in table.items():
         if q <= n - 1 and not inj:
             return False
@@ -928,23 +891,20 @@ def check_lefschetz_pattern(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> bo
     return True
 
 
-def minus_lefschetz_table(mes: MinimalExtensionSheaf, s: ConewiseLinear):
-    """Lefschetz data restricted to the minus eigenspaces of the
-    reflection; also certifies that multiplication preserves them."""
-    maps = lefschetz_maps(mes, s)
-    table = {}
+def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
+    """The :func:`lefschetz_maps` result restricted to the minus
+    eigenspaces of the reflection; also certifies that multiplication
+    preserves them."""
     minus_bases = {}
-    for q in range(0, mes.cap + 2, 2):
-        if q > mes.cap:
-            continue
-        c = _involution_on_basis(mes, q)
-        cbar = _involution_on_quotient(mes, q, c)
+    for q in range(0, mes.cap + 1, 2):
+        _, cbar = mes.reflection(q)
         dim = len(cbar)
         rows = [
             [cbar[i][j] + (1 if i == j else 0) for j in range(dim)]
             for i in range(dim)
         ]
         minus_bases[q] = linalg.kernel_basis(linalg.mat(rows)) if dim else ()
+    table = {}
     for q, matrix in sorted(maps.items()):
         src_basis = minus_bases[q]
         tgt_basis = minus_bases.get(q + 2, ())
@@ -963,9 +923,9 @@ def minus_lefschetz_table(mes: MinimalExtensionSheaf, s: ConewiseLinear):
     return table
 
 
-def check_minus_lefschetz_pattern(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> bool:
-    n = mes.fan.dim
-    table = minus_lefschetz_table(mes, s)
+def check_minus_lefschetz_pattern(table: dict, n: int) -> bool:
+    """The Lefschetz pattern of :func:`check_lefschetz_pattern` on the
+    minus eigenspaces, from a :func:`minus_lefschetz_table` result."""
     for q, (src, tgt, rk) in table.items():
         if q <= n - 1 and rk != src:
             return False
@@ -981,72 +941,8 @@ def check_minus_lefschetz_pattern(mes: MinimalExtensionSheaf, s: ConewiseLinear)
 def verify_betti_equals_h(fan: Fan, cap: int | None = None) -> bool:
     """Build the sheaf of a complete polytopal fan and compare its Betti
     numbers against the h-polynomial evaluated at t^2."""
-    return check_betti_equals_h(build_mes(fan, cap))
-
-
-@dataclass(frozen=True)
-class CSSheafReport:
-    """Sheaf-theoretic verification of the lower-bound statement for one
-    centrally symmetric polytope."""
-
-    dim: int
-    cap: int
-    betti: IntPoly  # u
-    minus_dims: IntPoly  # minus-eigenspace dims of the quotient
-    minus_formula_ok: bool  # 2 * minus = u - (1+t^2)^n
-    minus_lefschetz_ok: bool
-    difference_nonnegative_even: bool
-    difference_unimodal: bool
-    difference_palindromic: bool
-
-    def ok(self) -> bool:
-        return (
-            self.minus_formula_ok
-            and self.minus_lefschetz_ok
-            and self.difference_nonnegative_even
-            and self.difference_unimodal
-            and self.difference_palindromic
-        )
-
-
-def sheaf_cs_report(p, cap: int | None = None) -> CSSheafReport:
-    """Verify the lower-bound mechanism on a centrally symmetric polytope.
-
-    Checks that twice the minus-eigenspace dimensions of the quotient
-    equal u - (1+t^2)^n coefficientwise, that multiplication by the
-    support function respects the minus eigenspaces with the injective/
-    surjective rank pattern around the middle degree, and that the
-    difference polynomial is nonnegative, even, palindromic and unimodal.
-    """
-    from .fans import face_fan, support_function
-    from .polynomials import coeff, is_palindromic, is_unimodal
-
-    if not p.is_centrally_symmetric():
-        raise ValueError("sheaf_cs_report requires a centrally symmetric polytope")
-    fan = face_fan(p)
     mes = build_mes(fan, cap)
-    s = support_function(p, fan)
-    n = fan.dim
-    u = ih_poincare(mes)
-    u_ref, _ = refined_series(mes)
-    minus = u_ref.minus
-    binT = substitute_t_squared(binomial_poly(n))
-    difference = psub(u, binT)
-    formula_ok = trim(tuple(2 * c for c in minus)) == trim(difference)
-    even_degrees = [coeff(difference, q) for q in range(0, 2 * n + 1, 2)]
-    return CSSheafReport(
-        dim=n,
-        cap=mes.cap,
-        betti=u,
-        minus_dims=minus,
-        minus_formula_ok=formula_ok,
-        minus_lefschetz_ok=check_minus_lefschetz_pattern(mes, s),
-        difference_nonnegative_even=all(
-            c >= 0 and c % 2 == 0 for c in difference
-        ),
-        difference_unimodal=is_unimodal(tuple(even_degrees)),
-        difference_palindromic=is_palindromic(difference, 2 * n),
-    )
+    return check_betti_equals_h(ih_poincare(mes), h_polynomial(fan), mes.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +966,7 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
             continue
         facets = fan.facets_of(cid)
         module = mes.modules[cid]
-        for q in range(0, mes.cap + 2, 2):
+        for q in range(0, mes.cap + 1, 2):
             basis, free_cols, m_coords = _boundary_quotient_data(mes, cid, q)
             m_rows = [list(r) for r in m_coords]
             m_rank = len(linalg._rref_inplace(m_rows))

@@ -80,10 +80,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (first-nonzero pivoting)."""
     rows = [list(r) for r in m]

@@ -117,25 +117,16 @@ def are_isomorphic(p: FacePoset, q: FacePoset) -> bool:
 
 
 class IsomorphismMemo:
-    """Memo table keyed by poset certificate, verified by isomorphism.
-
-    Access is serialized by a lock so concurrent callers observe
-    sequential behaviour.
-    """
+    """Memo table keyed by poset certificate, verified by isomorphism."""
 
     def __init__(self):
-        import threading
-
         self._table: dict = {}
-        self._lock = threading.Lock()
 
     def get(self, p: FacePoset):
-        with self._lock:
-            for stored, value in self._table.get(certificate(p), ()):
-                if are_isomorphic(stored, p):
-                    return value
+        for stored, value in self._table.get(certificate(p), ()):
+            if are_isomorphic(stored, p):
+                return value
         return None
 
     def put(self, p: FacePoset, value) -> None:
-        with self._lock:
-            self._table.setdefault(certificate(p), []).append((p, value))
+        self._table.setdefault(certificate(p), []).append((p, value))

@@ -1,4 +1,4 @@
-"""Analysis pipelines producing machine-readable reports.
+"""Machine-readable reports, each rendered from one :class:`Analysis`.
 
 A report is a plain dict (JSON-serializable) with a ``checks`` section of
 named booleans; a report "passes" when every check is true.  The shipped
@@ -10,11 +10,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from . import ihsheaf
-from .fans import face_fan, support_function
-from .hvector import check_cs_bounds, h_polynomial
-from .polynomials import binomial_poly, coeff, is_palindromic, psub
-from .polytopes import Polytope, ensure_origin_interior
+from .analysis import Analysis
+from .polynomials import binomial_poly, coeff, is_palindromic
 from .scalars import Field
 
 
@@ -27,40 +24,34 @@ def _field_json(field: Field):
     return "rational" if field.is_rational else {"quadratic": field.d}
 
 
-def _base_report(p: Polytope, field: Field, name: str | None, shift) -> dict:
+def hvector_report(a: Analysis, field: Field, name: str | None = None) -> dict:
+    """h-polynomial of the face fan, with basic sanity identities."""
+    p, shift = a.polytope, a.translation
+    h, n = a.h, a.dim
+    rays = len(a.fan.cones_of_dim(1))
     return {
         "name": name,
         "dim": p.ambient_dim,
         "field": _field_json(field),
         "vertex_count": len(p.vertices),
         "translation": None if shift is None else [field.format(x) for x in shift],
-        "checks": {},
+        "h": list(h),
+        "h_difference": [
+            coeff(h, j) - coeff(binomial_poly(n), j) for j in range(n + 1)
+        ],
+        "ray_count": rays,
+        "checks": {
+            "h_palindromic": is_palindromic(h, n),
+            "h_ends_are_one": coeff(h, 0) == 1 and coeff(h, n) == 1,
+            "h_subtop_counts_rays": coeff(h, n - 1) == rays - n,
+        },
     }
 
 
-def hvector_report(p: Polytope, field: Field, name: str | None = None) -> dict:
-    """h-polynomial of the face fan, with basic sanity identities."""
-    p, shift = ensure_origin_interior(p)
-    report = _base_report(p, field, name, shift)
-    fan = face_fan(p)
-    h = h_polynomial(fan)
-    n = fan.dim
-    rays = len(fan.cones_of_dim(1))
-    report["h"] = list(h)
-    report["h_difference"] = [
-        coeff(h, j) - coeff(binomial_poly(n), j) for j in range(n + 1)
-    ]
-    report["ray_count"] = rays
-    report["checks"]["h_palindromic"] = is_palindromic(h, n)
-    report["checks"]["h_ends_are_one"] = coeff(h, 0) == 1 and coeff(h, n) == 1
-    report["checks"]["h_subtop_counts_rays"] = coeff(h, n - 1) == rays - n
-    return report
-
-
-def bounds_report(p: Polytope, field: Field, name: str | None = None) -> dict:
+def bounds_report(a: Analysis, field: Field, name: str | None = None) -> dict:
     """Lower-bound verification for a centrally symmetric polytope."""
-    report = hvector_report(p, field, name)
-    bounds = check_cs_bounds(p)
+    report = hvector_report(a, field, name)
+    bounds = a.bounds
     report["bounds"] = bounds.to_dict()
     checks = report["checks"]
     checks["difference_nonnegative_even"] = bounds.nonnegative_even_difference
@@ -73,54 +64,25 @@ def bounds_report(p: Polytope, field: Field, name: str | None = None) -> dict:
     return report
 
 
-def ih_report(
-    p: Polytope,
-    field: Field,
-    name: str | None = None,
-    degree_cap: int | None = None,
-) -> dict:
+def ih_report(a: Analysis, field: Field, name: str | None = None) -> dict:
     """Full sheaf-cohomology verification of one polytope."""
-    p, shift = ensure_origin_interior(p)
-    report = hvector_report(p, field, name)
-    fan = face_fan(p)
-    mes = ihsheaf.build_mes(fan, degree_cap)
-    s = support_function(p, fan)
-    u = ihsheaf.ih_poincare(mes)
-    v = ihsheaf.sections_poincare(mes)
-    lef = ihsheaf.lefschetz_rank_table(mes, s)
+    report = hvector_report(a, field, name)
     ih_section = {
-        "degree_cap": mes.cap,
-        "betti": list(u),
-        "section_dims": list(v),
+        "degree_cap": a.cap,
+        "betti": list(a.u),
+        "section_dims": list(a.v),
         "lefschetz": [
             {"degree": q, "source": src, "target": tgt, "rank": rk}
-            for q, (src, tgt, rk, _, _) in sorted(lef.items())
+            for q, (src, tgt, rk, _, _) in sorted(a.rank_table.items())
         ],
     }
-    checks = report["checks"]
-    checks["betti_equals_h"] = ihsheaf.check_betti_equals_h(mes)
-    checks["freeness_factorization"] = ihsheaf.check_freeness_factorization(mes)
-    checks["lefschetz_pattern"] = ihsheaf.check_lefschetz_pattern(mes, s)
-    if p.is_centrally_symmetric():
-        u_ref, v_ref = ihsheaf.refined_series(mes)
+    report["checks"].update(a.ih_checks())
+    if a.is_centrally_symmetric:
+        u_ref, v_ref = a.refined
         ih_section["eigen_plus"] = list(u_ref.plus)
         ih_section["eigen_minus"] = list(u_ref.minus)
         ih_section["section_eigen_plus"] = list(v_ref.plus)
         ih_section["section_eigen_minus"] = list(v_ref.minus)
-        checks["refined_factorization"] = ihsheaf.check_refined_factorization(mes)
-        checks["refined_splitting"] = ihsheaf.check_refined_splitting(mes)
-        checks["minus_part_formula"] = ihsheaf.check_minus_part_formula(mes)
-        checks["minus_lefschetz_pattern"] = ihsheaf.check_minus_lefschetz_pattern(
-            mes, s
-        )
-        n = fan.dim
-        binT = [0] * (2 * n + 1)
-        for k in range(n + 1):
-            binT[2 * k] = coeff(binomial_poly(n), k)
-        diff = psub(u, tuple(binT))
-        checks["minus_dims_match_difference"] = (
-            tuple(2 * c for c in u_ref.minus) == diff
-        )
     report["ih"] = ih_section
     return report
 

@@ -8,6 +8,7 @@ arithmetic; nothing in this package ever rounds to floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -263,19 +264,6 @@ class Field:
     def is_rational(self) -> bool:
         return self.d is None
 
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.is_rational else Quadratic(0, 0, self.d)
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.is_rational else Quadratic(1, 0, self.d)
-
-    def sqrt_generator(self) -> Quadratic:
-        if self.is_rational:
-            raise ValueError("the rational field has no radical generator")
-        return Quadratic(0, 1, self.d)
-
     def parse(self, item) -> Scalar:
         """Parse one serialized scalar belonging to this field."""
         if isinstance(item, str):
@@ -311,8 +299,15 @@ class Field:
         return Fraction(x) if self.is_rational else Quadratic(x, 0, self.d)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """Parse ``"p/q"`` or ``"p"``: an optional minus sign and ASCII digits,
+    with no spaces, exponents, decimal points or underscores."""
+    if not _RATIONAL.fullmatch(text):
+        raise ScalarParseError(f"invalid rational {text!r}: expected \"p/q\" or \"p\"")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise ScalarParseError(f"invalid rational {text!r}: {exc}") from None

@@ -5,18 +5,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from polyfan.analysis import Analysis
 from polyfan.corpus import sheaf_corpus
-from polyfan.fans import face_fan, support_function
-from polyfan.ihsheaf import build_mes
 
 
 @pytest.fixture(scope="session")
-def sheaf_setups():
-    """(polytope, fan, sheaf at cap 8, support function) per corpus name;
-    built once because the sheaf caches all degreewise data."""
-    out = {}
-    for name, p in sheaf_corpus():
-        fan = face_fan(p)
-        mes = build_mes(fan, 8)
-        out[name] = (p, fan, mes, support_function(p, fan))
-    return out
+def sheaf_analyses():
+    """An analysis at cap 8 per sheaf-corpus name; shared by the session
+    because each analysis keeps every invariant it computes."""
+    return {name: Analysis(p, 8) for name, p in sheaf_corpus()}
+
+
+@pytest.fixture(scope="session")
+def sheaf_setups(sheaf_analyses):
+    """(polytope, fan, sheaf at cap 8, support function) per corpus name."""
+    return {
+        name: (a.polytope, a.fan, a.sheaf, a.support)
+        for name, a in sheaf_analyses.items()
+    }

@@ -21,7 +21,6 @@ from polyfan.ihsheaf import (
     check_refined_factorization,
     check_refined_splitting,
     ih_poincare,
-    refined_series,
 )
 from polyfan.polynomials import binomial_poly, coeff, substitute_t_squared
 from polyfan.polytopes import cross_polytope, cube, linear_image
@@ -97,33 +96,33 @@ def test_criterion_5_betti_equals_h(sheaf_setups):
     for name, (_, fan, mes, _) in sheaf_setups.items():
         t1 = time.time()
         h = h_polynomial(fan)
-        assert ih_poincare(mes) == substitute_t_squared(h), name
-        assert check_betti_equals_h(mes, h), name
+        u = ih_poincare(mes)
+        assert u == substitute_t_squared(h), name
+        assert check_betti_equals_h(u, h, mes.cap), name
         assert time.time() - t1 < 300.0, name
     _announce(5, "u = h(t^2) on all six sheaf fans at cap 8", t0)
 
 
-def test_criterion_6_series_identities(sheaf_setups):
+def test_criterion_6_series_identities(sheaf_analyses):
     t0 = time.time()
-    for name, (_, _, mes, _) in sheaf_setups.items():
-        assert check_freeness_factorization(mes), name
-        assert check_refined_factorization(mes), name
-        assert check_refined_splitting(mes), name
-        assert check_minus_part_formula(mes), name
-        u_ref, _ = refined_series(mes)
-        u = ih_poincare(mes)
-        n = mes.fan.dim
+    for name, a in sheaf_analyses.items():
+        u, v, n, cap = a.u, a.v, a.dim, a.cap
+        u_ref, v_ref = a.refined
+        assert check_freeness_factorization(u, v, n, cap), name
+        assert check_refined_factorization(u_ref, v_ref, n, cap), name
+        assert check_refined_splitting(v_ref, v, cap), name
+        assert check_minus_part_formula(u_ref, u, n, cap), name
         binT = substitute_t_squared(binomial_poly(n))
-        for q in range(0, mes.cap + 1):
+        for q in range(0, cap + 1):
             assert 2 * coeff(u_ref.minus, q) == coeff(u, q) - coeff(binT, q), name
     _announce(6, "factorizations, splitting, minus-part formula", t0)
 
 
-def test_criterion_7_lefschetz_patterns(sheaf_setups):
+def test_criterion_7_lefschetz_patterns(sheaf_analyses):
     t0 = time.time()
-    for name, (_, _, mes, s) in sheaf_setups.items():
-        assert check_lefschetz_pattern(mes, s), name
-        assert check_minus_lefschetz_pattern(mes, s), name
+    for name, a in sheaf_analyses.items():
+        assert check_lefschetz_pattern(a.rank_table, a.dim), name
+        assert check_minus_lefschetz_pattern(a.minus_table, a.dim), name
     _announce(7, "Lefschetz rank pattern incl. minus restriction", t0)
 
 

@@ -82,6 +82,47 @@ class TestParsing:
         with pytest.raises(Exception, match="missing"):
             polytope_from_json({"dim": 2, "vertices": []})
 
+    def test_boolean_dim_rejected(self):
+        doc = {"dim": True, "field": "rational", "vertices": [["1"], ["-1"]]}
+        with pytest.raises(Exception, match="dim must be a positive integer"):
+            polytope_from_json(doc)
+
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestInputGrammar:
+    def test_boolean_dim_exits_two(self, capsys, tmp_path):
+        path = _write_doc(
+            tmp_path, {"dim": True, "field": "rational", "vertices": [["1"], ["-1"]]}
+        )
+        code, out, err = run(capsys, "hvector", path)
+        assert code == 2
+        assert out == ""
+        assert "dim must be a positive integer" in err
+
+    @pytest.mark.parametrize("bad", ["1e3", "1.5", " 1 ", "1_000", "+1", "0x10"])
+    def test_scalar_outside_grammar_exits_two(self, capsys, tmp_path, bad):
+        doc = {"dim": 2, "field": "rational", "vertices": [["1", "0"], ["-1", bad]]}
+        code, out, err = run(capsys, "hvector", _write_doc(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert "vertex #1, coordinate #1" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_quadratic_pair_outside_grammar_exits_two(self, capsys, tmp_path):
+        doc = {
+            "dim": 1,
+            "field": {"quadratic": 2},
+            "vertices": [[["1", "0"]], [["-1", "1.0"]]],
+        }
+        code, _, err = run(capsys, "hvector", _write_doc(tmp_path, doc))
+        assert code == 2
+        assert "vertex #1, coordinate #0" in err
+
 
 class TestAnalysisCommands:
     def test_hvector_cube(self, capsys, tmp_path):
@@ -128,6 +169,17 @@ class TestAnalysisCommands:
         assert code == 0
         assert json.loads(out)["ih"]["degree_cap"] == 8
 
+    @pytest.mark.parametrize("cap", ["3", "2", "-2"])
+    def test_ih_bad_degree_cap_exits_two(self, capsys, tmp_path, cap):
+        from polyfan import cube
+
+        path = write_polytope(tmp_path, "cube2", cube(2))
+        code, out, err = run(capsys, "ih", path, "--degree-cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --degree-cap")
+        assert len(err.strip().splitlines()) == 1
+
     def test_ih_dimension_limit(self, capsys, tmp_path):
         from polyfan import cube
 
@@ -165,6 +217,16 @@ class TestReportAll:
         schema = load_report_schema()
         for report in reports:
             jsonschema.validate(report, schema)
+
+    def test_bad_degree_cap_exits_two(self, capsys, tmp_path):
+        from polyfan import cube
+
+        write_polytope(tmp_path, "cube2", cube(2))
+        code, out, err = run(capsys, "report-all", str(tmp_path), "--degree-cap", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --degree-cap")
+        assert len(err.strip().splitlines()) == 1
 
     def test_empty_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, "report-all", str(tmp_path))

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from polyfan import linalg
-from polyfan.fans import face_fan, support_function
-from polyfan.hvector import g_polynomial, h_polynomial
+from polyfan.analysis import Analysis
+from polyfan.fans import face_fan
+from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
     build_mes,
@@ -19,15 +20,17 @@ from polyfan.ihsheaf import (
     global_sections,
     ih_poincare,
     kernel_dimensions,
+    lefschetz_maps,
     lefschetz_rank_table,
     monomials,
     refined_series,
     sections_poincare,
-    sheaf_cs_report,
     verify_betti_equals_h,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
-from polyfan.polytopes import cross_polytope, cube, simplex
+from polyfan.polytopes import cube, simplex
+from polyfan.reports import ih_report, report_passes
+from polyfan.scalars import Field
 
 
 def F(x):
@@ -154,15 +157,14 @@ class TestPoincare:
         _, _, mes, _ = sheaf_setups["cube-3"]
         assert ih_poincare(mes) == (1, 0, 5, 0, 5, 0, 1)
 
-    def test_betti_equals_h_everywhere(self, sheaf_setups):
-        for name, (_, fan, mes, _) in sheaf_setups.items():
-            u = ih_poincare(mes)
-            assert u == substitute_t_squared(h_polynomial(fan)), name
-            assert check_betti_equals_h(mes), name
+    def test_betti_equals_h_everywhere(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            assert a.u == substitute_t_squared(h_polynomial(a.fan)), name
+            assert check_betti_equals_h(a.u, a.h, a.cap), name
 
-    def test_freeness_factorization(self, sheaf_setups):
-        for name, (_, _, mes, _) in sheaf_setups.items():
-            assert check_freeness_factorization(mes), name
+    def test_freeness_factorization(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            assert check_freeness_factorization(a.u, a.v, a.dim, a.cap), name
 
     def test_verify_entry_point(self):
         assert verify_betti_equals_h(face_fan(simplex(2)))
@@ -206,11 +208,12 @@ class TestReflection:
         assert u_ref.plus == (1, 0, 4, 0, 4, 0, 1)
         assert u_ref.minus == (0, 0, 1, 0, 1)
 
-    def test_identities(self, sheaf_setups):
-        for name, (_, _, mes, _) in sheaf_setups.items():
-            assert check_refined_splitting(mes), name
-            assert check_refined_factorization(mes), name
-            assert check_minus_part_formula(mes), name
+    def test_identities(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            u_ref, v_ref = a.refined
+            assert check_refined_splitting(v_ref, a.v, a.cap), name
+            assert check_refined_factorization(u_ref, v_ref, a.dim, a.cap), name
+            assert check_minus_part_formula(u_ref, a.u, a.dim, a.cap), name
 
     def test_non_cs_fan_rejected(self):
         fan = face_fan(simplex(2))
@@ -222,46 +225,47 @@ class TestReflection:
 class TestLefschetz:
     def test_cube3_rank_pattern(self, sheaf_setups):
         _, _, mes, s = sheaf_setups["cube-3"]
-        table = lefschetz_rank_table(mes, s)
+        table = lefschetz_rank_table(mes, lefschetz_maps(mes, s))
         assert table[0][:3] == (1, 5, 1)
         assert table[2][:3] == (5, 5, 5)
         assert table[4][:3] == (5, 1, 1)
         assert table[6][:3] == (1, 0, 0)
 
-    def test_patterns_hold(self, sheaf_setups):
-        for name, (_, _, mes, s) in sheaf_setups.items():
-            assert check_lefschetz_pattern(mes, s), name
-            assert check_minus_lefschetz_pattern(mes, s), name
+    def test_patterns_hold(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            assert check_lefschetz_pattern(a.rank_table, a.dim), name
+            assert check_minus_lefschetz_pattern(a.minus_table, a.dim), name
 
 
 class TestCSReport:
-    def test_cross3_zero_minus(self, sheaf_setups):
-        p, _, _, _ = sheaf_setups["cross-3"]
-        report = sheaf_cs_report(p, 8)
-        assert report.minus_dims == ()
-        assert report.ok()
+    """The lower-bound mechanism on a centrally symmetric polytope: the
+    ih report's minus-eigenspace checks beside the h-vector bounds."""
 
-    def test_cube3(self, sheaf_setups):
-        p, _, _, _ = sheaf_setups["cube-3"]
-        report = sheaf_cs_report(p, 8)
-        assert report.minus_dims == (0, 0, 1, 0, 1)
-        assert report.ok()
+    def test_cross3_zero_minus(self, sheaf_analyses):
+        report = ih_report(sheaf_analyses["cross-3"], Field.rational())
+        assert report["ih"]["eigen_minus"] == []
+        assert report_passes(report)
+
+    def test_cube3(self, sheaf_analyses):
+        report = ih_report(sheaf_analyses["cube-3"], Field.rational())
+        assert report["ih"]["eigen_minus"] == [0, 0, 1, 0, 1]
+        assert report["checks"]["minus_dims_match_difference"]
+        assert report["checks"]["minus_lefschetz_pattern"]
+        assert report_passes(report)
 
     def test_random_cs_consistent_with_bounds(self):
         from polyfan.corpus import random_cs_family
-        from polyfan.hvector import check_cs_bounds
 
         name, p = next(
             (nm, q) for nm, q in random_cs_family() if q.ambient_dim == 3
         )
-        sheaf_report = sheaf_cs_report(p, 8)
+        analysis = Analysis(p, 8)
+        report = ih_report(analysis, Field.rational(), name)
         bounds = check_cs_bounds(p)
-        assert sheaf_report.ok()
+        assert report_passes(report)
         assert bounds.all_bounds_hold()
-        assert sheaf_report.difference_unimodal == bounds.difference_unimodal
-        assert list(sheaf_report.betti) == list(
-            substitute_t_squared(bounds.h)
-        )
+        assert analysis.bounds == bounds
+        assert report["ih"]["betti"] == list(substitute_t_squared(bounds.h))
 
 
 class TestAxioms:
@@ -337,13 +341,12 @@ class TestCorpusBettiSweep:
     def test_betti_equals_h_on_all_low_dim_corpus_fans(self):
         # Every corpus fan of dimension <= 3 through the full pipeline.
         from polyfan.corpus import cs_corpus
-        from polyfan.ihsheaf import build_mes, check_betti_equals_h
 
         checked = 0
         for name, p in cs_corpus():
             if p.ambient_dim > 3:
                 continue
-            fan = face_fan(p)
-            assert check_betti_equals_h(build_mes(fan)), name
+            a = Analysis(p)
+            assert check_betti_equals_h(a.u, a.h, a.cap), name
             checked += 1
         assert checked >= 15

@@ -148,6 +148,21 @@ class TestSerialization:
         with pytest.raises(ScalarParseError):
             Field.quadratic(2).parse("x+y")
 
+    @pytest.mark.parametrize(
+        "text", ["1e3", "1.5", " 1 ", "1_000", "+1", "1/-2", "", "/2", "\u0661", "1 /2"]
+    )
+    def test_strings_outside_the_grammar_rejected(self, text):
+        with pytest.raises(ScalarParseError, match="p/q"):
+            Field.rational().parse(text)
+        with pytest.raises(ScalarParseError, match="p/q"):
+            Field.quadratic(2).parse(["0", text])
+
+    @pytest.mark.parametrize(
+        "text,value", [("0", 0), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2))]
+    )
+    def test_grammar_accepts_signed_integers_and_quotients(self, text, value):
+        assert Field.rational().parse(text) == value
+
     def test_to_fraction(self):
         assert to_fraction(q2(3, 0)) == 3
         with pytest.raises(ValueError):
