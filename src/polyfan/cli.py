@@ -17,6 +17,7 @@ from . import reports
 from .analysis import Analysis
 from .ihsheaf import DegreeCapError
 from .polytopes import (
+    NotAVertexError,
     Polytope,
     PolytopeError,
     cross_polytope,
@@ -109,6 +110,20 @@ def load_polytope_file(path: str) -> tuple:
         raise InputError(f"{path}: {exc}") from None
 
 
+def analyze(path: str, p: Polytope, field: Field, degree_cap=None) -> Analysis:
+    """The analysis of a loaded file.  Building it builds the face
+    lattice, so its errors name the file and show a point as written."""
+    try:
+        return Analysis(p, degree_cap)
+    except NotAVertexError as exc:
+        point = json.dumps([field.format(x) for x in p.vertices[exc.index]])
+        raise InputError(
+            f"{path}: listed point #{exc.index} {point} is not a vertex"
+        ) from None
+    except PolytopeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -180,14 +195,16 @@ def _emit(report: dict, as_json: bool) -> int:
 
 def cmd_hvector(args) -> int:
     p, field, name = load_polytope_file(args.file)
-    return _emit(reports.hvector_report(Analysis(p), field, name), args.json)
+    analysis = analyze(args.file, p, field)
+    return _emit(reports.hvector_report(analysis, field, name), args.json)
 
 
 def cmd_check_bounds(args) -> int:
     p, field, name = load_polytope_file(args.file)
     if not p.is_centrally_symmetric():
         raise InputError(f"{args.file}: polytope is not centrally symmetric")
-    return _emit(reports.bounds_report(Analysis(p), field, name), args.json)
+    analysis = analyze(args.file, p, field)
+    return _emit(reports.bounds_report(analysis, field, name), args.json)
 
 
 def cmd_ih(args) -> int:
@@ -197,7 +214,8 @@ def cmd_ih(args) -> int:
             f"{args.file}: dimension {p.ambient_dim} exceeds --max-dim "
             f"{args.max_dim}"
         )
-    report = reports.ih_report(Analysis(p, args.degree_cap), field, name)
+    analysis = analyze(args.file, p, field, args.degree_cap)
+    report = reports.ih_report(analysis, field, name)
     return _emit(report, args.json)
 
 
@@ -214,7 +232,7 @@ def cmd_report_all(args) -> int:
         p, field, name = load_polytope_file(str(path))
         if name is None:
             name = path.stem
-        analysis = Analysis(p, args.degree_cap)
+        analysis = analyze(str(path), p, field, args.degree_cap)
         if p.is_centrally_symmetric():
             report = reports.bounds_report(analysis, field, name)
         else:

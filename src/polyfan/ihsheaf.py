@@ -149,6 +149,7 @@ class MinimalExtensionSheaf:
         self._span_forms: dict = {}
         self._global: dict = {}
         self._reflection: dict = {}
+        self._minus_basis: dict = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -422,6 +423,17 @@ class MinimalExtensionSheaf:
             c = _involution_on_basis(self, q)
             cached = (c, _involution_on_quotient(self, q, c))
             self._reflection[q] = cached
+        return cached
+
+    def minus_basis(self, q: int):
+        """Basis (``linalg.kernel_basis`` of cbar + I) of the -1
+        eigenspace of the reflection on the quotient at degree q; built
+        once per degree for the refined series and the minus table."""
+        cached = self._minus_basis.get(q)
+        if cached is None:
+            _, cbar = self.reflection(q)
+            cached = linalg.kernel_basis(_shifted(cbar, 1))
+            self._minus_basis[q] = cached
         return cached
 
 
@@ -766,20 +778,21 @@ def _involution_on_quotient(mes: MinimalExtensionSheaf, q: int, c_matrix):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _eigen_split(matrix, dim: int):
-    """Eigenspace dimensions (+1, -1) of an exact involution matrix."""
+def _shifted(matrix, s: int) -> list:
+    """The square matrix plus s times the identity, as row lists."""
+    return [
+        [x + s if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+def _eigen_split(matrix, minus: int):
+    """Eigenspace dimensions (+1, -1) of an exact involution matrix whose
+    -1 eigenspace has dimension ``minus``."""
+    dim = len(matrix)
     if dim == 0:
         return 0, 0
-    plus_rows = [
-        [matrix[i][j] - (1 if i == j else 0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    minus_rows = [
-        [matrix[i][j] + (1 if i == j else 0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    plus = dim - len(linalg._rref_inplace(plus_rows))
-    minus = dim - len(linalg._rref_inplace(minus_rows))
+    plus = dim - len(linalg._rref_inplace(_shifted(matrix, -1)))
     if plus + minus != dim:
         raise SheafError("reflection action is not an involution on sections")
     return plus, minus
@@ -796,8 +809,9 @@ def refined_series(mes: MinimalExtensionSheaf):
     u_minus = [0] * (cap + 1)
     for q in range(0, cap + 1, 2):
         c, cbar = mes.reflection(q)
-        v_plus[q], v_minus[q] = _eigen_split(c, len(c))
-        u_plus[q], u_minus[q] = _eigen_split(cbar, len(cbar))
+        v_minus_dim = len(c) - len(linalg._rref_inplace(_shifted(c, 1)))
+        v_plus[q], v_minus[q] = _eigen_split(c, v_minus_dim)
+        u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q)))
     return (
         RefinedSeries(trim(u_plus), trim(u_minus)),
         RefinedSeries(trim(v_plus), trim(v_minus)),
@@ -895,15 +909,7 @@ def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
     """The :func:`lefschetz_maps` result restricted to the minus
     eigenspaces of the reflection; also certifies that multiplication
     preserves them."""
-    minus_bases = {}
-    for q in range(0, mes.cap + 1, 2):
-        _, cbar = mes.reflection(q)
-        dim = len(cbar)
-        rows = [
-            [cbar[i][j] + (1 if i == j else 0) for j in range(dim)]
-            for i in range(dim)
-        ]
-        minus_bases[q] = linalg.kernel_basis(linalg.mat(rows)) if dim else ()
+    minus_bases = {q: mes.minus_basis(q) for q in range(0, mes.cap + 1, 2)}
     table = {}
     for q, matrix in sorted(maps.items()):
         src_basis = minus_bases[q]

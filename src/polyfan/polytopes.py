@@ -1,8 +1,9 @@
 """Convex polytopes from exact vertex sets.
 
-Facets are enumerated by brute force over n-element vertex subsets
-spanning hyperplanes (with an integer fast path for rational input), the
-remaining faces by intersection closure of facet vertex sets.  The face
+Facets are the extreme rays of the homogenized cone of the vertex list,
+found by one double-description routine over Q (on integer-scaled rows)
+or Q(sqrt d).  The other faces are the intersections of facet vertex
+sets, graded from the top down without any rank computation.  The face
 lattice is validated on construction: full dimension, the vertex
 criterion for every listed point, and Euler's relation.
 """
@@ -21,6 +22,15 @@ from .scalars import is_rational, sign, to_fraction
 
 class PolytopeError(ValueError):
     pass
+
+
+class NotAVertexError(PolytopeError):
+    """A listed point that is not a vertex of the hull of the list."""
+
+    def __init__(self, index: int, point):
+        self.index = index
+        coords = ", ".join(str(x) for x in point)
+        super().__init__(f"listed point #{index} ({coords}) is not a vertex")
 
 
 @dataclass(frozen=True)
@@ -180,280 +190,161 @@ def ensure_origin_interior(p: Polytope):
 
 
 def _build_face_lattice(vertices, n: int) -> FaceLattice:
-    if len(vertices) < n + 1:
-        raise PolytopeError("not full-dimensional")
-    if all(all(is_rational(x) for x in v) for v in vertices):
-        facets = _facets_rational(vertices, n)
-    else:
-        facets = _facets_field(vertices, n)
-    if not facets:
-        raise PolytopeError("not full-dimensional")
-    return _lattice_from_facets(vertices, n, facets)
+    return _lattice_from_facets(vertices, n, _facets(vertices, n))
 
 
-def _facets_rational(vertices, n: int):
-    """Integer fast path: scale coordinates to Z and enumerate there."""
-    fracs = [[Fraction(to_fraction(x)) for x in v] for v in vertices]
-    scale = math.lcm(*(x.denominator for v in fracs for x in v))
-    int_rows = [tuple([1] + [int(x * scale) for x in v]) for v in fracs]
-    raw = _facets_int_rows(int_rows, n)
-    facets = []
-    for mask, u, c in raw:
-        facets.append((mask, tuple(Fraction(x) for x in u), Fraction(c, scale)))
-    return facets
+def _facets(points, n: int) -> list:
+    """Every facet of conv(points) as (mask, u, c): u.x <= c on the hull,
+    with equality exactly on the points in ``mask``.
 
-
-def _facets_int_rows(rows, n: int):
-    """All facets of conv(points) from homogeneous integer rows [1 | x].
-
-    Depth-first search over index-increasing, affinely independent point
-    subsets of size n; each such subset spans a candidate hyperplane which
-    is kept when every point lies weakly on one side.
+    Double description (Fukuda-Prodon 1996): a facet is an extreme ray y
+    of the cone {y : y.[1|p] >= 0 for every point p}, with (c, u) =
+    (y_0, -y_rest).  The cone of a first simplex is refined by one row at
+    a time.  Rational points are scaled to integer rows and rays stay
+    primitive integer vectors; over Q(sqrt d) a ray is divided by the
+    absolute value of its first nonzero entry.  Either way each facet has
+    one exact representation, independent of the insertion order.
     """
-    m = len(rows)
     width = n + 1
-    seen = {}
-    facets = []
+    if all(is_rational(x) for p in points for x in p):
+        fracs = [[to_fraction(x) for x in p] for p in points]
+        scale = math.lcm(*(x.denominator for p in fracs for x in p))
+        rows = [(1,) + tuple(int(x * scale) for x in p) for p in fracs]
+        normalize = _primitive
+    else:
+        scale = None
+        rows = [(Fraction(1),) + tuple(p) for p in points]
+        normalize = _unit_lead
+    basis = _first_simplex(rows, width)
+    # {y : B y >= 0} is B^-1 applied to the orthant, so its rays are the
+    # columns of B^-1.  Each ray carries its zero set: the rows inserted
+    # so far that it satisfies with equality, as a bitmask.
+    inverse = linalg.inverse(linalg.mat(rows[i] for i in basis))
+    all_bits = sum(1 << i for i in basis)
+    rays = [
+        (normalize(tuple(r[j] for r in inverse)), all_bits & ~(1 << i))
+        for j, i in enumerate(basis)
+    ]
+    chosen = set(basis)
+    for k, row in enumerate(rows):
+        if k not in chosen:
+            rays = _insert_row(rays, row, 1 << k, width, normalize)
+    if scale is None:
+        return [(mask, tuple(-x for x in y[1:]), y[0]) for y, mask in rays]
+    return [
+        (mask, tuple(Fraction(-x) for x in y[1:]), Fraction(y[0], scale))
+        for y, mask in rays
+    ]
+
+
+def _first_simplex(rows, width: int) -> list:
+    """Indices of the first ``width`` linearly independent rows, by one
+    fraction-free elimination in index order."""
     echelon = []
-    pivots = []
-
-    def reduce_row(row):
+    chosen = []
+    for i, row in enumerate(rows):
         row = list(row)
-        for er, pc in zip(echelon, pivots):
-            f = row[pc]
-            if f:
-                p = er[pc]
-                for j in range(width):
-                    row[j] = row[j] * p - er[j] * f
-        for pc, x in enumerate(row):
-            if x:
-                return row, pc
-        return None, -1
-
-    def kernel_vector():
-        # Integer back-substitution: v carries the kernel vector times a
-        # positive running scale, rescaled whenever a pivot fails to divide.
-        pivot_set = set(pivots)
-        free = next(j for j in range(width) if j not in pivot_set)
-        v = [0] * width
-        v[free] = 1
-        for idx in range(len(echelon) - 1, -1, -1):
-            er = echelon[idx]
-            pc = pivots[idx]
-            total = 0
-            for j in range(width):
-                if j != pc and v[j]:
-                    total += er[j] * v[j]
-            p = er[pc]
-            g = math.gcd(total, p)
-            factor = p // g
-            if factor != 1:
-                for j in range(width):
-                    if v[j]:
-                        v[j] *= factor
-            v[pc] = -(total // g)
-        g = math.gcd(*v)
-        ints = [x // g for x in v]
-        if next(x for x in ints if x) < 0:
-            ints = [-x for x in ints]
-        return tuple(ints)
-
-    def handle_candidate():
-        kern = kernel_vector()
-        if kern in seen:
-            return
-        pos = neg = False
-        mask = 0
-        for i, row in enumerate(rows):
-            s = sum(a * b for a, b in zip(kern, row))
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            else:
-                mask |= 1 << i
-            if pos and neg:
-                seen[kern] = None
-                return
-        c0, u = kern[0], kern[1:]
-        if neg:
-            facet = (mask, u, -c0)
-        else:
-            facet = (mask, tuple(-x for x in u), c0)
-        seen[kern] = facet
-        facets.append(facet)
-
-    def extend(start: int):
-        if len(echelon) == n:
-            handle_candidate()
-            return
-        for i in range(start, m - (n - len(echelon)) + 1):
-            row, pc = reduce_row(rows[i])
-            if row is None:
-                continue
-            echelon.append(row)
-            pivots.append(pc)
-            extend(i + 1)
-            echelon.pop()
-            pivots.pop()
-
-    # Full-dimension check: homogeneous rank must be n + 1.
-    probe = []
-    probe_pivots = []
-    for r in rows:
-        reduced = list(r)
-        for er, pc in zip(probe, probe_pivots):
-            f = reduced[pc]
-            if f:
-                p = er[pc]
-                for j in range(width):
-                    reduced[j] = reduced[j] * p - er[j] * f
-        for pc, x in enumerate(reduced):
-            if x:
-                probe.append(reduced)
-                probe_pivots.append(pc)
-                break
-        if len(probe) == width:
-            break
-    if len(probe) != width:
-        raise PolytopeError("not full-dimensional")
-
-    extend(0)
-    return facets
-
-
-def _facets_field(vertices, n: int):
-    """Generic exact path for irrational coordinates; same search as the
-    integer path but with normalized field pivots."""
-    width = n + 1
-    rows = [tuple([Fraction(1)] + list(v)) for v in vertices]
-    m = len(rows)
-    seen = {}
-    facets = []
-    echelon = []
-    pivots = []
-
-    def reduce_row(row):
-        row = list(row)
-        for er, pc in zip(echelon, pivots):
+        for er, pc in echelon:
             f = row[pc]
             if f != 0:
-                for j in range(width):
-                    if er[j] != 0:
-                        row[j] = row[j] - f * er[j]
-        for pc in range(width):
-            if row[pc] != 0:
-                pv = row[pc]
-                return [x / pv for x in row], pc
-        return None, -1
+                p = er[pc]
+                row = [a * p - b * f for a, b in zip(row, er)]
+        pc = next((j for j, x in enumerate(row) if x != 0), None)
+        if pc is not None:
+            echelon.append((row, pc))
+            chosen.append(i)
+            if len(chosen) == width:
+                return chosen
+    raise PolytopeError("not full-dimensional")
 
-    def kernel_vector():
-        pivot_set = set(pivots)
-        free = next(j for j in range(width) if j not in pivot_set)
-        v = [Fraction(0)] * width
-        v[free] = Fraction(1)
-        for er, pc in zip(reversed(echelon), reversed(pivots)):
-            total = Fraction(0)
-            for j in range(width):
-                if j != pc and v[j] != 0:
-                    total = total + er[j] * v[j]
-            v[pc] = -total
-        lead = next(x for x in v if x != 0)
-        return tuple(x / lead for x in v)
 
-    def handle_candidate():
-        kern = kernel_vector()
-        if kern in seen:
-            return
-        pos = neg = False
-        mask = 0
-        for i, row in enumerate(rows):
-            s = sign(sum((a * b for a, b in zip(kern, row)), Fraction(0)))
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            else:
-                mask |= 1 << i
-            if pos and neg:
-                seen[kern] = None
-                return
-        c0, u = kern[0], kern[1:]
-        if neg:
-            facet = (mask, u, -c0)
+def _insert_row(rays, row, bit: int, width: int, normalize) -> list:
+    """Extreme rays of the cone cut by one more row from those before it.
+
+    Rays on the positive side and on the row are kept; each adjacent pair
+    across the row is combined into a ray on it.  Adjacency is decided on
+    zero sets (Fukuda-Prodon, Proposition 7): the pair shares at least
+    width - 2 zeros and no third ray vanishes on all of them.
+    """
+    kept, pos, neg = [], [], []
+    for y, zeros in rays:
+        s = sum(a * b for a, b in zip(row, y))
+        side = sign(s)
+        if side > 0:
+            kept.append((y, zeros))
+            pos.append((y, zeros, s))
+        elif side < 0:
+            neg.append((y, zeros, s))
         else:
-            facet = (mask, tuple(-x for x in u), c0)
-        seen[kern] = facet
-        facets.append(facet)
-
-    def extend(start: int):
-        if len(echelon) == n:
-            handle_candidate()
-            return
-        for i in range(start, m - (n - len(echelon)) + 1):
-            row, pc = reduce_row(rows[i])
-            if row is None:
+            kept.append((y, zeros | bit))
+    if not neg:
+        return kept
+    zero_sets = [zeros for _, zeros in rays]
+    for p, zp, sp in pos:
+        for q, zq, sq in neg:
+            common = zp & zq
+            if common.bit_count() < width - 2:
                 continue
-            echelon.append(row)
-            pivots.append(pc)
-            extend(i + 1)
-            echelon.pop()
-            pivots.pop()
+            if any(z & common == common and z != zp and z != zq for z in zero_sets):
+                continue
+            y = normalize(tuple(sp * b - sq * a for a, b in zip(p, q)))
+            kept.append((y, common | bit))
+    return kept
 
-    if linalg.rank(linalg.mat(rows)) != width:
-        raise PolytopeError("not full-dimensional")
-    extend(0)
-    return facets
+
+def _primitive(y):
+    """The primitive integer vector on the ray of a rational vector."""
+    den = math.lcm(*(x.denominator for x in y))
+    ints = [x.numerator * (den // x.denominator) for x in y]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _unit_lead(y):
+    lead = next(x for x in y if x != 0)
+    if sign(lead) < 0:
+        lead = -lead
+    return tuple(x / lead for x in y)
 
 
 def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
+    """Every face as an intersection of facet masks, graded from the top:
+    the facets of a k-face are the inclusion-maximal proper intersections
+    with facets of P, and they are (k-1)-faces."""
     full_mask = (1 << len(vertices)) - 1
     facet_masks = [mask for mask, _, _ in facets]
-    known = set(facet_masks)
-    queue = list(facet_masks)
-    while queue:
-        mask = queue.pop()
-        for fm in facet_masks:
-            inter = mask & fm
-            if inter not in known:
-                known.add(inter)
-                queue.append(inter)
-    known.add(0)
-    known.add(full_mask)
-    known.discard(full_mask)  # handled separately with dim n
+    dims = {full_mask: n}
+    layer = set(facet_masks)
+    for k in range(n - 1, -1, -1):
+        below = set()
+        for face in layer:
+            dims[face] = k
+            below.update(_maximal_proper(face, facet_masks))
+        layer = below
+    dims[0] = -1
 
-    dims = {0: -1, full_mask: n}
-    facet_set = set(facet_masks)
-    for mask in known:
-        if mask == 0:
-            continue
-        if mask in facet_set:
-            dims[mask] = n - 1
-        else:
-            pts = [vertices[i] for i in _mask_bits(mask)]
-            base = pts[0]
-            if len(pts) == 1:
-                dims[mask] = 0
-            else:
-                diffs = [linalg.vec_sub(q, base) for q in pts[1:]]
-                dims[mask] = linalg.rank(linalg.mat(diffs))
-
-    ordered = sorted(known | {full_mask}, key=lambda msk: (dims[msk], msk))
+    ordered = sorted(dims, key=lambda msk: (dims[msk], msk))
     ids = {mask: i for i, mask in enumerate(ordered)}
-
-    planes = {}
-    for mask, u, c in facets:
-        planes[ids[mask]] = (tuple(u), c)
-
     lattice = FaceLattice(
         ambient_dim=n,
         num_vertices=len(vertices),
         masks=tuple(ordered),
         dims=tuple(dims[mask] for mask in ordered),
-        facet_planes=planes,
+        facet_planes={ids[mask]: (tuple(u), c) for mask, u, c in facets},
     )
     _validate_lattice(vertices, lattice)
     return lattice
+
+
+def _maximal_proper(face: int, facet_masks) -> list:
+    """Inclusion-maximal masks among face & f that differ from face."""
+    candidates = {face & f for f in facet_masks}
+    candidates.discard(face)
+    out = []
+    for c in sorted(candidates, key=int.bit_count, reverse=True):
+        if not any(c & o == c for o in out):
+            out.append(c)
+    return out
 
 
 def _validate_lattice(vertices, lattice: FaceLattice) -> None:
@@ -476,7 +367,7 @@ def _validate_lattice(vertices, lattice: FaceLattice) -> None:
             if lattice.masks[f] >> i & 1
         ]
         if i not in vertex_faces or linalg.rank(linalg.mat(normals)) != n:
-            raise PolytopeError(f"listed point #{i} {v} is not a vertex")
+            raise NotAVertexError(i, v)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +433,7 @@ def hull_vertices(points) -> tuple:
             seen.add(t)
             pts.append(t)
     n = len(pts[0])
-    if all(all(is_rational(x) for x in v) for v in pts):
-        facets = _facets_rational(pts, n)
-    else:
-        facets = _facets_field(pts, n)
+    facets = _facets(pts, n)
     out = []
     for i, p in enumerate(pts):
         normals = [u for mask, u, _ in facets if mask >> i & 1]

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from polyfan import analysis, ihsheaf
+from polyfan import analysis, ihsheaf, linalg
 from polyfan.analysis import Analysis
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import nonsimplicial_cs_3polytope
@@ -76,6 +76,22 @@ def test_reflection_is_cached_per_degree():
         assert mes.reflection(q)[0] is c
         assert len(c) == len(mes.global_data(q)["basis"])
         assert len(cbar) == len(mes.global_data(q)["complement"])
+
+
+def test_minus_basis_is_shared_and_cached_per_degree():
+    """The refined series and the minus table read one minus basis per
+    degree: the kernel basis of cbar + I."""
+    a = Analysis(nonsimplicial_cs_3polytope(), 8)
+    u_minus = a.refined[0].minus
+    assert a.minus_table
+    mes = a.sheaf
+    for q in range(0, mes.cap + 1, 2):
+        basis = mes.minus_basis(q)
+        assert mes.minus_basis(q) is basis
+        _, cbar = mes.reflection(q)
+        shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(cbar)]
+        assert basis == linalg.kernel_basis(linalg.mat(shifted))
+        assert len(basis) == (u_minus[q] if q < len(u_minus) else 0)
 
 
 def test_translated_input_keeps_its_shift():

@@ -124,6 +124,59 @@ class TestInputGrammar:
         assert "vertex #1, coordinate #0" in err
 
 
+class TestFaceLatticeErrors:
+    """Errors found while building the face lattice name the file and
+    show the point as the file writes it."""
+
+    def test_interior_point_exits_two(self, capsys, tmp_path):
+        doc = {
+            "dim": 2,
+            "field": "rational",
+            "vertices": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["0", "0"]],
+        }
+        path = _write_doc(tmp_path, doc)
+        for command in ("hvector", "check-bounds", "ih"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2
+            assert out == ""
+            assert err == f'error: {path}: listed point #4 ["0", "0"] is not a vertex\n'
+
+    def test_quadratic_point_in_file_syntax(self, capsys, tmp_path):
+        doc = {
+            "dim": 1,
+            "field": {"quadratic": 2},
+            "vertices": [[["1", "0"]], [["-1", "0"]], [["0", "1/2"]]],
+        }
+        path = _write_doc(tmp_path, doc)
+        code, _, err = run(capsys, "hvector", path)
+        assert code == 2
+        assert err == (
+            f'error: {path}: listed point #2 [["0", "1/2"]] is not a vertex\n'
+        )
+
+    def test_collinear_file_exits_two(self, capsys, tmp_path):
+        doc = {
+            "dim": 2,
+            "field": "rational",
+            "vertices": [["0", "0"], ["1", "1"], ["2", "2"]],
+        }
+        path = _write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "hvector", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: not full-dimensional\n"
+
+    def test_report_all_names_the_bad_file(self, capsys, tmp_path):
+        doc = {"dim": 1, "field": "rational", "vertices": [["1"], ["-1"], ["0"]]}
+        (tmp_path / "segment.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report-all", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f'error: {tmp_path / "segment.json"}: listed point #2 ["0"] is not a vertex\n'
+        )
+
+
 class TestAnalysisCommands:
     def test_hvector_cube(self, capsys, tmp_path):
         path = write_polytope(tmp_path, "cube3", __import__("polyfan").cube(3))

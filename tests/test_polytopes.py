@@ -59,7 +59,7 @@ class TestFaceLattice:
                 (F(1), F(0)),
             ]
         )
-        with pytest.raises(PolytopeError, match="not a vertex"):
+        with pytest.raises(PolytopeError, match=r"listed point #4 \(1, 0\) is not a vertex"):
             p.face_lattice()
 
     def test_duplicate_vertices_rejected(self):
