@@ -75,10 +75,6 @@ class Fan:
     def rays_of(self, cone_id: int) -> tuple:
         return tuple(self.rays[r] for r in self.cones[cone_id].ray_ids)
 
-    def faces_of(self, cone_id: int) -> frozenset:
-        """Ids of the proper faces of a cone (zero cone included)."""
-        return self.faces[cone_id]
-
     def facets_of(self, cone_id: int) -> tuple:
         k = self.cones[cone_id].dim
         return tuple(

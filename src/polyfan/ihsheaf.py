@@ -9,9 +9,14 @@ antipodal pair is constructed and the other is transported through the
 point reflection, so the reflection acts on everything in sight.
 
 All objects are truncated at an even degree cap; linear forms sit in
-degree 2, so degree q holds polynomials of ordinary degree q/2.  Every
-basis extraction is verified exactly; a failure raises instead of
-silently producing wrong dimensions.
+degree 2, so degree q holds polynomials of ordinary degree q/2.
+Sections, generator images and restriction maps are sparse rows of
+:mod:`polyfan.linalg` (dicts holding the nonzero entries only):
+restriction maps are built from substituted monomials, the wall
+equations are reduced by the sparse elimination, and products and the
+reflection touch nonzero entries only.  Every basis extraction is
+verified exactly; a failure raises instead of silently producing wrong
+dimensions.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from . import linalg
 from .fans import ConewiseLinear, Fan, FanError
@@ -79,46 +85,24 @@ def _monomial_index(nvars: int, deg: int) -> dict:
     return {m: i for i, m in enumerate(monomials(nvars, deg))}
 
 
-def mul_matrix(poly_coeffs: tuple, poly_deg: int, src_deg: int, nvars: int):
-    """Matrix of multiplication by a fixed homogeneous polynomial, from
-    degree ``src_deg`` to ``src_deg + poly_deg`` (ordinary degrees)."""
-    src = monomials(nvars, src_deg)
-    tgt_index = _monomial_index(nvars, src_deg + poly_deg)
-    pmono = monomials(nvars, poly_deg)
-    rows = [[_ZERO] * len(src) for _ in tgt_index]
-    for col, alpha in enumerate(src):
-        for coeff, gamma in zip(poly_coeffs, pmono):
-            if coeff == 0:
-                continue
-            target = tuple(a + g for a, g in zip(alpha, gamma))
-            rows[tgt_index[target]][col] = rows[tgt_index[target]][col] + coeff
-    return tuple(tuple(r) for r in rows)
-
-
-def subst_matrix(forms: tuple, src_deg: int, tgt_nvars: int):
-    """Matrix of the ring map sending source variable i to the linear form
-    ``forms[i]`` (a covector in the target variables), in degree
-    ``src_deg``."""
-    src = monomials(len(forms), src_deg)
-    tgt_index = _monomial_index(tgt_nvars, src_deg)
-    rows = [[_ZERO] * len(src) for _ in tgt_index]
-    unit = ((0,) * tgt_nvars, _ONE)
-    for col, alpha in enumerate(src):
-        expansion = {unit[0]: unit[1]}
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                new: dict = {}
-                for mono, c in expansion.items():
-                    for j, fj in enumerate(forms[i]):
-                        if fj == 0:
-                            continue
-                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                        new[key] = new.get(key, _ZERO) + c * fj
-                expansion = new
-        for mono, c in expansion.items():
-            if c != 0:
-                rows[tgt_index[mono]][col] = c
-    return tuple(tuple(r) for r in rows)
+def _substituted(memo: dict, forms: tuple, alpha: tuple) -> tuple:
+    """The monomial x^alpha with source variable i replaced by the linear
+    form ``forms[i]``: (target exponent, coefficient) pairs, nonzero only.
+    ``memo`` maps exponents to results and starts holding x^0 -> 1; each
+    new exponent costs one product of a known result with a form."""
+    out = memo.get(alpha)
+    if out is None:
+        i = next(i for i, e in enumerate(alpha) if e)
+        lower = _substituted(memo, forms, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+        acc: dict = {}
+        for mono, c in lower:
+            for j, fj in enumerate(forms[i]):
+                if fj:
+                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                    acc[key] = acc.get(key, _ZERO) + c * fj
+        out = tuple((m, c) for m, c in acc.items() if c)
+        memo[alpha] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +116,7 @@ class ConeModule:
 
     cone_id: int
     gen_degrees: tuple
-    images: dict  # face_id -> tuple(per generator coefficient vector)
+    images: dict  # face_id -> tuple(per generator sparse coefficient vector)
 
 
 class MinimalExtensionSheaf:
@@ -147,6 +131,7 @@ class MinimalExtensionSheaf:
         self._restr: dict = {}
         self._sections: dict = {}
         self._span_forms: dict = {}
+        self._substitutions: dict = {}
         self._global: dict = {}
         self._reflection: dict = {}
         self._minus_basis: dict = {}
@@ -203,37 +188,45 @@ class MinimalExtensionSheaf:
     # -- restriction matrices ----------------------------------------------
 
     def restriction_matrix(self, src_id: int, tgt_id: int, q: int):
-        """Degree-q matrix of the restriction E_src^q -> E_tgt^q."""
+        """Degree-q restriction E_src^q -> E_tgt^q as sparse rows, one per
+        target coordinate.  The column of source monomial x^a times
+        generator g holds x^a, substituted into the target variables,
+        times each nonzero block of the image of g."""
         key = (src_id, tgt_id, q)
         cached = self._restr.get(key)
         if cached is not None:
             return cached
-        src_blocks, src_dim = self.gen_blocks(src_id, q)
+        src_blocks, _ = self.gen_blocks(src_id, q)
         tgt_blocks, tgt_dim = self.gen_blocks(tgt_id, q)
-        rows = [[_ZERO] * src_dim for _ in range(tgt_dim)]
-        if tgt_dim and src_dim:
+        rows = [{} for _ in range(tgt_dim)]
+        if tgt_dim:
             forms = self.span_substitution_forms(src_id, tgt_id)
+            memo = self._substitutions.get(forms)
+            if memo is None:
+                memo = {(0,) * len(forms): (((0,) * len(forms[0]), _ONE),)}
+                self._substitutions[forms] = memo
             tgt_nv = self.nvars(tgt_id)
+            tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
             images = self.modules[src_id].images[tgt_id]
-            for gi, d_i, src_off, src_cnt in src_blocks:
-                sub = subst_matrix(forms, (q - d_i) // 2, tgt_nv)
-                image_vec = images[gi]
-                img_blocks, _ = self.gen_blocks(tgt_id, d_i)
-                for gj, d_j, img_off, img_cnt in img_blocks:
-                    piece = image_vec[img_off : img_off + img_cnt]
-                    if all(c == 0 for c in piece):
-                        continue
-                    mm = mul_matrix(piece, (d_i - d_j) // 2, (q - d_i) // 2, tgt_nv)
-                    block = linalg.mat_mul(mm, sub)
-                    tgt_off = next(
-                        off for (g, _, off, _) in tgt_blocks if g == gj
-                    )
-                    for r, row in enumerate(block):
-                        out = rows[tgt_off + r]
-                        for c, val in enumerate(row):
-                            if val != 0:
-                                out[src_off + c] = out[src_off + c] + val
-        cached = tuple(tuple(r) for r in rows)
+            for gi, d_i, src_off, _ in src_blocks:
+                # Nonzero image terms: (row offset of the target generator
+                # block, its monomial index, exponent shift or None, coeff).
+                pieces = []
+                for gj, d_j, img_off, img_cnt in self.gen_blocks(tgt_id, d_i)[0]:
+                    monos = monomials(tgt_nv, (d_i - d_j) // 2)
+                    index = _monomial_index(tgt_nv, (q - d_j) // 2)
+                    for c, v in images[gi].items():
+                        if img_off <= c < img_off + img_cnt:
+                            shift = monos[c - img_off]
+                            pieces.append((tgt_offset[gj], index, shift if any(shift) else None, v))
+                src_monos = monomials(self.nvars(src_id), (q - d_i) // 2)
+                for col, alpha in enumerate(src_monos, src_off):
+                    terms = _substituted(memo, forms, alpha)
+                    for off, index, shift, v in pieces:
+                        for mono, c in terms:
+                            row = rows[off + index[tuple(map(add, mono, shift)) if shift else mono]]
+                            row[col] = row.get(col, _ZERO) + (c if v == 1 else c * v)
+        cached = tuple({c: v for c, v in row.items() if v} for row in rows)
         self._restr[key] = cached
         return cached
 
@@ -248,7 +241,9 @@ class MinimalExtensionSheaf:
         return tuple(offsets), total
 
     def section_space(self, max_ids: tuple, q: int, wall_mode: bool = False):
-        """Basis of compatible tuples over the given maximal cones.
+        """Basis of compatible tuples over the given maximal cones, as
+        sparse vectors, and a map from each free column of the reduced
+        wall equations to the index of its basis vector.
 
         In wall mode only codimension-one contacts are imposed; that is
         complete for global sections of a complete fan and for boundary
@@ -284,24 +279,15 @@ class MinimalExtensionSheaf:
                     pairs.append((a, b, fan.common_face(a, b)))
         rows = []
         for a, b, f in pairs:
-            if self.module_dim(f, q) == 0:
-                continue
-            ra = self.restriction_matrix(a, f, q)
-            rb = self.restriction_matrix(b, f, q)
-            for row_a, row_b in zip(ra, rb):
-                row = [_ZERO] * total
-                oa, ob = offset_of[a], offset_of[b]
-                for c, val in enumerate(row_a):
-                    row[oa + c] = val
-                for c, val in enumerate(row_b):
-                    row[ob + c] = row[ob + c] - val
+            oa, ob = offset_of[a], offset_of[b]
+            for row_a, row_b in zip(
+                self.restriction_matrix(a, f, q), self.restriction_matrix(b, f, q)
+            ):
+                row = {oa + c: v for c, v in row_a.items()}
+                row.update((ob + c, -v) for c, v in row_b.items())
                 rows.append(row)
-        if rows:
-            basis, free_cols = _kernel_with_free(rows, total)
-        else:
-            basis = tuple(linalg.unit(total, i) for i in range(total))
-            free_cols = tuple(range(total))
-        cached = (basis, free_cols)
+        basis, free = linalg.sparse_kernel(rows, total)
+        cached = (basis, {c: i for i, c in enumerate(free)})
         self._sections[key] = cached
         return cached
 
@@ -312,9 +298,10 @@ class MinimalExtensionSheaf:
 
     def global_data(self, q: int) -> dict:
         """Global sections at degree q together with the reduction modulo
-        the ambient maximal ideal: a basis, the subspace m*E in basis
-        coordinates (as reduced rows), and complement indices whose basis
-        vectors represent the quotient."""
+        the ambient maximal ideal: the sparse basis and free-column map of
+        :meth:`section_space`, the subspace m*E in basis coordinates (as
+        reduced rows), and complement indices whose basis vectors
+        represent the quotient."""
         cached = self._global.get(q)
         if cached is not None:
             return cached
@@ -322,15 +309,19 @@ class MinimalExtensionSheaf:
         basis, free_cols = self.section_space(max_ids, q, wall_mode=True)
         dim = len(basis)
         if q >= 2:
-            prev = self.global_data(q - 2)
-            products = []
-            for vec in prev["basis"]:
-                for j in range(self.fan.ambient_dim):
-                    products.append(self.multiply_by_ambient(max_ids, q - 2, vec, j))
-            coords = [self.to_basis_coords(max_ids, q, basis, free_cols, p) for p in products]
-            reduced_rows = [list(r) for r in coords]
-            pivots = linalg._rref_inplace(reduced_rows)
-            m_rows = tuple(tuple(r) for r in reduced_rows[: len(pivots)])
+            coordinate_forms = [
+                {cid: self.ambient_forms(cid)[j] for cid in max_ids}
+                for j in range(self.fan.ambient_dim)
+            ]
+            coords = [
+                self.to_basis_coords(
+                    max_ids, q, basis, free_cols,
+                    self._multiply_conewise(max_ids, q - 2, vec, forms),
+                )
+                for vec in self.global_data(q - 2)["basis"]
+                for forms in coordinate_forms
+            ]
+            m_rows, pivots = linalg.rref(coords)
         else:
             pivots = ()
             m_rows = ()
@@ -345,59 +336,51 @@ class MinimalExtensionSheaf:
         self._global[q] = cached
         return cached
 
-    def multiply_by_ambient(self, max_ids: tuple, q: int, vec, j: int):
-        """Multiply a degree-q section by the ambient coordinate x_j."""
-        forms = {cid: self.ambient_forms(cid)[j] for cid in max_ids}
-        return self._multiply_conewise(max_ids, q, vec, forms)
-
-    def multiply_by_conewise_linear(self, max_ids: tuple, q: int, vec, cl: ConewiseLinear):
-        """Multiply a degree-q section by a conewise linear function."""
-        forms = {}
-        for cid in max_ids:
-            basis, _ = self.fan.cone_basis(cid)
-            cov = cl.covectors[cid]
-            forms[cid] = tuple(linalg.vec_dot(row, cov) for row in basis)
-        return self._multiply_conewise(max_ids, q, vec, forms)
-
-    def _multiply_conewise(self, max_ids: tuple, q: int, vec, forms: dict):
+    def _multiply_conewise(self, max_ids: tuple, q: int, vec: dict, forms: dict) -> dict:
+        """Product of a sparse degree-q section with one linear form per
+        cone (a covector in its coordinates), over the nonzero entries of
+        the section and of the forms."""
         offsets, _ = self.section_layout(max_ids, q)
-        out_offsets, out_total = self.section_layout(max_ids, q + 2)
-        out = [_ZERO] * out_total
+        out_offsets, _ = self.section_layout(max_ids, q + 2)
+        out: dict = {}
         for cid, off, out_off in zip(max_ids, offsets, out_offsets):
             nv = self.nvars(cid)
-            blocks, _ = self.gen_blocks(cid, q)
-            out_blocks, _ = self.gen_blocks(cid, q + 2)
-            out_index = {g: o for (g, _, o, _) in out_blocks}
-            form = forms[cid]
-            for gi, d_i, boff, bcnt in blocks:
-                piece = vec[off + boff : off + boff + bcnt]
-                if all(c == 0 for c in piece):
-                    continue
-                mm = mul_matrix(form, 1, (q - d_i) // 2, nv)
-                target = out_off + out_index[gi]
-                for r, row in enumerate(mm):
-                    total = _ZERO
-                    for c, val in enumerate(row):
-                        if val != 0:
-                            total = total + val * piece[c]
-                    if total != 0:
-                        out[target + r] = out[target + r] + total
-        return tuple(out)
+            form = [(j, f) for j, f in enumerate(forms[cid]) if f]
+            out_index = {g: o for g, _, o, _ in self.gen_blocks(cid, q + 2)[0]}
+            for gi, d, boff, _ in self.gen_blocks(cid, q)[0]:
+                k = (q - d) // 2
+                target = _monomial_index(nv, k + 1)
+                base = out_off + out_index[gi]
+                for c, alpha in enumerate(monomials(nv, k), off + boff):
+                    v = vec.get(c)
+                    if v is None:
+                        continue
+                    for j, f in form:
+                        t = base + target[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]]
+                        out[t] = out.get(t, _ZERO) + f * v
+        return {t: v for t, v in out.items() if v}
 
-    def to_basis_coords(self, max_ids, q, basis, free_cols, vec):
-        """Coordinates of a vector in the section basis, verified exactly."""
-        coords = tuple(vec[c] for c in free_cols)
-        residual = list(vec)
-        for coeff, bvec in zip(coords, basis):
-            if coeff != 0:
-                for i, b in enumerate(bvec):
-                    if b != 0:
-                        residual[i] = residual[i] - coeff * b
-        if any(x != 0 for x in residual):
+    def to_basis_coords(self, max_ids, q, basis, free_cols, vec: dict):
+        """Coordinates of a sparse vector in a :meth:`section_space` basis,
+        verified exactly.  The vector of free column f is e_f minus column
+        f of the reduced constraint rows R, so R x is summed from the
+        nonzero entries of x alone; x is a section iff every sum is 0."""
+        coords = [_ZERO] * len(basis)
+        residual: dict = {}  # pivot column -> entry of R x
+        for c, x in vec.items():
+            i = free_cols.get(c)
+            if i is None:
+                residual[c] = residual.get(c, _ZERO) + x
+                continue
+            coords[i] = x
+            for p, b in basis[i].items():
+                if p != c:
+                    residual[p] = residual.get(p, _ZERO) - b * x
+        if any(residual.values()):
             raise SheafError(
                 "vector is not a section (failed exact membership check)"
             )
-        return coords
+        return tuple(coords)
 
     def reduce_mod_m(self, q: int, coords):
         """Reduce basis coordinates modulo m*E; returns coordinates on the
@@ -435,22 +418,6 @@ class MinimalExtensionSheaf:
             cached = linalg.kernel_basis(_shifted(cbar, 1))
             self._minus_basis[q] = cached
         return cached
-
-
-def _kernel_with_free(rows: list, total: int):
-    pivots = linalg._rref_inplace(rows)
-    pivot_set = set(pivots)
-    reduced = rows[: len(pivots)]
-    basis = []
-    free_cols = tuple(f for f in range(total) if f not in pivot_set)
-    for f in free_cols:
-        v = [_ZERO] * total
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            if reduced[i][f] != 0:
-                v[p] = -reduced[i][f]
-        basis.append(tuple(v))
-    return tuple(basis), free_cols
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +470,15 @@ def _boundary_quotient_data(mes: MinimalExtensionSheaf, sid: int, q: int):
     if q < 2:
         return basis, free_cols, []
     prev, _ = mes.section_space(facets, q - 2, wall_mode=True)
-    span_forms = tuple(linalg.unit(k, i) for i in range(k))
-    products = []
-    for vec in prev:
-        for form in span_forms:
-            products.append(
-                mes._multiply_conewise(
-                    facets,
-                    q - 2,
-                    vec,
-                    {cid: _restrict_form(mes, sid, cid, form) for cid in facets},
-                )
-            )
+    span_forms = [
+        {cid: mes.span_substitution_forms(sid, cid)[i] for cid in facets}
+        for i in range(k)
+    ]
+    products = [
+        mes._multiply_conewise(facets, q - 2, vec, forms)
+        for vec in prev
+        for forms in span_forms
+    ]
     coords = [mes.to_basis_coords(facets, q, basis, free_cols, p) for p in products]
     return basis, free_cols, coords
 
@@ -526,8 +490,7 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     lifts = []  # (degree, boundary section vector)
     for q in range(0, mes.cap + 1, 2):
         basis, _free, m_coords = _boundary_quotient_data(mes, sid, q)
-        rows = [list(r) for r in m_coords]
-        pivots = linalg._rref_inplace(rows)
+        _, pivots = linalg.rref(m_coords)
         complement = [i for i in range(len(basis)) if i not in set(pivots)]
         if complement and q == mes.cap:
             raise DegreeCapError(
@@ -540,39 +503,18 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     images: dict = {}
     proper = sorted(fan.faces[sid], key=lambda c: (-fan.cones[c].dim, c))
     for tau in proper:
+        host = tau if tau in facets else next(f for f in facets if tau in fan.faces[f])
         per_gen = []
         for d, section in lifts:
-            if tau in facets:
-                offsets, _total = mes.section_layout(facets, d)
-                idx = facets.index(tau)
-                start = offsets[idx]
-                per_gen.append(
-                    tuple(section[start : start + mes.module_dim(tau, d)])
-                )
-            else:
-                host = next(
-                    f for f in facets if tau in fan.faces[f]
-                )
-                offsets, _total = mes.section_layout(facets, d)
-                idx = facets.index(host)
-                start = offsets[idx]
-                block = section[start : start + mes.module_dim(host, d)]
-                mat = mes.restriction_matrix(host, tau, d)
-                per_gen.append(linalg.mat_vec(mat, block))
+            offsets, _total = mes.section_layout(facets, d)
+            start = offsets[facets.index(host)]
+            stop = start + mes.module_dim(host, d)
+            block = {c - start: v for c, v in section.items() if start <= c < stop}
+            if host != tau:
+                block = linalg.sparse_mat_vec(mes.restriction_matrix(host, tau, d), block)
+            per_gen.append(block)
         images[tau] = tuple(per_gen)
     return ConeModule(sid, tuple(gen_degrees), images)
-
-
-def _restrict_form(mes: MinimalExtensionSheaf, sid: int, tgt_id: int, form):
-    """Restrict a covector in the source cone's coordinates to a face."""
-    forms = mes.span_substitution_forms(sid, tgt_id)
-    nv = mes.nvars(tgt_id)
-    out = [_ZERO] * nv
-    for coeff, f in zip(form, forms):
-        if coeff != 0:
-            for i, val in enumerate(f):
-                out[i] = out[i] + coeff * val
-    return tuple(out)
 
 
 def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> ConeModule:
@@ -587,13 +529,17 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
         twisted = []
         for gi, vec in enumerate(vecs):
             d = rep.gen_degrees[gi]
-            blocks, _ = mes.gen_blocks(tau, d)
-            out = list(vec)
-            for (_, d_j, off, cnt) in blocks:
-                if ((d - d_j) // 2) % 2 == 1:
-                    for c in range(off, off + cnt):
-                        out[c] = -out[c]
-            twisted.append(tuple(out))
+            odd = [
+                (off, off + cnt)
+                for _, d_j, off, cnt in mes.gen_blocks(tau, d)[0]
+                if ((d - d_j) // 2) % 2 == 1
+            ]
+            twisted.append(
+                {
+                    c: -v if any(lo <= c < hi for lo, hi in odd) else v
+                    for c, v in vec.items()
+                }
+            )
         images[anti[tau]] = tuple(twisted)
     return ConeModule(new_id, rep.gen_degrees, images)
 
@@ -604,12 +550,12 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """Global sections per even degree: layout metadata plus basis vectors
-    in concatenated per-maximal-cone coordinates."""
+    """Global sections per even degree: layout metadata plus sparse basis
+    vectors in concatenated per-maximal-cone coordinates."""
 
     max_ids: tuple
     degrees: tuple
-    bases: dict  # q -> tuple of vectors
+    bases: dict  # q -> tuple of sparse vectors
 
     def dim(self, q: int) -> int:
         return len(self.bases.get(q, ()))
@@ -684,7 +630,7 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
                 for f in facets
                 for row in mes.restriction_matrix(cid, f, q)
             ]
-            rk = linalg.rank(linalg.mat(rows)) if rows else 0
+            rk = len(linalg.sparse_rref(rows)[1])
             dims[q] = dim_e - rk
             if rk != len(boundary_basis):
                 raise SheafError(
@@ -722,7 +668,7 @@ def check_local_global_dims(mes: MinimalExtensionSheaf, cone_ids) -> bool:
 
 
 def _phi_permutation(mes: MinimalExtensionSheaf, q: int):
-    """The reflection acting on global-section coordinates: a signed
+    """The reflection acting on sparse global sections: a signed
     permutation sending the block of cone sigma to the block of -sigma
     with sign (-1)^m on ordinary polynomial degree m."""
     if mes.antipode is None:
@@ -730,21 +676,18 @@ def _phi_permutation(mes: MinimalExtensionSheaf, q: int):
     max_ids = mes.global_cone_ids()
     offsets, total = mes.section_layout(max_ids, q)
     offset_of = dict(zip(max_ids, offsets))
-    source = [0] * total
-    sign_of = [1] * total
+    target = [0] * total
+    negate = [False] * total
     for cid in max_ids:
         partner = mes.antipode[cid]
         blocks, _ = mes.gen_blocks(cid, q)
         for gi, d, off, cnt in blocks:
-            s = -1 if ((q - d) // 2) % 2 else 1
+            odd = ((q - d) // 2) % 2 == 1
             for c in range(cnt):
-                source[offset_of[cid] + off + c] = offset_of[partner] + off + c
-                sign_of[offset_of[cid] + off + c] = s
-    def apply(vec):
-        return tuple(
-            (vec[source[i]] if sign_of[i] == 1 else -vec[source[i]])
-            for i in range(total)
-        )
+                target[offset_of[cid] + off + c] = offset_of[partner] + off + c
+                negate[offset_of[cid] + off + c] = odd
+    def apply(vec: dict) -> dict:
+        return {target[c]: -v if negate[c] else v for c, v in vec.items()}
     return apply
 
 
@@ -792,7 +735,7 @@ def _eigen_split(matrix, minus: int):
     dim = len(matrix)
     if dim == 0:
         return 0, 0
-    plus = dim - len(linalg._rref_inplace(_shifted(matrix, -1)))
+    plus = dim - linalg.rank(_shifted(matrix, -1))
     if plus + minus != dim:
         raise SheafError("reflection action is not an involution on sections")
     return plus, minus
@@ -809,7 +752,7 @@ def refined_series(mes: MinimalExtensionSheaf):
     u_minus = [0] * (cap + 1)
     for q in range(0, cap + 1, 2):
         c, cbar = mes.reflection(q)
-        v_minus_dim = len(c) - len(linalg._rref_inplace(_shifted(c, 1)))
+        v_minus_dim = len(c) - linalg.rank(_shifted(c, 1))
         v_plus[q], v_minus[q] = _eigen_split(c, v_minus_dim)
         u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q)))
     return (
@@ -864,14 +807,17 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
     if s.fan is not mes.fan:
         raise FanError("support function belongs to a different fan")
     max_ids = mes.global_cone_ids()
+    forms = {
+        cid: tuple(linalg.vec_dot(row, s.covectors[cid]) for row in mes.fan.cone_basis(cid)[0])
+        for cid in max_ids
+    }
     out = {}
     for q in range(0, mes.cap, 2):
         data = mes.global_data(q)
         target = mes.global_data(q + 2)
         cols = []
         for idx in data["complement"]:
-            vec = data["basis"][idx]
-            product = mes.multiply_by_conewise_linear(max_ids, q, vec, s)
+            product = mes._multiply_conewise(max_ids, q, data["basis"][idx], forms)
             coords = mes.to_basis_coords(
                 max_ids, q + 2, target["basis"], target["free_cols"], product
             )
@@ -974,26 +920,26 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
         module = mes.modules[cid]
         for q in range(0, mes.cap + 1, 2):
             basis, free_cols, m_coords = _boundary_quotient_data(mes, cid, q)
-            m_rows = [list(r) for r in m_coords]
-            m_rank = len(linalg._rref_inplace(m_rows))
+            m_rows, m_pivots = linalg.rref(m_coords)
+            m_rank = len(m_pivots)
             quotient_dim = len(basis) - m_rank
             gen_ids = [i for i, d in enumerate(module.gen_degrees) if d == q]
             if len(gen_ids) != quotient_dim:
                 return False
             if not gen_ids:
                 continue
-            offsets, total = mes.section_layout(facets, q)
+            offsets, _ = mes.section_layout(facets, q)
             image_coords = []
             for gi in gen_ids:
-                vec = []
-                for f in facets:
-                    vec.extend(module.images[f][gi])
-                if len(vec) != total:
-                    return False
+                vec = {}
+                for f, off in zip(facets, offsets):
+                    image = module.images[f][gi]
+                    if any(c >= mes.module_dim(f, q) for c in image):
+                        return False
+                    vec.update((off + c, v) for c, v in image.items())
                 image_coords.append(
-                    mes.to_basis_coords(facets, q, basis, free_cols, tuple(vec))
+                    mes.to_basis_coords(facets, q, basis, free_cols, vec)
                 )
-            stacked = m_rows[:m_rank] + [list(r) for r in image_coords]
-            if len(linalg._rref_inplace(stacked)) != m_rank + len(gen_ids):
+            if linalg.rank(m_rows + tuple(image_coords)) != m_rank + len(gen_ids):
                 return False
     return True

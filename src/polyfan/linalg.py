@@ -1,8 +1,12 @@
-"""Exact dense linear algebra over the package's scalar types.
+"""Exact linear algebra over the package's scalar types.
 
-Vectors are tuples of scalars, matrices are tuples of row tuples.  All
-routines use plain Gaussian elimination with the first nonzero pivot in
-column order, so results are deterministic functions of the input.
+Dense vectors are tuples of scalars and dense matrices tuples of row
+tuples.  A sparse row (or sparse vector) is a dict from column index to
+scalar that stores only the nonzero entries; the sheaf engine keeps its
+sections, restriction maps and constraint systems in that form.  All
+eliminations pivot on the first nonzero column, so results are
+deterministic functions of the input, and the sparse and the dense
+reduced row echelon forms of a matrix are equal.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ Matrix = tuple  # tuple[Vector, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def vec(entries: Sequence[Scalar]) -> Vector:
-    return tuple(entries)
 
 
 def mat(rows: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -44,10 +44,6 @@ def identity(n: int) -> Matrix:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, u: Vector) -> Vector:
@@ -112,20 +108,84 @@ def _rref_inplace(rows: list[list]) -> tuple[int, ...]:
                 if row[j] != 0:
                     row[j] = row[j] * inv
         row = rows[r]
+        nonzero = [(j, row[j]) for j in range(c, ncols) if row[j] != 0]
         for i in range(len(rows)):
             if i == r:
                 continue
             f = rows[i][c]
             if f != 0:
                 other = rows[i]
-                for j in range(c, ncols):
-                    if row[j] != 0:
-                        other[j] = other[j] - f * row[j]
+                for j, x in nonzero:
+                    other[j] = other[j] - f * x
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return tuple(pivots)
+
+
+def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    """Reduced row echelon form of sparse rows: the nonzero reduced rows
+    in pivot order and their pivot columns, equal to :func:`rref` of the
+    dense matrix.  Rows are inserted one at a time; each is reduced by
+    the pivot rows found so far, and its own pivot is then eliminated
+    from them, so every stored row stays fully reduced."""
+    reduced: dict = {}  # pivot column -> row with 1 there, 0 at other pivots
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for p in [c for c in r if c in reduced]:
+            f = r[p]
+            for c, v in reduced[p].items():
+                x = r.get(c, _ZERO) - f * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+        if not r:
+            continue
+        p = min(r)
+        pv = r[p]
+        if pv != 1:
+            inv = _ONE / pv
+            r = {c: v * inv for c, v in r.items()}
+        for other in reduced.values():
+            f = other.get(p)
+            if f is not None:
+                for c, v in r.items():
+                    x = other.get(c, _ZERO) - f * v
+                    if x:
+                        other[c] = x
+                    else:
+                        del other[c]
+        reduced[p] = r
+    pivots = tuple(sorted(reduced))
+    return tuple(reduced[p] for p in pivots), pivots
+
+
+def sparse_kernel(rows, ncols: int) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    """The :func:`kernel_basis` of sparse rows over ``ncols`` columns, as
+    sparse vectors, and the free columns: the vector of free column f has
+    a 1 at f, 0 at the other free columns, and minus column f of the
+    reduced rows at the pivots."""
+    reduced, pivots = sparse_rref(rows)
+    pivot_set = set(pivots)
+    free = tuple(f for f in range(ncols) if f not in pivot_set)
+    basis = {f: {f: _ONE} for f in free}
+    for row, p in zip(reduced, pivots):
+        for c, v in row.items():
+            if c != p:
+                basis[c][p] = -v
+    return tuple(basis[f] for f in free), free
+
+
+def sparse_mat_vec(rows, vec: dict) -> dict:
+    """Sparse rows applied to a sparse vector, as a sparse vector."""
+    out = {}
+    for r, row in enumerate(rows):
+        total = sum((v * vec[c] for c, v in row.items() if c in vec), _ZERO)
+        if total:
+            out[r] = total
+    return out
 
 
 def rank(m: Matrix) -> int:

@@ -15,7 +15,6 @@ from typing import Sequence
 IntPoly = tuple  # tuple[int, ...]
 
 ZERO_POLY: IntPoly = ()
-ONE_POLY: IntPoly = (1,)
 
 
 def trim(coeffs: Sequence[int]) -> IntPoly:
@@ -57,13 +56,6 @@ def pmul(p: IntPoly, q: IntPoly) -> IntPoly:
 
 def pscale(c: int, p: IntPoly) -> IntPoly:
     return trim(tuple(c * a for a in p))
-
-
-def ppow(p: IntPoly, n: int) -> IntPoly:
-    out = ONE_POLY
-    for _ in range(n):
-        out = pmul(out, p)
-    return out
 
 
 def truncate_below(p: IntPoly, r: int) -> IntPoly:

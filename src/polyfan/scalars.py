@@ -138,9 +138,6 @@ class Quadratic:
             n >>= 1
         return out
 
-    def conjugate(self) -> "Quadratic":
-        return Quadratic(self.a, -self.b, self.d)
-
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(d)."""
         a, b = self.a, self.b

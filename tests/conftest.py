@@ -5,8 +5,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from polyfan import linalg
 from polyfan.analysis import Analysis
 from polyfan.corpus import sheaf_corpus
+from polyfan.polytopes import linear_image
+from polyfan.scalars import Quadratic
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +26,17 @@ def sheaf_setups(sheaf_analyses):
         name: (a.polytope, a.fan, a.sheaf, a.support)
         for name, a in sheaf_analyses.items()
     }
+
+
+@pytest.fixture(scope="session")
+def quadratic_image():
+    """Image of a rational polytope over Q(sqrt d) under the shear
+    x_0 += sqrt(d) x_1; every coordinate is a Quadratic."""
+
+    def image(p, d):
+        n = p.ambient_dim
+        shear = [[Quadratic(int(r == c), 0, d) for c in range(n)] for r in range(n)]
+        shear[0][1] = Quadratic(0, 1, d)
+        return linear_image(p, linalg.mat(shear))
+
+    return image

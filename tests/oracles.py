@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's search strategies: faces are found
 by scanning all vertex subsets with a locally implemented rank routine,
-and the classical f-to-h transform is the closed binomial formula.
+the classical f-to-h transform is the closed binomial formula, and
+restriction maps of the sheaf are dense products of a multiplication
+matrix and a substitution matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from polyfan.ihsheaf import monomials
 from polyfan.scalars import sign
 
 
@@ -141,3 +144,71 @@ def f_to_h(f_vector, n: int) -> tuple:
     while h and h[-1] == 0:
         h.pop()
     return tuple(h)
+
+
+def mul_matrix(poly_coeffs, poly_deg: int, src_deg: int, nvars: int):
+    """Dense matrix of multiplication by a fixed homogeneous polynomial
+    (coefficients over ``monomials(nvars, poly_deg)``), from ordinary
+    degree ``src_deg`` to ``src_deg + poly_deg``."""
+    src = monomials(nvars, src_deg)
+    tgt_index = {m: i for i, m in enumerate(monomials(nvars, src_deg + poly_deg))}
+    rows = [[Fraction(0)] * len(src) for _ in tgt_index]
+    for col, alpha in enumerate(src):
+        for c, gamma in zip(poly_coeffs, monomials(nvars, poly_deg)):
+            if c != 0:
+                r = tgt_index[tuple(a + g for a, g in zip(alpha, gamma))]
+                rows[r][col] = rows[r][col] + c
+    return rows
+
+
+def subst_matrix(forms, src_deg: int, tgt_nvars: int):
+    """Dense matrix, in ordinary degree ``src_deg``, of the ring map that
+    sends source variable i to the linear form ``forms[i]`` (a covector
+    in the target variables)."""
+    src = monomials(len(forms), src_deg)
+    tgt_index = {m: i for i, m in enumerate(monomials(tgt_nvars, src_deg))}
+    rows = [[Fraction(0)] * len(src) for _ in tgt_index]
+    for col, alpha in enumerate(src):
+        expansion = {(0,) * tgt_nvars: Fraction(1)}
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                new: dict = {}
+                for mono, c in expansion.items():
+                    for j, fj in enumerate(forms[i]):
+                        if fj != 0:
+                            key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                            new[key] = new.get(key, Fraction(0)) + c * fj
+                expansion = new
+        for mono, c in expansion.items():
+            rows[tgt_index[mono]][col] = c
+    return rows
+
+
+def mat_mul(a, b):
+    """Dense matrix product, written independently of polyfan.linalg."""
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
+    """Dense degree-q restriction of a sheaf from its generator images:
+    per pair of source and target generator blocks, the multiplication
+    matrix of the image block times the substitution matrix."""
+    src_blocks, src_dim = mes.gen_blocks(src_id, q)
+    tgt_blocks, tgt_dim = mes.gen_blocks(tgt_id, q)
+    tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
+    forms = mes.span_substitution_forms(src_id, tgt_id)
+    nv = mes.nvars(tgt_id)
+    rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
+    for gi, d_i, src_off, _ in src_blocks:
+        sub = subst_matrix(forms, (q - d_i) // 2, nv)
+        image = mes.modules[src_id].images[tgt_id][gi]
+        for gj, d_j, img_off, img_cnt in mes.gen_blocks(tgt_id, d_i)[0]:
+            piece = [image.get(c, 0) for c in range(img_off, img_off + img_cnt)]
+            mm = mul_matrix(piece, (d_i - d_j) // 2, (q - d_i) // 2, nv)
+            for r, row in enumerate(mat_mul(mm, sub), tgt_offset[gj]):
+                for c, x in enumerate(row, src_off):
+                    rows[r][c] = rows[r][c] + x
+    return rows

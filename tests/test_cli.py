@@ -251,6 +251,18 @@ class TestAnalysisCommands:
         assert code == 0
         assert json.loads(out)["h"] == [1, 7, 7, 1]
 
+    def test_ih_on_two_quadratic_fields_in_one_process(self, capsys, tmp_path, quadratic_image):
+        # Q(sqrt 2) and Q(sqrt 3) scalars with b = 0 compare and hash
+        # equal, so any cache shared between sheaves would mix the fields.
+        bettis = []
+        for d in (2, 3):
+            p = quadratic_image(cross_polytope(3), d)
+            path = write_polytope(tmp_path, f"cross3-q{d}", p, Field.quadratic(d))
+            code, out, _ = run(capsys, "ih", path, "--json")
+            assert code == 0
+            bettis.append(json.loads(out)["ih"]["betti"])
+        assert bettis[0] == bettis[1] == [1, 0, 3, 0, 3, 0, 1]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "hvector", "/nonexistent/x.json")
         assert code == 2

@@ -8,6 +8,7 @@ from polyfan.fans import face_fan
 from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
+    SheafError,
     build_mes,
     check_betti_equals_h,
     check_freeness_factorization,
@@ -31,6 +32,8 @@ from polyfan.polynomials import coeff, substitute_t_squared
 from polyfan.polytopes import cube, simplex
 from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field
+
+from oracles import restriction_matrix as dense_restriction_matrix
 
 
 def F(x):
@@ -82,7 +85,6 @@ class TestConstruction:
                 continue
             facets = fan.facets_of(cid)
             k = fan.cones[cid].dim
-            forms = tuple(linalg.unit(k, i) for i in range(k))
             for q in range(0, mes.cap + 2, 2):
                 basis, free_cols = mes.section_space(facets, q, wall_mode=True)
                 gens_at_q = sum(
@@ -95,15 +97,13 @@ class TestConstruction:
                     products = []
                     for vec in prev:
                         for i in range(k):
-                            from polyfan.ihsheaf import _restrict_form
-
                             products.append(
                                 mes._multiply_conewise(
                                     facets,
                                     q - 2,
                                     vec,
                                     {
-                                        f: _restrict_form(mes, cid, f, forms[i])
+                                        f: mes.span_substitution_forms(cid, f)[i]
                                         for f in facets
                                     },
                                 )
@@ -318,7 +318,7 @@ class TestReflectionEquivariance:
 
 def _conjugate_by_reflection(mes, sid, tid, q, matrix):
     """Apply the (-1)^degree coefficient twist on both sides of a
-    degreewise restriction matrix."""
+    degreewise restriction matrix (sparse rows)."""
     src_blocks, src_dim = mes.gen_blocks(sid, q)
     tgt_blocks, tgt_dim = mes.gen_blocks(tid, q)
     col_sign = [1] * src_dim
@@ -331,9 +331,11 @@ def _conjugate_by_reflection(mes, sid, tid, q, matrix):
         s = -1 if ((q - d) // 2) % 2 else 1
         for r in range(off, off + cnt):
             row_sign[r] = s
+    assert len(matrix) == tgt_dim
+    assert all(0 <= c < src_dim for row in matrix for c in row)
     return tuple(
-        tuple(row_sign[r] * col_sign[c] * matrix[r][c] for c in range(src_dim))
-        for r in range(tgt_dim)
+        {c: row_sign[r] * col_sign[c] * v for c, v in row.items()}
+        for r, row in enumerate(matrix)
     )
 
 
@@ -350,3 +352,65 @@ class TestCorpusBettiSweep:
             assert check_betti_equals_h(a.u, a.h, a.cap), name
             checked += 1
         assert checked >= 15
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def _assert_restrictions_match_oracle(mes):
+    fan = mes.fan
+    checked = 0
+    for cid in fan.cone_ids():
+        for face in sorted(fan.faces[cid]):
+            for q in range(0, mes.cap + 1, 2):
+                expected = dense_restriction_matrix(mes, cid, face, q)
+                got = mes.restriction_matrix(cid, face, q)
+                assert _dense(got, mes.module_dim(cid, q)) == expected, (cid, face, q)
+                assert all(x != 0 for row in got for x in row.values())
+                checked += 1
+    assert checked
+
+
+class TestRestrictionAgainstDenseOracle:
+    """Restriction maps built from substituted monomials equal the dense
+    product of multiplication and substitution matrices, block by block."""
+
+    def test_rational_sheaf_corpus(self, sheaf_setups):
+        for name, (_, _, mes, _) in sheaf_setups.items():
+            if name != "nonrational-bipyramid":
+                _assert_restrictions_match_oracle(mes)
+
+    def test_quadratic_image(self, quadratic_image):
+        mes = build_mes(face_fan(quadratic_image(cube(3), 2)), 8)
+        _assert_restrictions_match_oracle(mes)
+
+
+class TestMembership:
+    """to_basis_coords accepts sections and rejects anything else exactly."""
+
+    @pytest.mark.parametrize("which", ["cube-3", "sqrt2-square"])
+    def test_pivot_perturbation_is_rejected(self, which, sheaf_setups, quadratic_image):
+        if which == "cube-3":
+            mes = sheaf_setups["cube-3"][2]
+        else:
+            mes = build_mes(face_fan(quadratic_image(cube(2), 2)), 6)
+        max_ids = mes.global_cone_ids()
+        for q in (2, 4):
+            data = mes.global_data(q)
+            basis, free_cols = data["basis"], data["free_cols"]
+            section = dict(basis[0])
+            for c, x in basis[-1].items():
+                section[c] = section.get(c, 0) + 2 * x
+            expected = [0] * len(basis)
+            expected[0] += 1
+            expected[-1] += 2
+            coords = mes.to_basis_coords(max_ids, q, basis, free_cols, section)
+            assert coords == tuple(expected)
+            assert coords == tuple(section.get(c, 0) for c in free_cols)
+            total = mes.section_layout(max_ids, q)[1]
+            pivot = next(c for c in range(total) if c not in free_cols)
+            broken = dict(section)
+            broken[pivot] = broken.get(pivot, 0) + 1
+            with pytest.raises(SheafError):
+                mes.to_basis_coords(max_ids, q, basis, free_cols, broken)

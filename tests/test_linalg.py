@@ -121,3 +121,64 @@ class TestProperties:
         sol = linalg.solve(m, b)
         assert sol is not None
         assert linalg.mat_vec(m, sol) == b
+
+
+@st.composite
+def sparse_systems(draw):
+    """Dense matrices with mostly zero entries over Q or Q(sqrt 2), with
+    zero rows and repeated rows mixed in, often more rows than columns."""
+    cols = draw(st.integers(min_value=1, max_value=6))
+    quadratic = draw(st.booleans())
+
+    def entry():
+        a, b = draw(small_ints), draw(small_ints) if quadratic else 0
+        if draw(st.integers(min_value=0, max_value=2)):
+            a = b = 0
+        return Quadratic(a, b, 2) if quadratic else F(a)
+
+    rows = [tuple(entry() for _ in range(cols)) for _ in range(draw(st.integers(0, 9)))]
+    extra = draw(st.lists(st.sampled_from(("zero", "repeat")), max_size=3))
+    for kind in extra:
+        if kind == "repeat" and rows:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+        else:
+            zero = Quadratic(0, 0, 2) if quadratic else F(0)
+            rows.insert(draw(st.integers(0, len(rows))), (zero,) * cols)
+    return cols, linalg.mat(rows)
+
+
+def as_sparse(row):
+    return {c: x for c, x in enumerate(row) if x != 0}
+
+
+def as_dense(row, cols):
+    return tuple(row.get(c, 0) for c in range(cols))
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_systems())
+    def test_sparse_rref_equals_rref(self, system):
+        cols, m = system
+        reduced, pivots = linalg.sparse_rref([as_sparse(r) for r in m])
+        dense_reduced, dense_pivots = linalg.rref(m)
+        assert pivots == dense_pivots
+        assert tuple(as_dense(r, cols) for r in reduced) == dense_reduced
+        assert all(x != 0 for r in reduced for x in r.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_systems())
+    def test_sparse_kernel_equals_kernel_basis(self, system):
+        cols, m = system
+        basis, free = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
+        pivots = set(linalg.rref(m)[1]) if m else set()
+        assert free == tuple(c for c in range(cols) if c not in pivots)
+        dense = tuple(as_dense(v, cols) for v in basis)
+        assert dense == (linalg.kernel_basis(m) if m else linalg.identity(cols))
+
+    def test_zero_and_repeated_rows_over_more_rows_than_columns(self):
+        r2 = Quadratic(0, 1, 2)
+        rows = [{0: r2, 1: F(1)}, {}, {0: r2, 1: F(1)}, {1: F(2)}, {0: F(0)}]
+        reduced, pivots = linalg.sparse_rref(rows)
+        assert pivots == (0, 1)
+        assert reduced == ({0: F(1)}, {1: F(1)})
