@@ -3,8 +3,10 @@
 Every report renders an :class:`Analysis`.  Each invariant is computed
 on first use and then kept, so the face fan, the h-polynomial, the
 sheaf, the reflection matrices and the Lefschetz maps are built once per
-analysis however many checks read them.  The ``check_*`` predicates of
-:mod:`polyfan.ihsheaf` only compare the values computed here.
+analysis however many checks read them.  The matrices are sparse columns
+(see :mod:`polyfan.ihsheaf`); the tables hold their ranks.  The
+``check_*`` predicates of :mod:`polyfan.ihsheaf` only compare the values
+computed here.
 """
 
 from __future__ import annotations

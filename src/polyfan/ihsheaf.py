@@ -10,13 +10,13 @@ point reflection, so the reflection acts on everything in sight.
 
 All objects are truncated at an even degree cap; linear forms sit in
 degree 2, so degree q holds polynomials of ordinary degree q/2.
-Sections, generator images and restriction maps are sparse rows of
-:mod:`polyfan.linalg` (dicts holding the nonzero entries only):
-restriction maps are built from substituted monomials, the wall
-equations are reduced by the sparse elimination, and products and the
-reflection touch nonzero entries only.  Every basis extraction is
-verified exactly; a failure raises instead of silently producing wrong
-dimensions.
+Every matrix is sparse rows or columns of :mod:`polyfan.linalg` (dicts
+holding the nonzero entries only): sections, restriction maps, the one
+quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
+for boundary fans and global sections), the reflection and the
+Lefschetz maps, all reduced by the sparse elimination.  Every basis
+extraction is verified exactly; a failure raises instead of silently
+producing wrong dimensions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from operator import add
 
 from . import linalg
 from .fans import ConewiseLinear, Fan, FanError
-from .hvector import h_polynomial
 from .polynomials import (
     IntPoly,
     RefinedSeries,
@@ -132,6 +131,7 @@ class MinimalExtensionSheaf:
         self._sections: dict = {}
         self._span_forms: dict = {}
         self._substitutions: dict = {}
+        self._quotients: dict = {}
         self._global: dict = {}
         self._reflection: dict = {}
         self._minus_basis: dict = {}
@@ -291,61 +291,68 @@ class MinimalExtensionSheaf:
         self._sections[key] = cached
         return cached
 
-    # -- global data ---------------------------------------------------------
+    # -- quotients modulo the maximal ideal -----------------------------------
 
-    def global_cone_ids(self) -> tuple:
-        return self.fan.maximal_ids
-
-    def global_data(self, q: int) -> dict:
-        """Global sections at degree q together with the reduction modulo
-        the ambient maximal ideal: the sparse basis and free-column map of
-        :meth:`section_space`, the subspace m*E in basis coordinates (as
-        reduced rows), and complement indices whose basis vectors
-        represent the quotient."""
-        cached = self._global.get(q)
-        if cached is not None:
-            return cached
-        max_ids = self.global_cone_ids()
-        basis, free_cols = self.section_space(max_ids, q, wall_mode=True)
-        dim = len(basis)
-        if q >= 2:
-            coordinate_forms = [
-                {cid: self.ambient_forms(cid)[j] for cid in max_ids}
-                for j in range(self.fan.ambient_dim)
-            ]
-            coords = [
-                self.to_basis_coords(
-                    max_ids, q, basis, free_cols,
-                    self._multiply_conewise(max_ids, q - 2, vec, forms),
-                )
-                for vec in self.global_data(q - 2)["basis"]
-                for forms in coordinate_forms
-            ]
-            m_rows, pivots = linalg.rref(coords)
-        else:
-            pivots = ()
-            m_rows = ()
-        complement = tuple(i for i in range(dim) if i not in set(pivots))
-        cached = {
-            "basis": basis,
-            "free_cols": free_cols,
-            "m_rows": m_rows,
-            "m_pivots": pivots,
-            "complement": complement,
-        }
-        self._global[q] = cached
+    def quotient(self, max_ids: tuple, q: int, forms: tuple) -> dict:
+        """Sections over the given maximal cones at degree q modulo the
+        ideal generated by ``forms`` (per linear form, one covector per
+        cone of ``max_ids`` in its coordinates): the sparse basis and
+        free-column map of :meth:`section_space` in wall mode, the products
+        of the degree q - 2 sections with the forms reduced to ``m_rows``
+        (pivot basis index -> reduced row of basis coordinates), and
+        ``complement`` (basis index -> quotient coordinate, ascending) for
+        the basis vectors that represent the quotient.  Built once."""
+        key = (max_ids, q, forms)
+        cached = self._quotients.get(key)
+        if cached is None:
+            basis, free_cols = self.section_space(max_ids, q, wall_mode=True)
+            products = []
+            if q >= 2:
+                prev, _ = self.section_space(max_ids, q - 2, wall_mode=True)
+                products = [
+                    to_basis_coords(
+                        basis, free_cols, self._multiply_conewise(max_ids, q - 2, vec, form)
+                    )
+                    for vec in prev
+                    for form in forms
+                ]
+            rows, pivots = linalg.sparse_rref(products)
+            m_rows = dict(zip(pivots, rows))
+            complement = (i for i in range(len(basis)) if i not in m_rows)
+            cached = {
+                "basis": basis,
+                "free_cols": free_cols,
+                "m_rows": m_rows,
+                "complement": {i: k for k, i in enumerate(complement)},
+            }
+            self._quotients[key] = cached
         return cached
 
-    def _multiply_conewise(self, max_ids: tuple, q: int, vec: dict, forms: dict) -> dict:
+    def global_data(self, q: int) -> dict:
+        """The :meth:`quotient` of the global sections at degree q by the
+        ambient maximal ideal, generated by the coordinate functions."""
+        # Keyed by q alone: hashing the forms of the quotient key (about
+        # 0.1 ms on cube(4)) on every reduction would cost more than it.
+        cached = self._global.get(q)
+        if cached is None:
+            max_ids = self.fan.maximal_ids
+            forms = tuple(
+                tuple(self.ambient_forms(cid)[j] for cid in max_ids)
+                for j in range(self.fan.ambient_dim)
+            )
+            cached = self._global[q] = self.quotient(max_ids, q, forms)
+        return cached
+
+    def _multiply_conewise(self, max_ids: tuple, q: int, vec: dict, covectors: tuple) -> dict:
         """Product of a sparse degree-q section with one linear form per
-        cone (a covector in its coordinates), over the nonzero entries of
-        the section and of the forms."""
+        cone (a covector in its coordinates, in the order of ``max_ids``),
+        over the nonzero entries of the section and of the forms."""
         offsets, _ = self.section_layout(max_ids, q)
         out_offsets, _ = self.section_layout(max_ids, q + 2)
         out: dict = {}
-        for cid, off, out_off in zip(max_ids, offsets, out_offsets):
+        for cid, off, out_off, covector in zip(max_ids, offsets, out_offsets, covectors):
             nv = self.nvars(cid)
-            form = [(j, f) for j, f in enumerate(forms[cid]) if f]
+            form = [(j, f) for j, f in enumerate(covector) if f]
             out_index = {g: o for g, _, o, _ in self.gen_blocks(cid, q + 2)[0]}
             for gi, d, boff, _ in self.gen_blocks(cid, q)[0]:
                 k = (q - d) // 2
@@ -360,64 +367,81 @@ class MinimalExtensionSheaf:
                         out[t] = out.get(t, _ZERO) + f * v
         return {t: v for t, v in out.items() if v}
 
-    def to_basis_coords(self, max_ids, q, basis, free_cols, vec: dict):
-        """Coordinates of a sparse vector in a :meth:`section_space` basis,
-        verified exactly.  The vector of free column f is e_f minus column
-        f of the reduced constraint rows R, so R x is summed from the
-        nonzero entries of x alone; x is a section iff every sum is 0."""
-        coords = [_ZERO] * len(basis)
-        residual: dict = {}  # pivot column -> entry of R x
-        for c, x in vec.items():
-            i = free_cols.get(c)
-            if i is None:
-                residual[c] = residual.get(c, _ZERO) + x
-                continue
-            coords[i] = x
-            for p, b in basis[i].items():
-                if p != c:
-                    residual[p] = residual.get(p, _ZERO) - b * x
-        if any(residual.values()):
-            raise SheafError(
-                "vector is not a section (failed exact membership check)"
-            )
-        return tuple(coords)
-
-    def reduce_mod_m(self, q: int, coords):
-        """Reduce basis coordinates modulo m*E; returns coordinates on the
-        complement representing the class in the quotient."""
+    def reduce_mod_m(self, q: int, coords: dict) -> dict:
+        """Reduce sparse global-section coordinates at degree q modulo m*E;
+        returns the sparse quotient coordinates of the class."""
         data = self.global_data(q)
-        res = list(coords)
-        for row, p in zip(data["m_rows"], data["m_pivots"]):
+        m_rows = data["m_rows"]
+        res = dict(coords)
+        # The rows are fully reduced, so each pivot of the input is
+        # cleared by its own row and no other pivot is touched.
+        for p in [c for c in res if c in m_rows]:
             f = res[p]
-            if f != 0:
-                for i, val in enumerate(row):
-                    if val != 0:
-                        res[i] = res[i] - f * val
-        for p in data["m_pivots"]:
-            if res[p] != 0:
-                raise SheafError("reduction modulo m failed to clear pivots")
-        return tuple(res[i] for i in data["complement"])
+            for c, v in m_rows[p].items():
+                x = res.get(c, _ZERO) - f * v
+                if x:
+                    res[c] = x
+                else:
+                    del res[c]
+        if any(c in m_rows for c in res):
+            raise SheafError("reduction modulo m failed to clear pivots")
+        complement = data["complement"]
+        return {complement[i]: x for i, x in res.items()}
 
     def reflection(self, q: int):
-        """Matrices of the point reflection at degree q, on the section
-        basis and on the quotient modulo m; built once per degree."""
+        """Matrices of the point reflection at degree q, as sparse columns,
+        on the section basis and descended to the quotient modulo m;
+        built once per degree."""
         cached = self._reflection.get(q)
         if cached is None:
             c = _involution_on_basis(self, q)
-            cached = (c, _involution_on_quotient(self, q, c))
-            self._reflection[q] = cached
+            cbar = tuple(self.reduce_mod_m(q, c[i]) for i in self.global_data(q)["complement"])
+            cached = self._reflection[q] = (c, cbar)
         return cached
 
     def minus_basis(self, q: int):
-        """Basis (``linalg.kernel_basis`` of cbar + I) of the -1
-        eigenspace of the reflection on the quotient at degree q; built
-        once per degree for the refined series and the minus table."""
+        """The -1 eigenspace of the reflection on the quotient at degree
+        q: the :func:`linalg.sparse_kernel` basis of cbar + I and the map
+        from each free column to its basis index, as :func:`to_basis_coords`
+        takes them.  Built once per degree for the refined series and the
+        minus table."""
         cached = self._minus_basis.get(q)
         if cached is None:
             _, cbar = self.reflection(q)
-            cached = linalg.kernel_basis(_shifted(cbar, 1))
+            rows = _transpose(_shifted(cbar, 1), len(cbar))
+            basis, free = linalg.sparse_kernel(rows, len(cbar))
+            cached = (basis, {c: i for i, c in enumerate(free)})
             self._minus_basis[q] = cached
         return cached
+
+
+def to_basis_coords(basis, free_cols: dict, vec: dict) -> dict:
+    """Sparse coordinates of a sparse vector in a :func:`linalg.sparse_kernel`
+    basis with its free-column map, verified exactly.  The vector of free
+    column f is e_f minus column f of the reduced rows R, so R x is summed
+    from the nonzero entries of x alone; x lies in the span iff every sum
+    is 0."""
+    coords = {}
+    residual: dict = {}  # pivot column -> entry of R x
+    for c, x in vec.items():
+        i = free_cols.get(c)
+        if i is None:
+            residual[c] = residual.get(c, _ZERO) + x
+            continue
+        coords[i] = x
+        for p, b in basis[i].items():
+            if p != c:
+                residual[p] = residual.get(p, _ZERO) - b * x
+    if any(residual.values()):
+        raise SheafError(
+            "vector is not a section (failed exact membership check)"
+        )
+    return coords
+
+
+def _rank(vectors) -> int:
+    """Rank of sparse rows or of sparse columns."""
+    return len(linalg.sparse_rref(vectors)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +484,15 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     return mes
 
 
-def _boundary_quotient_data(mes: MinimalExtensionSheaf, sid: int, q: int):
-    """Boundary sections of a cone at degree q and the coordinates of the
-    maximal-ideal subspace inside them."""
-    fan = mes.fan
-    facets = fan.facets_of(sid)
-    k = fan.cones[sid].dim
-    basis, free_cols = mes.section_space(facets, q, wall_mode=True)
-    if q < 2:
-        return basis, free_cols, []
-    prev, _ = mes.section_space(facets, q - 2, wall_mode=True)
-    span_forms = [
-        {cid: mes.span_substitution_forms(sid, cid)[i] for cid in facets}
-        for i in range(k)
-    ]
-    products = [
-        mes._multiply_conewise(facets, q - 2, vec, forms)
-        for vec in prev
-        for forms in span_forms
-    ]
-    coords = [mes.to_basis_coords(facets, q, basis, free_cols, p) for p in products]
-    return basis, free_cols, coords
+def _boundary_quotient(mes: MinimalExtensionSheaf, sid: int, q: int) -> dict:
+    """The :meth:`MinimalExtensionSheaf.quotient` of the sections over the
+    boundary fan of a cone by the ideal of its span's linear functions."""
+    facets = mes.fan.facets_of(sid)
+    forms = tuple(
+        tuple(mes.span_substitution_forms(sid, f)[i] for f in facets)
+        for i in range(mes.nvars(sid))
+    )
+    return mes.quotient(facets, q, forms)
 
 
 def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
@@ -489,17 +501,15 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     gen_degrees = []
     lifts = []  # (degree, boundary section vector)
     for q in range(0, mes.cap + 1, 2):
-        basis, _free, m_coords = _boundary_quotient_data(mes, sid, q)
-        _, pivots = linalg.rref(m_coords)
-        complement = [i for i in range(len(basis)) if i not in set(pivots)]
-        if complement and q == mes.cap:
+        data = _boundary_quotient(mes, sid, q)
+        if data["complement"] and q == mes.cap:
             raise DegreeCapError(
                 f"cone {sid}: quotient of boundary sections is nonzero at the "
                 f"degree cap {mes.cap}; raise the cap to certify generators"
             )
-        for i in complement:
+        for i in data["complement"]:
             gen_degrees.append(q)
-            lifts.append((q, basis[i]))
+            lifts.append((q, data["basis"][i]))
     images: dict = {}
     proper = sorted(fan.faces[sid], key=lambda c: (-fan.cones[c].dim, c))
     for tau in proper:
@@ -546,29 +556,6 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
 
 # ---------------------------------------------------------------------------
 # Graded dimensions and Poincare series
-
-
-@dataclass(frozen=True)
-class SectionBasis:
-    """Global sections per even degree: layout metadata plus sparse basis
-    vectors in concatenated per-maximal-cone coordinates."""
-
-    max_ids: tuple
-    degrees: tuple
-    bases: dict  # q -> tuple of sparse vectors
-
-    def dim(self, q: int) -> int:
-        return len(self.bases.get(q, ()))
-
-
-def global_sections(mes: MinimalExtensionSheaf) -> SectionBasis:
-    """Degreewise bases of the sections over all maximal cones."""
-    if not mes.fan.is_complete():
-        raise FanError("global sections require a complete fan")
-    max_ids = mes.global_cone_ids()
-    degrees = tuple(range(0, mes.cap + 1, 2))
-    bases = {q: mes.global_data(q)["basis"] for q in degrees}
-    return SectionBasis(max_ids, degrees, bases)
 
 
 def _graded_dims(mes: MinimalExtensionSheaf, key: str) -> IntPoly:
@@ -630,7 +617,7 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
                 for f in facets
                 for row in mes.restriction_matrix(cid, f, q)
             ]
-            rk = len(linalg.sparse_rref(rows)[1])
+            rk = _rank(rows)
             dims[q] = dim_e - rk
             if rk != len(boundary_basis):
                 raise SheafError(
@@ -673,7 +660,7 @@ def _phi_permutation(mes: MinimalExtensionSheaf, q: int):
     with sign (-1)^m on ordinary polynomial degree m."""
     if mes.antipode is None:
         raise FanError("the fan is not centrally symmetric")
-    max_ids = mes.global_cone_ids()
+    max_ids = mes.fan.maximal_ids
     offsets, total = mes.section_layout(max_ids, q)
     offset_of = dict(zip(max_ids, offsets))
     target = [0] * total
@@ -692,50 +679,41 @@ def _phi_permutation(mes: MinimalExtensionSheaf, q: int):
 
 
 def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
-    """Matrix of the reflection on the section basis at degree q (exact;
-    raises if the reflection fails to preserve the section space).
-    Callers go through :meth:`MinimalExtensionSheaf.reflection`."""
+    """Matrix of the reflection on the section basis at degree q, as
+    sparse columns: column j holds the coordinates of the image of basis
+    vector j (exact; raises if the reflection fails to preserve the
+    section space).  Callers go through
+    :meth:`MinimalExtensionSheaf.reflection`."""
     data = mes.global_data(q)
     basis, free_cols = data["basis"], data["free_cols"]
     apply = _phi_permutation(mes, q)
-    max_ids = mes.global_cone_ids()
-    cols = []
-    for b in basis:
-        image = apply(b)
-        cols.append(mes.to_basis_coords(max_ids, q, basis, free_cols, image))
-    # cols[i] are coordinates of phi(basis[i]); matrix with those as columns.
-    dim = len(basis)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+    return tuple(to_basis_coords(basis, free_cols, apply(b)) for b in basis)
 
 
-def _involution_on_quotient(mes: MinimalExtensionSheaf, q: int, c_matrix):
-    """The reflection descended to sections modulo m, on the complement
-    coordinates of :meth:`global_data`."""
-    data = mes.global_data(q)
-    complement = data["complement"]
-    cols = []
-    for idx in complement:
-        coords = tuple(c_matrix[i][idx] for i in range(len(c_matrix)))
-        cols.append(mes.reduce_mod_m(q, coords))
-    k = len(complement)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+def _shifted(columns, s: int) -> tuple:
+    """Sparse columns of a square matrix plus s times the identity."""
+    out = tuple(dict(col) for col in columns)
+    for j, col in enumerate(out):
+        x = col.pop(j, _ZERO) + s
+        if x:
+            col[j] = x
+    return out
 
 
-def _shifted(matrix, s: int) -> list:
-    """The square matrix plus s times the identity, as row lists."""
-    return [
-        [x + s if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(matrix)
-    ]
+def _transpose(columns, nrows: int) -> list:
+    """Sparse rows of the matrix with the given sparse columns."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
 
 
-def _eigen_split(matrix, minus: int):
-    """Eigenspace dimensions (+1, -1) of an exact involution matrix whose
-    -1 eigenspace has dimension ``minus``."""
-    dim = len(matrix)
-    if dim == 0:
-        return 0, 0
-    plus = dim - linalg.rank(_shifted(matrix, -1))
+def _eigen_split(columns, minus: int):
+    """Eigenspace dimensions (+1, -1) of an exact involution, given as
+    sparse columns, whose -1 eigenspace has dimension ``minus``."""
+    dim = len(columns)
+    plus = dim - _rank(_shifted(columns, -1))
     if plus + minus != dim:
         raise SheafError("reflection action is not an involution on sections")
     return plus, minus
@@ -752,9 +730,9 @@ def refined_series(mes: MinimalExtensionSheaf):
     u_minus = [0] * (cap + 1)
     for q in range(0, cap + 1, 2):
         c, cbar = mes.reflection(q)
-        v_minus_dim = len(c) - linalg.rank(_shifted(c, 1))
+        v_minus_dim = len(c) - _rank(_shifted(c, 1))
         v_plus[q], v_minus[q] = _eigen_split(c, v_minus_dim)
-        u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q)))
+        u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q)[0]))
     return (
         RefinedSeries(trim(u_plus), trim(u_minus)),
         RefinedSeries(trim(v_plus), trim(v_minus)),
@@ -803,28 +781,30 @@ def check_minus_dims_match_difference(u_ref: RefinedSeries, u: IntPoly, n: int) 
 
 def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
     """Matrices of multiplication by a strictly concave conewise linear
-    function on the quotient, degree q -> q + 2 for even q < cap."""
+    function on the quotient, degree q -> q + 2 for even q < cap, as
+    sparse columns: one per quotient coordinate of degree q."""
     if s.fan is not mes.fan:
         raise FanError("support function belongs to a different fan")
-    max_ids = mes.global_cone_ids()
-    forms = {
-        cid: tuple(linalg.vec_dot(row, s.covectors[cid]) for row in mes.fan.cone_basis(cid)[0])
+    max_ids = mes.fan.maximal_ids
+    covectors = tuple(
+        tuple(linalg.vec_dot(row, s.covectors[cid]) for row in mes.fan.cone_basis(cid)[0])
         for cid in max_ids
-    }
+    )
     out = {}
     for q in range(0, mes.cap, 2):
         data = mes.global_data(q)
         target = mes.global_data(q + 2)
-        cols = []
-        for idx in data["complement"]:
-            product = mes._multiply_conewise(max_ids, q, data["basis"][idx], forms)
-            coords = mes.to_basis_coords(
-                max_ids, q + 2, target["basis"], target["free_cols"], product
+        out[q] = tuple(
+            mes.reduce_mod_m(
+                q + 2,
+                to_basis_coords(
+                    target["basis"],
+                    target["free_cols"],
+                    mes._multiply_conewise(max_ids, q, data["basis"][idx], covectors),
+                ),
             )
-            cols.append(mes.reduce_mod_m(q + 2, coords))
-        rows = len(target["complement"])
-        k = len(cols)
-        out[q] = tuple(tuple(cols[j][i] for j in range(k)) for i in range(rows))
+            for idx in data["complement"]
+        )
     return out
 
 
@@ -835,7 +815,7 @@ def lefschetz_rank_table(mes: MinimalExtensionSheaf, maps: dict):
     for q, matrix in sorted(maps.items()):
         src = len(mes.global_data(q)["complement"])
         tgt = len(mes.global_data(q + 2)["complement"])
-        rk = linalg.rank(matrix) if (src and tgt) else 0
+        rk = _rank(matrix)
         table[q] = (src, tgt, rk, rk == src, rk == tgt)
     return table
 
@@ -855,23 +835,20 @@ def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
     """The :func:`lefschetz_maps` result restricted to the minus
     eigenspaces of the reflection; also certifies that multiplication
     preserves them."""
-    minus_bases = {q: mes.minus_basis(q) for q in range(0, mes.cap + 1, 2)}
     table = {}
     for q, matrix in sorted(maps.items()):
-        src_basis = minus_bases[q]
-        tgt_basis = minus_bases.get(q + 2, ())
-        images = [linalg.mat_vec(matrix, v) for v in src_basis]
+        src_basis, _ = mes.minus_basis(q)
+        tgt_basis, tgt_free = mes.minus_basis(q + 2)
+        rows = _transpose(matrix, len(mes.global_data(q + 2)["complement"]))
+        images = [linalg.sparse_mat_vec(rows, v) for v in src_basis]
         for img in images:
-            if tgt_basis:
-                sol = linalg.solve(linalg.mat(tuple(zip(*tgt_basis))), img)
-            else:
-                sol = () if all(x == 0 for x in img) else None
-            if sol is None:
+            try:
+                to_basis_coords(tgt_basis, tgt_free, img)
+            except SheafError:
                 raise SheafError(
                     "multiplication does not preserve the minus eigenspace"
-                )
-        rk = linalg.rank(linalg.mat(images)) if images else 0
-        table[q] = (len(src_basis), len(tgt_basis), rk)
+                ) from None
+        table[q] = (len(src_basis), len(tgt_basis), _rank(images))
     return table
 
 
@@ -884,17 +861,6 @@ def check_minus_lefschetz_pattern(table: dict, n: int) -> bool:
         if q >= n - 1 and rk != tgt:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# End-to-end verification on a polytope
-
-
-def verify_betti_equals_h(fan: Fan, cap: int | None = None) -> bool:
-    """Build the sheaf of a complete polytopal fan and compare its Betti
-    numbers against the h-polynomial evaluated at t^2."""
-    mes = build_mes(fan, cap)
-    return check_betti_equals_h(ih_poincare(mes), h_polynomial(fan), mes.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -919,12 +885,9 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
         facets = fan.facets_of(cid)
         module = mes.modules[cid]
         for q in range(0, mes.cap + 1, 2):
-            basis, free_cols, m_coords = _boundary_quotient_data(mes, cid, q)
-            m_rows, m_pivots = linalg.rref(m_coords)
-            m_rank = len(m_pivots)
-            quotient_dim = len(basis) - m_rank
+            data = _boundary_quotient(mes, cid, q)
             gen_ids = [i for i, d in enumerate(module.gen_degrees) if d == q]
-            if len(gen_ids) != quotient_dim:
+            if len(gen_ids) != len(data["complement"]):
                 return False
             if not gen_ids:
                 continue
@@ -938,8 +901,9 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
                         return False
                     vec.update((off + c, v) for c, v in image.items())
                 image_coords.append(
-                    mes.to_basis_coords(facets, q, basis, free_cols, vec)
+                    to_basis_coords(data["basis"], data["free_cols"], vec)
                 )
-            if linalg.rank(m_rows + tuple(image_coords)) != m_rank + len(gen_ids):
+            m_rows = data["m_rows"]
+            if _rank([*m_rows.values(), *image_coords]) != len(m_rows) + len(gen_ids):
                 return False
     return True

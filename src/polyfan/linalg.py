@@ -1,10 +1,13 @@
 """Exact linear algebra over the package's scalar types.
 
+A sparse row (or vector) is a dict from column index to scalar holding
+the nonzero entries only; the sheaf path (:mod:`polyfan.ihsheaf`) keeps
+every matrix in that form and uses :func:`sparse_rref`,
+:func:`sparse_kernel`, :func:`sparse_mat_vec` and :func:`vec_dot`.
 Dense vectors are tuples of scalars and dense matrices tuples of row
-tuples.  A sparse row (or sparse vector) is a dict from column index to
-scalar that stores only the nonzero entries; the sheaf engine keeps its
-sections, restriction maps and constraint systems in that form.  All
-eliminations pivot on the first nonzero column, so results are
+tuples; the geometry path (facets, cone bases, quotient fans) uses them,
+and tests use :func:`rank` and :func:`kernel_basis` as the dense oracle.
+All eliminations pivot on the first nonzero column, so results are
 deterministic functions of the input, and the sparse and the dense
 reduced row echelon forms of a matrix are equal.
 """
@@ -12,7 +15,7 @@ reduced row echelon forms of a matrix are equal.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .scalars import Scalar
 
@@ -213,21 +216,6 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
             v[p] = -reduced[i][f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def solve(m: Matrix, b: Vector) -> Optional[Vector]:
-    """One exact solution of m @ x = b (free variables set to 0), or None."""
-    if not m:
-        return () if is_zero_vector(b) else None
-    ncols = len(m[0])
-    augmented = tuple(row + (bi,) for row, bi in zip(m, b))
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
-    x = [_ZERO] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][ncols]
-    return tuple(x)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -9,7 +9,8 @@ from polyfan import analysis, ihsheaf, linalg
 from polyfan.analysis import Analysis
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import nonsimplicial_cs_3polytope
-from polyfan.polytopes import cube, simplex
+from polyfan.polynomials import coeff
+from polyfan.polytopes import cross_polytope, cube, simplex
 from polyfan.reports import bounds_report, ih_report
 from polyfan.scalars import Field
 
@@ -78,20 +79,66 @@ def test_reflection_is_cached_per_degree():
         assert len(cbar) == len(mes.global_data(q)["complement"])
 
 
-def test_minus_basis_is_shared_and_cached_per_degree():
+@pytest.fixture(scope="module")
+def oracle_inputs(sheaf_analyses, quadratic_image):
+    """The rational sheaf-corpus analyses at cap 8 and the Q(sqrt 2) and
+    Q(sqrt 3) images of cross(3)."""
+    inputs = [(n, a) for n, a in sheaf_analyses.items() if n != "nonrational-bipyramid"]
+    for d in (2, 3):
+        inputs.append((f"sqrt{d}-cross-3", Analysis(quadratic_image(cross_polytope(3), d), 8)))
+    return inputs
+
+
+def _dense(columns, nrows: int):
+    """The dense matrix with the given sparse columns."""
+    return linalg.mat([[col.get(i, 0) for col in columns] for i in range(nrows)])
+
+
+def _shift(matrix, s: int):
+    return linalg.mat(
+        [[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+    )
+
+
+def test_minus_basis_is_shared_and_cached_per_degree(oracle_inputs):
     """The refined series and the minus table read one minus basis per
-    degree: the kernel basis of cbar + I."""
-    a = Analysis(nonsimplicial_cs_3polytope(), 8)
-    u_minus = a.refined[0].minus
-    assert a.minus_table
-    mes = a.sheaf
-    for q in range(0, mes.cap + 1, 2):
-        basis = mes.minus_basis(q)
-        assert mes.minus_basis(q) is basis
-        _, cbar = mes.reflection(q)
-        shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(cbar)]
-        assert basis == linalg.kernel_basis(linalg.mat(shifted))
-        assert len(basis) == (u_minus[q] if q < len(u_minus) else 0)
+    degree: the kernel basis of cbar + I, equal to the dense oracle's."""
+    for name, a in oracle_inputs:
+        u_minus = a.refined[0].minus
+        assert a.minus_table
+        mes = a.sheaf
+        for q in range(0, mes.cap + 1, 2):
+            basis, _ = mes.minus_basis(q)
+            assert mes.minus_basis(q)[0] is basis
+            _, cbar = mes.reflection(q)
+            k = len(cbar)
+            expected = linalg.kernel_basis(_shift(_dense(cbar, k), 1))
+            densified = tuple(tuple(v.get(i, 0) for i in range(k)) for v in basis)
+            assert densified == expected, (name, q)
+            assert len(basis) == coeff(u_minus, q), (name, q)
+
+
+def test_reflection_and_lefschetz_ranks_match_the_dense_oracle(oracle_inputs):
+    """Densified reflection and Lefschetz matrices, ranked by the dense
+    elimination, give the dimensions and ranks the sparse path reports."""
+    for name, a in oracle_inputs:
+        mes = a.sheaf
+        u_ref, v_ref = a.refined
+        for q in range(0, a.cap + 1, 2):
+            c, cbar = mes.reflection(q)
+            for matrix, ref in ((c, v_ref), (cbar, u_ref)):
+                dense = _dense(matrix, len(matrix))
+                for s, dims in ((-1, ref.plus), (1, ref.minus)):
+                    kernel = len(matrix) - linalg.rank(_shift(dense, s))
+                    assert kernel == coeff(dims, q), (name, q, s)
+        for q, matrix in a.lefschetz_maps.items():
+            dense = _dense(matrix, len(mes.global_data(q + 2)["complement"]))
+            assert linalg.rank(dense) == a.rank_table[q][2], (name, q)
+            _, cbar = mes.reflection(q)
+            minus = linalg.kernel_basis(_shift(_dense(cbar, len(cbar)), 1))
+            images = [linalg.mat_vec(dense, v) for v in minus]
+            rank = linalg.rank(linalg.mat(images)) if images else 0
+            assert rank == a.minus_table[q][2], (name, q)
 
 
 def test_translated_input_keeps_its_shift():

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
     SheafError,
+    _eigen_split,
     build_mes,
     check_betti_equals_h,
     check_freeness_factorization,
@@ -18,15 +21,15 @@ from polyfan.ihsheaf import (
     check_minus_part_formula,
     check_refined_factorization,
     check_refined_splitting,
-    global_sections,
     ih_poincare,
     kernel_dimensions,
     lefschetz_maps,
     lefschetz_rank_table,
+    minus_lefschetz_table,
     monomials,
     refined_series,
     sections_poincare,
-    verify_betti_equals_h,
+    to_basis_coords,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
 from polyfan.polytopes import cube, simplex
@@ -102,17 +105,16 @@ class TestConstruction:
                                     facets,
                                     q - 2,
                                     vec,
-                                    {
-                                        f: mes.span_substitution_forms(cid, f)[i]
+                                    tuple(
+                                        mes.span_substitution_forms(cid, f)[i]
                                         for f in facets
-                                    },
+                                    ),
                                 )
                             )
                     coords = [
-                        mes.to_basis_coords(facets, q, basis, free_cols, p)
-                        for p in products
+                        to_basis_coords(basis, free_cols, p) for p in products
                     ]
-                    m_dim = linalg.rank(linalg.mat(coords)) if coords else 0
+                    m_dim = linalg.rank(_dense(coords, len(basis))) if coords else 0
                 assert gens_at_q == len(basis) - m_dim
 
     def test_degree_cap_errors(self):
@@ -139,14 +141,6 @@ class TestSections:
         for name, (_, _, mes, _) in sheaf_setups.items():
             assert coeff(sections_poincare(mes), 0) == 1, name
 
-    def test_global_sections_basis_shape(self, sheaf_setups):
-        _, fan, mes, _ = sheaf_setups["cube-2"]
-        sections = global_sections(mes)
-        assert sections.max_ids == fan.maximal_ids
-        v = sections_poincare(mes)
-        for q in sections.degrees:
-            assert sections.dim(q) == coeff(v, q)
-
 
 class TestPoincare:
     def test_cross3_betti(self, sheaf_setups):
@@ -158,16 +152,14 @@ class TestPoincare:
         assert ih_poincare(mes) == (1, 0, 5, 0, 5, 0, 1)
 
     def test_betti_equals_h_everywhere(self, sheaf_analyses):
-        for name, a in sheaf_analyses.items():
+        analyses = {**sheaf_analyses, "simplex-2": Analysis(simplex(2))}
+        for name, a in analyses.items():
             assert a.u == substitute_t_squared(h_polynomial(a.fan)), name
             assert check_betti_equals_h(a.u, a.h, a.cap), name
 
     def test_freeness_factorization(self, sheaf_analyses):
         for name, a in sheaf_analyses.items():
             assert check_freeness_factorization(a.u, a.v, a.dim, a.cap), name
-
-    def test_verify_entry_point(self):
-        assert verify_betti_equals_h(face_fan(simplex(2)))
 
 
 class TestKernels:
@@ -215,6 +207,26 @@ class TestReflection:
             assert check_refined_factorization(u_ref, v_ref, a.dim, a.cap), name
             assert check_minus_part_formula(u_ref, a.u, a.dim, a.cap), name
 
+    def test_eigen_split_rejects_a_non_involution(self):
+        # The shear e_1 -> e_0 + e_1, as sparse columns: its +1 eigenspace
+        # is the line of e_0 and it has no -1 eigenvector, so the two
+        # eigenspaces do not fill the plane.
+        shear = ({0: F(1)}, {0: F(1), 1: F(1)})
+        with pytest.raises(SheafError, match="not an involution"):
+            _eigen_split(shear, 0)
+
+    def test_reduction_mod_m_needs_fully_reduced_rows(self):
+        # A row of m*E that still has an entry at another pivot leaves
+        # that pivot uncleared; the reduction must refuse the result.
+        mes = build_mes(face_fan(cube(2)), 4)
+        data = mes.global_data(2)
+        p, other = list(data["m_rows"])[:2]
+        rows = dict(data["m_rows"])
+        rows[p] = {**rows[p], other: F(1)}
+        mes._global[2] = {**data, "m_rows": rows}
+        with pytest.raises(SheafError, match="failed to clear pivots"):
+            mes.reduce_mod_m(2, {p: F(1)})
+
     def test_non_cs_fan_rejected(self):
         fan = face_fan(simplex(2))
         mes = build_mes(fan)
@@ -235,6 +247,23 @@ class TestLefschetz:
         for name, a in sheaf_analyses.items():
             assert check_lefschetz_pattern(a.rank_table, a.dim), name
             assert check_minus_lefschetz_pattern(a.minus_table, a.dim), name
+
+    def test_map_leaving_the_minus_eigenspace_is_rejected(self, sheaf_setups):
+        # Add a vector outside the minus eigenspace of degree 4 (a unit
+        # vector at one of its pivot columns) to a column of the degree-2
+        # map that the minus eigenvector of degree 2 uses.
+        _, _, mes, s = sheaf_setups["cube-3"]
+        maps = dict(lefschetz_maps(mes, s))
+        assert minus_lefschetz_table(mes, maps)
+        (src,), _ = mes.minus_basis(2)
+        _, tgt_free = mes.minus_basis(4)
+        j = next(iter(src))
+        i = next(i for i in range(len(mes.global_data(4)["complement"])) if i not in tgt_free)
+        column = dict(maps[2][j])
+        column[i] = column.get(i, 0) + 1
+        maps[2] = maps[2][:j] + ({c: v for c, v in column.items() if v},) + maps[2][j + 1 :]
+        with pytest.raises(SheafError, match="does not preserve the minus eigenspace"):
+            minus_lefschetz_table(mes, maps)
 
 
 class TestCSReport:
@@ -395,22 +424,41 @@ class TestMembership:
             mes = sheaf_setups["cube-3"][2]
         else:
             mes = build_mes(face_fan(quadratic_image(cube(2), 2)), 6)
-        max_ids = mes.global_cone_ids()
+        max_ids = mes.fan.maximal_ids
         for q in (2, 4):
             data = mes.global_data(q)
             basis, free_cols = data["basis"], data["free_cols"]
             section = dict(basis[0])
             for c, x in basis[-1].items():
                 section[c] = section.get(c, 0) + 2 * x
-            expected = [0] * len(basis)
-            expected[0] += 1
-            expected[-1] += 2
-            coords = mes.to_basis_coords(max_ids, q, basis, free_cols, section)
-            assert coords == tuple(expected)
-            assert coords == tuple(section.get(c, 0) for c in free_cols)
+            coords = to_basis_coords(basis, free_cols, section)
+            assert coords == {0: 1, len(basis) - 1: 2}
+            assert coords == {i: section[c] for c, i in free_cols.items() if c in section}
             total = mes.section_layout(max_ids, q)[1]
             pivot = next(c for c in range(total) if c not in free_cols)
             broken = dict(section)
             broken[pivot] = broken.get(pivot, 0) + 1
             with pytest.raises(SheafError):
-                mes.to_basis_coords(max_ids, q, basis, free_cols, broken)
+                to_basis_coords(basis, free_cols, broken)
+
+
+def test_sheaf_calls_only_sparse_linalg():
+    """Every ``linalg`` name ``ihsheaf.py`` uses is a sparse routine or the
+    dot product of covectors, so no dense matrix path runs in the sheaf."""
+    source = Path(__file__).resolve().parent.parent / "src" / "polyfan" / "ihsheaf.py"
+    tree = ast.parse(source.read_text())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "linalg"
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and "linalg" in node.module
+        for alias in node.names
+    }
+    assert used
+    assert used | imported <= {"sparse_rref", "sparse_kernel", "sparse_mat_vec", "vec_dot"}

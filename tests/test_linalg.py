@@ -53,21 +53,6 @@ class TestKernel:
         assert basis[1][1] == 0 and basis[1][2] == 1
 
 
-class TestSolve:
-    def test_identity(self):
-        b = (F(3), F(-1))
-        assert linalg.solve(linalg.identity(2), b) == b
-
-    def test_infeasible(self):
-        assert linalg.solve(fmat([[1], [1]]), (F(0), F(1))) is None
-
-    def test_two_by_two(self):
-        m = fmat([[1, 1], [1, -1]])
-        x = linalg.solve(m, (F(3), F(1)))
-        assert x == (F(2), F(1))
-        assert linalg.mat_vec(m, x) == (F(3), F(1))
-
-
 class TestQuotientProjection:
     def test_unit_line_drops_coordinate(self):
         proj = linalg.quotient_projection((F(1), F(0)), 2)
@@ -112,15 +97,6 @@ class TestProperties:
     def test_kernel_annihilated(self, m):
         for v in linalg.kernel_basis(m):
             assert all(x == 0 for x in linalg.mat_vec(m, v))
-
-    @settings(max_examples=60)
-    @given(matrices(), st.data())
-    def test_solve_substitutes_back(self, m, data):
-        x = tuple(F(data.draw(small_ints)) for _ in range(len(m[0])))
-        b = linalg.mat_vec(m, x)
-        sol = linalg.solve(m, b)
-        assert sol is not None
-        assert linalg.mat_vec(m, sol) == b
 
 
 @st.composite
