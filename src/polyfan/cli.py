@@ -102,8 +102,12 @@ def load_polytope_file(path: str) -> tuple:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
     try:
         return polytope_from_json(doc)
     except InputError as exc:

@@ -9,11 +9,9 @@ symmetry live here, together with conewise-linear support functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .polytopes import Polytope, dual_polytope
-from .posets import FacePoset
+from .polytopes import Polytope
 from .scalars import sign
 
 
@@ -58,6 +56,7 @@ class Fan:
         )
         self.dim = max(c.dim for c in self.cones.values())
         self._bases: dict = {}
+        self._g: dict = {}  # cone id -> g-polynomial, filled by hvector
         self._antipode = None
 
     def __repr__(self):
@@ -238,26 +237,6 @@ class Fan:
             if got != expected:
                 raise FanError("projection did not preserve cone dimensions")
         return fan
-
-    def face_poset(self, cone_id: int) -> FacePoset:
-        """The graded poset of all faces of a cone (cone itself included)."""
-        ids = sorted(
-            self.faces[cone_id] | {cone_id},
-            key=lambda cid: (self.cones[cid].dim, cid),
-        )
-        index = {cid: i for i, cid in enumerate(ids)}
-        dims = [self.cones[cid].dim for cid in ids]
-        lower = []
-        for cid in ids:
-            k = self.cones[cid].dim
-            lower.append(
-                tuple(
-                    index[f]
-                    for f in self.faces[cid]
-                    if self.cones[f].dim == k - 1
-                )
-            )
-        return FacePoset.from_relations(dims, lower)
 
 
 def from_simplicial_cones(ambient_dim: int, rays, maximal_cones) -> Fan:

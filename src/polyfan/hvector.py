@@ -1,10 +1,11 @@
 """Generalized h- and g-polynomials of complete fans.
 
-The two polynomials satisfy a mutual recursion: h of a complete fan sums
-(x-1)^codim * g over all cones, and g of a cone truncates (1-x) times h
-of the quotient fan of its boundary below half its dimension.  Simplicial
-cones short-circuit to g = 1, and g values are memoized per face-poset
-isomorphism class, since they only depend on the poset.
+Both polynomials depend only on the face lattice (Stanley's recursion).
+h of a complete fan sums (x-1)^codim * g over all cones; g of a cone of
+dimension d truncates (1-x) times the same sum over its proper faces,
+taken in dimension d - 1, below half its dimension.  Simplicial cones
+short-circuit to g = 1, and each fan memoizes g per cone id, since g
+depends only on the lower interval below the cone.
 """
 
 from __future__ import annotations
@@ -24,44 +25,43 @@ from .polynomials import (
     x_minus_one_power,
 )
 from .polytopes import Polytope
-from .posets import IsomorphismMemo
-
-_g_memo = IsomorphismMemo()
 
 
 def g_polynomial(fan: Fan, cone_id: int) -> IntPoly:
     """g-polynomial of a cone of the fan.
 
     Simplicial cones (the zero cone included) have g = 1.  Otherwise
-    g = tau_{< ceil(d/2)}((1 - x) * h(quotient fan)), i.e. degrees up to
-    floor((d-1)/2) survive; the ceiling reading of the half-dimension
-    bracket is forced by g = 1 on rays.
+    g = tau_{< ceil(d/2)}((1 - x) * sum_{tau < sigma} (x-1)^(d-1-dim tau)
+    g(tau)), i.e. degrees up to floor((d-1)/2) survive; the ceiling
+    reading of the half-dimension bracket is forced by g = 1 on rays.
     """
     if fan.is_simplicial_cone(cone_id):
         return (1,)
-    poset = fan.face_poset(cone_id)
-    cached = _g_memo.get(poset)
-    if cached is not None:
-        return cached
-    d = fan.cones[cone_id].dim
-    quotient_h = h_polynomial(fan.quotient_fan(cone_id))
-    value = truncate_below(pmul((1, -1), quotient_h), (d + 1) // 2)
-    _g_memo.put(poset, value)
+    value = fan._g.get(cone_id)
+    if value is None:
+        d = fan.cones[cone_id].dim
+        boundary_h = _h_sum(fan, fan.faces[cone_id], d - 1)
+        value = truncate_below(pmul((1, -1), boundary_h), (d + 1) // 2)
+        fan._g[cone_id] = value
     return value
+
+
+def _h_sum(fan: Fan, cone_ids, n: int) -> IntPoly:
+    """Sum of (x-1)^(n - dim tau) * g(tau) over the given cones."""
+    total: IntPoly = ()
+    for cid in cone_ids:
+        term = pmul(
+            x_minus_one_power(n - fan.cones[cid].dim), g_polynomial(fan, cid)
+        )
+        total = padd(total, term)
+    return total
 
 
 def h_polynomial(fan: Fan) -> IntPoly:
     """Generalized h-polynomial of a complete fan."""
     if not fan.is_complete():
         raise FanError("h-polynomial requires a complete fan")
-    n = fan.dim
-    total: IntPoly = ()
-    for cid in fan.cone_ids():
-        term = pmul(
-            x_minus_one_power(n - fan.cones[cid].dim), g_polynomial(fan, cid)
-        )
-        total = padd(total, term)
-    return total
+    return _h_sum(fan, fan.cone_ids(), fan.dim)
 
 
 def h_simplicial(fan: Fan) -> IntPoly:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's search strategies: faces are found
 by scanning all vertex subsets with a locally implemented rank routine,
-the classical f-to-h transform is the closed binomial formula, and
+the classical f-to-h transform is the closed binomial formula, the
+toric h-polynomial recurses through geometric quotient fans, and
 restriction maps of the sheaf are dense products of a multiplication
 matrix and a substitution matrix.
 """
@@ -144,6 +145,45 @@ def f_to_h(f_vector, n: int) -> tuple:
     while h and h[-1] == 0:
         h.pop()
     return tuple(h)
+
+
+def _poly_mul(p, q) -> list:
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _trimmed(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def g_by_quotient_fans(fan, cone_id) -> tuple:
+    """g-polynomial of a cone from the h-polynomial of the quotient fan of
+    its boundary, g = tau_{< ceil(d/2)}((1 - x) h); simplicial cones have
+    g = 1.  Nothing is memoized, so every quotient fan is built anew."""
+    cone = fan.cones[cone_id]
+    if len(cone.ray_ids) == cone.dim:
+        return (1,)
+    h = h_by_quotient_fans(fan.quotient_fan(cone_id))
+    return _trimmed(_poly_mul([1, -1], h)[: (cone.dim + 1) // 2])
+
+
+def h_by_quotient_fans(fan) -> tuple:
+    """Toric h-polynomial of a complete fan: the sum over all cones of
+    (x - 1)^codim times g, with g from the projected quotient fans."""
+    n = fan.dim
+    total = [0] * (n + 1)
+    for cid, cone in fan.cones.items():
+        k = n - cone.dim
+        x_minus_one = [comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
+        for i, c in enumerate(_poly_mul(x_minus_one, g_by_quotient_fans(fan, cid))):
+            total[i] += c
+    return _trimmed(total)
 
 
 def mul_matrix(poly_coeffs, poly_deg: int, src_deg: int, nvars: int):

@@ -177,6 +177,27 @@ class TestFaceLatticeErrors:
         )
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8, or JSON nested past the parser's
+    recursion limit, exits 2 with one error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"dim": 1, "vertices": [["\xff"]]}', b"[" * 100_000],
+        ids=["non-utf8", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("command", ["hvector", "check-bounds", "ih", "report-all"])
+    def test_exits_two(self, capsys, tmp_path, content, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        target = str(tmp_path) if command == "report-all" else str(path)
+        code, out, err = run(capsys, command, target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestAnalysisCommands:
     def test_hvector_cube(self, capsys, tmp_path):
         path = write_polytope(tmp_path, "cube3", __import__("polyfan").cube(3))
@@ -262,6 +283,17 @@ class TestAnalysisCommands:
             assert code == 0
             bettis.append(json.loads(out)["ih"]["betti"])
         assert bettis[0] == bettis[1] == [1, 0, 3, 0, 3, 0, 1]
+
+    def test_check_bounds_product_of_two_squares_and_a_segment(self, capsys, tmp_path):
+        # The face lattice alone determines h; an isomorphism search over
+        # the cones' face posets once made this input run for minutes.
+        from polyfan import cube, product
+
+        p = product(product(cross_polytope(2), cross_polytope(2)), cube(1))
+        path = write_polytope(tmp_path, "cross2-cross2-cube1", p)
+        code, out, _ = run(capsys, "check-bounds", path, "--json")
+        assert code == 0
+        assert json.loads(out)["h"] == [1, 27, 42, 42, 27, 1]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "hvector", "/nonexistent/x.json")

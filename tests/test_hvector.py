@@ -8,6 +8,7 @@ from polyfan.corpus import (
     cs_corpus,
     nonrational_cs_polytope,
     nonsimplicial_cs_3polytope,
+    random_cs_family,
     simplicial_cs_fans,
 )
 from polyfan.fans import FanError, face_fan
@@ -19,14 +20,17 @@ from polyfan.hvector import (
 )
 from polyfan.polynomials import truncate_below
 from polyfan.polytopes import (
+    Polytope,
     cross_polytope,
     cube,
+    ensure_origin_interior,
     free_sum,
+    hull_vertices,
     linear_image,
     simplex,
 )
 
-from oracles import f_to_h
+from oracles import f_to_h, g_by_quotient_fans, h_by_quotient_fans
 
 
 def cone_of_dim(fan, d):
@@ -123,6 +127,42 @@ class TestCombinatorialInvariance:
                 m = _random_invertible(rng, n)
                 image = linear_image(p, m)
                 assert h_polynomial(face_fan(image)) == h
+
+
+def _hull_clouds(count):
+    """Convex hulls of seeded point clouds in {-1, 0, 1}^n, n = 2..4,
+    translated to contain the origin; such small coordinates make
+    coplanar points, hence nonsimplicial faces, common."""
+    rng = random.Random(6)
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 3
+        points = [
+            tuple(Fraction(rng.randint(-1, 1)) for _ in range(n))
+            for _ in range(n + 2 + rng.randint(0, 4))
+        ]
+        offsets = [[a - b for a, b in zip(q, points[0])] for q in points]
+        if linalg.rank(linalg.mat(offsets)) < n:
+            continue
+        out.append(ensure_origin_interior(Polytope(hull_vertices(points)))[0])
+    return out
+
+
+def test_recursion_matches_quotient_fan_oracle(quadratic_image):
+    """h and every cone's g agree with the memo-free recursion through
+    geometric quotient fans, over Q and over Q(sqrt 2) and Q(sqrt 3)."""
+    rational = [p for _, p in random_cs_family(20)] + _hull_clouds(30)
+    nonsimplicial = [p for p in rational if not face_fan(p).is_simplicial()]
+    assert len(nonsimplicial) >= 10
+    polytopes = rational + [
+        quadratic_image(p, d) for d in (2, 3) for p in nonsimplicial[:6]
+    ]
+    assert len(polytopes) >= 60
+    for p in polytopes:
+        fan = face_fan(p)
+        for cid in fan.cone_ids():
+            assert g_polynomial(fan, cid) == g_by_quotient_fans(fan, cid), p
+        assert h_polynomial(fan) == h_by_quotient_fans(fan), p
 
 
 def _random_invertible(rng, n):

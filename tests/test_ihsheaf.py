@@ -466,3 +466,33 @@ def test_sheaf_calls_only_sparse_linalg():
     }
     assert used
     assert used | imported <= {"sparse_rref", "sparse_kernel", "sparse_mat_vec", "vec_dot"}
+
+
+def _imported_modules(tree) -> set:
+    """Last dotted component of every module a parsed file imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_h_recursion_has_no_poset_isomorphism_or_module_cache():
+    """No package module imports ``posets`` (its isomorphism search is
+    exponential), and ``hvector.py`` binds no module-level value, so no
+    g memo can be shared across fans or inputs."""
+    package = Path(__file__).resolve().parent.parent / "src" / "polyfan"
+    for source in sorted(package.glob("*.py")):
+        if source.name != "posets.py":
+            assert "posets" not in _imported_modules(ast.parse(source.read_text())), source.name
+    hvector = ast.parse((package / "hvector.py").read_text())
+    assignments = [
+        node
+        for node in hvector.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+    ]
+    assert assignments == []
