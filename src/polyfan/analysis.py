@@ -4,9 +4,9 @@ Every report renders an :class:`Analysis`.  Each invariant is computed
 on first use and then kept, so the face fan, the h-polynomial, the
 sheaf, the reflection matrices and the Lefschetz maps are built once per
 analysis however many checks read them.  The matrices are sparse columns
-(see :mod:`polyfan.ihsheaf`); the tables hold their ranks.  The
-``check_*`` predicates of :mod:`polyfan.ihsheaf` only compare the values
-computed here.
+(see :mod:`polyfan.ihsheaf`); the tables hold their ranks.  Nothing here
+decides a check: :mod:`polyfan.checks` compares the values computed here,
+and :mod:`polyfan.reports` renders them.
 """
 
 from __future__ import annotations
@@ -86,33 +86,3 @@ class Analysis:
     @cached_property
     def minus_table(self) -> dict:
         return ihsheaf.minus_lefschetz_table(self.sheaf, self.lefschetz_maps)
-
-    def ih_checks(self) -> dict:
-        """The sheaf checks by report name; the reflection checks only on
-        a centrally symmetric polytope."""
-        n, cap, u = self.dim, self.cap, self.u
-        checks = {
-            "betti_equals_h": ihsheaf.check_betti_equals_h(u, self.h, cap),
-            "freeness_factorization": ihsheaf.check_freeness_factorization(
-                u, self.v, n, cap
-            ),
-            "lefschetz_pattern": ihsheaf.check_lefschetz_pattern(self.rank_table, n),
-        }
-        if self.is_centrally_symmetric:
-            u_ref, v_ref = self.refined
-            checks["refined_factorization"] = ihsheaf.check_refined_factorization(
-                u_ref, v_ref, n, cap
-            )
-            checks["refined_splitting"] = ihsheaf.check_refined_splitting(
-                v_ref, self.v, cap
-            )
-            checks["minus_part_formula"] = ihsheaf.check_minus_part_formula(
-                u_ref, u, n, cap
-            )
-            checks["minus_lefschetz_pattern"] = ihsheaf.check_minus_lefschetz_pattern(
-                self.minus_table, n
-            )
-            checks["minus_dims_match_difference"] = (
-                ihsheaf.check_minus_dims_match_difference(u_ref, u, n)
-            )
-        return checks

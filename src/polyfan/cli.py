@@ -28,7 +28,7 @@ from .polytopes import (
     simplex,
 )
 from .fans import FanError
-from .scalars import Field, ScalarParseError
+from .scalars import Field, ScalarParseError, brief
 
 
 class InputError(Exception):
@@ -41,7 +41,7 @@ GENERATORS = {"simplex": simplex, "cube": cube, "cross": cross_polytope}
 def polytope_to_json(p: Polytope, field: Field, name: str | None) -> dict:
     doc = {
         "dim": p.ambient_dim,
-        "field": "rational" if field.is_rational else {"quadratic": field.d},
+        "field": reports.field_json(field),
         "vertices": [[field.format(x) for x in v] for v in p.vertices],
     }
     if name is not None:
@@ -62,7 +62,7 @@ def polytope_from_json(doc) -> tuple:
             raise InputError(f"missing required key {key!r}")
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError(f"dim must be a positive integer, got {dim!r}")
+        raise InputError(f"dim must be a positive integer, got {brief(dim)}")
     raw_field = doc["field"]
     if raw_field == "rational":
         field = Field.rational()
@@ -72,14 +72,14 @@ def polytope_from_json(doc) -> tuple:
         except (TypeError, ValueError) as exc:
             raise InputError(f"invalid field: {exc}") from None
     else:
-        raise InputError(f"invalid field specification {raw_field!r}")
+        raise InputError(f"invalid field specification {brief(raw_field)}")
     raw_vertices = doc["vertices"]
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise InputError("vertices must be a non-empty array")
     vertices = []
     for i, row in enumerate(raw_vertices):
         if not isinstance(row, list) or len(row) != dim:
-            raise InputError(f"vertex #{i}: expected {dim} coordinates")
+            raise InputError(f"vertex #{i}: expected {brief(dim)} coordinates")
         coords = []
         for j, item in enumerate(row):
             try:
@@ -104,7 +104,7 @@ def load_polytope_file(path: str) -> tuple:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path}: invalid JSON: nested too deeply") from None
@@ -242,9 +242,7 @@ def cmd_report_all(args) -> int:
         else:
             report = reports.hvector_report(analysis, field, name)
         if p.ambient_dim <= args.max_dim:
-            ih_rep = reports.ih_report(analysis, field, name)
-            report["ih"] = ih_rep["ih"]
-            report["checks"].update(ih_rep["checks"])
+            reports.add_ih(report, analysis)
         all_reports.append(report)
         if not reports.report_passes(report):
             worst = 1
@@ -306,10 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PolytopeError, FanError, ScalarParseError) as exc:
+    except (InputError, PolytopeError, FanError, ScalarParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegreeCapError as exc:

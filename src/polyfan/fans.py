@@ -114,6 +114,18 @@ class Fan:
             self._bases[cone_id] = cached
         return cached
 
+    def walls(self, max_ids) -> dict:
+        """Each codimension-one face of the given cones, which must share
+        one dimension, -> the cones among them that contain it, in the
+        order given."""
+        top = self.cones[max_ids[0]].dim if max_ids else 0
+        walls: dict = {}
+        for cid in max_ids:
+            for f in self.faces[cid]:
+                if self.cones[f].dim == top - 1:
+                    walls.setdefault(f, []).append(cid)
+        return walls
+
     # -- structural predicates ------------------------------------------
 
     def is_complete(self) -> bool:
@@ -129,11 +141,7 @@ class Fan:
         maximal = self.maximal_ids
         if any(self.cones[cid].dim != n for cid in maximal):
             return False
-        walls: dict = {}
-        for cid in maximal:
-            for f in self.faces[cid]:
-                if self.cones[f].dim == n - 1:
-                    walls.setdefault(f, []).append(cid)
+        walls = self.walls(maximal)
         for f in self.cones_of_dim(n - 1):
             if len(walls.get(f, ())) != 2:
                 return False
@@ -347,13 +355,7 @@ def support_function(p: Polytope, fan: Fan | None = None) -> ConewiseLinear:
 
 def _check_strictly_concave(cl: ConewiseLinear) -> None:
     fan = cl.fan
-    n = fan.ambient_dim
-    walls: dict = {}
-    for cid in fan.maximal_ids:
-        for f in fan.faces[cid]:
-            if fan.cones[f].dim == n - 1:
-                walls.setdefault(f, []).append(cid)
-    for f, pair in walls.items():
+    for f, pair in fan.walls(fan.maximal_ids).items():
         if len(pair) != 2:
             continue
         a, b = pair

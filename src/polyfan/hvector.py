@@ -94,30 +94,16 @@ class BoundsReport:
     is_cross_polytope: bool
 
     def all_bounds_hold(self) -> bool:
-        checks = [
-            self.palindromic,
-            self.unimodal,
-            self.nonnegative_even_difference,
-            self.difference_palindromic,
-            self.difference_unimodal,
-        ]
-        if self.is_minimum:
-            checks.append(self.is_cross_polytope)
-        return all(checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "h": list(self.h),
-            "difference": list(self.difference),
-            "palindromic": self.palindromic,
-            "unimodal": self.unimodal,
-            "nonnegative_even_difference": self.nonnegative_even_difference,
-            "difference_palindromic": self.difference_palindromic,
-            "difference_unimodal": self.difference_unimodal,
-            "is_minimum": self.is_minimum,
-            "is_cross_polytope": self.is_cross_polytope,
-        }
+        """Every flag holds, and h is the minimum (1+x)^n exactly when P
+        is a cross-polytope."""
+        return (
+            self.palindromic
+            and self.unimodal
+            and self.nonnegative_even_difference
+            and self.difference_palindromic
+            and self.difference_unimodal
+            and self.is_minimum == self.is_cross_polytope
+        )
 
 
 def check_cs_bounds(p: Polytope, h: IntPoly | None = None) -> BoundsReport:

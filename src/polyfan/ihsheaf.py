@@ -17,6 +17,12 @@ for boundary fans and global sections), the reflection and the
 Lefschetz maps, all reduced by the sparse elimination.  Every basis
 extraction is verified exactly; a failure raises instead of silently
 producing wrong dimensions.
+
+This module computes the sheaf's invariants: Poincare series, refined
+series and Lefschetz rank tables.  Its only predicates verify the
+sheaf's own construction (the minimal-extension axioms and the
+local-to-global dimension count); the identities a report checks are
+decided in :mod:`polyfan.checks`.
 """
 
 from __future__ import annotations
@@ -24,23 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import add
 
 from . import linalg
 from .fans import ConewiseLinear, Fan, FanError
-from .polynomials import (
-    IntPoly,
-    RefinedSeries,
-    binomial_poly,
-    coeff,
-    padd,
-    pmul,
-    psub,
-    substitute_t_squared,
-    trim,
-    truncate_at,
-)
+from .polynomials import IntPoly, RefinedSeries, coeff, trim
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -260,15 +254,9 @@ class MinimalExtensionSheaf:
         offset_of = dict(zip(max_ids, offsets))
         pairs = []
         if wall_mode:
-            top = max(fan.cones[cid].dim for cid in max_ids) if max_ids else 0
-            walls: dict = {}
-            for cid in max_ids:
-                if fan.cones[cid].dim != top:
-                    raise SheafError("wall mode needs equidimensional cones")
-                for f in fan.faces[cid]:
-                    if fan.cones[f].dim == top - 1:
-                        walls.setdefault(f, []).append(cid)
-            for f, incident in sorted(walls.items()):
+            if len({fan.cones[cid].dim for cid in max_ids}) > 1:
+                raise SheafError("wall mode needs equidimensional cones")
+            for f, incident in sorted(fan.walls(max_ids).items()):
                 if len(incident) == 2:
                     pairs.append((incident[0], incident[1], f))
                 elif len(incident) > 2:
@@ -579,21 +567,6 @@ def ih_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     return _graded_dims(mes, "complement")
 
 
-def check_betti_equals_h(u: IntPoly, h: IntPoly, cap: int) -> bool:
-    """Betti numbers equal the h-polynomial evaluated at t^2."""
-    return u == truncate_at(substitute_t_squared(h), cap)
-
-
-def check_freeness_factorization(u: IntPoly, v: IntPoly, n: int, cap: int) -> bool:
-    """Sections = polynomials tensor quotient: v(t) * (1 - t^2)^n = u(t)
-    coefficientwise up to the cap."""
-    factor = [0] * (2 * n + 1)
-    for k in range(n + 1):
-        factor[2 * k] = (-1) ** k * comb(n, k)
-    lhs = truncate_at(pmul(v, trim(factor)), cap)
-    return lhs == truncate_at(u, cap)
-
-
 # ---------------------------------------------------------------------------
 # Local kernels and flabbiness
 
@@ -739,44 +712,8 @@ def refined_series(mes: MinimalExtensionSheaf):
     )
 
 
-def check_refined_splitting(v_ref: RefinedSeries, v: IntPoly, cap: int) -> bool:
-    """2*(v_refined - 1) = (1 + chi)*(v - 1) up to the cap: away from
-    degree zero the two eigenspaces of the sections have equal size."""
-    one = RefinedSeries.of_int(1)
-    lhs = (v_ref - one).scale(2).truncate_at(cap)
-    chi_plus_one = RefinedSeries((1,), (1,))
-    v_minus_one = RefinedSeries(psub(v, (1,)), ())
-    rhs = (chi_plus_one * v_minus_one).truncate_at(cap)
-    return lhs == rhs
-
-
-def check_refined_factorization(
-    u_ref: RefinedSeries, v_ref: RefinedSeries, n: int, cap: int
-) -> bool:
-    """v_refined * (1 - chi t^2)^n = u_refined up to the cap."""
-    base = RefinedSeries((1,), (0, 0, -1))
-    factor = base.power(n).truncate_at(cap)
-    lhs = (v_ref * factor).truncate_at(cap)
-    return lhs == u_ref.truncate_at(cap)
-
-
-def check_minus_part_formula(u_ref: RefinedSeries, u: IntPoly, n: int, cap: int) -> bool:
-    """2*u_refined = (u + (1+t^2)^n) + chi*(u - (1+t^2)^n) up to the cap."""
-    binT = substitute_t_squared(binomial_poly(n))
-    lhs = u_ref.scale(2).truncate_at(cap)
-    rhs = RefinedSeries(truncate_at(padd(u, binT), cap), truncate_at(psub(u, binT), cap))
-    return lhs == rhs
-
-
-def check_minus_dims_match_difference(u_ref: RefinedSeries, u: IntPoly, n: int) -> bool:
-    """Twice the minus-eigenspace dimensions of the quotient equal
-    u - (1+t^2)^n, with no truncation."""
-    binT = substitute_t_squared(binomial_poly(n))
-    return tuple(2 * c for c in u_ref.minus) == psub(u, binT)
-
-
 # ---------------------------------------------------------------------------
-# Hard Lefschetz verification
+# Hard Lefschetz maps and their ranks
 
 
 def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
@@ -810,25 +747,15 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
 
 def lefschetz_rank_table(mes: MinimalExtensionSheaf, maps: dict):
     """Per degree of the :func:`lefschetz_maps` result: (dim source, dim
-    target, rank, injective, surjective)."""
-    table = {}
-    for q, matrix in sorted(maps.items()):
-        src = len(mes.global_data(q)["complement"])
-        tgt = len(mes.global_data(q + 2)["complement"])
-        rk = _rank(matrix)
-        table[q] = (src, tgt, rk, rk == src, rk == tgt)
-    return table
-
-
-def check_lefschetz_pattern(table: dict, n: int) -> bool:
-    """Multiplication is injective below the middle degree and surjective
-    above it: injective for q <= n - 1, surjective for q >= n - 1."""
-    for q, (src, tgt, rk, inj, sur) in table.items():
-        if q <= n - 1 and not inj:
-            return False
-        if q >= n - 1 and not sur:
-            return False
-    return True
+    target, rank)."""
+    return {
+        q: (
+            len(mes.global_data(q)["complement"]),
+            len(mes.global_data(q + 2)["complement"]),
+            _rank(matrix),
+        )
+        for q, matrix in sorted(maps.items())
+    }
 
 
 def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
@@ -850,17 +777,6 @@ def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
                 ) from None
         table[q] = (len(src_basis), len(tgt_basis), _rank(images))
     return table
-
-
-def check_minus_lefschetz_pattern(table: dict, n: int) -> bool:
-    """The Lefschetz pattern of :func:`check_lefschetz_pattern` on the
-    minus eigenspaces, from a :func:`minus_lefschetz_table` result."""
-    for q, (src, tgt, rk) in table.items():
-        if q <= n - 1 and rk != src:
-            return False
-        if q >= n - 1 and rk != tgt:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Machine-readable reports, each rendered from one :class:`Analysis`.
 
 A report is a plain dict (JSON-serializable) with a ``checks`` section of
-named booleans; a report "passes" when every check is true.  The shipped
-schema ``report.schema.json`` describes the format.
+named booleans, decided by :mod:`polyfan.checks`; a report "passes" when
+every check is true.  The shipped schema ``report.schema.json``
+describes the format.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
+from . import checks
 from .analysis import Analysis
-from .polynomials import binomial_poly, coeff, is_palindromic
+from .polynomials import binomial_poly, coeff
 from .scalars import Field
 
 
@@ -20,7 +23,8 @@ def load_report_schema() -> dict:
         return json.load(fh)
 
 
-def _field_json(field: Field):
+def field_json(field: Field):
+    """A field as polytope files and reports write it."""
     return "rational" if field.is_rational else {"quadratic": field.d}
 
 
@@ -28,55 +32,46 @@ def hvector_report(a: Analysis, field: Field, name: str | None = None) -> dict:
     """h-polynomial of the face fan, with basic sanity identities."""
     p, shift = a.polytope, a.translation
     h, n = a.h, a.dim
-    rays = len(a.fan.cones_of_dim(1))
     return {
         "name": name,
         "dim": p.ambient_dim,
-        "field": _field_json(field),
+        "field": field_json(field),
         "vertex_count": len(p.vertices),
         "translation": None if shift is None else [field.format(x) for x in shift],
         "h": list(h),
         "h_difference": [
             coeff(h, j) - coeff(binomial_poly(n), j) for j in range(n + 1)
         ],
-        "ray_count": rays,
-        "checks": {
-            "h_palindromic": is_palindromic(h, n),
-            "h_ends_are_one": coeff(h, 0) == 1 and coeff(h, n) == 1,
-            "h_subtop_counts_rays": coeff(h, n - 1) == rays - n,
-        },
+        "ray_count": len(a.fan.cones_of_dim(1)),
+        "checks": checks.h_checks(a),
     }
 
 
 def bounds_report(a: Analysis, field: Field, name: str | None = None) -> dict:
     """Lower-bound verification for a centrally symmetric polytope."""
     report = hvector_report(a, field, name)
-    bounds = a.bounds
-    report["bounds"] = bounds.to_dict()
-    checks = report["checks"]
-    checks["difference_nonnegative_even"] = bounds.nonnegative_even_difference
-    checks["difference_palindromic"] = bounds.difference_palindromic
-    checks["difference_unimodal"] = bounds.difference_unimodal
-    checks["h_unimodal"] = bounds.unimodal
-    checks["minimum_iff_cross_polytope"] = (
-        bounds.is_minimum == bounds.is_cross_polytope
-    )
+    report["bounds"] = asdict(a.bounds)
+    report["checks"].update(checks.bounds_checks(a))
     return report
 
 
 def ih_report(a: Analysis, field: Field, name: str | None = None) -> dict:
     """Full sheaf-cohomology verification of one polytope."""
-    report = hvector_report(a, field, name)
+    return add_ih(hvector_report(a, field, name), a)
+
+
+def add_ih(report: dict, a: Analysis) -> dict:
+    """Add the sheaf section and checks of the analysis to its report."""
     ih_section = {
         "degree_cap": a.cap,
         "betti": list(a.u),
         "section_dims": list(a.v),
         "lefschetz": [
             {"degree": q, "source": src, "target": tgt, "rank": rk}
-            for q, (src, tgt, rk, _, _) in sorted(a.rank_table.items())
+            for q, (src, tgt, rk) in sorted(a.rank_table.items())
         ],
     }
-    report["checks"].update(a.ih_checks())
+    report["checks"].update(checks.ih_checks(a))
     if a.is_centrally_symmetric:
         u_ref, v_ref = a.refined
         ih_section["eigen_plus"] = list(u_ref.plus)
@@ -106,19 +101,7 @@ def render_table(report: dict) -> str:
     lines.append(f"  h - (1+x)^n  = {report['h_difference']}")
     if "bounds" in report:
         b = report["bounds"]
-        flags = [
-            k
-            for k in (
-                "palindromic",
-                "unimodal",
-                "nonnegative_even_difference",
-                "difference_palindromic",
-                "difference_unimodal",
-                "is_minimum",
-                "is_cross_polytope",
-            )
-            if b[k]
-        ]
+        flags = [k for k, v in b.items() if isinstance(v, bool) and v]
         lines.append(f"  bounds flags : {', '.join(flags) if flags else 'none'}")
     if "ih" in report:
         ih = report["ih"]

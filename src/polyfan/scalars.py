@@ -9,6 +9,7 @@ arithmetic; nothing in this package ever rounds to floating point.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -20,6 +21,19 @@ class FieldMismatchError(ValueError):
 
 class ScalarParseError(ValueError):
     """Raised when a serialized scalar cannot be parsed."""
+
+
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 1
+_BRIEF.maxlist = _BRIEF.maxdict = 4
+_BRIEF.maxstring = _BRIEF.maxlong = _BRIEF.maxother = 24
+
+
+def brief(value) -> str:
+    """repr of a value read from an input file, cut short (four items one
+    level deep, 24 characters per string or number), so that an error
+    line naming it stays short however large the value is."""
+    return _BRIEF.repr(value)
 
 
 def is_square_free(d: int) -> bool:
@@ -247,7 +261,7 @@ class Field:
 
     def __post_init__(self):
         if self.d is not None and not is_square_free(self.d):
-            raise ValueError(f"radicand must be square-free and >= 2, got {self.d}")
+            raise ValueError(f"radicand must be square-free and >= 2, got {brief(self.d)}")
 
     @staticmethod
     def rational() -> "Field":
@@ -268,12 +282,12 @@ class Field:
         if isinstance(item, list):
             if self.is_rational:
                 raise ScalarParseError(
-                    f"pair {item!r} only valid in a quadratic field context"
+                    f"pair {brief(item)} only valid in a quadratic field context"
                 )
             if len(item) != 2 or not all(isinstance(s, str) for s in item):
-                raise ScalarParseError(f"expected [\"p/q\", \"r/s\"], got {item!r}")
+                raise ScalarParseError(f"expected [\"p/q\", \"r/s\"], got {brief(item)}")
             return Quadratic(_parse_fraction(item[0]), _parse_fraction(item[1]), self.d)
-        raise ScalarParseError(f"cannot parse scalar {item!r}")
+        raise ScalarParseError(f"cannot parse scalar {brief(item)}")
 
     def format(self, x: Scalar):
         """Serialize a scalar of this field (inverse of :meth:`parse`)."""
@@ -303,8 +317,8 @@ def _parse_fraction(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"``: an optional minus sign and ASCII digits,
     with no spaces, exponents, decimal points or underscores."""
     if not _RATIONAL.fullmatch(text):
-        raise ScalarParseError(f"invalid rational {text!r}: expected \"p/q\" or \"p\"")
+        raise ScalarParseError(f"invalid rational {brief(text)}: expected \"p/q\" or \"p\"")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ScalarParseError(f"invalid rational {text!r}: {exc}") from None
+        raise ScalarParseError(f"invalid rational {brief(text)}: {exc}") from None

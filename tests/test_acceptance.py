@@ -9,19 +9,10 @@ import time
 from fractions import Fraction
 
 from polyfan import linalg
-from polyfan.corpus import cs_corpus, sheaf_corpus, simplicial_cs_fans
+from polyfan.checks import ih_checks
+from polyfan.corpus import cs_corpus, simplicial_cs_fans
 from polyfan.fans import face_fan
 from polyfan.hvector import check_cs_bounds, h_polynomial, h_simplicial
-from polyfan.ihsheaf import (
-    check_betti_equals_h,
-    check_freeness_factorization,
-    check_lefschetz_pattern,
-    check_minus_lefschetz_pattern,
-    check_minus_part_formula,
-    check_refined_factorization,
-    check_refined_splitting,
-    ih_poincare,
-)
 from polyfan.polynomials import binomial_poly, coeff, substitute_t_squared
 from polyfan.polytopes import cross_polytope, cube, linear_image
 
@@ -91,14 +82,12 @@ def test_criterion_4_simplicial_oracle_equivalence():
     _announce(4, "recursion = shortcut = f-to-h on 20 simplicial CS fans", t0)
 
 
-def test_criterion_5_betti_equals_h(sheaf_setups):
+def test_criterion_5_betti_equals_h(sheaf_analyses):
     t0 = time.time()
-    for name, (_, fan, mes, _) in sheaf_setups.items():
+    for name, a in sheaf_analyses.items():
         t1 = time.time()
-        h = h_polynomial(fan)
-        u = ih_poincare(mes)
-        assert u == substitute_t_squared(h), name
-        assert check_betti_equals_h(u, h, mes.cap), name
+        assert a.u == substitute_t_squared(h_polynomial(a.fan)), name
+        assert ih_checks(a)["betti_equals_h"], name
         assert time.time() - t1 < 300.0, name
     _announce(5, "u = h(t^2) on all six sheaf fans at cap 8", t0)
 
@@ -106,12 +95,17 @@ def test_criterion_5_betti_equals_h(sheaf_setups):
 def test_criterion_6_series_identities(sheaf_analyses):
     t0 = time.time()
     for name, a in sheaf_analyses.items():
-        u, v, n, cap = a.u, a.v, a.dim, a.cap
-        u_ref, v_ref = a.refined
-        assert check_freeness_factorization(u, v, n, cap), name
-        assert check_refined_factorization(u_ref, v_ref, n, cap), name
-        assert check_refined_splitting(v_ref, v, cap), name
-        assert check_minus_part_formula(u_ref, u, n, cap), name
+        u, n, cap = a.u, a.dim, a.cap
+        u_ref, _ = a.refined
+        checks = ih_checks(a)
+        for identity in (
+            "freeness_factorization",
+            "refined_factorization",
+            "refined_splitting",
+            "minus_part_formula",
+            "minus_dims_match_difference",
+        ):
+            assert checks[identity], (name, identity)
         binT = substitute_t_squared(binomial_poly(n))
         for q in range(0, cap + 1):
             assert 2 * coeff(u_ref.minus, q) == coeff(u, q) - coeff(binT, q), name
@@ -121,8 +115,9 @@ def test_criterion_6_series_identities(sheaf_analyses):
 def test_criterion_7_lefschetz_patterns(sheaf_analyses):
     t0 = time.time()
     for name, a in sheaf_analyses.items():
-        assert check_lefschetz_pattern(a.rank_table, a.dim), name
-        assert check_minus_lefschetz_pattern(a.minus_table, a.dim), name
+        checks = ih_checks(a)
+        assert checks["lefschetz_pattern"], name
+        assert checks["minus_lefschetz_pattern"], name
     _announce(7, "Lefschetz rank pattern incl. minus restriction", t0)
 
 

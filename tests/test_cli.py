@@ -124,6 +124,33 @@ class TestInputGrammar:
         assert "vertex #1, coordinate #0" in err
 
 
+    @pytest.mark.parametrize("where", ["dim", "field", "coordinate"])
+    def test_large_value_gives_one_short_error_line(self, capsys, tmp_path, monkeypatch, where):
+        big = [0] * 5000
+        doc = {"dim": 1, "field": "rational", "vertices": [["1"], ["-1"]]}
+        if where == "coordinate":
+            doc["vertices"][1][0] = big
+        else:
+            doc[where] = big
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "hvector", "doc.json")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert len(lines[0]) < 200
+
+    def test_integer_too_long_to_convert_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"dim": 1, "field": "rational", "name": ' + "9" * 5000 + "}")
+        code, out, err = run(capsys, "hvector", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestFaceLatticeErrors:
     """Errors found while building the face lattice name the file and
     show the point as the file writes it."""

@@ -248,3 +248,25 @@ class TestExplicitFans:
         rays = [(F(1), F(0)), (F(2), F(0))]
         with pytest.raises(FanError, match="simplicial"):
             from_simplicial_cones(2, rays, [(0, 1)])
+
+
+class TestWalls:
+    @pytest.mark.parametrize("p, count", [(cube(3), 12), (cross_polytope(3), 12)])
+    def test_every_wall_of_a_complete_fan_joins_two_cones(self, p, count):
+        fan = face_fan(p)
+        walls = fan.walls(fan.maximal_ids)
+        assert sorted(walls) == list(fan.cones_of_dim(2))
+        assert len(walls) == count
+        for f, pair in walls.items():
+            assert len(pair) == 2
+            assert all(f in fan.faces[cid] for cid in pair)
+
+    def test_boundary_walls_of_a_cone(self):
+        fan = face_fan(cube(3))
+        sigma = fan.cones_of_dim(3)[0]
+        walls = fan.walls(fan.facets_of(sigma))
+        assert sorted(walls) == sorted(
+            f for f in fan.faces[sigma] if fan.cones[f].dim == 1
+        )
+        assert {len(pair) for pair in walls.values()} == {2}
+

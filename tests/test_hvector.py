@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -227,6 +229,19 @@ class TestBounds:
             check_cs_bounds(simplex(2))
 
     def test_report_dict_roundtrip(self):
-        d = check_cs_bounds(cube(3)).to_dict()
+        d = json.loads(json.dumps(asdict(check_cs_bounds(cube(3)))))
         assert d["h"] == [1, 5, 5, 1]
         assert d["is_minimum"] is False
+
+    @pytest.mark.parametrize(
+        "is_minimum, is_cross_polytope", [(False, True), (True, False)]
+    )
+    def test_minimum_and_cross_polytope_must_agree(self, is_minimum, is_cross_polytope):
+        # The report's minimum_iff_cross_polytope is an equivalence, and
+        # all_bounds_hold gives the same verdict in both directions.
+        report = replace(
+            check_cs_bounds(cube(3)),
+            is_minimum=is_minimum,
+            is_cross_polytope=is_cross_polytope,
+        )
+        assert not report.all_bounds_hold()

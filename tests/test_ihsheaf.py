@@ -6,21 +6,15 @@ import pytest
 
 from polyfan import linalg
 from polyfan.analysis import Analysis
-from polyfan.fans import face_fan
+from polyfan.checks import ih_checks
+from polyfan.fans import face_fan, from_simplicial_cones
 from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
     SheafError,
     _eigen_split,
     build_mes,
-    check_betti_equals_h,
-    check_freeness_factorization,
     check_local_global_dims,
-    check_lefschetz_pattern,
-    check_minus_lefschetz_pattern,
-    check_minus_part_formula,
-    check_refined_factorization,
-    check_refined_splitting,
     ih_poincare,
     kernel_dimensions,
     lefschetz_maps,
@@ -37,6 +31,8 @@ from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field
 
 from oracles import restriction_matrix as dense_restriction_matrix
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyfan"
 
 
 def F(x):
@@ -126,6 +122,22 @@ class TestConstruction:
 
 
 class TestSections:
+    def test_wall_mode_needs_equidimensional_cones(self):
+        fan = face_fan(cube(2))
+        mes = build_mes(fan)
+        square, ray = fan.maximal_ids[0], fan.cones_of_dim(1)[0]
+        with pytest.raises(SheafError, match="equidimensional"):
+            mes.section_space((square, ray), 2, wall_mode=True)
+
+    def test_wall_mode_rejects_a_wall_of_three_cones(self):
+        # Three 2-cones on the ray (1, 0): no fan of a polytope, but each
+        # cone is simplicial, so the sheaf builds.
+        rays = [(F(1), F(0)), (F(0), F(1)), (F(0), F(-1)), (F(1), F(1))]
+        fan = from_simplicial_cones(2, rays, [(0, 1), (0, 2), (0, 3)])
+        mes = build_mes(fan, 4)
+        with pytest.raises(SheafError, match="more than two cones"):
+            mes.section_space(fan.maximal_ids, 2, wall_mode=True)
+
     def test_one_dim_fan(self):
         fan = face_fan(cube(1))
         mes = build_mes(fan)
@@ -151,19 +163,10 @@ class TestPoincare:
         _, _, mes, _ = sheaf_setups["cube-3"]
         assert ih_poincare(mes) == (1, 0, 5, 0, 5, 0, 1)
 
-    def test_betti_equals_h_everywhere(self, sheaf_analyses):
-        for name, a in sheaf_analyses.items():
-            assert a.u == substitute_t_squared(h_polynomial(a.fan)), name
-            assert check_betti_equals_h(a.u, a.h, a.cap), name
-
     def test_verify_entry_point(self):
         a = Analysis(simplex(2))
         assert a.u == substitute_t_squared(h_polynomial(a.fan))
-        assert check_betti_equals_h(a.u, a.h, a.cap)
-
-    def test_freeness_factorization(self, sheaf_analyses):
-        for name, a in sheaf_analyses.items():
-            assert check_freeness_factorization(a.u, a.v, a.dim, a.cap), name
+        assert ih_checks(a)["betti_equals_h"]
 
 
 class TestKernels:
@@ -204,13 +207,6 @@ class TestReflection:
         assert u_ref.plus == (1, 0, 4, 0, 4, 0, 1)
         assert u_ref.minus == (0, 0, 1, 0, 1)
 
-    def test_identities(self, sheaf_analyses):
-        for name, a in sheaf_analyses.items():
-            u_ref, v_ref = a.refined
-            assert check_refined_splitting(v_ref, a.v, a.cap), name
-            assert check_refined_factorization(u_ref, v_ref, a.dim, a.cap), name
-            assert check_minus_part_formula(u_ref, a.u, a.dim, a.cap), name
-
     def test_eigen_split_rejects_a_non_involution(self):
         # The shear e_1 -> e_0 + e_1, as sparse columns: its +1 eigenspace
         # is the line of e_0 and it has no -1 eigenvector, so the two
@@ -242,15 +238,7 @@ class TestLefschetz:
     def test_cube3_rank_pattern(self, sheaf_setups):
         _, _, mes, s = sheaf_setups["cube-3"]
         table = lefschetz_rank_table(mes, lefschetz_maps(mes, s))
-        assert table[0][:3] == (1, 5, 1)
-        assert table[2][:3] == (5, 5, 5)
-        assert table[4][:3] == (5, 1, 1)
-        assert table[6][:3] == (1, 0, 0)
-
-    def test_patterns_hold(self, sheaf_analyses):
-        for name, a in sheaf_analyses.items():
-            assert check_lefschetz_pattern(a.rank_table, a.dim), name
-            assert check_minus_lefschetz_pattern(a.minus_table, a.dim), name
+        assert table == {0: (1, 5, 1), 2: (5, 5, 5), 4: (5, 1, 1), 6: (1, 0, 0)}
 
     def test_map_leaving_the_minus_eigenspace_is_rejected(self, sheaf_setups):
         # Add a vector outside the minus eigenspace of degree 4 (a unit
@@ -382,7 +370,7 @@ class TestCorpusBettiSweep:
             if p.ambient_dim > 3:
                 continue
             a = Analysis(p)
-            assert check_betti_equals_h(a.u, a.h, a.cap), name
+            assert a.u == substitute_t_squared(a.h), name
             checked += 1
         assert checked >= 15
 
@@ -449,8 +437,7 @@ class TestMembership:
 def test_sheaf_calls_only_sparse_linalg():
     """Every ``linalg`` name ``ihsheaf.py`` uses is a sparse routine or the
     dot product of covectors, so no dense matrix path runs in the sheaf."""
-    source = Path(__file__).resolve().parent.parent / "src" / "polyfan" / "ihsheaf.py"
-    tree = ast.parse(source.read_text())
+    tree = ast.parse((PACKAGE / "ihsheaf.py").read_text())
     used = {
         node.attr
         for node in ast.walk(tree)
@@ -485,14 +472,88 @@ def test_h_recursion_has_no_poset_isomorphism_or_module_cache():
     """No package module imports ``posets`` (its isomorphism search is
     exponential), and ``hvector.py`` binds no module-level value, so no
     g memo can be shared across fans or inputs."""
-    package = Path(__file__).resolve().parent.parent / "src" / "polyfan"
-    for source in sorted(package.glob("*.py")):
+    for source in sorted(PACKAGE.glob("*.py")):
         if source.name != "posets.py":
             assert "posets" not in _imported_modules(ast.parse(source.read_text())), source.name
-    hvector = ast.parse((package / "hvector.py").read_text())
+    hvector = ast.parse((PACKAGE / "hvector.py").read_text())
     assignments = [
         node
         for node in hvector.body
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
     ]
     assert assignments == []
+
+REPORT_CHECKS = {
+    "h_palindromic",
+    "h_ends_are_one",
+    "h_subtop_counts_rays",
+    "difference_nonnegative_even",
+    "difference_palindromic",
+    "difference_unimodal",
+    "h_unimodal",
+    "minimum_iff_cross_polytope",
+    "betti_equals_h",
+    "freeness_factorization",
+    "lefschetz_pattern",
+    "refined_factorization",
+    "refined_splitting",
+    "minus_part_formula",
+    "minus_dims_match_difference",
+    "minus_lefschetz_pattern",
+}
+
+
+CHECK_FUNCTIONS = {"h_checks", "bounds_checks", "ih_checks", "lefschetz_pattern"}
+
+
+def _function_names(tree) -> set:
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_only_checks_module_decides_report_checks():
+    """``checks.py`` is the one module that names a report check.  The
+    only ``check_*`` functions in ``ihsheaf.py`` verify the sheaf's own
+    construction, and ``reports.py`` and ``analysis.py`` define no check."""
+    for source in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        named = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in REPORT_CHECKS
+        }
+        assert named == (REPORT_CHECKS if source.name == "checks.py" else set()), source.name
+    ihsheaf = _function_names(ast.parse((PACKAGE / "ihsheaf.py").read_text()))
+    assert {f for f in ihsheaf if f.startswith("check")} == {
+        "check_minimal_extension_axioms",
+        "check_local_global_dims",
+    }
+    for name in ("reports.py", "analysis.py"):
+        functions = _function_names(ast.parse((PACKAGE / name).read_text()))
+        assert not {
+            f for f in functions if f.startswith("check") or f in CHECK_FUNCTIONS
+        }, name
+
+
+def test_no_unused_imports():
+    """Every name a package module imports is used in it, or exported by
+    its ``__all__``."""
+    for source in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(c.value for c in node.value.elts)
+        assert imported <= used, (source.name, sorted(imported - used))
