@@ -163,10 +163,19 @@ class TestPoincare:
         _, _, mes, _ = sheaf_setups["cube-3"]
         assert ih_poincare(mes) == (1, 0, 5, 0, 5, 0, 1)
 
+    def test_betti_equals_h_everywhere(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            assert a.u == substitute_t_squared(h_polynomial(a.fan)), name
+            assert ih_checks(a)["betti_equals_h"], name
+
     def test_verify_entry_point(self):
         a = Analysis(simplex(2))
         assert a.u == substitute_t_squared(h_polynomial(a.fan))
         assert ih_checks(a)["betti_equals_h"]
+
+    def test_freeness_factorization(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            assert ih_checks(a)["freeness_factorization"], name
 
 
 class TestKernels:
@@ -207,6 +216,13 @@ class TestReflection:
         assert u_ref.plus == (1, 0, 4, 0, 4, 0, 1)
         assert u_ref.minus == (0, 0, 1, 0, 1)
 
+    def test_identities(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            checks = ih_checks(a)
+            assert checks["refined_splitting"], name
+            assert checks["refined_factorization"], name
+            assert checks["minus_part_formula"], name
+
     def test_eigen_split_rejects_a_non_involution(self):
         # The shear e_1 -> e_0 + e_1, as sparse columns: its +1 eigenspace
         # is the line of e_0 and it has no -1 eigenvector, so the two
@@ -239,6 +255,12 @@ class TestLefschetz:
         _, _, mes, s = sheaf_setups["cube-3"]
         table = lefschetz_rank_table(mes, lefschetz_maps(mes, s))
         assert table == {0: (1, 5, 1), 2: (5, 5, 5), 4: (5, 1, 1), 6: (1, 0, 0)}
+
+    def test_patterns_hold(self, sheaf_analyses):
+        for name, a in sheaf_analyses.items():
+            checks = ih_checks(a)
+            assert checks["lefschetz_pattern"], name
+            assert checks["minus_lefschetz_pattern"], name
 
     def test_map_leaving_the_minus_eigenspace_is_rejected(self, sheaf_setups):
         # Add a vector outside the minus eigenspace of degree 4 (a unit
