@@ -172,9 +172,9 @@ def cmd_generate(args) -> int:
             name = f"{kind}-{args.params[0]}-{args.params[1]}"
         else:
             raise InputError(f"unknown kind {kind!r}")
+        field = Field.rational() if args.field_d is None else Field.quadratic(args.field_d)
     except (ValueError, PolytopeError) as exc:
         raise InputError(str(exc)) from None
-    field = Field.rational() if args.field_d is None else Field.quadratic(args.field_d)
     if not field.is_rational:
         p = Polytope([tuple(field.coerce(x) for x in v) for v in p.vertices])
     text = dump_json(polytope_to_json(p, field, name))

@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from . import linalg
 from .fans import ConewiseLinear, Fan, FanError
@@ -38,6 +40,7 @@ from .polynomials import IntPoly, RefinedSeries, coeff, trim
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 class DegreeCapError(RuntimeError):
@@ -234,10 +237,10 @@ class MinimalExtensionSheaf:
             total += self.module_dim(cid, q)
         return tuple(offsets), total
 
-    def section_space(self, max_ids: tuple, q: int, wall_mode: bool = False):
-        """Basis of compatible tuples over the given maximal cones, as
-        sparse vectors, and a map from each free column of the reduced
-        wall equations to the index of its basis vector.
+    def section_space(self, max_ids: tuple, q: int, wall_mode: bool = False) -> "Kernel":
+        """The :class:`Kernel` of the wall equations: the basis of
+        compatible tuples over the given maximal cones, as sparse
+        vectors, with its free-column map and integer rows.
 
         In wall mode only codimension-one contacts are imposed; that is
         complete for global sections of a complete fan and for boundary
@@ -274,9 +277,7 @@ class MinimalExtensionSheaf:
                 row = {oa + c: v for c, v in row_a.items()}
                 row.update((ob + c, -v) for c, v in row_b.items())
                 rows.append(row)
-        basis, free = linalg.sparse_kernel(rows, total)
-        cached = (basis, {c: i for i, c in enumerate(free)})
-        self._sections[key] = cached
+        cached = self._sections[key] = _kernel(rows, total)
         return cached
 
     # -- quotients modulo the maximal ideal -----------------------------------
@@ -284,8 +285,8 @@ class MinimalExtensionSheaf:
     def quotient(self, max_ids: tuple, q: int, forms: tuple) -> dict:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, one covector per
-        cone of ``max_ids`` in its coordinates): the sparse basis and
-        free-column map of :meth:`section_space` in wall mode, the products
+        cone of ``max_ids`` in its coordinates): the :class:`Kernel` of
+        :meth:`section_space` in wall mode as ``sections``, the products
         of the degree q - 2 sections with the forms reduced to ``m_rows``
         (pivot basis index -> reduced row of basis coordinates), and
         ``complement`` (basis index -> quotient coordinate, ascending) for
@@ -293,23 +294,22 @@ class MinimalExtensionSheaf:
         key = (max_ids, q, forms)
         cached = self._quotients.get(key)
         if cached is None:
-            basis, free_cols = self.section_space(max_ids, q, wall_mode=True)
+            sections = self.section_space(max_ids, q, wall_mode=True)
             products = []
             if q >= 2:
-                prev, _ = self.section_space(max_ids, q - 2, wall_mode=True)
+                prev = self.section_space(max_ids, q - 2, wall_mode=True).basis
                 products = [
                     to_basis_coords(
-                        basis, free_cols, self._multiply_conewise(max_ids, q - 2, vec, form)
+                        sections, self._multiply_conewise(max_ids, q - 2, vec, form)
                     )
                     for vec in prev
                     for form in forms
                 ]
             rows, pivots = linalg.sparse_rref(products)
             m_rows = dict(zip(pivots, rows))
-            complement = (i for i in range(len(basis)) if i not in m_rows)
+            complement = (i for i in range(len(sections.basis)) if i not in m_rows)
             cached = {
-                "basis": basis,
-                "free_cols": free_cols,
+                "sections": sections,
                 "m_rows": m_rows,
                 "complement": {i: k for k, i in enumerate(complement)},
             }
@@ -387,39 +387,85 @@ class MinimalExtensionSheaf:
             cached = self._reflection[q] = (c, cbar)
         return cached
 
-    def minus_basis(self, q: int):
+    def minus_basis(self, q: int) -> "Kernel":
         """The -1 eigenspace of the reflection on the quotient at degree
-        q: the :func:`linalg.sparse_kernel` basis of cbar + I and the map
-        from each free column to its basis index, as :func:`to_basis_coords`
-        takes them.  Built once per degree for the refined series and the
-        minus table."""
+        q: the :class:`Kernel` of cbar + I.  Built once per degree for the
+        refined series and the minus table."""
         cached = self._minus_basis.get(q)
         if cached is None:
             _, cbar = self.reflection(q)
             rows = _transpose(_shifted(cbar, 1), len(cbar))
-            basis, free = linalg.sparse_kernel(rows, len(cbar))
-            cached = (basis, {c: i for i, c in enumerate(free)})
-            self._minus_basis[q] = cached
+            cached = self._minus_basis[q] = _kernel(rows, len(cbar))
         return cached
 
 
-def to_basis_coords(basis, free_cols: dict, vec: dict) -> dict:
-    """Sparse coordinates of a sparse vector in a :func:`linalg.sparse_kernel`
-    basis with its free-column map, verified exactly.  The vector of free
-    column f is e_f minus column f of the reduced rows R, so R x is summed
-    from the nonzero entries of x alone; x lies in the span iff every sum
-    is 0."""
+class Kernel(NamedTuple):
+    """A :func:`linalg.sparse_kernel` basis with the map from each free
+    column to the index of its basis vector.  The vector of free column f
+    is e_f minus column f of the reduced rows R.  Over Q the kernel also
+    keeps R in integer form: row p times the lcm d_p of its denominators
+    is the primitive integer row N_p, with d_p at p.  ``pivot_values``
+    holds the d_p other than 1, and ``int_columns`` holds, per basis
+    vector, the entries N_p[f] of its free column f; both are None when a
+    basis entry is not rational."""
+
+    basis: tuple
+    free_cols: dict
+    pivot_values: dict | None
+    int_columns: tuple | None
+
+
+def _kernel(rows, ncols: int) -> Kernel:
+    """The :class:`Kernel` of sparse rows over ``ncols`` columns."""
+    basis, free = linalg.sparse_kernel(rows, ncols)
+    free_cols = {c: i for i, c in enumerate(free)}
+    entries = [
+        (i, p, b) for i, f in enumerate(free) for p, b in basis[i].items() if p != f
+    ]
+    if not all(type(b) in _RATIONAL_TYPES for _, _, b in entries):
+        return Kernel(basis, free_cols, None, None)
+    pivot_values: dict = {}
+    for _, p, b in entries:
+        if b.denominator != 1:
+            pivot_values[p] = lcm(pivot_values.get(p, 1), b.denominator)
+    columns = tuple({} for _ in basis)
+    for i, p, b in entries:
+        d = pivot_values.get(p, 1)
+        columns[i][p] = -b.numerator * (d // b.denominator)
+    return Kernel(basis, free_cols, pivot_values, columns)
+
+
+def to_basis_coords(kernel: Kernel, vec: dict) -> dict:
+    """Sparse coordinates of a sparse vector in a :class:`Kernel` basis,
+    verified exactly: the coordinates are the entries of x at the free
+    columns, and x lies in the span iff R x = 0.  R x is summed from the
+    nonzero entries of x alone; over Q on integers, as
+    d_p X_p + sum_f N_p[f] X_f for X = D x, D the lcm of the
+    denominators of x, which is d_p D times entry p of R x."""
+    basis, free_cols, pivot_values, columns = kernel
     coords = {}
-    residual: dict = {}  # pivot column -> entry of R x
-    for c, x in vec.items():
-        i = free_cols.get(c)
-        if i is None:
-            residual[c] = residual.get(c, _ZERO) + x
-            continue
-        coords[i] = x
-        for p, b in basis[i].items():
-            if p != c:
-                residual[p] = residual.get(p, _ZERO) - b * x
+    residual: dict = {}  # pivot column -> entry of R x, or of d_p D R x
+    if columns is not None and _RATIONAL_TYPES.issuperset(map(type, vec.values())):
+        scale = lcm(*[x.denominator for x in vec.values()])
+        for c, x in vec.items():
+            n = x.numerator * (scale // x.denominator)
+            i = free_cols.get(c)
+            if i is None:
+                residual[c] = residual.get(c, 0) + pivot_values.get(c, 1) * n
+                continue
+            coords[i] = x
+            for p, b in columns[i].items():
+                residual[p] = residual.get(p, 0) + b * n
+    else:
+        for c, x in vec.items():
+            i = free_cols.get(c)
+            if i is None:
+                residual[c] = residual.get(c, _ZERO) + x
+                continue
+            coords[i] = x
+            for p, b in basis[i].items():
+                if p != c:
+                    residual[p] = residual.get(p, _ZERO) - b * x
     if any(residual.values()):
         raise SheafError(
             "vector is not a section (failed exact membership check)"
@@ -497,7 +543,7 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
             )
         for i in data["complement"]:
             gen_degrees.append(q)
-            lifts.append((q, data["basis"][i]))
+            lifts.append((q, data["sections"].basis[i]))
     images: dict = {}
     proper = sorted(fan.faces[sid], key=lambda c: (-fan.cones[c].dim, c))
     for tau in proper:
@@ -546,25 +592,25 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
 # Graded dimensions and Poincare series
 
 
-def _graded_dims(mes: MinimalExtensionSheaf, key: str) -> IntPoly:
+def _graded_dims(mes: MinimalExtensionSheaf, size) -> IntPoly:
     if not mes.fan.is_complete():
         raise FanError("Poincare series require a complete fan")
     out = [0] * (mes.cap + 1)
     for q in range(0, mes.cap + 1, 2):
-        out[q] = len(mes.global_data(q)[key])
+        out[q] = size(mes.global_data(q))
     return trim(out)
 
 
 def sections_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     """Graded dimensions of the global sections (a polynomial in t,
     truncated at the cap); the module-level Poincare series."""
-    return _graded_dims(mes, "basis")
+    return _graded_dims(mes, lambda data: len(data["sections"].basis))
 
 
 def ih_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     """Graded dimensions of global sections modulo the maximal ideal: the
     Betti numbers of combinatorial intersection cohomology."""
-    return _graded_dims(mes, "complement")
+    return _graded_dims(mes, lambda data: len(data["complement"]))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +630,7 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
             if not facets:
                 dims[q] = dim_e
                 continue
-            boundary_basis, _ = mes.section_space(facets, q, wall_mode=True)
+            boundary_basis = mes.section_space(facets, q, wall_mode=True).basis
             rows = [
                 row
                 for f in facets
@@ -616,7 +662,7 @@ def check_local_global_dims(mes: MinimalExtensionSheaf, cone_ids) -> bool:
     max_ids = tuple(sorted(cid for cid in ids if cid not in covered))
     kernels = kernel_dimensions(mes)
     for q in range(0, mes.cap + 1, 2):
-        basis, _ = mes.section_space(max_ids, q, wall_mode=False)
+        basis = mes.section_space(max_ids, q, wall_mode=False).basis
         total = sum(coeff(kernels[cid], q) for cid in ids)
         if len(basis) != total:
             return False
@@ -657,10 +703,9 @@ def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
     vector j (exact; raises if the reflection fails to preserve the
     section space).  Callers go through
     :meth:`MinimalExtensionSheaf.reflection`."""
-    data = mes.global_data(q)
-    basis, free_cols = data["basis"], data["free_cols"]
+    sections = mes.global_data(q)["sections"]
     apply = _phi_permutation(mes, q)
-    return tuple(to_basis_coords(basis, free_cols, apply(b)) for b in basis)
+    return tuple(to_basis_coords(sections, apply(b)) for b in sections.basis)
 
 
 def _shifted(columns, s: int) -> tuple:
@@ -705,7 +750,7 @@ def refined_series(mes: MinimalExtensionSheaf):
         c, cbar = mes.reflection(q)
         v_minus_dim = len(c) - _rank(_shifted(c, 1))
         v_plus[q], v_minus[q] = _eigen_split(c, v_minus_dim)
-        u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q)[0]))
+        u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q).basis))
     return (
         RefinedSeries(trim(u_plus), trim(u_minus)),
         RefinedSeries(trim(v_plus), trim(v_minus)),
@@ -735,9 +780,8 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
             mes.reduce_mod_m(
                 q + 2,
                 to_basis_coords(
-                    target["basis"],
-                    target["free_cols"],
-                    mes._multiply_conewise(max_ids, q, data["basis"][idx], covectors),
+                    target["sections"],
+                    mes._multiply_conewise(max_ids, q, data["sections"].basis[idx], covectors),
                 ),
             )
             for idx in data["complement"]
@@ -764,18 +808,18 @@ def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
     preserves them."""
     table = {}
     for q, matrix in sorted(maps.items()):
-        src_basis, _ = mes.minus_basis(q)
-        tgt_basis, tgt_free = mes.minus_basis(q + 2)
+        src_basis = mes.minus_basis(q).basis
+        target = mes.minus_basis(q + 2)
         rows = _transpose(matrix, len(mes.global_data(q + 2)["complement"]))
         images = [linalg.sparse_mat_vec(rows, v) for v in src_basis]
         for img in images:
             try:
-                to_basis_coords(tgt_basis, tgt_free, img)
+                to_basis_coords(target, img)
             except SheafError:
                 raise SheafError(
                     "multiplication does not preserve the minus eigenspace"
                 ) from None
-        table[q] = (len(src_basis), len(tgt_basis), _rank(images))
+        table[q] = (len(src_basis), len(target.basis), _rank(images))
     return table
 
 
@@ -816,9 +860,7 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
                     if any(c >= mes.module_dim(f, q) for c in image):
                         return False
                     vec.update((off + c, v) for c, v in image.items())
-                image_coords.append(
-                    to_basis_coords(data["basis"], data["free_cols"], vec)
-                )
+                image_coords.append(to_basis_coords(data["sections"], vec))
             m_rows = data["m_rows"]
             if _rank([*m_rows.values(), *image_coords]) != len(m_rows) + len(gen_ids):
                 return False

@@ -10,11 +10,26 @@ and tests use :func:`rank` and :func:`kernel_basis` as the dense oracle.
 All eliminations pivot on the first nonzero column, so results are
 deterministic functions of the input, and the sparse and the dense
 reduced row echelon forms of a matrix are equal.
+
+:func:`sparse_rref` has two loops, and the input's scalar types decide
+which one runs.  Rows whose entries are all ``int`` or ``Fraction`` are
+scaled to integer rows and eliminated fraction-free (Bareiss 1968): a
+row is reduced by a stored row as ``(a/g) r - (f/g) s`` with
+``g = gcd(a, f)``, ``a`` the stored pivot and ``f`` the entry of ``r``
+there, and every stored row is divided by its content and kept with a
+positive pivot.  These steps multiply rows by nonzero integers and
+subtract multiples of other rows, so each stored row spans the same line
+as the rational row the field loop would hold; only the returned rows
+are divided by their pivots, which gives the same reduced row echelon
+form exactly, with no modulus and nothing to reconstruct.  Any other
+scalar (:class:`~polyfan.scalars.Quadratic` over Q(sqrt d)) takes the
+field loop, which divides by the pivot at each step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import Scalar
@@ -24,6 +39,7 @@ Matrix = tuple  # tuple[Vector, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 def mat(rows: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -132,7 +148,17 @@ def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     in pivot order and their pivot columns, equal to :func:`rref` of the
     dense matrix.  Rows are inserted one at a time; each is reduced by
     the pivot rows found so far, and its own pivot is then eliminated
-    from them, so every stored row stays fully reduced."""
+    from them, so every stored row stays fully reduced.  Rational rows
+    run this loop on integers (see the module docstring)."""
+    rows = list(rows)
+    if all(_RATIONAL_TYPES.issuperset(map(type, row.values())) for row in rows):
+        return _integer_rref(rows)
+    return _field_rref(rows)
+
+
+def _field_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    """:func:`sparse_rref` over any field of scalars, dividing by each
+    pivot as it is found."""
     reduced: dict = {}  # pivot column -> row with 1 there, 0 at other pivots
     for row in rows:
         r = {c: v for c, v in row.items() if v}
@@ -163,6 +189,77 @@ def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
         reduced[p] = r
     pivots = tuple(sorted(reduced))
     return tuple(reduced[p] for p in pivots), pivots
+
+
+def _integer_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    """:func:`sparse_rref` of rows of ints and Fractions, run on
+    primitive integer rows; only the returned rows are divided by their
+    pivots."""
+    reduced: dict = {}  # pivot column -> primitive row, > 0 there, 0 at other pivots
+    for row in rows:
+        r = _primitive_row(row)
+        for p in [c for c in r if c in reduced]:
+            _eliminate(r, reduced[p], p)
+        if not r:
+            continue
+        p = min(r)
+        _divide_content(r, r[p] < 0)
+        for other in reduced.values():
+            if p in other:
+                _eliminate(other, r, p)
+                _divide_content(other, False)
+        reduced[p] = r
+    pivots = tuple(sorted(reduced))
+    out = []
+    for p in pivots:
+        r = reduced[p]
+        a = r[p]
+        if a == 1:
+            out.append({c: Fraction(v) for c, v in r.items()})
+        else:
+            out.append({c: Fraction(v, a) for c, v in r.items()})
+    return tuple(out), pivots
+
+
+def _primitive_row(row: dict) -> dict:
+    """The nonzero entries of a row of ints and Fractions times the lcm of
+    their denominators, divided by the gcd of the results."""
+    entries = [(c, v) for c, v in row.items() if v]
+    if not entries:
+        return {}
+    den = lcm(*[v.denominator for _, v in entries])
+    r = {c: v.numerator * (den // v.denominator) for c, v in entries}
+    _divide_content(r, False)
+    return r
+
+
+def _eliminate(r: dict, s: dict, p: int) -> None:
+    """Clear column p of integer row r with integer row s, in place:
+    r <- (a/g) r - (f/g) s for a = s[p] > 0, f = r[p], g = gcd(a, f)."""
+    a, f = s[p], r[p]
+    g = gcd(a, f)
+    a //= g
+    f //= g
+    if a != 1:
+        for c in r:
+            r[c] *= a
+    for c, v in s.items():
+        x = r.get(c, 0) - f * v
+        if x:
+            r[c] = x
+        else:
+            del r[c]
+
+
+def _divide_content(r: dict, negate: bool) -> None:
+    """Divide a nonempty integer row by the gcd of its entries, in place,
+    and by -1 as well when ``negate`` is set."""
+    g = gcd(*r.values())
+    if negate:
+        g = -g
+    if g != 1:
+        for c in r:
+            r[c] //= g
 
 
 def sparse_kernel(rows, ncols: int) -> tuple[tuple[dict, ...], tuple[int, ...]]:

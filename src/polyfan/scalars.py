@@ -36,6 +36,11 @@ def brief(value) -> str:
     return _BRIEF.repr(value)
 
 
+# The largest radicand a Field accepts: is_square_free is trial division,
+# about 0.2 s at this size, so a bigger one read from a file would stall.
+MAX_RADICAND = 10**12
+
+
 def is_square_free(d: int) -> bool:
     if d < 2:
         return False
@@ -260,8 +265,15 @@ class Field:
     d: int | None = None
 
     def __post_init__(self):
-        if self.d is not None and not is_square_free(self.d):
-            raise ValueError(f"radicand must be square-free and >= 2, got {brief(self.d)}")
+        d = self.d
+        if d is None:
+            return
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValueError(f"radicand must be an integer, got {brief(d)}")
+        if abs(d) > MAX_RADICAND:
+            raise ValueError(f"radicand {brief(d)} is outside the cap |d| <= 10^12")
+        if not is_square_free(d):
+            raise ValueError(f"radicand must be square-free and >= 2, got {brief(d)}")
 
     @staticmethod
     def rational() -> "Field":

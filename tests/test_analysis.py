@@ -75,7 +75,7 @@ def test_reflection_is_cached_per_degree():
     for q in range(0, mes.cap + 1, 2):
         c, cbar = mes.reflection(q)
         assert mes.reflection(q)[0] is c
-        assert len(c) == len(mes.global_data(q)["basis"])
+        assert len(c) == len(mes.global_data(q)["sections"].basis)
         assert len(cbar) == len(mes.global_data(q)["complement"])
 
 
@@ -108,8 +108,8 @@ def test_minus_basis_is_shared_and_cached_per_degree(oracle_inputs):
         assert a.minus_table
         mes = a.sheaf
         for q in range(0, mes.cap + 1, 2):
-            basis, _ = mes.minus_basis(q)
-            assert mes.minus_basis(q)[0] is basis
+            basis = mes.minus_basis(q).basis
+            assert mes.minus_basis(q).basis is basis
             _, cbar = mes.reflection(q)
             k = len(cbar)
             expected = linalg.kernel_basis(_shift(_dense(cbar, k), 1))

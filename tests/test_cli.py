@@ -55,6 +55,26 @@ class TestGenerate:
         assert code == 2
         assert "kind" in err
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [("4", "square-free"), (str(10**12 + 39), "cap |d| <= 10^12"), (str(-(10**13)), "cap |d| <= 10^12")],
+    )
+    def test_bad_radicand_exits_two(self, capsys, d, message):
+        code, out, err = run(capsys, "generate", "cube", "2", "--field-d", d)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: radicand")
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_integer_radicand_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "cube", "2", "--field-d", "2.5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--field-d: invalid int value: '2.5'" in err
+
 
 class TestParsing:
     def test_roundtrip(self):
@@ -123,6 +143,24 @@ class TestInputGrammar:
         assert code == 2
         assert "vertex #1, coordinate #0" in err
 
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (2.5, "radicand must be an integer, got 2.5"),
+            (2.0, "radicand must be an integer, got 2.0"),
+            (True, "radicand must be an integer, got True"),
+            (10**12 + 39, "radicand 1000000000039 is outside the cap |d| <= 10^12"),
+            (-(10**12) - 39, "radicand -1000000000039 is outside the cap |d| <= 10^12"),
+        ],
+    )
+    def test_radicand_outside_the_grammar_exits_two(self, capsys, tmp_path, d, message):
+        doc = {"dim": 1, "field": {"quadratic": d}, "vertices": [["1"], ["-1"]]}
+        path = _write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "hvector", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: invalid field: {message}\n"
 
     @pytest.mark.parametrize("where", ["dim", "field", "coordinate"])
     def test_large_value_gives_one_short_error_line(self, capsys, tmp_path, monkeypatch, where):

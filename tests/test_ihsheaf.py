@@ -26,7 +26,7 @@ from polyfan.ihsheaf import (
     to_basis_coords,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
-from polyfan.polytopes import cube, simplex
+from polyfan.polytopes import cube, random_cs, simplex
 from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field
 
@@ -85,14 +85,15 @@ class TestConstruction:
             facets = fan.facets_of(cid)
             k = fan.cones[cid].dim
             for q in range(0, mes.cap + 2, 2):
-                basis, free_cols = mes.section_space(facets, q, wall_mode=True)
+                sections = mes.section_space(facets, q, wall_mode=True)
+                basis = sections.basis
                 gens_at_q = sum(
                     1 for d in mes.modules[cid].gen_degrees if d == q
                 )
                 if q < 2:
                     m_dim = 0
                 else:
-                    prev, _ = mes.section_space(facets, q - 2, wall_mode=True)
+                    prev = mes.section_space(facets, q - 2, wall_mode=True).basis
                     products = []
                     for vec in prev:
                         for i in range(k):
@@ -108,7 +109,7 @@ class TestConstruction:
                                 )
                             )
                     coords = [
-                        to_basis_coords(basis, free_cols, p) for p in products
+                        to_basis_coords(sections, p) for p in products
                     ]
                     m_dim = linalg.rank(_dense(coords, len(basis))) if coords else 0
                 assert gens_at_q == len(basis) - m_dim
@@ -269,8 +270,8 @@ class TestLefschetz:
         _, _, mes, s = sheaf_setups["cube-3"]
         maps = dict(lefschetz_maps(mes, s))
         assert minus_lefschetz_table(mes, maps)
-        (src,), _ = mes.minus_basis(2)
-        _, tgt_free = mes.minus_basis(4)
+        (src,) = mes.minus_basis(2).basis
+        tgt_free = mes.minus_basis(4).free_cols
         j = next(iter(src))
         i = next(i for i in range(len(mes.global_data(4)["complement"])) if i not in tgt_free)
         column = dict(maps[2][j])
@@ -432,28 +433,36 @@ class TestRestrictionAgainstDenseOracle:
 class TestMembership:
     """to_basis_coords accepts sections and rejects anything else exactly."""
 
-    @pytest.mark.parametrize("which", ["cube-3", "sqrt2-square"])
+    @pytest.mark.parametrize("which", ["cube-3", "sqrt2-square", "random-cs-3d-p4-s3"])
     def test_pivot_perturbation_is_rejected(self, which, sheaf_setups, quadratic_image):
         if which == "cube-3":
             mes = sheaf_setups["cube-3"][2]
-        else:
+        elif which == "sqrt2-square":
             mes = build_mes(face_fan(quadratic_image(cube(2), 2)), 6)
+        else:
+            # The first nonsimplicial random_cs(3, 4, s): its reduced wall
+            # equations have denominators (24 at degree 4, 144 at 6).
+            fan = face_fan(random_cs(3, 4, 3))
+            assert not fan.is_simplicial()
+            mes = build_mes(fan, 8)
         max_ids = mes.fan.maximal_ids
-        for q in (2, 4):
-            data = mes.global_data(q)
-            basis, free_cols = data["basis"], data["free_cols"]
+        for q in (2, 4, 6):
+            sections = mes.global_data(q)["sections"]
+            basis, free_cols = sections.basis, sections.free_cols
             section = dict(basis[0])
             for c, x in basis[-1].items():
                 section[c] = section.get(c, 0) + 2 * x
-            coords = to_basis_coords(basis, free_cols, section)
+            coords = to_basis_coords(sections, section)
             assert coords == {0: 1, len(basis) - 1: 2}
             assert coords == {i: section[c] for c, i in free_cols.items() if c in section}
             total = mes.section_layout(max_ids, q)[1]
-            pivot = next(c for c in range(total) if c not in free_cols)
-            broken = dict(section)
-            broken[pivot] = broken.get(pivot, 0) + 1
-            with pytest.raises(SheafError):
-                to_basis_coords(basis, free_cols, broken)
+            pivots = [c for c in range(total) if c not in free_cols]
+            for pivot in (pivots[0], pivots[-1]):
+                for delta in (1, Fraction(1, 7)):
+                    broken = dict(section)
+                    broken[pivot] = broken.get(pivot, 0) + delta
+                    with pytest.raises(SheafError):
+                        to_basis_coords(sections, broken)
 
 
 def test_sheaf_calls_only_sparse_linalg():

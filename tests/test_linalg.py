@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfan import linalg
+from polyfan.analysis import Analysis
+from polyfan.polytopes import cube
 from polyfan.scalars import Quadratic
 
 
@@ -99,6 +101,16 @@ class TestProperties:
             assert all(x == 0 for x in linalg.mat_vec(m, v))
 
 
+# Rational entries as the sparse elimination may meet them: small
+# integers as Fractions and as plain ints, mixed in one row, and
+# fractions a/b with b up to 12 and numerators far beyond the small ones.
+rational_entries = st.one_of(
+    small_ints.map(F),
+    small_ints,
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12)),
+)
+
+
 @st.composite
 def sparse_systems(draw):
     """Dense matrices with mostly zero entries over Q or Q(sqrt 2), with
@@ -107,10 +119,14 @@ def sparse_systems(draw):
     quadratic = draw(st.booleans())
 
     def entry():
-        a, b = draw(small_ints), draw(small_ints) if quadratic else 0
+        if quadratic:
+            a, b = draw(small_ints), draw(small_ints)
+            if draw(st.integers(min_value=0, max_value=2)):
+                a = b = 0
+            return Quadratic(a, b, 2)
         if draw(st.integers(min_value=0, max_value=2)):
-            a = b = 0
-        return Quadratic(a, b, 2) if quadratic else F(a)
+            return F(0)
+        return draw(rational_entries)
 
     rows = [tuple(entry() for _ in range(cols)) for _ in range(draw(st.integers(0, 9)))]
     extra = draw(st.lists(st.sampled_from(("zero", "repeat")), max_size=3))
@@ -158,3 +174,18 @@ class TestSparseAgainstDense:
         reduced, pivots = linalg.sparse_rref(rows)
         assert pivots == (0, 1)
         assert reduced == ({0: F(1)}, {1: F(1)})
+
+
+def test_rational_rows_never_take_the_field_loop(monkeypatch):
+    """Every elimination of a rational sheaf runs on integer rows: the
+    field loop, patched to refuse rows of ints and Fractions, is reached
+    only by systems holding another scalar type."""
+    field_rref = linalg._field_rref
+
+    def guarded(rows):
+        rows = list(rows)
+        assert not all(isinstance(v, (int, Fraction)) for r in rows for v in r.values())
+        return field_rref(rows)
+
+    monkeypatch.setattr(linalg, "_field_rref", guarded)
+    assert Analysis(cube(3), 8).u == (1, 0, 5, 0, 5, 0, 1)

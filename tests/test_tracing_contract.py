@@ -2,11 +2,14 @@
 outside (perfbench/tracing.py).  Every name it wraps must exist, and
 uninstalling must put the originals back."""
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import polyfan  # noqa: E402
 import tracing  # noqa: E402
 from polyfan import cli, ihsheaf, linalg  # noqa: E402
 
@@ -25,6 +28,10 @@ def _attributes():
 
 
 def test_install_wraps_every_name_and_uninstall_restores_them():
+    # Import every submodule first: install imports the ones it wraps,
+    # which would otherwise add modules between the two snapshots.
+    for module in pkgutil.iter_modules(polyfan.__path__):
+        importlib.import_module(f"polyfan.{module.name}")
     before = _attributes()
     tracer = tracing.Tracer()
     tracing.install(tracer)
