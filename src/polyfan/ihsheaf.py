@@ -14,9 +14,11 @@ Every matrix is sparse rows or columns of :mod:`polyfan.linalg` (dicts
 holding the nonzero entries only): sections, restriction maps, the one
 quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
 for boundary fans and global sections), the reflection and the
-Lefschetz maps, all reduced by the sparse elimination.  Every basis
-extraction is verified exactly; a failure raises instead of silently
-producing wrong dimensions.
+Lefschetz maps, all reduced by the sparse elimination.  Section spaces
+and eigenspaces are :class:`linalg.Kernel` objects, and how their rows
+are stored is :mod:`polyfan.linalg`'s business.  Every basis extraction
+is verified exactly by :func:`linalg.kernel_coords`; a failure raises
+instead of silently producing wrong dimensions.
 
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
@@ -30,9 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
-from typing import NamedTuple
 
 from . import linalg
 from .fans import ConewiseLinear, Fan, FanError
@@ -40,7 +40,6 @@ from .polynomials import IntPoly, RefinedSeries, coeff, trim
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 class DegreeCapError(RuntimeError):
@@ -237,10 +236,10 @@ class MinimalExtensionSheaf:
             total += self.module_dim(cid, q)
         return tuple(offsets), total
 
-    def section_space(self, max_ids: tuple, q: int, wall_mode: bool = False) -> "Kernel":
-        """The :class:`Kernel` of the wall equations: the basis of
+    def section_space(self, max_ids: tuple, q: int, wall_mode: bool = False) -> linalg.Kernel:
+        """The :class:`linalg.Kernel` of the wall equations: the basis of
         compatible tuples over the given maximal cones, as sparse
-        vectors, with its free-column map and integer rows.
+        vectors, with the rows that verify membership in it.
 
         In wall mode only codimension-one contacts are imposed; that is
         complete for global sections of a complete fan and for boundary
@@ -277,7 +276,7 @@ class MinimalExtensionSheaf:
                 row = {oa + c: v for c, v in row_a.items()}
                 row.update((ob + c, -v) for c, v in row_b.items())
                 rows.append(row)
-        cached = self._sections[key] = _kernel(rows, total)
+        cached = self._sections[key] = linalg.sparse_kernel(rows, total)
         return cached
 
     # -- quotients modulo the maximal ideal -----------------------------------
@@ -285,12 +284,13 @@ class MinimalExtensionSheaf:
     def quotient(self, max_ids: tuple, q: int, forms: tuple) -> dict:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, one covector per
-        cone of ``max_ids`` in its coordinates): the :class:`Kernel` of
-        :meth:`section_space` in wall mode as ``sections``, the products
-        of the degree q - 2 sections with the forms reduced to ``m_rows``
-        (pivot basis index -> reduced row of basis coordinates), and
-        ``complement`` (basis index -> quotient coordinate, ascending) for
-        the basis vectors that represent the quotient.  Built once."""
+        cone of ``max_ids`` in its coordinates): the
+        :class:`linalg.Kernel` of :meth:`section_space` in wall mode as
+        ``sections``, the products of the degree q - 2 sections with the
+        forms reduced to ``m_rows`` (pivot basis index -> reduced row of
+        basis coordinates), and ``complement`` (basis index -> quotient
+        coordinate, ascending) for the basis vectors that represent the
+        quotient.  Built once."""
         key = (max_ids, q, forms)
         cached = self._quotients.get(key)
         if cached is None:
@@ -387,89 +387,24 @@ class MinimalExtensionSheaf:
             cached = self._reflection[q] = (c, cbar)
         return cached
 
-    def minus_basis(self, q: int) -> "Kernel":
+    def minus_basis(self, q: int) -> linalg.Kernel:
         """The -1 eigenspace of the reflection on the quotient at degree
-        q: the :class:`Kernel` of cbar + I.  Built once per degree for the
-        refined series and the minus table."""
+        q: the :class:`linalg.Kernel` of cbar + I.  Built once per degree
+        for the refined series and the minus table."""
         cached = self._minus_basis.get(q)
         if cached is None:
             _, cbar = self.reflection(q)
             rows = _transpose(_shifted(cbar, 1), len(cbar))
-            cached = self._minus_basis[q] = _kernel(rows, len(cbar))
+            cached = self._minus_basis[q] = linalg.sparse_kernel(rows, len(cbar))
         return cached
 
 
-class Kernel(NamedTuple):
-    """A :func:`linalg.sparse_kernel` basis with the map from each free
-    column to the index of its basis vector.  The vector of free column f
-    is e_f minus column f of the reduced rows R.  Over Q the kernel also
-    keeps R in integer form: row p times the lcm d_p of its denominators
-    is the primitive integer row N_p, with d_p at p.  ``pivot_values``
-    holds the d_p other than 1, and ``int_columns`` holds, per basis
-    vector, the entries N_p[f] of its free column f; both are None when a
-    basis entry is not rational."""
-
-    basis: tuple
-    free_cols: dict
-    pivot_values: dict | None
-    int_columns: tuple | None
-
-
-def _kernel(rows, ncols: int) -> Kernel:
-    """The :class:`Kernel` of sparse rows over ``ncols`` columns."""
-    basis, free = linalg.sparse_kernel(rows, ncols)
-    free_cols = {c: i for i, c in enumerate(free)}
-    entries = [
-        (i, p, b) for i, f in enumerate(free) for p, b in basis[i].items() if p != f
-    ]
-    if not all(type(b) in _RATIONAL_TYPES for _, _, b in entries):
-        return Kernel(basis, free_cols, None, None)
-    pivot_values: dict = {}
-    for _, p, b in entries:
-        if b.denominator != 1:
-            pivot_values[p] = lcm(pivot_values.get(p, 1), b.denominator)
-    columns = tuple({} for _ in basis)
-    for i, p, b in entries:
-        d = pivot_values.get(p, 1)
-        columns[i][p] = -b.numerator * (d // b.denominator)
-    return Kernel(basis, free_cols, pivot_values, columns)
-
-
-def to_basis_coords(kernel: Kernel, vec: dict) -> dict:
-    """Sparse coordinates of a sparse vector in a :class:`Kernel` basis,
-    verified exactly: the coordinates are the entries of x at the free
-    columns, and x lies in the span iff R x = 0.  R x is summed from the
-    nonzero entries of x alone; over Q on integers, as
-    d_p X_p + sum_f N_p[f] X_f for X = D x, D the lcm of the
-    denominators of x, which is d_p D times entry p of R x."""
-    basis, free_cols, pivot_values, columns = kernel
-    coords = {}
-    residual: dict = {}  # pivot column -> entry of R x, or of d_p D R x
-    if columns is not None and _RATIONAL_TYPES.issuperset(map(type, vec.values())):
-        scale = lcm(*[x.denominator for x in vec.values()])
-        for c, x in vec.items():
-            n = x.numerator * (scale // x.denominator)
-            i = free_cols.get(c)
-            if i is None:
-                residual[c] = residual.get(c, 0) + pivot_values.get(c, 1) * n
-                continue
-            coords[i] = x
-            for p, b in columns[i].items():
-                residual[p] = residual.get(p, 0) + b * n
-    else:
-        for c, x in vec.items():
-            i = free_cols.get(c)
-            if i is None:
-                residual[c] = residual.get(c, _ZERO) + x
-                continue
-            coords[i] = x
-            for p, b in basis[i].items():
-                if p != c:
-                    residual[p] = residual.get(p, _ZERO) - b * x
-    if any(residual.values()):
-        raise SheafError(
-            "vector is not a section (failed exact membership check)"
-        )
+def to_basis_coords(kernel: linalg.Kernel, vec: dict) -> dict:
+    """Sparse coordinates of a sparse vector in a :class:`linalg.Kernel`
+    basis, verified exactly by :func:`linalg.kernel_coords`."""
+    coords = linalg.kernel_coords(kernel, vec)
+    if coords is None:
+        raise SheafError("vector is not a section (failed exact membership check)")
     return coords
 
 

@@ -3,34 +3,46 @@
 A sparse row (or vector) is a dict from column index to scalar holding
 the nonzero entries only; the sheaf path (:mod:`polyfan.ihsheaf`) keeps
 every matrix in that form and uses :func:`sparse_rref`,
-:func:`sparse_kernel`, :func:`sparse_mat_vec` and :func:`vec_dot`.
-Dense vectors are tuples of scalars and dense matrices tuples of row
-tuples; the geometry path (facets, cone bases, quotient fans) uses them,
-and tests use :func:`rank` and :func:`kernel_basis` as the dense oracle.
-All eliminations pivot on the first nonzero column, so results are
-deterministic functions of the input, and the sparse and the dense
-reduced row echelon forms of a matrix are equal.
+:func:`sparse_kernel`, :func:`kernel_coords`, :func:`sparse_mat_vec`
+and :func:`vec_dot`.  Dense vectors are tuples of scalars and dense
+matrices tuples of row tuples; the geometry path (facets, cone bases,
+quotient fans) uses them, and tests use :func:`rank` and
+:func:`kernel_basis` as the dense oracle.  All eliminations pivot on the
+first nonzero column, so results are deterministic functions of the
+input, and the sparse and the dense reduced row echelon forms of a
+matrix are equal.
 
-:func:`sparse_rref` has two loops, and the input's scalar types decide
-which one runs.  Rows whose entries are all ``int`` or ``Fraction`` are
-scaled to integer rows and eliminated fraction-free (Bareiss 1968): a
-row is reduced by a stored row as ``(a/g) r - (f/g) s`` with
-``g = gcd(a, f)``, ``a`` the stored pivot and ``f`` the entry of ``r``
-there, and every stored row is divided by its content and kept with a
-positive pivot.  These steps multiply rows by nonzero integers and
-subtract multiples of other rows, so each stored row spans the same line
-as the rational row the field loop would hold; only the returned rows
-are divided by their pivots, which gives the same reduced row echelon
-form exactly, with no modulus and nothing to reconstruct.  Any other
-scalar (:class:`~polyfan.scalars.Quadratic` over Q(sqrt d)) takes the
-field loop, which divides by the pivot at each step.
+The sparse elimination has two loops, and the input's scalar types
+decide which one runs.  Rows whose entries are all ``int`` or
+``Fraction`` are scaled to :func:`primitive` integer rows and
+eliminated fraction-free (Bareiss 1968): a row is reduced by a stored
+row as ``(a/g) r - (f/g) s`` with ``g = gcd(a, f)``, ``a`` the stored
+pivot and ``f`` the entry of ``r`` there, and every stored row is
+divided by its content and kept with a positive pivot.  These steps
+multiply rows by nonzero integers and subtract multiples of other rows,
+so each stored row spans the same line as the rational row the field
+loop would hold.  Any other scalar (:class:`~polyfan.scalars.Quadratic`
+over Q(sqrt d)) takes the field loop, which divides by the pivot at each
+step and stores rows with 1 there.
+
+Both consumers read the same stored rows R_p, with pivot value d_p (the
+positive integer at p, or 1 for field rows).  :func:`sparse_rref`
+divides each by d_p, which is the field loop's reduced row echelon form
+exactly, with no modulus and nothing to reconstruct.
+:func:`sparse_kernel` keeps them in a :class:`Kernel`: the basis vector
+of free column f is e_f - sum_p (R_p[f] / d_p) e_p, and x is in the span
+iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p.  The equation is
+homogeneous, so :func:`kernel_coords` scales a rational x to its
+primitive integer vector and tests it on ints; with d_p = 1 the same
+loop is the field test, and a rational side against a Q(sqrt d) side is
+the same equation in Q(sqrt d).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import Scalar
 
@@ -150,15 +162,34 @@ def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     the pivot rows found so far, and its own pivot is then eliminated
     from them, so every stored row stays fully reduced.  Rational rows
     run this loop on integers (see the module docstring)."""
+    stored, integral = _stored_rows(rows)
+    pivots = tuple(sorted(stored))
+    if not integral:
+        return tuple(stored[p] for p in pivots), pivots
+    out = []
+    for p in pivots:
+        r = stored[p]
+        a = r[p]
+        if a == 1:
+            out.append({c: Fraction(v) for c, v in r.items()})
+        else:
+            out.append({c: Fraction(v, a) for c, v in r.items()})
+    return tuple(out), pivots
+
+
+def _stored_rows(rows) -> tuple[dict, bool]:
+    """The rows the elimination keeps, by pivot column, and whether they
+    are primitive integer rows (rational input) or rows with 1 at the
+    pivot (any other scalar type)."""
     rows = list(rows)
     if all(_RATIONAL_TYPES.issuperset(map(type, row.values())) for row in rows):
-        return _integer_rref(rows)
-    return _field_rref(rows)
+        return _integer_rref(rows), True
+    return _field_rref(rows), False
 
 
-def _field_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
-    """:func:`sparse_rref` over any field of scalars, dividing by each
-    pivot as it is found."""
+def _field_rref(rows) -> dict:
+    """The stored rows of :func:`sparse_rref` over any field of scalars,
+    dividing by each pivot as it is found."""
     reduced: dict = {}  # pivot column -> row with 1 there, 0 at other pivots
     for row in rows:
         r = {c: v for c, v in row.items() if v}
@@ -187,17 +218,16 @@ def _field_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
                     else:
                         del other[c]
         reduced[p] = r
-    pivots = tuple(sorted(reduced))
-    return tuple(reduced[p] for p in pivots), pivots
+    return reduced
 
 
-def _integer_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
-    """:func:`sparse_rref` of rows of ints and Fractions, run on
-    primitive integer rows; only the returned rows are divided by their
-    pivots."""
+def _integer_rref(rows) -> dict:
+    """The stored rows of :func:`sparse_rref` for rows of ints and
+    Fractions: primitive integer rows, fraction-free."""
     reduced: dict = {}  # pivot column -> primitive row, > 0 there, 0 at other pivots
     for row in rows:
-        r = _primitive_row(row)
+        r = {c: v for c, v in row.items() if v}
+        r = dict(zip(r, primitive(r.values())))
         for p in [c for c in r if c in reduced]:
             _eliminate(r, reduced[p], p)
         if not r:
@@ -209,28 +239,17 @@ def _integer_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
                 _eliminate(other, r, p)
                 _divide_content(other, False)
         reduced[p] = r
-    pivots = tuple(sorted(reduced))
-    out = []
-    for p in pivots:
-        r = reduced[p]
-        a = r[p]
-        if a == 1:
-            out.append({c: Fraction(v) for c, v in r.items()})
-        else:
-            out.append({c: Fraction(v, a) for c, v in r.items()})
-    return tuple(out), pivots
+    return reduced
 
 
-def _primitive_row(row: dict) -> dict:
-    """The nonzero entries of a row of ints and Fractions times the lcm of
-    their denominators, divided by the gcd of the results."""
-    entries = [(c, v) for c, v in row.items() if v]
-    if not entries:
-        return {}
-    den = lcm(*[v.denominator for _, v in entries])
-    r = {c: v.numerator * (den // v.denominator) for c, v in entries}
-    _divide_content(r, False)
-    return r
+def primitive(values) -> list:
+    """The primitive integer vector on the ray of a vector of ints and
+    Fractions: the entries times the lcm of their denominators, divided
+    by the gcd of the results.  The zero vector stays zero."""
+    den = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [n // g for n in ints] if g > 1 else ints
 
 
 def _eliminate(r: dict, s: dict, p: int) -> None:
@@ -262,20 +281,62 @@ def _divide_content(r: dict, negate: bool) -> None:
             r[c] //= g
 
 
-def sparse_kernel(rows, ncols: int) -> tuple[tuple[dict, ...], tuple[int, ...]]:
-    """The :func:`kernel_basis` of sparse rows over ``ncols`` columns, as
-    sparse vectors, and the free columns: the vector of free column f has
-    a 1 at f, 0 at the other free columns, and minus column f of the
-    reduced rows at the pivots."""
-    reduced, pivots = sparse_rref(rows)
-    pivot_set = set(pivots)
-    free = tuple(f for f in range(ncols) if f not in pivot_set)
-    basis = {f: {f: _ONE} for f in free}
-    for row, p in zip(reduced, pivots):
-        for c, v in row.items():
+class Kernel(NamedTuple):
+    """The null space of sparse rows with the stored rows R_p that cut it
+    out (see the module docstring): ``basis`` holds one sparse vector per
+    free column, ascending, ``free_cols`` maps each free column to the
+    index of its vector, ``pivot_values`` holds the d_p other than 1, and
+    ``columns`` holds, per basis vector, the R_p[f] of its free column f."""
+
+    basis: tuple
+    free_cols: dict
+    pivot_values: dict
+    columns: tuple
+
+
+def sparse_kernel(rows, ncols: int) -> Kernel:
+    """The :class:`Kernel` of sparse rows over ``ncols`` columns; its
+    basis, densified, is the :func:`kernel_basis` of the rows."""
+    stored, integral = _stored_rows(rows)
+    free = [f for f in range(ncols) if f not in stored]
+    free_cols = {f: i for i, f in enumerate(free)}
+    basis = tuple({f: _ONE} for f in free)
+    columns = tuple({} for _ in free)
+    pivot_values = {}
+    for p in sorted(stored):
+        r = stored[p]
+        d = r[p]
+        if d != 1:
+            pivot_values[p] = d
+        for c, v in r.items():
             if c != p:
-                basis[c][p] = -v
-    return tuple(basis[f] for f in free), free
+                i = free_cols[c]
+                columns[i][p] = v
+                basis[i][p] = Fraction(-v, d) if integral else -v
+    return Kernel(basis, free_cols, pivot_values, columns)
+
+
+def kernel_coords(kernel: Kernel, vec: dict) -> dict | None:
+    """Sparse coordinates of a sparse vector x in a :class:`Kernel`
+    basis (its entries at the free columns), or None when x is not in
+    the span, tested on X = x, or on :func:`primitive` (x) when x is
+    rational, as described in the module docstring."""
+    _, free_cols, pivot_values, columns = kernel
+    scaled = vec.values()
+    if _RATIONAL_TYPES.issuperset(map(type, scaled)):
+        scaled = primitive(scaled)
+    coords = {}
+    residual: dict = {}  # pivot column -> d_p X_p + sum_f R_p[f] X_f
+    for (c, x), n in zip(vec.items(), scaled):
+        i = free_cols.get(c)
+        if i is None:
+            d = pivot_values.get(c)
+            residual[c] = residual.get(c, 0) + (n if d is None else d * n)
+            continue
+        coords[i] = x
+        for p, b in columns[i].items():
+            residual[p] = residual.get(p, 0) + b * n
+    return None if any(residual.values()) else coords
 
 
 def sparse_mat_vec(rows, vec: dict) -> dict:

@@ -210,7 +210,7 @@ def _facets(points, n: int) -> list:
         fracs = [[to_fraction(x) for x in p] for p in points]
         scale = math.lcm(*(x.denominator for p in fracs for x in p))
         rows = [(1,) + tuple(int(x * scale) for x in p) for p in fracs]
-        normalize = _primitive
+        normalize = linalg.primitive
     else:
         scale = None
         rows = [(Fraction(1),) + tuple(p) for p in points]
@@ -290,14 +290,6 @@ def _insert_row(rays, row, bit: int, width: int, normalize) -> list:
             y = normalize(tuple(sp * b - sq * a for a, b in zip(p, q)))
             kept.append((y, common | bit))
     return kept
-
-
-def _primitive(y):
-    """The primitive integer vector on the ray of a rational vector."""
-    den = math.lcm(*(x.denominator for x in y))
-    ints = [x.numerator * (den // x.denominator) for x in y]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
 
 
 def _unit_lead(y):
@@ -449,6 +441,8 @@ def random_cs(n: int, pairs: int, seed: int) -> Polytope:
     Raises if the result is degenerate (lower-dimensional or too few
     vertices).
     """
+    if n < 1:
+        raise PolytopeError("dimension must be >= 1")
     if pairs < n:
         raise PolytopeError("need at least n point pairs")
     rng = random.Random(f"cs/{n}/{pairs}/{seed}")

@@ -12,6 +12,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 
@@ -41,6 +42,9 @@ def brief(value) -> str:
 MAX_RADICAND = 10**12
 
 
+# Every Quadratic checks its radicand, each sum and product included, so
+# each radicand is factored once per process.
+@lru_cache(maxsize=None)
 def is_square_free(d: int) -> bool:
     if d < 2:
         return False

@@ -36,6 +36,14 @@ class TestGenerate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [("0",), ("-1",), ("0", "--pairs", "0")])
+    def test_random_cs_needs_a_positive_dimension(self, capsys, argv):
+        code, out, err = run(capsys, "generate", "random-cs", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dimension must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
     def test_product_factors(self, capsys):
         code, out, _ = run(capsys, "generate", "product", "cube:2", "cross:1")
         assert code == 0

@@ -483,7 +483,37 @@ def test_sheaf_calls_only_sparse_linalg():
         for alias in node.names
     }
     assert used
-    assert used | imported <= {"sparse_rref", "sparse_kernel", "sparse_mat_vec", "vec_dot"}
+    assert used | imported <= {
+        "Kernel",
+        "kernel_coords",
+        "sparse_rref",
+        "sparse_kernel",
+        "sparse_mat_vec",
+        "vec_dot",
+    }
+
+
+def test_sheaf_leaves_row_storage_to_linalg():
+    """Kernels keep their integer rows in ``linalg``: ``ihsheaf.py``
+    imports neither lcm nor gcd, reads no numerator or denominator and
+    defines no NamedTuple of its own."""
+    tree = ast.parse((PACKAGE / "ihsheaf.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    bases = {
+        ast.unparse(base)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for base in node.bases
+    }
+    assert not imported & {"lcm", "gcd", "NamedTuple"}
+    assert not attributes & {"lcm", "gcd", "numerator", "denominator", "NamedTuple"}
+    assert not any("NamedTuple" in base for base in bases)
 
 
 def _imported_modules(tree) -> set:

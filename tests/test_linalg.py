@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,10 +163,10 @@ class TestSparseAgainstDense:
     @given(sparse_systems())
     def test_sparse_kernel_equals_kernel_basis(self, system):
         cols, m = system
-        basis, free = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
+        kernel = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
         pivots = set(linalg.rref(m)[1]) if m else set()
-        assert free == tuple(c for c in range(cols) if c not in pivots)
-        dense = tuple(as_dense(v, cols) for v in basis)
+        assert tuple(kernel.free_cols) == tuple(c for c in range(cols) if c not in pivots)
+        dense = tuple(as_dense(v, cols) for v in kernel.basis)
         assert dense == (linalg.kernel_basis(m) if m else linalg.identity(cols))
 
     def test_zero_and_repeated_rows_over_more_rows_than_columns(self):
@@ -174,6 +175,91 @@ class TestSparseAgainstDense:
         reduced, pivots = linalg.sparse_rref(rows)
         assert pivots == (0, 1)
         assert reduced == ({0: F(1)}, {1: F(1)})
+
+
+def lcm_rebuild(kernel):
+    """Pivot values and integer columns of a rational kernel rebuilt from
+    its Fraction basis: d_p is the lcm of the denominators at pivot p,
+    and column f holds d_p times minus the basis entry there."""
+    pivot_values = {}
+    for f, i in kernel.free_cols.items():
+        for p, b in kernel.basis[i].items():
+            if p != f and b.denominator != 1:
+                pivot_values[p] = lcm(pivot_values.get(p, 1), b.denominator)
+    columns = tuple(
+        {
+            p: -b.numerator * (pivot_values.get(p, 1) // b.denominator)
+            for p, b in kernel.basis[i].items()
+            if p != f
+        }
+        for f, i in kernel.free_cols.items()
+    )
+    return pivot_values, columns
+
+
+nonzero_rationals = rational_entries.filter(lambda x: x != 0)
+
+
+class TestKernelRowsAndMembership:
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_systems(), st.data())
+    def test_kernel_rows_and_coordinates(self, system, data):
+        cols, m = system
+        kernel = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
+        free = tuple(kernel.free_cols)
+        if all(isinstance(x, (int, Fraction)) for r in m for x in r):
+            assert (kernel.pivot_values, kernel.columns) == lcm_rebuild(kernel)
+        else:
+            assert kernel.pivot_values == {}
+            assert kernel.columns == tuple(
+                {p: -b for p, b in v.items() if p != f} for v, f in zip(kernel.basis, free)
+            )
+            # A rational vector at one free column is in the span iff
+            # that column of the reduced rows is zero.
+            for f, i in kernel.free_cols.items():
+                expected = None if kernel.columns[i] else {i: Fraction(3, 2)}
+                assert linalg.kernel_coords(kernel, {f: Fraction(3, 2)}) == expected
+
+        coefficients = {
+            i: data.draw(nonzero_rationals)
+            for i in range(len(free))
+            if data.draw(st.booleans())
+        }
+        vec = {}
+        for i, a in coefficients.items():
+            for c, b in kernel.basis[i].items():
+                vec[c] = vec.get(c, 0) + a * b
+        vec = {c: x for c, x in vec.items() if x != 0}
+        assert linalg.kernel_coords(kernel, vec) == coefficients
+
+        pivots = [c for c in range(cols) if c not in kernel.free_cols]
+        if pivots:
+            p = data.draw(st.sampled_from(pivots))
+            vec[p] = vec.get(p, 0) + data.draw(nonzero_rationals)
+            assert linalg.kernel_coords(kernel, vec) is None
+
+    def test_rational_vector_against_quadratic_kernel(self, monkeypatch):
+        """The membership loop scales a rational vector to its primitive
+        integer vector before testing it against Q(sqrt 2) rows."""
+        r2 = Quadratic(0, 1, 2)
+        scaled = []
+
+        def spy(values):
+            scaled.append(list(values))
+            return primitive(values)
+
+        primitive = linalg.primitive
+        monkeypatch.setattr(linalg, "primitive", spy)
+        # Rows with 1 at the pivot: x0 + x1 = 0 and x2 + sqrt 2 x3 = 0.
+        kernel = linalg.sparse_kernel([{0: r2, 1: r2}, {2: F(1), 3: r2}], 4)
+        assert kernel.free_cols == {1: 0, 3: 1}
+        assert kernel.pivot_values == {}
+        a, b = Fraction(3, 4), Fraction(3, 5)
+        assert linalg.kernel_coords(kernel, {0: -a, 1: a}) == {0: a}
+        assert scaled == [[-a, a]]
+        assert linalg.kernel_coords(kernel, {0: -a, 1: b}) is None
+        assert linalg.kernel_coords(kernel, {2: F(1), 3: F(1)}) is None
+        assert linalg.kernel_coords(kernel, {2: -r2, 3: F(1)}) == {1: F(1)}
 
 
 def test_rational_rows_never_take_the_field_loop(monkeypatch):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,15 @@ class TestArithmetic:
             Quadratic(1, 1, 12)
         assert is_square_free(6)
         assert not is_square_free(9)
+
+    def test_large_radicand_is_factored_once(self):
+        """A radicand near the 10^12 cap takes about 0.2 s to factor; sums
+        and products must not factor it again."""
+        x = Quadratic(1, 1, 999999999989)
+        start = time.perf_counter()
+        products = [x * Quadratic(k, 1, 999999999989) for k in range(20)]
+        assert time.perf_counter() - start < 1
+        assert products[2] == Quadratic(999999999991, 3, 999999999989)
 
 
 class TestSign:
