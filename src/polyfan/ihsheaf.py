@@ -15,10 +15,17 @@ holding the nonzero entries only): sections, restriction maps, the one
 quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
 for boundary fans and global sections), the reflection and the
 Lefschetz maps, all reduced by the sparse elimination.  Section spaces
-and eigenspaces are :class:`linalg.Kernel` objects, and how their rows
-are stored is :mod:`polyfan.linalg`'s business.  Every basis extraction
-is verified exactly by :func:`linalg.kernel_coords`; a failure raises
-instead of silently producing wrong dimensions.
+and eigenspaces are :class:`linalg.Kernel` objects.  :mod:`polyfan.linalg`
+stores their rows as primitive integer rows over Q and primitive integer
+pair rows over Q(sqrt d), and builds a basis vector only when it is
+read.  The quotient's products of sections with linear forms are formed
+by :func:`linalg.products_rref` on those integral vectors: each section
+scaled by its own constant, and each form by one constant for all cones,
+so it stays one conewise form; only the span of the products enters the
+quotient.  The reflection and the Lefschetz maps need true coordinates
+and are formed on scalars.  Every basis extraction and every product is
+verified exactly by the membership test of :func:`linalg.kernel_coords`;
+a failure raises instead of silently producing wrong dimensions.
 
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
@@ -295,17 +302,17 @@ class MinimalExtensionSheaf:
         cached = self._quotients.get(key)
         if cached is None:
             sections = self.section_space(max_ids, q, wall_mode=True)
-            products = []
+            rows, pivots = (), ()
             if q >= 2:
-                prev = self.section_space(max_ids, q - 2, wall_mode=True).basis
-                products = [
-                    to_basis_coords(
-                        sections, self._multiply_conewise(max_ids, q - 2, vec, form)
-                    )
-                    for vec in prev
-                    for form in forms
-                ]
-            rows, pivots = linalg.sparse_rref(products)
+                reduced = linalg.products_rref(
+                    self.section_space(max_ids, q - 2, wall_mode=True),
+                    sections,
+                    self._product_table(max_ids, q - 2),
+                    [tuple(f for covector in form for f in covector) for form in forms],
+                )
+                if reduced is None:
+                    raise SheafError("a product is not a section (failed exact membership check)")
+                rows, pivots = reduced
             m_rows = dict(zip(pivots, rows))
             complement = (i for i in range(len(sections.basis)) if i not in m_rows)
             cached = {
@@ -331,28 +338,46 @@ class MinimalExtensionSheaf:
             cached = self._global[q] = self.quotient(max_ids, q, forms)
         return cached
 
-    def _multiply_conewise(self, max_ids: tuple, q: int, vec: dict, covectors: tuple) -> dict:
-        """Product of a sparse degree-q section with one linear form per
-        cone (a covector in its coordinates, in the order of ``max_ids``),
-        over the nonzero entries of the section and of the forms."""
+    def _product_table(self, max_ids: tuple, q: int, support=None) -> dict:
+        """The product of a degree-q section over the given maximal cones
+        with one linear form per cone, as a table for
+        :func:`linalg.products_rref`: section coordinate c (each one, or
+        those in ``support``) -> (t, k) per variable x_j of its cone, for
+        the coordinate t of x_j times its monomial and the index k of the
+        form's coefficient of x_j among the covectors laid end to end."""
         offsets, _ = self.section_layout(max_ids, q)
         out_offsets, _ = self.section_layout(max_ids, q + 2)
-        out: dict = {}
-        for cid, off, out_off, covector in zip(max_ids, offsets, out_offsets, covectors):
+        table = {}
+        first = 0  # index k of the cone's x_0
+        for cid, off, out_off in zip(max_ids, offsets, out_offsets):
             nv = self.nvars(cid)
-            form = [(j, f) for j, f in enumerate(covector) if f]
             out_index = {g: o for g, _, o, _ in self.gen_blocks(cid, q + 2)[0]}
             for gi, d, boff, _ in self.gen_blocks(cid, q)[0]:
                 k = (q - d) // 2
                 target = _monomial_index(nv, k + 1)
                 base = out_off + out_index[gi]
                 for c, alpha in enumerate(monomials(nv, k), off + boff):
-                    v = vec.get(c)
-                    if v is None:
-                        continue
-                    for j, f in form:
-                        t = base + target[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]]
-                        out[t] = out.get(t, _ZERO) + f * v
+                    if support is None or c in support:
+                        table[c] = tuple(
+                            (base + target[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]], first + j)
+                            for j in range(nv)
+                        )
+            first += nv
+        return table
+
+    def _multiply_conewise(self, max_ids: tuple, q: int, vec: dict, covectors: tuple) -> dict:
+        """Product of a sparse degree-q section with one linear form per
+        cone (a covector in its coordinates, in the order of
+        ``max_ids``), over the nonzero entries of the section and of the
+        forms."""
+        form = [f for covector in covectors for f in covector]
+        out: dict = {}
+        for c, terms in self._product_table(max_ids, q, vec).items():
+            v = vec[c]
+            for t, k in terms:
+                f = form[k]
+                if f:
+                    out[t] = out.get(t, _ZERO) + f * v
         return {t: v for t, v in out.items() if v}
 
     def reduce_mod_m(self, q: int, coords: dict) -> dict:

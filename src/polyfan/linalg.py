@@ -3,55 +3,63 @@
 A sparse row (or vector) is a dict from column index to scalar holding
 the nonzero entries only; the sheaf path (:mod:`polyfan.ihsheaf`) keeps
 every matrix in that form and uses :func:`sparse_rref`,
-:func:`sparse_kernel`, :func:`kernel_coords`, :func:`sparse_mat_vec`
-and :func:`vec_dot`.  Dense vectors are tuples of scalars and dense
-matrices tuples of row tuples; the geometry path (facets, cone bases,
-quotient fans) uses them, and tests use :func:`rank` and
-:func:`kernel_basis` as the dense oracle.  All eliminations pivot on the
+:func:`sparse_kernel`, :func:`kernel_coords`, :func:`products_rref`,
+:func:`sparse_mat_vec` and :func:`vec_dot`.  Dense vectors are tuples of
+scalars and dense matrices tuples of row tuples; the geometry path
+(facets, cone bases, quotient fans) uses them, and tests use
+:func:`rank` and :func:`kernel_basis` as the dense oracle.  All eliminations pivot on the
 first nonzero column, so results are deterministic functions of the
 input, and the sparse and the dense reduced row echelon forms of a
 matrix are equal.
 
-The sparse elimination has two loops, and the input's scalar types
-decide which one runs.  Rows whose entries are all ``int`` or
-``Fraction`` are scaled to :func:`primitive` integer rows and
-eliminated fraction-free (Bareiss 1968): a row is reduced by a stored
-row as ``(a/g) r - (f/g) s`` with ``g = gcd(a, f)``, ``a`` the stored
-pivot and ``f`` the entry of ``r`` there, and every stored row is
-divided by its content and kept with a positive pivot.  These steps
-multiply rows by nonzero integers and subtract multiples of other rows,
-so each stored row spans the same line as the rational row the field
-loop would hold.  Any other scalar (:class:`~polyfan.scalars.Quadratic`
-over Q(sqrt d)) takes the field loop, which divides by the pivot at each
-step and stores rows with 1 there.
+The sparse elimination is one fraction-free loop (Bareiss 1968) over
+integral rows.  A row of ``int`` and ``Fraction`` entries is scaled to
+its :func:`primitive` integer row.  A row over Q(sqrt d), where some
+entry is a :class:`~polyfan.scalars.Quadratic`, is scaled to its
+primitive pair row: the entry x + y sqrt d is the pair (x, y) of
+integers, and the content is the gcd of every x and y.  A row is
+reduced by a stored row as ``(a/g) r - (f/g) s``, where ``a`` is the
+stored pivot, ``f`` the entry of ``r`` there and ``g`` the gcd of ``a``
+and the parts of ``f``.  So the pivot of a stored row must be an
+integer: a new pair row is first multiplied by the conjugate
+(px, -py) of its pivot, which turns the pivot into the norm
+px^2 - d py^2, nonzero because d is square-free (Cohen 1993, ch. 5).
+Every stored row is then divided by its content and kept with a
+positive pivot.  These steps multiply rows by nonzero scalars and
+subtract multiples of other rows, so each stored row spans the same line
+as the row a field elimination would hold, and no ``Quadratic`` is
+multiplied or added.  Integer rows never pay for pairs: the loop calls
+the integer step or the pair step, chosen once per system.
 
-Both consumers read the same stored rows R_p, with pivot value d_p (the
-positive integer at p, or 1 for field rows).  :func:`sparse_rref`
-divides each by d_p, which is the field loop's reduced row echelon form
-exactly, with no modulus and nothing to reconstruct.
-:func:`sparse_kernel` keeps them in a :class:`Kernel`: the basis vector
-of free column f is e_f - sum_p (R_p[f] / d_p) e_p, and x is in the span
-iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p.  The equation is
-homogeneous, so :func:`kernel_coords` scales a rational x to its
-primitive integer vector and tests it on ints; with d_p = 1 the same
-loop is the field test, and a rational side against a Q(sqrt d) side is
-the same equation in Q(sqrt d).
+Every consumer reads the same stored rows R_p, with pivot value d_p (the
+positive integer at p).  :func:`sparse_rref` divides each by d_p, which
+is the reduced row echelon form exactly, with no modulus and nothing to
+reconstruct.  :func:`sparse_kernel` keeps them in a :class:`Kernel`,
+each entry once: the basis vector of free column f is e_f - sum_p
+(R_p[f] / d_p) e_p, built from the stored column when it is read, and x
+is in the span iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p.
+The equation is homogeneous, so :func:`kernel_coords` tests the
+primitive integral vector of x.  A rational side against a Q(sqrt d)
+side is the same equation in Q(sqrt d), with the rational side read as
+pairs (n, 0).  :func:`products_rref` forms products of kernel vectors
+with linear forms on the primitive integral vectors themselves and
+eliminates them in the same loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .scalars import Scalar
+from .scalars import FieldMismatchError, Quadratic, Scalar, quadratic_from_parts
 
 Vector = tuple  # tuple[Scalar, ...]
 Matrix = tuple  # tuple[Vector, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 def mat(rows: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -160,86 +168,71 @@ def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     in pivot order and their pivot columns, equal to :func:`rref` of the
     dense matrix.  Rows are inserted one at a time; each is reduced by
     the pivot rows found so far, and its own pivot is then eliminated
-    from them, so every stored row stays fully reduced.  Rational rows
-    run this loop on integers (see the module docstring)."""
-    stored, integral = _stored_rows(rows)
+    from them, so every stored row stays fully reduced.  The loop runs
+    on integral rows (see the module docstring)."""
+    return _reduced(*_stored_rows(rows))
+
+
+def _stored_rows(rows) -> tuple[dict, int | None]:
+    """The stored rows of the elimination of sparse rows of scalars, and
+    the radicand when they are pair rows (None for integer rows)."""
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    d = _radicand(r.values() for r in rows)
+    return _fraction_free((_integral_row(r, d) for r in rows), d), d
+
+
+def _reduced(stored: dict, d) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    """The :func:`sparse_rref` result of stored rows: each divided by its
+    pivot value."""
     pivots = tuple(sorted(stored))
-    if not integral:
-        return tuple(stored[p] for p in pivots), pivots
     out = []
     for p in pivots:
         r = stored[p]
-        a = r[p]
-        if a == 1:
-            out.append({c: Fraction(v) for c, v in r.items()})
-        else:
-            out.append({c: Fraction(v, a) for c, v in r.items()})
+        n = r[p] if d is None else r[p][0]
+        out.append({c: _scalar(v, n, d) for c, v in r.items()})
     return tuple(out), pivots
 
 
-def _stored_rows(rows) -> tuple[dict, bool]:
-    """The rows the elimination keeps, by pivot column, and whether they
-    are primitive integer rows (rational input) or rows with 1 at the
-    pivot (any other scalar type)."""
-    rows = list(rows)
-    if all(_RATIONAL_TYPES.issuperset(map(type, row.values())) for row in rows):
-        return _integer_rref(rows), True
-    return _field_rref(rows), False
+def _radicand(vectors) -> int | None:
+    """The radicand of the first Quadratic in the vectors (iterables of
+    scalars), or None when every entry is rational."""
+    for values in vectors:
+        for v in values:
+            if type(v) is Quadratic:
+                return v.d
+    return None
 
 
-def _field_rref(rows) -> dict:
-    """The stored rows of :func:`sparse_rref` over any field of scalars,
-    dividing by each pivot as it is found."""
-    reduced: dict = {}  # pivot column -> row with 1 there, 0 at other pivots
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        for p in [c for c in r if c in reduced]:
-            f = r[p]
-            for c, v in reduced[p].items():
-                x = r.get(c, _ZERO) - f * v
-                if x:
-                    r[c] = x
-                else:
-                    del r[c]
-        if not r:
-            continue
-        p = min(r)
-        pv = r[p]
-        if pv != 1:
-            inv = _ONE / pv
-            r = {c: v * inv for c, v in r.items()}
-        for other in reduced.values():
-            f = other.get(p)
-            if f is not None:
-                for c, v in r.items():
-                    x = other.get(c, _ZERO) - f * v
-                    if x:
-                        other[c] = x
-                    else:
-                        del other[c]
-        reduced[p] = r
-    return reduced
+def _integral(values, d) -> list:
+    """The primitive integral vector on the ray of a vector of scalars:
+    ints when d is None, else pairs (x, y) standing for x + y sqrt d,
+    primitive over all the x and y together."""
+    if d is None:
+        return primitive(values)
+    parts = []
+    for v in values:
+        if type(v) is Quadratic:
+            if v.d != d:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) with sqrt({v.d})")
+            parts += (v.a, v.b)
+        else:
+            parts += (v, 0)
+    ints = primitive(parts)
+    return list(zip(ints[::2], ints[1::2]))
 
 
-def _integer_rref(rows) -> dict:
-    """The stored rows of :func:`sparse_rref` for rows of ints and
-    Fractions: primitive integer rows, fraction-free."""
-    reduced: dict = {}  # pivot column -> primitive row, > 0 there, 0 at other pivots
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        r = dict(zip(r, primitive(r.values())))
-        for p in [c for c in r if c in reduced]:
-            _eliminate(r, reduced[p], p)
-        if not r:
-            continue
-        p = min(r)
-        _divide_content(r, r[p] < 0)
-        for other in reduced.values():
-            if p in other:
-                _eliminate(other, r, p)
-                _divide_content(other, False)
-        reduced[p] = r
-    return reduced
+def _integral_row(row: dict, d) -> dict:
+    return dict(zip(row, _integral(row.values(), d)))
+
+
+def _scalar(x, n: int, d):
+    """The scalar x / n of an integral entry x (a pair when d is set)."""
+    if d is None:
+        return Fraction(x, n)
+    a, b = x
+    if b:
+        return quadratic_from_parts(Fraction(a, n), Fraction(b, n), d)
+    return Fraction(a, n)
 
 
 def primitive(values) -> list:
@@ -250,6 +243,31 @@ def primitive(values) -> list:
     ints = [v.numerator * (den // v.denominator) for v in values]
     g = gcd(*ints)
     return [n // g for n in ints] if g > 1 else ints
+
+
+def _fraction_free(rows, d) -> dict:
+    """The stored rows of an elimination of primitive integral rows (see
+    the module docstring): pivot column -> primitive row, a positive
+    integer there and 0 at the other pivots."""
+    if d is None:
+        eliminate, normalize = _eliminate, _normalize
+    else:
+        eliminate = partial(_eliminate_pairs, d=d)
+        normalize = partial(_normalize_pairs, d=d)
+    reduced: dict = {}
+    for r in rows:
+        for p in [c for c in r if c in reduced]:
+            eliminate(r, reduced[p], p)
+        if not r:
+            continue
+        p = min(r)
+        normalize(r, p)
+        for other in reduced.values():
+            if p in other:
+                eliminate(other, r, p)
+                normalize(other, None)
+        reduced[p] = r
+    return reduced
 
 
 def _eliminate(r: dict, s: dict, p: int) -> None:
@@ -270,73 +288,242 @@ def _eliminate(r: dict, s: dict, p: int) -> None:
             del r[c]
 
 
-def _divide_content(r: dict, negate: bool) -> None:
+def _normalize(r: dict, p: int | None) -> None:
     """Divide a nonempty integer row by the gcd of its entries, in place,
-    and by -1 as well when ``negate`` is set."""
+    negated when the row is negative at column p."""
     g = gcd(*r.values())
-    if negate:
+    if p is not None and r[p] < 0:
         g = -g
     if g != 1:
         for c in r:
             r[c] //= g
 
 
+_PAIR_ZERO = (0, 0)
+
+
+def _eliminate_pairs(r: dict, s: dict, p: int, d: int) -> None:
+    """:func:`_eliminate` on pair rows: s holds the integer (a, 0) at p,
+    r holds f = (fx, fy), and g = gcd(a, fx, fy)."""
+    a = s[p][0]
+    fx, fy = r[p]
+    g = gcd(a, fx, fy)
+    a //= g
+    fx //= g
+    fy //= g
+    if a != 1:
+        for c, (x, y) in r.items():
+            r[c] = (a * x, a * y)
+    dfy = d * fy
+    for c, (sx, sy) in s.items():
+        x, y = r.get(c, _PAIR_ZERO)
+        x -= fx * sx + dfy * sy
+        y -= fx * sy + fy * sx
+        if x or y:
+            r[c] = (x, y)
+        else:
+            del r[c]
+
+
+def _normalize_pairs(r: dict, p: int | None, d: int) -> None:
+    """:func:`_normalize` on a pair row; a new pivot row is first
+    multiplied by the conjugate (px, -py) of its pivot, which makes the
+    pivot the integer norm px^2 - d py^2 (nonzero: d is square-free)."""
+    if p is not None:
+        px, py = r[p]
+        if py:
+            for c, (x, y) in r.items():
+                r[c] = (x * px - d * y * py, y * px - x * py)
+    g = gcd(*(z for xy in r.values() for z in xy))
+    if p is not None and r[p][0] < 0:
+        g = -g
+    if g != 1:
+        for c, (x, y) in r.items():
+            r[c] = (x // g, y // g)
+
+
 class Kernel(NamedTuple):
     """The null space of sparse rows with the stored rows R_p that cut it
-    out (see the module docstring): ``basis`` holds one sparse vector per
-    free column, ascending, ``free_cols`` maps each free column to the
-    index of its vector, ``pivot_values`` holds the d_p other than 1, and
-    ``columns`` holds, per basis vector, the R_p[f] of its free column f."""
+    out (see the module docstring).  ``free_cols`` maps each free column
+    to the index of its basis vector, ascending, ``pivot_values`` holds
+    the d_p other than 1, ``columns`` holds, per basis vector, the R_p[f]
+    of its free column f (ints, or pairs over Q(sqrt d) with ``d`` the
+    radicand), and ``basis`` reads the basis vectors off ``columns``."""
 
-    basis: tuple
     free_cols: dict
     pivot_values: dict
     columns: tuple
+    d: int | None
+    basis: "KernelBasis"
+
+
+class KernelBasis:
+    """The basis of a :class:`Kernel`, a sequence of sparse vectors:
+    vector i is e_f - sum_p (R_p[f] / d_p) e_p for its free column f,
+    built from the stored column each time it is read, so the kernel
+    keeps every entry once."""
+
+    __slots__ = ("_free", "_pivot_values", "_columns", "_d")
+
+    def __init__(self, free: list, pivot_values: dict, columns: tuple, d):
+        self._free = free
+        self._pivot_values = pivot_values
+        self._columns = columns
+        self._d = d
+
+    def __len__(self) -> int:
+        return len(self._free)
+
+    def __getitem__(self, i: int) -> dict:
+        vec = {self._free[i]: _ONE}
+        pivot_values, d = self._pivot_values, self._d
+        for p, x in self._columns[i].items():
+            vec[p] = _scalar(x, -pivot_values.get(p, 1), d)
+        return vec
 
 
 def sparse_kernel(rows, ncols: int) -> Kernel:
     """The :class:`Kernel` of sparse rows over ``ncols`` columns; its
     basis, densified, is the :func:`kernel_basis` of the rows."""
-    stored, integral = _stored_rows(rows)
+    stored, d = _stored_rows(rows)
     free = [f for f in range(ncols) if f not in stored]
     free_cols = {f: i for i, f in enumerate(free)}
-    basis = tuple({f: _ONE} for f in free)
     columns = tuple({} for _ in free)
     pivot_values = {}
     for p in sorted(stored):
         r = stored[p]
-        d = r[p]
-        if d != 1:
-            pivot_values[p] = d
+        n = r.pop(p)
+        if d is not None:
+            n = n[0]
+        if n != 1:
+            pivot_values[p] = n
         for c, v in r.items():
-            if c != p:
-                i = free_cols[c]
-                columns[i][p] = v
-                basis[i][p] = Fraction(-v, d) if integral else -v
-    return Kernel(basis, free_cols, pivot_values, columns)
+            columns[free_cols[c]][p] = v
+    return Kernel(free_cols, pivot_values, columns, d, KernelBasis(free, pivot_values, columns, d))
+
+
+def _lifted(kernel: Kernel, d) -> Kernel:
+    """The kernel with pair columns over Q(sqrt d) when it has integer
+    ones and d is set, so that it can test irrational vectors."""
+    if d is None or kernel.d is not None:
+        return kernel
+    columns = tuple({p: (b, 0) for p, b in col.items()} for col in kernel.columns)
+    return kernel._replace(columns=columns, d=d)
+
+
+def _members(kernel: Kernel, vec: dict) -> dict | None:
+    """For an integral vector X in the kernel's representation, the
+    free columns it touches by basis index, or None when X is not in the
+    span: the test of d_p X_p + sum_f R_p[f] X_f = 0 at every pivot p."""
+    free_cols, pivot_values, columns, d, _ = kernel
+    found = {}
+    residual: dict = {}
+    if d is None:
+        for c, n in vec.items():
+            i = free_cols.get(c)
+            if i is None:
+                m = pivot_values.get(c)
+                residual[c] = residual.get(c, 0) + (n if m is None else m * n)
+                continue
+            found[i] = c
+            for p, b in columns[i].items():
+                residual[p] = residual.get(p, 0) + b * n
+        return None if any(residual.values()) else found
+    for c, (nx, ny) in vec.items():
+        i = free_cols.get(c)
+        if i is None:
+            m = pivot_values.get(c, 1)
+            x, y = residual.get(c, _PAIR_ZERO)
+            residual[c] = (x + m * nx, y + m * ny)
+            continue
+        found[i] = c
+        dny = d * ny
+        for p, (bx, by) in columns[i].items():
+            x, y = residual.get(p, _PAIR_ZERO)
+            residual[p] = (x + bx * nx + by * dny, y + bx * ny + by * nx)
+    return None if any(x or y for x, y in residual.values()) else found
 
 
 def kernel_coords(kernel: Kernel, vec: dict) -> dict | None:
     """Sparse coordinates of a sparse vector x in a :class:`Kernel`
     basis (its entries at the free columns), or None when x is not in
-    the span, tested on X = x, or on :func:`primitive` (x) when x is
-    rational, as described in the module docstring."""
-    _, free_cols, pivot_values, columns = kernel
-    scaled = vec.values()
-    if _RATIONAL_TYPES.issuperset(map(type, scaled)):
-        scaled = primitive(scaled)
-    coords = {}
-    residual: dict = {}  # pivot column -> d_p X_p + sum_f R_p[f] X_f
-    for (c, x), n in zip(vec.items(), scaled):
-        i = free_cols.get(c)
-        if i is None:
-            d = pivot_values.get(c)
-            residual[c] = residual.get(c, 0) + (n if d is None else d * n)
-            continue
-        coords[i] = x
-        for p, b in columns[i].items():
-            residual[p] = residual.get(p, 0) + b * n
-    return None if any(residual.values()) else coords
+    the span, tested on the primitive integral vector of x as described
+    in the module docstring."""
+    d = kernel.d or _radicand((vec.values(),))
+    found = _members(_lifted(kernel, d), _integral_row(vec, d))
+    return None if found is None else {i: vec[c] for i, c in found.items()}
+
+
+def products_rref(source: Kernel, target: Kernel, table: dict, forms) -> tuple | None:
+    """The :func:`sparse_rref` of the coordinates, in the ``target``
+    basis, of the product of every ``source`` basis vector b with every
+    form phi (a sequence of scalars), where ``table`` gives the bilinear
+    product: (b phi)[t] = sum of b[c] phi[k] over (t, k) in table[c].
+    None when some product is not in the span of ``target``.
+
+    The reduced rows depend only on the span of the products, so each
+    product is taken on primitive integral vectors: b scaled by its own
+    constant, and phi by one constant for all of its entries.  Every
+    product is tested for membership exactly, as :func:`kernel_coords`
+    tests a vector."""
+    d = source.d or target.d or _radicand(forms)
+    target = _lifted(target, d)
+    basis = [_integral_vector(source, f, i, d) for f, i in source.free_cols.items()]
+    normalize = _normalize if d is None else partial(_normalize_pairs, d=d)
+    rows = []
+    for phi in forms:
+        phi = _integral(phi, d)
+        for b in basis:
+            product = _product(table, b, phi, d)
+            found = _members(target, product)
+            if found is None:
+                return None
+            if found:
+                row = {i: product[c] for i, c in found.items()}
+                normalize(row, None)
+                rows.append(row)
+    return _reduced(_fraction_free(rows, d), d)
+
+
+def _integral_vector(kernel: Kernel, f: int, i: int, d) -> dict:
+    """Basis vector i of a kernel, of free column f, as a primitive
+    integral vector over Q(sqrt d) (over Q when d is None): L e_f -
+    sum_p (L / d_p) R_p[f] e_p for L the lcm of the d_p it meets, divided
+    by its content."""
+    pivot_values = kernel.pivot_values
+    column = kernel.columns[i]
+    big = lcm(*[pivot_values.get(p, 1) for p in column])
+    scale = {p: -(big // pivot_values.get(p, 1)) for p in column}
+    if kernel.d is None:
+        vec = {f: big}
+        vec.update((p, scale[p] * x) for p, x in column.items())
+        _normalize(vec, None)
+        return vec if d is None else {c: (x, 0) for c, x in vec.items()}
+    vec = {f: (big, 0)}
+    vec.update((p, (scale[p] * x, scale[p] * y)) for p, (x, y) in column.items())
+    _normalize_pairs(vec, None, d)
+    return vec
+
+
+def _product(table: dict, b: dict, phi: list, d) -> dict:
+    """The bilinear product of :func:`products_rref` on integral vectors,
+    without zero entries."""
+    out: dict = {}
+    if d is None:
+        for c, v in b.items():
+            for t, k in table[c]:
+                f = phi[k]
+                if f:
+                    out[t] = out.get(t, 0) + f * v
+        return {t: x for t, x in out.items() if x}
+    for c, (vx, vy) in b.items():
+        dvy = d * vy
+        for t, k in table[c]:
+            fx, fy = phi[k]
+            if fx or fy:
+                x, y = out.get(t, _PAIR_ZERO)
+                out[t] = (x + fx * vx + fy * dvy, y + fx * vy + fy * vx)
+    return {t: xy for t, xy in out.items() if xy[0] or xy[1]}
 
 
 def sparse_mat_vec(rows, vec: dict) -> dict:

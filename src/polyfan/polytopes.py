@@ -4,8 +4,10 @@ Facets are the extreme rays of the homogenized cone of the vertex list,
 found by one double-description routine over Q (on integer-scaled rows)
 or Q(sqrt d).  The other faces are the intersections of facet vertex
 sets, graded from the top down without any rank computation.  The face
-lattice is validated on construction: full dimension, the vertex
-criterion for every listed point, and Euler's relation.
+lattice is validated on construction: full dimension, Euler's relation,
+and for every listed point the vertex criterion on facet masks (the
+facets through a vertex meet in that vertex alone), again without any
+rank computation.
 """
 
 from __future__ import annotations
@@ -348,18 +350,23 @@ def _validate_lattice(vertices, lattice: FaceLattice) -> None:
     )
     if euler != 1 + (-1) ** (n - 1):
         raise PolytopeError(f"face counts violate Euler's relation (sum {euler})")
-    vertex_faces = set()
-    for i in lattice.faces_of_dim(0):
-        (v,) = lattice.vertices_of(i)
-        vertex_faces.add(v)
+    facet_masks = [lattice.masks[f] for f in lattice.facet_ids()]
     for i, v in enumerate(vertices):
-        normals = [
-            lattice.facet_planes[f][0]
-            for f in lattice.facet_ids()
-            if lattice.masks[f] >> i & 1
-        ]
-        if i not in vertex_faces or linalg.rank(linalg.mat(normals)) != n:
+        if _smallest_face(i, facet_masks) != 1 << i:
             raise NotAVertexError(i, v)
+
+
+def _smallest_face(i: int, facet_masks) -> int:
+    """Mask of the smallest face holding listed point i: the meet of the
+    facets through it, or -1 (every bit) when none is.  The point is a
+    vertex exactly when this is bit i alone; otherwise it lies in the
+    relative interior of a face with at least two listed vertices, or
+    in the interior."""
+    meet = -1
+    for mask in facet_masks:
+        if mask >> i & 1:
+            meet &= mask
+    return meet
 
 
 # ---------------------------------------------------------------------------

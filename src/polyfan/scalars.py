@@ -42,8 +42,9 @@ def brief(value) -> str:
 MAX_RADICAND = 10**12
 
 
-# Every Quadratic checks its radicand, each sum and product included, so
-# each radicand is factored once per process.
+# Every Quadratic built by the public constructor (each parsed scalar
+# included) checks its radicand, so each radicand is factored once per
+# process.
 @lru_cache(maxsize=None)
 def is_square_free(d: int) -> bool:
     if d < 2:
@@ -63,7 +64,10 @@ class Quadratic:
 
     ``a`` and ``b`` are stored as reduced fractions, ``d`` is a square-free
     integer >= 2 fixed per computation.  Instances are immutable and mix
-    freely with ``int`` and ``Fraction`` operands.
+    freely with ``int`` and ``Fraction`` operands.  The constructor checks
+    the radicand and converts both parts; arithmetic results, whose parts
+    are Fractions already and whose radicand ``_coerce`` has matched, are
+    built by :func:`quadratic_from_parts` without either step.
     """
 
     __slots__ = ("a", "b", "d")
@@ -86,14 +90,15 @@ class Quadratic:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Quadratic(other, 0, self.d)
+            a = other if isinstance(other, Fraction) else Fraction(other)
+            return quadratic_from_parts(a, _FRACTION_ZERO, self.d)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quadratic(self.a + o.a, self.b + o.b, self.d)
+        return quadratic_from_parts(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
@@ -101,16 +106,16 @@ class Quadratic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quadratic(self.a - o.a, self.b - o.b, self.d)
+        return quadratic_from_parts(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quadratic(o.a - self.a, o.b - self.b, self.d)
+        return quadratic_from_parts(o.a - self.a, o.b - self.b, self.d)
 
     def __neg__(self):
-        return Quadratic(-self.a, -self.b, self.d)
+        return quadratic_from_parts(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -119,7 +124,7 @@ class Quadratic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quadratic(
+        return quadratic_from_parts(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -134,7 +139,7 @@ class Quadratic:
         norm = o.a * o.a - o.b * o.b * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Quadratic(
+        return quadratic_from_parts(
             (self.a * o.a - self.b * o.b * self.d) / norm,
             (self.b * o.a - self.a * o.b) / norm,
             self.d,
@@ -150,8 +155,8 @@ class Quadratic:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (Quadratic(1, 0, self.d) / self) ** (-exponent)
-        out = Quadratic(1, 0, self.d)
+            return (1 / self) ** (-exponent)
+        out = quadratic_from_parts(_FRACTION_ONE, _FRACTION_ZERO, self.d)
         base = self
         n = exponent
         while n:
@@ -227,6 +232,24 @@ class Quadratic:
 
 
 Scalar = Union[int, Fraction, Quadratic]
+
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+_new = object.__new__
+_set_a = Quadratic.a.__set__
+_set_b = Quadratic.b.__set__
+_set_d = Quadratic.d.__set__
+
+
+def quadratic_from_parts(a: Fraction, b: Fraction, d: int) -> Quadratic:
+    """The Quadratic a + b*sqrt(d) for Fractions a and b and a radicand
+    already checked, without the checks and conversions of the public
+    constructor: for results of arithmetic on Quadratics of radicand d."""
+    x = _new(Quadratic)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 def _frac_sign(x) -> int:

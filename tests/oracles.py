@@ -45,6 +45,14 @@ def _rank(rows) -> int:
     return rank
 
 
+def rank_vertex_criterion(points, facets) -> list:
+    """Per listed point, whether it is a vertex of the hull by the rank
+    criterion: the normals of the facets through it (``facets`` holds
+    (mask, normal, offset) triples) span the whole space."""
+    n = len(points[0])
+    return [_rank([u for mask, u, _ in facets if mask >> i & 1]) == n for i in range(len(points))]
+
+
 def _affine_rank(points) -> int:
     """Dimension of the affine hull of a point set (-1 when empty)."""
     if not points:

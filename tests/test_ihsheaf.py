@@ -430,6 +430,21 @@ class TestRestrictionAgainstDenseOracle:
         _assert_restrictions_match_oracle(mes)
 
 
+@pytest.mark.parametrize("name", ["cube-2", "cross-3", "prism-over-diamond"])
+def test_quadratic_images_match_their_rational_source(name, sheaf_analyses, quadratic_image):
+    """The sheaf over Q(sqrt 2) and Q(sqrt 3), on integer pair rows,
+    against the sheaf over Q, on integer rows: a shear image of a
+    rational polytope has the source's Betti numbers u, section
+    dimensions v, refined series and both Lefschetz tables."""
+    source = sheaf_analyses[name]
+    expected = (source.u, source.v, source.refined, source.rank_table, source.minus_table)
+    for d in (2, 3):
+        image = Analysis(quadratic_image(source.polytope, d), 8)
+        assert image.sheaf.section_space(image.fan.maximal_ids, 4, True).d == d
+        found = (image.u, image.v, image.refined, image.rank_table, image.minus_table)
+        assert found == expected, (name, d)
+
+
 class TestMembership:
     """to_basis_coords accepts sections and rejects anything else exactly."""
 
@@ -486,6 +501,9 @@ def test_sheaf_calls_only_sparse_linalg():
     assert used | imported <= {
         "Kernel",
         "kernel_coords",
+        # The quotient's products of sections with forms, taken on
+        # primitive integral vectors inside linalg.
+        "products_rref",
         "sparse_rref",
         "sparse_kernel",
         "sparse_mat_vec",

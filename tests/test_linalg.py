@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfan import linalg
-from polyfan.analysis import Analysis
-from polyfan.polytopes import cube
 from polyfan.scalars import Quadratic
 
 
@@ -197,7 +195,41 @@ def lcm_rebuild(kernel):
     return pivot_values, columns
 
 
+def _parts(x):
+    """The rational parts (a, b) of a + b sqrt d, for any scalar."""
+    if isinstance(x, Quadratic):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def pair_rebuild(kernel):
+    """Pivot norms and pair columns of a Q(sqrt d) kernel rebuilt from its
+    basis.  Stored row p has 1 at p and minus the basis entries at p of
+    the free columns, times the smallest positive integer d_p that makes
+    every rational part an integer (the row is primitive with a positive
+    integer pivot, so d_p is the lcm of the parts' denominators); column
+    f then holds the pair d_p times minus the basis entry."""
+    pivot_values = {}
+    for f, i in kernel.free_cols.items():
+        for p, b in kernel.basis[i].items():
+            for part in _parts(b):
+                if p != f and part.denominator != 1:
+                    pivot_values[p] = lcm(pivot_values.get(p, 1), part.denominator)
+    columns = tuple(
+        {
+            p: tuple(-x.numerator * (pivot_values.get(p, 1) // x.denominator) for x in _parts(b))
+            for p, b in kernel.basis[i].items()
+            if p != f
+        }
+        for f, i in kernel.free_cols.items()
+    )
+    return pivot_values, columns
+
+
 nonzero_rationals = rational_entries.filter(lambda x: x != 0)
+nonzero_quadratics = st.builds(Quadratic, small_ints, small_ints, st.just(2)).filter(
+    lambda x: x != 0
+)
 
 
 class TestKernelRowsAndMembership:
@@ -208,12 +240,17 @@ class TestKernelRowsAndMembership:
         kernel = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
         free = tuple(kernel.free_cols)
         if all(isinstance(x, (int, Fraction)) for r in m for x in r):
+            coefficient = nonzero_rationals
+            assert kernel.d is None
             assert (kernel.pivot_values, kernel.columns) == lcm_rebuild(kernel)
         else:
-            assert kernel.pivot_values == {}
-            assert kernel.columns == tuple(
-                {p: -b for p, b in v.items() if p != f} for v, f in zip(kernel.basis, free)
-            )
+            coefficient = st.one_of(nonzero_rationals, nonzero_quadratics)
+            assert kernel.d in (2, None)
+            rebuilt = pair_rebuild(kernel)
+            if kernel.d is None:
+                # Every entry had irrational part 0: plain integer rows.
+                rebuilt = (rebuilt[0], tuple({p: x for p, (x, _) in c.items()} for c in rebuilt[1]))
+            assert (kernel.pivot_values, kernel.columns) == rebuilt
             # A rational vector at one free column is in the span iff
             # that column of the reduced rows is zero.
             for f, i in kernel.free_cols.items():
@@ -221,7 +258,7 @@ class TestKernelRowsAndMembership:
                 assert linalg.kernel_coords(kernel, {f: Fraction(3, 2)}) == expected
 
         coefficients = {
-            i: data.draw(nonzero_rationals)
+            i: data.draw(coefficient)
             for i in range(len(free))
             if data.draw(st.booleans())
         }
@@ -235,12 +272,13 @@ class TestKernelRowsAndMembership:
         pivots = [c for c in range(cols) if c not in kernel.free_cols]
         if pivots:
             p = data.draw(st.sampled_from(pivots))
-            vec[p] = vec.get(p, 0) + data.draw(nonzero_rationals)
+            vec[p] = vec.get(p, 0) + data.draw(coefficient)
             assert linalg.kernel_coords(kernel, vec) is None
 
     def test_rational_vector_against_quadratic_kernel(self, monkeypatch):
-        """The membership loop scales a rational vector to its primitive
-        integer vector before testing it against Q(sqrt 2) rows."""
+        """Q(sqrt 2) rows are stored as primitive pair rows with an
+        integer pivot norm, and a rational vector is tested on its
+        primitive pair vector."""
         r2 = Quadratic(0, 1, 2)
         scaled = []
 
@@ -249,29 +287,88 @@ class TestKernelRowsAndMembership:
             return primitive(values)
 
         primitive = linalg.primitive
-        monkeypatch.setattr(linalg, "primitive", spy)
-        # Rows with 1 at the pivot: x0 + x1 = 0 and x2 + sqrt 2 x3 = 0.
-        kernel = linalg.sparse_kernel([{0: r2, 1: r2}, {2: F(1), 3: r2}], 4)
+        # (2 + sqrt 2) x0 + x1 = 0 times the conjugate 2 - sqrt 2 of its
+        # pivot is 2 x0 + (2 - sqrt 2) x1 = 0: pivot norm 2.
+        kernel = linalg.sparse_kernel([{0: 2 + r2, 1: F(1)}, {2: F(1), 3: r2}], 4)
         assert kernel.free_cols == {1: 0, 3: 1}
-        assert kernel.pivot_values == {}
-        a, b = Fraction(3, 4), Fraction(3, 5)
-        assert linalg.kernel_coords(kernel, {0: -a, 1: a}) == {0: a}
-        assert scaled == [[-a, a]]
-        assert linalg.kernel_coords(kernel, {0: -a, 1: b}) is None
+        assert kernel.d == 2
+        assert (kernel.pivot_values, kernel.columns) == ({0: 2}, ({0: (2, -1)}, {2: (0, 1)}))
+        assert (kernel.pivot_values, kernel.columns) == pair_rebuild(kernel)
+        monkeypatch.setattr(linalg, "primitive", spy)
+        a = Fraction(3, 4)
+        assert linalg.kernel_coords(kernel, {0: -a, 1: a}) is None
+        assert scaled == [[-a, 0, a, 0]]
+        assert linalg.kernel_coords(kernel, {0: a * (r2 / 2 - 1), 1: a}) == {0: a}
         assert linalg.kernel_coords(kernel, {2: F(1), 3: F(1)}) is None
         assert linalg.kernel_coords(kernel, {2: -r2, 3: F(1)}) == {1: F(1)}
 
+    def test_quadratic_vector_against_rational_kernel(self):
+        """A kernel of rational rows tests a Q(sqrt 2) vector over
+        Q(sqrt 2): x0 = x1 holds for (sqrt 2, sqrt 2) and fails for
+        (sqrt 2, 1)."""
+        r2 = Quadratic(0, 1, 2)
+        kernel = linalg.sparse_kernel([{0: F(1), 1: F(-1)}], 2)
+        assert kernel.d is None and kernel.columns == ({0: -1},)
+        assert linalg.kernel_coords(kernel, {0: r2, 1: r2}) == {0: r2}
+        assert linalg.kernel_coords(kernel, {0: r2, 1: F(1)}) is None
 
-def test_rational_rows_never_take_the_field_loop(monkeypatch):
-    """Every elimination of a rational sheaf runs on integer rows: the
-    field loop, patched to refuse rows of ints and Fractions, is reached
-    only by systems holding another scalar type."""
-    field_rref = linalg._field_rref
 
-    def guarded(rows):
-        rows = list(rows)
-        assert not all(isinstance(v, (int, Fraction)) for r in rows for v in r.values())
-        return field_rref(rows)
+def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
+    """Q(sqrt 2) rows are eliminated, stored and tested as integer
+    pairs: with the arithmetic operators of Quadratic patched to raise,
+    sparse_rref, sparse_kernel and kernel_coords still succeed and agree
+    with the dense oracle, computed before the patch."""
+    r2 = Quadratic(0, 1, 2)
+    rows = [
+        {0: 2 + r2, 1: F(1), 2: r2},
+        {1: r2, 2: F(3), 3: 1 - r2},
+        {0: F(1), 3: F(2), 4: 3 * r2},
+    ]
+    dense = linalg.mat([as_dense(r, 5) for r in rows])
+    expected_rref = linalg.rref(dense)
+    expected_basis = linalg.kernel_basis(dense)
+    third = Fraction(1, 3)
+    combination = linalg.vec_add(
+        linalg.vec_scale(r2, expected_basis[0]), linalg.vec_scale(third, expected_basis[1])
+    )
+    member = {c: x for c, x in enumerate(combination) if x != 0}
+    broken = dict(member)
+    broken[0] = member[0] + 1
 
-    monkeypatch.setattr(linalg, "_field_rref", guarded)
-    assert Analysis(cube(3), 8).u == (1, 0, 5, 0, 5, 0, 1)
+    def refuse(*args):
+        raise AssertionError("Quadratic arithmetic in the sparse elimination")
+
+    operators = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "neg", "pow")
+    for name in operators:
+        monkeypatch.setattr(Quadratic, f"__{name}__", refuse)
+    reduced, pivots = linalg.sparse_rref(rows)
+    assert (tuple(as_dense(r, 5) for r in reduced), pivots) == expected_rref
+    kernel = linalg.sparse_kernel(rows, 5)
+    assert tuple(as_dense(v, 5) for v in kernel.basis) == expected_basis
+    assert linalg.kernel_coords(kernel, member) == {0: r2, 1: third}
+    assert linalg.kernel_coords(kernel, broken) is None
+
+
+@pytest.mark.parametrize("radicand_rows", [True, False])
+def test_products_rref_equals_rref_of_scalar_products(radicand_rows):
+    """products_rref, on primitive integral vectors, has the reduced rows
+    of the coordinates of the scalar products, for a Q(sqrt 2) or a
+    rational source kernel and Q(sqrt 2) forms; a product outside the
+    target kernel gives None."""
+    r2 = Quadratic(0, 1, 2)
+    row = {0: F(3), 1: r2 if radicand_rows else F(2), 2: Fraction(-1, 2)}
+    source = linalg.sparse_kernel([row], 3)
+    # Coordinate c of b goes to c times phi[0] and to c + 3 times phi[1].
+    table = {c: ((c, 0), (c + 3, 1)) for c in range(3)}
+    forms = [(F(1), r2), (1 + r2, Fraction(1, 2)), (F(2), F(0))]
+    target = linalg.sparse_kernel([{6: F(1)}], 7)
+    products = []
+    for phi in forms:
+        for b in source.basis:
+            product = {}
+            for c, v in b.items():
+                for t, k in table[c]:
+                    product[t] = product.get(t, 0) + v * phi[k]
+            products.append(linalg.kernel_coords(target, {t: x for t, x in product.items() if x}))
+    assert linalg.products_rref(source, target, table, forms) == linalg.sparse_rref(products)
+    assert linalg.products_rref(source, linalg.sparse_kernel([{5: F(1)}], 7), table, forms) is None

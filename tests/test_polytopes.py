@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from polyfan import linalg
-from polyfan.corpus import nonrational_cs_polytope
+from polyfan import linalg, polytopes
+from polyfan.corpus import cs_corpus, nonrational_cs_polytope
 from polyfan.polytopes import (
     Polytope,
     PolytopeError,
@@ -19,7 +19,7 @@ from polyfan.polytopes import (
     simplex,
 )
 
-from oracles import brute_force_faces, brute_force_facets
+from oracles import brute_force_faces, brute_force_facets, rank_vertex_criterion
 
 
 def F(x):
@@ -61,6 +61,35 @@ class TestFaceLattice:
         )
         with pytest.raises(PolytopeError, match=r"listed point #4 \(1, 0\) is not a vertex"):
             p.face_lattice()
+
+    def test_vertex_meet_agrees_with_rank_criterion(self):
+        """The facet-mask test of each listed point (the meet of the
+        facets through it is the point alone) agrees with the rank of the
+        facet normals through it, on the CS corpus with three points
+        added: an edge midpoint, a facet centroid and the vertex
+        centroid (from dimension 2 on, where these are three distinct
+        non-vertices).  Exactly the corpus vertices pass, and the first
+        added point is the one reported."""
+        for name, p in cs_corpus():
+            if p.ambient_dim < 2:
+                continue
+            lattice = p.face_lattice()
+            n = p.ambient_dim
+
+            def centroid(face):
+                vs = [p.vertices[i] for i in lattice.vertices_of(face)]
+                return tuple(sum(xs, F(0)) / len(vs) for xs in zip(*vs))
+
+            added = [centroid(lattice.faces_of_dim(1)[0]), centroid(lattice.facet_ids()[-1])]
+            added.append(centroid(len(lattice.masks) - 1))
+            points = list(p.vertices) + added
+            facets = polytopes._facets(points, n)
+            masks = [mask for mask, _, _ in facets]
+            meets = [polytopes._smallest_face(i, masks) == 1 << i for i in range(len(points))]
+            assert meets == rank_vertex_criterion(points, facets), name
+            assert meets == [i < len(p.vertices) for i in range(len(points))], name
+            with pytest.raises(polytopes.NotAVertexError, match=rf"#{len(p.vertices)} "):
+                Polytope(points).face_lattice()
 
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(PolytopeError, match="duplicate"):

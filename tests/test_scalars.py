@@ -1,9 +1,11 @@
+import operator
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from polyfan import scalars
 from polyfan.scalars import (
     Field,
     FieldMismatchError,
@@ -56,6 +58,28 @@ class TestArithmetic:
             Quadratic(1, 1, 12)
         assert is_square_free(6)
         assert not is_square_free(9)
+
+    def test_results_skip_the_constructor_checks(self, monkeypatch):
+        """Sums, products, quotients and powers are built from their
+        Fraction parts without checking the radicand again; the public
+        constructor still checks it, and two radicands still do not mix."""
+        x, y = q2(1, 2), q2(Fraction(1, 3), -1)
+        checked = []
+        monkeypatch.setattr(scalars, "is_square_free", lambda d: checked.append(d) or True)
+        results = [x + y, x - y, 3 - x, x * y, x * 3, x / y, 1 / x, -x, x**3, x**-2]
+        assert checked == []
+        assert all(type(r.a) is type(r.b) is Fraction and r.d == 2 for r in results)
+        assert results[3] == q2(Fraction(-11, 3), Fraction(-1, 3))
+        assert results[8] == q2(25, 22)
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            Quadratic(1, 1, 4)
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt)
+        for op in ops:
+            with pytest.raises(FieldMismatchError):
+                op(Quadratic(0, 1, 2), Quadratic(0, 1, 3))
+            with pytest.raises(FieldMismatchError):
+                op(Quadratic(1, 1, 3), Quadratic(0, 1, 2))
 
     def test_large_radicand_is_factored_once(self):
         """A radicand near the 10^12 cap takes about 0.2 s to factor; sums
