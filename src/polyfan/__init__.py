@@ -6,7 +6,6 @@ from .polytopes import (
     PolytopeError,
     cross_polytope,
     cube,
-    dual_polytope,
     ensure_origin_interior,
     free_sum,
     linear_image,
@@ -33,7 +32,6 @@ __all__ = [
     "check_cs_bounds",
     "cross_polytope",
     "cube",
-    "dual_polytope",
     "ensure_origin_interior",
     "face_fan",
     "free_sum",

@@ -36,6 +36,10 @@ class InputError(Exception):
 
 
 GENERATORS = {"simplex": simplex, "cube": cube, "cross": cross_polytope}
+# Vertex count of each generator in dimension n >= 1.
+VERTEX_COUNTS = {"simplex": lambda n: n + 1, "cube": lambda n: 1 << n, "cross": lambda n: 2 * n}
+# The most coordinates (vertices times dimension) `generate` writes.
+MAX_GENERATED_COORDINATES = 100_000
 
 
 def polytope_to_json(p: Polytope, field: Field, name: str | None) -> dict:
@@ -136,16 +140,38 @@ def dump_json(doc: dict) -> str:
 # Commands
 
 
-def _parse_factor(spec: str) -> Polytope:
+def _parse_factor(spec: str) -> tuple:
+    """The (kind, dimension) of a kind:n factor."""
+    kind, _, num = spec.partition(":")
     try:
-        kind, _, num = spec.partition(":")
-        n = int(num)
-        return GENERATORS[kind](n)
-    except (KeyError, ValueError) as exc:
+        if kind in GENERATORS:
+            return kind, int(num)
+    except ValueError:
+        pass
+    raise InputError(
+        f"invalid factor {spec!r}; expected kind:n with kind in "
+        f"{sorted(GENERATORS)}"
+    )
+
+
+def _vertex_count(kind: str, n: int) -> int:
+    """The vertex count of a generator's polytope in dimension n; a
+    dimension beyond the coordinate limit is refused before 2^n is
+    formed."""
+    if n > MAX_GENERATED_COORDINATES:
+        raise InputError(f"dimension {n} is above the limit of {MAX_GENERATED_COORDINATES} coordinates")
+    return VERTEX_COUNTS[kind](n) if n >= 1 else 0
+
+
+def _check_size(vertices: int, dim: int) -> None:
+    """Refuse output of up to ``vertices`` vertices in dimension ``dim``
+    when it has more coordinates than the limit."""
+    size = vertices * dim
+    if size > MAX_GENERATED_COORDINATES:
         raise InputError(
-            f"invalid factor {spec!r}; expected kind:n with kind in "
-            f"{sorted(GENERATORS)}"
-        ) from None
+            f"output of up to {vertices} vertices in dimension {dim} has {size} "
+            f"coordinates, above the limit of {MAX_GENERATED_COORDINATES}"
+        )
 
 
 def cmd_generate(args) -> int:
@@ -155,6 +181,7 @@ def cmd_generate(args) -> int:
             if len(args.params) != 1:
                 raise InputError(f"{kind} takes exactly one dimension argument")
             n = int(args.params[0])
+            _check_size(_vertex_count(kind, n), n)
             p = GENERATORS[kind](n)
             name = f"{kind}-{n}"
         elif kind == "random-cs":
@@ -162,12 +189,16 @@ def cmd_generate(args) -> int:
                 raise InputError("random-cs takes exactly one dimension argument")
             n = int(args.params[0])
             pairs = args.pairs if args.pairs is not None else n + 2
+            _check_size(2 * max(pairs, 0), n)
             p = random_cs(n, pairs, args.seed)
             name = f"random-cs-{n}d-p{pairs}-s{args.seed}"
         elif kind in ("product", "free-sum"):
             if len(args.params) != 2:
                 raise InputError(f"{kind} takes exactly two kind:n factors")
-            a, b = (_parse_factor(s) for s in args.params)
+            (ka, na), (kb, nb) = (_parse_factor(s) for s in args.params)
+            va, vb = _vertex_count(ka, na), _vertex_count(kb, nb)
+            _check_size(va * vb if kind == "product" else va + vb, na + nb)
+            a, b = GENERATORS[ka](na), GENERATORS[kb](nb)
             p = product(a, b) if kind == "product" else free_sum(a, b)
             name = f"{kind}-{args.params[0]}-{args.params[1]}"
         else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fans import face_fan
 from .polytopes import (
     Polytope,
     PolytopeError,
@@ -69,27 +68,6 @@ def random_cs_family(count: int = 20) -> tuple:
             out.append((f"random-cs-{n}d-seed{seed}", _random_cs(n, pairs, seed)))
         except PolytopeError:
             pass
-        seed += 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def simplicial_cs_fans(count: int = 20) -> tuple:
-    """Seeded random CS polytopes whose face fans are simplicial, with the
-    fans attached; dimensions cycle through 2..4."""
-    out = []
-    seed = 1000
-    while len(out) < count:
-        n = 2 + (len(out) % 3)
-        pairs = n + 1 + (len(out) // 3) % 2
-        try:
-            p = _random_cs(n, pairs, seed)
-        except PolytopeError:
-            seed += 1
-            continue
-        fan = face_fan(p)
-        if fan.is_simplicial():
-            out.append((f"simplicial-cs-{n}d-seed{seed}", p, fan))
         seed += 1
     return tuple(out)
 

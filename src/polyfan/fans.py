@@ -1,7 +1,7 @@
 """Cones and fans with exact ray data.
 
-A fan stores its rays and cones in id-indexed dicts so that subfans
-(boundary fans, fans of faces) can reuse the ids of the parent fan.  The
+A fan stores its rays and cones in id-indexed dicts so that a quotient
+fan can reuse the ids of the parent fan.  The
 face fan of a polytope, quotient fans of cones, completeness and central
 symmetry live here, together with conewise-linear support functions.
 """
@@ -192,24 +192,6 @@ class Fan:
 
     # -- derived fans ----------------------------------------------------
 
-    def cone_fan(self, cone_id: int) -> "Fan":
-        """The fan of all faces of a cone, reusing ids."""
-        ids = set(self.faces[cone_id]) | {cone_id}
-        return self._subfan(ids)
-
-    def boundary_fan(self, cone_id: int) -> "Fan":
-        """The fan of proper faces of a cone, reusing ids."""
-        return self._subfan(set(self.faces[cone_id]))
-
-    def _subfan(self, ids: set) -> "Fan":
-        cones = {cid: self.cones[cid] for cid in ids}
-        faces = {cid: self.faces[cid] & ids for cid in ids}
-        for cid in ids:
-            if not self.faces[cid] <= ids:
-                raise FanError("subfan is not face-closed")
-        rays = {r: self.rays[r] for c in cones.values() for r in c.ray_ids}
-        return Fan(self.ambient_dim, rays, cones, faces)
-
     def quotient_fan(self, cone_id: int) -> "Fan":
         """Projection of the boundary of a cone along an interior vector.
 
@@ -245,33 +227,6 @@ class Fan:
             if got != expected:
                 raise FanError("projection did not preserve cone dimensions")
         return fan
-
-
-def from_simplicial_cones(ambient_dim: int, rays, maximal_cones) -> Fan:
-    """Explicit fan from simplicial maximal cones given as ray-index sets.
-
-    Faces of a simplicial cone are exactly the subsets of its rays, so the
-    face structure is generated combinatorially.  Each maximal cone's rays
-    must be linearly independent; used for non-polytopal test fixtures.
-    """
-    rays = {i: tuple(v) for i, v in enumerate(rays)}
-    subsets: dict = {frozenset(): 0}
-    for cone_rays in maximal_cones:
-        rs = tuple(sorted(cone_rays))
-        if linalg.rank(linalg.mat([rays[r] for r in rs])) != len(rs):
-            raise FanError(f"cone {rs} is not simplicial (dependent rays)")
-        for bits in range(1 << len(rs)):
-            sub = frozenset(rs[i] for i in range(len(rs)) if bits >> i & 1)
-            if sub not in subsets:
-                subsets[sub] = len(subsets)
-    cones = {}
-    faces = {}
-    for sub, cid in subsets.items():
-        cones[cid] = Cone(cid, tuple(sorted(sub)), len(sub))
-        faces[cid] = frozenset(
-            subsets[other] for other in subsets if other < sub
-        )
-    return Fan(ambient_dim, rays, cones, faces)
 
 
 def face_fan(p: Polytope) -> Fan:
@@ -320,12 +275,6 @@ class ConewiseLinear:
                             "conewise values disagree on a shared face"
                         )
 
-    def value_on_ray(self, ray_id: int):
-        for cid in self.fan.maximal_ids:
-            if ray_id in self.fan.cones[cid].ray_ids:
-                return linalg.vec_dot(self.covectors[cid], self.fan.rays[ray_id])
-        raise FanError(f"ray {ray_id} not part of any maximal cone")
-
     def scale(self, factor) -> "ConewiseLinear":
         return ConewiseLinear(
             self.fan,
@@ -372,6 +321,3 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
                 if sign(gap) <= 0:
                     raise FanError("support function is not strictly concave")
 
-
-def scale_polytope(p: Polytope, factor) -> Polytope:
-    return Polytope(tuple(linalg.vec_scale(factor, v) for v in p.vertices))

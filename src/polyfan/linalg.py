@@ -6,11 +6,12 @@ every matrix in that form and uses :func:`sparse_rref`,
 :func:`sparse_kernel`, :func:`kernel_coords`, :func:`products_rref`,
 :func:`sparse_mat_vec` and :func:`vec_dot`.  Dense vectors are tuples of
 scalars and dense matrices tuples of row tuples; the geometry path
-(facets, cone bases, quotient fans) uses them, and tests use
-:func:`rank` and :func:`kernel_basis` as the dense oracle.  All eliminations pivot on the
-first nonzero column, so results are deterministic functions of the
-input, and the sparse and the dense reduced row echelon forms of a
-matrix are equal.
+(cone bases, the inverse of a facet start simplex, rank checks, quotient
+fans) uses them.  There is one elimination, :func:`_fraction_free`: the
+dense :func:`rref`, :func:`rank` and :func:`inverse` are adapters that
+pass their rows to it as sparse rows.  It pivots on the first nonzero
+column, and the reduced row echelon form of a matrix is unique, so every
+result is a deterministic function of the input.
 
 The sparse elimination is one fraction-free loop (Bareiss 1968) over
 integral rows.  A row of ``int`` and ``Fraction`` entries is scaled to
@@ -77,10 +78,6 @@ def unit(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(unit(n, i) for i in range(n))
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -108,6 +105,7 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vec_dot(row, v) for row in m)
 
 
+# No caller in the package: kept while perfbench/tracing.py wraps it by name.
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return ()
@@ -116,60 +114,32 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (first-nonzero pivoting)."""
+    """Reduced row echelon form and pivot columns of a dense matrix."""
     rows = [list(r) for r in m]
     pivots = _rref_inplace(rows)
     return tuple(tuple(r) for r in rows[: len(pivots)]), pivots
 
 
+# The benchmark's tracer (perfbench/tracing.py) wraps _rref_inplace by
+# name, so rref keeps it as its one step.
 def _rref_inplace(rows: list[list]) -> tuple[int, ...]:
-    """Reduce ``rows`` in place; returns pivot columns.  Nonpivot rows are
+    """Reduce ``rows`` in place to the :func:`sparse_rref` of the rows,
+    written back densely; returns pivot columns.  Nonpivot rows are
     zeroed and moved to the bottom."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv if not isinstance(pv, (int, Fraction)) else Fraction(1) / pv
-            row = rows[r]
-            for j in range(c, ncols):
-                if row[j] != 0:
-                    row[j] = row[j] * inv
-        row = rows[r]
-        nonzero = [(j, row[j]) for j in range(c, ncols) if row[j] != 0]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != 0:
-                other = rows[i]
-                for j, x in nonzero:
-                    other[j] = other[j] - f * x
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(pivots)
+    reduced, pivots = sparse_rref(dict(enumerate(r)) for r in rows)
+    for i, row in enumerate(rows):
+        new = reduced[i] if i < len(reduced) else {}
+        row[:] = [new.get(c, _ZERO) for c in range(len(row))]
+    return pivots
 
 
 def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     """Reduced row echelon form of sparse rows: the nonzero reduced rows
-    in pivot order and their pivot columns, equal to :func:`rref` of the
-    dense matrix.  Rows are inserted one at a time; each is reduced by
-    the pivot rows found so far, and its own pivot is then eliminated
-    from them, so every stored row stays fully reduced.  The loop runs
-    on integral rows (see the module docstring)."""
+    in pivot order and their pivot columns.  Rows are inserted one at a
+    time; each is reduced by the pivot rows found so far, and its own
+    pivot is then eliminated from them, so every stored row stays fully
+    reduced.  The loop runs on integral rows (see the module
+    docstring)."""
     return _reduced(*_stored_rows(rows))
 
 
@@ -383,8 +353,9 @@ class KernelBasis:
 
 
 def sparse_kernel(rows, ncols: int) -> Kernel:
-    """The :class:`Kernel` of sparse rows over ``ncols`` columns; its
-    basis, densified, is the :func:`kernel_basis` of the rows."""
+    """The :class:`Kernel` of sparse rows over ``ncols`` columns; each
+    basis vector has 1 at its free column and 0 at the other free
+    columns, free columns ascending."""
     stored, d = _stored_rows(rows)
     free = [f for f in range(ncols) if f not in stored]
     free_cols = {f: i for i, f in enumerate(free)}
@@ -536,42 +507,23 @@ def sparse_mat_vec(rows, vec: dict) -> dict:
     return out
 
 
+# Wrapped by name in perfbench/tracing.py and called by perfbench/inputs.py.
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Deterministic basis of the null space {x : m @ x = 0}.
-
-    Each basis vector carries a 1 in one free column and 0 in the others,
-    free columns taken in ascending order.
-    """
-    if not m:
-        return ()
-    ncols = len(m[0])
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    """The number of pivots of the elimination of the rows."""
+    return len(_stored_rows(dict(enumerate(r)) for r in m)[0])
 
 
 def inverse(m: Matrix) -> Matrix:
+    """The inverse of a square matrix: the right half of the reduced row
+    echelon form of [m | I]."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse of a non-square matrix")
-    augmented = tuple(row + unit(n, i) for i, row in enumerate(m))
-    reduced, pivots = rref(augmented)
+    augmented = ({**dict(enumerate(row)), n + i: _ONE} for i, row in enumerate(m))
+    reduced, pivots = sparse_rref(augmented)
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    return tuple(tuple(r.get(n + j, _ZERO) for j in range(n)) for r in reduced)
 
 
 def quotient_projection(line: Vector, ambient_dim: int) -> Matrix:

@@ -158,22 +158,6 @@ class Polytope:
         return linalg.rank(linalg.mat(representatives)) == n
 
 
-def dual_polytope(p: Polytope) -> Polytope:
-    """The polytope {u : <u, v> <= -1 for all v in P}; needs 0 interior.
-
-    Its vertices solve <u, v> = -1 across one facet of P each, so the face
-    lattice of the result is the order-reversed lattice of P.
-    """
-    lattice = p.face_lattice()
-    if not p.origin_is_interior():
-        raise PolytopeError("dual polytope needs the origin strictly interior")
-    duals = []
-    for f in lattice.facet_ids():
-        u, c = lattice.facet_planes[f]
-        duals.append(tuple(-x / c for x in u))
-    return Polytope(duals)
-
-
 def ensure_origin_interior(p: Polytope):
     """Return (P', shift) with the origin interior to P'.
 
@@ -239,25 +223,15 @@ def _facets(points, n: int) -> list:
     ]
 
 
-def _first_simplex(rows, width: int) -> list:
-    """Indices of the first ``width`` linearly independent rows, by one
-    fraction-free elimination in index order."""
-    echelon = []
-    chosen = []
-    for i, row in enumerate(rows):
-        row = list(row)
-        for er, pc in echelon:
-            f = row[pc]
-            if f != 0:
-                p = er[pc]
-                row = [a * p - b * f for a, b in zip(row, er)]
-        pc = next((j for j, x in enumerate(row) if x != 0), None)
-        if pc is not None:
-            echelon.append((row, pc))
-            chosen.append(i)
-            if len(chosen) == width:
-                return chosen
-    raise PolytopeError("not full-dimensional")
+def _first_simplex(rows, width: int) -> tuple:
+    """Indices of the first ``width`` linearly independent rows: the
+    pivot columns of the transposed rows, whose reduced row echelon form
+    pivots on each row that is independent of the rows before it."""
+    columns = [{i: row[c] for i, row in enumerate(rows)} for c in range(width)]
+    pivots = linalg.sparse_rref(columns)[1]
+    if len(pivots) < width:
+        raise PolytopeError("not full-dimensional")
+    return pivots
 
 
 def _insert_row(rays, row, bit: int, width: int, normalize) -> list:
@@ -417,13 +391,15 @@ def free_sum(p: Polytope, q: Polytope) -> Polytope:
 
 def linear_image(p: Polytope, matrix: Matrix) -> Polytope:
     """Image of P under an invertible linear map (rows act on coordinates)."""
-    if linalg.rank(matrix) != p.ambient_dim:
+    n = p.ambient_dim
+    if len(matrix) != n or any(len(row) != n for row in matrix) or linalg.rank(matrix) != n:
         raise PolytopeError("linear image requires an invertible matrix")
     return Polytope(tuple(linalg.mat_vec(matrix, v) for v in p.vertices))
 
 
 def hull_vertices(points) -> tuple:
-    """Extreme points of conv(points), via facet enumeration of the hull."""
+    """Extreme points of conv(points), via facet enumeration of the hull:
+    a point is extreme when the facets through it meet in it alone."""
     pts = []
     seen = set()
     for p in points:
@@ -431,14 +407,8 @@ def hull_vertices(points) -> tuple:
         if t not in seen:
             seen.add(t)
             pts.append(t)
-    n = len(pts[0])
-    facets = _facets(pts, n)
-    out = []
-    for i, p in enumerate(pts):
-        normals = [u for mask, u, _ in facets if mask >> i & 1]
-        if normals and linalg.rank(linalg.mat(normals)) == n:
-            out.append(p)
-    return tuple(out)
+    masks = [mask for mask, _, _ in _facets(pts, len(pts[0]))]
+    return tuple(p for i, p in enumerate(pts) if _smallest_face(i, masks) == 1 << i)
 
 
 def random_cs(n: int, pairs: int, seed: int) -> Polytope:

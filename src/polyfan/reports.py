@@ -8,19 +8,12 @@ describes the format.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from importlib import resources
 
 from . import checks
 from .analysis import Analysis
 from .polynomials import binomial_poly, coeff
 from .scalars import Field
-
-
-def load_report_schema() -> dict:
-    with resources.files("polyfan").joinpath("report.schema.json").open() as fh:
-        return json.load(fh)
 
 
 def field_json(field: Field):

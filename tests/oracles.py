@@ -1,48 +1,78 @@
-"""Independent test-side oracles.
+"""Independent test-side oracles, and fixtures the program does not need.
 
-These deliberately avoid the package's search strategies: faces are found
-by scanning all vertex subsets with a locally implemented rank routine,
-the classical f-to-h transform is the closed binomial formula, the
-toric h-polynomial recurses through geometric quotient fans, and
-restriction maps of the sheaf are dense products of a multiplication
-matrix and a substitution matrix.
+These deliberately avoid the package's search strategies: dense linear
+algebra is a plain Gauss-Jordan elimination on field scalars, faces are
+found by scanning all vertex subsets with it, the classical f-to-h
+transform is the closed binomial formula, the toric h-polynomial
+recurses through geometric quotient fans, the dual polytope reverses the
+face lattice, and restriction maps of the sheaf are dense products of a
+multiplication matrix and a substitution matrix.  Explicit fans
+(subfans, fans from simplicial cone lists) build test inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from polyfan.fans import Cone, Fan, FanError, face_fan
 from polyfan.ihsheaf import monomials
-from polyfan.scalars import sign
+from polyfan.polytopes import Polytope, PolytopeError, random_cs
+from polyfan.scalars import Quadratic, sign
 
 
-def _rank(rows) -> int:
-    """Plain Gaussian elimination rank, written independently of
-    polyfan.linalg."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+def _field(x):
+    """x as a field element: a Quadratic stays, ints become Fractions."""
+    return x if isinstance(x, Quadratic) else Fraction(x)
+
+
+def rref(rows) -> tuple:
+    """Reduced row echelon form of a dense matrix by plain Gauss-Jordan
+    elimination on field scalars, written independently of
+    polyfan.linalg: the nonzero reduced rows as tuples and their pivot
+    columns."""
+    work = [[_field(x) for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
+        work[r], work[pivot] = work[pivot], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
         for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col] / pv
-                for j in range(col, ncols):
-                    work[i][j] = work[i][j] - factor * work[rank][j]
-        rank += 1
-    return rank
+            f = work[i][col]
+            if i != r and f != 0:
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def kernel_basis(rows, ncols: int | None = None) -> tuple:
+    """Basis of {x : rows x = 0} over ``ncols`` columns (the row length
+    by default): per free column, ascending, the vector with 1 there, 0
+    at the other free columns and minus the reduced rows' entries at the
+    pivots."""
+    reduced, pivots = rref(rows)
+    ncols = len(rows[0]) if ncols is None else ncols
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def rank_vertex_criterion(points, facets) -> list:
@@ -50,7 +80,7 @@ def rank_vertex_criterion(points, facets) -> list:
     criterion: the normals of the facets through it (``facets`` holds
     (mask, normal, offset) triples) span the whole space."""
     n = len(points[0])
-    return [_rank([u for mask, u, _ in facets if mask >> i & 1]) == n for i in range(len(points))]
+    return [rank([u for mask, u, _ in facets if mask >> i & 1]) == n for i in range(len(points))]
 
 
 def _affine_rank(points) -> int:
@@ -61,44 +91,17 @@ def _affine_rank(points) -> int:
     diffs = [
         [x - b for x, b in zip(p, base)] for p in points[1:]
     ]
-    return _rank(diffs)
+    return rank(diffs)
 
 
 def _solve_hyperplane(points, n):
     """Normal (u, c) of the hyperplane through n affinely independent
     points, via kernel of the homogeneous system; None if degenerate."""
-    rows = [[Fraction(1) * 0 + 1] + list(p) for p in points]
-    # Reduce and extract a kernel vector of the (n x (n+1)) system.
-    work = [list(r) for r in rows]
-    ncols = n + 1
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    if len(pivots) != n:
+    basis = kernel_basis([[1] + list(p) for p in points], n + 1)
+    if len(basis) != 1:
         return None
-    free = next(j for j in range(ncols) if j not in pivots)
-    v = [Fraction(0)] * ncols
-    v[free] = Fraction(1)
-    for i, p in enumerate(pivots):
-        v[p] = -work[i][free]
-    c0, u = v[0], tuple(v[1:])
-    return u, -c0
+    c0, *u = basis[0]
+    return tuple(u), -c0
 
 
 def brute_force_facets(vertices) -> set:
@@ -138,6 +141,22 @@ def brute_force_faces(vertices) -> dict:
             if hull == s:
                 faces[s] = _affine_rank([vertices[i] for i in s])
     return faces
+
+
+def dual_polytope(p: Polytope) -> Polytope:
+    """The polytope {u : <u, v> <= -1 for all v in P}; needs 0 interior.
+
+    Its vertices solve <u, v> = -1 across one facet of P each, so the face
+    lattice of the result is the order-reversed lattice of P.
+    """
+    lattice = p.face_lattice()
+    if not p.origin_is_interior():
+        raise PolytopeError("dual polytope needs the origin strictly interior")
+    duals = []
+    for f in lattice.facet_ids():
+        u, c = lattice.facet_planes[f]
+        duals.append(tuple(-x / c for x in u))
+    return Polytope(duals)
 
 
 def f_to_h(f_vector, n: int) -> tuple:
@@ -260,3 +279,78 @@ def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
                 for c, x in enumerate(row, src_off):
                     rows[r][c] = rows[r][c] + x
     return rows
+
+
+def subfan(fan: Fan, ids: set) -> Fan:
+    """The fan of a face-closed set of cones of ``fan``, reusing ids."""
+    for cid in ids:
+        if not fan.faces[cid] <= ids:
+            raise FanError("subfan is not face-closed")
+    cones = {cid: fan.cones[cid] for cid in ids}
+    faces = {cid: fan.faces[cid] & ids for cid in ids}
+    rays = {r: fan.rays[r] for c in cones.values() for r in c.ray_ids}
+    return Fan(fan.ambient_dim, rays, cones, faces)
+
+
+def cone_fan(fan: Fan, cone_id: int) -> Fan:
+    """The fan of all faces of a cone, reusing ids."""
+    return subfan(fan, set(fan.faces[cone_id]) | {cone_id})
+
+
+def boundary_fan(fan: Fan, cone_id: int) -> Fan:
+    """The fan of proper faces of a cone, reusing ids."""
+    return subfan(fan, set(fan.faces[cone_id]))
+
+
+def value_on_ray(function, ray_id: int):
+    """The value of a conewise-linear function on one ray of its fan,
+    read on a maximal cone through the ray."""
+    fan = function.fan
+    cid = next(c for c in fan.maximal_ids if ray_id in fan.cones[c].ray_ids)
+    return sum((a * b for a, b in zip(function.covectors[cid], fan.rays[ray_id])), Fraction(0))
+
+
+def from_simplicial_cones(ambient_dim: int, rays, maximal_cones) -> Fan:
+    """Explicit fan from simplicial maximal cones given as ray-index sets.
+
+    Faces of a simplicial cone are exactly the subsets of its rays, so the
+    face structure is generated combinatorially.  Each maximal cone's rays
+    must be linearly independent; used for non-polytopal fixtures.
+    """
+    rays = {i: tuple(v) for i, v in enumerate(rays)}
+    subsets: dict = {frozenset(): 0}
+    for cone_rays in maximal_cones:
+        rs = tuple(sorted(cone_rays))
+        if rank([rays[r] for r in rs]) != len(rs):
+            raise FanError(f"cone {rs} is not simplicial (dependent rays)")
+        for bits in range(1 << len(rs)):
+            sub = frozenset(rs[i] for i in range(len(rs)) if bits >> i & 1)
+            if sub not in subsets:
+                subsets[sub] = len(subsets)
+    cones = {}
+    faces = {}
+    for sub, cid in subsets.items():
+        cones[cid] = Cone(cid, tuple(sorted(sub)), len(sub))
+        faces[cid] = frozenset(subsets[other] for other in subsets if other < sub)
+    return Fan(ambient_dim, rays, cones, faces)
+
+
+@lru_cache(maxsize=None)
+def simplicial_cs_fans(count: int = 20) -> tuple:
+    """Seeded random CS polytopes whose face fans are simplicial, with the
+    fans attached; dimensions cycle through 2..4."""
+    out = []
+    seed = 1000
+    while len(out) < count:
+        n = 2 + (len(out) % 3)
+        pairs = n + 1 + (len(out) // 3) % 2
+        try:
+            p = random_cs(n, pairs, seed)
+        except PolytopeError:
+            seed += 1
+            continue
+        fan = face_fan(p)
+        if fan.is_simplicial():
+            out.append((f"simplicial-cs-{n}d-seed{seed}", p, fan))
+        seed += 1
+    return tuple(out)

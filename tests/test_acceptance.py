@@ -10,13 +10,13 @@ from fractions import Fraction
 
 from polyfan import linalg
 from polyfan.checks import ih_checks
-from polyfan.corpus import cs_corpus, simplicial_cs_fans
+from polyfan.corpus import cs_corpus
 from polyfan.fans import face_fan
 from polyfan.hvector import check_cs_bounds, h_polynomial, h_simplicial
 from polyfan.polynomials import binomial_poly, coeff, substitute_t_squared
 from polyfan.polytopes import cross_polytope, cube, linear_image
 
-from oracles import f_to_h
+from oracles import f_to_h, simplicial_cs_fans
 
 
 def _announce(number, text, t0):

@@ -14,6 +14,8 @@ from polyfan.polytopes import cross_polytope, cube, simplex
 from polyfan.reports import bounds_report, ih_report
 from polyfan.scalars import Field
 
+import oracles
+
 COUNTED = (
     (ihsheaf, "build_mes"),
     (ihsheaf, "ih_poincare"),
@@ -112,7 +114,7 @@ def test_minus_basis_is_shared_and_cached_per_degree(oracle_inputs):
             assert mes.minus_basis(q).basis is basis
             _, cbar = mes.reflection(q)
             k = len(cbar)
-            expected = linalg.kernel_basis(_shift(_dense(cbar, k), 1))
+            expected = oracles.kernel_basis(_shift(_dense(cbar, k), 1), k)
             densified = tuple(tuple(v.get(i, 0) for i in range(k)) for v in basis)
             assert densified == expected, (name, q)
             assert len(basis) == coeff(u_minus, q), (name, q)
@@ -129,15 +131,15 @@ def test_reflection_and_lefschetz_ranks_match_the_dense_oracle(oracle_inputs):
             for matrix, ref in ((c, v_ref), (cbar, u_ref)):
                 dense = _dense(matrix, len(matrix))
                 for s, dims in ((-1, ref.plus), (1, ref.minus)):
-                    kernel = len(matrix) - linalg.rank(_shift(dense, s))
+                    kernel = len(matrix) - oracles.rank(_shift(dense, s))
                     assert kernel == coeff(dims, q), (name, q, s)
         for q, matrix in a.lefschetz_maps.items():
             dense = _dense(matrix, len(mes.global_data(q + 2)["complement"]))
-            assert linalg.rank(dense) == a.rank_table[q][2], (name, q)
+            assert oracles.rank(dense) == a.rank_table[q][2], (name, q)
             _, cbar = mes.reflection(q)
-            minus = linalg.kernel_basis(_shift(_dense(cbar, len(cbar)), 1))
+            minus = oracles.kernel_basis(_shift(_dense(cbar, len(cbar)), 1), len(cbar))
             images = [linalg.mat_vec(dense, v) for v in minus]
-            rank = linalg.rank(linalg.mat(images)) if images else 0
+            rank = oracles.rank(images)
             assert rank == a.minus_table[q][2], (name, q)
 
 

@@ -1,12 +1,18 @@
 import json
+import time
+from importlib import resources
 
 import jsonschema
 import pytest
 
-from polyfan.cli import main, polytope_from_json, polytope_to_json
+from polyfan.cli import MAX_GENERATED_COORDINATES, main, polytope_from_json, polytope_to_json
 from polyfan.polytopes import cross_polytope
-from polyfan.reports import load_report_schema
 from polyfan.scalars import Field
+
+
+def load_report_schema() -> dict:
+    with resources.files("polyfan").joinpath("report.schema.json").open() as fh:
+        return json.load(fh)
 
 
 def run(capsys, *argv):
@@ -57,6 +63,29 @@ class TestGenerate:
         doc = json.loads(out)
         assert doc["field"] == {"quadratic": 2}
         assert doc["vertices"][0][0] in (["1", "0"], ["-1", "0"])
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (("cube", "40"), 40 << 40),
+            (("random-cs", "3", "--pairs", "100000000"), 600_000_000),
+            (("product", "cube:40", "cross:2"), (4 << 40) * 42),
+            (("free-sum", "cross:100001", "cube:1"), None),
+        ],
+    )
+    def test_oversized_output_exits_two_fast(self, capsys, argv, size):
+        """The output size, vertices times dimension, is checked before
+        any vertex is built."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "generate", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"limit of {MAX_GENERATED_COORDINATES}" in err
+        if size is not None:
+            assert f" {size} coordinates" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_kind(self, capsys):
         code, _, err = run(capsys, "generate", "dodecahedron", "3")

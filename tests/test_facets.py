@@ -10,11 +10,14 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.polytopes import (
+    PolytopeError,
     _facets,
+    _first_simplex,
     cross_polytope,
     cube,
     free_sum,
@@ -23,7 +26,7 @@ from polyfan.polytopes import (
 )
 from polyfan.scalars import Quadratic, is_rational, sign, to_fraction
 
-from oracles import _rank, brute_force_facets
+from oracles import brute_force_facets, rank
 
 RADICANDS = (None, 2, 3)  # None: rational coordinates
 
@@ -67,7 +70,7 @@ def point_clouds(draw):
         picks = draw(st.lists(st.sampled_from(base), min_size=size, max_size=size))
         points.append(tuple(sum(col, Fraction(0)) / size for col in zip(*picks)))
     points = list(dict.fromkeys(points))
-    assume(_rank([(Fraction(1),) + p for p in points]) == n + 1)
+    assume(rank([(Fraction(1),) + p for p in points]) == n + 1)
     matrix = draw(unitriangular(n, d))
     return n, [_apply(matrix, p) for p in points]
 
@@ -130,6 +133,49 @@ def test_facets_match_subset_scan(cloud):
 def test_hull_vertices_match_subset_scan(cloud):
     _, points = cloud
     assert set(hull_vertices(points)) == _oracle_vertices(points)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of width 1 to 4 as _facets builds them: integer tuples, or
+    Q(sqrt 2) tuples, with sums and multiples of earlier rows and zero
+    rows mixed in."""
+    width = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.builds(Quadratic, st.integers(-2, 2), st.integers(-2, 2), st.just(2))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("new", "new", "sum", "multiple", "zero")))
+        if kind == "new" or not rows:
+            rows.append(tuple(draw(entry) for _ in range(width)))
+        elif kind == "sum":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(x + y for x, y in zip(a, b)))
+        elif kind == "multiple":
+            c = draw(entry.filter(lambda x: x != 0))
+            rows.append(tuple(c * x for x in draw(st.sampled_from(rows))))
+        else:
+            rows.append((0,) * width)
+    return width, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists())
+def test_first_simplex_is_the_greedy_choice(system):
+    """The first simplex keeps a row exactly when it raises the oracle's
+    rank of the rows kept before it, until ``width`` rows are kept."""
+    width, rows = system
+    kept = []
+    for i, row in enumerate(rows):
+        if len(kept) < width and rank([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    if len(kept) < width:
+        with pytest.raises(PolytopeError, match="not full-dimensional"):
+            _first_simplex(rows, width)
+    else:
+        assert list(_first_simplex(rows, width)) == kept
 
 
 SMALL = (

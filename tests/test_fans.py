@@ -3,17 +3,18 @@ from fractions import Fraction
 import pytest
 
 from polyfan import linalg
-from polyfan.corpus import nonrational_cs_polytope
+from polyfan.corpus import nonrational_cs_polytope, sheaf_corpus
 from polyfan.fans import (
     Cone,
     ConewiseLinear,
     Fan,
     FanError,
     face_fan,
-    scale_polytope,
     support_function,
 )
-from polyfan.polytopes import cross_polytope, cube, simplex
+from polyfan.polytopes import Polytope, cross_polytope, cube, simplex
+
+from oracles import boundary_fan, cone_fan, from_simplicial_cones, rref, subfan, value_on_ray
 
 
 def F(x):
@@ -58,12 +59,12 @@ class TestCompleteness:
     def test_single_cone_fan_incomplete(self):
         fan = face_fan(cube(2))
         sigma = cone_of_dim(fan, 2)
-        assert not fan.cone_fan(sigma).is_complete()
+        assert not cone_fan(fan, sigma).is_complete()
 
     def test_removing_a_maximal_cone_breaks_completeness(self):
         fan = face_fan(cube(2))
         keep = set(fan.cone_ids()) - {fan.maximal_ids[0]}
-        sub = fan._subfan(keep)
+        sub = subfan(fan, keep)
         assert not sub.is_complete()
 
 
@@ -71,28 +72,46 @@ class TestSubfans:
     def test_boundary_of_two_dim_cone(self):
         fan = face_fan(cube(2))
         sigma = cone_of_dim(fan, 2)
-        boundary = fan.boundary_fan(sigma)
+        boundary = boundary_fan(fan, sigma)
         assert len(boundary.cones_of_dim(1)) == 2
         assert len(boundary.cones_of_dim(0)) == 1
 
     def test_cone_fan_of_ray(self):
         fan = face_fan(cube(2))
         ray = cone_of_dim(fan, 1)
-        sub = fan.cone_fan(ray)
+        sub = cone_fan(fan, ray)
         assert sorted(c.dim for c in sub.cones.values()) == [0, 1]
 
     def test_boundary_of_cube_cone(self):
         fan = face_fan(cube(3))
         sigma = cone_of_dim(fan, 3)  # cone over a square facet
-        boundary = fan.boundary_fan(sigma)
+        boundary = boundary_fan(fan, sigma)
         assert len(boundary.cones_of_dim(1)) == 4
         assert len(boundary.cones_of_dim(2)) == 4
 
     def test_ids_reused(self):
         fan = face_fan(cube(3))
         sigma = cone_of_dim(fan, 3)
-        boundary = fan.boundary_fan(sigma)
+        boundary = boundary_fan(fan, sigma)
         assert set(boundary.cones) == set(fan.faces[sigma])
+
+
+def test_cone_basis_equals_the_dense_oracle(quadratic_image):
+    """Every cone basis of the sheaf corpus and of the Q(sqrt 2) and
+    Q(sqrt 3) shear images of its rational members is the reduced row
+    echelon form of the cone's rays by the dense Gauss-Jordan oracle,
+    entry by entry as values."""
+    polytopes = [(name, p) for name, p in sheaf_corpus()]
+    for d in (2, 3):
+        polytopes += [
+            (f"sqrt{d}-{name}", quadratic_image(p, d))
+            for name, p in sheaf_corpus()
+            if name != "nonrational-bipyramid"
+        ]
+    for name, p in polytopes:
+        fan = face_fan(p)
+        for cid in fan.cone_ids():
+            assert fan.cone_basis(cid) == rref(fan.rays_of(cid)), (name, cid)
 
 
 class TestQuotientFan:
@@ -172,7 +191,7 @@ class TestSupportFunction:
         fan = face_fan(p)
         s = support_function(p, fan)
         for rid in fan.rays:
-            assert s.value_on_ray(rid) == F(-1)
+            assert value_on_ray(s, rid) == F(-1)
 
     def test_cross2_edge_functional(self):
         p = cross_polytope(2)
@@ -188,7 +207,7 @@ class TestSupportFunction:
         p = cube(3)
         fan = face_fan(p)
         s = support_function(p, fan)
-        doubled = scale_polytope(p, F(2))
+        doubled = Polytope(tuple(linalg.vec_scale(F(2), v) for v in p.vertices))
         s2 = support_function(doubled, face_fan(doubled))
         for cid, u in s.covectors.items():
             assert s2.covectors[cid] == linalg.vec_scale(Fraction(1, 2), u)
@@ -209,7 +228,7 @@ class TestSupportFunction:
                 for r in fan.rays
             }
             for r in fan.rays:
-                assert s.value_on_ray(r) == s.value_on_ray(ray_anti[r])
+                assert value_on_ray(s, r) == value_on_ray(s, ray_anti[r])
 
     def test_disagreeing_pieces_rejected(self):
         fan = face_fan(cross_polytope(2))
@@ -221,7 +240,6 @@ class TestSupportFunction:
 
 class TestExplicitFans:
     def test_hand_built_cross2_fan(self):
-        from polyfan.fans import from_simplicial_cones
         from polyfan.hvector import h_polynomial
 
         rays = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))]
@@ -232,7 +250,6 @@ class TestExplicitFans:
 
     def test_non_polytopal_style_input(self):
         # An asymmetric complete simplicial fan given purely by cone lists.
-        from polyfan.fans import from_simplicial_cones
         from polyfan.hvector import h_polynomial, h_simplicial
 
         rays = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1)), (F(-1), F(-1)), (F(1), F(-1))]
@@ -243,8 +260,6 @@ class TestExplicitFans:
         assert h_polynomial(fan) == h_simplicial(fan) == (1, 3, 1)
 
     def test_dependent_rays_rejected(self):
-        from polyfan.fans import from_simplicial_cones
-
         rays = [(F(1), F(0)), (F(2), F(0))]
         with pytest.raises(FanError, match="simplicial"):
             from_simplicial_cones(2, rays, [(0, 1)])

@@ -11,7 +11,6 @@ from polyfan.corpus import (
     nonrational_cs_polytope,
     nonsimplicial_cs_3polytope,
     random_cs_family,
-    simplicial_cs_fans,
 )
 from polyfan.fans import FanError, face_fan
 from polyfan.hvector import (
@@ -32,7 +31,7 @@ from polyfan.polytopes import (
     simplex,
 )
 
-from oracles import f_to_h, g_by_quotient_fans, h_by_quotient_fans
+from oracles import cone_fan, f_to_h, g_by_quotient_fans, h_by_quotient_fans, simplicial_cs_fans
 
 
 def cone_of_dim(fan, d):
@@ -79,7 +78,7 @@ class TestHPolynomial:
 
     def test_incomplete_fan_rejected(self):
         fan = face_fan(cube(2))
-        sub = fan.cone_fan(cone_of_dim(fan, 2))
+        sub = cone_fan(fan, cone_of_dim(fan, 2))
         with pytest.raises(FanError, match="complete"):
             h_polynomial(sub)
 

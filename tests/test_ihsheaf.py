@@ -1,13 +1,16 @@
 import ast
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import polyfan
 from polyfan import linalg
 from polyfan.analysis import Analysis
 from polyfan.checks import ih_checks
-from polyfan.fans import face_fan, from_simplicial_cones
+from polyfan.fans import face_fan
 from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
@@ -30,7 +33,7 @@ from polyfan.polytopes import cube, random_cs, simplex
 from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field
 
-from oracles import restriction_matrix as dense_restriction_matrix
+from oracles import from_simplicial_cones, restriction_matrix as dense_restriction_matrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyfan"
 
@@ -636,3 +639,47 @@ def test_no_unused_imports():
             ):
                 used.update(c.value for c in node.value.elts)
         assert imported <= used, (source.name, sorted(imported - used))
+
+
+# Top-level functions that nothing in the package calls but that stay,
+# with the reason.
+UNCALLED_ALLOWED = {
+    # The sheaf's own verifiers: tests and demo 03 check a built sheaf
+    # against the definition with them; no report needs them.
+    "check_minimal_extension_axioms": "verifier of the sheaf, for tests and demos",
+    "check_local_global_dims": "verifier of the sheaf, for tests and demos",
+}
+
+
+def _references(node) -> Counter:
+    """How often each name is read under an AST node, as a name or as an
+    attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_function_is_referenced_in_the_package():
+    """Every top-level function of the package is referenced in the
+    package outside its own definition.  Exempt are the entry points
+    that pyproject.toml names, the package's ``__all__``, every name
+    that the benchmark in perfbench/ uses (read now, so the exemption
+    shrinks with the benchmark), and UNCALLED_ALLOWED."""
+    root = PACKAGE.parent.parent
+    trees = {source.name: ast.parse(source.read_text()) for source in sorted(PACKAGE.glob("*.py"))}
+    references = sum((_references(tree) for tree in trees.values()), Counter())
+    entry_points = set(re.findall(r':(\w+)"', (root / "pyproject.toml").read_text()))
+    benchmark = "\n".join(p.read_text() for p in sorted((root / "perfbench").glob("*.py")))
+    exempt = entry_points | set(polyfan.__all__) | set(UNCALLED_ALLOWED)
+    uncalled = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and references[node.name] == _references(node)[node.name]
+        and node.name not in exempt
+        and not re.search(rf"\b{node.name}\b", benchmark)
+    ]
+    assert uncalled == []

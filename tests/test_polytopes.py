@@ -9,7 +9,6 @@ from polyfan.polytopes import (
     PolytopeError,
     cross_polytope,
     cube,
-    dual_polytope,
     ensure_origin_interior,
     free_sum,
     hull_vertices,
@@ -19,7 +18,7 @@ from polyfan.polytopes import (
     simplex,
 )
 
-from oracles import brute_force_faces, brute_force_facets, rank_vertex_criterion
+from oracles import brute_force_faces, brute_force_facets, dual_polytope, rank_vertex_criterion
 
 
 def F(x):
@@ -206,6 +205,14 @@ class TestGenerators:
         for seed in range(6):
             p = random_cs(2, 4, seed=seed)
             assert p.is_centrally_symmetric()
+
+    def test_linear_image_needs_a_square_matrix(self):
+        # Rank 2 on the plane, but its image is a flat polygon in 3-space.
+        flat = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
+        with pytest.raises(PolytopeError, match="invertible matrix"):
+            linear_image(cube(2), flat)
+        with pytest.raises(PolytopeError, match="invertible matrix"):
+            linear_image(cube(2), ((F(1), F(0), F(0)), (F(0), F(1), F(0))))
 
     def test_hull_vertices_drops_interior_points(self):
         pts = list(cube(2).vertices) + [(F(0), F(0)), (F(1), F(0))]
