@@ -2,9 +2,10 @@
 
 Every report renders an :class:`Analysis`.  Each invariant is computed
 on first use and then kept, so the face fan, the h-polynomial, the
-sheaf, the reflection matrices and the Lefschetz maps are built once per
-analysis however many checks read them.  The matrices are sparse columns
-(see :mod:`polyfan.ihsheaf`); the tables hold their ranks.  Nothing here
+sheaf, the halves of its global sections by the reflection's eigenvalue
+and the Lefschetz maps on them are built once per analysis however many
+checks read them.  The maps are sparse columns per half (see
+:mod:`polyfan.ihsheaf`); the tables hold their ranks.  Nothing here
 decides a check: :mod:`polyfan.checks` compares the values computed here,
 and :mod:`polyfan.reports` renders them.
 """
@@ -72,7 +73,7 @@ class Analysis:
 
     @cached_property
     def refined(self):
-        """(u_refined, v_refined): the reflection's eigenspace split."""
+        """(u_refined, v_refined): the dimensions of the halves."""
         return ihsheaf.refined_series(self.sheaf)
 
     @cached_property

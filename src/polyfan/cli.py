@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 from . import reports
@@ -40,6 +41,9 @@ GENERATORS = {"simplex": simplex, "cube": cube, "cross": cross_polytope}
 VERTEX_COUNTS = {"simplex": lambda n: n + 1, "cube": lambda n: 1 << n, "cross": lambda n: 2 * n}
 # The most coordinates (vertices times dimension) `generate` writes.
 MAX_GENERATED_COORDINATES = 100_000
+# The most facets `generate random-cs` may have to enumerate, by the
+# upper bound theorem: 6 dimensions with 40 pairs (76,000) pass.
+MAX_GENERATED_FACETS = 100_000
 
 
 def polytope_to_json(p: Polytope, field: Field, name: str | None) -> dict:
@@ -174,6 +178,20 @@ def _check_size(vertices: int, dim: int) -> None:
         )
 
 
+def _check_facets(points: int, dim: int) -> None:
+    """Refuse a hull of ``points`` points in dimension ``dim`` whose facet
+    count may be above the limit: by the upper bound theorem (McMullen
+    1970) the cyclic polytope has the most facets, v/(v-m) C(v-m, m) for
+    dim = 2m and 2 C(v-m-1, m) for dim = 2m + 1."""
+    m = dim // 2
+    bound = 2 * comb(points - m - 1, m) if dim % 2 else points * comb(points - m, m) // (points - m)
+    if bound > MAX_GENERATED_FACETS:
+        raise InputError(
+            f"the hull of {points} points in dimension {dim} may have up to {bound} "
+            f"facets, above the limit of {MAX_GENERATED_FACETS}"
+        )
+
+
 def cmd_generate(args) -> int:
     kind = args.kind
     try:
@@ -190,6 +208,8 @@ def cmd_generate(args) -> int:
             n = int(args.params[0])
             pairs = args.pairs if args.pairs is not None else n + 2
             _check_size(2 * max(pairs, 0), n)
+            if 1 <= n <= pairs:
+                _check_facets(2 * pairs, n)
             p = random_cs(n, pairs, args.seed)
             name = f"random-cs-{n}d-p{pairs}-s{args.seed}"
         elif kind in ("product", "free-sum"):

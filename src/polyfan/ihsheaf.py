@@ -6,26 +6,35 @@ their quotient modulo the degree-two maximal ideal picks the generator
 degrees of the next free module, and chosen homogeneous lifts define the
 new restriction maps.  On centrally symmetric fans one cone per
 antipodal pair is constructed and the other is transported through the
-point reflection, so the reflection acts on everything in sight.
+point reflection.
+
+The global sections are split by parity.  The reflection sends the
+block of a maximal cone sigma to the block of -sigma in the same
+coordinates, with sign (-1)^m on coefficients of ordinary degree m, so
+E = E+ (+) E- for its +1 and -1 eigenspaces.  A section in the half
+E^eps is fixed by its blocks on the representatives, one maximal cone
+per antipodal pair: the block of -sigma is eps times the reflected block
+of sigma.  So :meth:`MinimalExtensionSheaf.section_space` folds every
+wall equation onto the representatives' columns, and E^eps is a kernel
+with half the columns; no kernel over all maximal cones and no matrix of
+the reflection is built.  The coordinate functions are odd, so
+(E/mE)^eps = E^eps / m E^-eps, the quotient of one half by the products
+of the other, and the support function is even, so its Lefschetz maps
+send each half to itself.  A fan that is not centrally symmetric takes
+the same path with no fold and a single half.
 
 All objects are truncated at an even degree cap; linear forms sit in
-degree 2, so degree q holds polynomials of ordinary degree q/2.
-Every matrix is sparse rows or columns of :mod:`polyfan.linalg` (dicts
-holding the nonzero entries only): sections, restriction maps, the one
+degree 2, so degree q holds polynomials of ordinary degree q/2.  Every
+matrix is sparse rows or columns of :mod:`polyfan.linalg`, reduced by
+its sparse elimination, and section spaces are :class:`linalg.Kernel`
+objects on primitive integer rows (pairs over Q(sqrt d)).  The one
 quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
-for boundary fans and global sections), the reflection and the
-Lefschetz maps, all reduced by the sparse elimination.  Section spaces
-and eigenspaces are :class:`linalg.Kernel` objects.  :mod:`polyfan.linalg`
-stores their rows as primitive integer rows over Q and primitive integer
-pair rows over Q(sqrt d), and builds a basis vector only when it is
-read.  The quotient's products of sections with linear forms are formed
-by :func:`linalg.products_rref` on those integral vectors: each section
-scaled by its own constant, and each form by one constant for all cones,
-so it stays one conewise form; only the span of the products enters the
-quotient.  The reflection and the Lefschetz maps need true coordinates
-and are formed on scalars.  Every basis extraction and every product is
-verified exactly by the membership test of :func:`linalg.kernel_coords`;
-a failure raises instead of silently producing wrong dimensions.
+for boundary fans and the halves of the global sections) forms its
+products of sections with linear forms by :func:`linalg.products_rref`
+on integral vectors; the Lefschetz maps are formed on scalars.  Every
+basis extraction and every product is verified exactly by the
+membership test of :func:`linalg.kernel_coords`, so a product outside
+its half raises instead of silently producing wrong dimensions.
 
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
@@ -128,7 +137,15 @@ class MinimalExtensionSheaf:
         self.fan = fan
         self.cap = cap
         self.modules: dict = {}
-        self.antipode: dict | None = None
+        # On a centrally symmetric fan: the cone involution, the halves of
+        # the global sections by the reflection's eigenvalue, and one
+        # maximal cone per antipodal pair for their columns.  Otherwise
+        # one half, None, over every maximal cone.
+        self.antipode = fan.antipode_map() if fan.is_centrally_symmetric() else None
+        self.parities = (None,) if self.antipode is None else (1, -1)
+        self.representatives = tuple(
+            c for c in fan.maximal_ids if self.antipode is None or c <= self.antipode[c]
+        )
         self._layout: dict = {}
         self._restr: dict = {}
         self._sections: dict = {}
@@ -136,8 +153,6 @@ class MinimalExtensionSheaf:
         self._substitutions: dict = {}
         self._quotients: dict = {}
         self._global: dict = {}
-        self._reflection: dict = {}
-        self._minus_basis: dict = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -164,6 +179,13 @@ class MinimalExtensionSheaf:
 
     def module_dim(self, cone_id: int, q: int) -> int:
         return self.gen_blocks(cone_id, q)[1]
+
+    def odd_coordinates(self, cone_id: int, q: int) -> tuple:
+        """Per coordinate of E_cone^q, whether its ordinary polynomial
+        degree is odd: the point reflection to the antipodal cone, in the
+        same coordinates, negates exactly those."""
+        blocks = self.gen_blocks(cone_id, q)[0]
+        return tuple((q - d) // 2 % 2 == 1 for _, d, _, count in blocks for _ in range(count))
 
     def span_substitution_forms(self, src_id: int, tgt_id: int) -> tuple:
         """Per source variable, the linear form it restricts to in the
@@ -243,7 +265,9 @@ class MinimalExtensionSheaf:
             total += self.module_dim(cid, q)
         return tuple(offsets), total
 
-    def section_space(self, max_ids: tuple, q: int, wall_mode: bool = False) -> linalg.Kernel:
+    def section_space(
+        self, max_ids: tuple, q: int, wall_mode: bool = False, parity: int | None = None
+    ) -> linalg.Kernel:
         """The :class:`linalg.Kernel` of the wall equations: the basis of
         compatible tuples over the given maximal cones, as sparse
         vectors, with the rows that verify membership in it.
@@ -253,21 +277,36 @@ class MinimalExtensionSheaf:
         fans, where every wall separates exactly two maximal cones and
         the wall-crossing graph of any star is connected.  Otherwise all
         pairwise contacts are imposed.
+
+        A ``parity`` eps of 1 or -1 (wall mode, ``max_ids`` the
+        ``representatives``) gives the half E^eps of the global sections:
+        the block of -sigma is eps times the reflected block of sigma, so
+        each wall row of the fan is folded onto the representatives'
+        columns, and of each antipodal pair of walls one is kept.
         """
-        key = (max_ids, q, wall_mode)
+        key = (max_ids, q, wall_mode, parity)
         cached = self._sections.get(key)
         if cached is not None:
             return cached
         fan = self.fan
         offsets, total = self.section_layout(max_ids, q)
-        offset_of = dict(zip(max_ids, offsets))
+        # Per cone: its column offset and, for a folded antipode, which
+        # of its coordinates change sign.
+        place = {cid: (off, None) for cid, off in zip(max_ids, offsets)}
+        cones = max_ids
+        if parity is not None:
+            cones = fan.maximal_ids
+            for cid, off in zip(max_ids, offsets):
+                flip = tuple(odd != (parity < 0) for odd in self.odd_coordinates(cid, q))
+                place[self.antipode[cid]] = (off, flip)
         pairs = []
         if wall_mode:
-            if len({fan.cones[cid].dim for cid in max_ids}) > 1:
+            if len({fan.cones[cid].dim for cid in cones}) > 1:
                 raise SheafError("wall mode needs equidimensional cones")
-            for f, incident in sorted(fan.walls(max_ids).items()):
+            for f, incident in sorted(fan.walls(cones).items()):
                 if len(incident) == 2:
-                    pairs.append((incident[0], incident[1], f))
+                    if parity is None or f <= self.antipode[f]:
+                        pairs.append((incident[0], incident[1], f))
                 elif len(incident) > 2:
                     raise SheafError("wall shared by more than two cones")
         else:
@@ -276,19 +315,24 @@ class MinimalExtensionSheaf:
                     pairs.append((a, b, fan.common_face(a, b)))
         rows = []
         for a, b, f in pairs:
-            oa, ob = offset_of[a], offset_of[b]
+            (oa, flip_a), (ob, flip_b) = place[a], place[b]
             for row_a, row_b in zip(
                 self.restriction_matrix(a, f, q), self.restriction_matrix(b, f, q)
             ):
-                row = {oa + c: v for c, v in row_a.items()}
-                row.update((ob + c, -v) for c, v in row_b.items())
+                row = {oa + c: -v if flip_a and flip_a[c] else v for c, v in row_a.items()}
+                for c, v in row_b.items():
+                    if not (flip_b and flip_b[c]):
+                        v = -v
+                    c += ob
+                    # Columns meet only across a wall that is its own antipode.
+                    row[c] = row[c] + v if c in row else v
                 rows.append(row)
         cached = self._sections[key] = linalg.sparse_kernel(rows, total)
         return cached
 
     # -- quotients modulo the maximal ideal -----------------------------------
 
-    def quotient(self, max_ids: tuple, q: int, forms: tuple) -> dict:
+    def quotient(self, max_ids: tuple, q: int, forms: tuple, parity: int | None = None) -> dict:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, one covector per
         cone of ``max_ids`` in its coordinates): the
@@ -297,15 +341,17 @@ class MinimalExtensionSheaf:
         forms reduced to ``m_rows`` (pivot basis index -> reduced row of
         basis coordinates), and ``complement`` (basis index -> quotient
         coordinate, ascending) for the basis vectors that represent the
-        quotient.  Built once."""
-        key = (max_ids, q, forms)
+        quotient.  With a ``parity`` the sections are that half and the
+        products are taken from the other half, for odd forms.  Built
+        once."""
+        key = (max_ids, q, forms, parity)
         cached = self._quotients.get(key)
         if cached is None:
-            sections = self.section_space(max_ids, q, wall_mode=True)
+            sections = self.section_space(max_ids, q, True, parity)
             rows, pivots = (), ()
             if q >= 2:
                 reduced = linalg.products_rref(
-                    self.section_space(max_ids, q - 2, wall_mode=True),
+                    self.section_space(max_ids, q - 2, True, None if parity is None else -parity),
                     sections,
                     self._product_table(max_ids, q - 2),
                     [tuple(f for covector in form for f in covector) for form in forms],
@@ -324,18 +370,19 @@ class MinimalExtensionSheaf:
         return cached
 
     def global_data(self, q: int) -> dict:
-        """The :meth:`quotient` of the global sections at degree q by the
-        ambient maximal ideal, generated by the coordinate functions."""
+        """Per parity, the :meth:`quotient` of that half of the global
+        sections at degree q, over the representatives, by the ambient
+        maximal ideal, whose coordinate functions are odd."""
         # Keyed by q alone: hashing the forms of the quotient key (about
         # 0.1 ms on cube(4)) on every reduction would cost more than it.
         cached = self._global.get(q)
         if cached is None:
-            max_ids = self.fan.maximal_ids
+            reps = self.representatives
             forms = tuple(
-                tuple(self.ambient_forms(cid)[j] for cid in max_ids)
+                tuple(self.ambient_forms(cid)[j] for cid in reps)
                 for j in range(self.fan.ambient_dim)
             )
-            cached = self._global[q] = self.quotient(max_ids, q, forms)
+            cached = self._global[q] = {p: self.quotient(reps, q, forms, p) for p in self.parities}
         return cached
 
     def _product_table(self, max_ids: tuple, q: int, support=None) -> dict:
@@ -380,10 +427,11 @@ class MinimalExtensionSheaf:
                     out[t] = out.get(t, _ZERO) + f * v
         return {t: v for t, v in out.items() if v}
 
-    def reduce_mod_m(self, q: int, coords: dict) -> dict:
-        """Reduce sparse global-section coordinates at degree q modulo m*E;
-        returns the sparse quotient coordinates of the class."""
-        data = self.global_data(q)
+    def reduce_mod_m(self, q: int, coords: dict, parity: int | None = None) -> dict:
+        """Reduce sparse coordinates in the half of the given parity of
+        the global sections at degree q modulo m*E; returns the sparse
+        quotient coordinates of the class."""
+        data = self.global_data(q)[parity]
         m_rows = data["m_rows"]
         res = dict(coords)
         # The rows are fully reduced, so each pivot of the input is
@@ -400,28 +448,6 @@ class MinimalExtensionSheaf:
             raise SheafError("reduction modulo m failed to clear pivots")
         complement = data["complement"]
         return {complement[i]: x for i, x in res.items()}
-
-    def reflection(self, q: int):
-        """Matrices of the point reflection at degree q, as sparse columns,
-        on the section basis and descended to the quotient modulo m;
-        built once per degree."""
-        cached = self._reflection.get(q)
-        if cached is None:
-            c = _involution_on_basis(self, q)
-            cbar = tuple(self.reduce_mod_m(q, c[i]) for i in self.global_data(q)["complement"])
-            cached = self._reflection[q] = (c, cbar)
-        return cached
-
-    def minus_basis(self, q: int) -> linalg.Kernel:
-        """The -1 eigenspace of the reflection on the quotient at degree
-        q: the :class:`linalg.Kernel` of cbar + I.  Built once per degree
-        for the refined series and the minus table."""
-        cached = self._minus_basis.get(q)
-        if cached is None:
-            _, cbar = self.reflection(q)
-            rows = _transpose(_shifted(cbar, 1), len(cbar))
-            cached = self._minus_basis[q] = linalg.sparse_kernel(rows, len(cbar))
-        return cached
 
 
 def to_basis_coords(kernel: linalg.Kernel, vec: dict) -> dict:
@@ -459,8 +485,6 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
             f"degree cap {cap} cannot certify a fan of dimension {fan.dim}"
         )
     mes = MinimalExtensionSheaf(fan, cap)
-    if fan.is_centrally_symmetric():
-        mes.antipode = fan.antipode_map()
     order = sorted(
         fan.cone_ids(), key=lambda cid: (fan.cones[cid].dim, cid)
     )
@@ -531,19 +555,9 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
     images: dict = {}
     for tau, vecs in rep.images.items():
         twisted = []
-        for gi, vec in enumerate(vecs):
-            d = rep.gen_degrees[gi]
-            odd = [
-                (off, off + cnt)
-                for _, d_j, off, cnt in mes.gen_blocks(tau, d)[0]
-                if ((d - d_j) // 2) % 2 == 1
-            ]
-            twisted.append(
-                {
-                    c: -v if any(lo <= c < hi for lo, hi in odd) else v
-                    for c, v in vec.items()
-                }
-            )
+        for d, vec in zip(rep.gen_degrees, vecs):
+            odd = mes.odd_coordinates(tau, d)
+            twisted.append({c: -v if odd[c] else v for c, v in vec.items()})
         images[anti[tau]] = tuple(twisted)
     return ConeModule(new_id, rep.gen_degrees, images)
 
@@ -552,25 +566,31 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
 # Graded dimensions and Poincare series
 
 
-def _graded_dims(mes: MinimalExtensionSheaf, size) -> IntPoly:
+def _graded_dims(mes: MinimalExtensionSheaf, parities: tuple = ()) -> tuple:
+    """Per even degree up to the cap, the dimensions of the quotient and
+    of the sections summed over the halves of the given parities (all
+    halves by default), as two polynomials."""
     if not mes.fan.is_complete():
         raise FanError("Poincare series require a complete fan")
-    out = [0] * (mes.cap + 1)
+    u, v = [0] * (mes.cap + 1), [0] * (mes.cap + 1)
     for q in range(0, mes.cap + 1, 2):
-        out[q] = size(mes.global_data(q))
-    return trim(out)
+        halves = mes.global_data(q)
+        for p in parities or halves:
+            u[q] += len(halves[p]["complement"])
+            v[q] += len(halves[p]["sections"].basis)
+    return trim(u), trim(v)
 
 
 def sections_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     """Graded dimensions of the global sections (a polynomial in t,
     truncated at the cap); the module-level Poincare series."""
-    return _graded_dims(mes, lambda data: len(data["sections"].basis))
+    return _graded_dims(mes)[1]
 
 
 def ih_poincare(mes: MinimalExtensionSheaf) -> IntPoly:
     """Graded dimensions of global sections modulo the maximal ideal: the
     Betti numbers of combinatorial intersection cohomology."""
-    return _graded_dims(mes, lambda data: len(data["complement"]))
+    return _graded_dims(mes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,88 +653,39 @@ def check_local_global_dims(mes: MinimalExtensionSheaf, cone_ids) -> bool:
 # The point-reflection action
 
 
-def _phi_permutation(mes: MinimalExtensionSheaf, q: int):
-    """The reflection acting on sparse global sections: a signed
-    permutation sending the block of cone sigma to the block of -sigma
-    with sign (-1)^m on ordinary polynomial degree m."""
+# Wrapped by name in perfbench/tracing.py; only the tests' oracle calls it.
+def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
+    """Matrix of the reflection on the basis of the unfolded kernel of
+    all global sections at degree q, as sparse columns: the block of cone
+    sigma goes to the block of -sigma with sign (-1)^m on ordinary
+    polynomial degree m, and column j holds the coordinates of the image
+    of basis vector j (exact; raises if the reflection fails to preserve
+    the section space)."""
     if mes.antipode is None:
         raise FanError("the fan is not centrally symmetric")
     max_ids = mes.fan.maximal_ids
-    offsets, total = mes.section_layout(max_ids, q)
+    offsets, _ = mes.section_layout(max_ids, q)
     offset_of = dict(zip(max_ids, offsets))
-    target = [0] * total
-    negate = [False] * total
-    for cid in max_ids:
-        partner = mes.antipode[cid]
-        blocks, _ = mes.gen_blocks(cid, q)
-        for gi, d, off, cnt in blocks:
-            odd = ((q - d) // 2) % 2 == 1
-            for c in range(cnt):
-                target[offset_of[cid] + off + c] = offset_of[partner] + off + c
-                negate[offset_of[cid] + off + c] = odd
-    def apply(vec: dict) -> dict:
-        return {target[c]: -v if negate[c] else v for c, v in vec.items()}
-    return apply
-
-
-def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
-    """Matrix of the reflection on the section basis at degree q, as
-    sparse columns: column j holds the coordinates of the image of basis
-    vector j (exact; raises if the reflection fails to preserve the
-    section space).  Callers go through
-    :meth:`MinimalExtensionSheaf.reflection`."""
-    sections = mes.global_data(q)["sections"]
-    apply = _phi_permutation(mes, q)
-    return tuple(to_basis_coords(sections, apply(b)) for b in sections.basis)
-
-
-def _shifted(columns, s: int) -> tuple:
-    """Sparse columns of a square matrix plus s times the identity."""
-    out = tuple(dict(col) for col in columns)
-    for j, col in enumerate(out):
-        x = col.pop(j, _ZERO) + s
-        if x:
-            col[j] = x
-    return out
-
-
-def _transpose(columns, nrows: int) -> list:
-    """Sparse rows of the matrix with the given sparse columns."""
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
-
-
-def _eigen_split(columns, minus: int):
-    """Eigenspace dimensions (+1, -1) of an exact involution, given as
-    sparse columns, whose -1 eigenspace has dimension ``minus``."""
-    dim = len(columns)
-    plus = dim - _rank(_shifted(columns, -1))
-    if plus + minus != dim:
-        raise SheafError("reflection action is not an involution on sections")
-    return plus, minus
+    target, sign = {}, {}
+    for cid, off in zip(max_ids, offsets):
+        partner = offset_of[mes.antipode[cid]]
+        for c, odd in enumerate(mes.odd_coordinates(cid, q)):
+            target[off + c], sign[off + c] = partner + c, -1 if odd else 1
+    sections = mes.section_space(max_ids, q, wall_mode=True)
+    return tuple(
+        to_basis_coords(sections, {target[c]: sign[c] * v for c, v in b.items()})
+        for b in sections.basis
+    )
 
 
 def refined_series(mes: MinimalExtensionSheaf):
     """Refined Poincare series (u_refined, v_refined) of the reflection:
-    plus-eigenspace dims plus chi times minus-eigenspace dims, on the
-    quotient and on the sections respectively."""
-    cap = mes.cap
-    v_plus = [0] * (cap + 1)
-    v_minus = [0] * (cap + 1)
-    u_plus = [0] * (cap + 1)
-    u_minus = [0] * (cap + 1)
-    for q in range(0, cap + 1, 2):
-        c, cbar = mes.reflection(q)
-        v_minus_dim = len(c) - _rank(_shifted(c, 1))
-        v_plus[q], v_minus[q] = _eigen_split(c, v_minus_dim)
-        u_plus[q], u_minus[q] = _eigen_split(cbar, len(mes.minus_basis(q).basis))
-    return (
-        RefinedSeries(trim(u_plus), trim(u_minus)),
-        RefinedSeries(trim(v_plus), trim(v_minus)),
-    )
+    the dimensions of the plus half plus chi times those of the minus
+    half, on the quotient and on the sections respectively."""
+    if mes.antipode is None:
+        raise FanError("the fan is not centrally symmetric")
+    (u_plus, v_plus), (u_minus, v_minus) = _graded_dims(mes, (1,)), _graded_dims(mes, (-1,))
+    return RefinedSeries(u_plus, u_minus), RefinedSeries(v_plus, v_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -723,64 +694,66 @@ def refined_series(mes: MinimalExtensionSheaf):
 
 def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
     """Matrices of multiplication by a strictly concave conewise linear
-    function on the quotient, degree q -> q + 2 for even q < cap, as
-    sparse columns: one per quotient coordinate of degree q."""
+    function on the quotient, degree q -> q + 2 for even q < cap: per
+    degree and per parity of :attr:`MinimalExtensionSheaf.parities`, one
+    sparse column per quotient coordinate of that half at degree q, in
+    the half's quotient coordinates at q + 2.  The function must be even
+    under the reflection, as the support function of a centrally
+    symmetric polytope is, so that it maps each half to itself."""
     if s.fan is not mes.fan:
         raise FanError("support function belongs to a different fan")
-    max_ids = mes.fan.maximal_ids
+    reps = mes.representatives
+    if mes.antipode is not None and any(
+        tuple(-x for x in s.covectors[cid]) != s.covectors[mes.antipode[cid]] for cid in reps
+    ):
+        raise FanError("the function is not even under the point reflection")
     covectors = tuple(
         tuple(linalg.vec_dot(row, s.covectors[cid]) for row in mes.fan.cone_basis(cid)[0])
-        for cid in max_ids
+        for cid in reps
     )
     out = {}
     for q in range(0, mes.cap, 2):
-        data = mes.global_data(q)
         target = mes.global_data(q + 2)
-        out[q] = tuple(
-            mes.reduce_mod_m(
-                q + 2,
-                to_basis_coords(
-                    target["sections"],
-                    mes._multiply_conewise(max_ids, q, data["sections"].basis[idx], covectors),
-                ),
+        out[q] = {
+            p: tuple(
+                mes.reduce_mod_m(
+                    q + 2,
+                    to_basis_coords(
+                        target[p]["sections"],
+                        mes._multiply_conewise(reps, q, data["sections"].basis[idx], covectors),
+                    ),
+                    p,
+                )
+                for idx in data["complement"]
             )
-            for idx in data["complement"]
-        )
+            for p, data in mes.global_data(q).items()
+        }
     return out
 
 
-def lefschetz_rank_table(mes: MinimalExtensionSheaf, maps: dict):
+def lefschetz_rank_table(mes: MinimalExtensionSheaf, maps: dict, parities: tuple = ()):
     """Per degree of the :func:`lefschetz_maps` result: (dim source, dim
-    target, rank)."""
-    return {
-        q: (
-            len(mes.global_data(q)["complement"]),
-            len(mes.global_data(q + 2)["complement"]),
-            _rank(matrix),
-        )
-        for q, matrix in sorted(maps.items())
-    }
+    target, rank), summed over the halves of the given parities (all
+    halves by default).  Each half is mapped to itself, so the rank of
+    the whole map is the sum of the halves' ranks."""
+    table = {}
+    for q, blocks in sorted(maps.items()):
+        source, target = mes.global_data(q), mes.global_data(q + 2)
+        src = tgt = rank = 0
+        for p in parities or blocks:
+            src += len(source[p]["complement"])
+            tgt += len(target[p]["complement"])
+            rank += _rank(blocks[p])
+        table[q] = (src, tgt, rank)
+    return table
 
 
 def minus_lefschetz_table(mes: MinimalExtensionSheaf, maps: dict):
-    """The :func:`lefschetz_maps` result restricted to the minus
-    eigenspaces of the reflection; also certifies that multiplication
-    preserves them."""
-    table = {}
-    for q, matrix in sorted(maps.items()):
-        src_basis = mes.minus_basis(q).basis
-        target = mes.minus_basis(q + 2)
-        rows = _transpose(matrix, len(mes.global_data(q + 2)["complement"]))
-        images = [linalg.sparse_mat_vec(rows, v) for v in src_basis]
-        for img in images:
-            try:
-                to_basis_coords(target, img)
-            except SheafError:
-                raise SheafError(
-                    "multiplication does not preserve the minus eigenspace"
-                ) from None
-        table[q] = (len(src_basis), len(target.basis), _rank(images))
-    return table
+    """The :func:`lefschetz_rank_table` of the minus half, the -1
+    eigenspace of the reflection."""
+    if mes.antipode is None:
+        raise FanError("the fan is not centrally symmetric")
+    return lefschetz_rank_table(mes, maps, (-1,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ found by scanning all vertex subsets with it, the classical f-to-h
 transform is the closed binomial formula, the toric h-polynomial
 recurses through geometric quotient fans, the dual polytope reverses the
 face lattice, and restriction maps of the sheaf are dense products of a
-multiplication matrix and a substitution matrix.  Explicit fans
-(subfans, fans from simplicial cone lists) build test inputs.
+multiplication matrix and a substitution matrix.  The reflection's
+eigenspaces come from the global sections over every maximal cone, with
+no fold: the reflection's matrices on that basis, the ranks of C +- I
+and Cbar +- I, the minus basis, and the minus Lefschetz table through
+the full matrices, all ranked by the dense elimination here.  Explicit
+fans (subfans, fans from simplicial cone lists) build test inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from polyfan.fans import Cone, Fan, FanError, face_fan
-from polyfan.ihsheaf import monomials
+from polyfan.ihsheaf import _involution_on_basis, monomials, to_basis_coords
 from polyfan.polytopes import Polytope, PolytopeError, random_cs
 from polyfan.scalars import Quadratic, sign
 
@@ -279,6 +283,115 @@ def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
                 for c, x in enumerate(row, src_off):
                     rows[r][c] = rows[r][c] + x
     return rows
+
+
+def full_quotient(mes, q: int) -> dict:
+    """The sheaf's quotient of all global sections at degree q by the
+    ambient maximal ideal, over every maximal cone with no fold."""
+    max_ids = mes.fan.maximal_ids
+    forms = tuple(
+        tuple(mes.ambient_forms(cid)[j] for cid in max_ids) for j in range(mes.fan.ambient_dim)
+    )
+    return mes.quotient(max_ids, q, forms)
+
+
+def reduce_mod_m(data: dict, coords: dict) -> dict:
+    """Sparse coordinates in the basis of a :func:`full_quotient` reduced
+    modulo its fully reduced rows of m*E, as quotient coordinates."""
+    res = dict(coords)
+    for p, row in data["m_rows"].items():
+        f = res.get(p, 0)
+        if f:
+            for c, v in row.items():
+                res[c] = res.get(c, 0) - f * v
+    assert not any(res.get(p, 0) for p in data["m_rows"])
+    return {data["complement"][i]: x for i, x in res.items() if x}
+
+
+def reflection_matrices(mes, q: int) -> tuple:
+    """(C, Cbar): the reflection on the basis of all global sections at
+    degree q, as sparse columns, and descended to the quotient modulo m."""
+    c = _involution_on_basis(mes, q)
+    data = full_quotient(mes, q)
+    return c, tuple(reduce_mod_m(data, c[i]) for i in data["complement"])
+
+
+def dense(columns, nrows: int) -> list:
+    """The dense matrix with the given sparse columns."""
+    return [[col.get(i, 0) for col in columns] for i in range(nrows)]
+
+
+def shifted(matrix, s: int) -> list:
+    """A dense square matrix plus s times the identity."""
+    return [[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+
+
+def eigen_dims(columns) -> tuple:
+    """(+1, -1) eigenspace dimensions of an involution given as sparse
+    columns, from the ranks of C - I and C + I; raises ValueError when
+    the two do not fill the space."""
+    n = len(columns)
+    matrix = dense(columns, n)
+    plus, minus = n - rank(shifted(matrix, -1)), n - rank(shifted(matrix, 1))
+    if plus + minus != n:
+        raise ValueError("not an involution")
+    return plus, minus
+
+
+def minus_basis(mes, q: int) -> tuple:
+    """The -1 eigenspace of the reflection on the quotient at degree q:
+    the kernel basis of Cbar + I, as dense vectors."""
+    _, cbar = reflection_matrices(mes, q)
+    return kernel_basis(shifted(dense(cbar, len(cbar)), 1), len(cbar))
+
+
+def lefschetz_matrices(mes, s) -> dict:
+    """Per even q below the cap, the dense matrix of multiplication by the
+    conewise linear function s from the :func:`full_quotient` at q to the
+    one at q + 2."""
+    max_ids = mes.fan.maximal_ids
+    covectors = tuple(
+        tuple(
+            sum((a * b for a, b in zip(row, s.covectors[cid])), Fraction(0))
+            for row in mes.fan.cone_basis(cid)[0]
+        )
+        for cid in max_ids
+    )
+    out = {}
+    for q in range(0, mes.cap, 2):
+        data, target = full_quotient(mes, q), full_quotient(mes, q + 2)
+        columns = [
+            reduce_mod_m(
+                target,
+                to_basis_coords(
+                    target["sections"],
+                    mes._multiply_conewise(max_ids, q, data["sections"].basis[i], covectors),
+                ),
+            )
+            for i in data["complement"]
+        ]
+        out[q] = (len(columns), dense(columns, len(target["complement"])))
+    return out
+
+
+def lefschetz_tables(mes, matrices: dict) -> tuple:
+    """(table, minus table) of :func:`lefschetz_matrices`: per degree
+    (dim source, dim target, rank) of the whole map and of its
+    restriction to the minus eigenspaces; raises ValueError when the map
+    sends a minus eigenvector outside the minus eigenspace."""
+    table, minus = {}, {}
+    for q, (ncols, matrix) in sorted(matrices.items()):
+        table[q] = (ncols, len(matrix), rank(matrix))
+        target = minus_basis(mes, q + 2)
+        images = [
+            tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in matrix)
+            for v in minus_basis(mes, q)
+        ]
+        for image in images:
+            if rank([*target, image]) != len(target):
+                raise ValueError("multiplication does not preserve the minus eigenspace")
+        minus[q] = (len(images), len(target), rank(images))
+    return table, minus
 
 
 def subfan(fan: Fan, ids: set) -> Fan:

@@ -50,8 +50,9 @@ def test_ih_report_computes_each_invariant_once(calls):
     report = ih_report(a, Field.rational())
     bounds_report(a, Field.rational())
     assert all(report["checks"].values())
-    even_degrees = a.cap // 2 + 1
-    assert calls.pop("_involution_on_basis") == even_degrees
+    # The halves are computed directly: the reflection's matrix on the
+    # unfolded sections is never built.
+    assert "_involution_on_basis" not in calls
     assert set(calls.values()) == {1}
     assert len(calls) == len(COUNTED) - 1
 
@@ -73,74 +74,95 @@ def test_report_all_builds_one_face_fan_per_file(calls, capsys, tmp_path):
 
 
 def test_reflection_is_cached_per_degree():
+    """The halves of each degree are built once, and together they are
+    as large as the oracle's reflection matrices on the unfolded
+    sections and on their quotient."""
     mes = Analysis(cube(2)).sheaf
     for q in range(0, mes.cap + 1, 2):
-        c, cbar = mes.reflection(q)
-        assert mes.reflection(q)[0] is c
-        assert len(c) == len(mes.global_data(q)["sections"].basis)
-        assert len(cbar) == len(mes.global_data(q)["complement"])
+        halves = mes.global_data(q)
+        assert mes.global_data(q) is halves
+        assert set(halves) == {1, -1}
+        c, cbar = oracles.reflection_matrices(mes, q)
+        assert len(c) == sum(len(h["sections"].basis) for h in halves.values())
+        assert len(cbar) == sum(len(h["complement"]) for h in halves.values())
 
 
 @pytest.fixture(scope="module")
 def oracle_inputs(sheaf_analyses, quadratic_image):
-    """The rational sheaf-corpus analyses at cap 8 and the Q(sqrt 2) and
-    Q(sqrt 3) images of cross(3)."""
+    """The rational sheaf-corpus analyses at cap 8 (the prism over the
+    diamond among them) and the Q(sqrt 2) and Q(sqrt 3) images of
+    cross(3) and cube(3)."""
     inputs = [(n, a) for n, a in sheaf_analyses.items() if n != "nonrational-bipyramid"]
-    for d in (2, 3):
-        inputs.append((f"sqrt{d}-cross-3", Analysis(quadratic_image(cross_polytope(3), d), 8)))
+    for name, p in (("cross-3", cross_polytope(3)), ("cube-3", cube(3))):
+        for d in (2, 3):
+            inputs.append((f"sqrt{d}-{name}", Analysis(quadratic_image(p, d), 8)))
     return inputs
 
 
-def _dense(columns, nrows: int):
-    """The dense matrix with the given sparse columns."""
-    return linalg.mat([[col.get(i, 0) for col in columns] for i in range(nrows)])
-
-
-def _shift(matrix, s: int):
-    return linalg.mat(
-        [[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
-    )
-
-
 def test_minus_basis_is_shared_and_cached_per_degree(oracle_inputs):
-    """The refined series and the minus table read one minus basis per
-    degree: the kernel basis of cbar + I, equal to the dense oracle's."""
+    """The refined series and the minus table read one minus half per
+    degree, whose quotient is as large as the oracle's minus basis, the
+    kernel of Cbar + I on the unfolded quotient."""
     for name, a in oracle_inputs:
+        mes = a.sheaf
+        minus = {q: mes.global_data(q)[-1] for q in range(0, mes.cap + 1, 2)}
         u_minus = a.refined[0].minus
         assert a.minus_table
-        mes = a.sheaf
-        for q in range(0, mes.cap + 1, 2):
-            basis = mes.minus_basis(q).basis
-            assert mes.minus_basis(q).basis is basis
-            _, cbar = mes.reflection(q)
-            k = len(cbar)
-            expected = oracles.kernel_basis(_shift(_dense(cbar, k), 1), k)
-            densified = tuple(tuple(v.get(i, 0) for i in range(k)) for v in basis)
-            assert densified == expected, (name, q)
-            assert len(basis) == coeff(u_minus, q), (name, q)
+        for q, half in minus.items():
+            assert mes.global_data(q)[-1] is half
+            assert len(half["complement"]) == len(oracles.minus_basis(mes, q)), (name, q)
+            assert len(half["complement"]) == coeff(u_minus, q), (name, q)
 
 
 def test_reflection_and_lefschetz_ranks_match_the_dense_oracle(oracle_inputs):
-    """Densified reflection and Lefschetz matrices, ranked by the dense
-    elimination, give the dimensions and ranks the sparse path reports."""
+    """The full-space path of the oracle (the reflection's matrices on
+    the unfolded sections, the dense ranks of C +- I and Cbar +- I, and
+    the Lefschetz tables through the full matrices) gives the halves'
+    dimensions and both rank tables that the folded path reports."""
     for name, a in oracle_inputs:
         mes = a.sheaf
         u_ref, v_ref = a.refined
         for q in range(0, a.cap + 1, 2):
-            c, cbar = mes.reflection(q)
-            for matrix, ref in ((c, v_ref), (cbar, u_ref)):
-                dense = _dense(matrix, len(matrix))
-                for s, dims in ((-1, ref.plus), (1, ref.minus)):
-                    kernel = len(matrix) - oracles.rank(_shift(dense, s))
-                    assert kernel == coeff(dims, q), (name, q, s)
-        for q, matrix in a.lefschetz_maps.items():
-            dense = _dense(matrix, len(mes.global_data(q + 2)["complement"]))
-            assert oracles.rank(dense) == a.rank_table[q][2], (name, q)
-            _, cbar = mes.reflection(q)
-            minus = oracles.kernel_basis(_shift(_dense(cbar, len(cbar)), 1), len(cbar))
-            images = [linalg.mat_vec(dense, v) for v in minus]
-            rank = oracles.rank(images)
-            assert rank == a.minus_table[q][2], (name, q)
+            c, cbar = oracles.reflection_matrices(mes, q)
+            assert oracles.eigen_dims(c) == (coeff(v_ref.plus, q), coeff(v_ref.minus, q)), (name, q)
+            assert oracles.eigen_dims(cbar) == (coeff(u_ref.plus, q), coeff(u_ref.minus, q)), (name, q)
+        table, minus = oracles.lefschetz_tables(mes, oracles.lefschetz_matrices(mes, a.support))
+        assert table == a.rank_table, name
+        assert minus == a.minus_table, name
+
+
+def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
+    """On cube(3) the report builds no kernel over all maximal cones: per
+    degree exactly two folded kernels, each over half the columns."""
+    builds = []
+    widths = []
+    sparse_kernel = linalg.sparse_kernel
+    section_space = ihsheaf.MinimalExtensionSheaf.section_space
+
+    def kernel(rows, ncols):
+        widths.append(ncols)
+        return sparse_kernel(rows, ncols)
+
+    def space(mes, max_ids, q, wall_mode=False, parity=None):
+        before = len(widths)
+        out = section_space(mes, max_ids, q, wall_mode, parity)
+        if len(widths) > before:
+            builds.append((max_ids, q, parity, widths[-1]))
+        return out
+
+    monkeypatch.setattr(linalg, "sparse_kernel", kernel)
+    monkeypatch.setattr(ihsheaf.MinimalExtensionSheaf, "section_space", space)
+    a = Analysis(cube(3))
+    assert all(ih_report(a, Field.rational())["checks"].values())
+    mes, max_ids = a.sheaf, a.fan.maximal_ids
+    assert not [b for b in builds if b[0] == max_ids]
+    folded = [b for b in builds if b[2] is not None]
+    assert sorted((q, parity) for _, q, parity, _ in folded) == [
+        (q, parity) for q in range(0, a.cap + 1, 2) for parity in (-1, 1)
+    ]
+    for reps, q, _, width in folded:
+        assert reps == mes.representatives
+        assert 2 * width == mes.section_layout(max_ids, q)[1]
 
 
 def test_translated_input_keeps_its_shift():

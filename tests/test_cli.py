@@ -5,7 +5,15 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from polyfan.cli import MAX_GENERATED_COORDINATES, main, polytope_from_json, polytope_to_json
+from polyfan.cli import (
+    MAX_GENERATED_COORDINATES,
+    MAX_GENERATED_FACETS,
+    InputError,
+    _check_facets,
+    main,
+    polytope_from_json,
+    polytope_to_json,
+)
 from polyfan.polytopes import cross_polytope
 from polyfan.scalars import Field
 
@@ -86,6 +94,29 @@ class TestGenerate:
         if size is not None:
             assert f" {size} coordinates" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_random_cs_beyond_the_facet_bound_exits_two_fast(self, capsys):
+        """A random-cs hull whose upper-bound-theorem facet count is above
+        the limit is refused before any point is drawn."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "generate", "random-cs", "8", "--pairs", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the hull of 80 points in dimension 8 may have up to 1350500 "
+            f"facets, above the limit of {MAX_GENERATED_FACETS}\n"
+        )
+
+    @pytest.mark.parametrize("dim, bound", [(6, 76_000), (7, 140_600), (8, 1_350_500)])
+    def test_facet_bound_is_the_cyclic_polytope(self, dim, bound):
+        """80 points: the cyclic polytope's facet counts, refused exactly
+        when above the limit."""
+        if bound <= MAX_GENERATED_FACETS:
+            _check_facets(80, dim)
+        else:
+            with pytest.raises(InputError, match=f"up to {bound} facets"):
+                _check_facets(80, dim)
 
     def test_bad_kind(self, capsys):
         code, _, err = run(capsys, "generate", "dodecahedron", "3")

@@ -10,12 +10,11 @@ import polyfan
 from polyfan import linalg
 from polyfan.analysis import Analysis
 from polyfan.checks import ih_checks
-from polyfan.fans import face_fan
+from polyfan.fans import ConewiseLinear, FanError, face_fan
 from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
     SheafError,
-    _eigen_split,
     build_mes,
     check_local_global_dims,
     ih_poincare,
@@ -33,6 +32,7 @@ from polyfan.polytopes import cube, random_cs, simplex
 from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field
 
+import oracles
 from oracles import from_simplicial_cones, restriction_matrix as dense_restriction_matrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyfan"
@@ -229,23 +229,44 @@ class TestReflection:
 
     def test_eigen_split_rejects_a_non_involution(self):
         # The shear e_1 -> e_0 + e_1, as sparse columns: its +1 eigenspace
-        # is the line of e_0 and it has no -1 eigenvector, so the two
-        # eigenspaces do not fill the plane.
+        # is the line of e_0 and it has no -1 eigenvector, so the oracle's
+        # two eigenspaces do not fill the plane.
         shear = ({0: F(1)}, {0: F(1), 1: F(1)})
-        with pytest.raises(SheafError, match="not an involution"):
-            _eigen_split(shear, 0)
+        with pytest.raises(ValueError, match="not an involution"):
+            oracles.eigen_dims(shear)
+
+    def test_product_leaving_its_half_is_rejected(self, monkeypatch):
+        # A scratch kernel of E^- at degree 4 on cube(3), folded with the
+        # sign of one coordinate of the last representative's antipode
+        # flipped, is smaller than the minus half: some product of the
+        # plus half at degree 2 with a coordinate function leaves it, and
+        # the quotient's membership check refuses it.
+        mes = build_mes(face_fan(cube(3)), 8)
+        reps = mes.representatives
+        half = len(build_mes(mes.fan, 8).section_space(reps, 4, True, -1).basis)
+        odd_coordinates = type(mes).odd_coordinates
+
+        def flipped(self, cone_id, q):
+            odd = odd_coordinates(self, cone_id, q)
+            return (not odd[0],) + odd[1:] if (cone_id, q) == (reps[-1], 4) else odd
+
+        monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
+        assert len(mes.section_space(reps, 4, True, -1).basis) < half
+        monkeypatch.undo()
+        with pytest.raises(SheafError, match="not a section"):
+            mes.global_data(4)
 
     def test_reduction_mod_m_needs_fully_reduced_rows(self):
         # A row of m*E that still has an entry at another pivot leaves
         # that pivot uncleared; the reduction must refuse the result.
         mes = build_mes(face_fan(cube(2)), 4)
-        data = mes.global_data(2)
+        data = mes.global_data(2)[-1]
         p, other = list(data["m_rows"])[:2]
         rows = dict(data["m_rows"])
         rows[p] = {**rows[p], other: F(1)}
-        mes._global[2] = {**data, "m_rows": rows}
+        mes._global[2] = {**mes.global_data(2), -1: {**data, "m_rows": rows}}
         with pytest.raises(SheafError, match="failed to clear pivots"):
-            mes.reduce_mod_m(2, {p: F(1)})
+            mes.reduce_mod_m(2, {p: F(1)}, -1)
 
     def test_non_cs_fan_rejected(self):
         fan = face_fan(simplex(2))
@@ -260,6 +281,14 @@ class TestLefschetz:
         table = lefschetz_rank_table(mes, lefschetz_maps(mes, s))
         assert table == {0: (1, 5, 1), 2: (5, 5, 5), 4: (5, 1, 1), 6: (1, 0, 0)}
 
+    def test_function_that_is_not_even_is_rejected(self):
+        # A linear function is odd under the reflection, so multiplying by
+        # it would not keep each half; only an even function is accepted.
+        fan = face_fan(cube(2))
+        linear = ConewiseLinear(fan, {cid: (F(1), F(0)) for cid in fan.maximal_ids})
+        with pytest.raises(FanError, match="not even"):
+            lefschetz_maps(build_mes(fan, 4), linear)
+
     def test_patterns_hold(self, sheaf_analyses):
         for name, a in sheaf_analyses.items():
             checks = ih_checks(a)
@@ -267,21 +296,22 @@ class TestLefschetz:
             assert checks["minus_lefschetz_pattern"], name
 
     def test_map_leaving_the_minus_eigenspace_is_rejected(self, sheaf_setups):
-        # Add a vector outside the minus eigenspace of degree 4 (a unit
-        # vector at one of its pivot columns) to a column of the degree-2
-        # map that the minus eigenvector of degree 2 uses.
+        # In the oracle's full Lefschetz matrix, add a vector outside the
+        # minus eigenspace of degree 4 (a unit vector at one of its pivot
+        # columns) to a column that the minus eigenvector of degree 2 uses.
         _, _, mes, s = sheaf_setups["cube-3"]
-        maps = dict(lefschetz_maps(mes, s))
-        assert minus_lefschetz_table(mes, maps)
-        (src,) = mes.minus_basis(2).basis
-        tgt_free = mes.minus_basis(4).free_cols
-        j = next(iter(src))
-        i = next(i for i in range(len(mes.global_data(4)["complement"])) if i not in tgt_free)
-        column = dict(maps[2][j])
-        column[i] = column.get(i, 0) + 1
-        maps[2] = maps[2][:j] + ({c: v for c, v in column.items() if v},) + maps[2][j + 1 :]
-        with pytest.raises(SheafError, match="does not preserve the minus eigenspace"):
-            minus_lefschetz_table(mes, maps)
+        matrices = oracles.lefschetz_matrices(mes, s)
+        assert oracles.lefschetz_tables(mes, matrices)
+        (src,) = oracles.minus_basis(mes, 2)
+        _, cbar = oracles.reflection_matrices(mes, 4)
+        _, pivots = oracles.rref(oracles.shifted(oracles.dense(cbar, len(cbar)), 1))
+        j = next(j for j, x in enumerate(src) if x)
+        ncols, matrix = matrices[2]
+        matrix = [list(row) for row in matrix]
+        matrix[pivots[0]][j] += 1
+        matrices[2] = (ncols, matrix)
+        with pytest.raises(ValueError, match="does not preserve the minus eigenspace"):
+            oracles.lefschetz_tables(mes, matrices)
 
 
 class TestCSReport:
@@ -443,7 +473,7 @@ def test_quadratic_images_match_their_rational_source(name, sheaf_analyses, quad
     expected = (source.u, source.v, source.refined, source.rank_table, source.minus_table)
     for d in (2, 3):
         image = Analysis(quadratic_image(source.polytope, d), 8)
-        assert image.sheaf.section_space(image.fan.maximal_ids, 4, True).d == d
+        assert all(half["sections"].d == d for half in image.sheaf.global_data(4).values())
         found = (image.u, image.v, image.refined, image.rank_table, image.minus_table)
         assert found == expected, (name, d)
 
@@ -463,9 +493,9 @@ class TestMembership:
             fan = face_fan(random_cs(3, 4, 3))
             assert not fan.is_simplicial()
             mes = build_mes(fan, 8)
-        max_ids = mes.fan.maximal_ids
-        for q in (2, 4, 6):
-            sections = mes.global_data(q)["sections"]
+        reps = mes.representatives
+        for q, parity in ((2, 1), (4, -1), (6, 1), (6, -1)):
+            sections = mes.global_data(q)[parity]["sections"]
             basis, free_cols = sections.basis, sections.free_cols
             section = dict(basis[0])
             for c, x in basis[-1].items():
@@ -473,7 +503,7 @@ class TestMembership:
             coords = to_basis_coords(sections, section)
             assert coords == {0: 1, len(basis) - 1: 2}
             assert coords == {i: section[c] for c, i in free_cols.items() if c in section}
-            total = mes.section_layout(max_ids, q)[1]
+            total = mes.section_layout(reps, q)[1]
             pivots = [c for c in range(total) if c not in free_cols]
             for pivot in (pivots[0], pivots[-1]):
                 for delta in (1, Fraction(1, 7)):
