@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .polytopes import Polytope
+from .polytopes import Polytope, mask_bits
 from .scalars import sign
 
 
@@ -233,24 +233,33 @@ def face_fan(p: Polytope) -> Fan:
     """The complete fan of cones over the proper faces of a polytope.
 
     Requires the origin in the interior; rays are the vertex position
-    vectors and cone ids follow the face-lattice ids.
+    vectors and cone ids follow the face-lattice ids.  Down-sets come
+    from bitsets over face ids: ``holding[v]`` marks the faces through
+    vertex v, so the faces below a face are those, other than itself,
+    that hold no vertex outside it.  The down-sets hold the cones' own
+    id objects.
     """
     lattice = p.face_lattice()
     if not p.origin_is_interior():
         raise FanError("face fan needs the origin strictly interior")
-    n = p.ambient_dim
-    rays = {i: v for i, v in enumerate(p.vertices)}
+    ids = tuple(range(len(lattice.masks)))
+    proper = ids[:-1]  # the empty face first, the polytope itself last
+    vertices = [lattice.vertices_of(fid) for fid in proper]
+    holding = [0] * len(p.vertices)
+    for fid in proper:
+        for v in vertices[fid]:
+            holding[v] |= 1 << fid
+    everything = (1 << len(p.vertices)) - 1
+    every_proper = (1 << len(proper)) - 1
     cones = {}
     faces = {}
-    empty_id = lattice.faces_of_dim(-1)[0]
-    proper = [empty_id] + list(lattice.proper_face_ids())
     for fid in proper:
-        vids = lattice.vertices_of(fid)
-        cones[fid] = Cone(fid, vids, lattice.dims[fid] + 1)
-        faces[fid] = frozenset(
-            g for g in proper if g != fid and lattice.contains(g, fid)
-        )
-    return Fan(n, rays, cones, faces)
+        outside = 1 << fid
+        for v in mask_bits(everything ^ lattice.masks[fid]):
+            outside |= holding[v]
+        cones[fid] = Cone(fid, vertices[fid], lattice.dims[fid] + 1)
+        faces[fid] = frozenset(map(ids.__getitem__, mask_bits(every_proper & ~outside)))
+    return Fan(p.ambient_dim, dict(enumerate(p.vertices)), cones, faces)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 Both polynomials depend only on the face lattice (Stanley's recursion).
 h of a complete fan sums (x-1)^codim * g over all cones; g of a cone of
 dimension d truncates (1-x) times the same sum over its proper faces,
-taken in dimension d - 1, below half its dimension.  Simplicial cones
-short-circuit to g = 1, and each fan memoizes g per cone id, since g
-depends only on the lower interval below the cone.
+taken in dimension d - 1, below half its dimension.  Each sum collects
+equal (dimension, g) terms and multiplies once per distinct pair, so on
+a mostly simplicial lattice it costs a handful of products.  Simplicial
+cones short-circuit to g = 1, and each fan memoizes g per cone id, since
+g depends only on the lower interval below the cone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .fans import Fan, FanError, face_fan
@@ -20,6 +23,7 @@ from .polynomials import (
     is_unimodal,
     padd,
     pmul,
+    pscale,
     psub,
     truncate_below,
     x_minus_one_power,
@@ -47,13 +51,14 @@ def g_polynomial(fan: Fan, cone_id: int) -> IntPoly:
 
 
 def _h_sum(fan: Fan, cone_ids, n: int) -> IntPoly:
-    """Sum of (x-1)^(n - dim tau) * g(tau) over the given cones."""
+    """Sum of (x-1)^(n - dim tau) * g(tau) over the given cones, one
+    product per distinct (dim tau, g(tau)) pair."""
+    terms = Counter(
+        (fan.cones[cid].dim, g_polynomial(fan, cid)) for cid in cone_ids
+    )
     total: IntPoly = ()
-    for cid in cone_ids:
-        term = pmul(
-            x_minus_one_power(n - fan.cones[cid].dim), g_polynomial(fan, cid)
-        )
-        total = padd(total, term)
+    for (k, g), count in terms.items():
+        total = padd(total, pscale(count, pmul(x_minus_one_power(n - k), g)))
     return total
 
 

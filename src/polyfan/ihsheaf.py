@@ -38,8 +38,9 @@ its half raises instead of silently producing wrong dimensions.
 
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
-sheaf's own construction (the minimal-extension axioms and the
-local-to-global dimension count); the identities a report checks are
+sheaf's own construction (the minimal-extension axioms, the
+local-to-global dimension count, and each constructed cone's generator
+degrees against its g-polynomial); the identities a report checks are
 decided in :mod:`polyfan.checks`.
 """
 
@@ -50,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from . import linalg
+from . import hvector, linalg
 from .fans import ConewiseLinear, Fan, FanError
 from .polynomials import IntPoly, RefinedSeries, coeff, trim
 
@@ -542,7 +543,23 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
                 block = linalg.sparse_mat_vec(mes.restriction_matrix(host, tau, d), block)
             per_gen.append(block)
         images[tau] = tuple(per_gen)
+    _check_generator_degrees(fan, sid, gen_degrees)
     return ConeModule(sid, tuple(gen_degrees), images)
+
+
+def _check_generator_degrees(fan: Fan, sid: int, gen_degrees) -> None:
+    """The generators of E_sigma counted per degree 2k are the
+    coefficients of g_sigma (Barthel-Brasselet-Fieseler-Kaup), so the
+    sheaf must agree with the g/h recursion on every constructed cone."""
+    expected = hvector.g_polynomial(fan, sid)
+    found = trim([gen_degrees.count(q) for q in range(0, max(gen_degrees) + 1, 2)])
+    if found != expected:
+        k = next(k for k in range(len(found) + len(expected))
+                 if coeff(found, k) != coeff(expected, k))
+        raise SheafError(
+            f"cone {sid}: {coeff(found, k)} generators in degree {2 * k}, but g "
+            f"has coefficient {coeff(expected, k)} at x^{k} (g = {expected})"
+        )
 
 
 def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> ConeModule:

@@ -65,11 +65,7 @@ class FaceLattice:
         return self.faces_of_dim(self.ambient_dim - 1)
 
     def vertices_of(self, face_id: int) -> tuple:
-        return _mask_bits(self.masks[face_id])
-
-    def contains(self, small_id: int, big_id: int) -> bool:
-        small, big = self.masks[small_id], self.masks[big_id]
-        return small & big == small
+        return mask_bits(self.masks[face_id])
 
     def f_vector(self) -> tuple:
         counts = [0] * self.ambient_dim
@@ -79,14 +75,13 @@ class FaceLattice:
         return tuple(counts)
 
 
-def _mask_bits(mask: int) -> tuple:
+def mask_bits(mask: int) -> tuple:
+    """Positions of the set bits of a nonnegative integer, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -40,3 +40,24 @@ def quadratic_image():
         return linear_image(p, linalg.mat(shear))
 
     return image
+
+
+@pytest.fixture(scope="session")
+def lattice_polytopes():
+    """(name, polytope) for the differential tests of the face fan and the
+    g/h recursion: every CS corpus member, the benchmark's nonsimplicial
+    free sums (cube(3) + 3 cube(1) has 729 faces) and cube(6)."""
+    from functools import reduce
+
+    from polyfan.corpus import cs_corpus
+    from polyfan.polytopes import cube, free_sum
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    out = list(cs_corpus())
+    for names in inputs.FREE_SUMS:
+        summands = (inputs.SUMMANDS[s][0] for s in names)
+        out.append(("free-sum-" + "-".join(names), reduce(free_sum, summands)))
+    out.append(("cube6", cube(6)))
+    return out

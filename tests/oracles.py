@@ -4,14 +4,16 @@ These deliberately avoid the package's search strategies: dense linear
 algebra is a plain Gauss-Jordan elimination on field scalars, faces are
 found by scanning all vertex subsets with it, the classical f-to-h
 transform is the closed binomial formula, the toric h-polynomial
-recurses through geometric quotient fans, the dual polytope reverses the
-face lattice, and restriction maps of the sheaf are dense products of a
-multiplication matrix and a substitution matrix.  The reflection's
-eigenspaces come from the global sections over every maximal cone, with
-no fold: the reflection's matrices on that basis, the ranks of C +- I
-and Cbar +- I, the minus basis, and the minus Lefschetz table through
-the full matrices, all ranked by the dense elimination here.  Explicit
-fans (subfans, fans from simplicial cone lists) build test inputs.
+recurses through geometric quotient fans or sums one term per face, the
+face fan's down-sets come from an all-pairs scan of vertex masks, the
+dual polytope reverses the face lattice, and restriction maps of the
+sheaf are dense products of a multiplication matrix and a substitution
+matrix.  The reflection's eigenspaces come from the global sections
+over every maximal cone, with no fold: the reflection's matrices on that
+basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
+Lefschetz table through the full matrices, all ranked by the dense
+elimination here.  Explicit fans (subfans, fans from simplicial cone
+lists) build test inputs.
 """
 
 from __future__ import annotations
@@ -204,17 +206,62 @@ def g_by_quotient_fans(fan, cone_id) -> tuple:
     return _trimmed(_poly_mul([1, -1], h)[: (cone.dim + 1) // 2])
 
 
+def _x_minus_one(k: int) -> list:
+    return [comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
+
+
 def h_by_quotient_fans(fan) -> tuple:
     """Toric h-polynomial of a complete fan: the sum over all cones of
     (x - 1)^codim times g, with g from the projected quotient fans."""
     n = fan.dim
     total = [0] * (n + 1)
     for cid, cone in fan.cones.items():
-        k = n - cone.dim
-        x_minus_one = [comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
-        for i, c in enumerate(_poly_mul(x_minus_one, g_by_quotient_fans(fan, cid))):
+        product = _poly_mul(_x_minus_one(n - cone.dim), g_by_quotient_fans(fan, cid))
+        for i, c in enumerate(product):
             total[i] += c
     return _trimmed(total)
+
+
+def down_sets_by_scan(p: Polytope) -> dict:
+    """Per cone of the face fan of P (the empty face and each proper
+    face), the ids of the proper faces strictly below it, by testing the
+    vertex masks of every pair: small & big == small."""
+    lattice = p.face_lattice()
+    masks = lattice.masks
+    proper = lattice.faces_of_dim(-1) + lattice.proper_face_ids()
+    return {
+        big: frozenset(
+            small
+            for small in proper
+            if small != big and masks[small] & masks[big] == masks[small]
+        )
+        for big in proper
+    }
+
+
+def h_per_face(fan) -> tuple:
+    """The toric h-polynomial of a complete fan and the g-polynomial of
+    every cone, by the g/h recursion over the fan's own down-sets with
+    one product and one sum per face: equal terms are not collected.
+    Returns (h, {cone id: g})."""
+    g: dict = {}
+
+    def h_sum(cone_ids, n):
+        total = [0] * (n + 1)
+        for cid in cone_ids:
+            product = _poly_mul(_x_minus_one(n - fan.cones[cid].dim), g[cid])
+            for i, c in enumerate(product):
+                total[i] += c
+        return _trimmed(total)
+
+    for cid in sorted(fan.cones, key=lambda c: fan.cones[c].dim):
+        cone = fan.cones[cid]
+        if len(cone.ray_ids) == cone.dim:
+            g[cid] = (1,)
+        else:
+            h = h_sum(fan.faces[cid], cone.dim - 1)
+            g[cid] = _trimmed(_poly_mul([1, -1], h)[: (cone.dim + 1) // 2])
+    return h_sum(fan.cones, fan.dim), g
 
 
 def mul_matrix(poly_coeffs, poly_deg: int, src_deg: int, nvars: int):

@@ -14,7 +14,15 @@ from polyfan.fans import (
 )
 from polyfan.polytopes import Polytope, cross_polytope, cube, simplex
 
-from oracles import boundary_fan, cone_fan, from_simplicial_cones, rref, subfan, value_on_ray
+from oracles import (
+    boundary_fan,
+    cone_fan,
+    down_sets_by_scan,
+    from_simplicial_cones,
+    rref,
+    subfan,
+    value_on_ray,
+)
 
 
 def F(x):
@@ -53,6 +61,18 @@ class TestFaceFan:
     def test_needs_interior_origin(self):
         with pytest.raises(FanError, match="interior"):
             face_fan(cube(2).translate((F(3), F(3))))
+
+    def test_down_sets_match_the_all_pairs_scan(self, lattice_polytopes):
+        for name, p in lattice_polytopes:
+            assert face_fan(p).faces == down_sets_by_scan(p), name
+
+    def test_down_sets_hold_the_cone_key_objects(self):
+        # Ids above 256 are not shared by CPython's small-int cache, so a
+        # down-set of fresh ints would hold a second copy of each id.
+        fan = face_fan(cube(6))
+        assert max(fan.cones) > 256
+        keys = {id(cid) for cid in fan.cones}
+        assert all(id(f) in keys for fs in fan.faces.values() for f in fs)
 
 
 class TestCompleteness:

@@ -31,7 +31,14 @@ from polyfan.polytopes import (
     simplex,
 )
 
-from oracles import cone_fan, f_to_h, g_by_quotient_fans, h_by_quotient_fans, simplicial_cs_fans
+from oracles import (
+    cone_fan,
+    f_to_h,
+    g_by_quotient_fans,
+    h_by_quotient_fans,
+    h_per_face,
+    simplicial_cs_fans,
+)
 
 
 def cone_of_dim(fan, d):
@@ -151,19 +158,30 @@ def _hull_clouds(count):
 
 def test_recursion_matches_quotient_fan_oracle(quadratic_image):
     """h and every cone's g agree with the memo-free recursion through
-    geometric quotient fans, over Q and over Q(sqrt 2) and Q(sqrt 3)."""
+    geometric quotient fans, over Q and over Q(sqrt 2) and Q(sqrt 3), on
+    random families and the CS corpus."""
     rational = [p for _, p in random_cs_family(20)] + _hull_clouds(30)
     nonsimplicial = [p for p in rational if not face_fan(p).is_simplicial()]
     assert len(nonsimplicial) >= 10
     polytopes = rational + [
         quadratic_image(p, d) for d in (2, 3) for p in nonsimplicial[:6]
-    ]
+    ] + [p for _, p in cs_corpus()]
     assert len(polytopes) >= 60
     for p in polytopes:
         fan = face_fan(p)
         for cid in fan.cone_ids():
             assert g_polynomial(fan, cid) == g_by_quotient_fans(fan, cid), p
         assert h_polynomial(fan) == h_by_quotient_fans(fan), p
+
+
+def test_collected_sums_match_the_per_face_recursion(lattice_polytopes):
+    """h and every cone's g agree with the recursion that sums one term
+    per face, on the CS corpus, the benchmark's free sums and cube(6)."""
+    for name, p in lattice_polytopes:
+        fan = face_fan(p)
+        h, g = h_per_face(fan)
+        assert h_polynomial(fan) == h, name
+        assert {cid: g_polynomial(fan, cid) for cid in fan.cones} == g, name
 
 
 def _random_invertible(rng, n):

@@ -78,6 +78,13 @@ class TestConstruction:
                     expected.extend([2 * degree] * count)
                 assert list(mes.modules[cid].gen_degrees) == expected, (name, cid)
 
+    def test_generator_degrees_disagreeing_with_g_are_rejected(self):
+        fan = face_fan(cube(3))
+        cid = next(c for c in fan.cones_of_dim(3) if not fan.is_simplicial_cone(c))
+        fan._g[cid] = (1,)  # the true g of a square cone is 1 + x
+        with pytest.raises(SheafError, match=rf"^cone {cid}: 1 generators in degree 2"):
+            build_mes(fan)
+
     def test_axiom_quotient_iso(self, sheaf_setups):
         # Reduction of the boundary restriction is an isomorphism mod m:
         # generator count per degree equals the boundary quotient dim.
