@@ -4,8 +4,8 @@ Every report renders an :class:`Analysis`.  Each invariant is computed
 on first use and then kept, so the face fan, the h-polynomial, the
 sheaf, the halves of its global sections by the reflection's eigenvalue
 and the Lefschetz maps on them are built once per analysis however many
-checks read them.  The maps are sparse columns per half (see
-:mod:`polyfan.ihsheaf`); the tables hold their ranks.  Nothing here
+checks read them.  The maps are kept as their ranks per degree and half
+(see :mod:`polyfan.ihsheaf`), which the tables sum.  Nothing here
 decides a check: :mod:`polyfan.checks` compares the values computed here,
 and :mod:`polyfan.reports` renders them.
 """

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -309,7 +310,9 @@ def cmd_report_all(args) -> int:
     return worst
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="polyfan",
         description=(

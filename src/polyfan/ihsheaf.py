@@ -31,17 +31,16 @@ objects on primitive integer rows (pairs over Q(sqrt d)).  The one
 quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
 for boundary fans and the halves of the global sections) forms its
 products of sections with linear forms by :func:`linalg.products_rref`
-on integral vectors; the Lefschetz maps are formed on scalars.  Every
-basis extraction and every product is verified exactly by the
-membership test of :func:`linalg.kernel_coords`, so a product outside
-its half raises instead of silently producing wrong dimensions.
+on integral vectors, and so do the Lefschetz maps, over the same
+tables.  Every basis extraction and every product is verified exactly
+by the membership test of :func:`linalg.kernel_coords`, so a product
+outside its half raises instead of silently producing wrong dimensions.
 
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
-sheaf's own construction (the minimal-extension axioms, the
-local-to-global dimension count, and each constructed cone's generator
-degrees against its g-polynomial); the identities a report checks are
-decided in :mod:`polyfan.checks`.
+sheaf's own construction (the minimal-extension axioms, flabbiness, and
+each constructed cone's generator degrees against its g-polynomial);
+the identities a report checks are decided in :mod:`polyfan.checks`.
 """
 
 from __future__ import annotations
@@ -154,6 +153,7 @@ class MinimalExtensionSheaf:
         self._substitutions: dict = {}
         self._quotients: dict = {}
         self._global: dict = {}
+        self._tables: dict = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -266,26 +266,23 @@ class MinimalExtensionSheaf:
             total += self.module_dim(cid, q)
         return tuple(offsets), total
 
-    def section_space(
-        self, max_ids: tuple, q: int, wall_mode: bool = False, parity: int | None = None
-    ) -> linalg.Kernel:
+    def section_space(self, max_ids: tuple, q: int, parity: int | None = None) -> linalg.Kernel:
         """The :class:`linalg.Kernel` of the wall equations: the basis of
         compatible tuples over the given maximal cones, as sparse
         vectors, with the rows that verify membership in it.
 
-        In wall mode only codimension-one contacts are imposed; that is
-        complete for global sections of a complete fan and for boundary
-        fans, where every wall separates exactly two maximal cones and
-        the wall-crossing graph of any star is connected.  Otherwise all
-        pairwise contacts are imposed.
+        Only codimension-one contacts are imposed.  That is complete for
+        global sections of a complete fan and for boundary fans, where
+        every wall separates exactly two maximal cones and the
+        wall-crossing graph of any star is connected.
 
-        A ``parity`` eps of 1 or -1 (wall mode, ``max_ids`` the
+        A ``parity`` eps of 1 or -1 (``max_ids`` the
         ``representatives``) gives the half E^eps of the global sections:
         the block of -sigma is eps times the reflected block of sigma, so
         each wall row of the fan is folded onto the representatives'
         columns, and of each antipodal pair of walls one is kept.
         """
-        key = (max_ids, q, wall_mode, parity)
+        key = (max_ids, q, parity)
         cached = self._sections.get(key)
         if cached is not None:
             return cached
@@ -300,20 +297,15 @@ class MinimalExtensionSheaf:
             for cid, off in zip(max_ids, offsets):
                 flip = tuple(odd != (parity < 0) for odd in self.odd_coordinates(cid, q))
                 place[self.antipode[cid]] = (off, flip)
+        if len({fan.cones[cid].dim for cid in cones}) > 1:
+            raise SheafError("wall equations need equidimensional cones")
         pairs = []
-        if wall_mode:
-            if len({fan.cones[cid].dim for cid in cones}) > 1:
-                raise SheafError("wall mode needs equidimensional cones")
-            for f, incident in sorted(fan.walls(cones).items()):
-                if len(incident) == 2:
-                    if parity is None or f <= self.antipode[f]:
-                        pairs.append((incident[0], incident[1], f))
-                elif len(incident) > 2:
-                    raise SheafError("wall shared by more than two cones")
-        else:
-            for i, a in enumerate(max_ids):
-                for b in max_ids[i + 1 :]:
-                    pairs.append((a, b, fan.common_face(a, b)))
+        for f, incident in sorted(fan.walls(cones).items()):
+            if len(incident) == 2:
+                if parity is None or f <= self.antipode[f]:
+                    pairs.append((incident[0], incident[1], f))
+            elif len(incident) > 2:
+                raise SheafError("wall shared by more than two cones")
         rows = []
         for a, b, f in pairs:
             (oa, flip_a), (ob, flip_b) = place[a], place[b]
@@ -337,10 +329,10 @@ class MinimalExtensionSheaf:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, one covector per
         cone of ``max_ids`` in its coordinates): the
-        :class:`linalg.Kernel` of :meth:`section_space` in wall mode as
-        ``sections``, the products of the degree q - 2 sections with the
-        forms reduced to ``m_rows`` (pivot basis index -> reduced row of
-        basis coordinates), and ``complement`` (basis index -> quotient
+        :class:`linalg.Kernel` of :meth:`section_space` as ``sections``,
+        the products of the degree q - 2 sections with the forms reduced
+        to ``m_rows`` (pivot basis index -> reduced row of basis
+        coordinates), and ``complement`` (basis index -> quotient
         coordinate, ascending) for the basis vectors that represent the
         quotient.  With a ``parity`` the sections are that half and the
         products are taken from the other half, for odd forms.  Built
@@ -348,11 +340,11 @@ class MinimalExtensionSheaf:
         key = (max_ids, q, forms, parity)
         cached = self._quotients.get(key)
         if cached is None:
-            sections = self.section_space(max_ids, q, True, parity)
+            sections = self.section_space(max_ids, q, parity)
             rows, pivots = (), ()
             if q >= 2:
                 reduced = linalg.products_rref(
-                    self.section_space(max_ids, q - 2, True, None if parity is None else -parity),
+                    self.section_space(max_ids, q - 2, None if parity is None else -parity),
                     sections,
                     self._product_table(max_ids, q - 2),
                     [tuple(f for covector in form for f in covector) for form in forms],
@@ -386,13 +378,18 @@ class MinimalExtensionSheaf:
             cached = self._global[q] = {p: self.quotient(reps, q, forms, p) for p in self.parities}
         return cached
 
-    def _product_table(self, max_ids: tuple, q: int, support=None) -> dict:
+    def _product_table(self, max_ids: tuple, q: int) -> dict:
         """The product of a degree-q section over the given maximal cones
         with one linear form per cone, as a table for
-        :func:`linalg.products_rref`: section coordinate c (each one, or
-        those in ``support``) -> (t, k) per variable x_j of its cone, for
-        the coordinate t of x_j times its monomial and the index k of the
-        form's coefficient of x_j among the covectors laid end to end."""
+        :func:`linalg.products_rref`: section coordinate c -> (t, k) per
+        variable x_j of its cone, for the coordinate t of x_j times its
+        monomial and the index k of the form's coefficient of x_j among
+        the covectors laid end to end.  The tables over the
+        representatives are kept: both halves' quotients at q + 2 and the
+        Lefschetz maps at q read the same one."""
+        shared = max_ids == self.representatives
+        if shared and q in self._tables:
+            return self._tables[q]
         offsets, _ = self.section_layout(max_ids, q)
         out_offsets, _ = self.section_layout(max_ids, q + 2)
         table = {}
@@ -405,28 +402,14 @@ class MinimalExtensionSheaf:
                 target = _monomial_index(nv, k + 1)
                 base = out_off + out_index[gi]
                 for c, alpha in enumerate(monomials(nv, k), off + boff):
-                    if support is None or c in support:
-                        table[c] = tuple(
-                            (base + target[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]], first + j)
-                            for j in range(nv)
-                        )
+                    table[c] = tuple(
+                        (base + target[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]], first + j)
+                        for j in range(nv)
+                    )
             first += nv
+        if shared:
+            self._tables[q] = table
         return table
-
-    def _multiply_conewise(self, max_ids: tuple, q: int, vec: dict, covectors: tuple) -> dict:
-        """Product of a sparse degree-q section with one linear form per
-        cone (a covector in its coordinates, in the order of
-        ``max_ids``), over the nonzero entries of the section and of the
-        forms."""
-        form = [f for covector in covectors for f in covector]
-        out: dict = {}
-        for c, terms in self._product_table(max_ids, q, vec).items():
-            v = vec[c]
-            for t, k in terms:
-                f = form[k]
-                if f:
-                    out[t] = out.get(t, _ZERO) + f * v
-        return {t: v for t, v in out.items() if v}
 
     def reduce_mod_m(self, q: int, coords: dict, parity: int | None = None) -> dict:
         """Reduce sparse coordinates in the half of the given parity of
@@ -627,7 +610,7 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
             if not facets:
                 dims[q] = dim_e
                 continue
-            boundary_basis = mes.section_space(facets, q, wall_mode=True).basis
+            boundary_basis = mes.section_space(facets, q).basis
             rows = [
                 row
                 for f in facets
@@ -642,28 +625,6 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
                 )
         out[cid] = trim(dims)
     return out
-
-
-def check_local_global_dims(mes: MinimalExtensionSheaf, cone_ids) -> bool:
-    """Dimension consequence of the characteristic-sheaf decomposition:
-    for a subfan, dim of its sections equals the sum of local kernel
-    dimensions over its cones, in every degree up to the cap."""
-    fan = mes.fan
-    ids = set(cone_ids)
-    for cid in ids:
-        if not fan.faces[cid] <= ids:
-            raise FanError("subfan is not face-closed")
-    covered = set()
-    for cid in ids:
-        covered |= fan.faces[cid]
-    max_ids = tuple(sorted(cid for cid in ids if cid not in covered))
-    kernels = kernel_dimensions(mes)
-    for q in range(0, mes.cap + 1, 2):
-        basis = mes.section_space(max_ids, q, wall_mode=False).basis
-        total = sum(coeff(kernels[cid], q) for cid in ids)
-        if len(basis) != total:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +649,7 @@ def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
         partner = offset_of[mes.antipode[cid]]
         for c, odd in enumerate(mes.odd_coordinates(cid, q)):
             target[off + c], sign[off + c] = partner + c, -1 if odd else 1
-    sections = mes.section_space(max_ids, q, wall_mode=True)
+    sections = mes.section_space(max_ids, q)
     return tuple(
         to_basis_coords(sections, {target[c]: sign[c] * v for c, v in b.items()})
         for b in sections.basis
@@ -710,13 +671,14 @@ def refined_series(mes: MinimalExtensionSheaf):
 
 
 def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
-    """Matrices of multiplication by a strictly concave conewise linear
+    """Ranks of multiplication by a strictly concave conewise linear
     function on the quotient, degree q -> q + 2 for even q < cap: per
-    degree and per parity of :attr:`MinimalExtensionSheaf.parities`, one
-    sparse column per quotient coordinate of that half at degree q, in
-    the half's quotient coordinates at q + 2.  The function must be even
-    under the reflection, as the support function of a centrally
-    symmetric polytope is, so that it maps each half to itself."""
+    degree and per parity of :attr:`MinimalExtensionSheaf.parities`, the
+    rank of the map on that half: the rank, modulo m at q + 2, of the
+    :func:`linalg.products_rref` of the function with the lifts of the
+    half's quotient basis.  The function must be even under the
+    reflection, as the support function of a centrally symmetric
+    polytope is, so that it maps each half to itself."""
     if s.fan is not mes.fan:
         raise FanError("support function belongs to a different fan")
     reps = mes.representatives
@@ -724,27 +686,20 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
         tuple(-x for x in s.covectors[cid]) != s.covectors[mes.antipode[cid]] for cid in reps
     ):
         raise FanError("the function is not even under the point reflection")
-    covectors = tuple(
-        tuple(linalg.vec_dot(row, s.covectors[cid]) for row in mes.fan.cone_basis(cid)[0])
-        for cid in reps
-    )
+    form = [
+        linalg.vec_dot(row, s.covectors[cid]) for cid in reps for row in mes.fan.cone_basis(cid)[0]
+    ]
     out = {}
     for q in range(0, mes.cap, 2):
-        target = mes.global_data(q + 2)
-        out[q] = {
-            p: tuple(
-                mes.reduce_mod_m(
-                    q + 2,
-                    to_basis_coords(
-                        target[p]["sections"],
-                        mes._multiply_conewise(reps, q, data["sections"].basis[idx], covectors),
-                    ),
-                    p,
-                )
-                for idx in data["complement"]
+        table, target = mes._product_table(reps, q), mes.global_data(q + 2)
+        out[q] = {}
+        for p, data in mes.global_data(q).items():
+            reduced = linalg.products_rref(
+                data["sections"], target[p]["sections"], table, [form], data["complement"]
             )
-            for p, data in mes.global_data(q).items()
-        }
+            if reduced is None:
+                raise SheafError("a Lefschetz product is not a section of its half")
+            out[q][p] = _rank(mes.reduce_mod_m(q + 2, row, p) for row in reduced[0])
     return out
 
 
@@ -760,7 +715,7 @@ def lefschetz_rank_table(mes: MinimalExtensionSheaf, maps: dict, parities: tuple
         for p in parities or blocks:
             src += len(source[p]["complement"])
             tgt += len(target[p]["complement"])
-            rank += _rank(blocks[p])
+            rank += blocks[p]
         table[q] = (src, tgt, rank)
     return table
 

@@ -43,8 +43,8 @@ The equation is homogeneous, so :func:`kernel_coords` tests the
 primitive integral vector of x.  A rational side against a Q(sqrt d)
 side is the same equation in Q(sqrt d), with the rational side read as
 pairs (n, 0).  :func:`products_rref` forms products of kernel vectors
-with linear forms on the primitive integral vectors themselves and
-eliminates them in the same loop.
+(all, or a selection) with linear forms on the primitive integral
+vectors themselves and eliminates them in the same loop.
 """
 
 from __future__ import annotations
@@ -425,12 +425,13 @@ def kernel_coords(kernel: Kernel, vec: dict) -> dict | None:
     return None if found is None else {i: vec[c] for i, c in found.items()}
 
 
-def products_rref(source: Kernel, target: Kernel, table: dict, forms) -> tuple | None:
+def products_rref(source: Kernel, target: Kernel, table: dict, forms, select=None) -> tuple | None:
     """The :func:`sparse_rref` of the coordinates, in the ``target``
-    basis, of the product of every ``source`` basis vector b with every
-    form phi (a sequence of scalars), where ``table`` gives the bilinear
-    product: (b phi)[t] = sum of b[c] phi[k] over (t, k) in table[c].
-    None when some product is not in the span of ``target``.
+    basis, of the product of every ``source`` basis vector b (or of
+    those whose index is in ``select``) with every form phi (a sequence
+    of scalars), where ``table`` gives the bilinear product: (b phi)[t]
+    = sum of b[c] phi[k] over (t, k) in table[c].  None when some
+    product is not in the span of ``target``.
 
     The reduced rows depend only on the span of the products, so each
     product is taken on primitive integral vectors: b scaled by its own
@@ -439,7 +440,8 @@ def products_rref(source: Kernel, target: Kernel, table: dict, forms) -> tuple |
     tests a vector."""
     d = source.d or target.d or _radicand(forms)
     target = _lifted(target, d)
-    basis = [_integral_vector(source, f, i, d) for f, i in source.free_cols.items()]
+    chosen = [(f, i) for f, i in source.free_cols.items() if select is None or i in select]
+    basis = [_integral_vector(source, f, i, d) for f, i in chosen]
     normalize = _normalize if d is None else partial(_normalize_pairs, d=d)
     rows = []
     for phi in forms:

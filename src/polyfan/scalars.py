@@ -361,3 +361,5 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ScalarParseError(f"invalid rational {brief(text)}: {exc}") from None
+    except ValueError:  # the interpreter's limit on digits per integer
+        raise ScalarParseError(f"invalid rational {brief(text)}: too many digits") from None

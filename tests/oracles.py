@@ -8,9 +8,12 @@ recurses through geometric quotient fans or sums one term per face, the
 face fan's down-sets come from an all-pairs scan of vertex masks, the
 dual polytope reverses the face lattice, and restriction maps of the
 sheaf are dense products of a multiplication matrix and a substitution
-matrix.  The reflection's eigenspaces come from the global sections
-over every maximal cone, with no fold: the reflection's matrices on that
-basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
+matrix.  The sections over a subfan impose every pairwise contact of
+its maximal cones on those dense matrices, and a section is multiplied
+by a linear form per cone monomial by monomial on scalars.  The
+reflection's eigenspaces come from the global sections over every
+maximal cone, with no fold: the reflection's matrices on that basis,
+the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
 elimination here.  Explicit fans (subfans, fans from simplicial cone
 lists) build test inputs.
@@ -24,7 +27,8 @@ from itertools import combinations
 from math import comb
 
 from polyfan.fans import Cone, Fan, FanError, face_fan
-from polyfan.ihsheaf import _involution_on_basis, monomials, to_basis_coords
+from polyfan.ihsheaf import _involution_on_basis, kernel_dimensions, monomials, to_basis_coords
+from polyfan.polynomials import coeff
 from polyfan.polytopes import Polytope, PolytopeError, random_cs
 from polyfan.scalars import Quadratic, sign
 
@@ -332,6 +336,64 @@ def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
     return rows
 
 
+def check_local_global_dims(mes, cone_ids) -> bool:
+    """Dimension consequence of the characteristic-sheaf decomposition:
+    for a subfan, the dimension of its sections equals the sum of the
+    sheaf's local kernel dimensions over its cones, in every degree up to
+    the cap.  The sections are the kernel of every pairwise contact of
+    the subfan's maximal cones, restricted to their common face by the
+    dense :func:`restriction_matrix`."""
+    fan = mes.fan
+    ids = set(cone_ids)
+    for cid in ids:
+        if not fan.faces[cid] <= ids:
+            raise FanError("subfan is not face-closed")
+    max_ids = sorted(ids - set().union(*(fan.faces[cid] for cid in ids)))
+    kernels = kernel_dimensions(mes)
+    for q in range(0, mes.cap + 1, 2):
+        dims = [mes.module_dim(cid, q) for cid in max_ids]
+        offsets = [sum(dims[:i]) for i in range(len(dims))]
+        rows = []
+        for (i, a), (j, b) in combinations(enumerate(max_ids), 2):
+            f = fan.common_face(a, b)
+            for row_a, row_b in zip(restriction_matrix(mes, a, f, q), restriction_matrix(mes, b, f, q)):
+                row = [Fraction(0)] * sum(dims)
+                row[offsets[i] : offsets[i] + dims[i]] = row_a
+                row[offsets[j] : offsets[j] + dims[j]] = [-x for x in row_b]
+                rows.append(row)
+        if len(kernel_basis(rows, sum(dims))) != sum(coeff(kernels[cid], q) for cid in ids):
+            return False
+    return True
+
+
+def multiply_conewise(mes, max_ids, q: int, vec: dict, covectors) -> dict:
+    """Product of a sparse degree-q section over the given maximal cones
+    with one linear form per cone (a covector in its coordinates, in the
+    order of ``max_ids``), on scalars: in each generator block, monomial
+    x^alpha times x_j is x^(alpha + e_j) in the same block at q + 2."""
+    out: dict = {}
+    src_start = tgt_start = 0
+    for cid, covector in zip(max_ids, covectors):
+        nv = mes.nvars(cid)
+        src_blocks, src_dim = mes.gen_blocks(cid, q)
+        tgt_blocks, tgt_dim = mes.gen_blocks(cid, q + 2)
+        tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
+        for g, d, off, _ in src_blocks:
+            index = {m: i for i, m in enumerate(monomials(nv, (q + 2 - d) // 2))}
+            for i, alpha in enumerate(monomials(nv, (q - d) // 2)):
+                v = vec.get(src_start + off + i, 0)
+                if not v:
+                    continue
+                for j, f in enumerate(covector):
+                    if f:
+                        gamma = tuple(a + (k == j) for k, a in enumerate(alpha))
+                        t = tgt_start + tgt_offset[g] + index[gamma]
+                        out[t] = out.get(t, 0) + f * v
+        src_start += src_dim
+        tgt_start += tgt_dim
+    return {t: x for t, x in out.items() if x}
+
+
 def full_quotient(mes, q: int) -> dict:
     """The sheaf's quotient of all global sections at degree q by the
     ambient maximal ideal, over every maximal cone with no fold."""
@@ -412,7 +474,7 @@ def lefschetz_matrices(mes, s) -> dict:
                 target,
                 to_basis_coords(
                     target["sections"],
-                    mes._multiply_conewise(max_ids, q, data["sections"].basis[i], covectors),
+                    multiply_conewise(mes, max_ids, q, data["sections"].basis[i], covectors),
                 ),
             )
             for i in data["complement"]

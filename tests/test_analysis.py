@@ -143,9 +143,9 @@ def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
         widths.append(ncols)
         return sparse_kernel(rows, ncols)
 
-    def space(mes, max_ids, q, wall_mode=False, parity=None):
+    def space(mes, max_ids, q, parity=None):
         before = len(widths)
-        out = section_space(mes, max_ids, q, wall_mode, parity)
+        out = section_space(mes, max_ids, q, parity)
         if len(widths) > before:
             builds.append((max_ids, q, parity, widths[-1]))
         return out

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from importlib import resources
@@ -10,6 +11,7 @@ from polyfan.cli import (
     MAX_GENERATED_FACETS,
     InputError,
     _check_facets,
+    build_parser,
     main,
     polytope_from_json,
     polytope_to_json,
@@ -247,6 +249,25 @@ class TestInputGrammar:
         assert len(lines) == 1
         assert len(lines[0]) < 200
 
+    @pytest.mark.parametrize("command", ["hvector", "check-bounds", "ih"])
+    @pytest.mark.parametrize("where", ["numerator", "denominator", "pair part"])
+    def test_scalar_with_too_many_digits_exits_two(self, capsys, tmp_path, command, where):
+        # 5,000 digits: above the interpreter's limit on converting a
+        # string to an int, which must not surface as a traceback.
+        digits = "1" * 5000
+        if where == "pair part":
+            doc = {"dim": 1, "field": {"quadratic": 2}, "vertices": [[["1", "0"]], [["-1", digits]]]}
+        else:
+            scalar = digits if where == "numerator" else "1/" + digits
+            doc = {"dim": 1, "field": "rational", "vertices": [["1"], [scalar]]}
+        code, out, err = run(capsys, command, _write_doc(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "vertex #1, coordinate #0: invalid rational" in err
+        assert "too many digits" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_integer_too_long_to_convert_exits_two(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text('{"dim": 1, "field": "rational", "name": ' + "9" * 5000 + "}")
@@ -483,6 +504,27 @@ class TestTranslationReporting:
         assert report["translation"] == ["-10", "0"]
         assert report["h"] == [1, 2, 1]
         jsonschema.validate(report, load_report_schema())
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        init = argparse.ArgumentParser.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        assert run(capsys, "generate", "cross", "2")[0] == 0
+        assert run(capsys, "generate", "cube", "2")[0] == 0
+        # The reused parser still turns a usage error into exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["hvector"])
+        assert exc.value.code == 2
+        assert "usage: polyfan hvector" in capsys.readouterr().err
+        assert built.count("polyfan") == 1
 
 
 class TestExitCodes:

@@ -16,7 +16,6 @@ from polyfan.ihsheaf import (
     DegreeCapError,
     SheafError,
     build_mes,
-    check_local_global_dims,
     ih_poincare,
     kernel_dimensions,
     lefschetz_maps,
@@ -95,7 +94,7 @@ class TestConstruction:
             facets = fan.facets_of(cid)
             k = fan.cones[cid].dim
             for q in range(0, mes.cap + 2, 2):
-                sections = mes.section_space(facets, q, wall_mode=True)
+                sections = mes.section_space(facets, q)
                 basis = sections.basis
                 gens_at_q = sum(
                     1 for d in mes.modules[cid].gen_degrees if d == q
@@ -103,12 +102,13 @@ class TestConstruction:
                 if q < 2:
                     m_dim = 0
                 else:
-                    prev = mes.section_space(facets, q - 2, wall_mode=True).basis
+                    prev = mes.section_space(facets, q - 2).basis
                     products = []
                     for vec in prev:
                         for i in range(k):
                             products.append(
-                                mes._multiply_conewise(
+                                oracles.multiply_conewise(
+                                    mes,
                                     facets,
                                     q - 2,
                                     vec,
@@ -138,7 +138,7 @@ class TestSections:
         mes = build_mes(fan)
         square, ray = fan.maximal_ids[0], fan.cones_of_dim(1)[0]
         with pytest.raises(SheafError, match="equidimensional"):
-            mes.section_space((square, ray), 2, wall_mode=True)
+            mes.section_space((square, ray), 2)
 
     def test_wall_mode_rejects_a_wall_of_three_cones(self):
         # Three 2-cones on the ray (1, 0): no fan of a polytope, but each
@@ -147,7 +147,7 @@ class TestSections:
         fan = from_simplicial_cones(2, rays, [(0, 1), (0, 2), (0, 3)])
         mes = build_mes(fan, 4)
         with pytest.raises(SheafError, match="more than two cones"):
-            mes.section_space(fan.maximal_ids, 2, wall_mode=True)
+            mes.section_space(fan.maximal_ids, 2)
 
     def test_one_dim_fan(self):
         fan = face_fan(cube(1))
@@ -206,13 +206,13 @@ class TestKernels:
         for name in ("cube-2", "cross-2", "cube-3"):
             _, fan, mes, _ = sheaf_setups[name]
             # Full fan, all skeleta, and all single-cone star subfans.
-            assert check_local_global_dims(mes, fan.cone_ids()), name
+            assert oracles.check_local_global_dims(mes, fan.cone_ids()), name
             for k in range(fan.dim):
                 ids = [c for c in fan.cone_ids() if fan.cones[c].dim <= k]
-                assert check_local_global_dims(mes, ids), (name, k)
+                assert oracles.check_local_global_dims(mes, ids), (name, k)
             for cid in fan.cone_ids():
                 ids = set(fan.faces[cid]) | {cid}
-                assert check_local_global_dims(mes, ids), (name, cid)
+                assert oracles.check_local_global_dims(mes, ids), (name, cid)
 
 
 class TestReflection:
@@ -250,7 +250,7 @@ class TestReflection:
         # the quotient's membership check refuses it.
         mes = build_mes(face_fan(cube(3)), 8)
         reps = mes.representatives
-        half = len(build_mes(mes.fan, 8).section_space(reps, 4, True, -1).basis)
+        half = len(build_mes(mes.fan, 8).section_space(reps, 4, -1).basis)
         odd_coordinates = type(mes).odd_coordinates
 
         def flipped(self, cone_id, q):
@@ -258,7 +258,7 @@ class TestReflection:
             return (not odd[0],) + odd[1:] if (cone_id, q) == (reps[-1], 4) else odd
 
         monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
-        assert len(mes.section_space(reps, 4, True, -1).basis) < half
+        assert len(mes.section_space(reps, 4, -1).basis) < half
         monkeypatch.undo()
         with pytest.raises(SheafError, match="not a section"):
             mes.global_data(4)
@@ -295,6 +295,31 @@ class TestLefschetz:
         linear = ConewiseLinear(fan, {cid: (F(1), F(0)) for cid in fan.maximal_ids})
         with pytest.raises(FanError, match="not even"):
             lefschetz_maps(build_mes(fan, 4), linear)
+
+    def test_product_leaving_its_half_is_rejected(self, monkeypatch):
+        # The minus half of cube(3) at degree 4 replaced by a scratch
+        # kernel folded with the sign of coordinate 6 of the last
+        # representative's antipode flipped (as in TestReflection): the
+        # support function times the lift of the minus class at degree 2
+        # leaves it, and the membership check of the product refuses it.
+        a = Analysis(cube(3), 8)
+        mes, reps = a.sheaf, a.sheaf.representatives
+        scratch = build_mes(a.fan, 8)
+        odd_coordinates = type(mes).odd_coordinates
+
+        def flipped(self, cone_id, q):
+            odd = odd_coordinates(self, cone_id, q)
+            return odd[:6] + (not odd[6],) + odd[7:] if (cone_id, q) == (reps[-1], 4) else odd
+
+        monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
+        broken = scratch.section_space(reps, 4, -1)
+        monkeypatch.undo()
+        halves = mes.global_data(4)
+        assert len(broken.basis) < len(halves[-1]["sections"].basis)
+        assert len(mes.global_data(2)[-1]["complement"]) == 1
+        mes._global[4] = {**halves, -1: {**halves[-1], "sections": broken}}
+        with pytest.raises(SheafError, match="not a section of its half"):
+            lefschetz_maps(mes, a.support)
 
     def test_patterns_hold(self, sheaf_analyses):
         for name, a in sheaf_analyses.items():
@@ -647,10 +672,7 @@ def test_only_checks_module_decides_report_checks():
         }
         assert named == (REPORT_CHECKS if source.name == "checks.py" else set()), source.name
     ihsheaf = _function_names(ast.parse((PACKAGE / "ihsheaf.py").read_text()))
-    assert {f for f in ihsheaf if f.startswith("check")} == {
-        "check_minimal_extension_axioms",
-        "check_local_global_dims",
-    }
+    assert {f for f in ihsheaf if f.startswith("check")} == {"check_minimal_extension_axioms"}
     for name in ("reports.py", "analysis.py"):
         functions = _function_names(ast.parse((PACKAGE / name).read_text()))
         assert not {
@@ -684,7 +706,7 @@ UNCALLED_ALLOWED = {
     # The sheaf's own verifiers: tests and demo 03 check a built sheaf
     # against the definition with them; no report needs them.
     "check_minimal_extension_axioms": "verifier of the sheaf, for tests and demos",
-    "check_local_global_dims": "verifier of the sheaf, for tests and demos",
+    "kernel_dimensions": "local kernels of the sheaf, printed by demo 03",
 }
 
 

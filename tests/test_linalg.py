@@ -407,3 +407,30 @@ def test_products_rref_equals_rref_of_scalar_products(radicand_rows):
             products.append(linalg.kernel_coords(target, {t: x for t, x in product.items() if x}))
     assert linalg.products_rref(source, target, table, forms) == linalg.sparse_rref(products)
     assert linalg.products_rref(source, linalg.sparse_kernel([{5: F(1)}], 7), table, forms) is None
+
+
+@pytest.mark.parametrize("radicand", [None, 2])
+@pytest.mark.parametrize("select", [None, {0, 2}, {1}, set()])
+def test_products_rref_of_a_selection_equals_the_dense_rref(radicand, select):
+    """products_rref over a selection of the source basis has the dense
+    oracle's reduced rows of the selected products, over Q and over
+    Q(sqrt 2).  The target kernel keeps every column but the last, so a
+    product's coordinates there are its own entries."""
+    x = F(3) if radicand is None else Quadratic(1, 1, radicand)
+    source = linalg.sparse_kernel([{0: F(2), 1: x, 3: Fraction(-1, 3)}, {2: F(1), 4: x}], 5)
+    # Coordinate c of b goes to c times phi[0], to c + 5 times phi[1] and
+    # to 9 - c times phi[2].
+    table = {c: ((c, 0), (c + 5, 1), (9 - c, 2)) for c in range(5)}
+    forms = [(F(1), x, F(0)), (F(2), F(-1), x)]
+    target = linalg.sparse_kernel([{10: F(1)}], 11)
+    chosen = range(len(source.basis)) if select is None else sorted(select)
+    products = []
+    for phi in forms:
+        for i in chosen:
+            product = [F(0)] * 10
+            for c, v in source.basis[i].items():
+                for t, k in table[c]:
+                    product[t] += v * phi[k]
+            products.append(product)
+    reduced, pivots = linalg.products_rref(source, target, table, forms, select)
+    assert (tuple(as_dense(r, 10) for r in reduced), pivots) == oracles.rref(products)
