@@ -80,15 +80,6 @@ class Fan:
             sorted(f for f in self.faces[cone_id] if self.cones[f].dim == k - 1)
         )
 
-    def common_face(self, a: int, b: int) -> int:
-        """The largest common face of two cones of the fan."""
-        if a == b:
-            return a
-        fa = self.faces[a] | {a}
-        fb = self.faces[b] | {b}
-        shared = fa & fb
-        return max(shared, key=lambda cid: (self.cones[cid].dim, -cid))
-
     def is_simplicial_cone(self, cone_id: int) -> bool:
         c = self.cones[cone_id]
         return len(c.ray_ids) == c.dim
@@ -273,16 +264,15 @@ class ConewiseLinear:
         fan = self.fan
         if set(self.covectors) != set(fan.maximal_ids):
             raise FanError("conewise data must cover exactly the maximal cones")
-        for i, a in enumerate(fan.maximal_ids):
-            for b in fan.maximal_ids[i + 1 :]:
-                shared = fan.common_face(a, b)
-                for ray in fan.rays_of(shared):
-                    da = linalg.vec_dot(self.covectors[a], ray)
-                    db = linalg.vec_dot(self.covectors[b], ray)
-                    if da != db:
-                        raise FanError(
-                            "conewise values disagree on a shared face"
-                        )
+        # Two cones meet in the face spanned by their shared rays, so the
+        # pieces agree there iff each ray has one value over its cones.
+        values = {}
+        for cid in fan.maximal_ids:
+            u = self.covectors[cid]
+            for r in fan.cones[cid].ray_ids:
+                value = linalg.vec_dot(u, fan.rays[r])
+                if values.setdefault(r, value) != value:
+                    raise FanError("conewise values disagree on a shared face")
 
     def scale(self, factor) -> "ConewiseLinear":
         return ConewiseLinear(

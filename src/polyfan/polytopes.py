@@ -1,13 +1,18 @@
 """Convex polytopes from exact vertex sets.
 
 Facets are the extreme rays of the homogenized cone of the vertex list,
-found by one double-description routine over Q (on integer-scaled rows)
-or Q(sqrt d).  The other faces are the intersections of facet vertex
-sets, graded from the top down without any rank computation.  The face
-lattice is validated on construction: full dimension, Euler's relation,
-and for every listed point the vertex criterion on facet masks (the
-facets through a vertex meet in that vertex alone), again without any
-rank computation.
+found by one double-description routine that runs on integers for both
+fields: primitive integer rows and rays over Q, and over Q(sqrt d) rows
+and rays of integer pairs (x, y) standing for x + y sqrt d, with no
+field arithmetic per ray.  Each facet plane u.x <= c comes out in one
+exact form: over Q, (c times the common denominator of the points, u)
+is a primitive integer vector; over Q(sqrt d), the first nonzero entry
+of (c, u) is 1 or -1.  The other faces are the intersections of facet
+vertex sets, graded from the top down without any rank computation.
+The face lattice is validated on construction: full dimension, Euler's
+relation, and for every listed point the vertex criterion on facet
+masks (the facets through a vertex meet in that vertex alone), again
+without any rank computation.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .scalars import is_rational, sign, to_fraction
+from .scalars import is_rational, quadratic_sign, sign, to_fraction
 
 
 class PolytopeError(ValueError):
@@ -181,41 +186,49 @@ def _facets(points, n: int) -> list:
     Double description (Fukuda-Prodon 1996): a facet is an extreme ray y
     of the cone {y : y.[1|p] >= 0 for every point p}, with (c, u) =
     (y_0, -y_rest).  The cone of a first simplex is refined by one row at
-    a time.  Rational points are scaled to integer rows and rays stay
-    primitive integer vectors; over Q(sqrt d) a ray is divided by the
-    absolute value of its first nonzero entry.  Either way each facet has
-    one exact representation, independent of the insertion order.
+    a time, on integers.  Rational points are scaled to integer rows and
+    rays stay primitive integer vectors.  Over Q(sqrt d) a row is the
+    primitive pair row of [1|p], a positive multiple of it, and a ray
+    keeps a rational first nonzero entry and content 1 (:func:`_pair_ray`);
+    at the end (c, u) is divided by the absolute value of that entry.
+    Either way each facet has one exact form, whatever the insertion
+    order.
     """
     width = n + 1
     if all(is_rational(x) for p in points for x in p):
+        d = None
         fracs = [[to_fraction(x) for x in p] for p in points]
         scale = math.lcm(*(x.denominator for p in fracs for x in p))
-        rows = [(1,) + tuple(int(x * scale) for x in p) for p in fracs]
-        normalize = linalg.primitive
+        rows = scalar_rows = [(1,) + tuple(int(x * scale) for x in p) for p in fracs]
     else:
-        scale = None
-        rows = [(Fraction(1),) + tuple(p) for p in points]
-        normalize = _unit_lead
-    basis = _first_simplex(rows, width)
+        d = next(x.d for p in points for x in p if not is_rational(x))
+        scalar_rows = [(Fraction(1),) + tuple(p) for p in points]
+        rows = [linalg._integral(r, d) for r in scalar_rows]
+    basis = _first_simplex(scalar_rows, width)
     # {y : B y >= 0} is B^-1 applied to the orthant, so its rays are the
     # columns of B^-1.  Each ray carries its zero set: the rows inserted
     # so far that it satisfies with equality, as a bitmask.
-    inverse = linalg.inverse(linalg.mat(rows[i] for i in basis))
+    inverse = linalg.inverse(linalg.mat(scalar_rows[i] for i in basis))
     all_bits = sum(1 << i for i in basis)
-    rays = [
-        (normalize(tuple(r[j] for r in inverse)), all_bits & ~(1 << i))
-        for j, i in enumerate(basis)
-    ]
+    rays = []
+    for j, i in enumerate(basis):
+        y = linalg._integral([r[j] for r in inverse], d)
+        rays.append((y if d is None else _pair_ray(y, d), all_bits & ~(1 << i)))
     chosen = set(basis)
     for k, row in enumerate(rows):
         if k not in chosen:
-            rays = _insert_row(rays, row, 1 << k, width, normalize)
-    if scale is None:
-        return [(mask, tuple(-x for x in y[1:]), y[0]) for y, mask in rays]
-    return [
-        (mask, tuple(Fraction(-x) for x in y[1:]), Fraction(y[0], scale))
-        for y, mask in rays
-    ]
+            rays = _insert_row(rays, row, 1 << k, width, d)
+    if d is None:
+        return [
+            (mask, tuple(Fraction(-x) for x in y[1:]), Fraction(y[0], scale))
+            for y, mask in rays
+        ]
+    out = []
+    for y, mask in rays:
+        lead = abs(next(x for x, _ in y if x))
+        y = [linalg._scalar(v, lead, d) for v in y]
+        out.append((mask, tuple(-x for x in y[1:]), y[0]))
+    return out
 
 
 def _first_simplex(rows, width: int) -> tuple:
@@ -229,8 +242,9 @@ def _first_simplex(rows, width: int) -> tuple:
     return pivots
 
 
-def _insert_row(rays, row, bit: int, width: int, normalize) -> list:
-    """Extreme rays of the cone cut by one more row from those before it.
+def _insert_row(rays, row, bit: int, width: int, d) -> list:
+    """Extreme rays of the cone cut by one more row from those before it,
+    on integer rows and rays (d None) or pair rows and rays over Q(sqrt d).
 
     Rays on the positive side and on the row are kept; each adjacent pair
     across the row is combined into a ray on it.  Adjacency is decided on
@@ -239,8 +253,12 @@ def _insert_row(rays, row, bit: int, width: int, normalize) -> list:
     """
     kept, pos, neg = [], [], []
     for y, zeros in rays:
-        s = sum(a * b for a, b in zip(row, y))
-        side = sign(s)
+        if d is None:
+            s = sum(a * b for a, b in zip(row, y))
+            side = (s > 0) - (s < 0)
+        else:
+            s = _pair_dot(row, y, d)
+            side = quadratic_sign(*s, d)
         if side > 0:
             kept.append((y, zeros))
             pos.append((y, zeros, s))
@@ -258,16 +276,46 @@ def _insert_row(rays, row, bit: int, width: int, normalize) -> list:
                 continue
             if any(z & common == common and z != zp and z != zq for z in zero_sets):
                 continue
-            y = normalize(tuple(sp * b - sq * a for a, b in zip(p, q)))
+            if d is None:
+                y = linalg.primitive([sp * b - sq * a for a, b in zip(p, q)])
+            else:
+                y = _pair_ray(_pair_combination(p, q, sp, sq, d), d)
             kept.append((y, common | bit))
     return kept
 
 
-def _unit_lead(y):
-    lead = next(x for x in y if x != 0)
-    if sign(lead) < 0:
-        lead = -lead
-    return tuple(x / lead for x in y)
+def _pair_dot(row, y, d: int) -> tuple:
+    """The dot product of pair vectors over Q(sqrt d), as a pair."""
+    sx = sy = 0
+    for (a, b), (x, z) in zip(row, y):
+        sx += a * x + d * b * z
+        sy += a * z + b * x
+    return sx, sy
+
+
+def _pair_combination(p, q, sp, sq, d: int) -> list:
+    """sp q - sq p for pair vectors p, q and pair scalars sp, sq."""
+    (a, b), (e, f) = sp, sq
+    return [
+        (a * qx + d * b * qy - e * px - d * f * py, a * qy + b * qx - e * py - f * px)
+        for (px, py), (qx, qy) in zip(p, q)
+    ]
+
+
+def _pair_ray(y, d: int) -> list:
+    """A nonzero pair vector over Q(sqrt d) scaled by a positive factor to
+    a rational first nonzero entry and content 1.  When that entry
+    lx + ly sqrt d has ly != 0 the factor is its conjugate lx - ly sqrt d
+    times the conjugate's sign, which makes it the integer |lx^2 - d ly^2|;
+    without this, units of Z[sqrt d] would pile up in the entries from
+    one insertion to the next."""
+    lx, ly = next(v for v in y if v[0] or v[1])
+    if ly:
+        k = quadratic_sign(lx, -ly, d)
+        cx, cy = k * lx, -k * ly
+        y = [(x * cx + d * z * cy, x * cy + z * cx) for x, z in y]
+    g = math.gcd(*(part for v in y for part in v))
+    return [(x // g, z // g) for x, z in y]
 
 
 def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:

@@ -168,17 +168,7 @@ class Quadratic:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return _frac_sign(a)
-        if a == 0:
-            return _frac_sign(b)
-        sa, sb = _frac_sign(a), _frac_sign(b)
-        if sa == sb:
-            return sa
-        # Opposite signs: compare a^2 against b^2 * d exactly.
-        cmp = _frac_sign(a * a - b * b * self.d)
-        return sa if cmp > 0 else sb
+        return quadratic_sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, Quadratic):
@@ -258,6 +248,17 @@ def _frac_sign(x) -> int:
     if x < 0:
         return -1
     return 0
+
+
+def quadratic_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for int or Fraction parts: for parts
+    of opposite sign, that of the larger of a^2 and d*b^2 (never equal)."""
+    sa, sb = _frac_sign(a), _frac_sign(b)
+    if sa == sb or not sb:
+        return sa
+    if not sa or a * a < d * b * b:
+        return sb
+    return sa
 
 
 def sign(x: Scalar) -> int:

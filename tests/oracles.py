@@ -5,7 +5,8 @@ algebra is a plain Gauss-Jordan elimination on field scalars, faces are
 found by scanning all vertex subsets with it, the classical f-to-h
 transform is the closed binomial formula, the toric h-polynomial
 recurses through geometric quotient fans or sums one term per face, the
-face fan's down-sets come from an all-pairs scan of vertex masks, the
+face fan's down-sets come from an all-pairs scan of vertex masks, and
+conewise-linear pieces are compared over every pair of maximal cones; the
 dual polytope reverses the face lattice, and restriction maps of the
 sheaf are dense products of a multiplication matrix and a substitution
 matrix.  The sections over a subfan impose every pairwise contact of
@@ -355,7 +356,7 @@ def check_local_global_dims(mes, cone_ids) -> bool:
         offsets = [sum(dims[:i]) for i in range(len(dims))]
         rows = []
         for (i, a), (j, b) in combinations(enumerate(max_ids), 2):
-            f = fan.common_face(a, b)
+            f = common_face(fan, a, b)
             for row_a, row_b in zip(restriction_matrix(mes, a, f, q), restriction_matrix(mes, b, f, q)):
                 row = [Fraction(0)] * sum(dims)
                 row[offsets[i] : offsets[i] + dims[i]] = row_a
@@ -530,6 +531,26 @@ def value_on_ray(function, ray_id: int):
     fan = function.fan
     cid = next(c for c in fan.maximal_ids if ray_id in fan.cones[c].ray_ids)
     return sum((a * b for a, b in zip(function.covectors[cid], fan.rays[ray_id])), Fraction(0))
+
+
+def common_face(fan: Fan, a: int, b: int) -> int:
+    """The largest common face of two cones of the fan."""
+    if a == b:
+        return a
+    shared = (fan.faces[a] | {a}) & (fan.faces[b] | {b})
+    return max(shared, key=lambda cid: (fan.cones[cid].dim, -cid))
+
+
+def conewise_pieces_agree(fan: Fan, covectors: dict) -> bool:
+    """Whether linear pieces on the maximal cones agree on every common
+    face: for every pair of maximal cones, both pieces take the same
+    value on each ray of their largest common face."""
+    for a, b in combinations(fan.maximal_ids, 2):
+        for ray in fan.rays_of(common_face(fan, a, b)):
+            values = [sum((x * y for x, y in zip(covectors[c], ray)), Fraction(0)) for c in (a, b)]
+            if values[0] != values[1]:
+                return False
+    return True
 
 
 def from_simplicial_cones(ambient_dim: int, rays, maximal_cones) -> Fan:

@@ -11,10 +11,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from polyfan import polytopes
 from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.polytopes import (
+    Polytope,
     PolytopeError,
     _facets,
     _first_simplex,
@@ -29,6 +31,7 @@ from polyfan.scalars import Quadratic, is_rational, sign, to_fraction
 from oracles import brute_force_facets, rank
 
 RADICANDS = (None, 2, 3)  # None: rational coordinates
+SQRT2 = Quadratic(0, 1, 2)
 
 
 def _scalar(draw, d):
@@ -58,7 +61,11 @@ def _apply(matrix, point):
 def point_clouds(draw):
     """Integer points in [-2, 2]^n plus midpoints of pairs and centroids of
     triples (points inside, or on faces of, the hull), mapped by a
-    unitriangular matrix; full-dimensional, no point repeated."""
+    unitriangular matrix; full-dimensional, no point repeated.  Over
+    Q(sqrt d) one point is sometimes pushed along its ray by 1 + sqrt(d)/4,
+    so that the cloud is not a linear image of a rational one: only then
+    do the dot products of rows and rays leave Q, and the rays need their
+    leads made rational."""
     n = draw(st.integers(2, 4))
     d = draw(st.sampled_from(RADICANDS))
     coord = st.integers(-2, 2).map(Fraction)
@@ -72,7 +79,12 @@ def point_clouds(draw):
     points = list(dict.fromkeys(points))
     assume(rank([(Fraction(1),) + p for p in points]) == n + 1)
     matrix = draw(unitriangular(n, d))
-    return n, [_apply(matrix, p) for p in points]
+    points = [_apply(matrix, p) for p in points]
+    if d is not None and draw(st.booleans()):
+        i = draw(st.integers(0, len(points) - 1))
+        points[i] = tuple(x * Quadratic(1, Fraction(1, 4), d) for x in points[i])
+        assume(rank([(Fraction(1),) + p for p in points]) == n + 1)
+    return n, points
 
 
 def _mask_set(mask):
@@ -122,6 +134,9 @@ def _oracle_vertices(points):
 
 @settings(max_examples=60, deadline=None)
 @given(point_clouds())
+# A point with denominators over Q(sqrt 2): scaling the points by a common
+# denominator and normalizing before undoing it breaks the unit lead.
+@example((2, [(Fraction(0), Fraction(0)), (SQRT2, Fraction(1)), (Fraction(1), Fraction(0)), (SQRT2 / 2, Fraction(1, 2))]))
 def test_facets_match_subset_scan(cloud):
     n, points = cloud
     _assert_matches_oracle(points, n)
@@ -227,3 +242,114 @@ def test_cross6_f_vector():
     assert cross_polytope(n).f_vector() == tuple(
         2 ** (k + 1) * math.comb(n, k + 1) for k in range(n)
     )
+
+
+def _images_over_quadratic_fields():
+    """(source, image) for the Q(sqrt 2) and Q(sqrt 3) images of cube(4)
+    and cross(4) under a unitriangular map with fractional entries in
+    both parts, each also with its last vertex pushed out along its ray
+    by 1 + sqrt(d)/4 before the map (source None then: the push splits
+    the cube's facets through it, and no rational polytope maps onto
+    it).  An image alone has rational dot products of rows and rays
+    (the map cancels), so only the pushed ones give irrational leads."""
+    out = []
+    for p in (cube(4), cross_polytope(4)):
+        for d in (2, 3):
+            matrix = tuple(
+                tuple(
+                    Fraction(1) if i == j
+                    else Quadratic(Fraction(1, j - i + 1), Fraction(j, 2), d) if j > i
+                    else Fraction(0)
+                    for j in range(4)
+                )
+                for i in range(4)
+            )
+            out.append((p, linear_image(p, matrix)))
+            *rest, last = p.vertices
+            pushed = Polytope([*rest, tuple(x * Quadratic(1, Fraction(1, 4), d) for x in last)])
+            out.append((None, linear_image(pushed, matrix)))
+    return out
+
+
+def test_pair_rays_keep_a_rational_lead_and_content_one(monkeypatch):
+    """Every ray that enters or leaves an insertion over Q(sqrt d) is a
+    pair vector whose first nonzero entry is rational, (x, 0), and whose
+    parts have gcd 1, so no unit of Z[sqrt d] piles up in the entries."""
+    cases = [
+        (image, p and {mask for mask, _, _ in _facets(p.vertices, 4)})
+        for p, image in _images_over_quadratic_fields()
+    ]
+    seen, irrational = [], [0]
+    insert, pair_ray = polytopes._insert_row, polytopes._pair_ray
+
+    def spy(rays, row, bit, width, d):
+        out = insert(rays, row, bit, width, d)
+        seen.extend(y for y, _ in rays + out)
+        return out
+
+    def leads(y, d):
+        irrational[0] += next(v for v in y if v != (0, 0))[1] != 0
+        return pair_ray(y, d)
+
+    monkeypatch.setattr(polytopes, "_insert_row", spy)
+    monkeypatch.setattr(polytopes, "_pair_ray", leads)
+    for image, expected in cases:
+        facets = _facets(image.vertices, 4)
+        if expected is None:
+            assert image.face_lattice().facet_ids()  # Euler and vertex checks
+            for mask, u, c in facets:
+                for i, v in enumerate(image.vertices):
+                    slack = sign(c - sum((a * x for a, x in zip(u, v)), Fraction(0)))
+                    assert slack >= 0 and (slack == 0) == bool(mask >> i & 1)
+        else:
+            assert {mask for mask, _, _ in facets} == expected
+        _assert_normalized(image.vertices, facets)
+    assert seen and irrational[0] > 0
+    for y in seen:
+        assert all(type(x) is int and type(z) is int for x, z in y)
+        assert next(v for v in y if v != (0, 0))[1] == 0
+        assert math.gcd(*(part for v in y for part in v)) == 1
+
+
+ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
+
+
+def test_insertions_do_no_quadratic_arithmetic(monkeypatch):
+    """The insertion loop over Q(sqrt 2) runs on integer pairs: no
+    Quadratic operator is called inside ``_insert_row`` (counted by
+    wrapping the operators) on the image of cube(4), with and without a
+    pushed vertex."""
+    images = [image for _, image in _images_over_quadratic_fields()[:2]]
+    calls = [0]
+    inside = [False]
+
+    def counted(name):
+        original = getattr(Quadratic, name)
+
+        def wrapper(*args):
+            calls[0] += inside[0]
+            return original(*args)
+
+        return wrapper
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(Quadratic, name, counted(name))
+    insert = polytopes._insert_row
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return insert(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(polytopes, "_insert_row", flagged)
+    for image in images:
+        assert len(_facets(image.vertices, 4)) >= 8
+    assert calls[0] == 0
+    inside[0] = True
+    assert SQRT2 * 2 + 1 == Quadratic(1, 2, 2)  # the wrappers do count
+    assert calls[0] == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from polyfan import linalg
-from polyfan.corpus import nonrational_cs_polytope, sheaf_corpus
+from polyfan.corpus import cs_corpus, nonrational_cs_polytope, sheaf_corpus
 from polyfan.fans import (
     Cone,
     ConewiseLinear,
@@ -17,6 +17,7 @@ from polyfan.polytopes import Polytope, cross_polytope, cube, simplex
 from oracles import (
     boundary_fan,
     cone_fan,
+    conewise_pieces_agree,
     down_sets_by_scan,
     from_simplicial_cones,
     rref,
@@ -256,6 +257,27 @@ class TestSupportFunction:
         covs[fan.maximal_ids[0]] = (F(2), F(3))
         with pytest.raises(FanError):
             ConewiseLinear(fan, covs)
+
+    @pytest.mark.parametrize("name, p", cs_corpus(), ids=[name for name, _ in cs_corpus()])
+    def test_agreement_check_matches_the_all_pairs_oracle(self, name, p):
+        """The per-ray check accepts exactly what the all-pairs scan of
+        common faces accepts: the support function, and not the support
+        function with one piece moved off the value on one of its rays
+        (a ray of a complete fan lies in at least two maximal cones when
+        the dimension is at least 2)."""
+        fan = face_fan(p)
+        covectors = support_function(p, fan).covectors
+        assert conewise_pieces_agree(fan, covectors)
+        cid = fan.maximal_ids[0]
+        ray = fan.rays[fan.cones[cid].ray_ids[0]]
+        moved = {**covectors, cid: linalg.vec_add(covectors[cid], ray)}
+        agree = conewise_pieces_agree(fan, moved)
+        assert agree == (p.ambient_dim == 1)
+        if agree:
+            ConewiseLinear(fan, moved)
+        else:
+            with pytest.raises(FanError, match="conewise values disagree on a shared face"):
+                ConewiseLinear(fan, moved)
 
 
 class TestExplicitFans:

@@ -7,7 +7,8 @@ is meant to alter a report regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and says so in CHANGES.md.
+and says so in CHANGES.md.  Stems after ``--regenerate`` limit it to
+those cases, for a change that only adds cases.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import cs_corpus, sheaf_corpus
-from polyfan.polytopes import linear_image, simplex
+from polyfan.polytopes import cross_polytope, cube, linear_image, simplex
 from polyfan.scalars import Field, Quadratic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,19 +50,40 @@ def _sqrt2_hexagon():
     return linear_image(hexagon, shear)
 
 
+def _quadratic_image(p, d):
+    """P under the upper unitriangular map over Q(sqrt d) whose entry
+    (i, j), j > i, is 1/(j - i + 1) + sqrt(d)/(i + 2): every image
+    coordinate has a fractional rational and irrational part."""
+    n = p.ambient_dim
+    matrix = tuple(
+        tuple(
+            Fraction(1) if i == j
+            else Quadratic(Fraction(1, j - i + 1), Fraction(1, i + 2), d) if j > i
+            else Fraction(0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return linear_image(p, matrix)
+
+
 def _cases():
     """(golden file stem, argv after the file or directory, polytopes)."""
-    rational, q2 = Field.rational(), Field.quadratic(2)
+    rational, q2, q3 = Field.rational(), Field.quadratic(2), Field.quadratic(3)
     sheaf = dict(sheaf_corpus())
     corpus = dict(cs_corpus())
     out = [(f"ih-{n}", ["ih"], [(n, sheaf[n], rational)]) for n in IH_NAMES]
     out.append(("ih-sqrt2-hexagon", ["ih"], [("sqrt2-hexagon", _sqrt2_hexagon(), q2)]))
+    cross3 = ("sqrt2-cross-3", _quadratic_image(cross_polytope(3), 2), q2)
+    out.append(("ih-sqrt2-cross-3", ["ih"], [cross3]))
     out.append(("ih-simplex-2", ["ih"], [("simplex-2", simplex(2), rational)]))
     cap10 = ["ih", "--degree-cap", "10"]
     out.append(("ih-cube-2-cap10", cap10, [("cube-2", sheaf["cube-2"], rational)]))
     for n in BOUNDS_NAMES:
         field = q2 if n == "nonrational-bipyramid" else rational
         out.append((f"check-bounds-{n}", ["check-bounds"], [(n, corpus[n], field)]))
+    cube4 = ("sqrt3-cube-4", _quadratic_image(cube(4), 3), q3)
+    out.append(("check-bounds-sqrt3-cube-4", ["check-bounds"], [cube4]))
     out.append(("hvector-simplex-3", ["hvector"], [("simplex-3", simplex(3), rational)]))
     out.append(
         (
@@ -100,18 +122,25 @@ def test_report_matches_golden(stem, argv, members, tmp_path):
     assert out == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
 
 
-def _regenerate() -> None:
+def _regenerate(stems) -> None:
+    """Rewrite the golden files of the named cases, or of every case."""
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text(encoding="utf-8")) if stems else {}
+    unknown = set(stems) - {stem for stem, _, _ in CASES}
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(sorted(unknown))}")
     for stem, argv, members in CASES:
+        if stems and stem not in stems:
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             codes[stem], out = _run_case(argv, members, Path(tmp))
         (GOLDEN / f"{stem}.json").write_text(out, encoding="utf-8")
     text = json.dumps(codes, indent=2, sort_keys=True) + "\n"
-    (GOLDEN / "exit_codes.json").write_text(text, encoding="utf-8")
+    codes_path.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: python tests/test_golden.py --regenerate")
-    _regenerate()
+    if sys.argv[1:2] != ["--regenerate"]:
+        sys.exit("usage: python tests/test_golden.py --regenerate [case ...]")
+    _regenerate(sys.argv[2:])

@@ -1,9 +1,10 @@
+import math
 import operator
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polyfan import scalars
 from polyfan.scalars import (
@@ -12,6 +13,7 @@ from polyfan.scalars import (
     Quadratic,
     ScalarParseError,
     is_square_free,
+    quadratic_sign,
     sign,
     to_fraction,
 )
@@ -108,6 +110,51 @@ class TestSign:
         assert q2(1, -1) < 0
         assert q2(0, 1) > Fraction(7, 5)
         assert q2(0, 1) < Fraction(3, 2)
+
+
+def isqrt_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b sqrt(d) for integers, bracketing b sqrt(d) between
+    consecutive integers with isqrt (sqrt(d b^2) is irrational when b is
+    nonzero, so it lies strictly inside the bracket)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    s = math.isqrt(d * b * b)  # s < |b| sqrt(d) < s + 1
+    if b > 0:
+        return 1 if a + s >= 0 else -1
+    return 1 if a - s - 1 >= 0 else -1
+
+
+class TestQuadraticSign:
+    """The one sign decision, :func:`quadratic_sign`, on int parts and on
+    Fraction parts (through ``Quadratic.sign``), against an isqrt
+    bracket; the examples are opposite-sign near-ties, a^2 and d b^2
+    one apart."""
+
+    @given(
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.integers(1, 50),
+        st.sampled_from((2, 3, 5, 6, 7)),
+    )
+    @example(7, -5, 1, 2)
+    @example(-7, 5, 1, 2)
+    @example(99, -70, 1, 2)
+    @example(-99, 70, 1, 2)
+    @example(26, -15, 1, 3)
+    @example(-26, 15, 1, 3)
+    @example(7, -5, 3, 2)
+    @example(0, 0, 1, 2)
+    def test_int_and_fraction_parts_agree_with_isqrt(self, a, b, den, d):
+        expected = isqrt_sign(a, b, d)
+        assert quadratic_sign(a, b, d) == expected
+        assert Quadratic(Fraction(a, den), Fraction(b, den), d).sign() == expected
+        assert quadratic_sign(Fraction(a, den), Fraction(b, den), d) == expected
+
+    def test_near_ties(self):
+        assert quadratic_sign(7, -5, 2) == -1  # 49 < 50
+        assert quadratic_sign(99, -70, 2) == 1  # 9801 > 9800
+        assert quadratic_sign(26, -15, 3) == 1  # 676 > 675
+        assert quadratic_sign(-26, 15, 3) == -1
 
 
 small_fractions = st.fractions(
