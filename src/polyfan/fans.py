@@ -1,9 +1,10 @@
 """Cones and fans with exact ray data.
 
 A fan stores its rays and cones in id-indexed dicts so that a quotient
-fan can reuse the ids of the parent fan.  The
-face fan of a polytope, quotient fans of cones, completeness and central
-symmetry live here, together with conewise-linear support functions.
+fan can reuse the ids of the parent fan, and the proper faces of each
+cone as an int bitset over cone ids.  The face fan of a polytope,
+quotient fans of cones, completeness and central symmetry live here,
+together with conewise-linear support functions.
 """
 
 from __future__ import annotations
@@ -31,32 +32,35 @@ class Cone:
 class Fan:
     """A face-closed set of cones with pairwise common-face intersections.
 
-    ``rays`` maps ray id -> generator vector; ``faces`` maps cone id ->
-    frozenset of ids of its proper faces (the zero cone included).
+    Cone ids are nonnegative ints.  ``rays`` maps ray id -> generator
+    vector; ``down`` maps cone id -> the bitset of its proper faces (the
+    zero cone included), with bit c set for cone id c.
     """
 
-    def __init__(self, ambient_dim: int, rays: dict, cones: dict, faces: dict):
+    def __init__(self, ambient_dim: int, rays: dict, cones: dict, down: dict):
         self.ambient_dim = ambient_dim
         self.rays = dict(rays)
         self.cones = dict(cones)
-        self.faces = {cid: frozenset(fs) for cid, fs in faces.items()}
+        self.down = dict(down)
         zero = [cid for cid, c in self.cones.items() if c.dim == 0]
         if len(zero) != 1 or self.cones[zero[0]].ray_ids:
             raise FanError("a fan must contain exactly one zero cone")
         self.zero_id = zero[0]
-        for cid, fs in self.faces.items():
-            for f in fs:
-                if f not in self.cones:
-                    raise FanError(f"cone {cid} lists unknown face {f}")
-        all_faces = set()
-        for fs in self.faces.values():
-            all_faces |= fs
-        self.maximal_ids = tuple(
-            sorted(cid for cid in self.cones if cid not in all_faces)
-        )
-        self.dim = max(c.dim for c in self.cones.values())
+        self._dim_masks: dict = {}  # dimension -> bitset of the cones of it
+        for cid, c in self.cones.items():
+            self._dim_masks[c.dim] = self._dim_masks.get(c.dim, 0) | 1 << cid
+        known = sum(self._dim_masks.values())
+        below = 0
+        for bits in self.down.values():
+            below |= bits
+        unknown = below & ~known
+        if unknown:
+            cid = next(c for c, bits in self.down.items() if bits & unknown)
+            raise FanError(f"cone {cid} lists unknown face {mask_bits(self.down[cid] & unknown)[0]}")
+        self.maximal_ids = mask_bits(known & ~below)
+        self.dim = max(self._dim_masks)
         self._bases: dict = {}
-        self._g: dict = {}  # cone id -> g-polynomial, filled by hvector
+        self._classes = None  # (dim, g) -> bitset of cones, filled by hvector
         self._antipode = None
 
     def __repr__(self):
@@ -76,9 +80,7 @@ class Fan:
 
     def facets_of(self, cone_id: int) -> tuple:
         k = self.cones[cone_id].dim
-        return tuple(
-            sorted(f for f in self.faces[cone_id] if self.cones[f].dim == k - 1)
-        )
+        return mask_bits(self.down[cone_id] & self._dim_masks.get(k - 1, 0))
 
     def is_simplicial_cone(self, cone_id: int) -> bool:
         c = self.cones[cone_id]
@@ -112,9 +114,8 @@ class Fan:
         top = self.cones[max_ids[0]].dim if max_ids else 0
         walls: dict = {}
         for cid in max_ids:
-            for f in self.faces[cid]:
-                if self.cones[f].dim == top - 1:
-                    walls.setdefault(f, []).append(cid)
+            for f in mask_bits(self.down[cid] & self._dim_masks.get(top - 1, 0)):
+                walls.setdefault(f, []).append(cid)
         return walls
 
     # -- structural predicates ------------------------------------------
@@ -205,13 +206,9 @@ class Fan:
         for r in c.ray_ids:
             coords = tuple(self.rays[r][j] for j in pivots)
             new_rays[r] = linalg.mat_vec(proj, coords)
-        cones = {}
-        faces = {}
-        for fid in self.faces[cone_id]:
-            f = self.cones[fid]
-            cones[fid] = Cone(fid, f.ray_ids, f.dim)
-            faces[fid] = self.faces[fid]
-        fan = Fan(k - 1, new_rays, cones, faces)
+        faces = mask_bits(self.down[cone_id])
+        cones = {fid: self.cones[fid] for fid in faces}
+        fan = Fan(k - 1, new_rays, cones, {fid: self.down[fid] for fid in faces})
         for fid in fan.cones:
             got = fan.cones[fid].dim
             expected = linalg.rank(linalg.mat(fan.rays_of(fid))) if fan.cones[fid].ray_ids else 0
@@ -224,33 +221,14 @@ def face_fan(p: Polytope) -> Fan:
     """The complete fan of cones over the proper faces of a polytope.
 
     Requires the origin in the interior; rays are the vertex position
-    vectors and cone ids follow the face-lattice ids.  Down-sets come
-    from bitsets over face ids: ``holding[v]`` marks the faces through
-    vertex v, so the faces below a face are those, other than itself,
-    that hold no vertex outside it.  The down-sets hold the cones' own
-    id objects.
+    vectors, and cone ids and down-sets are the face lattice's.
     """
     lattice = p.face_lattice()
     if not p.origin_is_interior():
         raise FanError("face fan needs the origin strictly interior")
-    ids = tuple(range(len(lattice.masks)))
-    proper = ids[:-1]  # the empty face first, the polytope itself last
-    vertices = [lattice.vertices_of(fid) for fid in proper]
-    holding = [0] * len(p.vertices)
-    for fid in proper:
-        for v in vertices[fid]:
-            holding[v] |= 1 << fid
-    everything = (1 << len(p.vertices)) - 1
-    every_proper = (1 << len(proper)) - 1
-    cones = {}
-    faces = {}
-    for fid in proper:
-        outside = 1 << fid
-        for v in mask_bits(everything ^ lattice.masks[fid]):
-            outside |= holding[v]
-        cones[fid] = Cone(fid, vertices[fid], lattice.dims[fid] + 1)
-        faces[fid] = frozenset(map(ids.__getitem__, mask_bits(every_proper & ~outside)))
-    return Fan(p.ambient_dim, dict(enumerate(p.vertices)), cones, faces)
+    proper = range(len(lattice.masks) - 1)  # the polytope itself is last
+    cones = {f: Cone(f, lattice.vertices_of(f), lattice.dims[f] + 1) for f in proper}
+    return Fan(p.ambient_dim, dict(enumerate(p.vertices)), cones, dict(zip(proper, lattice.down)))
 
 
 @dataclass(frozen=True)

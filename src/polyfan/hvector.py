@@ -3,16 +3,15 @@
 Both polynomials depend only on the face lattice (Stanley's recursion).
 h of a complete fan sums (x-1)^codim * g over all cones; g of a cone of
 dimension d truncates (1-x) times the same sum over its proper faces,
-taken in dimension d - 1, below half its dimension.  Each sum collects
-equal (dimension, g) terms and multiplies once per distinct pair, so on
-a mostly simplicial lattice it costs a handful of products.  Simplicial
-cones short-circuit to g = 1, and each fan memoizes g per cone id, since
-g depends only on the lower interval below the cone.
+taken in dimension d - 1, below half its dimension.  A fan's cones are
+put once, in increasing dimension, in the bitset of their class (dim, g),
+so each sum multiplies once per class by the popcount of its cones'
+bitset against the class's.  Simplicial cones have g = 1, and the class
+counts of a down-set fix g, so g is memoized on (dimension, counts).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .fans import Fan, FanError, face_fan
@@ -41,24 +40,40 @@ def g_polynomial(fan: Fan, cone_id: int) -> IntPoly:
     """
     if fan.is_simplicial_cone(cone_id):
         return (1,)
-    value = fan._g.get(cone_id)
-    if value is None:
-        d = fan.cones[cone_id].dim
-        boundary_h = _h_sum(fan, fan.faces[cone_id], d - 1)
-        value = truncate_below(pmul((1, -1), boundary_h), (d + 1) // 2)
-        fan._g[cone_id] = value
-    return value
+    d = fan.cones[cone_id].dim
+    return next(g for (k, g), cones in _classes(fan).items() if k == d and cones >> cone_id & 1)
 
 
-def _h_sum(fan: Fan, cone_ids, n: int) -> IntPoly:
-    """Sum of (x-1)^(n - dim tau) * g(tau) over the given cones, one
-    product per distinct (dim tau, g(tau)) pair."""
-    terms = Counter(
-        (fan.cones[cid].dim, g_polynomial(fan, cid)) for cid in cone_ids
-    )
+def _classes(fan: Fan) -> dict:
+    """(dim, g) -> bitset of the fan's cones of that dimension and g,
+    filled in increasing dimension: the classes below a cone are complete
+    when its down-set is counted against them."""
+    if fan._classes is None:
+        classes: dict = {}
+        memo: dict = {}
+        for d in range(fan.dim + 1):
+            keys, masks = tuple(classes), tuple(classes.values())
+            for cid in fan.cones_of_dim(d):
+                if fan.is_simplicial_cone(cid):
+                    g = (1,)
+                else:
+                    counts = tuple((fan.down[cid] & mask).bit_count() for mask in masks)
+                    g = memo.get((d, counts))
+                    if g is None:
+                        boundary_h = _h_sum(zip(keys, counts), d - 1)
+                        g = truncate_below(pmul((1, -1), boundary_h), (d + 1) // 2)
+                        memo[d, counts] = g
+                classes[d, g] = classes.get((d, g), 0) | 1 << cid
+        fan._classes = classes
+    return fan._classes
+
+
+def _h_sum(terms, n: int) -> IntPoly:
+    """Sum of count * (x-1)^(n - k) * g over the terms ((k, g), count)."""
     total: IntPoly = ()
-    for (k, g), count in terms.items():
-        total = padd(total, pscale(count, pmul(x_minus_one_power(n - k), g)))
+    for (k, g), count in terms:
+        if count:
+            total = padd(total, pscale(count, pmul(x_minus_one_power(n - k), g)))
     return total
 
 
@@ -66,7 +81,7 @@ def h_polynomial(fan: Fan) -> IntPoly:
     """Generalized h-polynomial of a complete fan."""
     if not fan.is_complete():
         raise FanError("h-polynomial requires a complete fan")
-    return _h_sum(fan, fan.cone_ids(), fan.dim)
+    return _h_sum(((key, cones.bit_count()) for key, cones in _classes(fan).items()), fan.dim)
 
 
 def h_simplicial(fan: Fan) -> IntPoly:

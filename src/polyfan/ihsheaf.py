@@ -53,6 +53,7 @@ from operator import add
 from . import hvector, linalg
 from .fans import ConewiseLinear, Fan, FanError
 from .polynomials import IntPoly, RefinedSeries, coeff, trim
+from .polytopes import mask_bits
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -513,9 +514,9 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
             gen_degrees.append(q)
             lifts.append((q, data["sections"].basis[i]))
     images: dict = {}
-    proper = sorted(fan.faces[sid], key=lambda c: (-fan.cones[c].dim, c))
+    proper = sorted(mask_bits(fan.down[sid]), key=lambda c: (-fan.cones[c].dim, c))
     for tau in proper:
-        host = tau if tau in facets else next(f for f in facets if tau in fan.faces[f])
+        host = tau if tau in facets else next(f for f in facets if fan.down[f] >> tau & 1)
         per_gen = []
         for d, section in lifts:
             offsets, _total = mes.section_layout(facets, d)

@@ -8,7 +8,8 @@ field arithmetic per ray.  Each facet plane u.x <= c comes out in one
 exact form: over Q, (c times the common denominator of the points, u)
 is a primitive integer vector; over Q(sqrt d), the first nonzero entry
 of (c, u) is 1 or -1.  The other faces are the intersections of facet
-vertex sets, graded from the top down without any rank computation.
+vertex sets, graded from the top down without any rank computation, and
+the covers found on the way give each face its down-set as a bitset.
 The face lattice is validated on construction: full dimension, Euler's
 relation, and for every listed point the vertex criterion on facet
 masks (the facets through a vertex meet in that vertex alone), again
@@ -45,7 +46,8 @@ class FaceLattice:
     """All faces of a polytope as vertex bitmasks, graded by dimension.
 
     Faces are sorted by (dim, mask); ids are positions in that order.  The
-    empty face has dim -1 and the polytope itself dim n.  ``facet_planes``
+    empty face has dim -1 and the polytope itself dim n.  ``down[i]`` has
+    bit j set for each face j strictly below face i.  ``facet_planes``
     maps each facet id to an inequality (u, c) with u.x <= c on P and
     equality exactly on the facet.
     """
@@ -54,6 +56,7 @@ class FaceLattice:
     num_vertices: int
     masks: tuple
     dims: tuple
+    down: tuple
     facet_planes: dict
 
     def face_ids(self):
@@ -106,7 +109,8 @@ class Polytope:
             raise PolytopeError("duplicate vertices")
         self.ambient_dim = n
         self.vertices = vs
-        self._lattice = None
+        # The vertex list never changes, so each of these is decided once.
+        self._lattice = self._symmetric = self._interior = None
 
     def __repr__(self):
         return f"Polytope(dim={self.ambient_dim}, vertices={len(self.vertices)})"
@@ -127,14 +131,16 @@ class Polytope:
         return Polytope(tuple(linalg.vec_add(v, shift) for v in self.vertices))
 
     def origin_is_interior(self) -> bool:
-        lattice = self.face_lattice()
-        return all(
-            sign(c) > 0 for (_, c) in (lattice.facet_planes[f] for f in lattice.facet_ids())
-        )
+        if self._interior is None:
+            planes = self.face_lattice().facet_planes
+            self._interior = all(sign(c) > 0 for _, c in planes.values())
+        return self._interior
 
     def is_centrally_symmetric(self) -> bool:
-        vertex_set = set(self.vertices)
-        return all(linalg.vec_neg(v) in vertex_set for v in self.vertices)
+        if self._symmetric is None:
+            vertex_set = set(self.vertices)
+            self._symmetric = all(linalg.vec_neg(v) in vertex_set for v in self.vertices)
+        return self._symmetric
 
     def is_cross_polytope(self) -> bool:
         """Whether P is a linear image of conv(+-e_1, ..., +-e_n)."""
@@ -321,26 +327,37 @@ def _pair_ray(y, d: int) -> list:
 def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
     """Every face as an intersection of facet masks, graded from the top:
     the facets of a k-face are the inclusion-maximal proper intersections
-    with facets of P, and they are (k-1)-faces."""
+    with facets of P, and they are (k-1)-faces.  These covers are kept,
+    and in increasing dimension a face's down-set is the union of each
+    cover's down-set and the cover itself."""
     full_mask = (1 << len(vertices)) - 1
     facet_masks = [mask for mask, _, _ in facets]
     dims = {full_mask: n}
+    covers = {full_mask: facet_masks}
     layer = set(facet_masks)
     for k in range(n - 1, -1, -1):
         below = set()
         for face in layer:
             dims[face] = k
-            below.update(_maximal_proper(face, facet_masks))
+            covers[face] = _maximal_proper(face, facet_masks)
+            below.update(covers[face])
         layer = below
-    dims[0] = -1
+    dims[0], covers[0] = -1, ()
 
     ordered = sorted(dims, key=lambda msk: (dims[msk], msk))
     ids = {mask: i for i, mask in enumerate(ordered)}
+    down = []
+    for mask in ordered:
+        bits = 0
+        for i in map(ids.__getitem__, covers[mask]):
+            bits |= down[i] | 1 << i
+        down.append(bits)
     lattice = FaceLattice(
         ambient_dim=n,
         num_vertices=len(vertices),
         masks=tuple(ordered),
         dims=tuple(dims[mask] for mask in ordered),
+        down=tuple(down),
         facet_planes={ids[mask]: (tuple(u), c) for mask, u, c in facets},
     )
     _validate_lattice(vertices, lattice)

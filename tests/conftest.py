@@ -43,14 +43,33 @@ def quadratic_image():
 
 
 @pytest.fixture(scope="session")
-def lattice_polytopes():
+def named_families(quadratic_image):
+    """(name, polytope) small enough for the quotient-fan h oracle: cube(2)
+    to cube(4), cross(2) to cross(6), products, and Q(sqrt 2) images."""
+    from polyfan.polytopes import cross_polytope, cube, product
+
+    out = [(f"cube{n}", cube(n)) for n in range(2, 5)]
+    out += [(f"cross{n}", cross_polytope(n)) for n in range(2, 7)]
+    out += [
+        ("cube2-x-cross2", product(cube(2), cross_polytope(2))),
+        ("cross2-x-cross2", product(cross_polytope(2), cross_polytope(2))),
+        ("cross3-x-cube1", product(cross_polytope(3), cube(1))),
+    ]
+    imaged = ("cube3", "cross3", "cube2-x-cross2")
+    out += [("sqrt2-" + name, quadratic_image(p, 2)) for name, p in out if name in imaged]
+    return out
+
+
+@pytest.fixture(scope="session")
+def lattice_polytopes(named_families):
     """(name, polytope) for the differential tests of the face fan and the
     g/h recursion: every CS corpus member, the benchmark's nonsimplicial
-    free sums (cube(3) + 3 cube(1) has 729 faces) and cube(6)."""
+    free sums (cube(3) + 3 cube(1) has 729 faces), the named families,
+    cube(5), cube(6) and cross(3) x cross(2)."""
     from functools import reduce
 
     from polyfan.corpus import cs_corpus
-    from polyfan.polytopes import cube, free_sum
+    from polyfan.polytopes import cross_polytope, cube, free_sum, product
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import inputs
@@ -59,5 +78,7 @@ def lattice_polytopes():
     for names in inputs.FREE_SUMS:
         summands = (inputs.SUMMANDS[s][0] for s in names)
         out.append(("free-sum-" + "-".join(names), reduce(free_sum, summands)))
-    out.append(("cube6", cube(6)))
+    out += named_families
+    out += [("cube5", cube(5)), ("cube6", cube(6))]
+    out.append(("cross3-x-cross2", product(cross_polytope(3), cross_polytope(2))))
     return out

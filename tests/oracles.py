@@ -17,7 +17,8 @@ maximal cone, with no fold: the reflection's matrices on that basis,
 the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
 elimination here.  Explicit fans (subfans, fans from simplicial cone
-lists) build test inputs.
+lists) build test inputs; they keep their down-sets as id sets and hand
+:class:`Fan` the bitsets.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import comb
 from polyfan.fans import Cone, Fan, FanError, face_fan
 from polyfan.ihsheaf import _involution_on_basis, kernel_dimensions, monomials, to_basis_coords
 from polyfan.polynomials import coeff
-from polyfan.polytopes import Polytope, PolytopeError, random_cs
+from polyfan.polytopes import Polytope, PolytopeError, mask_bits, random_cs
 from polyfan.scalars import Quadratic, sign
 
 
@@ -227,6 +228,16 @@ def h_by_quotient_fans(fan) -> tuple:
     return _trimmed(total)
 
 
+def bitset(ids) -> int:
+    """The int with bit i set for each id i."""
+    return sum(1 << i for i in set(ids))
+
+
+def faces_below(fan: Fan, cone_id: int) -> set:
+    """The ids of the proper faces of a cone, as a set."""
+    return set(mask_bits(fan.down[cone_id]))
+
+
 def down_sets_by_scan(p: Polytope) -> dict:
     """Per cone of the face fan of P (the empty face and each proper
     face), the ids of the proper faces strictly below it, by testing the
@@ -264,7 +275,7 @@ def h_per_face(fan) -> tuple:
         if len(cone.ray_ids) == cone.dim:
             g[cid] = (1,)
         else:
-            h = h_sum(fan.faces[cid], cone.dim - 1)
+            h = h_sum(faces_below(fan, cid), cone.dim - 1)
             g[cid] = _trimmed(_poly_mul([1, -1], h)[: (cone.dim + 1) // 2])
     return h_sum(fan.cones, fan.dim), g
 
@@ -347,9 +358,9 @@ def check_local_global_dims(mes, cone_ids) -> bool:
     fan = mes.fan
     ids = set(cone_ids)
     for cid in ids:
-        if not fan.faces[cid] <= ids:
+        if not faces_below(fan, cid) <= ids:
             raise FanError("subfan is not face-closed")
-    max_ids = sorted(ids - set().union(*(fan.faces[cid] for cid in ids)))
+    max_ids = sorted(ids - set().union(*(faces_below(fan, cid) for cid in ids)))
     kernels = kernel_dimensions(mes)
     for q in range(0, mes.cap + 1, 2):
         dims = [mes.module_dim(cid, q) for cid in max_ids]
@@ -507,22 +518,22 @@ def lefschetz_tables(mes, matrices: dict) -> tuple:
 def subfan(fan: Fan, ids: set) -> Fan:
     """The fan of a face-closed set of cones of ``fan``, reusing ids."""
     for cid in ids:
-        if not fan.faces[cid] <= ids:
+        if not faces_below(fan, cid) <= ids:
             raise FanError("subfan is not face-closed")
     cones = {cid: fan.cones[cid] for cid in ids}
-    faces = {cid: fan.faces[cid] & ids for cid in ids}
+    down = {cid: bitset(faces_below(fan, cid) & ids) for cid in ids}
     rays = {r: fan.rays[r] for c in cones.values() for r in c.ray_ids}
-    return Fan(fan.ambient_dim, rays, cones, faces)
+    return Fan(fan.ambient_dim, rays, cones, down)
 
 
 def cone_fan(fan: Fan, cone_id: int) -> Fan:
     """The fan of all faces of a cone, reusing ids."""
-    return subfan(fan, set(fan.faces[cone_id]) | {cone_id})
+    return subfan(fan, faces_below(fan, cone_id) | {cone_id})
 
 
 def boundary_fan(fan: Fan, cone_id: int) -> Fan:
     """The fan of proper faces of a cone, reusing ids."""
-    return subfan(fan, set(fan.faces[cone_id]))
+    return subfan(fan, faces_below(fan, cone_id))
 
 
 def value_on_ray(function, ray_id: int):
@@ -537,7 +548,7 @@ def common_face(fan: Fan, a: int, b: int) -> int:
     """The largest common face of two cones of the fan."""
     if a == b:
         return a
-    shared = (fan.faces[a] | {a}) & (fan.faces[b] | {b})
+    shared = (faces_below(fan, a) | {a}) & (faces_below(fan, b) | {b})
     return max(shared, key=lambda cid: (fan.cones[cid].dim, -cid))
 
 
@@ -571,11 +582,11 @@ def from_simplicial_cones(ambient_dim: int, rays, maximal_cones) -> Fan:
             if sub not in subsets:
                 subsets[sub] = len(subsets)
     cones = {}
-    faces = {}
+    down = {}
     for sub, cid in subsets.items():
         cones[cid] = Cone(cid, tuple(sorted(sub)), len(sub))
-        faces[cid] = frozenset(subsets[other] for other in subsets if other < sub)
-    return Fan(ambient_dim, rays, cones, faces)
+        down[cid] = bitset(subsets[other] for other in subsets if other < sub)
+    return Fan(ambient_dim, rays, cones, down)
 
 
 @lru_cache(maxsize=None)

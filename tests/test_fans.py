@@ -1,6 +1,8 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyfan import linalg
 from polyfan.corpus import cs_corpus, nonrational_cs_polytope, sheaf_corpus
@@ -12,13 +14,15 @@ from polyfan.fans import (
     face_fan,
     support_function,
 )
-from polyfan.polytopes import Polytope, cross_polytope, cube, simplex
+from polyfan.polytopes import Polytope, PolytopeError, cross_polytope, cube, random_cs, simplex
 
 from oracles import (
+    bitset,
     boundary_fan,
     cone_fan,
     conewise_pieces_agree,
     down_sets_by_scan,
+    faces_below,
     from_simplicial_cones,
     rref,
     subfan,
@@ -65,15 +69,42 @@ class TestFaceFan:
 
     def test_down_sets_match_the_all_pairs_scan(self, lattice_polytopes):
         for name, p in lattice_polytopes:
-            assert face_fan(p).faces == down_sets_by_scan(p), name
+            expected = {cid: bitset(fs) for cid, fs in down_sets_by_scan(p).items()}
+            assert face_fan(p).down == expected, name
 
-    def test_down_sets_hold_the_cone_key_objects(self):
-        # Ids above 256 are not shared by CPython's small-int cache, so a
-        # down-set of fresh ints would hold a second copy of each id.
-        fan = face_fan(cube(6))
-        assert max(fan.cones) > 256
-        keys = {id(cid) for cid in fan.cones}
-        assert all(id(f) in keys for fs in fan.faces.values() for f in fs)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 10**6))
+    def test_down_sets_match_the_scan_on_random_cs(self, n, extra, seed):
+        try:
+            p = random_cs(n, n + extra, seed)
+        except PolytopeError:
+            assume(False)
+        expected = {cid: bitset(fs) for cid, fs in down_sets_by_scan(p).items()}
+        assert face_fan(p).down == expected
+
+    def test_unknown_faces_are_rejected(self):
+        fan = face_fan(cube(2))
+        sigma = cone_of_dim(fan, 2)
+        down = dict(fan.down)
+        down[sigma] |= 1 << 40
+        with pytest.raises(FanError, match=f"^cone {sigma} lists unknown face 40$"):
+            Fan(2, fan.rays, fan.cones, down)
+
+    def test_down_sets_are_the_lattice_bitsets(self):
+        # The down-sets of cube(8)'s 6,561 cones hold 384,064 entries: as
+        # frozensets of ids the face fan peaked at 28 MB under tracemalloc,
+        # sharing the lattice's int bitsets it peaks under 3 MB.
+        p = cube(8)
+        lattice = p.face_lattice()
+        tracemalloc.start()
+        try:
+            fan = face_fan(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(fan.down[cid] is lattice.down[cid] for cid in fan.cones)
+        assert lattice.down[-1] == (1 << len(fan.cones)) - 1  # P is above every cone
+        assert peak < 6_000_000
 
 
 class TestCompleteness:
@@ -114,7 +145,7 @@ class TestSubfans:
         fan = face_fan(cube(3))
         sigma = cone_of_dim(fan, 3)
         boundary = boundary_fan(fan, sigma)
-        assert set(boundary.cones) == set(fan.faces[sigma])
+        assert set(boundary.cones) == faces_below(fan, sigma)
 
 
 def test_cone_basis_equals_the_dense_oracle(quadratic_image):
@@ -165,7 +196,7 @@ class TestQuotientFan:
         fan = face_fan(cube(3))
         sigma = cone_of_dim(fan, 3)
         q = fan.quotient_fan(sigma)
-        assert set(q.cones) == set(fan.faces[sigma])
+        assert set(q.cones) == faces_below(fan, sigma)
         for cid in q.cones:
             assert q.cones[cid].dim == fan.cones[cid].dim
 
@@ -316,14 +347,14 @@ class TestWalls:
         assert len(walls) == count
         for f, pair in walls.items():
             assert len(pair) == 2
-            assert all(f in fan.faces[cid] for cid in pair)
+            assert all(f in faces_below(fan, cid) for cid in pair)
 
     def test_boundary_walls_of_a_cone(self):
         fan = face_fan(cube(3))
         sigma = fan.cones_of_dim(3)[0]
         walls = fan.walls(fan.facets_of(sigma))
         assert sorted(walls) == sorted(
-            f for f in fan.faces[sigma] if fan.cones[f].dim == 1
+            f for f in faces_below(fan, sigma) if fan.cones[f].dim == 1
         )
         assert {len(pair) for pair in walls.values()} == {2}
 

@@ -84,7 +84,9 @@ def _cases():
         out.append((f"check-bounds-{n}", ["check-bounds"], [(n, corpus[n], field)]))
     cube4 = ("sqrt3-cube-4", _quadratic_image(cube(4), 3), q3)
     out.append(("check-bounds-sqrt3-cube-4", ["check-bounds"], [cube4]))
+    out.append(("check-bounds-cube-8", ["check-bounds"], [("cube-8", cube(8), rational)]))
     out.append(("hvector-simplex-3", ["hvector"], [("simplex-3", simplex(3), rational)]))
+    out.append(("hvector-cube-6", ["hvector"], [("cube-6", cube(6), rational)]))
     out.append(
         (
             "report-all-small",

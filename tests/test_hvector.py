@@ -12,7 +12,7 @@ from polyfan.corpus import (
     nonsimplicial_cs_3polytope,
     random_cs_family,
 )
-from polyfan.fans import FanError, face_fan
+from polyfan.fans import Cone, Fan, FanError, face_fan
 from polyfan.hvector import (
     check_cs_bounds,
     g_polynomial,
@@ -156,16 +156,16 @@ def _hull_clouds(count):
     return out
 
 
-def test_recursion_matches_quotient_fan_oracle(quadratic_image):
+def test_recursion_matches_quotient_fan_oracle(quadratic_image, named_families):
     """h and every cone's g agree with the memo-free recursion through
     geometric quotient fans, over Q and over Q(sqrt 2) and Q(sqrt 3), on
-    random families and the CS corpus."""
+    random families, the CS corpus and the named families."""
     rational = [p for _, p in random_cs_family(20)] + _hull_clouds(30)
     nonsimplicial = [p for p in rational if not face_fan(p).is_simplicial()]
     assert len(nonsimplicial) >= 10
     polytopes = rational + [
         quadratic_image(p, d) for d in (2, 3) for p in nonsimplicial[:6]
-    ] + [p for _, p in cs_corpus()]
+    ] + [p for _, p in cs_corpus()] + [p for _, p in named_families]
     assert len(polytopes) >= 60
     for p in polytopes:
         fan = face_fan(p)
@@ -176,12 +176,31 @@ def test_recursion_matches_quotient_fan_oracle(quadratic_image):
 
 def test_collected_sums_match_the_per_face_recursion(lattice_polytopes):
     """h and every cone's g agree with the recursion that sums one term
-    per face, on the CS corpus, the benchmark's free sums and cube(6)."""
+    per face, on the CS corpus, the benchmark's free sums, the named
+    families and the larger cubes and products."""
     for name, p in lattice_polytopes:
         fan = face_fan(p)
         h, g = h_per_face(fan)
         assert h_polynomial(fan) == h, name
         assert {cid: g_polynomial(fan, cid) for cid in fan.cones} == g, name
+
+
+def test_the_g_memo_is_keyed_by_dimension():
+    """A 4-dimensional cone with the proper faces of a square cone has the
+    same class counts as that cone, and a different g."""
+    fan = face_fan(cube(3))
+    square = next(c for c in fan.cones_of_dim(3) if not fan.is_simplicial_cone(c))
+    other_ray = next(r for r in fan.rays if r not in fan.cones[square].ray_ids)
+    fake = max(fan.cones) + 1
+    cones = dict(fan.cones)
+    cones[fake] = Cone(fake, fan.cones[square].ray_ids + (other_ray,), 4)
+    down = dict(fan.down)
+    down[fake] = fan.down[square]
+    widened = Fan(4, fan.rays, cones, down)
+    _, g = h_per_face(widened)
+    assert g[square] == (1, 1) and g[fake] == (-1,)
+    assert g_polynomial(widened, square) == (1, 1)
+    assert g_polynomial(widened, fake) == (-1,)
 
 
 def _random_invertible(rng, n):

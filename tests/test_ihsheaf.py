@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import polyfan
-from polyfan import linalg
+from polyfan import hvector, linalg
 from polyfan.analysis import Analysis
 from polyfan.checks import ih_checks
 from polyfan.fans import ConewiseLinear, FanError, face_fan
@@ -77,10 +77,14 @@ class TestConstruction:
                     expected.extend([2 * degree] * count)
                 assert list(mes.modules[cid].gen_degrees) == expected, (name, cid)
 
-    def test_generator_degrees_disagreeing_with_g_are_rejected(self):
+    def test_generator_degrees_disagreeing_with_g_are_rejected(self, monkeypatch):
         fan = face_fan(cube(3))
         cid = next(c for c in fan.cones_of_dim(3) if not fan.is_simplicial_cone(c))
-        fan._g[cid] = (1,)  # the true g of a square cone is 1 + x
+        true_g = hvector.g_polynomial
+        # The true g of a square cone is 1 + x.
+        monkeypatch.setattr(
+            hvector, "g_polynomial", lambda f, c: (1,) if c == cid else true_g(f, c)
+        )
         with pytest.raises(SheafError, match=rf"^cone {cid}: 1 generators in degree 2"):
             build_mes(fan)
 
@@ -211,7 +215,7 @@ class TestKernels:
                 ids = [c for c in fan.cone_ids() if fan.cones[c].dim <= k]
                 assert oracles.check_local_global_dims(mes, ids), (name, k)
             for cid in fan.cone_ids():
-                ids = set(fan.faces[cid]) | {cid}
+                ids = oracles.faces_below(fan, cid) | {cid}
                 assert oracles.check_local_global_dims(mes, ids), (name, cid)
 
 
@@ -471,7 +475,7 @@ def _assert_restrictions_match_oracle(mes):
     fan = mes.fan
     checked = 0
     for cid in fan.cone_ids():
-        for face in sorted(fan.faces[cid]):
+        for face in sorted(oracles.faces_below(fan, cid)):
             for q in range(0, mes.cap + 1, 2):
                 expected = dense_restriction_matrix(mes, cid, face, q)
                 got = mes.restriction_matrix(cid, face, q)

@@ -179,6 +179,19 @@ class TestSymmetry:
             assert not p.is_cross_polytope()
 
 
+def test_symmetry_and_interior_origin_are_decided_once(monkeypatch):
+    ps = (cube(3), simplex(3).translate((F(5), F(0), F(0))))
+    decided = [(p.is_centrally_symmetric(), p.origin_is_interior()) for p in ps]
+    assert decided == [(True, True), (False, False)]
+
+    def unexpected(*args):
+        raise AssertionError("decided again")
+
+    monkeypatch.setattr(polytopes.linalg, "vec_neg", unexpected)
+    monkeypatch.setattr(polytopes, "sign", unexpected)
+    assert [(p.is_centrally_symmetric(), p.origin_is_interior()) for p in ps] == decided
+
+
 class TestGenerators:
     def test_cross_vertices(self):
         assert len(cross_polytope(3).vertices) == 6
