@@ -1,8 +1,9 @@
 """Cones and fans with exact ray data.
 
 A fan stores its rays and cones in id-indexed dicts so that a quotient
-fan can reuse the ids of the parent fan, and the proper faces of each
-cone as an int bitset over cone ids.  The face fan of a polytope,
+fan can reuse the ids of the parent fan.  A cone's extreme rays are an
+int bitset over ray ids (in a face fan, the face's vertex mask), and its
+proper faces an int bitset over cone ids.  The face fan of a polytope,
 quotient fans of cones, completeness and central symmetry live here,
 together with conewise-linear support functions.
 """
@@ -10,6 +11,7 @@ together with conewise-linear support functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .polytopes import Polytope, mask_bits
@@ -22,11 +24,16 @@ class FanError(ValueError):
 
 @dataclass(frozen=True)
 class Cone:
-    """A strictly convex cone inside a fan, as extreme-ray ids."""
+    """A strictly convex cone inside a fan: ``mask`` has bit r set for
+    each extreme ray r, and ``ray_ids`` lists those r ascending."""
 
     id: int
-    ray_ids: tuple
+    mask: int
     dim: int
+
+    @cached_property
+    def ray_ids(self) -> tuple:
+        return mask_bits(self.mask)
 
 
 class Fan:
@@ -43,7 +50,7 @@ class Fan:
         self.cones = dict(cones)
         self.down = dict(down)
         zero = [cid for cid, c in self.cones.items() if c.dim == 0]
-        if len(zero) != 1 or self.cones[zero[0]].ray_ids:
+        if len(zero) != 1 or self.cones[zero[0]].mask:
             raise FanError("a fan must contain exactly one zero cone")
         self.zero_id = zero[0]
         self._dim_masks: dict = {}  # dimension -> bitset of the cones of it
@@ -73,7 +80,7 @@ class Fan:
         return tuple(sorted(self.cones))
 
     def cones_of_dim(self, k: int) -> tuple:
-        return tuple(sorted(c.id for c in self.cones.values() if c.dim == k))
+        return mask_bits(self._dim_masks.get(k, 0))
 
     def rays_of(self, cone_id: int) -> tuple:
         return tuple(self.rays[r] for r in self.cones[cone_id].ray_ids)
@@ -84,7 +91,7 @@ class Fan:
 
     def is_simplicial_cone(self, cone_id: int) -> bool:
         c = self.cones[cone_id]
-        return len(c.ray_ids) == c.dim
+        return c.mask.bit_count() == c.dim
 
     def is_simplicial(self) -> bool:
         return all(self.is_simplicial_cone(cid) for cid in self.cones)
@@ -170,12 +177,10 @@ class Fan:
             if w not in ray_lookup:
                 raise FanError("fan is not centrally symmetric (missing ray)")
             ray_anti[r] = ray_lookup[w]
-        cone_lookup = {
-            frozenset(c.ray_ids): c.id for c in self.cones.values()
-        }
+        cone_lookup = {c.mask: c.id for c in self.cones.values()}
         mapping = {}
         for c in self.cones.values():
-            image = frozenset(ray_anti[r] for r in c.ray_ids)
+            image = sum(1 << ray_anti[r] for r in c.ray_ids)
             if image not in cone_lookup:
                 raise FanError("fan is not centrally symmetric (missing cone)")
             mapping[c.id] = cone_lookup[image]
@@ -211,7 +216,7 @@ class Fan:
         fan = Fan(k - 1, new_rays, cones, {fid: self.down[fid] for fid in faces})
         for fid in fan.cones:
             got = fan.cones[fid].dim
-            expected = linalg.rank(linalg.mat(fan.rays_of(fid))) if fan.cones[fid].ray_ids else 0
+            expected = linalg.rank(linalg.mat(fan.rays_of(fid))) if fan.cones[fid].mask else 0
             if got != expected:
                 raise FanError("projection did not preserve cone dimensions")
         return fan
@@ -227,7 +232,7 @@ def face_fan(p: Polytope) -> Fan:
     if not p.origin_is_interior():
         raise FanError("face fan needs the origin strictly interior")
     proper = range(len(lattice.masks) - 1)  # the polytope itself is last
-    cones = {f: Cone(f, lattice.vertices_of(f), lattice.dims[f] + 1) for f in proper}
+    cones = {f: Cone(f, lattice.masks[f], lattice.dims[f] + 1) for f in proper}
     return Fan(p.ambient_dim, dict(enumerate(p.vertices)), cones, dict(zip(proper, lattice.down)))
 
 
@@ -288,10 +293,10 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
         ua, ub = cl.covectors[a], cl.covectors[b]
         if ua == ub:
             raise FanError("support function is not strictly concave")
-        wall_rays = set(fan.cones[f].ray_ids)
+        wall = fan.cones[f].mask
         for cid, own, other in ((a, ua, ub), (b, ub, ua)):
             for r in fan.cones[cid].ray_ids:
-                if r in wall_rays:
+                if wall >> r & 1:
                     continue
                 ray = fan.rays[r]
                 gap = linalg.vec_dot(other, ray) - linalg.vec_dot(own, ray)

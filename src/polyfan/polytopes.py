@@ -7,8 +7,10 @@ and rays of integer pairs (x, y) standing for x + y sqrt d, with no
 field arithmetic per ray.  Each facet plane u.x <= c comes out in one
 exact form: over Q, (c times the common denominator of the points, u)
 is a primitive integer vector; over Q(sqrt d), the first nonzero entry
-of (c, u) is 1 or -1.  The other faces are the intersections of facet
-vertex sets, graded from the top down without any rank computation, and
+of (c, u) is 1 or -1.  The other faces are graded from the top down
+without any rank computation: by the diamond property (Ziegler,
+*Lectures on Polytopes*, Thm 2.7) the facets of a face lie among its
+intersections with the other facets of one face it is a facet of, and
 the covers found on the way give each face its down-set as a bitset.
 The face lattice is validated on construction: full dimension, Euler's
 relation, and for every listed point the vertex criterion on facet
@@ -71,9 +73,6 @@ class FaceLattice:
 
     def facet_ids(self) -> tuple:
         return self.faces_of_dim(self.ambient_dim - 1)
-
-    def vertices_of(self, face_id: int) -> tuple:
-        return mask_bits(self.masks[face_id])
 
     def f_vector(self) -> tuple:
         counts = [0] * self.ambient_dim
@@ -205,7 +204,9 @@ def _facets(points, n: int) -> list:
         d = None
         fracs = [[to_fraction(x) for x in p] for p in points]
         scale = math.lcm(*(x.denominator for p in fracs for x in p))
-        rows = scalar_rows = [(1,) + tuple(int(x * scale) for x in p) for p in fracs]
+        rows = scalar_rows = [
+            (1,) + tuple(x.numerator * (scale // x.denominator) for x in p) for p in fracs
+        ]
     else:
         d = next(x.d for p in points for x in p if not is_rational(x))
         scalar_rows = [(Fraction(1),) + tuple(p) for p in points]
@@ -325,22 +326,25 @@ def _pair_ray(y, d: int) -> list:
 
 
 def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
-    """Every face as an intersection of facet masks, graded from the top:
-    the facets of a k-face are the inclusion-maximal proper intersections
-    with facets of P, and they are (k-1)-faces.  These covers are kept,
-    and in increasing dimension a face's down-set is the union of each
-    cover's down-set and the cover itself."""
+    """Every face as an intersection of facet masks, graded from the top.
+    A face H first found as a facet of K keeps K as its upper cover.  By
+    the diamond property every facet of H is H & H' for exactly one other
+    facet H' of K (Kaibel-Pfetsch 2002), so the facets of H are the
+    inclusion-maximal proper meets of H with the facets of K (all facets
+    when K is P).  These covers are kept, and in increasing dimension a
+    face's down-set is the union of each cover's down-set and the cover."""
     full_mask = (1 << len(vertices)) - 1
     facet_masks = [mask for mask, _, _ in facets]
     dims = {full_mask: n}
     covers = {full_mask: facet_masks}
-    layer = set(facet_masks)
+    layer = dict.fromkeys(facet_masks, full_mask)  # face -> one upper cover
     for k in range(n - 1, -1, -1):
-        below = set()
-        for face in layer:
+        below = {}
+        for face, upper in layer.items():
             dims[face] = k
-            covers[face] = _maximal_proper(face, facet_masks)
-            below.update(covers[face])
+            covers[face] = _maximal_proper(face, covers[upper])
+            for c in covers[face]:
+                below.setdefault(c, face)
         layer = below
     dims[0], covers[0] = -1, ()
 
@@ -364,14 +368,17 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
     return lattice
 
 
-def _maximal_proper(face: int, facet_masks) -> list:
-    """Inclusion-maximal masks among face & f that differ from face."""
-    candidates = {face & f for f in facet_masks}
-    candidates.discard(face)
+def _maximal_proper(face: int, candidates) -> list:
+    """Inclusion-maximal masks among face & c that differ from face."""
+    meets = {face & c for c in candidates}
+    meets.discard(face)
     out = []
-    for c in sorted(candidates, key=int.bit_count, reverse=True):
-        if not any(c & o == c for o in out):
-            out.append(c)
+    for m in sorted(meets, key=int.bit_count, reverse=True):
+        for o in out:
+            if m & o == m:
+                break
+        else:
+            out.append(m)
     return out
 
 

@@ -3,22 +3,23 @@
 These deliberately avoid the package's search strategies: dense linear
 algebra is a plain Gauss-Jordan elimination on field scalars, faces are
 found by scanning all vertex subsets with it, the classical f-to-h
-transform is the closed binomial formula, the toric h-polynomial
-recurses through geometric quotient fans or sums one term per face, the
-face fan's down-sets come from an all-pairs scan of vertex masks, and
-conewise-linear pieces are compared over every pair of maximal cones; the
-dual polytope reverses the face lattice, and restriction maps of the
-sheaf are dense products of a multiplication matrix and a substitution
-matrix.  The sections over a subfan impose every pairwise contact of
-its maximal cones on those dense matrices, and a section is multiplied
-by a linear form per cone monomial by monomial on scalars.  The
-reflection's eigenspaces come from the global sections over every
-maximal cone, with no fold: the reflection's matrices on that basis,
-the ranks of C +- I and Cbar +- I, the minus basis, and the minus
+transform is the closed binomial formula, the face lattice's covers come
+from intersections with every facet of the polytope, the toric
+h-polynomial recurses through geometric quotient fans or sums one term
+per face, the face fan's down-sets come from an all-pairs scan of vertex
+masks, and conewise-linear pieces are compared over every pair of
+maximal cones; the dual polytope reverses the face lattice, and
+restriction maps of the sheaf are dense products of a multiplication
+matrix and a substitution matrix.  The sections over a subfan impose
+every pairwise contact of its maximal cones on those dense matrices, and
+a section is multiplied by a linear form per cone monomial by monomial
+on scalars.  The reflection's eigenspaces come from the global sections
+over every maximal cone, with no fold: the reflection's matrices on that
+basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
 elimination here.  Explicit fans (subfans, fans from simplicial cone
-lists) build test inputs; they keep their down-sets as id sets and hand
-:class:`Fan` the bitsets.
+lists) build test inputs; they keep their down-sets and cone rays as id
+sets and hand :class:`Fan` and :class:`Cone` the bitsets.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from math import comb
 from polyfan.fans import Cone, Fan, FanError, face_fan
 from polyfan.ihsheaf import _involution_on_basis, kernel_dimensions, monomials, to_basis_coords
 from polyfan.polynomials import coeff
-from polyfan.polytopes import Polytope, PolytopeError, mask_bits, random_cs
+from polyfan.polytopes import (
+    FaceLattice,
+    Polytope,
+    PolytopeError,
+    _facets,
+    _validate_lattice,
+    mask_bits,
+    random_cs,
+)
 from polyfan.scalars import Quadratic, sign
 
 
@@ -153,6 +162,50 @@ def brute_force_faces(vertices) -> dict:
             if hull == s:
                 faces[s] = _affine_rank([vertices[i] for i in s])
     return faces
+
+
+def lattice_by_all_facets(vertices, n: int) -> FaceLattice:
+    """The face lattice of conv(vertices) graded from the top with every
+    facet of P as a candidate: the facets of a k-face are the
+    inclusion-maximal proper intersections of it with the facets of P,
+    with no use of the diamond property.  Down-sets, ordering, facet
+    planes and validation are as in the package."""
+    facets = _facets(vertices, n)
+    full_mask = (1 << len(vertices)) - 1
+    facet_masks = [mask for mask, _, _ in facets]
+    dims = {full_mask: n}
+    covers = {full_mask: facet_masks}
+    layer = set(facet_masks)
+    for k in range(n - 1, -1, -1):
+        below = set()
+        for face in layer:
+            dims[face] = k
+            meets = {face & f for f in facet_masks} - {face}
+            covers[face] = []
+            for c in sorted(meets, key=int.bit_count, reverse=True):
+                if not any(c & o == c for o in covers[face]):
+                    covers[face].append(c)
+            below.update(covers[face])
+        layer = below
+    dims[0], covers[0] = -1, ()
+    ordered = sorted(dims, key=lambda msk: (dims[msk], msk))
+    ids = {mask: i for i, mask in enumerate(ordered)}
+    down = []
+    for mask in ordered:
+        bits = 0
+        for i in map(ids.__getitem__, covers[mask]):
+            bits |= down[i] | 1 << i
+        down.append(bits)
+    lattice = FaceLattice(
+        ambient_dim=n,
+        num_vertices=len(vertices),
+        masks=tuple(ordered),
+        dims=tuple(dims[mask] for mask in ordered),
+        down=tuple(down),
+        facet_planes={ids[mask]: (tuple(u), c) for mask, u, c in facets},
+    )
+    _validate_lattice(vertices, lattice)
+    return lattice
 
 
 def dual_polytope(p: Polytope) -> Polytope:
@@ -584,7 +637,7 @@ def from_simplicial_cones(ambient_dim: int, rays, maximal_cones) -> Fan:
     cones = {}
     down = {}
     for sub, cid in subsets.items():
-        cones[cid] = Cone(cid, tuple(sorted(sub)), len(sub))
+        cones[cid] = Cone(cid, bitset(sub), len(sub))
         down[cid] = bitset(subsets[other] for other in subsets if other < sub)
     return Fan(ambient_dim, rays, cones, down)
 

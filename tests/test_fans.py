@@ -107,6 +107,30 @@ class TestFaceFan:
         assert peak < 6_000_000
 
 
+    def test_cones_are_the_lattice_vertex_masks(self, lattice_polytopes):
+        """Each cone's ray bitset is its face's vertex mask, its ray ids
+        are the mask's bits ascending, and ``cones_of_dim`` lists the
+        cones of each dimension ascending, as a scan of every cone does."""
+        for name, p in lattice_polytopes:
+            lattice = p.face_lattice()
+            fan = face_fan(p)
+            for cid, cone in fan.cones.items():
+                assert cone.mask is lattice.masks[cid], name
+                assert cone.ray_ids == tuple(
+                    i for i in range(len(p.vertices)) if cone.mask >> i & 1
+                ), name
+            for k in range(-1, p.ambient_dim + 2):
+                scan = tuple(sorted(c for c, cone in fan.cones.items() if cone.dim == k))
+                assert fan.cones_of_dim(k) == scan, name
+
+    def test_a_zero_cone_with_a_ray_is_rejected(self):
+        fan = face_fan(cube(2))
+        cones = dict(fan.cones)
+        cones[fan.zero_id] = Cone(fan.zero_id, 1, 0)
+        with pytest.raises(FanError, match="exactly one zero cone"):
+            Fan(2, fan.rays, cones, fan.down)
+
+
 class TestCompleteness:
     def test_single_cone_fan_incomplete(self):
         fan = face_fan(cube(2))

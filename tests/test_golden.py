@@ -25,7 +25,7 @@ import pytest
 
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import cs_corpus, sheaf_corpus
-from polyfan.polytopes import cross_polytope, cube, linear_image, simplex
+from polyfan.polytopes import cross_polytope, cube, linear_image, random_cs, simplex
 from polyfan.scalars import Field, Quadratic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,6 +85,9 @@ def _cases():
     cube4 = ("sqrt3-cube-4", _quadratic_image(cube(4), 3), q3)
     out.append(("check-bounds-sqrt3-cube-4", ["check-bounds"], [cube4]))
     out.append(("check-bounds-cube-8", ["check-bounds"], [("cube-8", cube(8), rational)]))
+    out.append(("check-bounds-cross-8", ["check-bounds"], [("cross-8", cross_polytope(8), rational)]))
+    cs5 = ("random-cs-5d-seed1", random_cs(5, 12, 1), rational)
+    out.append(("check-bounds-random-cs-5d-seed1", ["check-bounds"], [cs5]))
     out.append(("hvector-simplex-3", ["hvector"], [("simplex-3", simplex(3), rational)]))
     out.append(("hvector-cube-6", ["hvector"], [("cube-6", cube(6), rational)]))
     out.append(

@@ -193,7 +193,7 @@ def test_the_g_memo_is_keyed_by_dimension():
     other_ray = next(r for r in fan.rays if r not in fan.cones[square].ray_ids)
     fake = max(fan.cones) + 1
     cones = dict(fan.cones)
-    cones[fake] = Cone(fake, fan.cones[square].ray_ids + (other_ray,), 4)
+    cones[fake] = Cone(fake, fan.cones[square].mask | 1 << other_ray, 4)
     down = dict(fan.down)
     down[fake] = fan.down[square]
     widened = Fan(4, fan.rays, cones, down)

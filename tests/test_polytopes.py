@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyfan import linalg, polytopes
 from polyfan.corpus import cs_corpus, nonrational_cs_polytope
@@ -13,12 +14,21 @@ from polyfan.polytopes import (
     free_sum,
     hull_vertices,
     linear_image,
+    mask_bits,
     product,
     random_cs,
     simplex,
 )
 
-from oracles import brute_force_faces, brute_force_facets, dual_polytope, rank_vertex_criterion
+from polyfan.scalars import Quadratic
+
+from oracles import (
+    brute_force_faces,
+    brute_force_facets,
+    dual_polytope,
+    lattice_by_all_facets,
+    rank_vertex_criterion,
+)
 
 
 def F(x):
@@ -38,7 +48,7 @@ class TestFaceLattice:
     def test_nonrational_facets_match_brute_force(self):
         p = nonrational_cs_polytope()
         lattice = p.face_lattice()
-        mine = {frozenset(lattice.vertices_of(f)) for f in lattice.facet_ids()}
+        mine = {frozenset(mask_bits(lattice.masks[f])) for f in lattice.facet_ids()}
         assert mine == brute_force_facets(p.vertices)
         assert p.f_vector() == (10, 20, 12)
 
@@ -76,7 +86,7 @@ class TestFaceLattice:
             n = p.ambient_dim
 
             def centroid(face):
-                vs = [p.vertices[i] for i in lattice.vertices_of(face)]
+                vs = [p.vertices[i] for i in mask_bits(lattice.masks[face])]
                 return tuple(sum(xs, F(0)) / len(vs) for xs in zip(*vs))
 
             added = [centroid(lattice.faces_of_dim(1)[0]), centroid(lattice.facet_ids()[-1])]
@@ -110,7 +120,7 @@ class TestFaceLattice:
                 continue
             lattice = p.face_lattice()
             mine = {
-                frozenset(lattice.vertices_of(i)): lattice.dims[i]
+                frozenset(mask_bits(lattice.masks[i])): lattice.dims[i]
                 for i in lattice.face_ids()
             }
             assert mine == brute_force_faces(p.vertices)
@@ -274,7 +284,7 @@ class TestDualIncidence:
                 )
                 expected.add((containing, p.ambient_dim - 1 - lattice.dims[fid]))
             got = {
-                (frozenset(dual_lattice.vertices_of(i)), dual_lattice.dims[i])
+                (frozenset(mask_bits(dual_lattice.masks[i])), dual_lattice.dims[i])
                 for i in dual_lattice.proper_face_ids()
             }
             assert got == expected
@@ -288,9 +298,59 @@ class TestDualIncidence:
                 continue
             lattice = p.face_lattice()
             mine = {
-                frozenset(lattice.vertices_of(i)): lattice.dims[i]
+                frozenset(mask_bits(lattice.masks[i])): lattice.dims[i]
                 for i in lattice.face_ids()
             }
             assert mine == brute_force_faces(p.vertices), name
             checked += 1
         assert checked >= 10
+
+
+class TestCoversFromAnUpperCover:
+    """The lattice built from one upper cover's facets (the diamond
+    property) equals the one built by intersecting each face with every
+    facet of P, on masks, dims, down-sets and facet planes."""
+
+    @staticmethod
+    def _assert_same_lattice(vertices, n):
+        assert polytopes._build_face_lattice(vertices, n) == lattice_by_all_facets(vertices, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 3), st.integers(0, 10_000))
+    def test_random_cs(self, n, extra, seed):
+        try:
+            p = random_cs(n, n + extra, seed)
+        except PolytopeError:
+            assume(False)
+        self._assert_same_lattice(p.vertices, n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cubes_and_cross_polytopes(self, n):
+        for p in (cube(n), cross_polytope(n)):
+            self._assert_same_lattice(p.vertices, n)
+
+    def test_lattice_polytopes(self, lattice_polytopes):
+        """The CS corpus, the benchmark's free sums, the named families
+        with their products and Q(sqrt 2) images, cube(5), cube(6) and
+        cross(3) x cross(2)."""
+        for _, p in lattice_polytopes:
+            self._assert_same_lattice(p.vertices, p.ambient_dim)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_quadratic_images(self, d):
+        for p in (cube(3), cross_polytope(4), random_cs(4, 6, 2)):
+            n = p.ambient_dim
+            shear = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+            shear[0][1] = Quadratic(Fraction(1, 2), Fraction(1, 3), d)
+            self._assert_same_lattice(linear_image(p, linalg.mat(shear)).vertices, n)
+
+    @pytest.mark.parametrize("added", [(F(1), F(1), F(0)), (F(0), F(0), F(0))], ids=["edge", "interior"])
+    def test_a_non_vertex_is_reported_at_the_same_index(self, added):
+        points = list(cube(3).vertices)
+        points.insert(3, added)
+        errors = []
+        for build in (polytopes._build_face_lattice, lattice_by_all_facets):
+            with pytest.raises(polytopes.NotAVertexError) as caught:
+                build(points, 3)
+            errors.append(caught.value.index)
+        assert errors == [3, 3]
