@@ -15,11 +15,15 @@ from functools import cached_property
 
 from . import linalg
 from .polytopes import Polytope, mask_bits
-from .scalars import sign
+from .scalars import is_rational
 
 
 class FanError(ValueError):
     pass
+
+
+def _radicand(vectors) -> int | None:
+    return next((x.d for v in vectors for x in v if not is_rational(x)), None)
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,11 @@ class Fan:
             f"Fan(ambient={self.ambient_dim}, dim={self.dim}, "
             f"cones={len(self.cones)})"
         )
+
+    @cached_property
+    def radicand(self) -> int | None:
+        """d when some ray coordinate is irrational, in Q(sqrt d); else None."""
+        return _radicand(self.rays.values())
 
     def cone_ids(self) -> tuple:
         return tuple(sorted(self.cones))
@@ -249,13 +258,28 @@ class ConewiseLinear:
             raise FanError("conewise data must cover exactly the maximal cones")
         # Two cones meet in the face spanned by their shared rays, so the
         # pieces agree there iff each ray has one value over its cones.
+        # With u = U / n and the ray R / m, u.r = U.R / (n m): the values
+        # of two pieces at one ray agree iff U.R n' = U'.R n.
+        ring, rays, covectors = self._integral
         values = {}
         for cid in fan.maximal_ids:
-            u = self.covectors[cid]
+            u, n = covectors[cid]
             for r in fan.cones[cid].ray_ids:
-                value = linalg.vec_dot(u, fan.rays[r])
-                if values.setdefault(r, value) != value:
+                value = ring.dot(u, rays[r])
+                seen, m = values.setdefault(r, (value, n))
+                if ring.scale(m, value) != ring.scale(n, seen):
                     raise FanError("conewise values disagree on a shared face")
+
+    @cached_property
+    def _integral(self) -> tuple:
+        """The :class:`linalg.Ring` of the fan's field, the integral ray
+        vectors (ray id -> R, a positive multiple of the ray) and the
+        integral covectors (cone id -> (U, n), the covector being U / n
+        with n least)."""
+        d = self.fan.radicand or _radicand(self.covectors.values())
+        rays = {r: linalg.cleared(ray, d)[0] for r, ray in self.fan.rays.items()}
+        covectors = {cid: linalg.cleared(u, d) for cid, u in self.covectors.items()}
+        return linalg.ring(d), rays, covectors
 
     def scale(self, factor) -> "ConewiseLinear":
         return ConewiseLinear(
@@ -285,21 +309,29 @@ def support_function(p: Polytope, fan: Fan | None = None) -> ConewiseLinear:
 
 
 def _check_strictly_concave(cl: ConewiseLinear) -> None:
+    """Across every wall, the piece of each cone lies strictly above the
+    piece of the other cone at the cone's rays off the wall.  On the
+    integral covectors U / n and rays R / m that is the sign of
+    n U'.R - n' U.R (times n n' m > 0)."""
     fan = cl.fan
+    ring, rays, covectors = cl._integral
+    dot, scale, neg, add, sign = ring.dot, ring.scale, ring.neg, ring.add, ring.sign
     for f, pair in fan.walls(fan.maximal_ids).items():
         if len(pair) != 2:
             continue
         a, b = pair
-        ua, ub = cl.covectors[a], cl.covectors[b]
-        if ua == ub:
+        if covectors[a] == covectors[b]:
             raise FanError("support function is not strictly concave")
         wall = fan.cones[f].mask
-        for cid, own, other in ((a, ua, ub), (b, ub, ua)):
+        for cid, (own, n_own), (other, n_other) in (
+            (a, covectors[a], covectors[b]),
+            (b, covectors[b], covectors[a]),
+        ):
             for r in fan.cones[cid].ray_ids:
                 if wall >> r & 1:
                     continue
-                ray = fan.rays[r]
-                gap = linalg.vec_dot(other, ray) - linalg.vec_dot(own, ray)
+                ray = rays[r]
+                gap = add(scale(n_own, dot(other, ray)), neg(scale(n_other, dot(own, ray))))
                 if sign(gap) <= 0:
                     raise FanError("support function is not strictly concave")
 

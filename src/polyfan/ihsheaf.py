@@ -25,15 +25,22 @@ the same path with no fold and a single half.
 
 All objects are truncated at an even degree cap; linear forms sit in
 degree 2, so degree q holds polynomials of ordinary degree q/2.  Every
-matrix is sparse rows or columns of :mod:`polyfan.linalg`, reduced by
-its sparse elimination, and section spaces are :class:`linalg.Kernel`
-objects on primitive integer rows (pairs over Q(sqrt d)).  The one
+matrix is sparse rows or columns of :mod:`polyfan.linalg`, kept in its
+integral form from the moment it is built: ints over Q, integer pairs
+over Q(sqrt d), with the arithmetic of the fan's field chosen once as a
+:class:`linalg.Ring`.  A restriction matrix is integral rows with one
+positive integer scale, the matrix being rows / scale.  Generator
+images are integral: a generator may carry any nonzero constant, so
+each lift is scaled to clear its images' denominators.  Section spaces
+are :class:`linalg.Kernel` objects of the integral wall rows.  The one
 quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
 for boundary fans and the halves of the global sections) forms its
-products of sections with linear forms by :func:`linalg.products_rref`
-on integral vectors, and so do the Lefschetz maps, over the same
-tables.  Every basis extraction and every product is verified exactly
-by the membership test of :func:`linalg.kernel_coords`, so a product
+products of sections with integral linear forms by
+:func:`linalg.products_rref` and keeps the stored rows of their
+elimination, and so do the Lefschetz maps, over the same tables, whose
+products are reduced modulo those rows fraction-free: a rank does not
+depend on the scale of a row.  Every basis extraction and every product
+is verified exactly by the membership test of the kernel, so a product
 outside its half raises instead of silently producing wrong dimensions.
 
 This module computes the sheaf's invariants: Poincare series, refined
@@ -46,7 +53,6 @@ the identities a report checks are decided in :mod:`polyfan.checks`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -54,9 +60,6 @@ from . import hvector, linalg
 from .fans import ConewiseLinear, Fan, FanError
 from .polynomials import IntPoly, RefinedSeries, coeff, trim
 from .polytopes import mask_bits
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DegreeCapError(RuntimeError):
@@ -97,22 +100,24 @@ def _monomial_index(nvars: int, deg: int) -> dict:
     return {m: i for i, m in enumerate(monomials(nvars, deg))}
 
 
-def _substituted(memo: dict, forms: tuple, alpha: tuple) -> tuple:
+def _substituted(memo: dict, forms: tuple, alpha: tuple, ring: linalg.Ring) -> tuple:
     """The monomial x^alpha with source variable i replaced by the linear
-    form ``forms[i]``: (target exponent, coefficient) pairs, nonzero only.
-    ``memo`` maps exponents to results and starts holding x^0 -> 1; each
-    new exponent costs one product of a known result with a form."""
+    form ``forms[i]``, given as its nonzero (target variable, integral
+    coefficient) pairs: (target exponent, coefficient) pairs, nonzero
+    only.  ``memo`` maps exponents to results and starts holding x^0 ->
+    1; each new exponent costs one product of a known result with a
+    form."""
     out = memo.get(alpha)
     if out is None:
         i = next(i for i, e in enumerate(alpha) if e)
-        lower = _substituted(memo, forms, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+        lower = _substituted(memo, forms, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], ring)
+        plus, times, zero = ring.add, ring.mul, ring.zero
         acc: dict = {}
         for mono, c in lower:
-            for j, fj in enumerate(forms[i]):
-                if fj:
-                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                    acc[key] = acc.get(key, _ZERO) + c * fj
-        out = tuple((m, c) for m, c in acc.items() if c)
+            for j, fj in forms[i]:
+                key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                acc[key] = plus(acc.get(key, zero), times(c, fj))
+        out = tuple((m, c) for m, c in acc.items() if c != zero)
         memo[alpha] = out
     return out
 
@@ -124,7 +129,8 @@ def _substituted(memo: dict, forms: tuple, alpha: tuple) -> tuple:
 @dataclass
 class ConeModule:
     """Free module data of one cone: generator degrees and, per proper
-    face, the image of each generator as a coordinate vector there."""
+    face, the image of each generator as an integral coordinate vector
+    there (ints, or pairs over Q(sqrt d))."""
 
     cone_id: int
     gen_degrees: tuple
@@ -137,6 +143,8 @@ class MinimalExtensionSheaf:
     def __init__(self, fan: Fan, cap: int):
         self.fan = fan
         self.cap = cap
+        # The arithmetic of every integral row and vector of the sheaf.
+        self.ring = linalg.ring(fan.radicand)
         self.modules: dict = {}
         # On a centrally symmetric fan: the cone involution, the halves of
         # the global sections by the reflection's eigenvalue, and one
@@ -150,8 +158,8 @@ class MinimalExtensionSheaf:
         self._layout: dict = {}
         self._restr: dict = {}
         self._sections: dict = {}
-        self._span_forms: dict = {}
         self._substitutions: dict = {}
+        self._memos: dict = {}
         self._quotients: dict = {}
         self._global: dict = {}
         self._tables: dict = {}
@@ -193,16 +201,9 @@ class MinimalExtensionSheaf:
         """Per source variable, the linear form it restricts to in the
         target cone's coordinates (target must span a subspace of the
         source's span)."""
-        key = (src_id, tgt_id)
-        cached = self._span_forms.get(key)
-        if cached is None:
-            _, src_pivots = self.fan.cone_basis(src_id)
-            tgt_basis, _ = self.fan.cone_basis(tgt_id)
-            cached = tuple(
-                tuple(row[j] for row in tgt_basis) for j in src_pivots
-            )
-            self._span_forms[key] = cached
-        return cached
+        _, src_pivots = self.fan.cone_basis(src_id)
+        tgt_basis, _ = self.fan.cone_basis(tgt_id)
+        return tuple(tuple(row[j] for row in tgt_basis) for j in src_pivots)
 
     def ambient_forms(self, cone_id: int) -> tuple:
         """Restrictions of the ambient coordinate functions to the cone's
@@ -215,10 +216,14 @@ class MinimalExtensionSheaf:
     # -- restriction matrices ----------------------------------------------
 
     def restriction_matrix(self, src_id: int, tgt_id: int, q: int):
-        """Degree-q restriction E_src^q -> E_tgt^q as sparse rows, one per
-        target coordinate.  The column of source monomial x^a times
-        generator g holds x^a, substituted into the target variables,
-        times each nonzero block of the image of g."""
+        """Degree-q restriction E_src^q -> E_tgt^q as (rows, scale): integral
+        sparse rows, one per target coordinate, and a positive integer
+        scale, the matrix being rows / scale.  The column of source
+        monomial x^a times generator g holds x^a, substituted into the
+        target variables, times each nonzero block of the image of g.
+        The forms substituted are integral with common denominator D, so
+        x^a comes out D^|a| times too large; the block of g is multiplied
+        by D^(k - |a|) for k the largest |a|, and the scale is D^k."""
         key = (src_id, tgt_id, q)
         cached = self._restr.get(key)
         if cached is not None:
@@ -226,18 +231,22 @@ class MinimalExtensionSheaf:
         src_blocks, _ = self.gen_blocks(src_id, q)
         tgt_blocks, tgt_dim = self.gen_blocks(tgt_id, q)
         rows = [{} for _ in range(tgt_dim)]
+        scale = 1
+        ring = self.ring
+        plus, times, zero, one = ring.add, ring.mul, ring.zero, ring.one
         if tgt_dim:
-            forms = self.span_substitution_forms(src_id, tgt_id)
-            memo = self._substitutions.get(forms)
-            if memo is None:
-                memo = {(0,) * len(forms): (((0,) * len(forms[0]), _ONE),)}
-                self._substitutions[forms] = memo
+            forms, den, memo = self._substitution(src_id, tgt_id)
+            top = max((q - d_i) // 2 for _, d_i, _, _ in src_blocks)
+            scale = den**top
             tgt_nv = self.nvars(tgt_id)
             tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
             images = self.modules[src_id].images[tgt_id]
             for gi, d_i, src_off, _ in src_blocks:
+                k = (q - d_i) // 2
+                factor = den ** (top - k)
                 # Nonzero image terms: (row offset of the target generator
-                # block, its monomial index, exponent shift or None, coeff).
+                # block, its monomial index, exponent shift or None, coeff
+                # times factor, or None for 1).
                 pieces = []
                 for gj, d_j, img_off, img_cnt in self.gen_blocks(tgt_id, d_i)[0]:
                     monos = monomials(tgt_nv, (d_i - d_j) // 2)
@@ -245,16 +254,43 @@ class MinimalExtensionSheaf:
                     for c, v in images[gi].items():
                         if img_off <= c < img_off + img_cnt:
                             shift = monos[c - img_off]
-                            pieces.append((tgt_offset[gj], index, shift if any(shift) else None, v))
-                src_monos = monomials(self.nvars(src_id), (q - d_i) // 2)
+                            if factor != 1:
+                                v = ring.scale(factor, v)
+                            shift = shift if any(shift) else None
+                            pieces.append((tgt_offset[gj], index, shift, None if v == one else v))
+                src_monos = monomials(self.nvars(src_id), k)
                 for col, alpha in enumerate(src_monos, src_off):
-                    terms = _substituted(memo, forms, alpha)
+                    terms = _substituted(memo, forms, alpha, ring)
                     for off, index, shift, v in pieces:
                         for mono, c in terms:
                             row = rows[off + index[tuple(map(add, mono, shift)) if shift else mono]]
-                            row[col] = row.get(col, _ZERO) + (c if v == 1 else c * v)
-        cached = tuple({c: v for c, v in row.items() if v} for row in rows)
+                            row[col] = plus(row.get(col, zero), c if v is None else times(c, v))
+        cached = (tuple({c: v for c, v in row.items() if v != zero} for row in rows), scale)
         self._restr[key] = cached
+        return cached
+
+    def _substitution(self, src_id: int, tgt_id: int) -> tuple:
+        """The :meth:`span_substitution_forms` as integral forms with their
+        common denominator D, each form as its nonzero (target variable,
+        coefficient) pairs, and the memo of :func:`_substituted`, kept per
+        target cone and source pivots, which fix the forms."""
+        key = (tgt_id, self.fan.cone_basis(src_id)[1])
+        cached = self._substitutions.get(key)
+        if cached is None:
+            scalars = self.span_substitution_forms(src_id, tgt_id)
+            width = len(scalars[0])
+            flat, den = linalg.cleared([x for form in scalars for x in form], self.ring.d)
+            zero = self.ring.zero
+            forms = tuple(
+                tuple((j, x) for j, x in enumerate(flat[i * width : (i + 1) * width]) if x != zero)
+                for i in range(len(scalars))
+            )
+            # Equal forms share one memo: many pairs of cones restrict by
+            # the same coordinate forms.
+            memo = self._memos.get(forms)
+            if memo is None:
+                memo = self._memos[forms] = {(0,) * len(forms): (((0,) * width, self.ring.one),)}
+            cached = self._substitutions[key] = (forms, den, memo)
         return cached
 
     # -- section spaces -----------------------------------------------------
@@ -307,53 +343,66 @@ class MinimalExtensionSheaf:
                     pairs.append((incident[0], incident[1], f))
             elif len(incident) > 2:
                 raise SheafError("wall shared by more than two cones")
+        ring = self.ring
+        neg, plus, zero = ring.neg, ring.add, ring.zero
         rows = []
         for a, b, f in pairs:
             (oa, flip_a), (ob, flip_b) = place[a], place[b]
-            for row_a, row_b in zip(
-                self.restriction_matrix(a, f, q), self.restriction_matrix(b, f, q)
-            ):
-                row = {oa + c: -v if flip_a and flip_a[c] else v for c, v in row_a.items()}
+            # R_a / s_a = R_b / s_b is (s_b / g) R_a = (s_a / g) R_b.
+            rows_a, scale_a = self.restriction_matrix(a, f, q)
+            rows_b, scale_b = self.restriction_matrix(b, f, q)
+            factor_a, factor_b = linalg.cofactors(scale_a, scale_b)
+            for row_a, row_b in zip(rows_a, rows_b):
+                if factor_a != 1:
+                    row_a = {c: ring.scale(factor_a, v) for c, v in row_a.items()}
+                if factor_b != 1:
+                    row_b = {c: ring.scale(factor_b, v) for c, v in row_b.items()}
+                row = {oa + c: neg(v) if flip_a and flip_a[c] else v for c, v in row_a.items()}
                 for c, v in row_b.items():
                     if not (flip_b and flip_b[c]):
-                        v = -v
+                        v = neg(v)
                     c += ob
                     # Columns meet only across a wall that is its own antipode.
-                    row[c] = row[c] + v if c in row else v
+                    if c in row:
+                        v = plus(row[c], v)
+                        if v == zero:
+                            del row[c]
+                            continue
+                    row[c] = v
                 rows.append(row)
-        cached = self._sections[key] = linalg.sparse_kernel(rows, total)
+        cached = self._sections[key] = linalg.integral_kernel(rows, total, ring.d)
         return cached
 
     # -- quotients modulo the maximal ideal -----------------------------------
 
-    def quotient(self, max_ids: tuple, q: int, forms: tuple, parity: int | None = None) -> dict:
+    def quotient(self, max_ids: tuple, q: int, forms, parity: int | None = None) -> dict:
         """Sections over the given maximal cones at degree q modulo the
-        ideal generated by ``forms`` (per linear form, one covector per
-        cone of ``max_ids`` in its coordinates): the
-        :class:`linalg.Kernel` of :meth:`section_space` as ``sections``,
-        the products of the degree q - 2 sections with the forms reduced
-        to ``m_rows`` (pivot basis index -> reduced row of basis
-        coordinates), and ``complement`` (basis index -> quotient
-        coordinate, ascending) for the basis vectors that represent the
-        quotient.  With a ``parity`` the sections are that half and the
-        products are taken from the other half, for odd forms.  Built
-        once."""
-        key = (max_ids, q, forms, parity)
+        ideal generated by ``forms`` (per linear form, the integral
+        covectors of the cones of ``max_ids`` in their coordinates, laid
+        end to end): the :class:`linalg.Kernel` of :meth:`section_space`
+        as ``sections``, the products of the degree q - 2 sections with
+        the forms as ``m_rows``, the stored rows of their elimination in
+        basis coordinates (pivot basis index -> integral row with a
+        positive integer there and 0 at the other pivots), and
+        ``complement`` (basis index -> quotient coordinate, ascending)
+        for the basis vectors that represent the quotient.  With a
+        ``parity`` the sections are that half and the products are taken
+        from the other half, for odd forms.  Built once per (max_ids, q,
+        parity): the maximal cones fix the forms."""
+        key = (max_ids, q, parity)
         cached = self._quotients.get(key)
         if cached is None:
             sections = self.section_space(max_ids, q, parity)
-            rows, pivots = (), ()
+            m_rows = {}
             if q >= 2:
-                reduced = linalg.products_rref(
+                m_rows = linalg.products_rref(
                     self.section_space(max_ids, q - 2, None if parity is None else -parity),
                     sections,
                     self._product_table(max_ids, q - 2),
-                    [tuple(f for covector in form for f in covector) for form in forms],
+                    forms,
                 )
-                if reduced is None:
+                if m_rows is None:
                     raise SheafError("a product is not a section (failed exact membership check)")
-                rows, pivots = reduced
-            m_rows = dict(zip(pivots, rows))
             complement = (i for i in range(len(sections.basis)) if i not in m_rows)
             cached = {
                 "sections": sections,
@@ -367,15 +416,13 @@ class MinimalExtensionSheaf:
         """Per parity, the :meth:`quotient` of that half of the global
         sections at degree q, over the representatives, by the ambient
         maximal ideal, whose coordinate functions are odd."""
-        # Keyed by q alone: hashing the forms of the quotient key (about
-        # 0.1 ms on cube(4)) on every reduction would cost more than it.
         cached = self._global.get(q)
         if cached is None:
             reps = self.representatives
-            forms = tuple(
-                tuple(self.ambient_forms(cid)[j] for cid in reps)
+            forms = [
+                linalg.cleared([x for c in reps for x in self.ambient_forms(c)[j]], self.ring.d)[0]
                 for j in range(self.fan.ambient_dim)
-            )
+            ]
             cached = self._global[q] = {p: self.quotient(reps, q, forms, p) for p in self.parities}
         return cached
 
@@ -413,22 +460,19 @@ class MinimalExtensionSheaf:
         return table
 
     def reduce_mod_m(self, q: int, coords: dict, parity: int | None = None) -> dict:
-        """Reduce sparse coordinates in the half of the given parity of
-        the global sections at degree q modulo m*E; returns the sparse
-        quotient coordinates of the class."""
+        """Reduce integral sparse coordinates in the half of the given
+        parity of the global sections at degree q modulo m*E; returns the
+        sparse quotient coordinates of a nonzero multiple of the class."""
         data = self.global_data(q)[parity]
         m_rows = data["m_rows"]
         res = dict(coords)
+        eliminate = self.ring.eliminate
         # The rows are fully reduced, so each pivot of the input is
-        # cleared by its own row and no other pivot is touched.
+        # cleared by its own row and no other pivot is touched.  The
+        # elimination is fraction-free: it scales the vector, which
+        # changes no rank.
         for p in [c for c in res if c in m_rows]:
-            f = res[p]
-            for c, v in m_rows[p].items():
-                x = res.get(c, _ZERO) - f * v
-                if x:
-                    res[c] = x
-                else:
-                    del res[c]
+            eliminate(res, m_rows[p], p)
         if any(c in m_rows for c in res):
             raise SheafError("reduction modulo m failed to clear pivots")
         complement = data["complement"]
@@ -444,9 +488,9 @@ def to_basis_coords(kernel: linalg.Kernel, vec: dict) -> dict:
     return coords
 
 
-def _rank(vectors) -> int:
-    """Rank of sparse rows or of sparse columns."""
-    return len(linalg.sparse_rref(vectors)[1])
+def _rank(mes: MinimalExtensionSheaf, vectors) -> int:
+    """Rank of integral sparse rows or columns of the sheaf."""
+    return linalg.integral_rank(vectors, mes.ring.d)
 
 
 # ---------------------------------------------------------------------------
@@ -487,48 +531,60 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     return mes
 
 
-def _boundary_quotient(mes: MinimalExtensionSheaf, sid: int, q: int) -> dict:
-    """The :meth:`MinimalExtensionSheaf.quotient` of the sections over the
-    boundary fan of a cone by the ideal of its span's linear functions."""
-    facets = mes.fan.facets_of(sid)
-    forms = tuple(
-        tuple(mes.span_substitution_forms(sid, f)[i] for f in facets)
+def _boundary_forms(mes: MinimalExtensionSheaf, sid: int) -> list:
+    """The linear functions of a cone's span on its boundary fan, for the
+    :meth:`MinimalExtensionSheaf.quotient` of the sections there: per
+    variable, the integral covectors of the facets laid end to end."""
+    substitutions = [mes.span_substitution_forms(sid, f) for f in mes.fan.facets_of(sid)]
+    return [
+        linalg.cleared([x for by_var in substitutions for x in by_var[i]], mes.ring.d)[0]
         for i in range(mes.nvars(sid))
-    )
-    return mes.quotient(facets, q, forms)
+    ]
 
 
 def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     fan = mes.fan
     facets = fan.facets_of(sid)
     gen_degrees = []
-    lifts = []  # (degree, boundary section vector)
+    lifts = []  # (degree, integral boundary section vector)
+    forms = _boundary_forms(mes, sid)
     for q in range(0, mes.cap + 1, 2):
-        data = _boundary_quotient(mes, sid, q)
+        data = mes.quotient(facets, q, forms)
         if data["complement"] and q == mes.cap:
             raise DegreeCapError(
                 f"cone {sid}: quotient of boundary sections is nonzero at the "
                 f"degree cap {mes.cap}; raise the cap to certify generators"
             )
-        for i in data["complement"]:
-            gen_degrees.append(q)
-            lifts.append((q, data["sections"].basis[i]))
-    images: dict = {}
+        sections = data["sections"]
+        for f, i in sections.free_cols.items():
+            if i in data["complement"]:
+                gen_degrees.append(q)
+                lifts.append((q, linalg.integral_vector(sections, f)))
     proper = sorted(mask_bits(fan.down[sid]), key=lambda c: (-fan.cones[c].dim, c))
-    for tau in proper:
-        host = tau if tau in facets else next(f for f in facets if fan.down[f] >> tau & 1)
-        per_gen = []
-        for d, section in lifts:
-            offsets, _total = mes.section_layout(facets, d)
+    hosts = [
+        tau if tau in facets else next(f for f in facets if fan.down[f] >> tau & 1) for tau in proper
+    ]
+    per_face = [[] for _ in proper]
+    for d, section in lifts:
+        # The image on a facet is the lift's block there, and on a smaller
+        # face the block of a facet through it, restricted: rows / scale.
+        # A generator may carry any nonzero constant, so each one is
+        # scaled to make all of its images integral.
+        offsets, _total = mes.section_layout(facets, d)
+        pieces = []
+        for tau, host in zip(proper, hosts):
             start = offsets[facets.index(host)]
             stop = start + mes.module_dim(host, d)
             block = {c - start: v for c, v in section.items() if start <= c < stop}
-            if host != tau:
-                block = linalg.sparse_mat_vec(mes.restriction_matrix(host, tau, d), block)
-            per_gen.append(block)
-        images[tau] = tuple(per_gen)
+            if host == tau:
+                pieces.append((block, 1))
+            else:
+                rows, scale = mes.restriction_matrix(host, tau, d)
+                pieces.append((linalg.sparse_mat_vec(rows, block, mes.ring.d), scale))
+        for images, image in zip(per_face, linalg.common_scale(pieces, mes.ring.d)):
+            images.append(image)
     _check_generator_degrees(fan, sid, gen_degrees)
-    return ConeModule(sid, tuple(gen_degrees), images)
+    return ConeModule(sid, tuple(gen_degrees), {tau: tuple(v) for tau, v in zip(proper, per_face)})
 
 
 def _check_generator_degrees(fan: Fan, sid: int, gen_degrees) -> None:
@@ -553,12 +609,13 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> C
     opposite cones coincide)."""
     rep = mes.modules[rep_id]
     anti = mes.antipode
+    neg = mes.ring.neg
     images: dict = {}
     for tau, vecs in rep.images.items():
         twisted = []
         for d, vec in zip(rep.gen_degrees, vecs):
             odd = mes.odd_coordinates(tau, d)
-            twisted.append({c: -v if odd[c] else v for c, v in vec.items()})
+            twisted.append({c: neg(v) if odd[c] else v for c, v in vec.items()})
         images[anti[tau]] = tuple(twisted)
     return ConeModule(new_id, rep.gen_degrees, images)
 
@@ -612,12 +669,8 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
                 dims[q] = dim_e
                 continue
             boundary_basis = mes.section_space(facets, q).basis
-            rows = [
-                row
-                for f in facets
-                for row in mes.restriction_matrix(cid, f, q)
-            ]
-            rk = _rank(rows)
+            # Each matrix is rows / scale; a scale changes no rank.
+            rk = _rank(mes, (row for f in facets for row in mes.restriction_matrix(cid, f, q)[0]))
             dims[q] = dim_e - rk
             if rk != len(boundary_basis):
                 raise SheafError(
@@ -687,20 +740,21 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
         tuple(-x for x in s.covectors[cid]) != s.covectors[mes.antipode[cid]] for cid in reps
     ):
         raise FanError("the function is not even under the point reflection")
-    form = [
+    values = [
         linalg.vec_dot(row, s.covectors[cid]) for cid in reps for row in mes.fan.cone_basis(cid)[0]
     ]
+    form, _ = linalg.cleared(values, mes.ring.d)
     out = {}
     for q in range(0, mes.cap, 2):
         table, target = mes._product_table(reps, q), mes.global_data(q + 2)
         out[q] = {}
         for p, data in mes.global_data(q).items():
-            reduced = linalg.products_rref(
+            stored = linalg.products_rref(
                 data["sections"], target[p]["sections"], table, [form], data["complement"]
             )
-            if reduced is None:
+            if stored is None:
                 raise SheafError("a Lefschetz product is not a section of its half")
-            out[q][p] = _rank(mes.reduce_mod_m(q + 2, row, p) for row in reduced[0])
+            out[q][p] = _rank(mes, [mes.reduce_mod_m(q + 2, row, p) for row in stored.values()])
     return out
 
 
@@ -750,8 +804,9 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
             continue
         facets = fan.facets_of(cid)
         module = mes.modules[cid]
+        forms = _boundary_forms(mes, cid)
         for q in range(0, mes.cap + 1, 2):
-            data = _boundary_quotient(mes, cid, q)
+            data = mes.quotient(facets, q, forms)
             gen_ids = [i for i, d in enumerate(module.gen_degrees) if d == q]
             if len(gen_ids) != len(data["complement"]):
                 return False
@@ -766,8 +821,11 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
                     if any(c >= mes.module_dim(f, q) for c in image):
                         return False
                     vec.update((off + c, v) for c, v in image.items())
-                image_coords.append(to_basis_coords(data["sections"], vec))
+                coords = linalg.integral_coords(data["sections"], vec)
+                if coords is None:
+                    raise SheafError("vector is not a section (failed exact membership check)")
+                image_coords.append(coords)
             m_rows = data["m_rows"]
-            if _rank([*m_rows.values(), *image_coords]) != len(m_rows) + len(gen_ids):
+            if _rank(mes, [*m_rows.values(), *image_coords]) != len(m_rows) + len(gen_ids):
                 return False
     return True

@@ -1,60 +1,74 @@
 """Exact linear algebra over the package's scalar types.
 
-A sparse row (or vector) is a dict from column index to scalar holding
-the nonzero entries only; the sheaf path (:mod:`polyfan.ihsheaf`) keeps
-every matrix in that form and uses :func:`sparse_rref`,
-:func:`sparse_kernel`, :func:`kernel_coords`, :func:`products_rref`,
-:func:`sparse_mat_vec` and :func:`vec_dot`.  Dense vectors are tuples of
-scalars and dense matrices tuples of row tuples; the geometry path
-(cone bases, the inverse of a facet start simplex, rank checks, quotient
-fans) uses them.  There is one elimination, :func:`_fraction_free`: the
-dense :func:`rref`, :func:`rank` and :func:`inverse` are adapters that
-pass their rows to it as sparse rows.  It pivots on the first nonzero
-column, and the reduced row echelon form of a matrix is unique, so every
-result is a deterministic function of the input.
+A sparse row (or vector) is a dict from column index to its nonzero
+entries only.  Dense vectors are tuples of scalars and dense matrices
+tuples of row tuples; the geometry path (cone bases, the inverse of a
+facet start simplex, rank checks, quotient fans) uses them.  There is one
+elimination, :func:`_fraction_free`: :func:`sparse_rref` and the dense
+:func:`rref`, :func:`rank` and :func:`inverse` are adapters that pass it
+their rows of scalars.  It pivots on the first nonzero column, and the
+reduced row echelon form of a matrix is unique, so every result is a
+deterministic function of the input.
 
-The sparse elimination is one fraction-free loop (Bareiss 1968) over
-integral rows.  A row of ``int`` and ``Fraction`` entries is scaled to
-its :func:`primitive` integer row.  A row over Q(sqrt d), where some
-entry is a :class:`~polyfan.scalars.Quadratic`, is scaled to its
-primitive pair row: the entry x + y sqrt d is the pair (x, y) of
-integers, and the content is the gcd of every x and y.  A row is
-reduced by a stored row as ``(a/g) r - (f/g) s``, where ``a`` is the
-stored pivot, ``f`` the entry of ``r`` there and ``g`` the gcd of ``a``
-and the parts of ``f``.  So the pivot of a stored row must be an
-integer: a new pair row is first multiplied by the conjugate
-(px, -py) of its pivot, which turns the pivot into the norm
-px^2 - d py^2, nonzero because d is square-free (Cohen 1993, ch. 5).
-Every stored row is then divided by its content and kept with a
-positive pivot.  These steps multiply rows by nonzero scalars and
-subtract multiples of other rows, so each stored row spans the same line
-as the row a field elimination would hold, and no ``Quadratic`` is
-multiplied or added.  Integer rows never pay for pairs: the loop calls
-the integer step or the pair step, chosen once per system.
+The elimination is one fraction-free loop (Bareiss 1968) over integral
+rows.  Over Q an entry is an ``int``; over Q(sqrt d) it is the pair
+(x, y) of ints standing for x + y sqrt d.  A row of scalars is scaled to
+its :func:`primitive` integer row, or over Q(sqrt d), where some entry
+is a :class:`~polyfan.scalars.Quadratic`, to its primitive pair row,
+whose content is the gcd of every x and y.  A row is reduced by a stored
+row as ``(a/g) r - (f/g) s``, where ``a`` is the stored pivot, ``f`` the
+entry of ``r`` there and ``g`` the gcd of ``a`` and the parts of ``f``.
+So the pivot of a stored row must be an integer: a new pair row is
+first multiplied by the conjugate (px, -py) of its pivot, which turns
+the pivot into the norm px^2 - d py^2, nonzero because d is square-free
+(Cohen 1993, ch. 5).  Every stored row is then divided by its content
+and kept with a positive pivot.  These steps multiply rows by nonzero
+scalars and subtract multiples of other rows, so each stored row spans
+the same line as the row a field elimination would hold, and no
+``Quadratic`` is multiplied or added.  Integer rows never pay for pairs:
+the arithmetic of one field is a :class:`Ring`, and the loop takes the
+integer or the pair step of :func:`ring`, chosen once per system.  Rows
+go in by least column, descending (Duff-Erisman-Reid 1986 on the order
+of elimination): a new pivot then mostly lies below every stored one,
+and no stored row can hold a column below its own pivot, so the stored
+rows are scanned for the new pivot only when it does not.
 
 Every consumer reads the same stored rows R_p, with pivot value d_p (the
 positive integer at p).  :func:`sparse_rref` divides each by d_p, which
 is the reduced row echelon form exactly, with no modulus and nothing to
-reconstruct.  :func:`sparse_kernel` keeps them in a :class:`Kernel`,
+reconstruct.  :func:`integral_kernel` keeps them in a :class:`Kernel`,
 each entry once: the basis vector of free column f is e_f - sum_p
 (R_p[f] / d_p) e_p, built from the stored column when it is read, and x
 is in the span iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p.
 The equation is homogeneous, so :func:`kernel_coords` tests the
-primitive integral vector of x.  A rational side against a Q(sqrt d)
-side is the same equation in Q(sqrt d), with the rational side read as
-pairs (n, 0).  :func:`products_rref` forms products of kernel vectors
-(all, or a selection) with linear forms on the primitive integral
-vectors themselves and eliminates them in the same loop.
+primitive integral vector of a vector x of scalars, and
+:func:`integral_coords` an integral x as it is.  A rational side
+against a Q(sqrt d) side is the same equation in Q(sqrt d), with the
+rational side read as pairs (n, 0).
+
+The sheaf (:mod:`polyfan.ihsheaf`) keeps its data integral from the
+start, in the :class:`Ring` of its fan: :func:`cleared` clears a vector
+of scalars of its denominators, :func:`integral_kernel` and
+:func:`integral_rank` take integral rows as they are,
+:func:`sparse_mat_vec` applies integral rows to an integral vector,
+:func:`integral_vector` reads a kernel basis vector as a primitive
+integral vector, :func:`common_scale` puts vectors with denominators
+over one least scale, and :func:`cofactors` equates two scaled
+matrices.  :func:`products_rref` forms products of kernel vectors (all,
+or a selection) with integral linear forms and returns the stored rows
+of their elimination, so no scalar is built: their span, and so every
+rank, does not depend on the scale of a row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial, reduce
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from operator import add, mul, neg
+from typing import Callable, NamedTuple, Sequence
 
-from .scalars import FieldMismatchError, Quadratic, Scalar, quadratic_from_parts
+from .scalars import FieldMismatchError, Quadratic, Scalar, quadratic_from_parts, quadratic_sign
 
 Vector = tuple  # tuple[Scalar, ...]
 Matrix = tuple  # tuple[Vector, ...]
@@ -173,26 +187,73 @@ def _radicand(vectors) -> int | None:
     return None
 
 
+def _parts(values, d) -> list:
+    """The rational parts x, y of each scalar x + y sqrt d, in order."""
+    parts = []
+    for v in values:
+        if type(v) is Quadratic:
+            if v.d != d and v.b:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) with sqrt({v.d})")
+            parts += (v.a, v.b)
+        else:
+            parts += (v, 0)
+    return parts
+
+
+def _pairs(ints: list) -> list:
+    return list(zip(ints[::2], ints[1::2]))
+
+
 def _integral(values, d) -> list:
     """The primitive integral vector on the ray of a vector of scalars:
     ints when d is None, else pairs (x, y) standing for x + y sqrt d,
     primitive over all the x and y together."""
     if d is None:
         return primitive(values)
-    parts = []
-    for v in values:
-        if type(v) is Quadratic:
-            if v.d != d:
-                raise FieldMismatchError(f"cannot mix sqrt({d}) with sqrt({v.d})")
-            parts += (v.a, v.b)
-        else:
-            parts += (v, 0)
-    ints = primitive(parts)
-    return list(zip(ints[::2], ints[1::2]))
+    return _pairs(primitive(_parts(values, d)))
 
 
 def _integral_row(row: dict, d) -> dict:
     return dict(zip(row, _integral(row.values(), d)))
+
+
+def cleared(values, d) -> tuple[list, int]:
+    """(n values, n) for the least positive integer n that makes the
+    scalars integral: ints when d is None (a Quadratic must then be
+    rational), else pairs (x, y) standing for x + y sqrt d."""
+    parts = _parts(values, d)
+    n = lcm(*[x.denominator for x in parts])
+    ints = [x.numerator * (n // x.denominator) for x in parts]
+    return (ints[::2] if d is None else _pairs(ints)), n
+
+
+def common_scale(vectors, d) -> list:
+    """For integral sparse vectors (ints, or pairs over Q(sqrt d)), each
+    given with a positive integer n as (vector, n) for vector / n: the
+    integral vectors m vector / n, for the least positive integer m that
+    makes every one of them integral."""
+    pairs = d is not None
+    m = 1
+    for vec, n in vectors:
+        if n != 1:
+            parts = [z for xy in vec.values() for z in xy] if pairs else vec.values()
+            m = lcm(m, n // gcd(n, *parts))
+    out = []
+    for vec, n in vectors:
+        if m == n:
+            out.append(vec)
+        elif pairs:
+            out.append({c: (x * m // n, y * m // n) for c, (x, y) in vec.items()})
+        else:
+            out.append({c: x * m // n for c, x in vec.items()})
+    return out
+
+
+def cofactors(a: int, b: int) -> tuple[int, int]:
+    """(b / g, a / g) for g = gcd(a, b): x / a = y / b iff (b / g) x =
+    (a / g) y."""
+    g = gcd(a, b)
+    return b // g, a // g
 
 
 def _scalar(x, n: int, d):
@@ -215,27 +276,86 @@ def primitive(values) -> list:
     return [n // g for n in ints] if g > 1 else ints
 
 
-def _fraction_free(rows, d) -> dict:
-    """The stored rows of an elimination of primitive integral rows (see
-    the module docstring): pivot column -> primitive row, a positive
-    integer there and 0 at the other pivots."""
+class Ring(NamedTuple):
+    """The arithmetic of integral entries over one field, chosen once per
+    system or fan: ints over Q (``d`` None), integer pairs (x, y) for
+    x + y sqrt d over Q(sqrt d).  ``scale(k, x)`` is k x for an int k,
+    ``dot`` the dot product of two dense vectors, and ``eliminate`` and
+    ``normalize`` the steps of :func:`_fraction_free`."""
+
+    d: int | None
+    zero: object
+    one: object
+    add: Callable
+    mul: Callable
+    neg: Callable
+    scale: Callable
+    dot: Callable
+    sign: Callable
+    eliminate: Callable
+    normalize: Callable
+
+
+@lru_cache(maxsize=None)
+def ring(d: int | None) -> Ring:
+    """The :class:`Ring` of integral entries over Q(sqrt d), or over Q
+    when d is None."""
     if d is None:
-        eliminate, normalize = _eliminate, _normalize
-    else:
-        eliminate = partial(_eliminate_pairs, d=d)
-        normalize = partial(_normalize_pairs, d=d)
+        return Ring(None, 0, 1, add, mul, neg, mul, lambda u, v: sum(map(mul, u, v)),
+                    _int_sign, _eliminate, _normalize)
+
+    def pair_add(u, v):
+        return (u[0] + v[0], u[1] + v[1])
+
+    def pair_mul(u, v):
+        (ux, uy), (vx, vy) = u, v
+        return (ux * vx + d * uy * vy, ux * vy + uy * vx)
+
+    return Ring(
+        d,
+        _PAIR_ZERO,
+        (1, 0),
+        pair_add,
+        pair_mul,
+        lambda u: (-u[0], -u[1]),
+        lambda k, u: (k * u[0], k * u[1]),
+        lambda u, v: reduce(pair_add, map(pair_mul, u, v), _PAIR_ZERO),
+        lambda u: quadratic_sign(u[0], u[1], d),
+        partial(_eliminate_pairs, d=d),
+        partial(_normalize_pairs, d=d),
+    )
+
+
+def _int_sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _fraction_free(rows, d) -> dict:
+    """The stored rows of an elimination of nonzero integral rows (see the
+    module docstring): pivot column -> primitive row, a positive integer
+    there and 0 at the other pivots.  Each stored row's least column is
+    its pivot: a new pivot row is cleared from the stored rows that hold
+    its pivot, and only a row with a smaller pivot can.  The rows are
+    inserted by least column, descending, so a new pivot is most often
+    below every stored one, and then no stored row is scanned."""
+    step = ring(d)
+    eliminate, normalize = step.eliminate, step.normalize
     reduced: dict = {}
-    for r in rows:
+    low = None  # the least stored pivot
+    for r in sorted((r for r in rows if r), key=min, reverse=True):
         for p in [c for c in r if c in reduced]:
             eliminate(r, reduced[p], p)
         if not r:
             continue
         p = min(r)
         normalize(r, p)
-        for other in reduced.values():
-            if p in other:
-                eliminate(other, r, p)
-                normalize(other, None)
+        if low is None or p < low:
+            low = p
+        else:
+            for other in reduced.values():
+                if p in other:
+                    eliminate(other, r, p)
+                    normalize(other, None)
         reduced[p] = r
     return reduced
 
@@ -352,11 +472,13 @@ class KernelBasis:
         return vec
 
 
-def sparse_kernel(rows, ncols: int) -> Kernel:
-    """The :class:`Kernel` of sparse rows over ``ncols`` columns; each
-    basis vector has 1 at its free column and 0 at the other free
-    columns, free columns ascending."""
-    stored, d = _stored_rows(rows)
+def integral_kernel(rows, ncols: int, d) -> Kernel:
+    """The :class:`Kernel` over ``ncols`` columns of integral sparse rows
+    (ints, or pairs over Q(sqrt d)), taken as they are: no entry may be
+    zero, and the rows are consumed.  Each basis vector has 1 at its
+    free column and 0 at the other free columns, free columns
+    ascending."""
+    stored = _fraction_free(rows, d)
     free = [f for f in range(ncols) if f not in stored]
     free_cols = {f: i for i, f in enumerate(free)}
     columns = tuple({} for _ in free)
@@ -371,6 +493,12 @@ def sparse_kernel(rows, ncols: int) -> Kernel:
         for c, v in r.items():
             columns[free_cols[c]][p] = v
     return Kernel(free_cols, pivot_values, columns, d, KernelBasis(free, pivot_values, columns, d))
+
+
+def integral_rank(rows, d) -> int:
+    """The rank of integral sparse rows (ints, or pairs over Q(sqrt d))
+    with no zero entries; the rows are left as they are."""
+    return len(_fraction_free([dict(r) for r in rows], d))
 
 
 def _lifted(kernel: Kernel, d) -> Kernel:
@@ -416,36 +544,42 @@ def _members(kernel: Kernel, vec: dict) -> dict | None:
 
 
 def kernel_coords(kernel: Kernel, vec: dict) -> dict | None:
-    """Sparse coordinates of a sparse vector x in a :class:`Kernel`
-    basis (its entries at the free columns), or None when x is not in
-    the span, tested on the primitive integral vector of x as described
-    in the module docstring."""
+    """Sparse coordinates of a sparse vector x of scalars in a
+    :class:`Kernel` basis (its entries at the free columns), or None when
+    x is not in the span, tested on the primitive integral vector of x
+    as described in the module docstring."""
     d = kernel.d or _radicand((vec.values(),))
     found = _members(_lifted(kernel, d), _integral_row(vec, d))
     return None if found is None else {i: vec[c] for i, c in found.items()}
 
 
-def products_rref(source: Kernel, target: Kernel, table: dict, forms, select=None) -> tuple | None:
-    """The :func:`sparse_rref` of the coordinates, in the ``target``
-    basis, of the product of every ``source`` basis vector b (or of
-    those whose index is in ``select``) with every form phi (a sequence
-    of scalars), where ``table`` gives the bilinear product: (b phi)[t]
-    = sum of b[c] phi[k] over (t, k) in table[c].  None when some
-    product is not in the span of ``target``.
+def integral_coords(kernel: Kernel, vec: dict) -> dict | None:
+    """:func:`kernel_coords` of an integral vector in the kernel's own
+    ring: its entries at the free columns, which are the coordinates of
+    the vector in the basis, or None when it is not in the span."""
+    found = _members(kernel, vec)
+    return None if found is None else {i: vec[c] for i, c in found.items()}
 
-    The reduced rows depend only on the span of the products, so each
-    product is taken on primitive integral vectors: b scaled by its own
-    constant, and phi by one constant for all of its entries.  Every
-    product is tested for membership exactly, as :func:`kernel_coords`
-    tests a vector."""
-    d = source.d or target.d or _radicand(forms)
-    target = _lifted(target, d)
-    chosen = [(f, i) for f, i in source.free_cols.items() if select is None or i in select]
-    basis = [_integral_vector(source, f, i, d) for f, i in chosen]
-    normalize = _normalize if d is None else partial(_normalize_pairs, d=d)
+
+def products_rref(source: Kernel, target: Kernel, table: dict, forms, select=None) -> dict | None:
+    """The stored rows of the elimination (see the module docstring) of
+    the coordinates, in the ``target`` basis, of the product of every
+    ``source`` basis vector b (or of those whose index is in ``select``)
+    with every form phi, where ``table`` gives the bilinear product:
+    (b phi)[t] = sum of b[c] phi[k] over (t, k) in table[c].  The forms
+    are dense integral vectors in the ring of both kernels.  None when
+    some product is not in the span of ``target``.
+
+    The stored rows depend only on the span of the products, so each
+    product is taken on the primitive integral vector of b, and each
+    form may carry any nonzero constant.  Every product is tested for
+    membership exactly, as :func:`kernel_coords` tests a vector."""
+    d = target.d
+    chosen = [f for f, i in source.free_cols.items() if select is None or i in select]
+    basis = [integral_vector(source, f) for f in chosen]
+    normalize = ring(d).normalize
     rows = []
     for phi in forms:
-        phi = _integral(phi, d)
         for b in basis:
             product = _product(table, b, phi, d)
             found = _members(target, product)
@@ -455,26 +589,25 @@ def products_rref(source: Kernel, target: Kernel, table: dict, forms, select=Non
                 row = {i: product[c] for i, c in found.items()}
                 normalize(row, None)
                 rows.append(row)
-    return _reduced(_fraction_free(rows, d), d)
+    return _fraction_free(rows, d)
 
 
-def _integral_vector(kernel: Kernel, f: int, i: int, d) -> dict:
-    """Basis vector i of a kernel, of free column f, as a primitive
-    integral vector over Q(sqrt d) (over Q when d is None): L e_f -
-    sum_p (L / d_p) R_p[f] e_p for L the lcm of the d_p it meets, divided
-    by its content."""
+def integral_vector(kernel: Kernel, f: int) -> dict:
+    """The basis vector of a kernel at free column f as a primitive
+    integral vector in the kernel's ring: L e_f - sum_p (L / d_p) R_p[f]
+    e_p for L the lcm of the d_p it meets, divided by its content."""
     pivot_values = kernel.pivot_values
-    column = kernel.columns[i]
+    column = kernel.columns[kernel.free_cols[f]]
     big = lcm(*[pivot_values.get(p, 1) for p in column])
     scale = {p: -(big // pivot_values.get(p, 1)) for p in column}
     if kernel.d is None:
         vec = {f: big}
         vec.update((p, scale[p] * x) for p, x in column.items())
         _normalize(vec, None)
-        return vec if d is None else {c: (x, 0) for c, x in vec.items()}
+        return vec
     vec = {f: (big, 0)}
     vec.update((p, (scale[p] * x, scale[p] * y)) for p, (x, y) in column.items())
-    _normalize_pairs(vec, None, d)
+    _normalize_pairs(vec, None, kernel.d)
     return vec
 
 
@@ -499,12 +632,19 @@ def _product(table: dict, b: dict, phi: list, d) -> dict:
     return {t: xy for t, xy in out.items() if xy[0] or xy[1]}
 
 
-def sparse_mat_vec(rows, vec: dict) -> dict:
-    """Sparse rows applied to a sparse vector, as a sparse vector."""
+def sparse_mat_vec(rows, vec: dict, d) -> dict:
+    """Integral sparse rows applied to an integral sparse vector (ints, or
+    pairs over Q(sqrt d)), as a sparse vector."""
+    step = ring(d)
+    plus, times, zero = step.add, step.mul, step.zero
     out = {}
     for r, row in enumerate(rows):
-        total = sum((v * vec[c] for c, v in row.items() if c in vec), _ZERO)
-        if total:
+        total = zero
+        for c, v in row.items():
+            x = vec.get(c)
+            if x is not None:
+                total = plus(total, times(v, x))
+        if total != zero:
             out[r] = total
     return out
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from polyfan import linalg
 from polyfan.fans import Cone, Fan, FanError, face_fan
 from polyfan.ihsheaf import _involution_on_basis, kernel_dimensions, monomials, to_basis_coords
 from polyfan.polynomials import coeff
@@ -47,6 +48,19 @@ from polyfan.scalars import Quadratic, sign
 def _field(x):
     """x as a field element: a Quadratic stays, ints become Fractions."""
     return x if isinstance(x, Quadratic) else Fraction(x)
+
+
+def sparse_kernel(rows, ncols: int, d: int | None = None):
+    """The :func:`linalg.integral_kernel` of sparse rows of scalars: each
+    row cleared of denominators over Q(sqrt d), d by default that of the
+    first Quadratic entry (over Q when there is none), zero entries
+    dropped."""
+    rows = [{c: v for c, v in r.items() if v != 0} for r in rows]
+    if d is None:
+        d = next((v.d for r in rows for v in r.values() if isinstance(v, Quadratic)), None)
+    return linalg.integral_kernel(
+        [dict(zip(r, linalg.cleared(r.values(), d)[0])) for r in rows], ncols, d
+    )
 
 
 def rref(rows) -> tuple:
@@ -380,20 +394,21 @@ def mat_mul(a, b):
 
 
 def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
-    """Dense degree-q restriction of a sheaf from its generator images:
-    per pair of source and target generator blocks, the multiplication
-    matrix of the image block times the substitution matrix."""
+    """Dense degree-q restriction of a sheaf from its generator images
+    (integral vectors, read as scalars): per pair of source and target
+    generator blocks, the multiplication matrix of the image block times
+    the substitution matrix."""
     src_blocks, src_dim = mes.gen_blocks(src_id, q)
     tgt_blocks, tgt_dim = mes.gen_blocks(tgt_id, q)
     tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
     forms = mes.span_substitution_forms(src_id, tgt_id)
-    nv = mes.nvars(tgt_id)
+    nv, d = mes.nvars(tgt_id), mes.ring.d
     rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
     for gi, d_i, src_off, _ in src_blocks:
         sub = subst_matrix(forms, (q - d_i) // 2, nv)
         image = mes.modules[src_id].images[tgt_id][gi]
         for gj, d_j, img_off, img_cnt in mes.gen_blocks(tgt_id, d_i)[0]:
-            piece = [image.get(c, 0) for c in range(img_off, img_off + img_cnt)]
+            piece = [scalar(image.get(c, 0), 1, d) for c in range(img_off, img_off + img_cnt)]
             mm = mul_matrix(piece, (d_i - d_j) // 2, (q - d_i) // 2, nv)
             for r, row in enumerate(mat_mul(mm, sub), tgt_offset[gj]):
                 for c, x in enumerate(row, src_off):
@@ -463,21 +478,35 @@ def full_quotient(mes, q: int) -> dict:
     """The sheaf's quotient of all global sections at degree q by the
     ambient maximal ideal, over every maximal cone with no fold."""
     max_ids = mes.fan.maximal_ids
-    forms = tuple(
-        tuple(mes.ambient_forms(cid)[j] for cid in max_ids) for j in range(mes.fan.ambient_dim)
-    )
+    forms = [
+        linalg.cleared([x for cid in max_ids for x in mes.ambient_forms(cid)[j]], mes.ring.d)[0]
+        for j in range(mes.fan.ambient_dim)
+    ]
     return mes.quotient(max_ids, q, forms)
 
 
+def scalar(x, n: int, d):
+    """The field scalar x / n of an integral entry x: an int, or a pair
+    (a, b) for a + b sqrt d."""
+    if isinstance(x, tuple):
+        a, b = x
+        return Fraction(a, n) + Fraction(b, n) * Quadratic(0, 1, d) if b else Fraction(a, n)
+    return Fraction(x, n)
+
+
 def reduce_mod_m(data: dict, coords: dict) -> dict:
-    """Sparse coordinates in the basis of a :func:`full_quotient` reduced
-    modulo its fully reduced rows of m*E, as quotient coordinates."""
+    """Sparse coordinates of scalars in the basis of a
+    :func:`full_quotient` reduced modulo its rows of m*E, as quotient
+    coordinates.  The quotient keeps the stored rows of its elimination,
+    which divided by their pivot values are the fully reduced rows."""
+    d = data["sections"].d
     res = dict(coords)
     for p, row in data["m_rows"].items():
         f = res.get(p, 0)
         if f:
+            n = row[p][0] if d else row[p]
             for c, v in row.items():
-                res[c] = res.get(c, 0) - f * v
+                res[c] = res.get(c, 0) - f * scalar(v, n, d)
     assert not any(res.get(p, 0) for p in data["m_rows"])
     return {data["complement"][i]: x for i, x in res.items() if x}
 

@@ -136,12 +136,12 @@ def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
     degree exactly two folded kernels, each over half the columns."""
     builds = []
     widths = []
-    sparse_kernel = linalg.sparse_kernel
+    integral_kernel = linalg.integral_kernel
     section_space = ihsheaf.MinimalExtensionSheaf.section_space
 
-    def kernel(rows, ncols):
+    def kernel(rows, ncols, d):
         widths.append(ncols)
-        return sparse_kernel(rows, ncols)
+        return integral_kernel(rows, ncols, d)
 
     def space(mes, max_ids, q, parity=None):
         before = len(widths)
@@ -150,7 +150,7 @@ def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
             builds.append((max_ids, q, parity, widths[-1]))
         return out
 
-    monkeypatch.setattr(linalg, "sparse_kernel", kernel)
+    monkeypatch.setattr(linalg, "integral_kernel", kernel)
     monkeypatch.setattr(ihsheaf.MinimalExtensionSheaf, "section_space", space)
     a = Analysis(cube(3))
     assert all(ih_report(a, Field.rational())["checks"].values())

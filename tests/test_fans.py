@@ -11,6 +11,7 @@ from polyfan.fans import (
     ConewiseLinear,
     Fan,
     FanError,
+    _check_strictly_concave,
     face_fan,
     support_function,
 )
@@ -333,6 +334,58 @@ class TestSupportFunction:
         else:
             with pytest.raises(FanError, match="conewise values disagree on a shared face"):
                 ConewiseLinear(fan, moved)
+
+
+def _from_ray_values(fan, values: dict) -> ConewiseLinear:
+    """The conewise linear function on a simplicial fan of the plane with
+    the given values at the rays: on each maximal cone, the covector u
+    with u.r = values[r] at both of its rays."""
+    covectors = {}
+    for cid in fan.maximal_ids:
+        rays = fan.cones[cid].ray_ids
+        inverse = linalg.inverse(linalg.mat([fan.rays[r] for r in rays]))
+        covectors[cid] = linalg.mat_vec(inverse, tuple(values[r] for r in rays))
+    return ConewiseLinear(fan, covectors)
+
+
+@pytest.mark.parametrize("d", [None, 2])
+class TestStrictConcavity:
+    """The support function's strict concavity check, over Q and on a
+    Q(sqrt 2) image, accepts the support function and raises on a
+    function that is not strictly concave across some wall."""
+
+    def square(self, d, quadratic_image):
+        return cube(2) if d is None else quadratic_image(cube(2), d)
+
+    def test_support_function_passes(self, d, quadratic_image):
+        p = self.square(d, quadratic_image)
+        fan = face_fan(p)
+        assert fan.radicand == d
+        _check_strictly_concave(support_function(p, fan))
+
+    def test_negated_support_function_is_rejected(self, d, quadratic_image):
+        p = self.square(d, quadratic_image)
+        fan = face_fan(p)
+        negated = support_function(p, fan).scale(-1)
+        with pytest.raises(FanError, match="^support function is not strictly concave$"):
+            _check_strictly_concave(negated)
+
+    def test_pieces_coinciding_across_a_wall_are_rejected(self, d, quadratic_image):
+        # Cones a and b share the wall over ray r; the support function's
+        # values (-1 at every ray) with the value at b's other ray moved
+        # onto the piece of a make the pieces of a and b one covector.
+        p = self.square(d, quadratic_image)
+        fan = face_fan(p)
+        support = support_function(p, fan)
+        wall, (a, b) = next(iter(fan.walls(fan.maximal_ids).items()))
+        (r,) = fan.cones[wall].ray_ids
+        (other,) = [x for x in fan.cones[b].ray_ids if x != r]
+        values = {x: F(-1) for x in fan.rays}
+        values[other] = linalg.vec_dot(support.covectors[a], fan.rays[other])
+        flat = _from_ray_values(fan, values)
+        assert flat.covectors[a] == flat.covectors[b] == support.covectors[a]
+        with pytest.raises(FanError, match="^support function is not strictly concave$"):
+            _check_strictly_concave(flat)
 
 
 class TestExplicitFans:

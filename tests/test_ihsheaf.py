@@ -269,15 +269,16 @@ class TestReflection:
 
     def test_reduction_mod_m_needs_fully_reduced_rows(self):
         # A row of m*E that still has an entry at another pivot leaves
-        # that pivot uncleared; the reduction must refuse the result.
+        # that pivot uncleared; the reduction must refuse the result.  The
+        # rows and coordinates are integral.
         mes = build_mes(face_fan(cube(2)), 4)
         data = mes.global_data(2)[-1]
         p, other = list(data["m_rows"])[:2]
         rows = dict(data["m_rows"])
-        rows[p] = {**rows[p], other: F(1)}
+        rows[p] = {**rows[p], other: 1}
         mes._global[2] = {**mes.global_data(2), -1: {**data, "m_rows": rows}}
         with pytest.raises(SheafError, match="failed to clear pivots"):
-            mes.reduce_mod_m(2, {p: F(1)}, -1)
+            mes.reduce_mod_m(2, {p: 1}, -1)
 
     def test_non_cs_fan_rejected(self):
         fan = face_fan(simplex(2))
@@ -392,15 +393,17 @@ class TestAxioms:
 class TestReflectionEquivariance:
     def test_transport_commutes_with_restriction(self, sheaf_setups):
         # For antipodal cones, the restriction matrix to an antipodal face
-        # equals the sign-twisted conjugate of the original matrix.
+        # equals the sign-twisted conjugate of the original matrix: the
+        # same scale, and the integral rows twisted.
         _, fan, mes, _ = sheaf_setups["cube-3"]
         anti = fan.antipode_map()
         for sid in fan.cones_of_dim(3):
             for tid in fan.facets_of(sid):
                 for q in (2, 4):
-                    m = mes.restriction_matrix(sid, tid, q)
-                    m_anti = mes.restriction_matrix(anti[sid], anti[tid], q)
+                    m, scale = mes.restriction_matrix(sid, tid, q)
+                    m_anti, scale_anti = mes.restriction_matrix(anti[sid], anti[tid], q)
                     twisted = _conjugate_by_reflection(mes, sid, tid, q, m)
+                    assert scale_anti == scale
                     assert m_anti == twisted
 
     def test_refined_series_invariant_under_linear_maps(self):
@@ -431,7 +434,7 @@ class TestReflectionEquivariance:
 
 def _conjugate_by_reflection(mes, sid, tid, q, matrix):
     """Apply the (-1)^degree coefficient twist on both sides of a
-    degreewise restriction matrix (sparse rows)."""
+    degreewise restriction matrix (integer sparse rows)."""
     src_blocks, src_dim = mes.gen_blocks(sid, q)
     tgt_blocks, tgt_dim = mes.gen_blocks(tid, q)
     col_sign = [1] * src_dim
@@ -472,17 +475,29 @@ def _dense(rows, ncols):
 
 
 def _assert_restrictions_match_oracle(mes):
+    """Every restriction matrix, rows / scale, is exactly the dense
+    oracle's, and its rows hold only nonzero integral entries of the
+    sheaf's ring (ints, or int pairs over Q(sqrt d))."""
     fan = mes.fan
-    checked = 0
+    d = mes.ring.d
+    scales = []
     for cid in fan.cone_ids():
         for face in sorted(oracles.faces_below(fan, cid)):
             for q in range(0, mes.cap + 1, 2):
                 expected = dense_restriction_matrix(mes, cid, face, q)
-                got = mes.restriction_matrix(cid, face, q)
+                rows, scale = mes.restriction_matrix(cid, face, q)
+                assert type(scale) is int and scale > 0
+                got = [{c: oracles.scalar(x, scale, d) for c, x in row.items()} for row in rows]
                 assert _dense(got, mes.module_dim(cid, q)) == expected, (cid, face, q)
                 assert all(x != 0 for row in got for x in row.values())
-                checked += 1
-    assert checked
+                entries = [x for row in rows for x in row.values()]
+                if d is None:
+                    assert all(type(x) is int for x in entries)
+                else:
+                    assert all(type(x) is tuple and list(map(type, x)) == [int, int] for x in entries)
+                scales.append(scale)
+    assert scales
+    return scales
 
 
 class TestRestrictionAgainstDenseOracle:
@@ -497,6 +512,12 @@ class TestRestrictionAgainstDenseOracle:
     def test_quadratic_image(self, quadratic_image):
         mes = build_mes(face_fan(quadratic_image(cube(3), 2)), 8)
         _assert_restrictions_match_oracle(mes)
+
+    def test_substitution_forms_with_denominators(self):
+        # The first nonsimplicial random_cs(3, 4, s) has cone bases with
+        # denominators (up to 3), so its matrices carry scales above 1.
+        mes = build_mes(face_fan(random_cs(3, 4, 3)), 8)
+        assert max(_assert_restrictions_match_oracle(mes)) > 1
 
 
 @pytest.mark.parametrize("name", ["cube-2", "cross-3", "prism-over-diamond"])
@@ -549,9 +570,41 @@ class TestMembership:
                         to_basis_coords(sections, broken)
 
 
+@pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])
+def test_section_space_hands_linalg_only_integral_rows(name, sheaf_setups, quadratic_image, monkeypatch):
+    """Every row that section_space hands to linalg.integral_kernel, for
+    the boundary fans and the halves of the global sections, holds only
+    nonzero ints over Q and only pairs of ints over Q(sqrt 2): no
+    Fraction or Quadratic reaches the elimination."""
+    if name.startswith("sqrt2-"):
+        polytope, d = quadratic_image(sheaf_setups[name[len("sqrt2-"):]][0], 2), 2
+    else:
+        polytope, d = sheaf_setups[name][0], None
+    integral_kernel = linalg.integral_kernel
+    calls = []
+
+    def spy(rows, ncols, radicand):
+        rows = list(rows)
+        for row in rows:
+            for x in row.values():
+                if d is None:
+                    assert type(x) is int and x != 0, x
+                else:
+                    assert type(x) is tuple and list(map(type, x)) == [int, int] and x != (0, 0), x
+        calls.append((radicand, len(rows)))
+        return integral_kernel(rows, ncols, radicand)
+
+    monkeypatch.setattr(linalg, "integral_kernel", spy)
+    a = Analysis(polytope, 8)
+    assert all(ih_report(a, Field.rational() if d is None else Field.quadratic(d))["checks"].values())
+    assert calls and all(radicand == d for radicand, _ in calls)
+    assert sum(n for _, n in calls) > 100
+
+
 def test_sheaf_calls_only_sparse_linalg():
-    """Every ``linalg`` name ``ihsheaf.py`` uses is a sparse routine or the
-    dot product of covectors, so no dense matrix path runs in the sheaf."""
+    """Every ``linalg`` name ``ihsheaf.py`` uses is a sparse routine, the
+    dot product of covectors or a name of the integral format, so no
+    dense matrix path runs in the sheaf."""
     tree = ast.parse((PACKAGE / "ihsheaf.py").read_text())
     used = {
         node.attr
@@ -573,10 +626,19 @@ def test_sheaf_calls_only_sparse_linalg():
         # The quotient's products of sections with forms, taken on
         # primitive integral vectors inside linalg.
         "products_rref",
-        "sparse_rref",
-        "sparse_kernel",
         "sparse_mat_vec",
         "vec_dot",
+        # The integral format of the sheaf's rows, vectors and forms, and
+        # its arithmetic, chosen once per fan.
+        "Ring",
+        "ring",
+        "cleared",
+        "cofactors",
+        "common_scale",
+        "integral_coords",
+        "integral_kernel",
+        "integral_rank",
+        "integral_vector",
     }
 
 

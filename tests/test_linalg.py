@@ -167,7 +167,7 @@ class TestSparseAgainstDense:
     @given(sparse_systems())
     def test_sparse_kernel_equals_kernel_basis(self, system):
         cols, m = system
-        kernel = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
+        kernel = oracles.sparse_kernel([as_sparse(r) for r in m], cols)
         pivots = oracles.rref(m)[1]
         assert tuple(kernel.free_cols) == tuple(c for c in range(cols) if c not in pivots)
         dense = tuple(as_dense(v, cols) for v in kernel.basis)
@@ -179,6 +179,48 @@ class TestSparseAgainstDense:
         reduced, pivots = linalg.sparse_rref(rows)
         assert pivots == (0, 1)
         assert reduced == ({0: F(1)}, {1: F(1)})
+
+
+@st.composite
+def shuffled_systems(draw):
+    """A :func:`sparse_systems` matrix and its rows in a drawn order."""
+    cols, m = draw(sparse_systems())
+    order = draw(st.permutations(range(len(m))))
+    return cols, m, [m[i] for i in order]
+
+
+class TestRowOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_systems())
+    def test_any_row_order_gives_the_dense_rref_and_least_pivots(self, system):
+        """The elimination sorts its rows and skips the scan of stored rows
+        for a pivot below all of theirs; in any input order of integer or
+        pair rows it stores the rows of the dense oracle's RREF, and after
+        every insertion each stored row's least column is its pivot."""
+        cols, m, shuffled = system
+        stored = []  # (pivot, row) of every row stored so far
+        ring = linalg.ring
+
+        def watched(d):
+            step = ring(d)
+
+            def normalize(r, p):
+                step.normalize(r, p)
+                if p is not None:
+                    # A new pivot row: every earlier insertion is complete.
+                    assert all(min(row) == q for q, row in stored)
+                    stored.append((p, r))
+
+            return step._replace(normalize=normalize)
+
+        linalg.ring = watched
+        try:
+            reduced, pivots = linalg.sparse_rref([as_sparse(r) for r in shuffled])
+        finally:
+            linalg.ring = ring
+        assert all(min(row) == q for q, row in stored)
+        assert sorted(q for q, _ in stored) == list(pivots)
+        assert (tuple(as_dense(r, cols) for r in reduced), pivots) == oracles.rref(m)
 
 
 class TestDenseAdapters:
@@ -272,7 +314,7 @@ class TestKernelRowsAndMembership:
     @given(sparse_systems(), st.data())
     def test_kernel_rows_and_coordinates(self, system, data):
         cols, m = system
-        kernel = linalg.sparse_kernel([as_sparse(r) for r in m], cols)
+        kernel = oracles.sparse_kernel([as_sparse(r) for r in m], cols)
         free = tuple(kernel.free_cols)
         if all(isinstance(x, (int, Fraction)) for r in m for x in r):
             coefficient = nonzero_rationals
@@ -324,7 +366,7 @@ class TestKernelRowsAndMembership:
         primitive = linalg.primitive
         # (2 + sqrt 2) x0 + x1 = 0 times the conjugate 2 - sqrt 2 of its
         # pivot is 2 x0 + (2 - sqrt 2) x1 = 0: pivot norm 2.
-        kernel = linalg.sparse_kernel([{0: 2 + r2, 1: F(1)}, {2: F(1), 3: r2}], 4)
+        kernel = oracles.sparse_kernel([{0: 2 + r2, 1: F(1)}, {2: F(1), 3: r2}], 4)
         assert kernel.free_cols == {1: 0, 3: 1}
         assert kernel.d == 2
         assert (kernel.pivot_values, kernel.columns) == ({0: 2}, ({0: (2, -1)}, {2: (0, 1)}))
@@ -342,7 +384,7 @@ class TestKernelRowsAndMembership:
         Q(sqrt 2): x0 = x1 holds for (sqrt 2, sqrt 2) and fails for
         (sqrt 2, 1)."""
         r2 = Quadratic(0, 1, 2)
-        kernel = linalg.sparse_kernel([{0: F(1), 1: F(-1)}], 2)
+        kernel = oracles.sparse_kernel([{0: F(1), 1: F(-1)}], 2)
         assert kernel.d is None and kernel.columns == ({0: -1},)
         assert linalg.kernel_coords(kernel, {0: r2, 1: r2}) == {0: r2}
         assert linalg.kernel_coords(kernel, {0: r2, 1: F(1)}) is None
@@ -351,7 +393,7 @@ class TestKernelRowsAndMembership:
 def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
     """Q(sqrt 2) rows are eliminated, stored and tested as integer
     pairs: with the arithmetic operators of Quadratic patched to raise,
-    sparse_rref, sparse_kernel and kernel_coords still succeed and agree
+    sparse_rref, integral_kernel and kernel_coords still succeed and agree
     with the dense oracle, computed before the patch."""
     r2 = Quadratic(0, 1, 2)
     rows = [
@@ -378,25 +420,44 @@ def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
         monkeypatch.setattr(Quadratic, f"__{name}__", refuse)
     reduced, pivots = linalg.sparse_rref(rows)
     assert (tuple(as_dense(r, 5) for r in reduced), pivots) == expected_rref
-    kernel = linalg.sparse_kernel(rows, 5)
+    kernel = oracles.sparse_kernel(rows, 5)
     assert tuple(as_dense(v, 5) for v in kernel.basis) == expected_basis
     assert linalg.kernel_coords(kernel, member) == {0: r2, 1: third}
     assert linalg.kernel_coords(kernel, broken) is None
 
 
+def as_rref(stored: dict, d) -> tuple:
+    """Stored rows of the elimination (pivot -> integral row with a
+    positive integer at the pivot and 0 at the other pivots) divided by
+    their pivot values, in pivot order, as a sparse_rref result; checks
+    the stored-row contract on the way."""
+    pivots = tuple(sorted(stored))
+    rows = []
+    for p in pivots:
+        row = stored[p]
+        n = row[p][0] if d else row[p]
+        assert n > 0 and (not d or row[p][1] == 0)
+        assert not any(c in stored for c in row if c != p)
+        assert min(row) == p
+        rows.append({c: oracles.scalar(v, n, d) for c, v in row.items()})
+    return tuple(rows), pivots
+
+
 @pytest.mark.parametrize("radicand_rows", [True, False])
 def test_products_rref_equals_rref_of_scalar_products(radicand_rows):
-    """products_rref, on primitive integral vectors, has the reduced rows
-    of the coordinates of the scalar products, for a Q(sqrt 2) or a
-    rational source kernel and Q(sqrt 2) forms; a product outside the
-    target kernel gives None."""
+    """products_rref, on primitive integral vectors, keeps the stored rows
+    whose reduced rows are those of the coordinates of the scalar
+    products, for a Q(sqrt 2) or a rational source kernel and Q(sqrt 2)
+    forms, every kernel and form in the pair rows of Q(sqrt 2); a product
+    outside the target kernel gives None."""
     r2 = Quadratic(0, 1, 2)
     row = {0: F(3), 1: r2 if radicand_rows else F(2), 2: Fraction(-1, 2)}
-    source = linalg.sparse_kernel([row], 3)
+    source = oracles.sparse_kernel([row], 3, 2)
     # Coordinate c of b goes to c times phi[0] and to c + 3 times phi[1].
     table = {c: ((c, 0), (c + 3, 1)) for c in range(3)}
     forms = [(F(1), r2), (1 + r2, Fraction(1, 2)), (F(2), F(0))]
-    target = linalg.sparse_kernel([{6: F(1)}], 7)
+    integral_forms = [linalg.cleared(phi, 2)[0] for phi in forms]
+    target = oracles.sparse_kernel([{6: F(1)}], 7, 2)
     products = []
     for phi in forms:
         for b in source.basis:
@@ -405,8 +466,10 @@ def test_products_rref_equals_rref_of_scalar_products(radicand_rows):
                 for t, k in table[c]:
                     product[t] = product.get(t, 0) + v * phi[k]
             products.append(linalg.kernel_coords(target, {t: x for t, x in product.items() if x}))
-    assert linalg.products_rref(source, target, table, forms) == linalg.sparse_rref(products)
-    assert linalg.products_rref(source, linalg.sparse_kernel([{5: F(1)}], 7), table, forms) is None
+    stored = linalg.products_rref(source, target, table, integral_forms)
+    assert as_rref(stored, 2) == linalg.sparse_rref(products)
+    outside = oracles.sparse_kernel([{5: F(1)}], 7, 2)
+    assert linalg.products_rref(source, outside, table, integral_forms) is None
 
 
 @pytest.mark.parametrize("radicand", [None, 2])
@@ -417,12 +480,12 @@ def test_products_rref_of_a_selection_equals_the_dense_rref(radicand, select):
     Q(sqrt 2).  The target kernel keeps every column but the last, so a
     product's coordinates there are its own entries."""
     x = F(3) if radicand is None else Quadratic(1, 1, radicand)
-    source = linalg.sparse_kernel([{0: F(2), 1: x, 3: Fraction(-1, 3)}, {2: F(1), 4: x}], 5)
+    source = oracles.sparse_kernel([{0: F(2), 1: x, 3: Fraction(-1, 3)}, {2: F(1), 4: x}], 5, radicand)
     # Coordinate c of b goes to c times phi[0], to c + 5 times phi[1] and
     # to 9 - c times phi[2].
     table = {c: ((c, 0), (c + 5, 1), (9 - c, 2)) for c in range(5)}
     forms = [(F(1), x, F(0)), (F(2), F(-1), x)]
-    target = linalg.sparse_kernel([{10: F(1)}], 11)
+    target = oracles.sparse_kernel([{10: F(1)}], 11, radicand)
     chosen = range(len(source.basis)) if select is None else sorted(select)
     products = []
     for phi in forms:
@@ -432,5 +495,6 @@ def test_products_rref_of_a_selection_equals_the_dense_rref(radicand, select):
                 for t, k in table[c]:
                     product[t] += v * phi[k]
             products.append(product)
-    reduced, pivots = linalg.products_rref(source, target, table, forms, select)
+    integral_forms = [linalg.cleared(phi, radicand)[0] for phi in forms]
+    reduced, pivots = as_rref(linalg.products_rref(source, target, table, integral_forms, select), radicand)
     assert (tuple(as_dense(r, 10) for r in reduced), pivots) == oracles.rref(products)
