@@ -227,8 +227,6 @@ def cmd_generate(args) -> int:
         field = Field.rational() if args.field_d is None else Field.quadratic(args.field_d)
     except (ValueError, PolytopeError) as exc:
         raise InputError(str(exc)) from None
-    if not field.is_rational:
-        p = Polytope([tuple(field.coerce(x) for x in v) for v in p.vertices])
     text = dump_json(polytope_to_json(p, field, name))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

@@ -15,15 +15,10 @@ from functools import cached_property
 
 from . import linalg
 from .polytopes import Polytope, mask_bits
-from .scalars import is_rational
 
 
 class FanError(ValueError):
     pass
-
-
-def _radicand(vectors) -> int | None:
-    return next((x.d for v in vectors for x in v if not is_rational(x)), None)
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,8 @@ class Fan:
 
     @cached_property
     def radicand(self) -> int | None:
-        """d when some ray coordinate is irrational, in Q(sqrt d); else None."""
-        return _radicand(self.rays.values())
+        """d when the rays lie in Q(sqrt d), None over Q."""
+        return linalg.radicand(self.rays.values())
 
     def cone_ids(self) -> tuple:
         return tuple(sorted(self.cones))
@@ -108,19 +103,22 @@ class Fan:
     def cone_basis(self, cone_id: int):
         """Deterministic coordinates on the linear span of a cone.
 
-        Returns (basis_rows, pivot_columns): the reduced row echelon basis
-        of the span and the ambient coordinates it projects onto
-        isomorphically.  The zero cone yields an empty basis.
+        Returns (rows, pivots): the stored rows R_p of the elimination of
+        the cone's rays (see :mod:`polyfan.linalg`), in pivot order, and
+        their pivot columns.  The rows are dense and integral in the
+        fan's :class:`linalg.Ring` (ints over Q, int pairs over
+        Q(sqrt d)), each with a positive integer d_p at its pivot p and 0
+        at the other pivots.  The cone's coordinates are the y with x =
+        sum_p y_p R_p, so y_p = x_p / d_p.  The rows depend only on the
+        span, so opposite cones share them.  The zero cone yields no rows.
         """
         cached = self._bases.get(cone_id)
         if cached is None:
-            rays = self.rays_of(cone_id)
-            if not rays:
-                cached = ((), ())
-            else:
-                reduced, pivots = linalg.rref(linalg.mat(rays))
-                cached = (reduced, pivots)
-            self._bases[cone_id] = cached
+            d = self.radicand
+            stored = linalg.stored_rows((dict(enumerate(ray)) for ray in self.rays_of(cone_id)), d)
+            pivots, zero = tuple(sorted(stored)), linalg.ring(d).zero
+            rows = tuple(tuple(stored[p].get(c, zero) for c in range(self.ambient_dim)) for p in pivots)
+            cached = self._bases[cone_id] = (rows, pivots)
         return cached
 
     def walls(self, max_ids) -> dict:
@@ -208,7 +206,7 @@ class Fan:
         c = self.cones[cone_id]
         if c.dim < 1:
             raise FanError("quotient fan needs a cone of dimension >= 1")
-        basis, pivots = self.cone_basis(cone_id)
+        pivots = self.cone_basis(cone_id)[1]
         k = c.dim
         interior = self.rays_of(cone_id)[0]
         for ray in self.rays_of(cone_id)[1:]:
@@ -276,7 +274,7 @@ class ConewiseLinear:
         vectors (ray id -> R, a positive multiple of the ray) and the
         integral covectors (cone id -> (U, n), the covector being U / n
         with n least)."""
-        d = self.fan.radicand or _radicand(self.covectors.values())
+        d = self.fan.radicand or linalg.radicand(self.covectors.values())
         rays = {r: linalg.cleared(ray, d)[0] for r, ray in self.fan.rays.items()}
         covectors = {cid: linalg.cleared(u, d) for cid, u in self.covectors.items()}
         return linalg.ring(d), rays, covectors

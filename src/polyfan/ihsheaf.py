@@ -24,7 +24,11 @@ send each half to itself.  A fan that is not centrally symmetric takes
 the same path with no fold and a single half.
 
 All objects are truncated at an even degree cap; linear forms sit in
-degree 2, so degree q holds polynomials of ordinary degree q/2.  Every
+degree 2, so degree q holds polynomials of ordinary degree q/2.  The
+variables of a cone are the coordinates y of its span in the stored rows
+R_p of :meth:`Fan.cone_basis`, x = sum_p y_p R_p, so a linear function
+is read off the integral rows: the ambient coordinate x_j is sum_p
+R_p[j] y_p.  Every
 matrix is sparse rows or columns of :mod:`polyfan.linalg`, kept in its
 integral form from the moment it is built: ints over Q, integer pairs
 over Q(sqrt d), with the arithmetic of the fan's field chosen once as a
@@ -198,20 +202,26 @@ class MinimalExtensionSheaf:
         return tuple((q - d) // 2 % 2 == 1 for _, d, _, count in blocks for _ in range(count))
 
     def span_substitution_forms(self, src_id: int, tgt_id: int) -> tuple:
-        """Per source variable, the linear form it restricts to in the
-        target cone's coordinates (target must span a subspace of the
-        source's span)."""
-        _, src_pivots = self.fan.cone_basis(src_id)
-        tgt_basis, _ = self.fan.cone_basis(tgt_id)
-        return tuple(tuple(row[j] for row in tgt_basis) for j in src_pivots)
+        """(forms, D): per source variable, the linear form it restricts to
+        in the target cone's coordinates (the target must span a subspace
+        of the source's span) is forms[i] / D, for integral sparse forms
+        over the target variables and the least positive integer D.  The
+        source variable of pivot p is x_p / d_p, and on the target x_p is
+        sum_t y_t R_t[p]."""
+        src_rows, src_pivots = self.fan.cone_basis(src_id)
+        tgt_rows, _ = self.fan.cone_basis(tgt_id)
+        d, zero = self.ring.d, self.ring.zero
+        pieces = []
+        for src, p in zip(src_rows, src_pivots):
+            form = {t: row[p] for t, row in enumerate(tgt_rows) if row[p] != zero}
+            pieces.append((form, src[p] if d is None else src[p][0]))
+        return linalg.common_scale(pieces, d)
 
     def ambient_forms(self, cone_id: int) -> tuple:
-        """Restrictions of the ambient coordinate functions to the cone's
-        span, as covectors in its adapted coordinates."""
-        basis, _ = self.fan.cone_basis(cone_id)
-        return tuple(
-            tuple(row[j] for row in basis) for j in range(self.fan.ambient_dim)
-        )
+        """Restrictions of the ambient coordinate functions to the span of
+        a nonzero cone, as integral covectors in its coordinates: the
+        columns of its rows."""
+        return tuple(zip(*self.fan.cone_basis(cone_id)[0]))
 
     # -- restriction matrices ----------------------------------------------
 
@@ -270,21 +280,17 @@ class MinimalExtensionSheaf:
         return cached
 
     def _substitution(self, src_id: int, tgt_id: int) -> tuple:
-        """The :meth:`span_substitution_forms` as integral forms with their
-        common denominator D, each form as its nonzero (target variable,
-        coefficient) pairs, and the memo of :func:`_substituted`, kept per
-        target cone and source pivots, which fix the forms."""
-        key = (tgt_id, self.fan.cone_basis(src_id)[1])
+        """The :meth:`span_substitution_forms`, each form as its nonzero
+        (target variable, coefficient) pairs, their denominator D, and
+        the memo of :func:`_substituted`, kept per target cone and source
+        pivots and pivot values, which fix the forms."""
+        rows, pivots = self.fan.cone_basis(src_id)
+        key = (tgt_id, pivots, tuple(row[p] for row, p in zip(rows, pivots)))
         cached = self._substitutions.get(key)
         if cached is None:
-            scalars = self.span_substitution_forms(src_id, tgt_id)
-            width = len(scalars[0])
-            flat, den = linalg.cleared([x for form in scalars for x in form], self.ring.d)
-            zero = self.ring.zero
-            forms = tuple(
-                tuple((j, x) for j, x in enumerate(flat[i * width : (i + 1) * width]) if x != zero)
-                for i in range(len(scalars))
-            )
+            sparse, den = self.span_substitution_forms(src_id, tgt_id)
+            forms = tuple(tuple(form.items()) for form in sparse)
+            width = self.nvars(tgt_id)
             # Equal forms share one memo: many pairs of cones restrict by
             # the same coordinate forms.
             memo = self._memos.get(forms)
@@ -419,10 +425,8 @@ class MinimalExtensionSheaf:
         cached = self._global.get(q)
         if cached is None:
             reps = self.representatives
-            forms = [
-                linalg.cleared([x for c in reps for x in self.ambient_forms(c)[j]], self.ring.d)[0]
-                for j in range(self.fan.ambient_dim)
-            ]
+            by_cone = [self.ambient_forms(c) for c in reps]
+            forms = [[x for piece in pieces for x in piece] for pieces in zip(*by_cone)]
             cached = self._global[q] = {p: self.quotient(reps, q, forms, p) for p in self.parities}
         return cached
 
@@ -479,15 +483,6 @@ class MinimalExtensionSheaf:
         return {complement[i]: x for i, x in res.items()}
 
 
-def to_basis_coords(kernel: linalg.Kernel, vec: dict) -> dict:
-    """Sparse coordinates of a sparse vector in a :class:`linalg.Kernel`
-    basis, verified exactly by :func:`linalg.kernel_coords`."""
-    coords = linalg.kernel_coords(kernel, vec)
-    if coords is None:
-        raise SheafError("vector is not a section (failed exact membership check)")
-    return coords
-
-
 def _rank(mes: MinimalExtensionSheaf, vectors) -> int:
     """Rank of integral sparse rows or columns of the sheaf."""
     return linalg.integral_rank(vectors, mes.ring.d)
@@ -534,12 +529,12 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
 def _boundary_forms(mes: MinimalExtensionSheaf, sid: int) -> list:
     """The linear functions of a cone's span on its boundary fan, for the
     :meth:`MinimalExtensionSheaf.quotient` of the sections there: per
-    variable, the integral covectors of the facets laid end to end."""
-    substitutions = [mes.span_substitution_forms(sid, f) for f in mes.fan.facets_of(sid)]
-    return [
-        linalg.cleared([x for by_var in substitutions for x in by_var[i]], mes.ring.d)[0]
-        for i in range(mes.nvars(sid))
-    ]
+    variable, at pivot p, the integral covectors of the facets laid end
+    to end, for d_p times the variable, x_p, which is sum_t y_t R_t[p] on
+    a facet."""
+    fan = mes.fan
+    facet_rows = [row for f in fan.facets_of(sid) for row in fan.cone_basis(f)[0]]
+    return [[row[p] for row in facet_rows] for p in fan.cone_basis(sid)[1]]
 
 
 def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
@@ -581,7 +576,7 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
             else:
                 rows, scale = mes.restriction_matrix(host, tau, d)
                 pieces.append((linalg.sparse_mat_vec(rows, block, mes.ring.d), scale))
-        for images, image in zip(per_face, linalg.common_scale(pieces, mes.ring.d)):
+        for images, image in zip(per_face, linalg.common_scale(pieces, mes.ring.d)[0]):
             images.append(image)
     _check_generator_degrees(fan, sid, gen_degrees)
     return ConeModule(sid, tuple(gen_degrees), {tau: tuple(v) for tau, v in zip(proper, per_face)})
@@ -690,24 +685,31 @@ def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
     """Matrix of the reflection on the basis of the unfolded kernel of
     all global sections at degree q, as sparse columns: the block of cone
     sigma goes to the block of -sigma with sign (-1)^m on ordinary
-    polynomial degree m, and column j holds the coordinates of the image
-    of basis vector j (exact; raises if the reflection fails to preserve
-    the section space)."""
+    polynomial degree m.  Column j is (column, n) for the integral
+    coordinates of the image of the :func:`linalg.integral_vector` of
+    basis vector j and its positive integer n at the basis vector's free
+    column, the true column being column / n (exact; raises if the
+    reflection fails to preserve the section space)."""
     if mes.antipode is None:
         raise FanError("the fan is not centrally symmetric")
     max_ids = mes.fan.maximal_ids
     offsets, _ = mes.section_layout(max_ids, q)
     offset_of = dict(zip(max_ids, offsets))
-    target, sign = {}, {}
+    target, odd = {}, {}
     for cid, off in zip(max_ids, offsets):
         partner = offset_of[mes.antipode[cid]]
-        for c, odd in enumerate(mes.odd_coordinates(cid, q)):
-            target[off + c], sign[off + c] = partner + c, -1 if odd else 1
-    sections = mes.section_space(max_ids, q)
-    return tuple(
-        to_basis_coords(sections, {target[c]: sign[c] * v for c, v in b.items()})
-        for b in sections.basis
-    )
+        for c, flip in enumerate(mes.odd_coordinates(cid, q)):
+            target[off + c], odd[off + c] = partner + c, flip
+    sections, neg = mes.section_space(max_ids, q), mes.ring.neg
+    columns = []
+    for f in sections.free_cols:
+        b = linalg.integral_vector(sections, f)
+        image = {target[c]: neg(v) if odd[c] else v for c, v in b.items()}
+        coords = linalg.integral_coords(sections, image)
+        if coords is None:
+            raise SheafError("vector is not a section (failed exact membership check)")
+        columns.append((coords, b[f] if mes.ring.d is None else b[f][0]))
+    return tuple(columns)
 
 
 def refined_series(mes: MinimalExtensionSheaf):
@@ -735,15 +737,20 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
     polytope is, so that it maps each half to itself."""
     if s.fan is not mes.fan:
         raise FanError("support function belongs to a different fan")
-    reps = mes.representatives
-    if mes.antipode is not None and any(
-        tuple(-x for x in s.covectors[cid]) != s.covectors[mes.antipode[cid]] for cid in reps
+    # The integral covectors (U, n) of s, for U / n with n least: s is
+    # even iff those of sigma and -sigma are (U, n) and (-U, n).
+    ring, _, covectors = s._integral
+    reps, anti = mes.representatives, mes.antipode
+    if anti and any(
+        ([*map(ring.neg, covectors[c][0])], covectors[c][1]) != covectors[anti[c]] for c in reps
     ):
         raise FanError("the function is not even under the point reflection")
-    values = [
-        linalg.vec_dot(row, s.covectors[cid]) for cid in reps for row in mes.fan.cone_basis(cid)[0]
-    ]
-    form, _ = linalg.cleared(values, mes.ring.d)
+    # On a cone, U / n is sum_p y_p (U.R_p) / n: one scale for all cones.
+    pieces = []
+    for cid in reps:
+        u, n = covectors[cid]
+        pieces.append((dict(enumerate(ring.dot(u, row) for row in mes.fan.cone_basis(cid)[0])), n))
+    form = [x for piece in linalg.common_scale(pieces, ring.d)[0] for x in piece.values()]
     out = {}
     for q in range(0, mes.cap, 2):
         table, target = mes._product_table(reps, q), mes.global_data(q + 2)

@@ -2,13 +2,15 @@
 
 A sparse row (or vector) is a dict from column index to its nonzero
 entries only.  Dense vectors are tuples of scalars and dense matrices
-tuples of row tuples; the geometry path (cone bases, the inverse of a
-facet start simplex, rank checks, quotient fans) uses them.  There is one
-elimination, :func:`_fraction_free`: :func:`sparse_rref` and the dense
-:func:`rref`, :func:`rank` and :func:`inverse` are adapters that pass it
-their rows of scalars.  It pivots on the first nonzero column, and the
-reduced row echelon form of a matrix is unique, so every result is a
-deterministic function of the input.
+tuples of row tuples; the geometry path (the inverse of a facet start
+simplex, rank checks, quotient fans) uses them.  There is one
+elimination, :func:`_fraction_free`: :func:`stored_rows`,
+:func:`sparse_rref` and the dense :func:`rref`, :func:`rank` and
+:func:`inverse` are adapters that pass it their rows of scalars, in the
+field that :func:`radicand`, the package's one rule, decides.  It pivots
+on the first nonzero column, and the reduced row echelon form of a
+matrix is unique, so every result is a deterministic function of the
+input.
 
 The elimination is one fraction-free loop (Bareiss 1968) over integral
 rows.  Over Q an entry is an ``int``; over Q(sqrt d) it is the pair
@@ -34,21 +36,19 @@ and no stored row can hold a column below its own pivot, so the stored
 rows are scanned for the new pivot only when it does not.
 
 Every consumer reads the same stored rows R_p, with pivot value d_p (the
-positive integer at p).  :func:`sparse_rref` divides each by d_p, which
-is the reduced row echelon form exactly, with no modulus and nothing to
-reconstruct.  :func:`integral_kernel` keeps them in a :class:`Kernel`,
-each entry once: the basis vector of free column f is e_f - sum_p
-(R_p[f] / d_p) e_p, built from the stored column when it is read, and x
-is in the span iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p.
-The equation is homogeneous, so :func:`kernel_coords` tests the
-primitive integral vector of a vector x of scalars, and
-:func:`integral_coords` an integral x as it is.  A rational side
-against a Q(sqrt d) side is the same equation in Q(sqrt d), with the
-rational side read as pairs (n, 0).
+positive integer at p).  R_p is the least integral multiple of the
+reduced row at p, so it depends only on the span of the rows: a cone's
+basis (:meth:`polyfan.fans.Fan.cone_basis`) is the stored rows of its
+rays.  :func:`sparse_rref` divides each by d_p, which is the reduced row
+echelon form exactly, with no modulus and nothing to reconstruct.
+:func:`integral_kernel` keeps them in a :class:`Kernel`, each entry
+once: the basis vector of free column f is e_f - sum_p (R_p[f] / d_p)
+e_p, built from the stored column when it is read, and an integral x is
+in the span iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p, which
+:func:`integral_coords` tests in the kernel's own ring.
 
 The sheaf (:mod:`polyfan.ihsheaf`) keeps its data integral from the
-start, in the :class:`Ring` of its fan: :func:`cleared` clears a vector
-of scalars of its denominators, :func:`integral_kernel` and
+start, in the :class:`Ring` of its fan: :func:`integral_kernel` and
 :func:`integral_rank` take integral rows as they are,
 :func:`sparse_mat_vec` applies integral rows to an integral vector,
 :func:`integral_vector` reads a kernel basis vector as a primitive
@@ -57,7 +57,9 @@ over one least scale, and :func:`cofactors` equates two scaled
 matrices.  :func:`products_rref` forms products of kernel vectors (all,
 or a selection) with integral linear forms and returns the stored rows
 of their elimination, so no scalar is built: their span, and so every
-rank, does not depend on the scale of a row.
+rank, does not depend on the scale of a row.  :func:`cleared` clears a
+vector of scalars of its denominators, for the conewise linear
+functions of :mod:`polyfan.fans`.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
 
 
+# No caller in the package: rref and its one step _rref_inplace stay
+# while perfbench/tracing.py wraps _rref_inplace by name.
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns of a dense matrix."""
     rows = [list(r) for r in m]
@@ -134,8 +138,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(r) for r in rows[: len(pivots)]), pivots
 
 
-# The benchmark's tracer (perfbench/tracing.py) wraps _rref_inplace by
-# name, so rref keeps it as its one step.
 def _rref_inplace(rows: list[list]) -> tuple[int, ...]:
     """Reduce ``rows`` in place to the :func:`sparse_rref` of the rows,
     written back densely; returns pivot columns.  Nonpivot rows are
@@ -154,15 +156,18 @@ def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     pivot is then eliminated from them, so every stored row stays fully
     reduced.  The loop runs on integral rows (see the module
     docstring)."""
-    return _reduced(*_stored_rows(rows))
+    rows = list(rows)
+    d = radicand(r.values() for r in rows)
+    return _reduced(stored_rows(rows, d), d)
 
 
-def _stored_rows(rows) -> tuple[dict, int | None]:
-    """The stored rows of the elimination of sparse rows of scalars, and
-    the radicand when they are pair rows (None for integer rows)."""
-    rows = [{c: v for c, v in row.items() if v} for row in rows]
-    d = _radicand(r.values() for r in rows)
-    return _fraction_free((_integral_row(r, d) for r in rows), d), d
+def stored_rows(rows, d) -> dict:
+    """The stored rows of the elimination of sparse rows of scalars over
+    Q(sqrt d) (over Q when d is None): pivot column -> primitive integral
+    row with a positive integer there and 0 at the other pivots (see the
+    module docstring)."""
+    rows = ({c: v for c, v in row.items() if v} for row in rows)
+    return _fraction_free((dict(zip(r, _integral(r.values(), d))) for r in rows), d)
 
 
 def _reduced(stored: dict, d) -> tuple[tuple[dict, ...], tuple[int, ...]]:
@@ -177,9 +182,11 @@ def _reduced(stored: dict, d) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     return tuple(out), pivots
 
 
-def _radicand(vectors) -> int | None:
-    """The radicand of the first Quadratic in the vectors (iterables of
-    scalars), or None when every entry is rational."""
+def radicand(vectors) -> int | None:
+    """The field of the vectors (iterables of scalars): the radicand d of
+    their first Quadratic, for Q(sqrt d), or None for Q when there is
+    none.  A :class:`~polyfan.polytopes.Polytope` keeps a coordinate with
+    zero irrational part as a Fraction, so this decides its field."""
     for values in vectors:
         for v in values:
             if type(v) is Quadratic:
@@ -213,10 +220,6 @@ def _integral(values, d) -> list:
     return _pairs(primitive(_parts(values, d)))
 
 
-def _integral_row(row: dict, d) -> dict:
-    return dict(zip(row, _integral(row.values(), d)))
-
-
 def cleared(values, d) -> tuple[list, int]:
     """(n values, n) for the least positive integer n that makes the
     scalars integral: ints when d is None (a Quadratic must then be
@@ -227,11 +230,11 @@ def cleared(values, d) -> tuple[list, int]:
     return (ints[::2] if d is None else _pairs(ints)), n
 
 
-def common_scale(vectors, d) -> list:
+def common_scale(vectors, d) -> tuple[list, int]:
     """For integral sparse vectors (ints, or pairs over Q(sqrt d)), each
     given with a positive integer n as (vector, n) for vector / n: the
     integral vectors m vector / n, for the least positive integer m that
-    makes every one of them integral."""
+    makes every one of them integral, and m."""
     pairs = d is not None
     m = 1
     for vec, n in vectors:
@@ -246,7 +249,7 @@ def common_scale(vectors, d) -> list:
             out.append({c: (x * m // n, y * m // n) for c, (x, y) in vec.items()})
         else:
             out.append({c: x * m // n for c, x in vec.items()})
-    return out
+    return out, m
 
 
 def cofactors(a: int, b: int) -> tuple[int, int]:
@@ -501,15 +504,6 @@ def integral_rank(rows, d) -> int:
     return len(_fraction_free([dict(r) for r in rows], d))
 
 
-def _lifted(kernel: Kernel, d) -> Kernel:
-    """The kernel with pair columns over Q(sqrt d) when it has integer
-    ones and d is set, so that it can test irrational vectors."""
-    if d is None or kernel.d is not None:
-        return kernel
-    columns = tuple({p: (b, 0) for p, b in col.items()} for col in kernel.columns)
-    return kernel._replace(columns=columns, d=d)
-
-
 def _members(kernel: Kernel, vec: dict) -> dict | None:
     """For an integral vector X in the kernel's representation, the
     free columns it touches by basis index, or None when X is not in the
@@ -543,20 +537,10 @@ def _members(kernel: Kernel, vec: dict) -> dict | None:
     return None if any(x or y for x, y in residual.values()) else found
 
 
-def kernel_coords(kernel: Kernel, vec: dict) -> dict | None:
-    """Sparse coordinates of a sparse vector x of scalars in a
-    :class:`Kernel` basis (its entries at the free columns), or None when
-    x is not in the span, tested on the primitive integral vector of x
-    as described in the module docstring."""
-    d = kernel.d or _radicand((vec.values(),))
-    found = _members(_lifted(kernel, d), _integral_row(vec, d))
-    return None if found is None else {i: vec[c] for i, c in found.items()}
-
-
 def integral_coords(kernel: Kernel, vec: dict) -> dict | None:
-    """:func:`kernel_coords` of an integral vector in the kernel's own
-    ring: its entries at the free columns, which are the coordinates of
-    the vector in the basis, or None when it is not in the span."""
+    """The coordinates in the basis of a kernel of an integral vector in
+    its ring, which are the vector's entries at the free columns, or None
+    when the vector is not in the span (see the module docstring)."""
     found = _members(kernel, vec)
     return None if found is None else {i: vec[c] for i, c in found.items()}
 
@@ -573,7 +557,7 @@ def products_rref(source: Kernel, target: Kernel, table: dict, forms, select=Non
     The stored rows depend only on the span of the products, so each
     product is taken on the primitive integral vector of b, and each
     form may carry any nonzero constant.  Every product is tested for
-    membership exactly, as :func:`kernel_coords` tests a vector."""
+    membership exactly, as :func:`integral_coords` tests a vector."""
     d = target.d
     chosen = [f for f, i in source.free_cols.items() if select is None or i in select]
     basis = [integral_vector(source, f) for f in chosen]
@@ -652,7 +636,7 @@ def sparse_mat_vec(rows, vec: dict, d) -> dict:
 # Wrapped by name in perfbench/tracing.py and called by perfbench/inputs.py.
 def rank(m: Matrix) -> int:
     """The number of pivots of the elimination of the rows."""
-    return len(_stored_rows(dict(enumerate(r)) for r in m)[0])
+    return len(stored_rows((dict(enumerate(r)) for r in m), radicand(m)))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .scalars import is_rational, quadratic_sign, sign, to_fraction
+from .scalars import Quadratic, quadratic_sign, sign
 
 
 class PolytopeError(ValueError):
@@ -93,10 +93,13 @@ def mask_bits(mask: int) -> tuple:
 
 
 class Polytope:
-    """A full-dimensional polytope given by its exact vertex list."""
+    """A full-dimensional polytope given by its exact vertex list.  A
+    Quadratic coordinate with zero irrational part is kept as its
+    Fraction, so :func:`linalg.radicand` of the vertices is the field of
+    the polytope."""
 
     def __init__(self, vertices):
-        vs = tuple(tuple(v) for v in vertices)
+        vs = tuple(tuple(x.a if type(x) is Quadratic and not x.b else x for x in v) for v in vertices)
         if not vs:
             raise PolytopeError("empty vertex list")
         n = len(vs[0])
@@ -191,24 +194,22 @@ def _facets(points, n: int) -> list:
     Double description (Fukuda-Prodon 1996): a facet is an extreme ray y
     of the cone {y : y.[1|p] >= 0 for every point p}, with (c, u) =
     (y_0, -y_rest).  The cone of a first simplex is refined by one row at
-    a time, on integers.  Rational points are scaled to integer rows and
-    rays stay primitive integer vectors.  Over Q(sqrt d) a row is the
-    primitive pair row of [1|p], a positive multiple of it, and a ray
-    keeps a rational first nonzero entry and content 1 (:func:`_pair_ray`);
-    at the end (c, u) is divided by the absolute value of that entry.
-    Either way each facet has one exact form, whatever the insertion
-    order.
+    a time, on integers.  Points over Q (:func:`linalg.radicand` None)
+    are scaled to integer rows and rays stay primitive integer vectors.
+    Over Q(sqrt d) a row is the primitive pair row of [1|p], a positive
+    multiple of it, and a ray keeps a rational first nonzero entry and
+    content 1 (:func:`_pair_ray`); at the end (c, u) is divided by the
+    absolute value of that entry.  Either way each facet has one exact
+    form, whatever the insertion order.
     """
     width = n + 1
-    if all(is_rational(x) for p in points for x in p):
-        d = None
-        fracs = [[to_fraction(x) for x in p] for p in points]
-        scale = math.lcm(*(x.denominator for p in fracs for x in p))
+    d = linalg.radicand(points)
+    if d is None:
+        scale = math.lcm(*(x.denominator for p in points for x in p))
         rows = scalar_rows = [
-            (1,) + tuple(x.numerator * (scale // x.denominator) for x in p) for p in fracs
+            (1,) + tuple(x.numerator * (scale // x.denominator) for x in p) for p in points
         ]
     else:
-        d = next(x.d for p in points for x in p if not is_rational(x))
         scalar_rows = [(Fraction(1),) + tuple(p) for p in points]
         rows = [linalg._integral(r, d) for r in scalar_rows]
     basis = _first_simplex(scalar_rows, width)

@@ -268,10 +268,6 @@ def sign(x: Scalar) -> int:
     return _frac_sign(x)
 
 
-def is_rational(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction)) or (isinstance(x, Quadratic) and x.b == 0)
-
-
 def to_fraction(x: Scalar) -> Fraction:
     """Rational value of a scalar; raises if the scalar is irrational."""
     if isinstance(x, Quadratic):
@@ -338,16 +334,6 @@ class Field:
                 raise FieldMismatchError(f"scalar {x} not in Q(sqrt({self.d}))")
             return [str(x.a), str(x.b)]
         return [str(Fraction(x)), "0"]
-
-    def coerce(self, x: Scalar) -> Scalar:
-        """Bring an int/Fraction/Quadratic into this field's representation."""
-        if isinstance(x, Quadratic):
-            if self.is_rational:
-                return to_fraction(x)
-            if x.d != self.d:
-                raise FieldMismatchError(f"scalar {x} not in Q(sqrt({self.d}))")
-            return x
-        return Fraction(x) if self.is_rational else Quadratic(x, 0, self.d)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

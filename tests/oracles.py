@@ -17,9 +17,11 @@ on scalars.  The reflection's eigenspaces come from the global sections
 over every maximal cone, with no fold: the reflection's matrices on that
 basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
-elimination here.  Explicit fans (subfans, fans from simplicial cone
-lists) build test inputs; they keep their down-sets and cone rays as id
-sets and hand :class:`Fan` and :class:`Cone` the bitsets.
+elimination here.  Scalar coordinates of a vector in a kernel's basis
+come from the package's integral membership test.  Explicit fans
+(subfans, fans from simplicial cone lists) build test inputs; they keep
+their down-sets and cone rays as id sets and hand :class:`Fan` and
+:class:`Cone` the bitsets.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import comb
 
 from polyfan import linalg
 from polyfan.fans import Cone, Fan, FanError, face_fan
-from polyfan.ihsheaf import _involution_on_basis, kernel_dimensions, monomials, to_basis_coords
+from polyfan.ihsheaf import _involution_on_basis, kernel_dimensions, monomials
 from polyfan.polynomials import coeff
 from polyfan.polytopes import (
     FaceLattice,
@@ -52,15 +54,24 @@ def _field(x):
 
 def sparse_kernel(rows, ncols: int, d: int | None = None):
     """The :func:`linalg.integral_kernel` of sparse rows of scalars: each
-    row cleared of denominators over Q(sqrt d), d by default that of the
-    first Quadratic entry (over Q when there is none), zero entries
-    dropped."""
+    row cleared of denominators over Q(sqrt d), d by default the
+    :func:`linalg.radicand` of the rows, zero entries dropped."""
     rows = [{c: v for c, v in r.items() if v != 0} for r in rows]
     if d is None:
-        d = next((v.d for r in rows for v in r.values() if isinstance(v, Quadratic)), None)
+        d = linalg.radicand(r.values() for r in rows)
     return linalg.integral_kernel(
         [dict(zip(r, linalg.cleared(r.values(), d)[0])) for r in rows], ncols, d
     )
+
+
+def basis_coords(kernel, vec: dict) -> dict | None:
+    """Sparse coordinates of a sparse vector of scalars in the basis of a
+    :class:`linalg.Kernel`, or None when it is not in the span: the
+    vector cleared of denominators in the kernel's ring, tested by
+    :func:`linalg.integral_coords`, and the coordinates divided back."""
+    ints, n = linalg.cleared(vec.values(), kernel.d)
+    coords = linalg.integral_coords(kernel, dict(zip(vec, ints)))
+    return None if coords is None else {i: scalar(x, n, kernel.d) for i, x in coords.items()}
 
 
 def rref(rows) -> tuple:
@@ -393,6 +404,15 @@ def mat_mul(a, b):
     ]
 
 
+def substitution_forms(mes, src_id: int, tgt_id: int) -> tuple:
+    """The sheaf's substitution forms from one cone to a face as dense
+    covectors of scalars: the integral forms divided by their common
+    denominator."""
+    forms, den = mes.span_substitution_forms(src_id, tgt_id)
+    nv, d = mes.nvars(tgt_id), mes.ring.d
+    return tuple(tuple(scalar(form.get(t, 0), den, d) for t in range(nv)) for form in forms)
+
+
 def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
     """Dense degree-q restriction of a sheaf from its generator images
     (integral vectors, read as scalars): per pair of source and target
@@ -401,7 +421,7 @@ def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
     src_blocks, src_dim = mes.gen_blocks(src_id, q)
     tgt_blocks, tgt_dim = mes.gen_blocks(tgt_id, q)
     tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
-    forms = mes.span_substitution_forms(src_id, tgt_id)
+    forms = substitution_forms(mes, src_id, tgt_id)
     nv, d = mes.nvars(tgt_id), mes.ring.d
     rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
     for gi, d_i, src_off, _ in src_blocks:
@@ -478,10 +498,7 @@ def full_quotient(mes, q: int) -> dict:
     """The sheaf's quotient of all global sections at degree q by the
     ambient maximal ideal, over every maximal cone with no fold."""
     max_ids = mes.fan.maximal_ids
-    forms = [
-        linalg.cleared([x for cid in max_ids for x in mes.ambient_forms(cid)[j]], mes.ring.d)[0]
-        for j in range(mes.fan.ambient_dim)
-    ]
+    forms = [[x for cid in max_ids for x in mes.ambient_forms(cid)[j]] for j in range(mes.fan.ambient_dim)]
     return mes.quotient(max_ids, q, forms)
 
 
@@ -513,8 +530,11 @@ def reduce_mod_m(data: dict, coords: dict) -> dict:
 
 def reflection_matrices(mes, q: int) -> tuple:
     """(C, Cbar): the reflection on the basis of all global sections at
-    degree q, as sparse columns, and descended to the quotient modulo m."""
-    c = _involution_on_basis(mes, q)
+    degree q, as sparse columns, and descended to the quotient modulo m.
+    The sheaf gives each column as integral coordinates and the integer
+    that divides them."""
+    d = mes.ring.d
+    c = tuple({i: scalar(x, n, d) for i, x in col.items()} for col, n in _involution_on_basis(mes, q))
     data = full_quotient(mes, q)
     return c, tuple(reduce_mod_m(data, c[i]) for i in data["complement"])
 
@@ -552,10 +572,10 @@ def lefschetz_matrices(mes, s) -> dict:
     """Per even q below the cap, the dense matrix of multiplication by the
     conewise linear function s from the :func:`full_quotient` at q to the
     one at q + 2."""
-    max_ids = mes.fan.maximal_ids
+    max_ids, d = mes.fan.maximal_ids, mes.ring.d
     covectors = tuple(
         tuple(
-            sum((a * b for a, b in zip(row, s.covectors[cid])), Fraction(0))
+            sum((scalar(a, 1, d) * b for a, b in zip(row, s.covectors[cid])), Fraction(0))
             for row in mes.fan.cone_basis(cid)[0]
         )
         for cid in max_ids
@@ -566,7 +586,7 @@ def lefschetz_matrices(mes, s) -> dict:
         columns = [
             reduce_mod_m(
                 target,
-                to_basis_coords(
+                basis_coords(
                     target["sections"],
                     multiply_conewise(mes, max_ids, q, data["sections"].basis[i], covectors),
                 ),

@@ -2,17 +2,18 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from polyfan import analysis, ihsheaf, linalg
+from polyfan import analysis, ihsheaf, linalg, scalars
 from polyfan.analysis import Analysis
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.polynomials import coeff
 from polyfan.polytopes import cross_polytope, cube, simplex
 from polyfan.reports import bounds_report, ih_report
-from polyfan.scalars import Field
+from polyfan.scalars import Field, Quadratic
 
 import oracles
 
@@ -163,6 +164,42 @@ def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
     for reps, q, _, width in folded:
         assert reps == mes.representatives
         assert 2 * width == mes.section_layout(max_ids, q)[1]
+
+
+@pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])
+def test_ih_report_builds_no_scalar(name, quadratic_image, monkeypatch):
+    """Once the face fan, its antipode map, the polytope's symmetry and
+    the support function are built, ih_report runs on integral rows
+    alone: it constructs no Fraction and no Quadratic, over Q and over
+    Q(sqrt 2)."""
+    polytope = {
+        "cube-3": cube(3),
+        "prism-over-diamond": nonsimplicial_cs_3polytope(),
+        "sqrt2-cube-3": quadratic_image(cube(3), 2),
+    }[name]
+    a = Analysis(polytope, 8)
+    a.fan.antipode_map()
+    assert a.is_centrally_symmetric and a.support
+    built = Counter()
+
+    def counting(kind, make):
+        def wrapped(*args, **kwargs):
+            built[kind] += 1
+            return make(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("Fraction", Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # where newer Pythons build arithmetic results
+        make = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting("Fraction", make)))
+    monkeypatch.setattr(Quadratic, "__init__", counting("Quadratic", Quadratic.__init__))
+    for module in (scalars, linalg):
+        monkeypatch.setattr(module, "quadratic_from_parts", counting("Quadratic", module.quadratic_from_parts))
+    report = ih_report(a, Field.rational() if a.fan.radicand is None else Field.quadratic(2))
+    monkeypatch.undo()
+    assert all(report["checks"].values())
+    assert not built, built
 
 
 def test_translated_input_keeps_its_shift():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -16,7 +17,8 @@ from polyfan.cli import (
     polytope_from_json,
     polytope_to_json,
 )
-from polyfan.polytopes import cross_polytope
+from polyfan.fans import face_fan
+from polyfan.polytopes import cross_polytope, cube
 from polyfan.scalars import Field
 
 
@@ -73,6 +75,25 @@ class TestGenerate:
         doc = json.loads(out)
         assert doc["field"] == {"quadratic": 2}
         assert doc["vertices"][0][0] in (["1", "0"], ["-1", "0"])
+
+    def test_quadratic_embedding_loads_as_the_rational_polytope(self, capsys, tmp_path):
+        # The file written over Q(sqrt 2) holds rational points: they load
+        # as Fractions, the face fan is over Q, and the reports equal
+        # those of the rational cube in every key but the field.
+        path = tmp_path / "cube.json"
+        assert run(capsys, "generate", "cube", "3", "--field-d", "2", "-o", str(path)) == (0, "", "")
+        p, field, _ = polytope_from_json(json.loads(path.read_text()))
+        assert field == Field.quadratic(2)
+        assert all(type(x) is Fraction for v in p.vertices for x in v)
+        assert face_fan(p).radicand is None
+        rational = write_polytope(tmp_path, "cube-3", cube(3))
+        for command in ("ih", "check-bounds"):
+            code, out, _ = run(capsys, command, str(path), "--json")
+            expected_code, expected, _ = run(capsys, command, rational, "--json")
+            report, expected = json.loads(out), json.loads(expected)
+            assert (code, report.pop("field")) == (expected_code, {"quadratic": 2})
+            assert expected.pop("field") == "rational"
+            assert report == expected, command
 
     @pytest.mark.parametrize(
         "argv, size",

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polyfan import polytopes
+from polyfan import linalg, polytopes
 from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.polytopes import (
     Polytope,
@@ -27,7 +27,7 @@ from polyfan.polytopes import (
     linear_image,
     mask_bits,
 )
-from polyfan.scalars import Quadratic, is_rational, sign, to_fraction
+from polyfan.scalars import Quadratic, sign
 
 from oracles import brute_force_facets, rank
 
@@ -109,12 +109,12 @@ def _assert_matches_oracle(points, n):
 
 
 def _assert_normalized(points, facets):
-    """Rational input: (c, u) scaled by the common denominator of the
-    points is a primitive integer vector.  Over Q(sqrt d): the first
-    nonzero entry of (c, u) has absolute value 1."""
+    """Over Q, by the package's one field rule: (c, u) scaled by the
+    common denominator of the points is a primitive integer vector.  Over
+    Q(sqrt d): the first nonzero entry of (c, u) has absolute value 1."""
     for _, u, c in facets:
-        if all(is_rational(x) for p in points for x in p):
-            scale = math.lcm(*(to_fraction(x).denominator for p in points for x in p))
+        if linalg.radicand(points) is None:
+            scale = math.lcm(*(x.denominator for p in points for x in p))
             entries = [c * scale] + list(u)
             assert all(Fraction(x).denominator == 1 for x in entries)
             assert math.gcd(*(int(x) for x in entries)) == 1
@@ -140,6 +140,9 @@ def _oracle_vertices(points):
 @example((2, [(Fraction(0), Fraction(0)), (SQRT2, Fraction(1)), (Fraction(1), Fraction(0)), (SQRT2 / 2, Fraction(1, 2))]))
 def test_facets_match_subset_scan(cloud):
     n, points = cloud
+    # A Quadratic with zero irrational part becomes its Fraction, as in
+    # every Polytope.
+    points = list(Polytope(points).vertices)
     _assert_matches_oracle(points, n)
     _assert_normalized(points, _facets(points, n))
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +27,7 @@ from oracles import (
     faces_below,
     from_simplicial_cones,
     rref,
+    scalar,
     subfan,
     value_on_ray,
 )
@@ -175,9 +177,11 @@ class TestSubfans:
 
 def test_cone_basis_equals_the_dense_oracle(quadratic_image):
     """Every cone basis of the sheaf corpus and of the Q(sqrt 2) and
-    Q(sqrt 3) shear images of its rational members is the reduced row
-    echelon form of the cone's rays by the dense Gauss-Jordan oracle,
-    entry by entry as values."""
+    Q(sqrt 3) shear images of its rational members is dense primitive
+    integral rows in the fan's ring, each with a positive integer at its
+    pivot and 0 at the other pivots, which divided by those integers are
+    the reduced row echelon form of the cone's rays by the dense
+    Gauss-Jordan oracle, entry by entry as values."""
     polytopes = [(name, p) for name, p in sheaf_corpus()]
     for d in (2, 3):
         polytopes += [
@@ -187,8 +191,20 @@ def test_cone_basis_equals_the_dense_oracle(quadratic_image):
         ]
     for name, p in polytopes:
         fan = face_fan(p)
+        d = fan.radicand
+        zero = 0 if d is None else (0, 0)
         for cid in fan.cone_ids():
-            assert fan.cone_basis(cid) == rref(fan.rays_of(cid)), (name, cid)
+            rows, pivots = fan.cone_basis(cid)
+            reduced = []
+            for row, p in zip(rows, pivots):
+                parts = row if d is None else [z for xy in row for z in xy]
+                assert all(type(x) is (int if d is None else tuple) for x in row)
+                assert all(type(z) is int for z in parts) and gcd(*parts) == 1
+                n = row[p] if d is None else row[p][0]
+                assert n > 0 and row[p] == (n if d is None else (n, 0))
+                assert all(row[o] == zero for o in pivots if o != p)
+                reduced.append(tuple(scalar(x, n, d) for x in row))
+            assert (tuple(reduced), pivots) == rref(fan.rays_of(cid)), (name, cid)
 
 
 class TestQuotientFan:

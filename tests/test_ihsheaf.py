@@ -15,6 +15,7 @@ from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
     SheafError,
+    _involution_on_basis,
     build_mes,
     ih_poincare,
     kernel_dimensions,
@@ -24,7 +25,6 @@ from polyfan.ihsheaf import (
     monomials,
     refined_series,
     sections_poincare,
-    to_basis_coords,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
 from polyfan.polytopes import cube, random_cs, simplex
@@ -117,13 +117,13 @@ class TestConstruction:
                                     q - 2,
                                     vec,
                                     tuple(
-                                        mes.span_substitution_forms(cid, f)[i]
+                                        oracles.substitution_forms(mes, cid, f)[i]
                                         for f in facets
                                     ),
                                 )
                             )
                     coords = [
-                        to_basis_coords(sections, p) for p in products
+                        oracles.basis_coords(sections, p) for p in products
                     ]
                     m_dim = linalg.rank(_dense(coords, len(basis))) if coords else 0
                 assert gens_at_q == len(basis) - m_dim
@@ -536,7 +536,9 @@ def test_quadratic_images_match_their_rational_source(name, sheaf_analyses, quad
 
 
 class TestMembership:
-    """to_basis_coords accepts sections and rejects anything else exactly."""
+    """The kernel's integral membership test, through the oracle's scalar
+    coordinates, accepts sections and rejects anything else exactly, and
+    the reflection's matrix refuses an image that is not a section."""
 
     @pytest.mark.parametrize("which", ["cube-3", "sqrt2-square", "random-cs-3d-p4-s3"])
     def test_pivot_perturbation_is_rejected(self, which, sheaf_setups, quadratic_image):
@@ -557,7 +559,7 @@ class TestMembership:
             section = dict(basis[0])
             for c, x in basis[-1].items():
                 section[c] = section.get(c, 0) + 2 * x
-            coords = to_basis_coords(sections, section)
+            coords = oracles.basis_coords(sections, section)
             assert coords == {0: 1, len(basis) - 1: 2}
             assert coords == {i: section[c] for c, i in free_cols.items() if c in section}
             total = mes.section_layout(reps, q)[1]
@@ -566,8 +568,23 @@ class TestMembership:
                 for delta in (1, Fraction(1, 7)):
                     broken = dict(section)
                     broken[pivot] = broken.get(pivot, 0) + delta
-                    with pytest.raises(SheafError):
-                        to_basis_coords(sections, broken)
+                    assert oracles.basis_coords(sections, broken) is None
+
+    def test_reflection_of_a_non_section_is_rejected(self, monkeypatch):
+        # With the sign of one coordinate of one maximal cone's block
+        # wrong, the reflection sends some section outside the sections.
+        mes = build_mes(face_fan(cube(3)), 8)
+        cid = mes.fan.maximal_ids[0]
+        odd_coordinates = type(mes).odd_coordinates
+        assert len(_involution_on_basis(mes, 4)) == len(mes.section_space(mes.fan.maximal_ids, 4).basis)
+
+        def flipped(self, cone_id, q):
+            odd = odd_coordinates(self, cone_id, q)
+            return (not odd[0],) + odd[1:] if cone_id == cid else odd
+
+        monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
+        with pytest.raises(SheafError, match="not a section"):
+            _involution_on_basis(mes, 4)
 
 
 @pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])
@@ -602,9 +619,9 @@ def test_section_space_hands_linalg_only_integral_rows(name, sheaf_setups, quadr
 
 
 def test_sheaf_calls_only_sparse_linalg():
-    """Every ``linalg`` name ``ihsheaf.py`` uses is a sparse routine, the
-    dot product of covectors or a name of the integral format, so no
-    dense matrix path runs in the sheaf."""
+    """Every ``linalg`` name ``ihsheaf.py`` uses is a sparse routine or a
+    name of the integral format, so no dense matrix path runs in the
+    sheaf and no vector of scalars is cleared there."""
     tree = ast.parse((PACKAGE / "ihsheaf.py").read_text())
     used = {
         node.attr
@@ -622,17 +639,14 @@ def test_sheaf_calls_only_sparse_linalg():
     assert used
     assert used | imported <= {
         "Kernel",
-        "kernel_coords",
         # The quotient's products of sections with forms, taken on
         # primitive integral vectors inside linalg.
         "products_rref",
         "sparse_mat_vec",
-        "vec_dot",
         # The integral format of the sheaf's rows, vectors and forms, and
         # its arithmetic, chosen once per fan.
         "Ring",
         "ring",
-        "cleared",
         "cofactors",
         "common_scale",
         "integral_coords",

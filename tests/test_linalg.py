@@ -321,7 +321,11 @@ class TestKernelRowsAndMembership:
             assert kernel.d is None
             assert (kernel.pivot_values, kernel.columns) == lcm_rebuild(kernel)
         else:
-            coefficient = st.one_of(nonzero_rationals, nonzero_quadratics)
+            # Coefficients in the kernel's own field: the sheaf's kernels
+            # and vectors always share one ring.
+            coefficient = nonzero_rationals
+            if kernel.d is not None:
+                coefficient = st.one_of(nonzero_rationals, nonzero_quadratics)
             assert kernel.d in (2, None)
             rebuilt = pair_rebuild(kernel)
             if kernel.d is None:
@@ -332,7 +336,7 @@ class TestKernelRowsAndMembership:
             # that column of the reduced rows is zero.
             for f, i in kernel.free_cols.items():
                 expected = None if kernel.columns[i] else {i: Fraction(3, 2)}
-                assert linalg.kernel_coords(kernel, {f: Fraction(3, 2)}) == expected
+                assert oracles.basis_coords(kernel, {f: Fraction(3, 2)}) == expected
 
         coefficients = {
             i: data.draw(coefficient)
@@ -344,26 +348,19 @@ class TestKernelRowsAndMembership:
             for c, b in kernel.basis[i].items():
                 vec[c] = vec.get(c, 0) + a * b
         vec = {c: x for c, x in vec.items() if x != 0}
-        assert linalg.kernel_coords(kernel, vec) == coefficients
+        assert oracles.basis_coords(kernel, vec) == coefficients
 
         pivots = [c for c in range(cols) if c not in kernel.free_cols]
         if pivots:
             p = data.draw(st.sampled_from(pivots))
             vec[p] = vec.get(p, 0) + data.draw(coefficient)
-            assert linalg.kernel_coords(kernel, vec) is None
+            assert oracles.basis_coords(kernel, vec) is None
 
-    def test_rational_vector_against_quadratic_kernel(self, monkeypatch):
+    def test_rational_vector_against_quadratic_kernel(self):
         """Q(sqrt 2) rows are stored as primitive pair rows with an
-        integer pivot norm, and a rational vector is tested on its
-        primitive pair vector."""
+        integer pivot norm, and a rational vector is tested as the pair
+        vector (x, 0) in the kernel's ring."""
         r2 = Quadratic(0, 1, 2)
-        scaled = []
-
-        def spy(values):
-            scaled.append(list(values))
-            return primitive(values)
-
-        primitive = linalg.primitive
         # (2 + sqrt 2) x0 + x1 = 0 times the conjugate 2 - sqrt 2 of its
         # pivot is 2 x0 + (2 - sqrt 2) x1 = 0: pivot norm 2.
         kernel = oracles.sparse_kernel([{0: 2 + r2, 1: F(1)}, {2: F(1), 3: r2}], 4)
@@ -371,30 +368,23 @@ class TestKernelRowsAndMembership:
         assert kernel.d == 2
         assert (kernel.pivot_values, kernel.columns) == ({0: 2}, ({0: (2, -1)}, {2: (0, 1)}))
         assert (kernel.pivot_values, kernel.columns) == pair_rebuild(kernel)
-        monkeypatch.setattr(linalg, "primitive", spy)
+        # x0 = (sqrt 2 / 2 - 1) x1 and x2 = -sqrt 2 x3.
+        assert linalg.integral_coords(kernel, {0: (-3, 0), 1: (3, 0)}) is None
+        assert linalg.integral_coords(kernel, {0: (-2, 1), 1: (2, 0)}) == {0: (2, 0)}
+        assert linalg.integral_coords(kernel, {2: (1, 0), 3: (1, 0)}) is None
+        assert linalg.integral_coords(kernel, {2: (0, -1), 3: (1, 0)}) == {1: (1, 0)}
         a = Fraction(3, 4)
-        assert linalg.kernel_coords(kernel, {0: -a, 1: a}) is None
-        assert scaled == [[-a, 0, a, 0]]
-        assert linalg.kernel_coords(kernel, {0: a * (r2 / 2 - 1), 1: a}) == {0: a}
-        assert linalg.kernel_coords(kernel, {2: F(1), 3: F(1)}) is None
-        assert linalg.kernel_coords(kernel, {2: -r2, 3: F(1)}) == {1: F(1)}
-
-    def test_quadratic_vector_against_rational_kernel(self):
-        """A kernel of rational rows tests a Q(sqrt 2) vector over
-        Q(sqrt 2): x0 = x1 holds for (sqrt 2, sqrt 2) and fails for
-        (sqrt 2, 1)."""
-        r2 = Quadratic(0, 1, 2)
-        kernel = oracles.sparse_kernel([{0: F(1), 1: F(-1)}], 2)
-        assert kernel.d is None and kernel.columns == ({0: -1},)
-        assert linalg.kernel_coords(kernel, {0: r2, 1: r2}) == {0: r2}
-        assert linalg.kernel_coords(kernel, {0: r2, 1: F(1)}) is None
+        assert oracles.basis_coords(kernel, {0: -a, 1: a}) is None
+        assert oracles.basis_coords(kernel, {0: a * (r2 / 2 - 1), 1: a}) == {0: a}
+        assert oracles.basis_coords(kernel, {2: F(1), 3: F(1)}) is None
+        assert oracles.basis_coords(kernel, {2: -r2, 3: F(1)}) == {1: F(1)}
 
 
 def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
     """Q(sqrt 2) rows are eliminated, stored and tested as integer
     pairs: with the arithmetic operators of Quadratic patched to raise,
-    sparse_rref, integral_kernel and kernel_coords still succeed and agree
-    with the dense oracle, computed before the patch."""
+    sparse_rref, integral_kernel and integral_coords still succeed and
+    agree with the dense oracle, computed before the patch."""
     r2 = Quadratic(0, 1, 2)
     rows = [
         {0: 2 + r2, 1: F(1), 2: r2},
@@ -411,6 +401,10 @@ def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
     member = {c: x for c, x in enumerate(combination) if x != 0}
     broken = dict(member)
     broken[0] = member[0] + 1
+    # The vectors and the coordinates as pairs, cleared of denominators.
+    scale = linalg.cleared(member.values(), 2)[1]
+    member, broken = (dict(zip(v, linalg.cleared(v.values(), 2)[0])) for v in (member, broken))
+    coords = dict(enumerate(linalg.cleared([scale * r2, scale * third], 2)[0]))
 
     def refuse(*args):
         raise AssertionError("Quadratic arithmetic in the sparse elimination")
@@ -422,8 +416,8 @@ def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
     assert (tuple(as_dense(r, 5) for r in reduced), pivots) == expected_rref
     kernel = oracles.sparse_kernel(rows, 5)
     assert tuple(as_dense(v, 5) for v in kernel.basis) == expected_basis
-    assert linalg.kernel_coords(kernel, member) == {0: r2, 1: third}
-    assert linalg.kernel_coords(kernel, broken) is None
+    assert linalg.integral_coords(kernel, member) == coords
+    assert linalg.integral_coords(kernel, broken) is None
 
 
 def as_rref(stored: dict, d) -> tuple:
@@ -465,7 +459,7 @@ def test_products_rref_equals_rref_of_scalar_products(radicand_rows):
             for c, v in b.items():
                 for t, k in table[c]:
                     product[t] = product.get(t, 0) + v * phi[k]
-            products.append(linalg.kernel_coords(target, {t: x for t, x in product.items() if x}))
+            products.append(oracles.basis_coords(target, {t: x for t, x in product.items() if x}))
     stored = linalg.products_rref(source, target, table, integral_forms)
     assert as_rref(stored, 2) == linalg.sparse_rref(products)
     outside = oracles.sparse_kernel([{5: F(1)}], 7, 2)
