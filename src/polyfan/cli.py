@@ -255,9 +255,9 @@ def cmd_hvector(args) -> int:
 
 def cmd_check_bounds(args) -> int:
     p, field, name = load_polytope_file(args.file)
-    if not p.is_centrally_symmetric():
-        raise InputError(f"{args.file}: polytope is not centrally symmetric")
     analysis = analyze(args.file, p, field)
+    if not analysis.is_centrally_symmetric:
+        raise InputError(f"{args.file}: polytope is not centrally symmetric")
     return _emit(reports.bounds_report(analysis, field, name), args.json)
 
 
@@ -287,7 +287,7 @@ def cmd_report_all(args) -> int:
         if name is None:
             name = path.stem
         analysis = analyze(str(path), p, field, args.degree_cap)
-        if p.is_centrally_symmetric():
+        if analysis.is_centrally_symmetric:
             report = reports.bounds_report(analysis, field, name)
         else:
             report = reports.hvector_report(analysis, field, name)

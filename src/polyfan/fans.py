@@ -177,13 +177,11 @@ class Fan:
         """Cone-id involution sigma <-> -sigma; raises if not symmetric."""
         if self._antipode is not None:
             return self._antipode
-        ray_lookup = {self.rays[r]: r for r in self.rays}
-        ray_anti = {}
-        for r, v in self.rays.items():
-            w = linalg.vec_neg(v)
-            if w not in ray_lookup:
-                raise FanError("fan is not centrally symmetric (missing ray)")
-            ray_anti[r] = ray_lookup[w]
+        partner = linalg.antipodes(linalg.integral_rows(self.rays.values()))
+        if partner is None:
+            raise FanError("fan is not centrally symmetric (missing ray)")
+        ids = list(self.rays)
+        ray_anti = {r: ids[j] for r, j in zip(ids, partner)}
         cone_lookup = {c.mask: c.id for c in self.cones.values()}
         mapping = {}
         for c in self.cones.values():

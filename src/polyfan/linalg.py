@@ -2,15 +2,14 @@
 
 A sparse row (or vector) is a dict from column index to its nonzero
 entries only.  Dense vectors are tuples of scalars and dense matrices
-tuples of row tuples; the geometry path (the inverse of a facet start
-simplex, rank checks, quotient fans) uses them.  There is one
-elimination, :func:`_fraction_free`: :func:`stored_rows`,
-:func:`sparse_rref` and the dense :func:`rref`, :func:`rank` and
-:func:`inverse` are adapters that pass it their rows of scalars, in the
-field that :func:`radicand`, the package's one rule, decides.  It pivots
-on the first nonzero column, and the reduced row echelon form of a
-matrix is unique, so every result is a deterministic function of the
-input.
+tuples of row tuples; the geometry path (rank checks, quotient fans)
+uses them.  There is one elimination, :func:`_fraction_free`:
+:func:`stored_rows`, :func:`sparse_rref` and the dense :func:`rref`,
+:func:`rank` and :func:`inverse` are adapters that pass it their rows of
+scalars, in the field that :func:`radicand`, the package's one rule,
+decides.  It pivots on the first nonzero column, and the reduced row
+echelon form of a matrix is unique, so every result is a deterministic
+function of the input.
 
 The elimination is one fraction-free loop (Bareiss 1968) over integral
 rows.  Over Q an entry is an ``int``; over Q(sqrt d) it is the pair
@@ -59,7 +58,8 @@ or a selection) with integral linear forms and returns the stored rows
 of their elimination, so no scalar is built: their span, and so every
 rank, does not depend on the scale of a row.  :func:`cleared` clears a
 vector of scalars of its denominators, for the conewise linear
-functions of :mod:`polyfan.fans`.
+functions of :mod:`polyfan.fans`; :func:`integral_rows` clears vectors
+at one common scale, and :func:`antipodes` pairs opposite rows.
 """
 
 from __future__ import annotations
@@ -218,6 +218,28 @@ def _integral(values, d) -> list:
     if d is None:
         return primitive(values)
     return _pairs(primitive(_parts(values, d)))
+
+
+def integral_rows(vectors) -> tuple[list, int, int | None]:
+    """(rows, s, d) for a sequence of vectors of scalars over the field
+    :func:`radicand` d: the rows s v for the least positive integer s that
+    clears every denominator, as tuples of ints, or of pairs over Q(sqrt d)."""
+    d = radicand(vectors)
+    parts = vectors if d is None else [_parts(v, d) for v in vectors]
+    s = lcm(*[x.denominator for v in parts for x in v])
+    rows = [tuple(x.numerator * (s // x.denominator) for x in v) for v in parts]
+    return (rows if d is None else [tuple(_pairs(r)) for r in rows]), s, d
+
+
+def antipodes(integral) -> list | None:
+    """For the (rows, s, d) of :func:`integral_rows`, the index of each
+    row's negative among the rows (the last, if it repeats), or None when
+    some row's negative is not a row."""
+    rows, _, d = integral
+    index = {row: i for i, row in enumerate(rows)}
+    negate = ring(d).neg
+    out = [index.get(tuple(map(negate, row))) for row in rows]
+    return None if None in out else out
 
 
 def cleared(values, d) -> tuple[list, int]:

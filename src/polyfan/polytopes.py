@@ -1,21 +1,23 @@
 """Convex polytopes from exact vertex sets.
 
-Facets are the extreme rays of the homogenized cone of the vertex list,
-found by one double-description routine that runs on integers for both
-fields: primitive integer rows and rays over Q, and over Q(sqrt d) rows
-and rays of integer pairs (x, y) standing for x + y sqrt d, with no
-field arithmetic per ray.  Each facet plane u.x <= c comes out in one
-exact form: over Q, (c times the common denominator of the points, u)
-is a primitive integer vector; over Q(sqrt d), the first nonzero entry
-of (c, u) is 1 or -1.  The other faces are graded from the top down
-without any rank computation: by the diamond property (Ziegler,
-*Lectures on Polytopes*, Thm 2.7) the facets of a face lie among its
-intersections with the other facets of one face it is a facet of, and
-the covers found on the way give each face its down-set as a bitset.
-The face lattice is validated on construction: full dimension, Euler's
-relation, and for every listed point the vertex criterion on facet
-masks (the facets through a vertex meet in that vertex alone), again
-without any rank computation.
+A polytope keeps its vertices once as integral rows at one common scale
+(ints over Q, integer pairs (x, y) for x + y sqrt d over Q(sqrt d)) and
+decides duplicates and central symmetry on them.  Facets are the extreme
+rays of the homogenized cone of those rows, found by one double
+description on integers for both fields from the first simplex and start
+rays of one fraction-free elimination.  Each facet plane u.x <= c comes
+out in one exact form: over Q, (c times the common denominator of the
+points, u) is a primitive integer vector; over Q(sqrt d), the first
+nonzero entry of (c, u) is 1 or -1.  The other faces are graded from the
+top down without any rank computation: a simplex face's facets drop one
+vertex each, and by the diamond property (Ziegler, *Lectures on
+Polytopes*, Thm 2.7) the facets of any face lie among its intersections
+with the facets of one face it is a facet of; the covers found on the
+way give each face its down-set as a bitset.  The face lattice is
+validated on construction: full dimension, Euler's relation, and for
+every listed point the vertex criterion on facet masks (the facets
+through a vertex meet in that vertex alone), again without any rank
+computation.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class Polytope:
     """A full-dimensional polytope given by its exact vertex list.  A
     Quadratic coordinate with zero irrational part is kept as its
     Fraction, so :func:`linalg.radicand` of the vertices is the field of
-    the polytope."""
+    the polytope; its :func:`linalg.integral_rows` decide duplicates,
+    symmetry and facets."""
 
     def __init__(self, vertices):
         vs = tuple(tuple(x.a if type(x) is Quadratic and not x.b else x for x in v) for v in vertices)
@@ -107,7 +110,8 @@ class Polytope:
             raise PolytopeError("ambient dimension must be >= 1")
         if any(len(v) != n for v in vs):
             raise PolytopeError("vertices of mixed dimension")
-        if len(set(vs)) != len(vs):
+        self._integral = linalg.integral_rows(vs)
+        if len(set(self._integral[0])) != len(vs):
             raise PolytopeError("duplicate vertices")
         self.ambient_dim = n
         self.vertices = vs
@@ -119,7 +123,7 @@ class Polytope:
 
     def face_lattice(self) -> FaceLattice:
         if self._lattice is None:
-            self._lattice = _build_face_lattice(self.vertices, self.ambient_dim)
+            self._lattice = _build_face_lattice(self.vertices, self.ambient_dim, self._integral)
         return self._lattice
 
     def f_vector(self) -> tuple:
@@ -140,8 +144,7 @@ class Polytope:
 
     def is_centrally_symmetric(self) -> bool:
         if self._symmetric is None:
-            vertex_set = set(self.vertices)
-            self._symmetric = all(linalg.vec_neg(v) in vertex_set for v in self.vertices)
+            self._symmetric = linalg.antipodes(self._integral) is not None
         return self._symmetric
 
     def is_cross_polytope(self) -> bool:
@@ -149,20 +152,10 @@ class Polytope:
         n = self.ambient_dim
         if len(self.vertices) != 2 * n:
             return False
-        vertex_set = set(self.vertices)
-        representatives = []
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                continue
-            w = linalg.vec_neg(v)
-            if w not in vertex_set or w == v:
-                return False
-            seen.add(v)
-            seen.add(w)
-            representatives.append(v)
-        if len(representatives) != n:
+        partner = linalg.antipodes(self._integral)
+        if partner is None or any(i == j for i, j in enumerate(partner)):
             return False
+        representatives = [v for i, v in enumerate(self.vertices) if i < partner[i]]
         return linalg.rank(linalg.mat(representatives)) == n
 
 
@@ -183,45 +176,34 @@ def ensure_origin_interior(p: Polytope):
 # Facet enumeration
 
 
-def _build_face_lattice(vertices, n: int) -> FaceLattice:
-    return _lattice_from_facets(vertices, n, _facets(vertices, n))
+def _build_face_lattice(vertices, n: int, integral=None) -> FaceLattice:
+    return _lattice_from_facets(vertices, n, _facets(vertices, n, integral))
 
 
-def _facets(points, n: int) -> list:
+def _facets(points, n: int, integral=None) -> list:
     """Every facet of conv(points) as (mask, u, c): u.x <= c on the hull,
     with equality exactly on the points in ``mask``.
 
     Double description (Fukuda-Prodon 1996): a facet is an extreme ray y
-    of the cone {y : y.[1|p] >= 0 for every point p}, with (c, u) =
-    (y_0, -y_rest).  The cone of a first simplex is refined by one row at
-    a time, on integers.  Points over Q (:func:`linalg.radicand` None)
-    are scaled to integer rows and rays stay primitive integer vectors.
-    Over Q(sqrt d) a row is the primitive pair row of [1|p], a positive
-    multiple of it, and a ray keeps a rational first nonzero entry and
-    content 1 (:func:`_pair_ray`); at the end (c, u) is divided by the
-    absolute value of that entry.  Either way each facet has one exact
-    form, whatever the insertion order.
+    of the cone {y : y.[1|s p] >= 0 for every point p}, with s p the
+    points' :func:`linalg.integral_rows` (``integral``, if the caller has
+    them) and (c, u) = (y_0 / s, -y_rest).  The cone of a first simplex
+    is refined by one row at a time, on integers: over Q rays stay
+    primitive integer vectors; over Q(sqrt d) rows and rays are integer
+    pairs and a ray keeps a rational first nonzero entry and content 1
+    (:func:`_pair_ray`), and at the end (c, u) is divided by the absolute
+    value of its first nonzero entry.  Either way each facet has one
+    exact form, whatever the insertion order.
     """
     width = n + 1
-    d = linalg.radicand(points)
-    if d is None:
-        scale = math.lcm(*(x.denominator for p in points for x in p))
-        rows = scalar_rows = [
-            (1,) + tuple(x.numerator * (scale // x.denominator) for x in p) for p in points
-        ]
-    else:
-        scalar_rows = [(Fraction(1),) + tuple(p) for p in points]
-        rows = [linalg._integral(r, d) for r in scalar_rows]
-    basis = _first_simplex(scalar_rows, width)
-    # {y : B y >= 0} is B^-1 applied to the orthant, so its rays are the
-    # columns of B^-1.  Each ray carries its zero set: the rows inserted
-    # so far that it satisfies with equality, as a bitmask.
-    inverse = linalg.inverse(linalg.mat(scalar_rows[i] for i in basis))
+    vectors, scale, d = integral or linalg.integral_rows(points)
+    one = linalg.ring(d).one
+    rows = [(one,) + v for v in vectors]
+    basis, start = _first_simplex(rows, width, d)
+    # Each ray carries its zero set: the rows inserted so far that it
+    # satisfies with equality, as a bitmask.
     all_bits = sum(1 << i for i in basis)
-    rays = []
-    for j, i in enumerate(basis):
-        y = linalg._integral([r[j] for r in inverse], d)
-        rays.append((y if d is None else _pair_ray(y, d), all_bits & ~(1 << i)))
+    rays = [(y, all_bits & ~(1 << i)) for i, y in zip(basis, start)]
     chosen = set(basis)
     for k, row in enumerate(rows):
         if k not in chosen:
@@ -233,21 +215,32 @@ def _facets(points, n: int) -> list:
         ]
     out = []
     for y, mask in rays:
+        # (y_0, s y_rest) is on the ray of the unscaled points' cone.
+        y = [y[0]] + [(scale * x, scale * z) for x, z in y[1:]]
         lead = abs(next(x for x, _ in y if x))
         y = [linalg._scalar(v, lead, d) for v in y]
         out.append((mask, tuple(-x for x in y[1:]), y[0]))
     return out
 
 
-def _first_simplex(rows, width: int) -> tuple:
-    """Indices of the first ``width`` linearly independent rows: the
-    pivot columns of the transposed rows, whose reduced row echelon form
-    pivots on each row that is independent of the rows before it."""
-    columns = [{i: row[c] for i, row in enumerate(rows)} for c in range(width)]
-    pivots = linalg.sparse_rref(columns)[1]
-    if len(pivots) < width:
+def _first_simplex(rows, width: int, d) -> tuple:
+    """(basis, rays) for integral rows (ints, or pairs over Q(sqrt d)):
+    the first ``width`` linearly independent rows B, and the primitive
+    columns of B^-1 (by :func:`_pair_ray` over Q(sqrt d)), the rays of
+    {y : B y >= 0}.  One elimination of [rows^T | I] pivots on each row
+    independent of the rows before it, and its stored row there,
+    primitive, is (t rows^T | t) for t > 0 on a row of (B^-1)^T."""
+    m, step = len(rows), linalg.ring(d)
+    zero, one = step.zero, step.one
+    columns = [{i: row[c] for i, row in enumerate(rows) if row[c] != zero} for c in range(width)]
+    for c, column in enumerate(columns):
+        column[m + c] = one
+    stored = linalg._fraction_free(columns, d)
+    basis = tuple(sorted(stored))
+    if basis[-1] >= m:
         raise PolytopeError("not full-dimensional")
-    return pivots
+    tails = ([stored[i].get(m + j, zero) for j in range(width)] for i in basis)
+    return basis, [y if d is None else _pair_ray(y, d) for y in tails]
 
 
 def _insert_row(rays, row, bit: int, width: int, d) -> list:
@@ -332,8 +325,10 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
     the diamond property every facet of H is H & H' for exactly one other
     facet H' of K (Kaibel-Pfetsch 2002), so the facets of H are the
     inclusion-maximal proper meets of H with the facets of K (all facets
-    when K is P).  These covers are kept, and in increasing dimension a
-    face's down-set is the union of each cover's down-set and the cover."""
+    when K is P); a k-face with k + 1 vertices is a simplex, whose facets
+    drop one vertex each.  These covers are kept, and in increasing
+    dimension a face's down-set is the union of each cover's down-set
+    and the cover."""
     full_mask = (1 << len(vertices)) - 1
     facet_masks = [mask for mask, _, _ in facets]
     dims = {full_mask: n}
@@ -343,7 +338,14 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
         below = {}
         for face, upper in layer.items():
             dims[face] = k
-            covers[face] = _maximal_proper(face, covers[upper])
+            if face.bit_count() == k + 1:
+                covers[face] = below_face = []
+                rest = face
+                while rest:
+                    below_face.append(face ^ (rest & -rest))
+                    rest &= rest - 1
+            else:
+                covers[face] = _maximal_proper(face, covers[upper])
             for c in covers[face]:
                 below.setdefault(c, face)
         layer = below
@@ -468,13 +470,7 @@ def linear_image(p: Polytope, matrix: Matrix) -> Polytope:
 def hull_vertices(points) -> tuple:
     """Extreme points of conv(points), via facet enumeration of the hull:
     a point is extreme when the facets through it meet in it alone."""
-    pts = []
-    seen = set()
-    for p in points:
-        t = tuple(p)
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     masks = [mask for mask, _, _ in _facets(pts, len(pts[0]))]
     return tuple(p for i, p in enumerate(pts) if _smallest_face(i, masks) == 1 << i)
 

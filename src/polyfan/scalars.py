@@ -341,11 +341,13 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def _parse_fraction(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"``: an optional minus sign and ASCII digits,
-    with no spaces, exponents, decimal points or underscores."""
+    with no spaces, exponents, decimal points or underscores; the parts
+    that matched are read by ``int``, which raises as ``Fraction`` would."""
     if not _RATIONAL.fullmatch(text):
         raise ScalarParseError(f"invalid rational {brief(text)}: expected \"p/q\" or \"p\"")
+    numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
     except ZeroDivisionError as exc:
         raise ScalarParseError(f"invalid rational {brief(text)}: {exc}") from None
     except ValueError:  # the interpreter's limit on digits per integer

@@ -1,15 +1,45 @@
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from polyfan import linalg
+from polyfan import linalg, scalars
 from polyfan.analysis import Analysis
 from polyfan.corpus import sheaf_corpus
 from polyfan.polytopes import linear_image
 from polyfan.scalars import Quadratic
+
+
+@pytest.fixture
+def count_scalars(monkeypatch):
+    """Call it to patch the constructors of Fraction and Quadratic: it
+    returns a Counter of the Fractions and Quadratics built from then
+    until ``monkeypatch.undo()``."""
+
+    def start() -> Counter:
+        built = Counter()
+
+        def counting(kind, make):
+            def wrapped(*args, **kwargs):
+                built[kind] += 1
+                return make(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("Fraction", Fraction.__new__)))
+        if hasattr(Fraction, "_from_coprime_ints"):  # where newer Pythons build arithmetic results
+            make = Fraction._from_coprime_ints.__func__
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting("Fraction", make)))
+        monkeypatch.setattr(Quadratic, "__init__", counting("Quadratic", Quadratic.__init__))
+        for module in (scalars, linalg):
+            monkeypatch.setattr(module, "quadratic_from_parts", counting("Quadratic", module.quadratic_from_parts))
+        return built
+
+    return start
 
 
 @pytest.fixture(scope="session")

@@ -526,6 +526,25 @@ class TestTranslationReporting:
         assert report["h"] == [1, 2, 1]
         jsonschema.validate(report, load_report_schema())
 
+    def test_shifted_square_is_symmetric_once_translated(self, capsys, tmp_path):
+        """Symmetry is decided on the translated polytope, as ih decides
+        it: check-bounds reports the bounds of a square off the origin
+        (it exited 2 as "not centrally symmetric" when the file's own
+        vertices were tested), and report-all gives it a bounds report."""
+        from polyfan import cube
+
+        path = write_polytope(tmp_path, "shifted", cube(2).translate((10, 0)))
+        code, out, err = run(capsys, "check-bounds", path, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["translation"] == ["-10", "0"]
+        assert report["bounds"]["is_minimum"] and report["bounds"]["is_cross_polytope"]
+        jsonschema.validate(report, load_report_schema())
+        code, out, _ = run(capsys, "report-all", str(tmp_path), "--json")
+        assert code == 0
+        [listed] = json.loads(out)["reports"]
+        assert listed["bounds"] == report["bounds"]
+
 
 class TestParser:
     def test_two_calls_build_one_parser(self, capsys, monkeypatch):

@@ -5,6 +5,7 @@ polytopes under unitriangular maps (so always invertible) cover Q and
 Q(sqrt 2)/Q(sqrt 3) coordinates.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -20,12 +21,15 @@ from polyfan.polytopes import (
     PolytopeError,
     _facets,
     _first_simplex,
+    _maximal_proper,
+    _pair_ray,
     cross_polytope,
     cube,
     free_sum,
     hull_vertices,
     linear_image,
     mask_bits,
+    simplex,
 )
 from polyfan.scalars import Quadratic, sign
 
@@ -190,11 +194,85 @@ def test_first_simplex_is_the_greedy_choice(system):
     for i, row in enumerate(rows):
         if len(kept) < width and rank([rows[j] for j in kept] + [row]) > len(kept):
             kept.append(i)
+    integral, _, d = linalg.integral_rows(rows)
     if len(kept) < width:
         with pytest.raises(PolytopeError, match="not full-dimensional"):
-            _first_simplex(rows, width)
+            _first_simplex(integral, width, d)
     else:
-        assert list(_first_simplex(rows, width)) == kept
+        assert list(_first_simplex(integral, width, d)[0]) == kept
+
+
+@st.composite
+def full_rank_systems(draw):
+    """Rows over Q, Q(sqrt 2) or Q(sqrt 3), with denominators, of rank
+    their width, and as many rows as the width or up to three more."""
+    width = draw(st.integers(1, 5))
+    d = draw(st.sampled_from(RADICANDS))
+    rows = [tuple(_scalar(draw, d) for _ in range(width)) for _ in range(width + draw(st.integers(0, 3)))]
+    assume(rank(rows) == width)
+    return width, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_systems())
+def test_start_rays_are_the_primitive_columns_of_the_inverse(system):
+    """The rays of the first simplex B, read off the elimination of
+    [rows^T | I], are the columns of the dense inverse of B made
+    primitive (and over Q(sqrt d) given a rational lead, as every ray
+    is)."""
+    width, rows = system
+    integral, _, d = linalg.integral_rows(rows)
+    basis, rays = _first_simplex(integral, width, d)
+    inverse = linalg.inverse(linalg.mat(rows[i] for i in basis))
+    columns = [linalg._integral(column, d) for column in zip(*inverse)]
+    assert rays == [column if d is None else _pair_ray(column, d) for column in columns]
+
+
+SUMMANDS = (cube(1), cube(2), cross_polytope(2), simplex(2), simplex(3), nonsimplicial_cs_3polytope())
+
+
+@st.composite
+def hulls_and_free_sums(draw):
+    """The vertices of a point cloud's hull, or a free sum of two or three
+    small polytopes (simplicial, simple and neither) in dimension <= 6."""
+    if draw(st.booleans()):
+        return Polytope(hull_vertices(draw(point_clouds())[1]))
+    summands = draw(st.lists(st.sampled_from(SUMMANDS), min_size=2, max_size=3))
+    assume(sum(p.ambient_dim for p in summands) <= 6)
+    return functools.reduce(free_sum, summands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hulls_and_free_sums())
+def test_face_covers_are_the_maximal_meets_with_all_facets(p):
+    """Each face's covers, the faces one dimension lower in its down-set,
+    are its inclusion-maximal proper meets with all facets, whether the
+    lattice took them by the simplex rule or from one upper cover."""
+    lattice = p.face_lattice()
+    facet_masks = [lattice.masks[f] for f in lattice.facet_ids()]
+    for i, mask in enumerate(lattice.masks):
+        k = lattice.dims[i]
+        if k >= 0:
+            covers = {lattice.masks[j] for j in mask_bits(lattice.down[i]) if lattice.dims[j] == k - 1}
+            assert covers == set(_maximal_proper(mask, facet_masks))
+
+
+@pytest.mark.parametrize("d", RADICANDS)
+def test_vertex_rows_and_start_simplex_build_no_scalar(d, quadratic_image, count_scalars, monkeypatch):
+    """A polytope's vertex rows, its symmetry, the antipode lookup of
+    is_cross_polytope, and the first simplex and start rays of _facets
+    run on integers: they construct no Fraction and no Quadratic."""
+    sources = (cube(3), cross_polytope(3))
+    vertices = [p.vertices if d is None else quadratic_image(p, d).vertices for p in sources]
+    built = count_scalars()
+    ps = [Polytope(vs) for vs in vertices]
+    assert [(p.is_centrally_symmetric(), p.is_cross_polytope()) for p in ps] == [(True, False), (True, True)]
+    for p in ps:
+        rows, _, field = p._integral
+        assert field == d
+        _first_simplex([(linalg.ring(d).one,) + row for row in rows], 4, d)
+    monkeypatch.undo()
+    assert not built, built
 
 
 SMALL = (

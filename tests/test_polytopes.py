@@ -197,7 +197,7 @@ def test_symmetry_and_interior_origin_are_decided_once(monkeypatch):
     def unexpected(*args):
         raise AssertionError("decided again")
 
-    monkeypatch.setattr(polytopes.linalg, "vec_neg", unexpected)
+    monkeypatch.setattr(polytopes.linalg, "antipodes", unexpected)
     monkeypatch.setattr(polytopes, "sign", unexpected)
     assert [(p.is_centrally_symmetric(), p.origin_is_interior()) for p in ps] == decided
 

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +18,10 @@ from polyfan.scalars import (
     sign,
     to_fraction,
 )
+
+
+# The interpreter's limit on the digits of an integer read from a string.
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 
 
 def q2(a, b):
@@ -243,6 +248,31 @@ class TestSerialization:
     )
     def test_grammar_accepts_signed_integers_and_quotients(self, text, value):
         assert Field.rational().parse(text) == value
+
+    @given(st.from_regex(scalars._RATIONAL, fullmatch=True))
+    @example("1/0")
+    @example("-0/0")
+    @example("9" * (MAX_DIGITS + 1))
+    @example("-1/" + "0" * (MAX_DIGITS + 1))
+    @example("1" * MAX_DIGITS + "/" + "0" * MAX_DIGITS)
+    def test_parse_agrees_with_fraction_of_the_text(self, text):
+        """Every string the grammar accepts parses to Fraction(text), or
+        fails where Fraction(text) fails: a zero denominator with the same
+        ZeroDivisionError, an integer past the interpreter's digit limit
+        as too many digits."""
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError as exc:
+            message = f"invalid rational {scalars.brief(text)}: {exc}"
+        except ValueError:
+            message = f"invalid rational {scalars.brief(text)}: too many digits"
+        else:
+            parsed = scalars._parse_fraction(text)
+            assert type(parsed) is Fraction and parsed == expected
+            return
+        with pytest.raises(ScalarParseError) as info:
+            scalars._parse_fraction(text)
+        assert str(info.value) == message
 
     def test_to_fraction(self):
         assert to_fraction(q2(3, 0)) == 3
