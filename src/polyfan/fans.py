@@ -288,17 +288,21 @@ def support_function(p: Polytope, fan: Fan | None = None) -> ConewiseLinear:
     """The strictly concave support function of a polytope on its face fan.
 
     On the cone over a facet F the function is the dual vertex u_F with
-    <u_F, v> = -1 for v in F.  Strict concavity across every wall is
-    verified exactly and a failure raises, since it indicates degenerate
-    input.
+    <u_F, v> = -1 for v in F: for the facet's ray y on the vertex rows
+    s v (see :attr:`polytopes.FaceLattice.facet_rays`), u_F = s y_rest /
+    y_0.  Strict concavity across every wall is verified exactly and a
+    failure raises, since it indicates degenerate input.
     """
     if fan is None:
         fan = face_fan(p)
-    lattice = p.face_lattice()
+    _, s, d = p._integral
+    scale = linalg.ring(d).scale
     covectors = {}
-    for fid in lattice.facet_ids():
-        u, c = lattice.facet_planes[fid]
-        covectors[fid] = tuple(-x / c for x in u)
+    for fid, (y0, *rest) in p.face_lattice().facet_rays.items():
+        # y_0 > 0 is the ray's first nonzero entry, so rational over
+        # Q(sqrt d) too: the pair (x, 0).
+        n = y0 if d is None else y0[0]
+        covectors[fid] = tuple(linalg._scalar(scale(s, x), n, d) for x in rest)
     cl = ConewiseLinear(fan, covectors)
     _check_strictly_concave(cl)
     return cl

@@ -409,7 +409,7 @@ class MinimalExtensionSheaf:
                 )
                 if m_rows is None:
                     raise SheafError("a product is not a section (failed exact membership check)")
-            complement = (i for i in range(len(sections.basis)) if i not in m_rows)
+            complement = (i for i in range(len(sections.free_cols)) if i not in m_rows)
             cached = {
                 "sections": sections,
                 "m_rows": m_rows,
@@ -494,7 +494,8 @@ def _rank(mes: MinimalExtensionSheaf, vectors) -> int:
 
 def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     """Build the minimal extension sheaf of a fan up to an even degree cap
-    (default 2*(dim+1)).
+    (default 2*(dim+1), at most twice that: the work grows about fourfold
+    per doubling of the cap).
 
     Cones are processed by increasing dimension with deterministic lift
     choices; on a centrally symmetric fan one cone per antipodal pair is
@@ -508,6 +509,8 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
         raise DegreeCapError(
             f"degree cap {cap} cannot certify a fan of dimension {fan.dim}"
         )
+    if cap > 4 * (fan.dim + 1):
+        raise DegreeCapError(f"degree cap {cap} exceeds {4 * (fan.dim + 1)}, twice the default")
     mes = MinimalExtensionSheaf(fan, cap)
     order = sorted(
         fan.cone_ids(), key=lambda cid: (fan.cones[cid].dim, cid)
@@ -630,7 +633,7 @@ def _graded_dims(mes: MinimalExtensionSheaf, parities: tuple = ()) -> tuple:
         halves = mes.global_data(q)
         for p in parities or halves:
             u[q] += len(halves[p]["complement"])
-            v[q] += len(halves[p]["sections"].basis)
+            v[q] += len(halves[p]["sections"].free_cols)
     return trim(u), trim(v)
 
 
@@ -663,11 +666,11 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
             if not facets:
                 dims[q] = dim_e
                 continue
-            boundary_basis = mes.section_space(facets, q).basis
+            boundary_dim = len(mes.section_space(facets, q).free_cols)
             # Each matrix is rows / scale; a scale changes no rank.
             rk = _rank(mes, (row for f in facets for row in mes.restriction_matrix(cid, f, q)[0]))
             dims[q] = dim_e - rk
-            if rk != len(boundary_basis):
+            if rk != boundary_dim:
                 raise SheafError(
                     f"restriction of cone {cid} to its boundary is not "
                     f"surjective in degree {q}"

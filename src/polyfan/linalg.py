@@ -41,9 +41,9 @@ basis (:meth:`polyfan.fans.Fan.cone_basis`) is the stored rows of its
 rays.  :func:`sparse_rref` divides each by d_p, which is the reduced row
 echelon form exactly, with no modulus and nothing to reconstruct.
 :func:`integral_kernel` keeps them in a :class:`Kernel`, each entry
-once: the basis vector of free column f is e_f - sum_p (R_p[f] / d_p)
-e_p, built from the stored column when it is read, and an integral x is
-in the span iff d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p, which
+once and no scalar basis vector: the basis vector of free column f is
+e_f - sum_p (R_p[f] / d_p) e_p, and an integral x is in the span iff
+d_p x_p + sum_f R_p[f] x_f = 0 at every pivot p, which
 :func:`integral_coords` tests in the kernel's own ring.
 
 The sheaf (:mod:`polyfan.ihsheaf`) keeps its data integral from the
@@ -460,41 +460,15 @@ def _normalize_pairs(r: dict, p: int | None, d: int) -> None:
 class Kernel(NamedTuple):
     """The null space of sparse rows with the stored rows R_p that cut it
     out (see the module docstring).  ``free_cols`` maps each free column
-    to the index of its basis vector, ascending, ``pivot_values`` holds
-    the d_p other than 1, ``columns`` holds, per basis vector, the R_p[f]
-    of its free column f (ints, or pairs over Q(sqrt d) with ``d`` the
-    radicand), and ``basis`` reads the basis vectors off ``columns``."""
+    to the index of its basis vector, ascending, so its length is the
+    kernel's dimension; ``pivot_values`` holds the d_p other than 1, and
+    ``columns`` holds, per basis vector, the R_p[f] of its free column f
+    (ints, or pairs over Q(sqrt d) with ``d`` the radicand)."""
 
     free_cols: dict
     pivot_values: dict
     columns: tuple
     d: int | None
-    basis: "KernelBasis"
-
-
-class KernelBasis:
-    """The basis of a :class:`Kernel`, a sequence of sparse vectors:
-    vector i is e_f - sum_p (R_p[f] / d_p) e_p for its free column f,
-    built from the stored column each time it is read, so the kernel
-    keeps every entry once."""
-
-    __slots__ = ("_free", "_pivot_values", "_columns", "_d")
-
-    def __init__(self, free: list, pivot_values: dict, columns: tuple, d):
-        self._free = free
-        self._pivot_values = pivot_values
-        self._columns = columns
-        self._d = d
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def __getitem__(self, i: int) -> dict:
-        vec = {self._free[i]: _ONE}
-        pivot_values, d = self._pivot_values, self._d
-        for p, x in self._columns[i].items():
-            vec[p] = _scalar(x, -pivot_values.get(p, 1), d)
-        return vec
 
 
 def integral_kernel(rows, ncols: int, d) -> Kernel:
@@ -517,7 +491,7 @@ def integral_kernel(rows, ncols: int, d) -> Kernel:
             pivot_values[p] = n
         for c, v in r.items():
             columns[free_cols[c]][p] = v
-    return Kernel(free_cols, pivot_values, columns, d, KernelBasis(free, pivot_values, columns, d))
+    return Kernel(free_cols, pivot_values, columns, d)
 
 
 def integral_rank(rows, d) -> int:
@@ -530,7 +504,7 @@ def _members(kernel: Kernel, vec: dict) -> dict | None:
     """For an integral vector X in the kernel's representation, the
     free columns it touches by basis index, or None when X is not in the
     span: the test of d_p X_p + sum_f R_p[f] X_f = 0 at every pivot p."""
-    free_cols, pivot_values, columns, d, _ = kernel
+    free_cols, pivot_values, columns, d = kernel
     found = {}
     residual: dict = {}
     if d is None:

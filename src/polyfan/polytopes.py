@@ -5,10 +5,10 @@ A polytope keeps its vertices once as integral rows at one common scale
 decides duplicates and central symmetry on them.  Facets are the extreme
 rays of the homogenized cone of those rows, found by one double
 description on integers for both fields from the first simplex and start
-rays of one fraction-free elimination.  Each facet plane u.x <= c comes
-out in one exact form: over Q, (c times the common denominator of the
-points, u) is a primitive integer vector; over Q(sqrt d), the first
-nonzero entry of (c, u) is 1 or -1.  The other faces are graded from the
+rays of one fraction-free elimination.  Each facet is kept as that
+ray, in one exact form: a primitive integer vector over Q, and over
+Q(sqrt d) a pair vector with a rational first nonzero entry and content
+1; no scalar plane is built.  The other faces are graded from the
 top down without any rank computation: a simplex face's facets drop one
 vertex each, and by the diamond property (Ziegler, *Lectures on
 Polytopes*, Thm 2.7) the facets of any face lie among its intersections
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .scalars import Quadratic, quadratic_sign, sign
+from .scalars import Quadratic, quadratic_sign
 
 
 class PolytopeError(ValueError):
@@ -51,9 +51,10 @@ class FaceLattice:
 
     Faces are sorted by (dim, mask); ids are positions in that order.  The
     empty face has dim -1 and the polytope itself dim n.  ``down[i]`` has
-    bit j set for each face j strictly below face i.  ``facet_planes``
-    maps each facet id to an inequality (u, c) with u.x <= c on P and
-    equality exactly on the facet.
+    bit j set for each face j strictly below face i.  ``facet_rays``
+    maps each facet id to its ray y of :func:`_facets`: y.(1, s v) >= 0
+    for the polytope's integral vertex rows s v, with equality exactly on
+    the facet.
     """
 
     ambient_dim: int
@@ -61,17 +62,13 @@ class FaceLattice:
     masks: tuple
     dims: tuple
     down: tuple
-    facet_planes: dict
+    facet_rays: dict
 
     def face_ids(self):
         return range(len(self.masks))
 
     def faces_of_dim(self, k: int) -> tuple:
         return tuple(i for i, d in enumerate(self.dims) if d == k)
-
-    def proper_face_ids(self) -> tuple:
-        n = self.ambient_dim
-        return tuple(i for i, d in enumerate(self.dims) if 0 <= d < n)
 
     def facet_ids(self) -> tuple:
         return self.faces_of_dim(self.ambient_dim - 1)
@@ -138,8 +135,8 @@ class Polytope:
 
     def origin_is_interior(self) -> bool:
         if self._interior is None:
-            planes = self.face_lattice().facet_planes
-            self._interior = all(sign(c) > 0 for _, c in planes.values())
+            sign = linalg.ring(self._integral[2]).sign
+            self._interior = all(sign(y[0]) > 0 for y in self.face_lattice().facet_rays.values())
         return self._interior
 
     def is_centrally_symmetric(self) -> bool:
@@ -181,22 +178,21 @@ def _build_face_lattice(vertices, n: int, integral=None) -> FaceLattice:
 
 
 def _facets(points, n: int, integral=None) -> list:
-    """Every facet of conv(points) as (mask, u, c): u.x <= c on the hull,
-    with equality exactly on the points in ``mask``.
+    """Every facet of conv(points) as (mask, y): y.(1, s p) >= 0 for
+    every point p, with equality exactly on the points in ``mask``.
 
     Double description (Fukuda-Prodon 1996): a facet is an extreme ray y
     of the cone {y : y.[1|s p] >= 0 for every point p}, with s p the
     points' :func:`linalg.integral_rows` (``integral``, if the caller has
-    them) and (c, u) = (y_0 / s, -y_rest).  The cone of a first simplex
-    is refined by one row at a time, on integers: over Q rays stay
-    primitive integer vectors; over Q(sqrt d) rows and rays are integer
-    pairs and a ray keeps a rational first nonzero entry and content 1
-    (:func:`_pair_ray`), and at the end (c, u) is divided by the absolute
-    value of its first nonzero entry.  Either way each facet has one
-    exact form, whatever the insertion order.
+    them), so (-y_rest).x <= y_0 / s is its plane.  The cone of a first
+    simplex is refined by one row at a time, on integers: over Q rays
+    stay primitive integer vectors; over Q(sqrt d) rows and rays are
+    integer pairs and a ray keeps a rational first nonzero entry and
+    content 1 (:func:`_pair_ray`).  Either way each facet has one exact
+    ray, whatever the insertion order.
     """
     width = n + 1
-    vectors, scale, d = integral or linalg.integral_rows(points)
+    vectors, _, d = integral or linalg.integral_rows(points)
     one = linalg.ring(d).one
     rows = [(one,) + v for v in vectors]
     basis, start = _first_simplex(rows, width, d)
@@ -208,19 +204,7 @@ def _facets(points, n: int, integral=None) -> list:
     for k, row in enumerate(rows):
         if k not in chosen:
             rays = _insert_row(rays, row, 1 << k, width, d)
-    if d is None:
-        return [
-            (mask, tuple(Fraction(-x) for x in y[1:]), Fraction(y[0], scale))
-            for y, mask in rays
-        ]
-    out = []
-    for y, mask in rays:
-        # (y_0, s y_rest) is on the ray of the unscaled points' cone.
-        y = [y[0]] + [(scale * x, scale * z) for x, z in y[1:]]
-        lead = abs(next(x for x, _ in y if x))
-        y = [linalg._scalar(v, lead, d) for v in y]
-        out.append((mask, tuple(-x for x in y[1:]), y[0]))
-    return out
+    return [(mask, tuple(y)) for y, mask in rays]
 
 
 def _first_simplex(rows, width: int, d) -> tuple:
@@ -330,7 +314,7 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
     dimension a face's down-set is the union of each cover's down-set
     and the cover."""
     full_mask = (1 << len(vertices)) - 1
-    facet_masks = [mask for mask, _, _ in facets]
+    facet_masks = [mask for mask, _ in facets]
     dims = {full_mask: n}
     covers = {full_mask: facet_masks}
     layer = dict.fromkeys(facet_masks, full_mask)  # face -> one upper cover
@@ -365,7 +349,7 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
         masks=tuple(ordered),
         dims=tuple(dims[mask] for mask in ordered),
         down=tuple(down),
-        facet_planes={ids[mask]: (tuple(u), c) for mask, u, c in facets},
+        facet_rays={ids[mask]: y for mask, y in facets},
     )
     _validate_lattice(vertices, lattice)
     return lattice
@@ -471,7 +455,7 @@ def hull_vertices(points) -> tuple:
     """Extreme points of conv(points), via facet enumeration of the hull:
     a point is extreme when the facets through it meet in it alone."""
     pts = list(dict.fromkeys(tuple(p) for p in points))
-    masks = [mask for mask, _, _ in _facets(pts, len(pts[0]))]
+    masks = [mask for mask, _ in _facets(pts, len(pts[0]))]
     return tuple(p for i, p in enumerate(pts) if _smallest_face(i, masks) == 1 << i)
 
 

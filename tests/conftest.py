@@ -14,18 +14,32 @@ from polyfan.polytopes import linear_image
 from polyfan.scalars import Quadratic
 
 
+SCALAR_FILES = ("fractions.py", "scalars.py")
+
+
+def _builder() -> str:
+    """The function that asked for the scalar being built: the first
+    caller outside this file and the modules of the scalar types."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_filename == __file__ or Path(frame.f_code.co_filename).name in SCALAR_FILES:
+        frame = frame.f_back
+    code = frame.f_code
+    return f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+
+
 @pytest.fixture
 def count_scalars(monkeypatch):
     """Call it to patch the constructors of Fraction and Quadratic: it
-    returns a Counter of the Fractions and Quadratics built from then
-    until ``monkeypatch.undo()``."""
+    returns a Counter, keyed by (type, the function that asked for it),
+    of the Fractions and Quadratics built from then until
+    ``monkeypatch.undo()``."""
 
     def start() -> Counter:
         built = Counter()
 
         def counting(kind, make):
             def wrapped(*args, **kwargs):
-                built[kind] += 1
+                built[kind, _builder()] += 1
                 return make(*args, **kwargs)
 
             return wrapped

@@ -18,7 +18,8 @@ over every maximal cone, with no fold: the reflection's matrices on that
 basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
 elimination here.  Scalar coordinates of a vector in a kernel's basis
-come from the package's integral membership test.  Explicit fans
+come from the package's integral membership test, and the scalar basis
+vectors of a kernel are read off its stored columns.  Explicit fans
 (subfans, fans from simplicial cone lists) build test inputs; they keep
 their down-sets and cone rays as id sets and hand :class:`Fan` and
 :class:`Cone` the bitsets.
@@ -74,6 +75,18 @@ def basis_coords(kernel, vec: dict) -> dict | None:
     return None if coords is None else {i: scalar(x, n, kernel.d) for i, x in coords.items()}
 
 
+def basis_vectors(kernel) -> list:
+    """The basis of a :class:`linalg.Kernel` as sparse vectors of scalars:
+    vector i is e_f - sum_p (R_p[f] / d_p) e_p for its free column f."""
+    out = []
+    for f, i in kernel.free_cols.items():
+        vec = {f: Fraction(1)}
+        for p, x in kernel.columns[i].items():
+            vec[p] = scalar(x, -kernel.pivot_values.get(p, 1), kernel.d)
+        out.append(vec)
+    return out
+
+
 def rref(rows) -> tuple:
     """Reduced row echelon form of a dense matrix by plain Gauss-Jordan
     elimination on field scalars, written independently of
@@ -124,9 +137,11 @@ def kernel_basis(rows, ncols: int | None = None) -> tuple:
 def rank_vertex_criterion(points, facets) -> list:
     """Per listed point, whether it is a vertex of the hull by the rank
     criterion: the normals of the facets through it (``facets`` holds
-    (mask, normal, offset) triples) span the whole space."""
-    n = len(points[0])
-    return [rank([u for mask, u, _ in facets if mask >> i & 1]) == n for i in range(len(points))]
+    the (mask, ray) pairs of ``polytopes._facets``, whose ray is (y_0,
+    minus a normal) over Q or Q(sqrt d)) span the whole space."""
+    n, d = len(points[0]), linalg.radicand(points)
+    normals = [(mask, [scalar(x, 1, d) for x in y[1:]]) for mask, y in facets]
+    return [rank([u for mask, u in normals if mask >> i & 1]) == n for i in range(len(points))]
 
 
 def _affine_rank(points) -> int:
@@ -194,10 +209,10 @@ def lattice_by_all_facets(vertices, n: int) -> FaceLattice:
     facet of P as a candidate: the facets of a k-face are the
     inclusion-maximal proper intersections of it with the facets of P,
     with no use of the diamond property.  Down-sets, ordering, facet
-    planes and validation are as in the package."""
+    rays and validation are as in the package."""
     facets = _facets(vertices, n)
     full_mask = (1 << len(vertices)) - 1
-    facet_masks = [mask for mask, _, _ in facets]
+    facet_masks = [mask for mask, _ in facets]
     dims = {full_mask: n}
     covers = {full_mask: facet_masks}
     layer = set(facet_masks)
@@ -227,7 +242,7 @@ def lattice_by_all_facets(vertices, n: int) -> FaceLattice:
         masks=tuple(ordered),
         dims=tuple(dims[mask] for mask in ordered),
         down=tuple(down),
-        facet_planes={ids[mask]: (tuple(u), c) for mask, u, c in facets},
+        facet_rays={ids[mask]: y for mask, y in facets},
     )
     _validate_lattice(vertices, lattice)
     return lattice
@@ -237,15 +252,17 @@ def dual_polytope(p: Polytope) -> Polytope:
     """The polytope {u : <u, v> <= -1 for all v in P}; needs 0 interior.
 
     Its vertices solve <u, v> = -1 across one facet of P each, so the face
-    lattice of the result is the order-reversed lattice of P.
+    lattice of the result is the order-reversed lattice of P.  A facet's
+    ray y on the vertex rows s v gives u = s y_rest / y_0.
     """
     lattice = p.face_lattice()
     if not p.origin_is_interior():
         raise PolytopeError("dual polytope needs the origin strictly interior")
+    _, s, d = linalg.integral_rows(p.vertices)
     duals = []
     for f in lattice.facet_ids():
-        u, c = lattice.facet_planes[f]
-        duals.append(tuple(-x / c for x in u))
+        y0, *rest = (scalar(x, 1, d) for x in lattice.facet_rays[f])
+        duals.append(tuple(s * x / y0 for x in rest))
     return Polytope(duals)
 
 
@@ -322,7 +339,7 @@ def down_sets_by_scan(p: Polytope) -> dict:
     vertex masks of every pair: small & big == small."""
     lattice = p.face_lattice()
     masks = lattice.masks
-    proper = lattice.faces_of_dim(-1) + lattice.proper_face_ids()
+    proper = tuple(i for i, k in enumerate(lattice.dims) if k < lattice.ambient_dim)
     return {
         big: frozenset(
             small
@@ -507,7 +524,7 @@ def scalar(x, n: int, d):
     (a, b) for a + b sqrt d."""
     if isinstance(x, tuple):
         a, b = x
-        return Fraction(a, n) + Fraction(b, n) * Quadratic(0, 1, d) if b else Fraction(a, n)
+        return Quadratic(Fraction(a, n), Fraction(b, n), d) if b else Fraction(a, n)
     return Fraction(x, n)
 
 
@@ -583,12 +600,13 @@ def lefschetz_matrices(mes, s) -> dict:
     out = {}
     for q in range(0, mes.cap, 2):
         data, target = full_quotient(mes, q), full_quotient(mes, q + 2)
+        vectors = basis_vectors(data["sections"])
         columns = [
             reduce_mod_m(
                 target,
                 basis_coords(
                     target["sections"],
-                    multiply_conewise(mes, max_ids, q, data["sections"].basis[i], covectors),
+                    multiply_conewise(mes, max_ids, q, vectors[i], covectors),
                 ),
             )
             for i in data["complement"]

@@ -83,7 +83,7 @@ def test_reflection_is_cached_per_degree():
         assert mes.global_data(q) is halves
         assert set(halves) == {1, -1}
         c, cbar = oracles.reflection_matrices(mes, q)
-        assert len(c) == sum(len(h["sections"].basis) for h in halves.values())
+        assert len(c) == sum(len(h["sections"].free_cols) for h in halves.values())
         assert len(cbar) == sum(len(h["complement"]) for h in halves.values())
 
 

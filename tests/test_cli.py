@@ -414,11 +414,12 @@ class TestAnalysisCommands:
         from polyfan import cube
 
         path = write_polytope(tmp_path, "cube2", cube(2))
-        code, out, _ = run(capsys, "ih", path, "--json", "--degree-cap", "8")
-        assert code == 0
-        assert json.loads(out)["ih"]["degree_cap"] == 8
+        for cap in (8, 12):  # 12 = 4 (dim + 1), the largest cap allowed
+            code, out, _ = run(capsys, "ih", path, "--json", "--degree-cap", str(cap))
+            assert code == 0
+            assert json.loads(out)["ih"]["degree_cap"] == cap
 
-    @pytest.mark.parametrize("cap", ["3", "2", "-2"])
+    @pytest.mark.parametrize("cap", ["3", "2", "-2", "14", "1000000000"])
     def test_ih_bad_degree_cap_exits_two(self, capsys, tmp_path, cap):
         from polyfan import cube
 

@@ -2,7 +2,8 @@
 
 Point clouds carry interior points and points on facets; images of small
 polytopes under unitriangular maps (so always invertible) cover Q and
-Q(sqrt 2)/Q(sqrt 3) coordinates.
+Q(sqrt 2)/Q(sqrt 3) coordinates.  Each facet's ray is checked against
+the plane the oracle puts through the facet.
 """
 
 import functools
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polyfan import linalg, polytopes
-from polyfan.corpus import nonsimplicial_cs_3polytope
+from polyfan.analysis import Analysis
+from polyfan.corpus import cs_corpus, nonsimplicial_cs_3polytope
+from polyfan.fans import support_function
 from polyfan.polytopes import (
     Polytope,
     PolytopeError,
@@ -31,9 +34,10 @@ from polyfan.polytopes import (
     mask_bits,
     simplex,
 )
-from polyfan.scalars import Quadratic, sign
+from polyfan.reports import bounds_report
+from polyfan.scalars import Field, Quadratic, sign
 
-from oracles import brute_force_facets, rank
+from oracles import _solve_hyperplane, brute_force_facets, rank, scalar
 
 RADICANDS = (None, 2, 3)  # None: rational coordinates
 SQRT2 = Quadratic(0, 1, 2)
@@ -96,35 +100,52 @@ def _mask_set(mask):
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _oracle_plane(points, mask: int):
+    """The plane (u, c) that the oracle puts through the points in
+    ``mask``, oriented so that u.x <= c on every point."""
+    u, c = _solve_hyperplane([p for i, p in enumerate(points) if mask >> i & 1], len(points[0]))
+    if any(sign(sum((a * x for a, x in zip(u, p)), Fraction(0)) - c) > 0 for p in points):
+        return tuple(-a for a in u), -c
+    return u, c
+
+
+def _assert_rays(points, facets):
+    """Each ray y is primitive over Q, and over Q(sqrt d) has a rational
+    first nonzero entry and parts of gcd 1; on the rows (1, s p) of the
+    points at their common scale s it is 0 exactly on its mask and
+    positive on the other points."""
+    _, s, d = linalg.integral_rows(points)
+    for mask, y in facets:
+        if d is None:
+            assert all(type(x) is int for x in y) and math.gcd(*y) == 1
+        else:
+            assert next(v for v in y if v != (0, 0))[1] == 0
+            assert math.gcd(*(part for v in y for part in v)) == 1
+        y0, *rest = (scalar(x, 1, d) for x in y)
+        for i, p in enumerate(points):
+            side = sign(y0 + sum((a * s * x for a, x in zip(rest, p)), Fraction(0)))
+            assert side >= 0 and (side == 0) == bool(mask >> i & 1)
+
+
 def _assert_matches_oracle(points, n):
-    """Facet masks equal the oracle's, and each plane is tight exactly on
-    its mask; returns the oracle's facets."""
+    """Facet masks equal the oracle's, the rays pass :func:`_assert_rays`,
+    and each is a positive multiple of (s c, -u) for the oracle's plane
+    u.x <= c through its facet; returns the oracle's facets."""
     expected = brute_force_facets(points)
     facets = _facets(points, n)
-    masks = [_mask_set(mask) for mask, _, _ in facets]
+    masks = [_mask_set(mask) for mask, _ in facets]
     assert len(set(masks)) == len(masks)
     assert set(masks) == expected
-    for mask, u, c in facets:
-        for i, p in enumerate(points):
-            slack = sign(c - sum((a * x for a, x in zip(u, p)), Fraction(0)))
-            assert slack >= 0
-            assert (slack == 0) == bool(mask >> i & 1)
+    _assert_rays(points, facets)
+    _, s, d = linalg.integral_rows(points)
+    for mask, y in facets:
+        u, c = _oracle_plane(points, mask)
+        plane = [s * c] + [-a for a in u]
+        ray = [scalar(x, 1, d) for x in y]
+        k = next(j for j, x in enumerate(plane) if x != 0)
+        ratio = ray[k] / plane[k]
+        assert sign(ratio) > 0 and ray == [ratio * x for x in plane]
     return expected
-
-
-def _assert_normalized(points, facets):
-    """Over Q, by the package's one field rule: (c, u) scaled by the
-    common denominator of the points is a primitive integer vector.  Over
-    Q(sqrt d): the first nonzero entry of (c, u) has absolute value 1."""
-    for _, u, c in facets:
-        if linalg.radicand(points) is None:
-            scale = math.lcm(*(x.denominator for p in points for x in p))
-            entries = [c * scale] + list(u)
-            assert all(Fraction(x).denominator == 1 for x in entries)
-            assert math.gcd(*(int(x) for x in entries)) == 1
-        else:
-            lead = next(x for x in (c,) + tuple(u) if x != 0)
-            assert lead in (1, -1)
 
 
 def _oracle_vertices(points):
@@ -139,8 +160,8 @@ def _oracle_vertices(points):
 
 @settings(max_examples=60, deadline=None)
 @given(point_clouds())
-# A point with denominators over Q(sqrt 2): scaling the points by a common
-# denominator and normalizing before undoing it breaks the unit lead.
+# A point with denominators over Q(sqrt 2): the rays are on the points
+# scaled by their common denominator, which (s c, -u) must undo.
 @example((2, [(Fraction(0), Fraction(0)), (SQRT2, Fraction(1)), (Fraction(1), Fraction(0)), (SQRT2 / 2, Fraction(1, 2))]))
 def test_facets_match_subset_scan(cloud):
     n, points = cloud
@@ -148,7 +169,6 @@ def test_facets_match_subset_scan(cloud):
     # every Polytope.
     points = list(Polytope(points).vertices)
     _assert_matches_oracle(points, n)
-    _assert_normalized(points, _facets(points, n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -260,19 +280,46 @@ def test_face_covers_are_the_maximal_meets_with_all_facets(p):
 @pytest.mark.parametrize("d", RADICANDS)
 def test_vertex_rows_and_start_simplex_build_no_scalar(d, quadratic_image, count_scalars, monkeypatch):
     """A polytope's vertex rows, its symmetry, the antipode lookup of
-    is_cross_polytope, and the first simplex and start rays of _facets
-    run on integers: they construct no Fraction and no Quadratic."""
-    sources = (cube(3), cross_polytope(3))
+    is_cross_polytope, the first simplex and start rays of _facets, and
+    the rest of the check-bounds path after parsing (the face lattice,
+    the origin test and the bounds report of an analysis) run on
+    integers: they construct no Fraction and no Quadratic."""
+    sources = (cube(3), cross_polytope(3), nonsimplicial_cs_3polytope())
     vertices = [p.vertices if d is None else quadratic_image(p, d).vertices for p in sources]
+    field = Field.rational() if d is None else Field.quadratic(d)
     built = count_scalars()
     ps = [Polytope(vs) for vs in vertices]
-    assert [(p.is_centrally_symmetric(), p.is_cross_polytope()) for p in ps] == [(True, False), (True, True)]
+    symmetric = [(p.is_centrally_symmetric(), p.is_cross_polytope()) for p in ps]
+    assert symmetric == [(True, False), (True, True), (True, False)]
     for p in ps:
-        rows, _, field = p._integral
-        assert field == d
+        rows, _, field_d = p._integral
+        assert field_d == d
         _first_simplex([(linalg.ring(d).one,) + row for row in rows], 4, d)
+        assert p.face_lattice().facet_ids() and p.origin_is_interior()
+        bounds_report(Analysis(p), field)
     monkeypatch.undo()
     assert not built, built
+
+
+@pytest.mark.parametrize("d", RADICANDS)
+def test_support_function_is_minus_u_over_c_of_the_oracle_planes(d, quadratic_image):
+    """On the CS corpus and the Q(sqrt d) images of its rational members
+    of dimension 2 and up, each also shrunk by 1/2 (so that the vertex
+    rows have a common scale s > 1), the support function's piece on each
+    facet is -u/c for the oracle's plane u.x <= c there."""
+    for _, p in cs_corpus():
+        if d is not None:
+            if p.ambient_dim < 2 or linalg.radicand(p.vertices) is not None:
+                continue
+            p = quadratic_image(p, d)
+        half = [[Fraction(i == j, 2) for j in range(p.ambient_dim)] for i in range(p.ambient_dim)]
+        for q in (p, linear_image(p, half)):
+            lattice = q.face_lattice()
+            covectors = support_function(q).covectors
+            assert set(covectors) == set(lattice.facet_ids())
+            for f, covector in covectors.items():
+                u, c = _oracle_plane(q.vertices, lattice.masks[f])
+                assert covector == tuple(-x / c for x in u)
 
 
 SMALL = (
@@ -305,13 +352,14 @@ def test_cross4_with_edge_midpoints_in_shuffled_orders():
     for seed in range(3):
         points = cross + midpoints
         random.Random(seed).shuffle(points)
+        # The rows are the points times 2, so the ray of u.x <= 1 is (2, -u).
         expected = {}
         for s in itertools.product((1, -1), repeat=4):
             tight = (i for i, p in enumerate(points) if sum(a * x for a, x in zip(s, p)) == 1)
-            expected[sum(1 << i for i in tight)] = (tuple(map(Fraction, s)), 1)
+            expected[sum(1 << i for i in tight)] = (2,) + tuple(-x for x in s)
         facets = _facets(points, 4)
         assert len(facets) == 16
-        assert {mask: (u, c) for mask, u, c in facets} == expected
+        assert dict(facets) == expected
 
 
 def test_cube6_f_vector():
@@ -358,7 +406,7 @@ def test_pair_rays_keep_a_rational_lead_and_content_one(monkeypatch):
     pair vector whose first nonzero entry is rational, (x, 0), and whose
     parts have gcd 1, so no unit of Z[sqrt d] piles up in the entries."""
     cases = [
-        (image, p and {mask for mask, _, _ in _facets(p.vertices, 4)})
+        (image, p and {mask for mask, _ in _facets(p.vertices, 4)})
         for p, image in _images_over_quadratic_fields()
     ]
     seen, irrational = [], [0]
@@ -379,13 +427,9 @@ def test_pair_rays_keep_a_rational_lead_and_content_one(monkeypatch):
         facets = _facets(image.vertices, 4)
         if expected is None:
             assert image.face_lattice().facet_ids()  # Euler and vertex checks
-            for mask, u, c in facets:
-                for i, v in enumerate(image.vertices):
-                    slack = sign(c - sum((a * x for a, x in zip(u, v)), Fraction(0)))
-                    assert slack >= 0 and (slack == 0) == bool(mask >> i & 1)
         else:
-            assert {mask for mask, _, _ in facets} == expected
-        _assert_normalized(image.vertices, facets)
+            assert {mask for mask, _ in facets} == expected
+        _assert_rays(image.vertices, facets)
     assert seen and irrational[0] > 0
     for y in seen:
         assert all(type(x) is int and type(z) is int for x, z in y)

@@ -59,7 +59,7 @@ class TestFaceFan:
     def test_cone_count_is_proper_faces_plus_one(self):
         for p in (cube(3), cross_polytope(3), simplex(2)):
             fan = face_fan(p)
-            proper = len(p.face_lattice().proper_face_ids())
+            proper = sum(0 <= k < p.ambient_dim for k in p.face_lattice().dims)
             assert len(fan.cones) == proper + 1
 
     def test_nonrational_fan_complete(self):

@@ -25,7 +25,7 @@ import pytest
 
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import cs_corpus, sheaf_corpus
-from polyfan.polytopes import cross_polytope, cube, linear_image, random_cs, simplex
+from polyfan.polytopes import Polytope, cross_polytope, cube, linear_image, random_cs, simplex
 from polyfan.scalars import Field, Quadratic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +67,14 @@ def _quadratic_image(p, d):
     return linear_image(p, matrix)
 
 
+def _sqrt3_diamond():
+    """conv{(3+sqrt 3, 0), (5+sqrt 3, 0), (4+sqrt 3, +-1)}: the origin is
+    outside, and the translate by minus the centroid is rational."""
+    x = Quadratic(4, 1, 3)
+    vertices = [(x - 1, Fraction(0)), (x + 1, Fraction(0)), (x, Fraction(1)), (x, Fraction(-1))]
+    return Polytope(vertices)
+
+
 def _cases():
     """(golden file stem, argv after the file or directory, polytopes)."""
     rational, q2, q3 = Field.rational(), Field.quadratic(2), Field.quadratic(3)
@@ -79,11 +87,14 @@ def _cases():
     out.append(("ih-simplex-2", ["ih"], [("simplex-2", simplex(2), rational)]))
     cap10 = ["ih", "--degree-cap", "10"]
     out.append(("ih-cube-2-cap10", cap10, [("cube-2", sheaf["cube-2"], rational)]))
+    out.append(("ih-sqrt3-diamond-shifted", ["ih"], [("sqrt3-diamond-shifted", _sqrt3_diamond(), q3)]))
     for n in BOUNDS_NAMES:
         field = q2 if n == "nonrational-bipyramid" else rational
         out.append((f"check-bounds-{n}", ["check-bounds"], [(n, corpus[n], field)]))
     cube4 = ("sqrt3-cube-4", _quadratic_image(cube(4), 3), q3)
     out.append(("check-bounds-sqrt3-cube-4", ["check-bounds"], [cube4]))
+    shifted = cube(2).translate((Fraction(10), Fraction(0)))
+    out.append(("check-bounds-cube-2-shifted", ["check-bounds"], [("cube-2-shifted", shifted, rational)]))
     out.append(("check-bounds-cube-8", ["check-bounds"], [("cube-8", cube(8), rational)]))
     out.append(("check-bounds-cross-8", ["check-bounds"], [("cross-8", cross_polytope(8), rational)]))
     cs5 = ("random-cs-5d-seed1", random_cs(5, 12, 1), rational)

@@ -99,14 +99,14 @@ class TestConstruction:
             k = fan.cones[cid].dim
             for q in range(0, mes.cap + 2, 2):
                 sections = mes.section_space(facets, q)
-                basis = sections.basis
+                dim = len(sections.free_cols)
                 gens_at_q = sum(
                     1 for d in mes.modules[cid].gen_degrees if d == q
                 )
                 if q < 2:
                     m_dim = 0
                 else:
-                    prev = mes.section_space(facets, q - 2).basis
+                    prev = oracles.basis_vectors(mes.section_space(facets, q - 2))
                     products = []
                     for vec in prev:
                         for i in range(k):
@@ -125,8 +125,8 @@ class TestConstruction:
                     coords = [
                         oracles.basis_coords(sections, p) for p in products
                     ]
-                    m_dim = linalg.rank(_dense(coords, len(basis))) if coords else 0
-                assert gens_at_q == len(basis) - m_dim
+                    m_dim = linalg.rank(_dense(coords, dim)) if coords else 0
+                assert gens_at_q == dim - m_dim
 
     def test_degree_cap_errors(self):
         fan = face_fan(cube(2))
@@ -254,7 +254,7 @@ class TestReflection:
         # the quotient's membership check refuses it.
         mes = build_mes(face_fan(cube(3)), 8)
         reps = mes.representatives
-        half = len(build_mes(mes.fan, 8).section_space(reps, 4, -1).basis)
+        half = len(build_mes(mes.fan, 8).section_space(reps, 4, -1).free_cols)
         odd_coordinates = type(mes).odd_coordinates
 
         def flipped(self, cone_id, q):
@@ -262,7 +262,7 @@ class TestReflection:
             return (not odd[0],) + odd[1:] if (cone_id, q) == (reps[-1], 4) else odd
 
         monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
-        assert len(mes.section_space(reps, 4, -1).basis) < half
+        assert len(mes.section_space(reps, 4, -1).free_cols) < half
         monkeypatch.undo()
         with pytest.raises(SheafError, match="not a section"):
             mes.global_data(4)
@@ -320,7 +320,7 @@ class TestLefschetz:
         broken = scratch.section_space(reps, 4, -1)
         monkeypatch.undo()
         halves = mes.global_data(4)
-        assert len(broken.basis) < len(halves[-1]["sections"].basis)
+        assert len(broken.free_cols) < len(halves[-1]["sections"].free_cols)
         assert len(mes.global_data(2)[-1]["complement"]) == 1
         mes._global[4] = {**halves, -1: {**halves[-1], "sections": broken}}
         with pytest.raises(SheafError, match="not a section of its half"):
@@ -555,7 +555,7 @@ class TestMembership:
         reps = mes.representatives
         for q, parity in ((2, 1), (4, -1), (6, 1), (6, -1)):
             sections = mes.global_data(q)[parity]["sections"]
-            basis, free_cols = sections.basis, sections.free_cols
+            basis, free_cols = oracles.basis_vectors(sections), sections.free_cols
             section = dict(basis[0])
             for c, x in basis[-1].items():
                 section[c] = section.get(c, 0) + 2 * x
@@ -576,7 +576,7 @@ class TestMembership:
         mes = build_mes(face_fan(cube(3)), 8)
         cid = mes.fan.maximal_ids[0]
         odd_coordinates = type(mes).odd_coordinates
-        assert len(_involution_on_basis(mes, 4)) == len(mes.section_space(mes.fan.maximal_ids, 4).basis)
+        assert len(_involution_on_basis(mes, 4)) == len(mes.section_space(mes.fan.maximal_ids, 4).free_cols)
 
         def flipped(self, cone_id, q):
             odd = odd_coordinates(self, cone_id, q)
@@ -780,13 +780,19 @@ def test_no_unused_imports():
         assert imported <= used, (source.name, sorted(imported - used))
 
 
-# Top-level functions that nothing in the package calls but that stay,
-# with the reason.
+# Top-level functions and methods (as Class.method) that nothing in the
+# package calls but that stay, with the reason.
 UNCALLED_ALLOWED = {
     # The sheaf's own verifiers: tests and demo 03 check a built sheaf
     # against the definition with them; no report needs them.
     "check_minimal_extension_axioms": "verifier of the sheaf, for tests and demos",
     "kernel_dimensions": "local kernels of the sheaf, printed by demo 03",
+    "BoundsReport.all_bounds_hold": "the verdict of a bounds report, printed by demos 02 and 04",
+    "Polytope.f_vector": "the face numbers of a polytope, printed by demos 01 and 04",
+    # posets.py is unused by the pipeline and goes with the benchmark's
+    # tracer of it (ROADMAP item 1).
+    "FacePoset.from_relations": "posets.py, kept while the benchmark tracer wraps it",
+    "IsomorphismMemo.put": "posets.py, kept while the benchmark tracer wraps it",
 }
 
 
@@ -800,12 +806,25 @@ def _references(node) -> Counter:
     )
 
 
+def _definitions(tree):
+    """(qualified name, node) for each top-level function of a module and
+    each non-dunder method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_function_is_referenced_in_the_package():
-    """Every top-level function of the package is referenced in the
-    package outside its own definition.  Exempt are the entry points
-    that pyproject.toml names, the package's ``__all__``, every name
-    that the benchmark in perfbench/ uses (read now, so the exemption
-    shrinks with the benchmark), and UNCALLED_ALLOWED."""
+    """Every top-level function and every non-dunder method of the
+    package is referenced in the package outside its own definition.
+    Exempt are the entry points that pyproject.toml names, the package's
+    ``__all__``, every name that the benchmark in perfbench/ uses (read
+    now, so the exemption shrinks with the benchmark), and
+    UNCALLED_ALLOWED."""
     root = PACKAGE.parent.parent
     trees = {source.name: ast.parse(source.read_text()) for source in sorted(PACKAGE.glob("*.py"))}
     references = sum((_references(tree) for tree in trees.values()), Counter())
@@ -813,12 +832,11 @@ def test_every_function_is_referenced_in_the_package():
     benchmark = "\n".join(p.read_text() for p in sorted((root / "perfbench").glob("*.py")))
     exempt = entry_points | set(polyfan.__all__) | set(UNCALLED_ALLOWED)
     uncalled = [
-        f"{name}:{node.name}"
+        f"{name}:{qualified}"
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and references[node.name] == _references(node)[node.name]
-        and node.name not in exempt
+        for qualified, node in _definitions(tree)
+        if references[node.name] == _references(node)[node.name]
+        and qualified not in exempt
         and not re.search(rf"\b{node.name}\b", benchmark)
     ]
     assert uncalled == []

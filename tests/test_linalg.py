@@ -170,7 +170,7 @@ class TestSparseAgainstDense:
         kernel = oracles.sparse_kernel([as_sparse(r) for r in m], cols)
         pivots = oracles.rref(m)[1]
         assert tuple(kernel.free_cols) == tuple(c for c in range(cols) if c not in pivots)
-        dense = tuple(as_dense(v, cols) for v in kernel.basis)
+        dense = tuple(as_dense(v, cols) for v in oracles.basis_vectors(kernel))
         assert dense == oracles.kernel_basis(m, cols)
 
     def test_zero_and_repeated_rows_over_more_rows_than_columns(self):
@@ -256,15 +256,16 @@ def lcm_rebuild(kernel):
     """Pivot values and integer columns of a rational kernel rebuilt from
     its Fraction basis: d_p is the lcm of the denominators at pivot p,
     and column f holds d_p times minus the basis entry there."""
+    basis = oracles.basis_vectors(kernel)
     pivot_values = {}
     for f, i in kernel.free_cols.items():
-        for p, b in kernel.basis[i].items():
+        for p, b in basis[i].items():
             if p != f and b.denominator != 1:
                 pivot_values[p] = lcm(pivot_values.get(p, 1), b.denominator)
     columns = tuple(
         {
             p: -b.numerator * (pivot_values.get(p, 1) // b.denominator)
-            for p, b in kernel.basis[i].items()
+            for p, b in basis[i].items()
             if p != f
         }
         for f, i in kernel.free_cols.items()
@@ -286,16 +287,17 @@ def pair_rebuild(kernel):
     every rational part an integer (the row is primitive with a positive
     integer pivot, so d_p is the lcm of the parts' denominators); column
     f then holds the pair d_p times minus the basis entry."""
+    basis = oracles.basis_vectors(kernel)
     pivot_values = {}
     for f, i in kernel.free_cols.items():
-        for p, b in kernel.basis[i].items():
+        for p, b in basis[i].items():
             for part in _parts(b):
                 if p != f and part.denominator != 1:
                     pivot_values[p] = lcm(pivot_values.get(p, 1), part.denominator)
     columns = tuple(
         {
             p: tuple(-x.numerator * (pivot_values.get(p, 1) // x.denominator) for x in _parts(b))
-            for p, b in kernel.basis[i].items()
+            for p, b in basis[i].items()
             if p != f
         }
         for f, i in kernel.free_cols.items()
@@ -344,8 +346,9 @@ class TestKernelRowsAndMembership:
             if data.draw(st.booleans())
         }
         vec = {}
+        basis = oracles.basis_vectors(kernel)
         for i, a in coefficients.items():
-            for c, b in kernel.basis[i].items():
+            for c, b in basis[i].items():
                 vec[c] = vec.get(c, 0) + a * b
         vec = {c: x for c, x in vec.items() if x != 0}
         assert oracles.basis_coords(kernel, vec) == coefficients
@@ -415,7 +418,7 @@ def test_quadratic_rows_need_no_quadratic_arithmetic(monkeypatch):
     reduced, pivots = linalg.sparse_rref(rows)
     assert (tuple(as_dense(r, 5) for r in reduced), pivots) == expected_rref
     kernel = oracles.sparse_kernel(rows, 5)
-    assert tuple(as_dense(v, 5) for v in kernel.basis) == expected_basis
+    assert tuple(as_dense(v, 5) for v in oracles.basis_vectors(kernel)) == expected_basis
     assert linalg.integral_coords(kernel, member) == coords
     assert linalg.integral_coords(kernel, broken) is None
 
@@ -454,7 +457,7 @@ def test_products_rref_equals_rref_of_scalar_products(radicand_rows):
     target = oracles.sparse_kernel([{6: F(1)}], 7, 2)
     products = []
     for phi in forms:
-        for b in source.basis:
+        for b in oracles.basis_vectors(source):
             product = {}
             for c, v in b.items():
                 for t, k in table[c]:
@@ -480,12 +483,13 @@ def test_products_rref_of_a_selection_equals_the_dense_rref(radicand, select):
     table = {c: ((c, 0), (c + 5, 1), (9 - c, 2)) for c in range(5)}
     forms = [(F(1), x, F(0)), (F(2), F(-1), x)]
     target = oracles.sparse_kernel([{10: F(1)}], 11, radicand)
-    chosen = range(len(source.basis)) if select is None else sorted(select)
+    chosen = range(len(source.free_cols)) if select is None else sorted(select)
+    vectors = oracles.basis_vectors(source)
     products = []
     for phi in forms:
         for i in chosen:
             product = [F(0)] * 10
-            for c, v in source.basis[i].items():
+            for c, v in vectors[i].items():
                 for t, k in table[c]:
                     product[t] += v * phi[k]
             products.append(product)
