@@ -31,7 +31,7 @@ def h_checks(a: Analysis) -> dict:
     return {
         "h_palindromic": is_palindromic(h, n),
         "h_ends_are_one": coeff(h, 0) == 1 and coeff(h, n) == 1,
-        "h_subtop_counts_rays": coeff(h, n - 1) == len(a.fan.cones_of_dim(1)) - n,
+        "h_subtop_counts_rays": coeff(h, n - 1) == a.fan.count_of_dim(1) - n,
     }
 
 

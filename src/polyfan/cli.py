@@ -2,8 +2,9 @@
 
 Commands: ``generate`` writes polytope files, ``hvector`` /
 ``check-bounds`` / ``ih`` analyze one file, ``report-all`` a directory.
-Exit code 0 means every check passed, 1 names a failed check, 2 flags
-invalid input.  Output depends only on file contents and flags.
+Exit code 0 means every check passed, 1 names a failed check (or an
+internal one, on one ``error:`` line), 2 flags invalid input.  Output
+depends only on file contents and flags.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import reports
 from .analysis import Analysis
-from .ihsheaf import DegreeCapError
+from .ihsheaf import DegreeCapError, SheafError
 from .polytopes import (
     NotAVertexError,
     Polytope,
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
     except DegreeCapError as exc:
         print(f"error: --degree-cap: {exc}", file=sys.stderr)
         return 2
+    except SheafError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ together with conewise-linear support functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
+from typing import NamedTuple
 
 from . import linalg
 from .polytopes import Polytope, mask_bits
@@ -21,16 +23,16 @@ class FanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """A strictly convex cone inside a fan: ``mask`` has bit r set for
-    each extreme ray r, and ``ray_ids`` lists those r ascending."""
+    each extreme ray r, and ``ray_ids`` lists those r ascending.  A
+    face fan has one per face, so the record is a light tuple."""
 
     id: int
     mask: int
     dim: int
 
-    @cached_property
+    @property
     def ray_ids(self) -> tuple:
         return mask_bits(self.mask)
 
@@ -48,17 +50,15 @@ class Fan:
         self.rays = dict(rays)
         self.cones = dict(cones)
         self.down = dict(down)
-        zero = [cid for cid, c in self.cones.items() if c.dim == 0]
-        if len(zero) != 1 or self.cones[zero[0]].mask:
-            raise FanError("a fan must contain exactly one zero cone")
-        self.zero_id = zero[0]
         self._dim_masks: dict = {}  # dimension -> bitset of the cones of it
         for cid, c in self.cones.items():
             self._dim_masks[c.dim] = self._dim_masks.get(c.dim, 0) | 1 << cid
+        zero = self.cones_of_dim(0)
+        if len(zero) != 1 or self.cones[zero[0]].mask:
+            raise FanError("a fan must contain exactly one zero cone")
+        self.zero_id = zero[0]
         known = sum(self._dim_masks.values())
-        below = 0
-        for bits in self.down.values():
-            below |= bits
+        below = reduce(or_, self.down.values(), 0)
         unknown = below & ~known
         if unknown:
             cid = next(c for c, bits in self.down.items() if bits & unknown)
@@ -85,6 +85,9 @@ class Fan:
 
     def cones_of_dim(self, k: int) -> tuple:
         return mask_bits(self._dim_masks.get(k, 0))
+
+    def count_of_dim(self, k: int) -> int:
+        return self._dim_masks.get(k, 0).bit_count()
 
     def rays_of(self, cone_id: int) -> tuple:
         return tuple(self.rays[r] for r in self.cones[cone_id].ray_ids)
@@ -153,18 +156,15 @@ class Fan:
                 return False
         if not maximal:
             return False
-        seen = {maximal[0]}
-        stack = [maximal[0]]
-        adjacency: dict = {cid: set() for cid in maximal}
-        for pair in walls.values():
-            adjacency[pair[0]].add(pair[1])
-            adjacency[pair[1]].add(pair[0])
-        while stack:
-            for other in adjacency[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return len(seen) == len(maximal)
+        adjacency = dict.fromkeys(maximal, 0)  # cone -> bitset of its neighbours
+        for a, b in walls.values():
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+        seen, new = 0, 1 << maximal[0]
+        while new:
+            seen |= new
+            new = reduce(or_, map(adjacency.__getitem__, mask_bits(new))) & ~seen
+        return seen.bit_count() == len(maximal)
 
     def is_centrally_symmetric(self) -> bool:
         try:
@@ -237,7 +237,7 @@ def face_fan(p: Polytope) -> Fan:
     if not p.origin_is_interior():
         raise FanError("face fan needs the origin strictly interior")
     proper = range(len(lattice.masks) - 1)  # the polytope itself is last
-    cones = {f: Cone(f, lattice.masks[f], lattice.dims[f] + 1) for f in proper}
+    cones = {f: Cone(f, mask, k + 1) for f, mask, k in zip(proper, lattice.masks, lattice.dims)}
     return Fan(p.ambient_dim, dict(enumerate(p.vertices)), cones, dict(zip(proper, lattice.down)))
 
 

@@ -381,6 +381,15 @@ class MinimalExtensionSheaf:
 
     # -- quotients modulo the maximal ideal -----------------------------------
 
+    def _cone_set(self, max_ids: tuple, parity: int | None) -> str:
+        """The cones of a :meth:`quotient` for an error message: a half of the global
+        sections, or the first cone whose facets they are (all rays share one)."""
+        if parity is not None:
+            return f"global half {parity:+d}"
+        fan = self.fan
+        cones = [c for c in fan.cones if fan.facets_of(c) == max_ids]
+        return f"cone {min(cones)}" if cones else "global sections"
+
     def quotient(self, max_ids: tuple, q: int, forms, parity: int | None = None) -> dict:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, the integral
@@ -408,7 +417,8 @@ class MinimalExtensionSheaf:
                     forms,
                 )
                 if m_rows is None:
-                    raise SheafError("a product is not a section (failed exact membership check)")
+                    where = f"{self._cone_set(max_ids, parity)}, degree {q}"
+                    raise SheafError(f"{where}: a product is not a section (failed exact membership check)")
             complement = (i for i in range(len(sections.free_cols)) if i not in m_rows)
             cached = {
                 "sections": sections,
@@ -478,7 +488,8 @@ class MinimalExtensionSheaf:
         for p in [c for c in res if c in m_rows]:
             eliminate(res, m_rows[p], p)
         if any(c in m_rows for c in res):
-            raise SheafError("reduction modulo m failed to clear pivots")
+            where = self._cone_set(self.representatives, parity)
+            raise SheafError(f"{where}, degree {q}: reduction modulo m failed to clear pivots")
         complement = data["complement"]
         return {complement[i]: x for i, x in res.items()}
 
@@ -763,7 +774,8 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
                 data["sections"], target[p]["sections"], table, [form], data["complement"]
             )
             if stored is None:
-                raise SheafError("a Lefschetz product is not a section of its half")
+                where = mes._cone_set(reps, p)
+                raise SheafError(f"{where}, degree {q}: a Lefschetz product is not a section of its half")
             out[q][p] = _rank(mes, [mes.reduce_mod_m(q + 2, row, p) for row in stored.values()])
     return out
 

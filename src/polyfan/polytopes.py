@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -58,27 +60,19 @@ class FaceLattice:
     """
 
     ambient_dim: int
-    num_vertices: int
     masks: tuple
     dims: tuple
     down: tuple
     facet_rays: dict
 
-    def face_ids(self):
-        return range(len(self.masks))
+    def faces_of_dim(self, k: int) -> range:
+        return range(bisect_left(self.dims, k), bisect_right(self.dims, k))
 
-    def faces_of_dim(self, k: int) -> tuple:
-        return tuple(i for i, d in enumerate(self.dims) if d == k)
-
-    def facet_ids(self) -> tuple:
+    def facet_ids(self) -> range:
         return self.faces_of_dim(self.ambient_dim - 1)
 
     def f_vector(self) -> tuple:
-        counts = [0] * self.ambient_dim
-        for d in self.dims:
-            if 0 <= d < self.ambient_dim:
-                counts[d] += 1
-        return tuple(counts)
+        return tuple(len(self.faces_of_dim(k)) for k in range(self.ambient_dim))
 
 
 def mask_bits(mask: int) -> tuple:
@@ -131,7 +125,17 @@ class Polytope:
         return tuple(sum(col, Fraction(0)) / m for col in zip(*self.vertices))
 
     def translate(self, shift: Vector) -> "Polytope":
-        return Polytope(tuple(linalg.vec_add(v, shift) for v in self.vertices))
+        """P + shift.  A translation keeps every face, so a lattice built
+        here carries over, with the facet rays of the translate's rows."""
+        moved = Polytope(tuple(linalg.vec_add(v, shift) for v in self.vertices))
+        lattice = self._lattice
+        if lattice is not None:
+            ids = {lattice.masks[f]: f for f in lattice.facet_rays}
+            facets = _facets(moved.vertices, self.ambient_dim, moved._integral)
+            if ids.keys() != {mask for mask, _ in facets}:
+                raise PolytopeError("the translate has other facets")
+            moved._lattice = replace(lattice, facet_rays={ids[mask]: y for mask, y in facets})
+        return moved
 
     def origin_is_interior(self) -> bool:
         if self._interior is None:
@@ -234,12 +238,13 @@ def _insert_row(rays, row, bit: int, width: int, d) -> list:
     Rays on the positive side and on the row are kept; each adjacent pair
     across the row is combined into a ray on it.  Adjacency is decided on
     zero sets (Fukuda-Prodon, Proposition 7): the pair shares at least
-    width - 2 zeros and no third ray vanishes on all of them.
+    width - 2 zeros and no third ray vanishes on all of them.  An extreme
+    ray holds at least width - 1 zeros, so no ray can be left out of that.
     """
     kept, pos, neg = [], [], []
     for y, zeros in rays:
         if d is None:
-            s = sum(a * b for a, b in zip(row, y))
+            s = sum(map(mul, row, y))
             side = (s > 0) - (s < 0)
         else:
             s = _pair_dot(row, y, d)
@@ -262,7 +267,10 @@ def _insert_row(rays, row, bit: int, width: int, d) -> list:
             if any(z & common == common and z != zp and z != zq for z in zero_sets):
                 continue
             if d is None:
-                y = linalg.primitive([sp * b - sq * a for a, b in zip(p, q)])
+                # Integer entries, so one gcd makes y primitive.
+                y = [sp * b - sq * a for a, b in zip(p, q)]
+                g = math.gcd(*y)
+                y = [x // g for x in y] if g > 1 else y
             else:
                 y = _pair_ray(_pair_combination(p, q, sp, sq, d), d)
             kept.append((y, common | bit))
@@ -315,13 +323,12 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
     and the cover."""
     full_mask = (1 << len(vertices)) - 1
     facet_masks = [mask for mask, _ in facets]
-    dims = {full_mask: n}
     covers = {full_mask: facet_masks}
+    layers = [[full_mask]]  # the faces by descending dimension
     layer = dict.fromkeys(facet_masks, full_mask)  # face -> one upper cover
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 1, -2, -1):
         below = {}
         for face, upper in layer.items():
-            dims[face] = k
             if face.bit_count() == k + 1:
                 covers[face] = below_face = []
                 rest = face
@@ -332,10 +339,10 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
                 covers[face] = _maximal_proper(face, covers[upper])
             for c in covers[face]:
                 below.setdefault(c, face)
+        layers.append(sorted(layer))
         layer = below
-    dims[0], covers[0] = -1, ()
 
-    ordered = sorted(dims, key=lambda msk: (dims[msk], msk))
+    ordered = [mask for masks in reversed(layers) for mask in masks]
     ids = {mask: i for i, mask in enumerate(ordered)}
     down = []
     for mask in ordered:
@@ -345,9 +352,8 @@ def _lattice_from_facets(vertices, n: int, facets) -> FaceLattice:
         down.append(bits)
     lattice = FaceLattice(
         ambient_dim=n,
-        num_vertices=len(vertices),
         masks=tuple(ordered),
-        dims=tuple(dims[mask] for mask in ordered),
+        dims=tuple(k for k, masks in enumerate(reversed(layers), -1) for _ in masks),
         down=tuple(down),
         facet_rays={ids[mask]: y for mask, y in facets},
     )
@@ -371,11 +377,7 @@ def _maximal_proper(face: int, candidates) -> list:
 
 def _validate_lattice(vertices, lattice: FaceLattice) -> None:
     n = lattice.ambient_dim
-    euler = sum(
-        (-1) ** lattice.dims[i]
-        for i in lattice.face_ids()
-        if 0 <= lattice.dims[i] < n
-    )
+    euler = sum((-1) ** k * f for k, f in enumerate(lattice.f_vector()))
     if euler != 1 + (-1) ** (n - 1):
         raise PolytopeError(f"face counts violate Euler's relation (sum {euler})")
     facet_masks = [lattice.masks[f] for f in lattice.facet_ids()]

@@ -8,8 +8,6 @@ describes the format.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from . import checks
 from .analysis import Analysis
 from .polynomials import binomial_poly, coeff
@@ -35,7 +33,7 @@ def hvector_report(a: Analysis, field: Field, name: str | None = None) -> dict:
         "h_difference": [
             coeff(h, j) - coeff(binomial_poly(n), j) for j in range(n + 1)
         ],
-        "ray_count": len(a.fan.cones_of_dim(1)),
+        "ray_count": a.fan.count_of_dim(1),
         "checks": checks.h_checks(a),
     }
 
@@ -43,7 +41,7 @@ def hvector_report(a: Analysis, field: Field, name: str | None = None) -> dict:
 def bounds_report(a: Analysis, field: Field, name: str | None = None) -> dict:
     """Lower-bound verification for a centrally symmetric polytope."""
     report = hvector_report(a, field, name)
-    report["bounds"] = asdict(a.bounds)
+    report["bounds"] = dict(vars(a.bounds))  # the fields, in order
     report["checks"].update(checks.bounds_checks(a))
     return report
 

@@ -12,7 +12,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Union
 
 
@@ -59,6 +59,7 @@ def is_square_free(d: int) -> bool:
     return True
 
 
+@total_ordering
 class Quadratic:
     """Element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
 
@@ -189,24 +190,6 @@ class Quadratic:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

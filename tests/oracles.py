@@ -41,11 +41,14 @@ from polyfan.polytopes import (
     Polytope,
     PolytopeError,
     _facets,
+    _pair_combination,
+    _pair_dot,
+    _pair_ray,
     _validate_lattice,
     mask_bits,
     random_cs,
 )
-from polyfan.scalars import Quadratic, sign
+from polyfan.scalars import Quadratic, quadratic_sign, sign
 
 
 def _field(x):
@@ -204,6 +207,45 @@ def brute_force_faces(vertices) -> dict:
     return faces
 
 
+def insert_row_unpruned(rays, row, bit: int, width: int, d) -> list:
+    """:func:`polytopes._insert_row` as it was before its integer steps
+    were tuned: the side test by a generator of products, the third-ray
+    scan over every zero set, and each combined integer ray made
+    primitive by :func:`linalg.primitive`.  The differential tests
+    compare the package's insertion with it after every row."""
+    kept, pos, neg = [], [], []
+    for y, zeros in rays:
+        if d is None:
+            s = sum(a * b for a, b in zip(row, y))
+            side = (s > 0) - (s < 0)
+        else:
+            s = _pair_dot(row, y, d)
+            side = quadratic_sign(*s, d)
+        if side > 0:
+            kept.append((y, zeros))
+            pos.append((y, zeros, s))
+        elif side < 0:
+            neg.append((y, zeros, s))
+        else:
+            kept.append((y, zeros | bit))
+    if not neg:
+        return kept
+    zero_sets = [zeros for _, zeros in rays]
+    for p, zp, sp in pos:
+        for q, zq, sq in neg:
+            common = zp & zq
+            if common.bit_count() < width - 2:
+                continue
+            if any(z & common == common and z != zp and z != zq for z in zero_sets):
+                continue
+            if d is None:
+                y = linalg.primitive([sp * b - sq * a for a, b in zip(p, q)])
+            else:
+                y = _pair_ray(_pair_combination(p, q, sp, sq, d), d)
+            kept.append((y, common | bit))
+    return kept
+
+
 def lattice_by_all_facets(vertices, n: int) -> FaceLattice:
     """The face lattice of conv(vertices) graded from the top with every
     facet of P as a candidate: the facets of a k-face are the
@@ -238,7 +280,6 @@ def lattice_by_all_facets(vertices, n: int) -> FaceLattice:
         down.append(bits)
     lattice = FaceLattice(
         ambient_dim=n,
-        num_vertices=len(vertices),
         masks=tuple(ordered),
         dims=tuple(dims[mask] for mask in ordered),
         down=tuple(down),

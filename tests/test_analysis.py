@@ -5,14 +5,14 @@ from collections import Counter
 
 import pytest
 
-from polyfan import analysis, ihsheaf, linalg
+from polyfan import analysis, ihsheaf, linalg, polytopes
 from polyfan.analysis import Analysis
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.polynomials import coeff
-from polyfan.polytopes import cross_polytope, cube, simplex
+from polyfan.polytopes import Polytope, cross_polytope, cube, simplex
 from polyfan.reports import bounds_report, ih_report
-from polyfan.scalars import Field
+from polyfan.scalars import Field, Quadratic
 
 import oracles
 
@@ -191,6 +191,33 @@ def test_translated_input_keeps_its_shift():
     assert a.polytope.origin_is_interior()
     assert a.is_centrally_symmetric
     assert a.h == (1, 2, 1)
+
+
+@pytest.mark.parametrize("name", ["cube-3", "sqrt3-diamond"])
+def test_translated_input_builds_one_face_lattice(name, monkeypatch):
+    """A translation keeps every face, so an analysis of a polytope whose
+    origin is not interior builds one face lattice and the translate
+    takes it with the facet rays of its own rows; the Q(sqrt 3) diamond's
+    translate is rational.  That lattice equals a fresh build."""
+    x = Quadratic(4, 1, 3)
+    p = {
+        "cube-3": cube(3).translate((3, 0, 0)),
+        "sqrt3-diamond": Polytope([(x - 1, 0), (x + 1, 0), (x, 1), (x, -1)]),
+    }[name]
+    calls = Counter()
+    build = polytopes._lattice_from_facets
+
+    def counted(*args):
+        calls["lattice"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(polytopes, "_lattice_from_facets", counted)
+    a = Analysis(p)
+    assert a.translation is not None and a.polytope.origin_is_interior()
+    assert a.is_centrally_symmetric and a.h
+    assert calls["lattice"] == 1
+    monkeypatch.undo()
+    assert a.polytope.face_lattice() == Polytope(a.polytope.vertices).face_lattice()
 
 
 def test_degree_cap_is_checked_when_the_sheaf_is_built():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import time
 from fractions import Fraction
 from importlib import resources
@@ -429,6 +430,23 @@ class TestAnalysisCommands:
         assert out == ""
         assert err.startswith("error: --degree-cap")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["cube2", "cross3"])
+    def test_ih_internal_check_failure_is_one_line(self, capsys, tmp_path, monkeypatch, name):
+        """An exact internal check of the sheaf that fails (here every
+        membership test, by a patched linalg._members) exits 1 with one
+        stderr line that names the degree and the cone, and no traceback."""
+        from polyfan import linalg
+
+        path = write_polytope(tmp_path, name, cube(2) if name == "cube2" else cross_polytope(3))
+        monkeypatch.setattr(linalg, "_members", lambda kernel, vec: None)
+        code, out, err = run(capsys, "ih", path)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert re.fullmatch(
+            r"error: internal check failed: (cone \d+|global half [+-]1), degree \d+: .*not a section.*\n", err
+        ), err
 
     def test_ih_dimension_limit(self, capsys, tmp_path):
         from polyfan import cube

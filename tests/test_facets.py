@@ -24,6 +24,7 @@ from polyfan.polytopes import (
     PolytopeError,
     _facets,
     _first_simplex,
+    _insert_row,
     _maximal_proper,
     _pair_ray,
     cross_polytope,
@@ -32,12 +33,13 @@ from polyfan.polytopes import (
     hull_vertices,
     linear_image,
     mask_bits,
+    random_cs,
     simplex,
 )
 from polyfan.reports import bounds_report
 from polyfan.scalars import Field, Quadratic, sign
 
-from oracles import _solve_hyperplane, brute_force_facets, rank, scalar
+from oracles import _solve_hyperplane, brute_force_facets, down_sets_by_scan, insert_row_unpruned, rank, scalar
 
 RADICANDS = (None, 2, 3)  # None: rational coordinates
 SQRT2 = Quadratic(0, 1, 2)
@@ -479,3 +481,92 @@ def test_insertions_do_no_quadratic_arithmetic(monkeypatch):
     inside[0] = True
     assert SQRT2 * 2 + 1 == Quadratic(1, 2, 2)  # the wrappers do count
     assert calls[0] == 2
+
+
+def _assert_insertions_match_unpruned(points, n):
+    """Run the double description of conv(points) as :func:`_facets` does
+    and, before each insertion, compare the package's rays and zero sets
+    with the unpruned insertion's.  Every ray holds at least n zeros
+    (width - 1; an extreme ray of a pointed cone in n + 1 dimensions),
+    which is why no ray can be left out of the third-ray scan for having
+    too few.  Returns the number of rays seen."""
+    width = n + 1
+    vectors, _, d = linalg.integral_rows(points)
+    rows = [(linalg.ring(d).one,) + v for v in vectors]
+    basis, start = _first_simplex(rows, width, d)
+    all_bits = sum(1 << i for i in basis)
+    rays = [(y, all_bits & ~(1 << i)) for i, y in zip(basis, start)]
+    seen = 0
+    for k, row in enumerate(rows):
+        if k in basis:
+            continue
+        assert all(zeros.bit_count() >= width - 1 for _, zeros in rays)
+        got = _insert_row(rays, row, 1 << k, width, d)
+        assert got == insert_row_unpruned(rays, row, 1 << k, width, d)
+        seen += len(rays)
+        rays = got
+    assert [(mask, tuple(y)) for y, mask in rays] == _facets(points, n)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_clouds())
+def test_insertions_match_the_unpruned_insertion(cloud):
+    """Differential test of :func:`_insert_row` against the unpruned scan
+    kept in the oracles, over point clouds in Q, Q(sqrt 2) and Q(sqrt 3)
+    with points inside and on faces of the hull."""
+    n, points = cloud
+    _assert_insertions_match_unpruned(points, n)
+
+
+@pytest.mark.parametrize(
+    "p, rays",
+    [(cross_polytope(7), 147), (cube(5), 252), (random_cs(5, 14, 3), 2461)],
+    ids=["cross-7", "cube-5", "random-cs-5"],
+)
+def test_insertions_with_many_intermediate_rays_match_the_unpruned_insertion(p, rays):
+    """Inputs whose insertions hold many rays: cross(7) ends with 128
+    facets from 14 rows and random_cs(5, 14, 3) with 236; ``rays`` is
+    the number of rays that enter an insertion, summed."""
+    assert _assert_insertions_match_unpruned(p.vertices, p.ambient_dim) == rays
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_pair_insertions_match_the_unpruned_insertion(index):
+    """The Q(sqrt 2) and Q(sqrt 3) images of cube(4) and cross(4), with
+    and without a pushed vertex: pair rows and rays."""
+    image = _images_over_quadratic_fields()[index][1]
+    _assert_insertions_match_unpruned(image.vertices, image.ambient_dim)
+
+
+@st.composite
+def lattice_sources(draw):
+    """A random_cs draw, a free sum or hull from :func:`hulls_and_free_sums`,
+    or a Q(sqrt 2) or Q(sqrt 3) image of a small polytope."""
+    kind = draw(st.sampled_from(("random_cs", "sum", "image")))
+    if kind == "random_cs":
+        n = draw(st.integers(2, 4))
+        try:
+            return random_cs(n, draw(st.integers(n, n + 4)), draw(st.integers(0, 99)))
+        except PolytopeError:
+            assume(False)
+    if kind == "sum":
+        return draw(hulls_and_free_sums())
+    p = draw(st.sampled_from(SMALL))
+    return linear_image(p, draw(unitriangular(p.ambient_dim, draw(st.sampled_from((2, 3))))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_sources())
+def test_lattice_ids_are_sorted_by_dimension_then_mask(p):
+    """Face ids follow (dim, mask) strictly, as the lattice's layers are
+    joined in increasing dimension, and every down-set is the set of
+    faces whose vertex masks lie in the face's, by a scan of all pairs."""
+    lattice = p.face_lattice()
+    keys = list(zip(lattice.dims, lattice.masks))
+    assert keys == sorted(set(keys))
+    assert keys[0] == (-1, 0) and keys[-1] == (p.ambient_dim, (1 << len(p.vertices)) - 1)
+    scan = down_sets_by_scan(p)
+    for i in range(len(lattice.masks) - 1):
+        assert frozenset(mask_bits(lattice.down[i])) == scan[i]
+    assert lattice.down[-1] == (1 << (len(lattice.masks) - 1)) - 1

@@ -264,7 +264,7 @@ class TestReflection:
         monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
         assert len(mes.section_space(reps, 4, -1).free_cols) < half
         monkeypatch.undo()
-        with pytest.raises(SheafError, match="not a section"):
+        with pytest.raises(SheafError, match=r"^global half [+-]1, degree 4: a product is not a section"):
             mes.global_data(4)
 
     def test_reduction_mod_m_needs_fully_reduced_rows(self):
@@ -277,7 +277,7 @@ class TestReflection:
         rows = dict(data["m_rows"])
         rows[p] = {**rows[p], other: 1}
         mes._global[2] = {**mes.global_data(2), -1: {**data, "m_rows": rows}}
-        with pytest.raises(SheafError, match="failed to clear pivots"):
+        with pytest.raises(SheafError, match="^global half -1, degree 2: reduction modulo m failed to clear pivots$"):
             mes.reduce_mod_m(2, {p: 1}, -1)
 
     def test_non_cs_fan_rejected(self):
@@ -323,7 +323,7 @@ class TestLefschetz:
         assert len(broken.free_cols) < len(halves[-1]["sections"].free_cols)
         assert len(mes.global_data(2)[-1]["complement"]) == 1
         mes._global[4] = {**halves, -1: {**halves[-1], "sections": broken}}
-        with pytest.raises(SheafError, match="not a section of its half"):
+        with pytest.raises(SheafError, match="^global half -1, degree 2: a Lefschetz product is not a section of its half$"):
             lefschetz_maps(mes, a.support)
 
     def test_patterns_hold(self, sheaf_analyses):

@@ -119,10 +119,7 @@ class TestFaceLattice:
             if len(p.vertices) > 12:
                 continue
             lattice = p.face_lattice()
-            mine = {
-                frozenset(mask_bits(lattice.masks[i])): lattice.dims[i]
-                for i in lattice.face_ids()
-            }
+            mine = {frozenset(mask_bits(m)): k for m, k in zip(lattice.masks, lattice.dims)}
             assert mine == brute_force_faces(p.vertices)
 
 
@@ -298,10 +295,7 @@ class TestDualIncidence:
             if len(p.vertices) > 10:
                 continue
             lattice = p.face_lattice()
-            mine = {
-                frozenset(mask_bits(lattice.masks[i])): lattice.dims[i]
-                for i in lattice.face_ids()
-            }
+            mine = {frozenset(mask_bits(m)): k for m, k in zip(lattice.masks, lattice.dims)}
             assert mine == brute_force_faces(p.vertices), name
             checked += 1
         assert checked >= 10
