@@ -3,9 +3,13 @@
 A fan stores its rays and cones in id-indexed dicts so that a quotient
 fan can reuse the ids of the parent fan.  A cone's extreme rays are an
 int bitset over ray ids (in a face fan, the face's vertex mask), and its
-proper faces an int bitset over cone ids.  The face fan of a polytope,
-quotient fans of cones, completeness and central symmetry live here,
-together with conewise-linear support functions.
+proper faces an int bitset over cone ids.  A fan converts its rays to
+integers once, by :func:`linalg.integral_rows` (ints over Q, integer
+pairs over Q(sqrt d)); its field, its antipodes, its cone bases and its
+quotient fans read those rows.  The face fan of a polytope, quotient
+fans of cones, completeness and central symmetry live here, together
+with conewise-linear support functions, which convert their rays and
+covectors the same way.
 """
 
 from __future__ import annotations
@@ -76,9 +80,21 @@ class Fan:
         )
 
     @cached_property
+    def _integral(self) -> tuple:
+        """The :func:`linalg.integral_rows` (rows, s, d) of the rays, in
+        the order of ``rays``: the fan's one conversion to integers."""
+        rays = list(self.rays.values())
+        return linalg.integral_rows(rays, linalg.radicand(rays))
+
+    @cached_property
+    def _ray_rows(self) -> dict:
+        """Ray id -> its integral row."""
+        return dict(zip(self.rays, self._integral[0]))
+
+    @cached_property
     def radicand(self) -> int | None:
         """d when the rays lie in Q(sqrt d), None over Q."""
-        return linalg.radicand(self.rays.values())
+        return self._integral[2]
 
     def cone_ids(self) -> tuple:
         return tuple(sorted(self.cones))
@@ -88,9 +104,6 @@ class Fan:
 
     def count_of_dim(self, k: int) -> int:
         return self._dim_masks.get(k, 0).bit_count()
-
-    def rays_of(self, cone_id: int) -> tuple:
-        return tuple(self.rays[r] for r in self.cones[cone_id].ray_ids)
 
     def facets_of(self, cone_id: int) -> tuple:
         k = self.cones[cone_id].dim
@@ -107,8 +120,8 @@ class Fan:
         """Deterministic coordinates on the linear span of a cone.
 
         Returns (rows, pivots): the stored rows R_p of the elimination of
-        the cone's rays (see :mod:`polyfan.linalg`), in pivot order, and
-        their pivot columns.  The rows are dense and integral in the
+        the integral rows of the cone's rays (see :mod:`polyfan.linalg`),
+        in pivot order, and their pivot columns.  The rows are dense and integral in the
         fan's :class:`linalg.Ring` (ints over Q, int pairs over
         Q(sqrt d)), each with a positive integer d_p at its pivot p and 0
         at the other pivots.  The cone's coordinates are the y with x =
@@ -117,8 +130,8 @@ class Fan:
         """
         cached = self._bases.get(cone_id)
         if cached is None:
-            d = self.radicand
-            stored = linalg.stored_rows((dict(enumerate(ray)) for ray in self.rays_of(cone_id)), d)
+            d, ray_rows = self.radicand, self._ray_rows
+            stored = linalg.stored_rows([ray_rows[r] for r in self.cones[cone_id].ray_ids], d)
             pivots, zero = tuple(sorted(stored)), linalg.ring(d).zero
             rows = tuple(tuple(stored[p].get(c, zero) for c in range(self.ambient_dim)) for p in pivots)
             cached = self._bases[cone_id] = (rows, pivots)
@@ -177,7 +190,7 @@ class Fan:
         """Cone-id involution sigma <-> -sigma; raises if not symmetric."""
         if self._antipode is not None:
             return self._antipode
-        partner = linalg.antipodes(linalg.integral_rows(self.rays.values()))
+        partner = linalg.antipodes(self._integral)
         if partner is None:
             raise FanError("fan is not centrally symmetric (missing ray)")
         ids = list(self.rays)
@@ -197,33 +210,35 @@ class Fan:
     def quotient_fan(self, cone_id: int) -> "Fan":
         """Projection of the boundary of a cone along an interior vector.
 
-        The result is a complete fan in dimension dim(cone) - 1 whose face
-        poset is that of the proper faces of the cone; cone and ray ids
-        are inherited.
+        The cone's integral rays, read at the pivots of its
+        :meth:`cone_basis`, are coordinates on its span, and their sum l
+        is interior.  x -> l_j x - x_j l, for j the first nonzero entry of
+        l, has the line of l as kernel and 0 at j, which is dropped.  The
+        result is a complete fan in dimension dim(cone) - 1, with rays in
+        this fan's field, whose face poset is that of the proper faces of
+        the cone; cone and ray ids are inherited.
         """
         c = self.cones[cone_id]
         if c.dim < 1:
             raise FanError("quotient fan needs a cone of dimension >= 1")
-        pivots = self.cone_basis(cone_id)[1]
-        k = c.dim
-        interior = self.rays_of(cone_id)[0]
-        for ray in self.rays_of(cone_id)[1:]:
-            interior = linalg.vec_add(interior, ray)
-        proj = linalg.quotient_projection(
-            tuple(interior[j] for j in pivots), k
-        )
-        new_rays = {}
-        for r in c.ray_ids:
-            coords = tuple(self.rays[r][j] for j in pivots)
-            new_rays[r] = linalg.mat_vec(proj, coords)
+        d, pivots = self.radicand, self.cone_basis(cone_id)[1]
+        ring = linalg.ring(d)
+        rows = {r: [self._ray_rows[r][p] for p in pivots] for r in c.ray_ids}
+        line = [reduce(ring.add, column) for column in zip(*rows.values())]
+        j = next(i for i, x in enumerate(line) if x != ring.zero)
+        new_rays = {
+            r: tuple(
+                linalg._scalar(ring.add(ring.mul(line[j], x), ring.neg(ring.mul(row[j], y))), 1, d)
+                for i, (x, y) in enumerate(zip(row, line))
+                if i != j
+            )
+            for r, row in rows.items()
+        }
         faces = mask_bits(self.down[cone_id])
         cones = {fid: self.cones[fid] for fid in faces}
-        fan = Fan(k - 1, new_rays, cones, {fid: self.down[fid] for fid in faces})
-        for fid in fan.cones:
-            got = fan.cones[fid].dim
-            expected = linalg.rank(linalg.mat(fan.rays_of(fid))) if fan.cones[fid].mask else 0
-            if got != expected:
-                raise FanError("projection did not preserve cone dimensions")
+        fan = Fan(c.dim - 1, new_rays, cones, {fid: self.down[fid] for fid in faces})
+        if any(len(fan.cone_basis(fid)[1]) != cone.dim for fid, cone in fan.cones.items()):
+            raise FanError("projection did not preserve cone dimensions")
         return fan
 
 
@@ -254,34 +269,29 @@ class ConewiseLinear:
             raise FanError("conewise data must cover exactly the maximal cones")
         # Two cones meet in the face spanned by their shared rays, so the
         # pieces agree there iff each ray has one value over its cones.
-        # With u = U / n and the ray R / m, u.r = U.R / (n m): the values
-        # of two pieces at one ray agree iff U.R n' = U'.R n.
+        # With u = U / n and the ray R / m, u.r = U.R / (n m), and every
+        # piece has the same n: two values at one ray agree iff U.R = U'.R.
         ring, rays, covectors = self._integral
         values = {}
         for cid in fan.maximal_ids:
-            u, n = covectors[cid]
+            u = covectors[cid]
             for r in fan.cones[cid].ray_ids:
                 value = ring.dot(u, rays[r])
-                seen, m = values.setdefault(r, (value, n))
-                if ring.scale(m, value) != ring.scale(n, seen):
+                if values.setdefault(r, value) != value:
                     raise FanError("conewise values disagree on a shared face")
 
     @cached_property
     def _integral(self) -> tuple:
-        """The :class:`linalg.Ring` of the fan's field, the integral ray
-        vectors (ray id -> R, a positive multiple of the ray) and the
-        integral covectors (cone id -> (U, n), the covector being U / n
-        with n least)."""
-        d = self.fan.radicand or linalg.radicand(self.covectors.values())
-        rays = {r: linalg.cleared(ray, d)[0] for r, ray in self.fan.rays.items()}
-        covectors = {cid: linalg.cleared(u, d) for cid, u in self.covectors.items()}
-        return linalg.ring(d), rays, covectors
-
-    def scale(self, factor) -> "ConewiseLinear":
-        return ConewiseLinear(
-            self.fan,
-            {cid: linalg.vec_scale(factor, u) for cid, u in self.covectors.items()},
-        )
+        """The :class:`linalg.Ring` of the field of the fan and the
+        covectors, the integral ray vectors (ray id -> R, a positive
+        multiple of the ray) and the integral covectors (cone id -> U,
+        the covector being U / n for the least positive integer n that
+        serves every cone), each from one :func:`linalg.integral_rows`."""
+        fan = self.fan
+        d = fan.radicand or linalg.radicand(self.covectors.values())
+        rays = linalg.integral_rows(list(fan.rays.values()), d)[0]
+        covectors = linalg.integral_rows(list(self.covectors.values()), d)[0]
+        return linalg.ring(d), dict(zip(fan.rays, rays)), dict(zip(self.covectors, covectors))
 
 
 def support_function(p: Polytope, fan: Fan | None = None) -> ConewiseLinear:
@@ -312,10 +322,10 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
     """Across every wall, the piece of each cone lies strictly above the
     piece of the other cone at the cone's rays off the wall.  On the
     integral covectors U / n and rays R / m that is the sign of
-    n U'.R - n' U.R (times n n' m > 0)."""
+    U'.R - U.R (times n m > 0)."""
     fan = cl.fan
     ring, rays, covectors = cl._integral
-    dot, scale, neg, add, sign = ring.dot, ring.scale, ring.neg, ring.add, ring.sign
+    dot, neg, add, sign = ring.dot, ring.neg, ring.add, ring.sign
     for f, pair in fan.walls(fan.maximal_ids).items():
         if len(pair) != 2:
             continue
@@ -323,7 +333,7 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
         if covectors[a] == covectors[b]:
             raise FanError("support function is not strictly concave")
         wall = fan.cones[f].mask
-        for cid, (own, n_own), (other, n_other) in (
+        for cid, own, other in (
             (a, covectors[a], covectors[b]),
             (b, covectors[b], covectors[a]),
         ):
@@ -331,7 +341,7 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
                 if wall >> r & 1:
                     continue
                 ray = rays[r]
-                gap = add(scale(n_own, dot(other, ray)), neg(scale(n_other, dot(own, ray))))
+                gap = add(dot(other, ray), neg(dot(own, ray)))
                 if sign(gap) <= 0:
                     raise FanError("support function is not strictly concave")
 

@@ -751,20 +751,15 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
     polytope is, so that it maps each half to itself."""
     if s.fan is not mes.fan:
         raise FanError("support function belongs to a different fan")
-    # The integral covectors (U, n) of s, for U / n with n least: s is
-    # even iff those of sigma and -sigma are (U, n) and (-U, n).
+    # The integral covectors U of s, for U / n with one n for all cones:
+    # s is even iff those of sigma and -sigma are U and -U.
     ring, _, covectors = s._integral
     reps, anti = mes.representatives, mes.antipode
-    if anti and any(
-        ([*map(ring.neg, covectors[c][0])], covectors[c][1]) != covectors[anti[c]] for c in reps
-    ):
+    if anti and any(tuple(map(ring.neg, covectors[c])) != covectors[anti[c]] for c in reps):
         raise FanError("the function is not even under the point reflection")
-    # On a cone, U / n is sum_p y_p (U.R_p) / n: one scale for all cones.
-    pieces = []
-    for cid in reps:
-        u, n = covectors[cid]
-        pieces.append((dict(enumerate(ring.dot(u, row) for row in mes.fan.cone_basis(cid)[0])), n))
-    form = [x for piece in linalg.common_scale(pieces, ring.d)[0] for x in piece.values()]
+    # On a cone, U / n is sum_p y_p (U.R_p) / n, and a form may carry any
+    # nonzero constant, so the form is the U.R_p of every cone.
+    form = [ring.dot(covectors[cid], row) for cid in reps for row in mes.fan.cone_basis(cid)[0]]
     out = {}
     for q in range(0, mes.cap, 2):
         table, target = mes._product_table(reps, q), mes.global_data(q + 2)

@@ -2,23 +2,23 @@
 
 A sparse row (or vector) is a dict from column index to its nonzero
 entries only.  Dense vectors are tuples of scalars and dense matrices
-tuples of row tuples; the geometry path (rank checks, quotient fans)
-uses them.  There is one elimination, :func:`_fraction_free`:
-:func:`stored_rows`, :func:`sparse_rref` and the dense :func:`rref`,
-:func:`rank` and :func:`inverse` are adapters that pass it their rows of
-scalars, in the field that :func:`radicand`, the package's one rule,
-decides.  It pivots on the first nonzero column, and the reduced row
-echelon form of a matrix is unique, so every result is a deterministic
-function of the input.
+tuples of row tuples; polytope constructors and rank checks use them.
+There is one elimination, :func:`_fraction_free`, and one conversion of
+scalars to integers, :func:`integral_rows`, in the field that
+:func:`radicand`, the package's one rule, decides.  :func:`stored_rows`
+takes integral rows; :func:`sparse_rref` and the dense :func:`rref` and
+:func:`rank` are adapters that convert their rows of scalars and pass
+them on.  The elimination pivots on the first nonzero column, and the
+reduced row echelon form of a matrix is unique, so every result is a
+deterministic function of the input.
 
 The elimination is one fraction-free loop (Bareiss 1968) over integral
 rows.  Over Q an entry is an ``int``; over Q(sqrt d) it is the pair
-(x, y) of ints standing for x + y sqrt d.  A row of scalars is scaled to
-its :func:`primitive` integer row, or over Q(sqrt d), where some entry
-is a :class:`~polyfan.scalars.Quadratic`, to its primitive pair row,
-whose content is the gcd of every x and y.  A row is reduced by a stored
-row as ``(a/g) r - (f/g) s``, where ``a`` is the stored pivot, ``f`` the
-entry of ``r`` there and ``g`` the gcd of ``a`` and the parts of ``f``.
+(x, y) of ints standing for x + y sqrt d, where some entry is a
+:class:`~polyfan.scalars.Quadratic`; the content of a pair row is the
+gcd of every x and y.  A row is reduced by a stored row as
+``(a/g) r - (f/g) s``, where ``a`` is the stored pivot, ``f`` the entry
+of ``r`` there and ``g`` the gcd of ``a`` and the parts of ``f``.
 So the pivot of a stored row must be an integer: a new pair row is
 first multiplied by the conjugate (px, -py) of its pivot, which turns
 the pivot into the norm px^2 - d py^2, nonzero because d is square-free
@@ -56,10 +56,11 @@ over one least scale, and :func:`cofactors` equates two scaled
 matrices.  :func:`products_rref` forms products of kernel vectors (all,
 or a selection) with integral linear forms and returns the stored rows
 of their elimination, so no scalar is built: their span, and so every
-rank, does not depend on the scale of a row.  :func:`cleared` clears a
-vector of scalars of its denominators, for the conewise linear
-functions of :mod:`polyfan.fans`; :func:`integral_rows` clears vectors
-at one common scale, and :func:`antipodes` pairs opposite rows.
+rank, does not depend on the scale of a row.  :func:`integral_rows`
+clears vectors of scalars of their denominators at one common scale: a
+polytope's vertices, a fan's rays and a conewise linear function's
+covectors (:mod:`polyfan.fans`).  :func:`antipodes` pairs opposite
+rows.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def vec_neg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
@@ -111,10 +108,6 @@ def vec_dot(u: Vector, v: Vector) -> Scalar:
     for a, b in zip(u, v):
         total = total + a * b
     return total
-
-
-def is_zero_vector(u: Vector) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -158,16 +151,19 @@ def sparse_rref(rows) -> tuple[tuple[dict, ...], tuple[int, ...]]:
     docstring)."""
     rows = list(rows)
     d = radicand(r.values() for r in rows)
-    return _reduced(stored_rows(rows, d), d)
+    zero = ring(d).zero
+    integral = integral_rows([r.values() for r in rows], d)[0]
+    stored = _fraction_free(({c: v for c, v in zip(r, row) if v != zero} for r, row in zip(rows, integral)), d)
+    return _reduced(stored, d)
 
 
 def stored_rows(rows, d) -> dict:
-    """The stored rows of the elimination of sparse rows of scalars over
-    Q(sqrt d) (over Q when d is None): pivot column -> primitive integral
-    row with a positive integer there and 0 at the other pivots (see the
-    module docstring)."""
-    rows = ({c: v for c, v in row.items() if v} for row in rows)
-    return _fraction_free((dict(zip(r, _integral(r.values(), d))) for r in rows), d)
+    """The stored rows of the elimination of dense integral rows (ints,
+    or pairs over Q(sqrt d)): pivot column -> primitive integral row with
+    a positive integer there and 0 at the other pivots (see the module
+    docstring)."""
+    zero = ring(d).zero
+    return _fraction_free(({c: v for c, v in enumerate(row) if v != zero} for row in rows), d)
 
 
 def _reduced(stored: dict, d) -> tuple[tuple[dict, ...], tuple[int, ...]]:
@@ -211,20 +207,12 @@ def _pairs(ints: list) -> list:
     return list(zip(ints[::2], ints[1::2]))
 
 
-def _integral(values, d) -> list:
-    """The primitive integral vector on the ray of a vector of scalars:
-    ints when d is None, else pairs (x, y) standing for x + y sqrt d,
-    primitive over all the x and y together."""
-    if d is None:
-        return primitive(values)
-    return _pairs(primitive(_parts(values, d)))
-
-
-def integral_rows(vectors) -> tuple[list, int, int | None]:
-    """(rows, s, d) for a sequence of vectors of scalars over the field
-    :func:`radicand` d: the rows s v for the least positive integer s that
-    clears every denominator, as tuples of ints, or of pairs over Q(sqrt d)."""
-    d = radicand(vectors)
+def integral_rows(vectors, d) -> tuple[list, int, int | None]:
+    """(rows, s, d) for a sequence of vectors of scalars over Q(sqrt d),
+    or over Q when d is None: the rows s v for the least positive integer
+    s that clears every denominator, as tuples of ints, or of pairs over
+    Q(sqrt d).  This is the package's one conversion of scalars to
+    integers; callers decide d with :func:`radicand`."""
     parts = vectors if d is None else [_parts(v, d) for v in vectors]
     s = lcm(*[x.denominator for v in parts for x in v])
     rows = [tuple(x.numerator * (s // x.denominator) for x in v) for v in parts]
@@ -240,16 +228,6 @@ def antipodes(integral) -> list | None:
     negate = ring(d).neg
     out = [index.get(tuple(map(negate, row))) for row in rows]
     return None if None in out else out
-
-
-def cleared(values, d) -> tuple[list, int]:
-    """(n values, n) for the least positive integer n that makes the
-    scalars integral: ints when d is None (a Quadratic must then be
-    rational), else pairs (x, y) standing for x + y sqrt d."""
-    parts = _parts(values, d)
-    n = lcm(*[x.denominator for x in parts])
-    ints = [x.numerator * (n // x.denominator) for x in parts]
-    return (ints[::2] if d is None else _pairs(ints)), n
 
 
 def common_scale(vectors, d) -> tuple[list, int]:
@@ -289,16 +267,6 @@ def _scalar(x, n: int, d):
     if b:
         return quadratic_from_parts(Fraction(a, n), Fraction(b, n), d)
     return Fraction(a, n)
-
-
-def primitive(values) -> list:
-    """The primitive integer vector on the ray of a vector of ints and
-    Fractions: the entries times the lcm of their denominators, divided
-    by the gcd of the results.  The zero vector stays zero."""
-    den = lcm(*[v.denominator for v in values])
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    g = gcd(*ints)
-    return [n // g for n in ints] if g > 1 else ints
 
 
 class Ring(NamedTuple):
@@ -632,41 +600,5 @@ def sparse_mat_vec(rows, vec: dict, d) -> dict:
 # Wrapped by name in perfbench/tracing.py and called by perfbench/inputs.py.
 def rank(m: Matrix) -> int:
     """The number of pivots of the elimination of the rows."""
-    return len(stored_rows((dict(enumerate(r)) for r in m), radicand(m)))
-
-
-def inverse(m: Matrix) -> Matrix:
-    """The inverse of a square matrix: the right half of the reduced row
-    echelon form of [m | I]."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("inverse of a non-square matrix")
-    augmented = ({**dict(enumerate(row)), n + i: _ONE} for i, row in enumerate(m))
-    reduced, pivots = sparse_rref(augmented)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(r.get(n + j, _ZERO) for j in range(n)) for r in reduced)
-
-
-def quotient_projection(line: Vector, ambient_dim: int) -> Matrix:
-    """Coordinate map R^k -> R^(k-1) whose kernel is the span of ``line``.
-
-    The line is completed to a basis with standard unit vectors in index
-    order; the returned (k-1) x k matrix reads off the unit-vector dual
-    coordinates, so the result is a deterministic function of ``line``.
-    """
-    k = ambient_dim
-    if len(line) != k:
-        raise ValueError("line/ambient dimension mismatch")
-    if is_zero_vector(line):
-        raise ValueError("cannot project along the zero vector")
-    basis = [tuple(line)]
-    for i in range(k):
-        candidate = basis + [unit(k, i)]
-        if rank(mat(candidate)) == len(candidate):
-            basis.append(unit(k, i))
-        if len(basis) == k:
-            break
-    inv = inverse(mat(basis))
-    # x = c0*line + sum_j c_j e_{i_j}; drop c0, keep the rest.
-    return tuple(tuple(inv[i][j] for i in range(k)) for j in range(1, k))
+    d = radicand(m)
+    return len(stored_rows(integral_rows(m, d)[0], d))

@@ -146,7 +146,3 @@ class RefinedSeries:
 
     def truncate_at(self, cap: int) -> "RefinedSeries":
         return RefinedSeries(truncate_at(self.plus, cap), truncate_at(self.minus, cap))
-
-    def total(self) -> IntPoly:
-        """Forget the group grading (chi -> 1)."""
-        return padd(self.plus, self.minus)

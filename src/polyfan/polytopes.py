@@ -101,7 +101,7 @@ class Polytope:
             raise PolytopeError("ambient dimension must be >= 1")
         if any(len(v) != n for v in vs):
             raise PolytopeError("vertices of mixed dimension")
-        self._integral = linalg.integral_rows(vs)
+        self._integral = linalg.integral_rows(vs, linalg.radicand(vs))
         if len(set(self._integral[0])) != len(vs):
             raise PolytopeError("duplicate vertices")
         self.ambient_dim = n
@@ -156,8 +156,9 @@ class Polytope:
         partner = linalg.antipodes(self._integral)
         if partner is None or any(i == j for i, j in enumerate(partner)):
             return False
-        representatives = [v for i, v in enumerate(self.vertices) if i < partner[i]]
-        return linalg.rank(linalg.mat(representatives)) == n
+        rows, _, d = self._integral
+        representatives = [row for i, row in enumerate(rows) if i < partner[i]]
+        return len(linalg.stored_rows(representatives, d)) == n
 
 
 def ensure_origin_interior(p: Polytope):
@@ -196,7 +197,7 @@ def _facets(points, n: int, integral=None) -> list:
     ray, whatever the insertion order.
     """
     width = n + 1
-    vectors, _, d = integral or linalg.integral_rows(points)
+    vectors, _, d = integral or linalg.integral_rows(points, linalg.radicand(points))
     one = linalg.ring(d).one
     rows = [(one,) + v for v in vectors]
     basis, start = _first_simplex(rows, width, d)

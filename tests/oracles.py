@@ -17,12 +17,14 @@ on scalars.  The reflection's eigenspaces come from the global sections
 over every maximal cone, with no fold: the reflection's matrices on that
 basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
-elimination here.  Scalar coordinates of a vector in a kernel's basis
-come from the package's integral membership test, and the scalar basis
-vectors of a kernel are read off its stored columns.  Explicit fans
-(subfans, fans from simplicial cone lists) build test inputs; they keep
-their down-sets and cone rays as id sets and hand :class:`Fan` and
-:class:`Cone` the bitsets.
+elimination here, as is a dense inverse.  Vectors of scalars are
+cleared of denominators, or made primitive, by Fraction arithmetic here,
+not by the package's :func:`linalg.integral_rows`.  Scalar coordinates
+of a vector in a kernel's basis come from the package's integral
+membership test, and the scalar basis vectors of a kernel are read off
+its stored columns.  Explicit fans (subfans, fans from simplicial cone
+lists) build test inputs; they keep their down-sets and cone rays as id
+sets and hand :class:`Fan` and :class:`Cone` the bitsets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from polyfan import linalg
 from polyfan.fans import Cone, Fan, FanError, face_fan
@@ -64,7 +66,7 @@ def sparse_kernel(rows, ncols: int, d: int | None = None):
     if d is None:
         d = linalg.radicand(r.values() for r in rows)
     return linalg.integral_kernel(
-        [dict(zip(r, linalg.cleared(r.values(), d)[0])) for r in rows], ncols, d
+        [dict(zip(r, cleared(r.values(), d)[0])) for r in rows], ncols, d
     )
 
 
@@ -73,7 +75,7 @@ def basis_coords(kernel, vec: dict) -> dict | None:
     :class:`linalg.Kernel`, or None when it is not in the span: the
     vector cleared of denominators in the kernel's ring, tested by
     :func:`linalg.integral_coords`, and the coordinates divided back."""
-    ints, n = linalg.cleared(vec.values(), kernel.d)
+    ints, n = cleared(vec.values(), kernel.d)
     coords = linalg.integral_coords(kernel, dict(zip(vec, ints)))
     return None if coords is None else {i: scalar(x, n, kernel.d) for i, x in coords.items()}
 
@@ -116,6 +118,38 @@ def rref(rows) -> tuple:
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
+
+
+def inverse(m) -> tuple:
+    """The inverse of a square matrix of field scalars: the right half of
+    the Gauss-Jordan :func:`rref` of [m | I]; raises on a singular one."""
+    n = len(m)
+    reduced, pivots = rref([(*row, *(Fraction(int(i == j)) for j in range(n))) for i, row in enumerate(m)])
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def cleared(values, d=None) -> tuple:
+    """(n values, n) for the least positive integer n that makes the
+    scalars integral: ints over Q (d None; every scalar rational), else
+    pairs (x, y) standing for x + y sqrt d."""
+    parts = [(x.a, x.b) if isinstance(x, Quadratic) else (Fraction(x), Fraction(0)) for x in values]
+    n = lcm(*(z.denominator for xy in parts for z in xy))
+    ints = [(int(x * n), int(y * n)) for x, y in parts]
+    if d is None:
+        assert not any(y for _, y in ints), "an irrational scalar over Q"
+        return [x for x, _ in ints], n
+    return ints, n
+
+
+def primitive(values, d=None) -> list:
+    """The primitive integral vector on the ray of a vector of scalars:
+    the :func:`cleared` ints, or pairs over Q(sqrt d), divided by the gcd
+    of all their parts.  The zero vector stays zero."""
+    ints = cleared(values, d)[0]
+    g = gcd(*(ints if d is None else [z for xy in ints for z in xy])) or 1
+    return [x // g for x in ints] if d is None else [(x // g, y // g) for x, y in ints]
 
 
 def kernel_basis(rows, ncols: int | None = None) -> tuple:
@@ -211,7 +245,7 @@ def insert_row_unpruned(rays, row, bit: int, width: int, d) -> list:
     """:func:`polytopes._insert_row` as it was before its integer steps
     were tuned: the side test by a generator of products, the third-ray
     scan over every zero set, and each combined integer ray made
-    primitive by :func:`linalg.primitive`.  The differential tests
+    primitive by :func:`primitive`.  The differential tests
     compare the package's insertion with it after every row."""
     kept, pos, neg = [], [], []
     for y, zeros in rays:
@@ -239,7 +273,7 @@ def insert_row_unpruned(rays, row, bit: int, width: int, d) -> list:
             if any(z & common == common and z != zp and z != zq for z in zero_sets):
                 continue
             if d is None:
-                y = linalg.primitive([sp * b - sq * a for a, b in zip(p, q)])
+                y = primitive([sp * b - sq * a for a, b in zip(p, q)])
             else:
                 y = _pair_ray(_pair_combination(p, q, sp, sq, d), d)
             kept.append((y, common | bit))
@@ -299,7 +333,7 @@ def dual_polytope(p: Polytope) -> Polytope:
     lattice = p.face_lattice()
     if not p.origin_is_interior():
         raise PolytopeError("dual polytope needs the origin strictly interior")
-    _, s, d = linalg.integral_rows(p.vertices)
+    _, s, d = linalg.integral_rows(p.vertices, linalg.radicand(p.vertices))
     duals = []
     for f in lattice.facet_ids():
         y0, *rest = (scalar(x, 1, d) for x in lattice.facet_rays[f])
@@ -718,7 +752,7 @@ def conewise_pieces_agree(fan: Fan, covectors: dict) -> bool:
     face: for every pair of maximal cones, both pieces take the same
     value on each ray of their largest common face."""
     for a, b in combinations(fan.maximal_ids, 2):
-        for ray in fan.rays_of(common_face(fan, a, b)):
+        for ray in map(fan.rays.get, fan.cones[common_face(fan, a, b)].ray_ids):
             values = [sum((x * y for x, y in zip(covectors[c], ray)), Fraction(0)) for c in (a, b)]
             if values[0] != values[1]:
                 return False

@@ -39,7 +39,16 @@ from polyfan.polytopes import (
 from polyfan.reports import bounds_report
 from polyfan.scalars import Field, Quadratic, sign
 
-from oracles import _solve_hyperplane, brute_force_facets, down_sets_by_scan, insert_row_unpruned, rank, scalar
+from oracles import (
+    _solve_hyperplane,
+    brute_force_facets,
+    down_sets_by_scan,
+    insert_row_unpruned,
+    inverse,
+    primitive,
+    rank,
+    scalar,
+)
 
 RADICANDS = (None, 2, 3)  # None: rational coordinates
 SQRT2 = Quadratic(0, 1, 2)
@@ -116,7 +125,7 @@ def _assert_rays(points, facets):
     first nonzero entry and parts of gcd 1; on the rows (1, s p) of the
     points at their common scale s it is 0 exactly on its mask and
     positive on the other points."""
-    _, s, d = linalg.integral_rows(points)
+    _, s, d = linalg.integral_rows(points, linalg.radicand(points))
     for mask, y in facets:
         if d is None:
             assert all(type(x) is int for x in y) and math.gcd(*y) == 1
@@ -139,7 +148,7 @@ def _assert_matches_oracle(points, n):
     assert len(set(masks)) == len(masks)
     assert set(masks) == expected
     _assert_rays(points, facets)
-    _, s, d = linalg.integral_rows(points)
+    _, s, d = linalg.integral_rows(points, linalg.radicand(points))
     for mask, y in facets:
         u, c = _oracle_plane(points, mask)
         plane = [s * c] + [-a for a in u]
@@ -216,7 +225,7 @@ def test_first_simplex_is_the_greedy_choice(system):
     for i, row in enumerate(rows):
         if len(kept) < width and rank([rows[j] for j in kept] + [row]) > len(kept):
             kept.append(i)
-    integral, _, d = linalg.integral_rows(rows)
+    integral, _, d = linalg.integral_rows(rows, linalg.radicand(rows))
     if len(kept) < width:
         with pytest.raises(PolytopeError, match="not full-dimensional"):
             _first_simplex(integral, width, d)
@@ -243,10 +252,9 @@ def test_start_rays_are_the_primitive_columns_of_the_inverse(system):
     primitive (and over Q(sqrt d) given a rational lead, as every ray
     is)."""
     width, rows = system
-    integral, _, d = linalg.integral_rows(rows)
+    integral, _, d = linalg.integral_rows(rows, linalg.radicand(rows))
     basis, rays = _first_simplex(integral, width, d)
-    inverse = linalg.inverse(linalg.mat(rows[i] for i in basis))
-    columns = [linalg._integral(column, d) for column in zip(*inverse)]
+    columns = [primitive(column, d) for column in zip(*inverse([rows[i] for i in basis]))]
     assert rays == [column if d is None else _pair_ray(column, d) for column in columns]
 
 
@@ -491,7 +499,7 @@ def _assert_insertions_match_unpruned(points, n):
     which is why no ray can be left out of the third-ray scan for having
     too few.  Returns the number of rays seen."""
     width = n + 1
-    vectors, _, d = linalg.integral_rows(points)
+    vectors, _, d = linalg.integral_rows(points, linalg.radicand(points))
     rows = [(linalg.ring(d).one,) + v for v in vectors]
     basis, start = _first_simplex(rows, width, d)
     all_bits = sum(1 << i for i in basis)

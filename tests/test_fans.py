@@ -16,7 +16,8 @@ from polyfan.fans import (
     face_fan,
     support_function,
 )
-from polyfan.polytopes import Polytope, PolytopeError, cross_polytope, cube, random_cs, simplex
+from polyfan.polytopes import Polytope, PolytopeError, cross_polytope, cube, product, random_cs, simplex
+from polyfan.scalars import Quadratic
 
 from oracles import (
     bitset,
@@ -26,6 +27,7 @@ from oracles import (
     down_sets_by_scan,
     faces_below,
     from_simplicial_cones,
+    inverse,
     rref,
     scalar,
     subfan,
@@ -204,7 +206,7 @@ def test_cone_basis_equals_the_dense_oracle(quadratic_image):
                 assert n > 0 and row[p] == (n if d is None else (n, 0))
                 assert all(row[o] == zero for o in pivots if o != p)
                 reduced.append(tuple(scalar(x, n, d) for x in row))
-            assert (tuple(reduced), pivots) == rref(fan.rays_of(cid)), (name, cid)
+            assert (tuple(reduced), pivots) == rref([fan.rays[r] for r in fan.cones[cid].ray_ids]), (name, cid)
 
 
 class TestQuotientFan:
@@ -240,6 +242,31 @@ class TestQuotientFan:
         assert set(q.cones) == faces_below(fan, sigma)
         for cid in q.cones:
             assert q.cones[cid].dim == fan.cones[cid].dim
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "name, p",
+        [("cube3", cube(3)), ("cross3", cross_polytope(3)), ("cube2-x-cross2", product(cube(2), cross_polytope(2)))],
+    )
+    def test_quotients_of_quadratic_images(self, name, p, d, quadratic_image):
+        """The quotient fan of every maximal cone of a Q(sqrt d) shear
+        image is complete, keeps the cone's proper faces with their ids,
+        dimensions and down-sets, and has its rays in Q(sqrt d), some of
+        them irrational."""
+        fan = face_fan(quadratic_image(p, d))
+        assert fan.radicand == d
+        radicands = set()
+        for sigma in fan.maximal_ids:
+            q = fan.quotient_fan(sigma)
+            assert q.ambient_dim == fan.cones[sigma].dim - 1
+            assert q.is_complete()
+            assert set(q.cones) == faces_below(fan, sigma)
+            assert all(q.cones[c] == fan.cones[c] and q.down[c] == fan.down[c] for c in q.cones)
+            assert set(q.rays) == set(fan.cones[sigma].ray_ids)
+            radicands.add(q.radicand)
+            for ray in q.rays.values():
+                assert all(type(x) is Fraction or (type(x) is Quadratic and x.d == d and x.b) for x in ray)
+        assert d in radicands and radicands <= {None, d}
 
 
 class TestSymmetry:
@@ -292,7 +319,7 @@ class TestSupportFunction:
         s = support_function(p, fan)
         # The cone over conv(e1, e2) carries the functional (-1, -1).
         for cid in fan.maximal_ids:
-            rays = fan.rays_of(cid)
+            rays = [fan.rays[r] for r in fan.cones[cid].ray_ids]
             if (F(1), F(0)) in rays and (F(0), F(1)) in rays:
                 assert s.covectors[cid] == (F(-1), F(-1))
 
@@ -300,10 +327,10 @@ class TestSupportFunction:
         p = cube(3)
         fan = face_fan(p)
         s = support_function(p, fan)
-        doubled = Polytope(tuple(linalg.vec_scale(F(2), v) for v in p.vertices))
+        doubled = Polytope(tuple(tuple(2 * x for x in v) for v in p.vertices))
         s2 = support_function(doubled, face_fan(doubled))
         for cid, u in s.covectors.items():
-            assert s2.covectors[cid] == linalg.vec_scale(Fraction(1, 2), u)
+            assert s2.covectors[cid] == tuple(x / 2 for x in u)
 
     def test_phi_invariance_on_cs(self):
         for p in (cube(3), cross_polytope(2), nonrational_cs_polytope()):
@@ -352,6 +379,43 @@ class TestSupportFunction:
                 ConewiseLinear(fan, moved)
 
 
+class TestQuadraticCovectorsOnARationalFan:
+    """A rational fan with Q(sqrt 2) covectors: the rays are promoted to
+    integer pairs, and the agreement and strict concavity checks run on
+    the pairs."""
+
+    R2 = Quadratic(0, 1, 2)
+
+    def scaled(self, factor):
+        """The face fan of the square and its support function's
+        covectors times ``factor``."""
+        p = cube(2)
+        fan = face_fan(p)
+        covectors = support_function(p, fan).covectors
+        return fan, {cid: tuple(factor * x for x in u) for cid, u in covectors.items()}
+
+    def test_support_function_times_a_positive_unit_is_strictly_concave(self):
+        fan, covectors = self.scaled(1 + self.R2)
+        cl = ConewiseLinear(fan, covectors)
+        ring, rays, _ = cl._integral
+        assert fan.radicand is None and ring.d == 2
+        assert all(type(x) is tuple for ray in rays.values() for x in ray)
+        _check_strictly_concave(cl)
+
+    def test_support_function_times_a_negative_unit_is_rejected(self):
+        fan, covectors = self.scaled(-1 - self.R2)
+        with pytest.raises(FanError, match="^support function is not strictly concave$"):
+            _check_strictly_concave(ConewiseLinear(fan, covectors))
+
+    def test_moved_piece_is_rejected(self):
+        fan, covectors = self.scaled(1 + self.R2)
+        cid = fan.maximal_ids[0]
+        ray = fan.rays[fan.cones[cid].ray_ids[0]]
+        moved = {**covectors, cid: tuple(u + self.R2 * x for u, x in zip(covectors[cid], ray))}
+        with pytest.raises(FanError, match="conewise values disagree on a shared face"):
+            ConewiseLinear(fan, moved)
+
+
 def _from_ray_values(fan, values: dict) -> ConewiseLinear:
     """The conewise linear function on a simplicial fan of the plane with
     the given values at the rays: on each maximal cone, the covector u
@@ -359,8 +423,7 @@ def _from_ray_values(fan, values: dict) -> ConewiseLinear:
     covectors = {}
     for cid in fan.maximal_ids:
         rays = fan.cones[cid].ray_ids
-        inverse = linalg.inverse(linalg.mat([fan.rays[r] for r in rays]))
-        covectors[cid] = linalg.mat_vec(inverse, tuple(values[r] for r in rays))
+        covectors[cid] = linalg.mat_vec(inverse([fan.rays[r] for r in rays]), tuple(values[r] for r in rays))
     return ConewiseLinear(fan, covectors)
 
 
@@ -382,7 +445,8 @@ class TestStrictConcavity:
     def test_negated_support_function_is_rejected(self, d, quadratic_image):
         p = self.square(d, quadratic_image)
         fan = face_fan(p)
-        negated = support_function(p, fan).scale(-1)
+        support = support_function(p, fan)
+        negated = ConewiseLinear(fan, {cid: tuple(-x for x in u) for cid, u in support.covectors.items()})
         with pytest.raises(FanError, match="^support function is not strictly concave$"):
             _check_strictly_concave(negated)
 

@@ -796,13 +796,15 @@ UNCALLED_ALLOWED = {
 }
 
 
-def _references(node) -> Counter:
-    """How often each name is read under an AST node, as a name or as an
-    attribute."""
+def _references(node, method: bool = False) -> Counter:
+    """How often each name is read under an AST node as an attribute
+    (``.name``), and, unless it names a ``method``, as a bare name: a
+    method is reached through an attribute, so a local variable of the
+    same name is no reference to it."""
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
+        n.attr if isinstance(n, ast.Attribute) else n.id
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and not method)
     )
 
 
@@ -820,23 +822,30 @@ def _definitions(tree):
 
 def test_every_function_is_referenced_in_the_package():
     """Every top-level function and every non-dunder method of the
-    package is referenced in the package outside its own definition.
-    Exempt are the entry points that pyproject.toml names, the package's
-    ``__all__``, every name that the benchmark in perfbench/ uses (read
-    now, so the exemption shrinks with the benchmark), and
-    UNCALLED_ALLOWED."""
+    package is referenced in the package outside its own definition, a
+    method through attribute access.  Exempt are the entry points that
+    pyproject.toml names, the package's ``__all__``, every name that the
+    benchmark in perfbench/ uses (read now, so the exemption shrinks with
+    the benchmark; a method as an attribute or as the quoted name that
+    its tracer wraps), and UNCALLED_ALLOWED."""
     root = PACKAGE.parent.parent
     trees = {source.name: ast.parse(source.read_text()) for source in sorted(PACKAGE.glob("*.py"))}
-    references = sum((_references(tree) for tree in trees.values()), Counter())
+    references = {
+        method: sum((_references(tree, method) for tree in trees.values()), Counter())
+        for method in (False, True)
+    }
     entry_points = set(re.findall(r':(\w+)"', (root / "pyproject.toml").read_text()))
     benchmark = "\n".join(p.read_text() for p in sorted((root / "perfbench").glob("*.py")))
     exempt = entry_points | set(polyfan.__all__) | set(UNCALLED_ALLOWED)
-    uncalled = [
-        f"{name}:{qualified}"
-        for name, tree in trees.items()
-        for qualified, node in _definitions(tree)
-        if references[node.name] == _references(node)[node.name]
-        and qualified not in exempt
-        and not re.search(rf"\b{node.name}\b", benchmark)
-    ]
+    uncalled = []
+    for name, tree in trees.items():
+        for qualified, node in _definitions(tree):
+            method = "." in qualified
+            used = rf"\.{node.name}\b|\"{node.name}\"" if method else rf"\b{node.name}\b"
+            if (
+                references[method][node.name] == _references(node, method)[node.name]
+                and qualified not in exempt
+                and not re.search(used, benchmark)
+            ):
+                uncalled.append(f"{name}:{qualified}")
     assert uncalled == []

@@ -82,10 +82,6 @@ class TestRefinedSeries:
         s = RefinedSeries((1, 0, 2, 0, 3), (0, 1))
         assert s.truncate_at(2) == RefinedSeries((1, 0, 2), (0, 1))
 
-    def test_total_forgets_grading(self):
-        s = RefinedSeries((1, 0, 4), (0, 0, 1))
-        assert s.total() == (1, 0, 5)
-
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
 
