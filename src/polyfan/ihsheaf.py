@@ -161,10 +161,8 @@ class MinimalExtensionSheaf:
         )
         self._layout: dict = {}
         self._restr: dict = {}
-        self._sections: dict = {}
         self._substitutions: dict = {}
         self._memos: dict = {}
-        self._quotients: dict = {}
         self._global: dict = {}
         self._tables: dict = {}
 
@@ -217,11 +215,13 @@ class MinimalExtensionSheaf:
             pieces.append((form, src[p] if d is None else src[p][0]))
         return linalg.common_scale(pieces, d)
 
-    def ambient_forms(self, cone_id: int) -> tuple:
-        """Restrictions of the ambient coordinate functions to the span of
-        a nonzero cone, as integral covectors in its coordinates: the
-        columns of its rows."""
-        return tuple(zip(*self.fan.cone_basis(cone_id)[0]))
+    def coordinate_forms(self, cones: tuple, coordinates) -> list:
+        """The coordinate functions x_j, j in ``coordinates``, on the given
+        nonzero cones, as the forms of a :meth:`quotient`: per j, the
+        integral covectors of the cones in their coordinates laid end to
+        end, x_j being sum_t y_t R_t[j] on a cone."""
+        bases = [self.fan.cone_basis(c)[0] for c in cones]
+        return [[row[j] for rows in bases for row in rows] for j in coordinates]
 
     # -- restriction matrices ----------------------------------------------
 
@@ -325,10 +325,6 @@ class MinimalExtensionSheaf:
         each wall row of the fan is folded onto the representatives'
         columns, and of each antipodal pair of walls one is kept.
         """
-        key = (max_ids, q, parity)
-        cached = self._sections.get(key)
-        if cached is not None:
-            return cached
         fan = self.fan
         offsets, total = self.section_layout(max_ids, q)
         # Per cone: its column offset and, for a folded antipode, which
@@ -376,8 +372,7 @@ class MinimalExtensionSheaf:
                             continue
                     row[c] = v
                 rows.append(row)
-        cached = self._sections[key] = linalg.integral_kernel(rows, total, ring.d)
-        return cached
+        return linalg.integral_kernel(rows, total, ring.d)
 
     # -- quotients modulo the maximal ideal -----------------------------------
 
@@ -390,54 +385,48 @@ class MinimalExtensionSheaf:
         cones = [c for c in fan.cones if fan.facets_of(c) == max_ids]
         return f"cone {min(cones)}" if cones else "global sections"
 
-    def quotient(self, max_ids: tuple, q: int, forms, parity: int | None = None) -> dict:
+    def quotient(self, max_ids: tuple, q: int, forms, below, parity: int | None = None) -> dict:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, the integral
         covectors of the cones of ``max_ids`` in their coordinates, laid
-        end to end): the :class:`linalg.Kernel` of :meth:`section_space`
-        as ``sections``, the products of the degree q - 2 sections with
-        the forms as ``m_rows``, the stored rows of their elimination in
-        basis coordinates (pivot basis index -> integral row with a
-        positive integer there and 0 at the other pivots), and
-        ``complement`` (basis index -> quotient coordinate, ascending)
-        for the basis vectors that represent the quotient.  With a
-        ``parity`` the sections are that half and the products are taken
-        from the other half, for odd forms.  Built once per (max_ids, q,
-        parity): the maximal cones fix the forms."""
-        key = (max_ids, q, parity)
-        cached = self._quotients.get(key)
-        if cached is None:
-            sections = self.section_space(max_ids, q, parity)
-            m_rows = {}
-            if q >= 2:
-                m_rows = linalg.products_rref(
-                    self.section_space(max_ids, q - 2, None if parity is None else -parity),
-                    sections,
-                    self._product_table(max_ids, q - 2),
-                    forms,
-                )
-                if m_rows is None:
-                    where = f"{self._cone_set(max_ids, parity)}, degree {q}"
-                    raise SheafError(f"{where}: a product is not a section (failed exact membership check)")
-            complement = (i for i in range(len(sections.free_cols)) if i not in m_rows)
-            cached = {
-                "sections": sections,
-                "m_rows": m_rows,
-                "complement": {i: k for k, i in enumerate(complement)},
-            }
-            self._quotients[key] = cached
-        return cached
+        end to end, as :meth:`coordinate_forms` gives them): the
+        :class:`linalg.Kernel` of :meth:`section_space` as ``sections``,
+        the products of ``below``, the section space at degree q - 2
+        (None at degree 0), with the forms as ``m_rows``, the stored rows
+        of their elimination in basis coordinates (pivot basis index ->
+        integral row with a positive integer there and 0 at the other
+        pivots), and ``complement`` (basis index -> quotient coordinate,
+        ascending) for the basis vectors that represent the quotient.
+        With a ``parity`` the sections are that half and ``below`` is the
+        other half, for odd forms.  Nothing is kept: the construction
+        carries each degree's sections to the next, and
+        :meth:`global_data` keeps the global quotients."""
+        sections = self.section_space(max_ids, q, parity)
+        m_rows = {}
+        if q >= 2:
+            m_rows = linalg.products_rref(below, sections, self._product_table(max_ids, q - 2), forms)
+            if m_rows is None:
+                where = f"{self._cone_set(max_ids, parity)}, degree {q}"
+                raise SheafError(f"{where}: a product is not a section (failed exact membership check)")
+        complement = (i for i in range(len(sections.free_cols)) if i not in m_rows)
+        return {
+            "sections": sections,
+            "m_rows": m_rows,
+            "complement": {i: k for k, i in enumerate(complement)},
+        }
 
     def global_data(self, q: int) -> dict:
         """Per parity, the :meth:`quotient` of that half of the global
         sections at degree q, over the representatives, by the ambient
-        maximal ideal, whose coordinate functions are odd."""
+        maximal ideal, whose coordinate functions are odd: its products
+        come from the other half at q - 2.  Kept per degree."""
         cached = self._global.get(q)
         if cached is None:
             reps = self.representatives
-            by_cone = [self.ambient_forms(c) for c in reps]
-            forms = [[x for piece in pieces for x in piece] for pieces in zip(*by_cone)]
-            cached = self._global[q] = {p: self.quotient(reps, q, forms, p) for p in self.parities}
+            forms = self.coordinate_forms(reps, range(self.fan.ambient_dim))
+            below = self.global_data(q - 2) if q >= 2 else {}
+            other = {p: below[None if p is None else -p]["sections"] if below else None for p in self.parities}
+            cached = self._global[q] = {p: self.quotient(reps, q, forms, other[p], p) for p in self.parities}
         return cached
 
     def _product_table(self, max_ids: tuple, q: int) -> dict:
@@ -446,7 +435,7 @@ class MinimalExtensionSheaf:
         :func:`linalg.products_rref`: section coordinate c -> (t, k) per
         variable x_j of its cone, for the coordinate t of x_j times its
         monomial and the index k of the form's coefficient of x_j among
-        the covectors laid end to end.  The tables over the
+        the covectors laid end to end.  Only the tables over the
         representatives are kept: both halves' quotients at q + 2 and the
         Lefschetz maps at q read the same one."""
         shared = max_ids == self.representatives
@@ -540,31 +529,23 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     return mes
 
 
-def _boundary_forms(mes: MinimalExtensionSheaf, sid: int) -> list:
-    """The linear functions of a cone's span on its boundary fan, for the
-    :meth:`MinimalExtensionSheaf.quotient` of the sections there: per
-    variable, at pivot p, the integral covectors of the facets laid end
-    to end, for d_p times the variable, x_p, which is sum_t y_t R_t[p] on
-    a facet."""
-    fan = mes.fan
-    facet_rows = [row for f in fan.facets_of(sid) for row in fan.cone_basis(f)[0]]
-    return [[row[p] for row in facet_rows] for p in fan.cone_basis(sid)[1]]
-
-
 def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     fan = mes.fan
     facets = fan.facets_of(sid)
     gen_degrees = []
     lifts = []  # (degree, integral boundary section vector)
-    forms = _boundary_forms(mes, sid)
+    # The cone's variables on its boundary: at pivot p, d_p times the
+    # variable is the coordinate x_p.
+    forms = mes.coordinate_forms(facets, fan.cone_basis(sid)[1])
+    below = None
     for q in range(0, mes.cap + 1, 2):
-        data = mes.quotient(facets, q, forms)
+        data = mes.quotient(facets, q, forms, below)
         if data["complement"] and q == mes.cap:
             raise DegreeCapError(
                 f"cone {sid}: quotient of boundary sections is nonzero at the "
                 f"degree cap {mes.cap}; raise the cap to certify generators"
             )
-        sections = data["sections"]
+        below = sections = data["sections"]
         for f, i in sections.free_cols.items():
             if i in data["complement"]:
                 gen_degrees.append(q)
@@ -821,9 +802,11 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
             continue
         facets = fan.facets_of(cid)
         module = mes.modules[cid]
-        forms = _boundary_forms(mes, cid)
+        forms = mes.coordinate_forms(facets, fan.cone_basis(cid)[1])
+        below = None
         for q in range(0, mes.cap + 1, 2):
-            data = mes.quotient(facets, q, forms)
+            data = mes.quotient(facets, q, forms, below)
+            below = data["sections"]
             gen_ids = [i for i, d in enumerate(module.gen_degrees) if d == q]
             if len(gen_ids) != len(data["complement"]):
                 return False

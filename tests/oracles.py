@@ -19,12 +19,15 @@ basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
 elimination here, as is a dense inverse.  Vectors of scalars are
 cleared of denominators, or made primitive, by Fraction arithmetic here,
-not by the package's :func:`linalg.integral_rows`.  Scalar coordinates
-of a vector in a kernel's basis come from the package's integral
-membership test, and the scalar basis vectors of a kernel are read off
-its stored columns.  Explicit fans (subfans, fans from simplicial cone
-lists) build test inputs; they keep their down-sets and cone rays as id
-sets and hand :class:`Fan` and :class:`Cone` the bitsets.
+not by the package's :func:`linalg.integral_rows`, and the unpruned facet
+insertion takes its side tests and combined rays over Q(sqrt d) in
+Quadratic arithmetic, not by the package's integer pair steps.  Scalar
+coordinates of a vector in a kernel's basis come from the package's
+integral membership test, and the scalar basis vectors of a kernel are
+read off its stored columns.  Explicit fans (subfans, fans from
+simplicial cone lists) build test inputs; they keep their down-sets and
+cone rays as id sets and hand :class:`Fan` and :class:`Cone` the
+bitsets.
 """
 
 from __future__ import annotations
@@ -43,14 +46,11 @@ from polyfan.polytopes import (
     Polytope,
     PolytopeError,
     _facets,
-    _pair_combination,
-    _pair_dot,
-    _pair_ray,
     _validate_lattice,
     mask_bits,
     random_cs,
 )
-from polyfan.scalars import Quadratic, quadratic_sign, sign
+from polyfan.scalars import Quadratic, sign
 
 
 def _field(x):
@@ -152,6 +152,16 @@ def primitive(values, d=None) -> list:
     return [x // g for x in ints] if d is None else [(x // g, y // g) for x, y in ints]
 
 
+def canonical_ray(values, d=None) -> list:
+    """The one exact ray of a nonzero vector of scalars over Q or
+    Q(sqrt d): the positive multiple with a rational first nonzero entry
+    and content 1, the :func:`primitive` vector of the values divided by
+    the absolute value of that entry."""
+    lead = next(x for x in values if x != 0)
+    size = lead if sign(lead) > 0 else -lead
+    return primitive([_field(x) / size for x in values], d)
+
+
 def kernel_basis(rows, ncols: int | None = None) -> tuple:
     """Basis of {x : rows x = 0} over ``ncols`` columns (the row length
     by default): per free column, ascending, the vector with 1 there, 0
@@ -241,20 +251,23 @@ def brute_force_faces(vertices) -> dict:
     return faces
 
 
+def _field_vector(y, d) -> list:
+    """An integral vector as field scalars: ints stay, and an integer
+    pair (a, b) over Q(sqrt d) becomes the Quadratic a + b sqrt d."""
+    return list(y) if d is None else [Quadratic(a, b, d) for a, b in y]
+
+
 def insert_row_unpruned(rays, row, bit: int, width: int, d) -> list:
     """:func:`polytopes._insert_row` as it was before its integer steps
-    were tuned: the side test by a generator of products, the third-ray
-    scan over every zero set, and each combined integer ray made
-    primitive by :func:`primitive`.  The differential tests
-    compare the package's insertion with it after every row."""
+    were tuned, on field scalars: the side test by a generator of
+    products, the third-ray scan over every zero set, and each combined
+    ray sp q - sq p given by its :func:`canonical_ray`.  The differential
+    tests compare the package's insertion with it after every row."""
+    row = _field_vector(row, d)
     kept, pos, neg = [], [], []
     for y, zeros in rays:
-        if d is None:
-            s = sum(a * b for a, b in zip(row, y))
-            side = (s > 0) - (s < 0)
-        else:
-            s = _pair_dot(row, y, d)
-            side = quadratic_sign(*s, d)
+        s = sum((a * b for a, b in zip(row, _field_vector(y, d))), 0)
+        side = sign(s)
         if side > 0:
             kept.append((y, zeros))
             pos.append((y, zeros, s))
@@ -272,11 +285,8 @@ def insert_row_unpruned(rays, row, bit: int, width: int, d) -> list:
                 continue
             if any(z & common == common and z != zp and z != zq for z in zero_sets):
                 continue
-            if d is None:
-                y = primitive([sp * b - sq * a for a, b in zip(p, q)])
-            else:
-                y = _pair_ray(_pair_combination(p, q, sp, sq, d), d)
-            kept.append((y, common | bit))
+            combination = [sp * b - sq * a for a, b in zip(_field_vector(p, d), _field_vector(q, d))]
+            kept.append((canonical_ray(combination, d), common | bit))
     return kept
 
 
@@ -588,10 +598,15 @@ def multiply_conewise(mes, max_ids, q: int, vec: dict, covectors) -> dict:
 
 def full_quotient(mes, q: int) -> dict:
     """The sheaf's quotient of all global sections at degree q by the
-    ambient maximal ideal, over every maximal cone with no fold."""
-    max_ids = mes.fan.maximal_ids
-    forms = [[x for cid in max_ids for x in mes.ambient_forms(cid)[j]] for j in range(mes.fan.ambient_dim)]
-    return mes.quotient(max_ids, q, forms)
+    ambient maximal ideal, over every maximal cone with no fold: the
+    coordinate function x_j is row[j] on each stored row of a cone's
+    :meth:`Fan.cone_basis`, and the products come from the sections over
+    every maximal cone at q - 2."""
+    fan = mes.fan
+    max_ids = fan.maximal_ids
+    forms = [[row[j] for cid in max_ids for row in fan.cone_basis(cid)[0]] for j in range(fan.ambient_dim)]
+    below = mes.section_space(max_ids, q - 2) if q >= 2 else None
+    return mes.quotient(max_ids, q, forms, below)
 
 
 def scalar(x, n: int, d):

@@ -165,6 +165,39 @@ def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
         assert 2 * width == mes.section_layout(max_ids, q)[1]
 
 
+@pytest.mark.parametrize("name", ["cube-3", "sqrt2-cube-3"])
+def test_ih_report_builds_each_degree_once(name, quadratic_image, monkeypatch):
+    """The sheaf keeps no section space, so its loops carry each degree's
+    sections to the next: during ih_report each half of the global
+    sections is built once per degree and each constructed cone's
+    boundary once per degree.  Only the zero cone's boundary, which all
+    rays share, is built again: once per constructed ray and degree."""
+    builds, constructed = Counter(), []
+    section_space, construct = ihsheaf.MinimalExtensionSheaf.section_space, ihsheaf._construct_module
+
+    def space(mes, max_ids, q, parity=None):
+        builds[max_ids, q, parity] += 1
+        return section_space(mes, max_ids, q, parity)
+
+    def module(mes, sid):
+        constructed.append(sid)
+        return construct(mes, sid)
+
+    monkeypatch.setattr(ihsheaf.MinimalExtensionSheaf, "section_space", space)
+    monkeypatch.setattr(ihsheaf, "_construct_module", module)
+    a = Analysis(cube(3) if name == "cube-3" else quadratic_image(cube(3), 2))
+    assert all(ih_report(a, Field.rational() if a.fan.radicand is None else Field.quadratic(2))["checks"].values())
+    fan, mes = a.fan, a.sheaf
+    degrees = range(0, mes.cap + 1, 2)
+    rays = sum(fan.cones[sid].dim == 1 for sid in constructed)
+    expected = Counter({(mes.representatives, q, p): 1 for q in degrees for p in (1, -1)})
+    for sid in constructed:
+        facets = fan.facets_of(sid)
+        for q in degrees:
+            expected[facets, q, None] = rays if facets == (fan.zero_id,) else 1
+    assert rays > 1 and builds == expected
+
+
 @pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])
 def test_ih_report_builds_no_scalar(name, quadratic_image, count_scalars, monkeypatch):
     """Once the face fan and the support function are built, ih_report,

@@ -26,7 +26,6 @@ from polyfan.polytopes import (
     _first_simplex,
     _insert_row,
     _maximal_proper,
-    _pair_ray,
     cross_polytope,
     cube,
     free_sum,
@@ -42,10 +41,10 @@ from polyfan.scalars import Field, Quadratic, sign
 from oracles import (
     _solve_hyperplane,
     brute_force_facets,
+    canonical_ray,
     down_sets_by_scan,
     insert_row_unpruned,
     inverse,
-    primitive,
     rank,
     scalar,
 )
@@ -250,12 +249,11 @@ def test_start_rays_are_the_primitive_columns_of_the_inverse(system):
     """The rays of the first simplex B, read off the elimination of
     [rows^T | I], are the columns of the dense inverse of B made
     primitive (and over Q(sqrt d) given a rational lead, as every ray
-    is)."""
+    is): their :func:`canonical_ray`."""
     width, rows = system
     integral, _, d = linalg.integral_rows(rows, linalg.radicand(rows))
     basis, rays = _first_simplex(integral, width, d)
-    columns = [primitive(column, d) for column in zip(*inverse([rows[i] for i in basis]))]
-    assert rays == [column if d is None else _pair_ray(column, d) for column in columns]
+    assert rays == [canonical_ray(column, d) for column in zip(*inverse([rows[i] for i in basis]))]
 
 
 SUMMANDS = (cube(1), cube(2), cross_polytope(2), simplex(2), simplex(3), nonsimplicial_cs_3polytope())

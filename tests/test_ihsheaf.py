@@ -247,14 +247,16 @@ class TestReflection:
             oracles.eigen_dims(shear)
 
     def test_product_leaving_its_half_is_rejected(self, monkeypatch):
-        # A scratch kernel of E^- at degree 4 on cube(3), folded with the
-        # sign of one coordinate of the last representative's antipode
-        # flipped, is smaller than the minus half: some product of the
-        # plus half at degree 2 with a coordinate function leaves it, and
-        # the quotient's membership check refuses it.
+        # A kernel of E^- at degree 4 on cube(3), folded with the sign of
+        # one coordinate of the last representative's antipode flipped, is
+        # smaller than the minus half: some product of the other half at
+        # degree 2 with a coordinate function leaves the degree-4 half so
+        # folded, and the quotient's membership check refuses it.  The
+        # sheaf keeps no section space, so the flip stays in place while
+        # the global quotients are built.
         mes = build_mes(face_fan(cube(3)), 8)
         reps = mes.representatives
-        half = len(build_mes(mes.fan, 8).section_space(reps, 4, -1).free_cols)
+        half = len(mes.section_space(reps, 4, -1).free_cols)
         odd_coordinates = type(mes).odd_coordinates
 
         def flipped(self, cone_id, q):
@@ -263,7 +265,6 @@ class TestReflection:
 
         monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
         assert len(mes.section_space(reps, 4, -1).free_cols) < half
-        monkeypatch.undo()
         with pytest.raises(SheafError, match=r"^global half [+-]1, degree 4: a product is not a section"):
             mes.global_data(4)
 
