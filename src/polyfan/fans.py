@@ -7,15 +7,16 @@ proper faces an int bitset over cone ids.  A fan converts its rays to
 integers once, by :func:`linalg.integral_rows` (ints over Q, integer
 pairs over Q(sqrt d)); its field, its antipodes, its cone bases and its
 quotient fans read those rows.  The face fan of a polytope, quotient
-fans of cones, completeness and central symmetry live here, together
-with conewise-linear support functions, which convert their rays and
-covectors the same way.
+fans of cones, completeness, central symmetry and the linear
+automorphisms of a fan live here, together with conewise-linear support
+functions, which convert their rays and covectors the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import prod
 from operator import or_
 from typing import NamedTuple
 
@@ -25,6 +26,29 @@ from .polytopes import Polytope, mask_bits
 
 class FanError(ValueError):
     pass
+
+
+# The most partial ray maps the symmetry search may extend; a fan that
+# needs more gets no symmetries, and its sheaf is built as without them.
+SYMMETRY_NODES = 10_000
+
+
+class _OverBudget(Exception):
+    pass
+
+
+class Symmetries(NamedTuple):
+    """The linear automorphisms of a fan found by :attr:`Fan.symmetries`.
+    ``generators`` are ray permutations (ray id -> ray id) that generate
+    the group.  ``orbit_sizes`` holds, per ray of the search's base, the
+    size of its orbit under the maps that fix the base rays before it,
+    so the group's order is their product.  ``origin`` maps each cone id
+    to the least cone r of its orbit and a ray permutation g of the
+    group with g r = the cone (the identity on r)."""
+
+    generators: tuple
+    orbit_sizes: tuple
+    origin: dict
 
 
 class Cone(NamedTuple):
@@ -151,7 +175,12 @@ class Fan:
     # -- structural predicates ------------------------------------------
 
     def is_complete(self) -> bool:
-        """Whether the cones cover the whole ambient space.
+        """Whether the cones cover the whole ambient space."""
+        return self._complete
+
+    @cached_property
+    def _complete(self) -> bool:
+        """:meth:`is_complete`, decided once: a fan does not change.
 
         Criterion: every maximal cone is full-dimensional, every cone of
         codimension one is a facet of exactly two maximal cones, and the
@@ -195,15 +224,177 @@ class Fan:
             raise FanError("fan is not centrally symmetric (missing ray)")
         ids = list(self.rays)
         ray_anti = {r: ids[j] for r, j in zip(ids, partner)}
-        cone_lookup = {c.mask: c.id for c in self.cones.values()}
+        cone_lookup = self._cone_of_mask
         mapping = {}
         for c in self.cones.values():
-            image = sum(1 << ray_anti[r] for r in c.ray_ids)
+            image = _permuted(c.mask, ray_anti)
             if image not in cone_lookup:
                 raise FanError("fan is not centrally symmetric (missing cone)")
             mapping[c.id] = cone_lookup[image]
         self._antipode = mapping
         return mapping
+
+    @cached_property
+    def _cone_of_mask(self) -> dict:
+        """Ray bitset -> the id of the cone with those rays."""
+        return {c.mask: c.id for c in self.cones.values()}
+
+    # -- linear automorphisms ----------------------------------------------
+
+    @cached_property
+    def symmetries(self) -> Symmetries | None:
+        """The group of linear maps that permute the rays and send cones to
+        cones, or None when the rays do not span, when the search extends
+        more than ``SYMMETRY_NODES`` partial maps, or when it finds no map
+        but the identity and the antipode.
+
+        A permutation of spanning rays comes from a linear map iff it keeps
+        Q = V^T (V V^T)^-1 V, V the rays as columns (Bremner, Dutour
+        Sikiric, Pasechnik, Rehn and Schuermann, "Computing symmetry groups
+        of polyhedra", 2014), which a linear image of the fan keeps too; Q
+        is taken on the integral rows, scaled to be integral.  The rays'
+        classes by their rows of Q are refined until stable.  A map is
+        fixed by the images of a base of rays, each in its ray's class and
+        keeping Q against the images before it; the rest is read off Q,
+        and each map found must send cones to cones.  Per base ray, one map
+        per point of its orbit under the maps that fix the rays before it
+        is kept (a strong generating set), so the group is never listed.
+        """
+        ids, rows, d = list(self.rays), self._integral[0], self.radicand
+        n, m = self.ambient_dim, len(rows)
+        ring = linalg.ring(d)
+        dot = ring.dot
+        columns = list(zip(*rows))
+        inverse = _inverse([[dot(a, b) for b in columns] for a in columns], d)
+        if inverse is None:
+            return None
+        wv = [tuple(dot(w, v) for w in inverse[0]) for v in rows]
+        diagonal = [dot(r, w) for r, w in zip(rows, wv)]
+        antipode = linalg.antipodes(self._integral)
+        # Q(-v, w) = -Q(v, w), so the classes never split an antipodal pair.
+        most = m // 2 if antipode else m
+        if len(set(diagonal)) == most:
+            # Each class is one ray or one antipodal pair, so a map sends
+            # each ray to itself or its negative.  Unless it is +-I it
+            # fixes a ray v and negates a ray w, and Q(v, w) = -Q(v, w) = 0.
+            half = [i for i in range(m) if antipode is None or i < antipode[i]]
+            if antipode is None or all(dot(rows[i], wv[j]) != ring.zero for i in half for j in half):
+                return None
+        q = [[dot(r, w) for w in wv] for r in rows]
+        color, count = diagonal, len(set(diagonal))
+        while count < most:
+            labels: dict = {}
+            refined = [labels.setdefault((color[i], tuple(sorted(zip(q[i], color)))), len(labels)) for i in range(m)]
+            if len(labels) == count:
+                break
+            color, count = refined, len(labels)
+        members: dict = {}
+        for i, c in enumerate(color):
+            members.setdefault(c, []).append(i)
+        # The base: the first rays that span, smallest classes first.
+        order = sorted(range(m), key=lambda i: (len(members[color[i]]), i))
+        base = [order[p] for p in sorted(linalg.stored_rows(list(zip(*(rows[i] for i in order))), d))]
+        masks = self._cone_of_mask
+        rays_of = {c.id: c.ray_ids for c in self.cones.values()}
+        nodes = 0
+
+        def fits(c, level, images) -> bool:
+            b = base[level]
+            return c not in images and all(q[c][x] == q[b][y] for x, y in zip(images, base))
+
+        def extend(images):
+            """A map of the group sending the base to ``images`` and on,
+            as ray positions, or None."""
+            nonlocal nodes
+            nodes += 1
+            if nodes > SYMMETRY_NODES:
+                raise _OverBudget
+            level = len(images)
+            if level < n:
+                for c in members[color[base[level]]]:
+                    if fits(c, level, images):
+                        found = extend(images + [c])
+                        if found:
+                            return found
+                return None
+            lookup = {tuple(q[j][c] for c in images): j for j in range(m)}
+            perm = [lookup.get(tuple(q[i][b] for b in base)) for i in range(m)]
+            if None in perm:
+                return None
+            image = dict(zip(ids, (ids[j] for j in perm)))
+            return perm if all(sum(1 << image[r] for r in rays) in masks for rays in rays_of.values()) else None
+
+        def orbit(point, maps) -> set:
+            seen, todo = {point}, [point]
+            for x in todo:
+                for g in maps:
+                    if g[x] not in seen:
+                        seen.add(g[x])
+                        todo.append(g[x])
+            return seen
+
+        found: list = []  # (level, map): the map fixes the base rays before level
+        sizes = []
+        try:
+            for level in reversed(range(n)):
+                acting = [g for k, g in found if k >= level]
+                reached, failed = orbit(base[level], acting), set()
+                for c in members[color[base[level]]]:
+                    if c in reached or c in failed or not fits(c, level, base[:level]):
+                        continue
+                    g = extend(base[:level] + [c])
+                    if g is None:
+                        failed |= orbit(c, acting)
+                    else:
+                        found.append((level, g))
+                        acting.append(g)
+                        reached = orbit(base[level], acting)
+                sizes.append(len(reached))
+        except _OverBudget:
+            return None
+        if prod(sizes) <= 2 and all(g == antipode for _, g in found):
+            return None
+        generators = tuple(dict(zip(ids, (ids[j] for j in g))) for _, g in found)
+        identity = dict(zip(ids, ids))
+        origin: dict = {}
+        for cid in sorted(self.cones, key=lambda c: (self.cones[c].dim, c)):
+            if cid in origin:
+                continue
+            origin[cid] = (cid, identity)
+            todo = [cid]
+            for c in todo:
+                element = origin[c][1]
+                for g in generators:
+                    image = masks[sum(1 << g[r] for r in rays_of[c])]
+                    if image not in origin:
+                        origin[image] = (cid, {r: g[s] for r, s in element.items()})
+                        todo.append(image)
+        return Symmetries(generators, tuple(reversed(sizes)), origin)
+
+    def cone_image(self, perm: dict, cone_id: int) -> int:
+        """The id of the cone whose rays are the images under a ray
+        permutation of :attr:`symmetries` of the rays of the given cone."""
+        return self._cone_of_mask[_permuted(self.cones[cone_id].mask, perm)]
+
+    def linear_map(self, perm: dict) -> tuple:
+        """(rows, n): the matrix of the linear map that sends each ray r to
+        perm[r], for a ray permutation of :attr:`symmetries`, as integral
+        rows over a positive integer n.  It is B' B^-1 for B the first
+        basis among the rays, as columns, and B' their images."""
+        base, inverse, n = self._ray_basis
+        dot = linalg.ring(self.radicand).dot
+        images = list(zip(*(self._ray_rows[perm[b]] for b in base)))
+        return tuple(tuple(dot(row, column) for column in zip(*inverse)) for row in images), n
+
+    @cached_property
+    def _ray_basis(self) -> tuple:
+        """(base, rows, n): the first rays that span the space, in ray
+        order (the pivots of the elimination of the rays as columns), and
+        the inverse of their matrix as integral rows over n."""
+        ids, rows = list(self.rays), self._integral[0]
+        pivots = sorted(linalg.stored_rows(list(zip(*rows)), self.radicand))
+        inverse = _inverse(list(zip(*(rows[p] for p in pivots))), self.radicand)
+        return (tuple(ids[p] for p in pivots), *inverse)
 
     # -- derived fans ----------------------------------------------------
 
@@ -240,6 +431,31 @@ class Fan:
         if any(len(fan.cone_basis(fid)[1]) != cone.dim for fid, cone in fan.cones.items()):
             raise FanError("projection did not preserve cone dimensions")
         return fan
+
+
+def _permuted(mask: int, perm: dict) -> int:
+    """A ray bitset with each ray r moved to perm[r]."""
+    return sum(1 << perm[r] for r in mask_bits(mask))
+
+
+def _inverse(matrix, d) -> tuple | None:
+    """(rows, n) for the inverse rows / n of a square integral matrix
+    (ints, or pairs over Q(sqrt d)), with n the least positive integer
+    that makes the rows integral, or None when the matrix is singular.
+    The stored rows of [matrix | I] (see :mod:`polyfan.linalg`) are
+    d_p (e_p | row p of the inverse)."""
+    k, ring = len(matrix), linalg.ring(d)
+    stored = linalg.stored_rows(
+        [tuple(row) + tuple(ring.one if j == i else ring.zero for j in range(k)) for i, row in enumerate(matrix)], d
+    )
+    if any(p not in stored for p in range(k)):
+        return None
+    pieces = [
+        ({j - k: x for j, x in stored[p].items() if j >= k}, stored[p][p] if d is None else stored[p][p][0])
+        for p in range(k)
+    ]
+    rows, n = linalg.common_scale(pieces, d)
+    return [tuple(row.get(j, ring.zero) for j in range(k)) for row in rows], n
 
 
 def face_fan(p: Polytope) -> Fan:

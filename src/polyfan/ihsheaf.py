@@ -4,9 +4,20 @@ For a fan the sheaf is built cone by cone over the skeleton: sections
 over a boundary fan are the equalizer of the facet restriction maps,
 their quotient modulo the degree-two maximal ideal picks the generator
 degrees of the next free module, and chosen homogeneous lifts define the
-new restriction maps.  On centrally symmetric fans one cone per
-antipodal pair is constructed and the other is transported through the
-point reflection.
+new restriction maps.  The minimal extension sheaf is unique up to
+isomorphism, so it commutes with the fan's linear automorphisms
+(Barthel-Brasselet-Fieseler-Kaup 2002, :attr:`Fan.symmetries`), and a
+cone need not be constructed when a cone of its orbit is built.  Of each
+antipodal pair the second cone is transported from the first through
+the point reflection, a substitution by -I, which keeps every module.
+The first is transported from the least cone of its orbit through a
+group element g when each proper face of both has one generator, in
+degree 0, with every image 1: such a face module is the same coordinate
+data under any linear map, so the images, taken from each face's
+cone-basis coordinates to its image's, define the module of the image
+cone.  Each cone transported through g is checked: its generator
+degrees against its own g-polynomial and its images for gluing across
+each ridge of its boundary.  Any other cone is constructed.
 
 The global sections are split by parity.  The reflection sends the
 block of a maximal cone sigma to the block of -sigma in the same
@@ -199,20 +210,28 @@ class MinimalExtensionSheaf:
         blocks = self.gen_blocks(cone_id, q)[0]
         return tuple((q - d) // 2 % 2 == 1 for _, d, _, count in blocks for _ in range(count))
 
-    def span_substitution_forms(self, src_id: int, tgt_id: int) -> tuple:
+    def span_substitution_forms(self, src_id: int, tgt_id: int, linear=None) -> tuple:
         """(forms, D): per source variable, the linear form it restricts to
         in the target cone's coordinates (the target must span a subspace
         of the source's span) is forms[i] / D, for integral sparse forms
         over the target variables and the least positive integer D.  The
         source variable of pivot p is x_p / d_p, and on the target x_p is
-        sum_t y_t R_t[p]."""
+        sum_t y_t R_t[p].  With ``linear``, the matrix (rows, n) of a
+        linear map that sends the target's span into the source's, each
+        form is the source variable composed with that map: x_p is then
+        sum_t y_t (rows R_t)[p] / n."""
         src_rows, src_pivots = self.fan.cone_basis(src_id)
         tgt_rows, _ = self.fan.cone_basis(tgt_id)
         d, zero = self.ring.d, self.ring.zero
+        n = 1
+        if linear is not None:
+            matrix, n = linear
+            dot = self.ring.dot
+            tgt_rows = [{p: dot(matrix[p], row) for p in src_pivots} for row in tgt_rows]
         pieces = []
         for src, p in zip(src_rows, src_pivots):
             form = {t: row[p] for t, row in enumerate(tgt_rows) if row[p] != zero}
-            pieces.append((form, src[p] if d is None else src[p][0]))
+            pieces.append((form, n * (src[p] if d is None else src[p][0])))
         return linalg.common_scale(pieces, d)
 
     def coordinate_forms(self, cones: tuple, coordinates) -> list:
@@ -279,16 +298,17 @@ class MinimalExtensionSheaf:
         self._restr[key] = cached
         return cached
 
-    def _substitution(self, src_id: int, tgt_id: int) -> tuple:
+    def _substitution(self, src_id: int, tgt_id: int, linear=None) -> tuple:
         """The :meth:`span_substitution_forms`, each form as its nonzero
         (target variable, coefficient) pairs, their denominator D, and
-        the memo of :func:`_substituted`, kept per target cone and source
-        pivots and pivot values, which fix the forms."""
+        the memo of :func:`_substituted`.  Without ``linear`` they are
+        kept per target cone and source pivots and pivot values, which
+        fix the forms."""
         rows, pivots = self.fan.cone_basis(src_id)
         key = (tgt_id, pivots, tuple(row[p] for row, p in zip(rows, pivots)))
-        cached = self._substitutions.get(key)
+        cached = None if linear else self._substitutions.get(key)
         if cached is None:
-            sparse, den = self.span_substitution_forms(src_id, tgt_id)
+            sparse, den = self.span_substitution_forms(src_id, tgt_id, linear)
             forms = tuple(tuple(form.items()) for form in sparse)
             width = self.nvars(tgt_id)
             # Equal forms share one memo: many pairs of cones restrict by
@@ -296,7 +316,9 @@ class MinimalExtensionSheaf:
             memo = self._memos.get(forms)
             if memo is None:
                 memo = self._memos[forms] = {(0,) * len(forms): (((0,) * width, self.ring.one),)}
-            cached = self._substitutions[key] = (forms, den, memo)
+            cached = (forms, den, memo)
+            if not linear:
+                self._substitutions[key] = cached
         return cached
 
     # -- section spaces -----------------------------------------------------
@@ -310,9 +332,17 @@ class MinimalExtensionSheaf:
         return tuple(offsets), total
 
     def section_space(self, max_ids: tuple, q: int, parity: int | None = None) -> linalg.Kernel:
-        """The :class:`linalg.Kernel` of the wall equations: the basis of
+        """The :class:`linalg.Kernel` of the :meth:`wall_rows`: the basis of
         compatible tuples over the given maximal cones, as sparse
-        vectors, with the rows that verify membership in it.
+        vectors, with the rows that verify membership in it."""
+        return linalg.integral_kernel(*self.wall_rows(max_ids, q, parity), self.ring.d)
+
+    def wall_rows(self, max_ids: tuple, q: int, parity: int | None = None) -> tuple:
+        """(rows, columns): the wall equations at degree q on tuples over
+        the given maximal cones, laid out by :meth:`section_layout`, as
+        integral sparse rows (per wall and target coordinate, the
+        restriction from one side minus the restriction from the other),
+        and the number of columns.
 
         Only codimension-one contacts are imposed.  That is complete for
         global sections of a complete fan and for boundary fans, where
@@ -372,20 +402,20 @@ class MinimalExtensionSheaf:
                             continue
                     row[c] = v
                 rows.append(row)
-        return linalg.integral_kernel(rows, total, ring.d)
+        return rows, total
 
     # -- quotients modulo the maximal ideal -----------------------------------
 
-    def _cone_set(self, max_ids: tuple, parity: int | None) -> str:
-        """The cones of a :meth:`quotient` for an error message: a half of the global
-        sections, or the first cone whose facets they are (all rays share one)."""
+    @staticmethod
+    def _cone_set(parity: int | None, cone: int | None = None) -> str:
+        """The sections of a :meth:`quotient` for an error message: a half
+        of the global sections, the boundary of the cone being built, or
+        the global sections."""
         if parity is not None:
             return f"global half {parity:+d}"
-        fan = self.fan
-        cones = [c for c in fan.cones if fan.facets_of(c) == max_ids]
-        return f"cone {min(cones)}" if cones else "global sections"
+        return "global sections" if cone is None else f"cone {cone}"
 
-    def quotient(self, max_ids: tuple, q: int, forms, below, parity: int | None = None) -> dict:
+    def quotient(self, max_ids: tuple, q: int, forms, below, parity: int | None = None, cone: int | None = None) -> dict:
         """Sections over the given maximal cones at degree q modulo the
         ideal generated by ``forms`` (per linear form, the integral
         covectors of the cones of ``max_ids`` in their coordinates, laid
@@ -398,7 +428,8 @@ class MinimalExtensionSheaf:
         pivots), and ``complement`` (basis index -> quotient coordinate,
         ascending) for the basis vectors that represent the quotient.
         With a ``parity`` the sections are that half and ``below`` is the
-        other half, for odd forms.  Nothing is kept: the construction
+        other half, for odd forms; ``cone`` names the cone whose boundary
+        the sections are in an error.  Nothing is kept: the construction
         carries each degree's sections to the next, and
         :meth:`global_data` keeps the global quotients."""
         sections = self.section_space(max_ids, q, parity)
@@ -406,7 +437,7 @@ class MinimalExtensionSheaf:
         if q >= 2:
             m_rows = linalg.products_rref(below, sections, self._product_table(max_ids, q - 2), forms)
             if m_rows is None:
-                where = f"{self._cone_set(max_ids, parity)}, degree {q}"
+                where = f"{self._cone_set(parity, cone)}, degree {q}"
                 raise SheafError(f"{where}: a product is not a section (failed exact membership check)")
         complement = (i for i in range(len(sections.free_cols)) if i not in m_rows)
         return {
@@ -477,7 +508,7 @@ class MinimalExtensionSheaf:
         for p in [c for c in res if c in m_rows]:
             eliminate(res, m_rows[p], p)
         if any(c in m_rows for c in res):
-            where = self._cone_set(self.representatives, parity)
+            where = self._cone_set(parity)
             raise SheafError(f"{where}, degree {q}: reduction modulo m failed to clear pivots")
         complement = data["complement"]
         return {complement[i]: x for i, x in res.items()}
@@ -498,8 +529,12 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     per doubling of the cap).
 
     Cones are processed by increasing dimension with deterministic lift
-    choices; on a centrally symmetric fan one cone per antipodal pair is
-    built and the partner transported through the point reflection.
+    choices.  The second cone of an antipodal pair is transported from the
+    first through the point reflection, and the first from the least cone
+    of its orbit under the fan's :attr:`Fan.symmetries` when the faces of
+    both are canonical (see the module docstring); any other cone is
+    constructed.  The construction's restriction matrices are dropped on
+    return: the global sections read only those of maximal cones to walls.
     """
     if cap is None:
         cap = 2 * (fan.dim + 1)
@@ -512,21 +547,54 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     if cap > 4 * (fan.dim + 1):
         raise DegreeCapError(f"degree cap {cap} exceeds {4 * (fan.dim + 1)}, twice the default")
     mes = MinimalExtensionSheaf(fan, cap)
+    ring, n = mes.ring, fan.ambient_dim
+    # The point reflection, as the matrix of its own inverse: -I over 1.
+    reflection = (tuple(tuple(ring.neg(ring.one) if i == j else ring.zero for j in range(n)) for i in range(n)), 1)
+    symmetries = fan.symmetries
+    one = ({0: ring.one},)
+    canonical = 0  # bitset of the cones with one degree-0 generator whose images are all 1
     order = sorted(
         fan.cone_ids(), key=lambda cid: (fan.cones[cid].dim, cid)
     )
     for cid in order:
         if cid in mes.modules:
             continue
-        if fan.cones[cid].dim == 0:
-            mes.modules[cid] = ConeModule(cid, (0,), {})
-            continue
         partner = mes.antipode.get(cid) if mes.antipode else None
-        if partner is not None and partner != cid and partner in mes.modules:
-            mes.modules[cid] = _transport_module(mes, partner, cid)
-            continue
-        mes.modules[cid] = _construct_module(mes, cid)
+        if fan.cones[cid].dim == 0:
+            module = ConeModule(cid, (0,), {})
+        elif partner is not None and partner != cid and partner in mes.modules:
+            # The reflection of a module that glues glues: no check.
+            module = _transport_module(mes, partner, cid, mes.antipode, reflection)
+        else:
+            module = None
+            if symmetries is not None:
+                module = _transport_in_orbit(mes, cid, *symmetries.origin[cid], canonical)
+            if module is None:
+                module = _construct_module(mes, cid)
+        mes.modules[cid] = module
+        if symmetries is not None and module.gen_degrees == (0,) and all(v == one for v in module.images.values()):
+            canonical |= 1 << cid
+    mes._restr.clear()
     return mes
+
+
+def _transport_in_orbit(mes: MinimalExtensionSheaf, sid: int, rep: int, element: dict, canonical: int):
+    """The module of a cone transported from the least cone ``rep`` of its
+    orbit through the group element g (a ray permutation) with g(rep) =
+    the cone, checked by :func:`_check_transported`; or None when the
+    cone is its orbit's least or when some proper face of the two cones
+    is not in the bitset ``canonical`` (one degree-0 generator whose
+    images are all 1)."""
+    fan = mes.fan
+    if rep == sid or (fan.down[rep] | fan.down[sid]) & ~canonical:
+        return None
+    # g^-1 is read only to substitute in images that are not constant,
+    # which a generator of positive degree has.
+    inverse = fan.linear_map({s: r for r, s in element.items()}) if any(mes.modules[rep].gen_degrees) else None
+    faces = {tau: fan.cone_image(element, tau) for tau in mask_bits(fan.down[rep])}
+    module = _transport_module(mes, rep, sid, faces, inverse)
+    _check_transported(mes, module, rep)
+    return module
 
 
 def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
@@ -539,7 +607,7 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     forms = mes.coordinate_forms(facets, fan.cone_basis(sid)[1])
     below = None
     for q in range(0, mes.cap + 1, 2):
-        data = mes.quotient(facets, q, forms, below)
+        data = mes.quotient(facets, q, forms, below, cone=sid)
         if data["complement"] and q == mes.cap:
             raise DegreeCapError(
                 f"cone {sid}: quotient of boundary sections is nonzero at the "
@@ -577,37 +645,87 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     return ConeModule(sid, tuple(gen_degrees), {tau: tuple(v) for tau, v in zip(proper, per_face)})
 
 
-def _check_generator_degrees(fan: Fan, sid: int, gen_degrees) -> None:
+def _check_generator_degrees(fan: Fan, sid: int, gen_degrees, origin: int | None = None) -> None:
     """The generators of E_sigma counted per degree 2k are the
     coefficients of g_sigma (Barthel-Brasselet-Fieseler-Kaup), so the
-    sheaf must agree with the g/h recursion on every constructed cone."""
+    sheaf must agree with the g/h recursion on every cone, constructed
+    or transported from the cone ``origin``."""
     expected = hvector.g_polynomial(fan, sid)
     found = trim([gen_degrees.count(q) for q in range(0, max(gen_degrees) + 1, 2)])
     if found != expected:
         k = next(k for k in range(len(found) + len(expected))
                  if coeff(found, k) != coeff(expected, k))
+        where = f"cone {sid}" if origin is None else f"cone {sid} (transported from cone {origin})"
         raise SheafError(
-            f"cone {sid}: {coeff(found, k)} generators in degree {2 * k}, but g "
+            f"{where}: {coeff(found, k)} generators in degree {2 * k}, but g "
             f"has coefficient {coeff(expected, k)} at x^{k} (g = {expected})"
         )
 
 
-def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int) -> ConeModule:
-    """Module of -sigma from the module of sigma: same generator degrees,
-    images twisted by the point reflection (sign (-1)^m on ordinary
-    degree-m polynomial coefficients; spans and adapted coordinates of
-    opposite cones coincide)."""
-    rep = mes.modules[rep_id]
-    anti = mes.antipode
-    neg = mes.ring.neg
-    images: dict = {}
+def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int, faces: dict, inverse) -> ConeModule:
+    """The module of the cone g(rep) = ``new_id`` from the module of a
+    built cone rep, for a linear automorphism g of the fan: the same
+    generator degrees and, on each face g(tau), the image on tau with the
+    variables of tau replaced by the forms they become on g(tau).
+    ``faces`` maps each proper face tau of rep to g(tau), whose module
+    must be the image of the module of tau under g; ``inverse`` is the
+    matrix (integral rows, n) of g^-1, read only for images that are not
+    constant.  A block of generator degree d_j in an image of degree q
+    holds monomials of degree k = (q - d_j) / 2, which the forms, over D,
+    make D^k times too large, so each block is scaled by D^(top - k) for
+    the largest k, and each generator by the least constant that makes
+    all of its images integral."""
+    rep, ring = mes.modules[rep_id], mes.ring
+    plus, times, zero = ring.add, ring.mul, ring.zero
+    per_generator = [[] for _ in rep.gen_degrees]
     for tau, vecs in rep.images.items():
-        twisted = []
-        for d, vec in zip(rep.gen_degrees, vecs):
-            odd = mes.odd_coordinates(tau, d)
-            twisted.append({c: neg(v) if odd[c] else v for c, v in vec.items()})
-        images[anti[tau]] = tuple(twisted)
-    return ConeModule(new_id, rep.gen_degrees, images)
+        nv, substitution = mes.nvars(tau), None
+        for pieces, q, vec in zip(per_generator, rep.gen_degrees, vecs):
+            blocks = [(off, count, (q - d) // 2) for _, d, off, count in mes.gen_blocks(tau, q)[0]] if q else ()
+            top = max((k for _, _, k in blocks), default=0)
+            if not top:
+                pieces.append((vec, 1))
+                continue
+            if substitution is None:
+                substitution = mes._substitution(tau, faces[tau], inverse)
+            forms, den, memo = substitution
+            out: dict = {}
+            for c, v in vec.items():
+                off, _, k = next(b for b in blocks if b[0] <= c < b[0] + b[1])
+                if top != k:
+                    v = ring.scale(den ** (top - k), v)
+                index = _monomial_index(nv, k)
+                for mono, x in _substituted(memo, forms, monomials(nv, k)[c - off], ring):
+                    t = off + index[mono]
+                    out[t] = plus(out.get(t, zero), times(x, v))
+            pieces.append(({t: x for t, x in out.items() if x != zero}, den**top))
+    scaled = [linalg.common_scale(pieces, ring.d)[0] for pieces in per_generator]
+    return ConeModule(new_id, rep.gen_degrees, {faces[tau]: images for tau, images in zip(rep.images, zip(*scaled))})
+
+
+def _check_transported(mes: MinimalExtensionSheaf, module: ConeModule, origin: int) -> None:
+    """A module transported through a group element: its generator
+    degrees follow the cone's own g; its degree-0 generator is the
+    constant 1, with every image {0: 1}, which glues on faces whose
+    modules are canonical; and the images on the facets of each other
+    generator glue: the wall rows of the boundary at the generator's
+    degree vanish on them.  No kernel is built."""
+    fan, sid = mes.fan, module.cone_id
+    _check_generator_degrees(fan, sid, module.gen_degrees, origin)
+    where = f"cone {sid} (transported from cone {origin})"
+    one = {0: mes.ring.one}
+    if any(images[0] != one for images in module.images.values()):
+        raise SheafError(f"{where}: the degree-0 generator is not the constant 1")
+    facets = fan.facets_of(sid)
+    for q in sorted(set(module.gen_degrees) - {0}):
+        rows, _ = mes.wall_rows(facets, q)
+        offsets, _ = mes.section_layout(facets, q)
+        for i, d in enumerate(module.gen_degrees):
+            if d != q:
+                continue
+            vec = {off + c: v for f, off in zip(facets, offsets) for c, v in module.images[f][i].items()}
+            if linalg.sparse_mat_vec(rows, vec, mes.ring.d):
+                raise SheafError(f"{where}: generator {i} does not glue across the ridges of its boundary in degree {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +868,7 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
                 data["sections"], target[p]["sections"], table, [form], data["complement"]
             )
             if stored is None:
-                where = mes._cone_set(reps, p)
+                where = mes._cone_set(p)
                 raise SheafError(f"{where}, degree {q}: a Lefschetz product is not a section of its half")
             out[q][p] = _rank(mes, [mes.reduce_mod_m(q + 2, row, p) for row in stored.values()])
     return out
@@ -805,7 +923,7 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
         forms = mes.coordinate_forms(facets, fan.cone_basis(cid)[1])
         below = None
         for q in range(0, mes.cap + 1, 2):
-            data = mes.quotient(facets, q, forms, below)
+            data = mes.quotient(facets, q, forms, below, cone=cid)
             below = data["sections"]
             gen_ids = [i for i, d in enumerate(module.gen_degrees) if d == q]
             if len(gen_ids) != len(data["complement"]):

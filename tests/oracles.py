@@ -17,7 +17,10 @@ on scalars.  The reflection's eigenspaces come from the global sections
 over every maximal cone, with no fold: the reflection's matrices on that
 basis, the ranks of C +- I and Cbar +- I, the minus basis, and the minus
 Lefschetz table through the full matrices, all ranked by the dense
-elimination here, as is a dense inverse.  Vectors of scalars are
+elimination here, as is a dense inverse.  The linear symmetries of a
+polytope are every vertex permutation that a linear map induces, found
+by trying each ordered choice of images for a basis of vertices and
+mapping every vertex through that dense inverse.  Vectors of scalars are
 cleared of denominators, or made primitive, by Fraction arithmetic here,
 not by the package's :func:`linalg.integral_rows`, and the unpruned facet
 insertion takes its side tests and combined rays over Q(sqrt d) in
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd, lcm
 
 from polyfan import linalg
@@ -128,6 +131,34 @@ def inverse(m) -> tuple:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
+
+
+def linear_symmetries(p: Polytope) -> set:
+    """Every vertex permutation of a full-dimensional polytope induced by
+    a linear map, as tuples (vertex index -> index of its image): for
+    each ordered choice of distinct images of the first basis among the
+    vertices, the map A = B' B^-1 is kept when it sends every vertex to
+    a vertex and no two vertices to one.  Exponential in the dimension;
+    for small inputs only."""
+    vertices = [tuple(_field(x) for x in v) for v in p.vertices]
+    n = len(vertices[0])
+    basis = list(rref([[v[i] for v in vertices] for i in range(n)])[1])
+    binv = inverse([[vertices[b][i] for b in basis] for i in range(n)])
+    # The coordinates of each vertex in the basis: B^-1 v.
+    coords = [[sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in binv] for v in vertices]
+    index = {v: i for i, v in enumerate(vertices)}
+    found = set()
+    for images in permutations(range(len(vertices)), n):
+        perm = []
+        for c in coords:
+            image = tuple(sum((a * vertices[j][i] for a, j in zip(c, images)), Fraction(0)) for i in range(n))
+            if image not in index:
+                break
+            perm.append(index[image])
+        else:
+            if len(set(perm)) == len(perm):
+                found.add(tuple(perm))
+    return found
 
 
 def cleared(values, d=None) -> tuple:

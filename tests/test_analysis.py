@@ -10,7 +10,7 @@ from polyfan.analysis import Analysis
 from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.polynomials import coeff
-from polyfan.polytopes import Polytope, cross_polytope, cube, simplex
+from polyfan.polytopes import Polytope, cross_polytope, cube, random_cs, simplex
 from polyfan.reports import bounds_report, ih_report
 from polyfan.scalars import Field, Quadratic
 
@@ -165,13 +165,16 @@ def test_ih_report_builds_two_folded_kernels_per_degree(monkeypatch):
         assert 2 * width == mes.section_layout(max_ids, q)[1]
 
 
-@pytest.mark.parametrize("name", ["cube-3", "sqrt2-cube-3"])
+@pytest.mark.parametrize("name", ["cube-3", "sqrt2-cube-3", "random-cs-3d-p4-s3"])
 def test_ih_report_builds_each_degree_once(name, quadratic_image, monkeypatch):
     """The sheaf keeps no section space, so its loops carry each degree's
     sections to the next: during ih_report each half of the global
     sections is built once per degree and each constructed cone's
     boundary once per degree.  Only the zero cone's boundary, which all
-    rays share, is built again: once per constructed ray and degree."""
+    rays share, is built again: once per constructed ray and degree.  A
+    transported cone builds none.  cube(3)'s rays are one orbit of its
+    symmetries, so one ray is constructed there; the first nonsimplicial
+    random_cs(3, 4) draw has several ray orbits."""
     builds, constructed = Counter(), []
     section_space, construct = ihsheaf.MinimalExtensionSheaf.section_space, ihsheaf._construct_module
 
@@ -185,7 +188,11 @@ def test_ih_report_builds_each_degree_once(name, quadratic_image, monkeypatch):
 
     monkeypatch.setattr(ihsheaf.MinimalExtensionSheaf, "section_space", space)
     monkeypatch.setattr(ihsheaf, "_construct_module", module)
-    a = Analysis(cube(3) if name == "cube-3" else quadratic_image(cube(3), 2))
+    a = Analysis({
+        "cube-3": cube(3),
+        "sqrt2-cube-3": quadratic_image(cube(3), 2),
+        "random-cs-3d-p4-s3": random_cs(3, 4, 3),
+    }[name])
     assert all(ih_report(a, Field.rational() if a.fan.radicand is None else Field.quadratic(2))["checks"].values())
     fan, mes = a.fan, a.sheaf
     degrees = range(0, mes.cap + 1, 2)
@@ -195,7 +202,8 @@ def test_ih_report_builds_each_degree_once(name, quadratic_image, monkeypatch):
         facets = fan.facets_of(sid)
         for q in degrees:
             expected[facets, q, None] = rays if facets == (fan.zero_id,) else 1
-    assert rays > 1 and builds == expected
+    assert builds == expected
+    assert rays > 1 if name.startswith("random") else rays == 1
 
 
 @pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])

@@ -1,12 +1,12 @@
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyfan import linalg
-from polyfan.corpus import cs_corpus, nonrational_cs_polytope, sheaf_corpus
+from polyfan import fans, linalg
+from polyfan.corpus import cs_corpus, nonrational_cs_polytope, nonsimplicial_cs_3polytope, sheaf_corpus
 from polyfan.fans import (
     Cone,
     ConewiseLinear,
@@ -28,6 +28,7 @@ from oracles import (
     faces_below,
     from_simplicial_cones,
     inverse,
+    linear_symmetries,
     rref,
     scalar,
     subfan,
@@ -288,6 +289,110 @@ class TestSymmetry:
             for cid, img in anti.items():
                 if cid != fan.zero_id:
                     assert img != cid
+
+
+def perturbed_cube() -> Polytope:
+    """cube(3) with the vertex pair +-(1, 1, 1) moved to +-(6/5, 11/10,
+    1): centrally symmetric with only the antipode as a linear symmetry.
+    A centrally symmetric combinatorial cube is three slabs and so a
+    parallelepiped, a linear image of cube(3); this one is not a cube."""
+    pairs = [(F(6) / 5, F(11) / 10, F(1)), (F(1), F(1), F(-1)), (F(1), F(-1), F(1)), (F(-1), F(1), F(1))]
+    return Polytope(pairs + [tuple(-x for x in v) for v in pairs])
+
+
+def _random_draws(n: int, pairs: int, seeds) -> list:
+    out = []
+    for seed in seeds:
+        try:
+            out.append(random_cs(n, pairs, seed))
+        except PolytopeError:
+            pass
+    return out
+
+
+class TestLinearAutomorphisms:
+    """Fan.symmetries against the brute-force oracle, which tries every
+    choice of images of a basis of vertices."""
+
+    @pytest.mark.parametrize(
+        "name, order",
+        [("cube-3", 48), ("cross-4", 384), ("sqrt2-cube-3", 48), ("sqrt2-cross-3", 48), ("simplex-3", 24), ("prism", 48)],
+    )
+    def test_group_order_is_the_product_of_the_orbit_sizes(self, name, order, quadratic_image):
+        p = {
+            "cube-3": cube(3),
+            "cross-4": cross_polytope(4),
+            "sqrt2-cube-3": quadratic_image(cube(3), 2),
+            "sqrt2-cross-3": quadratic_image(cross_polytope(3), 2),
+            "simplex-3": simplex(3),
+            "prism": nonsimplicial_cs_3polytope(),
+        }[name]
+        group = face_fan(p).symmetries
+        assert prod(group.orbit_sizes) == order
+        if p.ambient_dim == 3:
+            assert len(linear_symmetries(p)) == order
+
+    @pytest.mark.parametrize("n, pairs", [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+    def test_random_draws_match_the_oracle(self, n, pairs):
+        """The order found equals the oracle's; a draw whose only linear
+        symmetries are the identity and the antipode gets None."""
+        draws = _random_draws(n, pairs, range(8))
+        assert any(len(linear_symmetries(p)) == 2 for p in draws)
+        for p in draws:
+            group, order = face_fan(p).symmetries, len(linear_symmetries(p))
+            assert (group is None) == (order == 2)
+            assert group is None or prod(group.orbit_sizes) == order
+
+    def test_perturbed_cube_has_only_the_antipode(self):
+        p = perturbed_cube()
+        assert len(linear_symmetries(p)) == 2
+        assert face_fan(p).symmetries is None
+
+    def test_over_budget_search_falls_back(self, monkeypatch):
+        monkeypatch.setattr(fans, "SYMMETRY_NODES", 1)
+        assert face_fan(cube(3)).symmetries is None
+
+    def test_detection_runs_on_the_integral_rows(self, quadratic_image, count_scalars, monkeypatch):
+        fan = face_fan(quadratic_image(cube(3), 2))
+        fan.antipode_map()
+        built = count_scalars()
+        group = fan.symmetries
+        monkeypatch.undo()
+        assert group is not None and not built, built
+
+    @pytest.mark.parametrize("name", ["cube-3", "cross-3", "sqrt3-prism", "simplex-3"])
+    def test_each_cone_is_the_image_of_its_orbit_representative(self, name, quadratic_image):
+        """origin[c] = (r, g): g maps the rays of r onto those of c, r is
+        the least cone of the orbit, and the matrix of g sends each ray
+        row R to n times the row of its image."""
+        p = {
+            "cube-3": cube(3),
+            "cross-3": cross_polytope(3),
+            "sqrt3-prism": quadratic_image(nonsimplicial_cs_3polytope(), 3),
+            "simplex-3": simplex(3),
+        }[name]
+        fan = face_fan(p)
+        group = fan.symmetries
+        ring = linalg.ring(fan.radicand)
+        rows = fan._ray_rows
+        reps = set()
+        for cid, (rep, g) in group.origin.items():
+            reps.add(rep)
+            assert rep <= cid and fan.cones[rep].dim == fan.cones[cid].dim
+            assert fan.cone_image(g, rep) == cid
+            assert {g[r] for r in fan.cones[rep].ray_ids} == set(fan.cones[cid].ray_ids)
+            matrix, n = fan.linear_map(g)
+            for r, image in g.items():
+                assert tuple(ring.dot(row, rows[r]) for row in matrix) == tuple(ring.scale(n, x) for x in rows[image])
+        # One orbit per dimension: the prism over a square is a
+        # parallelepiped, a linear image of cube(3).
+        assert len(reps) == fan.dim + 1
+
+    def test_generators_map_cones_to_cones(self):
+        fan = face_fan(cube(4))
+        masks = {c.mask for c in fan.cones.values()}
+        for g in fan.symmetries.generators:
+            assert {sum(1 << g[r] for r in c.ray_ids) for c in fan.cones.values()} == masks
 
 
 class TestSimpliciality:

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import polyfan
-from polyfan import hvector, linalg
+from polyfan import fans, hvector, ihsheaf, linalg
 from polyfan.analysis import Analysis
 from polyfan.checks import ih_checks
+from polyfan.corpus import nonsimplicial_cs_3polytope
 from polyfan.fans import ConewiseLinear, FanError, face_fan
 from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
@@ -17,6 +18,7 @@ from polyfan.ihsheaf import (
     SheafError,
     _involution_on_basis,
     build_mes,
+    check_minimal_extension_axioms,
     ih_poincare,
     kernel_dimensions,
     lefschetz_maps,
@@ -27,7 +29,7 @@ from polyfan.ihsheaf import (
     sections_poincare,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
-from polyfan.polytopes import cube, random_cs, simplex
+from polyfan.polytopes import cross_polytope, cube, random_cs, simplex
 from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field
 
@@ -389,6 +391,110 @@ class TestAxioms:
 
         for name, (_, _, mes, _) in sheaf_setups.items():
             assert check_minimal_extension_axioms(mes), name
+
+
+def _constructed(monkeypatch) -> list:
+    """Patch ``_construct_module`` to record the cones it builds."""
+    built, construct = [], ihsheaf._construct_module
+
+    def module(mes, sid):
+        built.append(sid)
+        return construct(mes, sid)
+
+    monkeypatch.setattr(ihsheaf, "_construct_module", module)
+    return built
+
+
+class TestOrbitTransport:
+    """One cone per orbit of the fan's linear automorphisms is
+    constructed; the others are transported and checked."""
+
+    @pytest.mark.parametrize(
+        "name, constructed",
+        [("cube-3", 3), ("cross-4", 4), ("simplex-3", 3), ("prism", 3), ("sqrt2-cube-3", 3), ("cube-4", 7)],
+    )
+    def test_transported_sheaves_satisfy_the_axioms(self, name, constructed, quadratic_image, monkeypatch):
+        """Every orbit is constructed once; cube(4)'s 4-cones have faces
+        over squares with a degree-2 generator, so they are constructed
+        once per antipodal pair (4) beside one cone per lower orbit."""
+        p = {
+            "cube-3": cube(3),
+            "cross-4": cross_polytope(4),
+            "simplex-3": simplex(3),
+            "prism": nonsimplicial_cs_3polytope(),
+            "sqrt2-cube-3": quadratic_image(cube(3), 2),
+            "cube-4": cube(4),
+        }[name]
+        built = _constructed(monkeypatch)
+        mes = build_mes(face_fan(p), 2 * p.ambient_dim + 2)
+        assert len(built) == constructed
+        assert not mes._restr  # the construction's matrices are dropped
+        assert check_minimal_extension_axioms(mes)
+
+    @pytest.mark.parametrize("name", ["cube-3", "cross-4", "sqrt2-cube-3"])
+    def test_transported_modules_match_constructed_ones(self, name, quadratic_image, monkeypatch):
+        """Against the sheaf built with the antipode alone (the search's
+        budget cut to one node): the same generator degrees on every cone
+        and the same local kernel dimensions."""
+        p = {"cube-3": cube(3), "cross-4": cross_polytope(4), "sqrt2-cube-3": quadratic_image(cube(3), 2)}[name]
+        cap = 2 * p.ambient_dim + 2
+        transported = build_mes(face_fan(p), cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(fans, "SYMMETRY_NODES", 1)
+            built = _constructed(patch)
+            plain = build_mes(face_fan(p), cap)
+            assert len(built) == (len(plain.fan.cones) - 1) // 2
+        assert {c: m.gen_degrees for c, m in transported.modules.items()} == {
+            c: m.gen_degrees for c, m in plain.modules.items()
+        }
+        assert kernel_dimensions(transported) == kernel_dimensions(plain)
+
+    def test_a_map_that_is_not_an_automorphism_is_rejected(self, monkeypatch):
+        """Composing the linear map of one transport with a shear, which
+        is no automorphism of cube(3)'s fan, breaks the gluing of the
+        transported square cone's degree-2 generator."""
+        linear_map = fans.Fan.linear_map
+        calls = []
+
+        def sheared(fan, perm):
+            rows, n = linear_map(fan, perm)
+            calls.append(perm)
+            if len(calls) == 1:
+                rows = tuple((row[0], row[1] + row[0], row[2]) for row in rows)
+            return rows, n
+
+        monkeypatch.setattr(fans.Fan, "linear_map", sheared)
+        with pytest.raises(SheafError, match=r"^cone \d+ \(transported from cone \d+\): generator 1 does not glue"):
+            build_mes(face_fan(cube(3)))
+        assert len(calls) == 1
+
+    def test_generator_degrees_of_a_transported_cone_are_checked(self, monkeypatch):
+        fan = face_fan(cube(3))
+        rep, cid = fan.cones_of_dim(3)[:2]
+        assert fan.symmetries.origin[cid][0] == rep
+        true_g = hvector.g_polynomial
+        monkeypatch.setattr(hvector, "g_polynomial", lambda f, c: (1,) if c == cid else true_g(f, c))
+        with pytest.raises(SheafError, match=rf"^cone {cid} \(transported from cone {rep}\): 1 generators in degree 2"):
+            build_mes(fan)
+
+    def test_a_failed_boundary_quotient_names_its_cone(self, monkeypatch):
+        """The second ray constructed on an octagon whose only linear
+        symmetry is the antipode is not the lowest ray, which all rays'
+        boundaries, the zero cone, would name."""
+        fan = face_fan(random_cs(2, 4, 4))
+        assert fan.symmetries is None
+        built = _constructed(monkeypatch)
+        products_rref = linalg.products_rref
+
+        def failing(*args):
+            return None if len(built) == 2 else products_rref(*args)
+
+        monkeypatch.setattr(linalg, "products_rref", failing)
+        with pytest.raises(SheafError, match=r"^cone (\d+), degree 2: a product is not a section") as info:
+            build_mes(fan)
+        ray = built[1]
+        assert fan.cones[ray].dim == 1 and ray != min(fan.cones_of_dim(1))
+        assert info.value.args[0].startswith(f"cone {ray}, ")
 
 
 class TestReflectionEquivariance:

@@ -15,13 +15,17 @@ larger fans against two small computations.  Products of polynomials
 are taken by the oracle's coefficient convolution.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyfan import ihsheaf
 from polyfan.analysis import Analysis
+from polyfan.checks import lefschetz_pattern
 from polyfan.polytopes import PolytopeError, cross_polytope, cube, free_sum, random_cs
 
 from oracles import _poly_mul, _trimmed
@@ -77,14 +81,18 @@ def _sum(a, b) -> tuple:
     return _trimmed(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def _assert_kunneth(first, second, image) -> None:
+def _assert_kunneth(first, second, image) -> Analysis:
+    """Assert the three identities on the free sum of two factors; returns
+    the sum's analysis."""
     h_p, plus_p, minus_p = _factor(first, image)
     h_q, plus_q, minus_q = _factor(second, image)
-    h, plus, minus = _invariants(free_sum(_polytope(first, image), _polytope(second, image)))
+    a = Analysis(free_sum(_polytope(first, image), _polytope(second, image)))
+    h, plus, minus = a.h, a.refined[0].plus, a.refined[0].minus
     where = (first, second)
     assert h == _product(h_p, h_q), where
     assert plus == _sum(_product(plus_p, plus_q), _product(minus_p, minus_q)), where
     assert minus == _sum(_product(plus_p, minus_q), _product(minus_p, plus_q)), where
+    return a
 
 
 rational_factors = st.sampled_from(RATIONAL) | st.tuples(
@@ -112,3 +120,42 @@ def test_free_sums_multiply_h_and_the_halves(quadratic_image, pair):
 
 def test_five_dimensional_free_sum_multiplies_h_and_the_halves(quadratic_image):
     _assert_kunneth(("cross", 3), ("cube", 2), quadratic_image)
+
+
+@pytest.mark.parametrize(
+    "first, second, constructed",
+    [
+        # A free sum of cross-polytopes is one: every cone is transported
+        # from one cone per dimension.
+        (("cross", 2), ("cross", 2), {1: 1, 2: 1, 3: 1, 4: 1}),
+        # The 4-cones, over a square of cube(3) and a vertex of cube(1),
+        # have a face over the square with a degree-2 generator, so they
+        # are constructed once per antipodal pair.
+        (("cube", 3), ("cube", 1), {1: 2, 2: 2, 3: 2, 4: 6}),
+    ],
+)
+def test_free_sums_of_transported_cones(first, second, constructed, quadratic_image, monkeypatch):
+    """The identities on free sums whose cones are mostly transported,
+    with the number of constructed cones per dimension; the Lefschetz
+    ranks of the sum are not a product, so its rank tables are checked
+    against the hard Lefschetz pattern."""
+    _factor(first, quadratic_image), _factor(second, quadratic_image)  # built before the count
+    built, construct = [], ihsheaf._construct_module
+
+    def module(mes, sid):
+        built.append(mes.fan.cones[sid].dim)
+        return construct(mes, sid)
+
+    monkeypatch.setattr(ihsheaf, "_construct_module", module)
+    a = _assert_kunneth(first, second, quadratic_image)
+    assert Counter(built) == constructed
+    assert lefschetz_pattern(a.rank_table, a.dim)
+    assert lefschetz_pattern(a.minus_table, a.dim)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("first, second", [(("cube", 3), ("cube", 3)), (("cross", 3), ("cube", 3))])
+def test_six_dimensional_free_sums(first, second, quadratic_image):
+    """Minutes each, deselected by default: ``pytest -m slow`` runs them."""
+    a = _assert_kunneth(first, second, quadratic_image)
+    assert lefschetz_pattern(a.rank_table, a.dim)
