@@ -16,7 +16,7 @@ from functools import cache
 from math import comb
 from pathlib import Path
 
-from . import reports
+from . import linalg, reports
 from .analysis import Analysis
 from .ihsheaf import DegreeCapError, SheafError
 from .polytopes import (
@@ -62,6 +62,10 @@ def polytope_to_json(p: Polytope, field: Field, name: str | None) -> dict:
 def polytope_from_json(doc) -> tuple:
     """Parse a polytope file (dict) into (Polytope, Field, name).
 
+    Each coordinate is read into integer parts (:meth:`Field.parse`),
+    and the polytope is built from their :func:`linalg.scaled_rows`, so
+    no scalar is formed.  A Q(sqrt d) file whose irrational parts are
+    all zero is computed over Q, as a polytope built from scalars is.
     Errors carry the position (vertex and coordinate index) of the first
     offending entry.
     """
@@ -90,18 +94,18 @@ def polytope_from_json(doc) -> tuple:
     for i, row in enumerate(raw_vertices):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"vertex #{i}: expected {brief(dim)} coordinates")
-        coords = []
+        parts = []
         for j, item in enumerate(row):
             try:
-                coords.append(field.parse(item))
+                parts += field.parse(item)
             except ScalarParseError as exc:
                 raise InputError(f"vertex #{i}, coordinate #{j}: {exc}") from None
-        vertices.append(tuple(coords))
+        vertices.append(parts)
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError("name must be a string")
     try:
-        return Polytope(vertices), field, name
+        return Polytope.from_rows(linalg.scaled_rows(vertices, field.d)), field, name
     except PolytopeError as exc:
         raise InputError(str(exc)) from None
 

@@ -14,7 +14,6 @@ functions, which convert their rays and covectors the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import prod
 from operator import or_
@@ -70,17 +69,34 @@ class Fan:
 
     Cone ids are nonnegative ints.  ``rays`` maps ray id -> generator
     vector; ``down`` maps cone id -> the bitset of its proper faces (the
-    zero cone included), with bit c set for cone id c.
+    zero cone included), with bit c set for cone id c.  A fan may be
+    given the :func:`linalg.integral_rows` (rows, s, d) of its rays in
+    place of the vectors, with ``rays`` the ray ids in the order of the
+    rows; ``rays`` is then formed from the rows when a caller reads it.
     """
 
-    def __init__(self, ambient_dim: int, rays: dict, cones: dict, down: dict):
+    def __init__(self, ambient_dim: int, rays, cones: dict, down: dict, integral=None):
         self.ambient_dim = ambient_dim
-        self.rays = dict(rays)
+        if integral is None:
+            self.rays = dict(rays)
+        else:
+            self._integral = integral
+            self._ray_rows = dict(zip(rays, integral[0]))
         self.cones = dict(cones)
         self.down = dict(down)
-        self._dim_masks: dict = {}  # dimension -> bitset of the cones of it
+        by_dim: dict = {}
         for cid, c in self.cones.items():
-            self._dim_masks[c.dim] = self._dim_masks.get(c.dim, 0) | 1 << cid
+            by_dim.setdefault(c.dim, []).append(cid)
+        # Dimension -> the ids of its cones, ascending (a range when they
+        # are consecutive, as in a face fan), and their bitset.
+        self._dim_ids, self._dim_masks = {}, {}
+        for k, ids in by_dim.items():
+            ids.sort()
+            lo, hi = ids[0], ids[-1] + 1
+            if hi - lo == len(ids):
+                self._dim_ids[k], self._dim_masks[k] = range(lo, hi), (1 << hi) - (1 << lo)
+            else:
+                self._dim_ids[k], self._dim_masks[k] = tuple(ids), sum(1 << c for c in ids)
         zero = self.cones_of_dim(0)
         if len(zero) != 1 or self.cones[zero[0]].mask:
             raise FanError("a fan must contain exactly one zero cone")
@@ -91,8 +107,10 @@ class Fan:
         if unknown:
             cid = next(c for c, bits in self.down.items() if bits & unknown)
             raise FanError(f"cone {cid} lists unknown face {mask_bits(self.down[cid] & unknown)[0]}")
-        self.maximal_ids = mask_bits(known & ~below)
         self.dim = max(self._dim_masks)
+        maximal = known & ~below
+        top = self._dim_masks[self.dim]
+        self.maximal_ids = tuple(self._dim_ids[self.dim]) if maximal == top else mask_bits(maximal)
         self._bases: dict = {}
         self._classes = None  # (dim, g) -> bitset of cones, filled by hvector
         self._antipode = None
@@ -116,6 +134,13 @@ class Fan:
         return dict(zip(self.rays, self._integral[0]))
 
     @cached_property
+    def rays(self) -> dict:
+        """Ray id -> generator vector, formed from the integral rows of a
+        fan given those."""
+        _, s, d = self._integral
+        return {r: tuple(linalg._scalar(x, s, d) for x in row) for r, row in self._ray_rows.items()}
+
+    @cached_property
     def radicand(self) -> int | None:
         """d when the rays lie in Q(sqrt d), None over Q."""
         return self._integral[2]
@@ -123,11 +148,12 @@ class Fan:
     def cone_ids(self) -> tuple:
         return tuple(sorted(self.cones))
 
-    def cones_of_dim(self, k: int) -> tuple:
-        return mask_bits(self._dim_masks.get(k, 0))
+    def cones_of_dim(self, k: int):
+        """The ids of the cones of dimension k, ascending."""
+        return self._dim_ids.get(k, ())
 
     def count_of_dim(self, k: int) -> int:
-        return self._dim_masks.get(k, 0).bit_count()
+        return len(self._dim_ids.get(k, ()))
 
     def facets_of(self, cone_id: int) -> tuple:
         k = self.cones[cone_id].dim
@@ -166,9 +192,10 @@ class Fan:
         one dimension, -> the cones among them that contain it, in the
         order given."""
         top = self.cones[max_ids[0]].dim if max_ids else 0
+        below = self._dim_masks.get(top - 1, 0)
         walls: dict = {}
         for cid in max_ids:
-            for f in mask_bits(self.down[cid] & self._dim_masks.get(top - 1, 0)):
+            for f in mask_bits(self.down[cid] & below):
                 walls.setdefault(f, []).append(cid)
         return walls
 
@@ -198,15 +225,17 @@ class Fan:
                 return False
         if not maximal:
             return False
-        adjacency = dict.fromkeys(maximal, 0)  # cone -> bitset of its neighbours
+        neighbours: dict = {cid: [] for cid in maximal}
         for a, b in walls.values():
-            adjacency[a] |= 1 << b
-            adjacency[b] |= 1 << a
-        seen, new = 0, 1 << maximal[0]
-        while new:
-            seen |= new
-            new = reduce(or_, map(adjacency.__getitem__, mask_bits(new))) & ~seen
-        return seen.bit_count() == len(maximal)
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        seen, todo = {maximal[0]}, [maximal[0]]
+        for cid in todo:
+            for other in neighbours[cid]:
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+        return len(seen) == len(maximal)
 
     def is_centrally_symmetric(self) -> bool:
         try:
@@ -222,7 +251,7 @@ class Fan:
         partner = linalg.antipodes(self._integral)
         if partner is None:
             raise FanError("fan is not centrally symmetric (missing ray)")
-        ids = list(self.rays)
+        ids = list(self._ray_rows)
         ray_anti = {r: ids[j] for r, j in zip(ids, partner)}
         cone_lookup = self._cone_of_mask
         mapping = {}
@@ -260,7 +289,7 @@ class Fan:
         per point of its orbit under the maps that fix the rays before it
         is kept (a strong generating set), so the group is never listed.
         """
-        ids, rows, d = list(self.rays), self._integral[0], self.radicand
+        ids, rows, d = list(self._ray_rows), self._integral[0], self.radicand
         n, m = self.ambient_dim, len(rows)
         ring = linalg.ring(d)
         dot = ring.dot
@@ -391,7 +420,7 @@ class Fan:
         """(base, rows, n): the first rays that span the space, in ray
         order (the pivots of the elimination of the rays as columns), and
         the inverse of their matrix as integral rows over n."""
-        ids, rows = list(self.rays), self._integral[0]
+        ids, rows = list(self._ray_rows), self._integral[0]
         pivots = sorted(linalg.stored_rows(list(zip(*rows)), self.radicand))
         inverse = _inverse(list(zip(*(rows[p] for p in pivots))), self.radicand)
         return (tuple(ids[p] for p in pivots), *inverse)
@@ -462,32 +491,48 @@ def face_fan(p: Polytope) -> Fan:
     """The complete fan of cones over the proper faces of a polytope.
 
     Requires the origin in the interior; rays are the vertex position
-    vectors, and cone ids and down-sets are the face lattice's.
+    vectors, given as the polytope's integral rows with the vertex
+    indices as ray ids, and cone ids and down-sets are the face
+    lattice's.
     """
     lattice = p.face_lattice()
     if not p.origin_is_interior():
         raise FanError("face fan needs the origin strictly interior")
     proper = range(len(lattice.masks) - 1)  # the polytope itself is last
     cones = {f: Cone(f, mask, k + 1) for f, mask, k in zip(proper, lattice.masks, lattice.dims)}
-    return Fan(p.ambient_dim, dict(enumerate(p.vertices)), cones, dict(zip(proper, lattice.down)))
+    return Fan(p.ambient_dim, range(p.vertex_count), cones, dict(zip(proper, lattice.down)), p._integral)
 
 
-@dataclass(frozen=True)
 class ConewiseLinear:
-    """A function that is linear on each maximal cone of a complete fan."""
+    """A function that is linear on each maximal cone of a complete fan,
+    given by ``covectors``: maximal cone id -> functional (an ambient
+    covector).  It is kept as integral covectors U with one positive
+    scale n, the functional being U / n (see :attr:`_integral`).  Given
+    a ``scale`` n, ``covectors`` are those U, in the fan's ring, and the
+    functionals are formed when a caller reads ``covectors``."""
 
-    fan: Fan
-    covectors: dict  # maximal cone id -> functional (ambient covector)
-
-    def __post_init__(self):
-        fan = self.fan
-        if set(self.covectors) != set(fan.maximal_ids):
+    def __init__(self, fan: Fan, covectors: dict, scale: int | None = None):
+        if set(covectors) != set(fan.maximal_ids):
             raise FanError("conewise data must cover exactly the maximal cones")
+        d = fan.radicand
+        if scale is None:
+            d = d or linalg.radicand(covectors.values())
+            rows, scale, _ = linalg.integral_rows(list(covectors.values()), d)
+            self.covectors = covectors
+            covectors = dict(zip(covectors, rows))
+        rays = fan._ray_rows
+        if d != fan.radicand:  # Q(sqrt d) pieces on a rational fan
+            rays = {r: tuple((x, 0) for x in row) for r, row in rays.items()}
+        self.fan = fan
+        self._scale = scale
+        # The ring of the fan and the pieces, the integral rays (ray id ->
+        # R, a positive multiple of the ray) and the integral covectors.
+        ring = linalg.ring(d)
+        self._integral = ring, rays, covectors
         # Two cones meet in the face spanned by their shared rays, so the
         # pieces agree there iff each ray has one value over its cones.
         # With u = U / n and the ray R / m, u.r = U.R / (n m), and every
         # piece has the same n: two values at one ray agree iff U.R = U'.R.
-        ring, rays, covectors = self._integral
         values = {}
         for cid in fan.maximal_ids:
             u = covectors[cid]
@@ -497,17 +542,11 @@ class ConewiseLinear:
                     raise FanError("conewise values disagree on a shared face")
 
     @cached_property
-    def _integral(self) -> tuple:
-        """The :class:`linalg.Ring` of the field of the fan and the
-        covectors, the integral ray vectors (ray id -> R, a positive
-        multiple of the ray) and the integral covectors (cone id -> U,
-        the covector being U / n for the least positive integer n that
-        serves every cone), each from one :func:`linalg.integral_rows`."""
-        fan = self.fan
-        d = fan.radicand or linalg.radicand(self.covectors.values())
-        rays = linalg.integral_rows(list(fan.rays.values()), d)[0]
-        covectors = linalg.integral_rows(list(self.covectors.values()), d)[0]
-        return linalg.ring(d), dict(zip(fan.rays, rays)), dict(zip(self.covectors, covectors))
+    def covectors(self) -> dict:
+        """Maximal cone id -> functional, formed from the integral
+        covectors of a function given those."""
+        ring, _, integral = self._integral
+        return {cid: tuple(linalg._scalar(x, self._scale, ring.d) for x in u) for cid, u in integral.items()}
 
 
 def support_function(p: Polytope, fan: Fan | None = None) -> ConewiseLinear:
@@ -516,20 +555,22 @@ def support_function(p: Polytope, fan: Fan | None = None) -> ConewiseLinear:
     On the cone over a facet F the function is the dual vertex u_F with
     <u_F, v> = -1 for v in F: for the facet's ray y on the vertex rows
     s v (see :attr:`polytopes.FaceLattice.facet_rays`), u_F = s y_rest /
-    y_0.  Strict concavity across every wall is verified exactly and a
-    failure raises, since it indicates degenerate input.
+    y_0, which :func:`linalg.common_scale` puts over one scale.  Strict
+    concavity across every wall is verified exactly and a failure
+    raises, since it indicates degenerate input.
     """
     if fan is None:
         fan = face_fan(p)
     _, s, d = p._integral
     scale = linalg.ring(d).scale
-    covectors = {}
-    for fid, (y0, *rest) in p.face_lattice().facet_rays.items():
+    facet_rays = p.face_lattice().facet_rays
+    pieces = []
+    for y0, *rest in facet_rays.values():
         # y_0 > 0 is the ray's first nonzero entry, so rational over
         # Q(sqrt d) too: the pair (x, 0).
-        n = y0 if d is None else y0[0]
-        covectors[fid] = tuple(linalg._scalar(scale(s, x), n, d) for x in rest)
-    cl = ConewiseLinear(fan, covectors)
+        pieces.append((dict(enumerate(scale(s, x) for x in rest)), y0 if d is None else y0[0]))
+    vectors, n = linalg.common_scale(pieces, d)
+    cl = ConewiseLinear(fan, {fid: tuple(v.values()) for fid, v in zip(facet_rays, vectors)}, n)
     _check_strictly_concave(cl)
     return cl
 

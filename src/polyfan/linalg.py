@@ -3,9 +3,11 @@
 A sparse row (or vector) is a dict from column index to its nonzero
 entries only.  Dense vectors are tuples of scalars and dense matrices
 tuples of row tuples; polytope constructors and rank checks use them.
-There is one elimination, :func:`_fraction_free`, and one conversion of
-scalars to integers, :func:`integral_rows`, in the field that
-:func:`radicand`, the package's one rule, decides.  :func:`stored_rows`
+There is one elimination, :func:`_fraction_free`, and one conversion to
+integers, the common scale of :func:`integral_rows`: that takes scalars,
+in the field that :func:`radicand`, the package's one rule, decides, and
+:func:`scaled_rows` takes the integer parts a vertex file is read into,
+over Q when no part is irrational.  :func:`stored_rows`
 takes integral rows; :func:`sparse_rref` and the dense :func:`rref` and
 :func:`rank` are adapters that convert their rows of scalars and pass
 them on.  The elimination pivots on the first nonzero column, and the
@@ -57,10 +59,13 @@ matrices.  :func:`products_rref` forms products of kernel vectors (all,
 or a selection) with integral linear forms and returns the stored rows
 of their elimination, so no scalar is built: their span, and so every
 rank, does not depend on the scale of a row.  :func:`integral_rows`
-clears vectors of scalars of their denominators at one common scale: a
-polytope's vertices, a fan's rays and a conewise linear function's
-covectors (:mod:`polyfan.fans`).  :func:`antipodes` pairs opposite
-rows.
+clears vectors of scalars of their denominators at one common scale:
+the vertices of a polytope built by a constructor, and the rays and
+covectors of a fan or conewise linear function given as scalars
+(:mod:`polyfan.fans`).  A vertex file goes through :func:`scaled_rows`,
+and a face fan and its support function take the polytope's rows, so
+no scalar is built between reading a file and writing its report.
+:func:`antipodes` pairs opposite rows.
 """
 
 from __future__ import annotations
@@ -93,10 +98,6 @@ def zeros(n: int) -> Vector:
 
 def unit(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_neg(u: Vector) -> Vector:
@@ -212,11 +213,32 @@ def integral_rows(vectors, d) -> tuple[list, int, int | None]:
     or over Q when d is None: the rows s v for the least positive integer
     s that clears every denominator, as tuples of ints, or of pairs over
     Q(sqrt d).  This is the package's one conversion of scalars to
-    integers; callers decide d with :func:`radicand`."""
+    integers; callers decide d with :func:`radicand`.  Its common scale
+    step, :func:`_scaled`, also takes a vertex file's integer parts
+    (:func:`scaled_rows`)."""
     parts = vectors if d is None else [_parts(v, d) for v in vectors]
-    s = lcm(*[x.denominator for v in parts for x in v])
-    rows = [tuple(x.numerator * (s // x.denominator) for x in v) for v in parts]
-    return (rows if d is None else [tuple(_pairs(r)) for r in rows]), s, d
+    return _scaled([[(x.numerator, x.denominator) for x in v] for v in parts], d)
+
+
+def scaled_rows(parts, d) -> tuple[list, int, int | None]:
+    """The :func:`integral_rows` of vectors given as integer parts: per
+    entry one (numerator, denominator) in lowest terms with a positive
+    denominator over Q, and over Q(sqrt d) two, those of x and y for
+    x + y sqrt d, one after the other.  When every y is zero the vectors
+    are over Q (d None), as :func:`radicand` decides for them as
+    scalars."""
+    if d is not None and not any(y for v in parts for y, _ in v[1::2]):
+        parts, d = [v[::2] for v in parts], None
+    return _scaled(parts, d)
+
+
+def _scaled(parts, d) -> tuple[list, int, int | None]:
+    """(rows, s, d) for vectors of integer parts (see :func:`scaled_rows`):
+    s the lcm of the denominators, each part's numerator times s over its
+    denominator, and the parts paired over Q(sqrt d)."""
+    s = lcm(*[q for v in parts for _, q in v])
+    rows = [[p * (s // q) for p, q in v] for v in parts]
+    return [tuple(r) if d is None else tuple(_pairs(r)) for r in rows], s, d
 
 
 def antipodes(integral) -> list | None:

@@ -27,10 +27,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .scalars import Quadratic, quadratic_sign
 
 
@@ -90,7 +91,8 @@ class Polytope:
     Quadratic coordinate with zero irrational part is kept as its
     Fraction, so :func:`linalg.radicand` of the vertices is the field of
     the polytope; its :func:`linalg.integral_rows` decide duplicates,
-    symmetry and facets."""
+    symmetry and facets.  A polytope built :meth:`from_rows` has only
+    those rows, and forms ``vertices`` when a caller reads them."""
 
     def __init__(self, vertices):
         vs = tuple(tuple(x.a if type(x) is Quadratic and not x.b else x for x in v) for v in vertices)
@@ -101,41 +103,53 @@ class Polytope:
             raise PolytopeError("ambient dimension must be >= 1")
         if any(len(v) != n for v in vs):
             raise PolytopeError("vertices of mixed dimension")
-        self._integral = linalg.integral_rows(vs, linalg.radicand(vs))
-        if len(set(self._integral[0])) != len(vs):
-            raise PolytopeError("duplicate vertices")
-        self.ambient_dim = n
+        self._set_rows(linalg.integral_rows(vs, linalg.radicand(vs)))
         self.vertices = vs
+
+    @classmethod
+    def from_rows(cls, integral) -> "Polytope":
+        """The polytope with vertices rows / s for the (rows, s, d) of
+        :func:`linalg.integral_rows`: nonempty rows of one length n >= 1,
+        s the least scale that makes them integral, and d None when no
+        row has an irrational part."""
+        p = cls.__new__(cls)
+        p._set_rows(integral)
+        return p
+
+    def _set_rows(self, integral) -> None:
+        rows = integral[0]
+        if len(set(rows)) != len(rows):
+            raise PolytopeError("duplicate vertices")
+        self._integral = integral
+        self.ambient_dim = len(rows[0])
         # The vertex list never changes, so each of these is decided once.
         self._lattice = self._symmetric = self._interior = None
 
+    @cached_property
+    def vertices(self) -> tuple:
+        """The vertices as scalars: Fractions, or Quadratics where the
+        irrational part is nonzero."""
+        rows, s, d = self._integral
+        return tuple(tuple(linalg._scalar(x, s, d) for x in row) for row in rows)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._integral[0])
+
     def __repr__(self):
-        return f"Polytope(dim={self.ambient_dim}, vertices={len(self.vertices)})"
+        return f"Polytope(dim={self.ambient_dim}, vertices={self.vertex_count})"
 
     def face_lattice(self) -> FaceLattice:
         if self._lattice is None:
-            self._lattice = _build_face_lattice(self.vertices, self.ambient_dim, self._integral)
+            rows = self._integral[0]
+            try:
+                self._lattice = _build_face_lattice(rows, self.ambient_dim, self._integral)
+            except NotAVertexError as exc:  # raised on a row: name the point as listed
+                raise NotAVertexError(exc.index, self.vertices[exc.index]) from None
         return self._lattice
 
     def f_vector(self) -> tuple:
         return self.face_lattice().f_vector()
-
-    def centroid(self) -> Vector:
-        m = len(self.vertices)
-        return tuple(sum(col, Fraction(0)) / m for col in zip(*self.vertices))
-
-    def translate(self, shift: Vector) -> "Polytope":
-        """P + shift.  A translation keeps every face, so a lattice built
-        here carries over, with the facet rays of the translate's rows."""
-        moved = Polytope(tuple(linalg.vec_add(v, shift) for v in self.vertices))
-        lattice = self._lattice
-        if lattice is not None:
-            ids = {lattice.masks[f]: f for f in lattice.facet_rays}
-            facets = _facets(moved.vertices, self.ambient_dim, moved._integral)
-            if ids.keys() != {mask for mask, _ in facets}:
-                raise PolytopeError("the translate has other facets")
-            moved._lattice = replace(lattice, facet_rays={ids[mask]: y for mask, y in facets})
-        return moved
 
     def origin_is_interior(self) -> bool:
         if self._interior is None:
@@ -151,7 +165,7 @@ class Polytope:
     def is_cross_polytope(self) -> bool:
         """Whether P is a linear image of conv(+-e_1, ..., +-e_n)."""
         n = self.ambient_dim
-        if len(self.vertices) != 2 * n:
+        if self.vertex_count != 2 * n:
             return False
         partner = linalg.antipodes(self._integral)
         if partner is None or any(i == j for i, j in enumerate(partner)):
@@ -166,12 +180,31 @@ def ensure_origin_interior(p: Polytope):
 
     P is returned unchanged (shift None) when the origin is already
     interior; otherwise P is translated by minus the vertex centroid,
-    which is always interior for a full-dimensional polytope.
+    which is always interior for a full-dimensional polytope.  That runs
+    on the m integral rows R = s v, parts x and y apart over Q(sqrt d):
+    with t their sum, the translate's vertices are (m R - t) / (m s),
+    whose :func:`linalg.scaled_rows` (over Q when no irrational part is
+    left) are its integral rows.  A translation keeps every face, so the
+    lattice carries over with the facet rays of the new rows.  Only the
+    shift -t / (m s) is formed as scalars.
     """
     if p.origin_is_interior():
         return p, None
-    shift = linalg.vec_neg(p.centroid())
-    return p.translate(shift), shift
+    rows, s, d = p._integral
+    m = len(rows)
+    flat = rows if d is None else [[z for xy in row for z in xy] for row in rows]
+    total = [sum(column) for column in zip(*flat)]
+    parts = [[linalg.cofactors(m * s, m * z - t) for z, t in zip(v, total)] for v in flat]
+    moved = Polytope.from_rows(linalg.scaled_rows(parts, d))
+    minus = [-t for t in total]
+    shift = tuple(linalg._scalar(x, m * s, d) for x in (minus if d is None else linalg._pairs(minus)))
+    lattice = p.face_lattice()
+    ids = {lattice.masks[f]: f for f in lattice.facet_rays}
+    facets = _facets(moved._integral[0], p.ambient_dim, moved._integral)
+    if ids.keys() != {mask for mask, _ in facets}:
+        raise PolytopeError("the translate has other facets")
+    moved._lattice = replace(lattice, facet_rays={ids[mask]: y for mask, y in facets})
+    return moved, shift
 
 
 # ---------------------------------------------------------------------------

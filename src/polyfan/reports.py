@@ -27,7 +27,7 @@ def hvector_report(a: Analysis, field: Field, name: str | None = None) -> dict:
         "name": name,
         "dim": p.ambient_dim,
         "field": field_json(field),
-        "vertex_count": len(p.vertices),
+        "vertex_count": p.vertex_count,
         "translation": None if shift is None else [field.format(x) for x in shift],
         "h": list(h),
         "h_difference": [

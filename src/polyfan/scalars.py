@@ -4,6 +4,11 @@ Rational values are plain :class:`fractions.Fraction` (or ``int``) objects.
 Irrational values are :class:`Quadratic` elements ``a + b*sqrt(d)`` over a
 square-free integer ``d >= 2``.  All comparisons are decided by integer
 arithmetic; nothing in this package ever rounds to floating point.
+
+The pipeline runs on integral rows (:mod:`polyfan.linalg`), and a vertex
+file is read straight into integer parts (:meth:`Field.parse`), so these
+scalars are for the polytope constructors, the tests and output only:
+a translation as reported, a point in an error, a generated file.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from math import gcd
 from typing import Union
 
 
@@ -42,9 +48,8 @@ def brief(value) -> str:
 MAX_RADICAND = 10**12
 
 
-# Every Quadratic built by the public constructor (each parsed scalar
-# included) checks its radicand, so each radicand is factored once per
-# process.
+# Every Quadratic built by the public constructor and every Field checks
+# its radicand, so each radicand is factored once per process.
 @lru_cache(maxsize=None)
 def is_square_free(d: int) -> bool:
     if d < 2:
@@ -294,10 +299,16 @@ class Field:
     def is_rational(self) -> bool:
         return self.d is None
 
-    def parse(self, item) -> Scalar:
-        """Parse one serialized scalar belonging to this field."""
+    def parse(self, item) -> tuple:
+        """Parse one serialized scalar of this field into its integer
+        parts, each a (numerator, denominator) in lowest terms with a
+        positive denominator: ((p, q),) for p/q over Q, and ((p, q),
+        (r, s)) for p/q + (r/s)*sqrt(d) over Q(sqrt d), where a plain
+        ``"p/q"`` has r/s = 0/1.  :func:`polyfan.linalg.scaled_rows`
+        takes vectors of these parts laid end to end."""
         if isinstance(item, str):
-            return _parse_fraction(item)
+            x = _parse_rational(item)
+            return (x,) if self.d is None else (x, _ZERO_PART)
         if isinstance(item, list):
             if self.is_rational:
                 raise ScalarParseError(
@@ -305,7 +316,7 @@ class Field:
                 )
             if len(item) != 2 or not all(isinstance(s, str) for s in item):
                 raise ScalarParseError(f"expected [\"p/q\", \"r/s\"], got {brief(item)}")
-            return Quadratic(_parse_fraction(item[0]), _parse_fraction(item[1]), self.d)
+            return _parse_rational(item[0]), _parse_rational(item[1])
         raise ScalarParseError(f"cannot parse scalar {brief(item)}")
 
     def format(self, x: Scalar):
@@ -320,18 +331,25 @@ class Field:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_ZERO_PART = (0, 1)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``: an optional minus sign and ASCII digits,
-    with no spaces, exponents, decimal points or underscores; the parts
-    that matched are read by ``int``, which raises as ``Fraction`` would."""
+def _parse_rational(text: str) -> tuple:
+    """(p, q) in lowest terms with q > 0 for ``"p/q"`` or ``"p"``: an
+    optional minus sign and ASCII digits, with no spaces, exponents,
+    decimal points or underscores.  The parts that matched are read by
+    ``int``, and the errors say what ``Fraction(text)`` would raise."""
     if not _RATIONAL.fullmatch(text):
         raise ScalarParseError(f"invalid rational {brief(text)}: expected \"p/q\" or \"p\"")
     numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
-    except ZeroDivisionError as exc:
-        raise ScalarParseError(f"invalid rational {brief(text)}: {exc}") from None
+        p = int(numerator)
+        q = int(denominator) if denominator else 1
     except ValueError:  # the interpreter's limit on digits per integer
         raise ScalarParseError(f"invalid rational {brief(text)}: too many digits") from None
+    if not q:
+        raise ScalarParseError(f"invalid rational {brief(text)}: Fraction({p}, 0)")
+    if q == 1:
+        return p, 1
+    g = gcd(p, q)
+    return p // g, q // g

@@ -27,7 +27,9 @@ insertion takes its side tests and combined rays over Q(sqrt d) in
 Quadratic arithmetic, not by the package's integer pair steps.  Scalar
 coordinates of a vector in a kernel's basis come from the package's
 integral membership test, and the scalar basis vectors of a kernel are
-read off its stored columns.  Explicit fans (subfans, fans from
+read off its stored columns.  A scalar string is read by ``Fraction``
+(:func:`parse_rational`), not by the package's parser into integer
+parts, and a translate is built from scalar vertices.  Explicit fans (subfans, fans from
 simplicial cone lists) build test inputs; they keep their down-sets and
 cone rays as id sets and hand :class:`Fan` and :class:`Cone` the
 bitsets.
@@ -53,7 +55,7 @@ from polyfan.polytopes import (
     mask_bits,
     random_cs,
 )
-from polyfan.scalars import Quadratic, sign
+from polyfan.scalars import Quadratic, ScalarParseError, brief, sign
 
 
 def _field(x):
@@ -849,3 +851,26 @@ def simplicial_cs_fans(count: int = 20) -> tuple:
             out.append((f"simplicial-cs-{n}d-seed{seed}", p, fan))
         seed += 1
     return tuple(out)
+
+
+def translated(p: Polytope, shift) -> Polytope:
+    """P + shift, built from the translated scalar vertices."""
+    return Polytope(tuple(tuple(x + t for x, t in zip(v, shift)) for v in p.vertices))
+
+
+def parse_rational(text: str) -> Fraction:
+    """A scalar string read by ``Fraction``: ``"p/q"`` or ``"p"``, an
+    optional minus sign and ASCII digits.  Raises ScalarParseError with
+    the text the program gives: outside that grammar, for a zero
+    denominator (with the message of Fraction's ZeroDivisionError), and
+    for an integer past the interpreter's digit limit."""
+    numerator, slash, denominator = text.partition("/")
+    digits = numerator[1:] if numerator.startswith("-") else numerator
+    if not all(part and part.isascii() and part.isdigit() for part in ([digits, denominator] if slash else [digits])):
+        raise ScalarParseError(f"invalid rational {brief(text)}: expected \"p/q\" or \"p\"")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ScalarParseError(f"invalid rational {brief(text)}: {exc}") from None
+    except ValueError:
+        raise ScalarParseError(f"invalid rational {brief(text)}: too many digits") from None

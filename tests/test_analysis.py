@@ -207,27 +207,31 @@ def test_ih_report_builds_each_degree_once(name, quadratic_image, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])
-def test_ih_report_builds_no_scalar(name, quadratic_image, count_scalars, monkeypatch):
-    """Once the face fan and the support function are built, ih_report,
-    the polytope's symmetry and the fan's antipode map included, runs on
-    integral rows alone: it constructs no Fraction and no Quadratic, over
-    Q and over Q(sqrt 2)."""
+def test_ih_report_builds_no_scalar(name, quadratic_image, count_scalars, monkeypatch, tmp_path, capsys):
+    """ih on a vertex file, from reading the file to writing the report
+    (the face fan, its symmetries and antipode map, the support function,
+    the sheaf and every check included), runs on integral rows alone:
+    ``cli.main`` constructs no Fraction and no Quadratic, over Q and over
+    Q(sqrt 2)."""
     polytope = {
         "cube-3": cube(3),
         "prism-over-diamond": nonsimplicial_cs_3polytope(),
         "sqrt2-cube-3": quadratic_image(cube(3), 2),
     }[name]
-    a = Analysis(polytope, 8)
-    assert a.support
+    field = Field.quadratic(2) if name.startswith("sqrt2") else Field.rational()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(polytope_to_json(polytope, field, name)))
     built = count_scalars()
-    report = ih_report(a, Field.rational() if a.fan.radicand is None else Field.quadratic(2))
+    code = main(["ih", str(path), "--json"])
     monkeypatch.undo()
-    assert all(report["checks"].values())
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and all(report["checks"].values())
+    assert report["ih"]["degree_cap"] == 8
     assert not built, built
 
 
 def test_translated_input_keeps_its_shift():
-    a = Analysis(cube(2).translate((3, 0)))
+    a = Analysis(oracles.translated(cube(2), (3, 0)))
     assert a.translation == (-3, 0)
     assert a.polytope.origin_is_interior()
     assert a.is_centrally_symmetric
@@ -242,7 +246,7 @@ def test_translated_input_builds_one_face_lattice(name, monkeypatch):
     translate is rational.  That lattice equals a fresh build."""
     x = Quadratic(4, 1, 3)
     p = {
-        "cube-3": cube(3).translate((3, 0, 0)),
+        "cube-3": oracles.translated(cube(3), (3, 0, 0)),
         "sqrt3-diamond": Polytope([(x - 1, 0), (x + 1, 0), (x, 1), (x, -1)]),
     }[name]
     calls = Counter()

@@ -22,6 +22,8 @@ from polyfan.fans import face_fan
 from polyfan.polytopes import cross_polytope, cube
 from polyfan.scalars import Field
 
+from oracles import translated
+
 
 def load_report_schema() -> dict:
     with resources.files("polyfan").joinpath("report.schema.json").open() as fh:
@@ -270,6 +272,22 @@ class TestInputGrammar:
         lines = err.splitlines()
         assert len(lines) == 1
         assert len(lines[0]) < 200
+
+    def test_quadratic_file_with_zero_irrational_parts_is_computed_over_q(self, capsys, tmp_path):
+        """A Q(sqrt 3) file whose irrational parts are all "0" reports the
+        field it names and is computed over Q: its report is that of the
+        rational file but for the field."""
+        rational = [[str(x) for x in v] for v in cube(3).vertices]
+        doc = {"dim": 3, "field": {"quadratic": 3}, "vertices": [[[x, "0"] for x in v] for v in rational]}
+        p, field, _ = polytope_from_json(doc)
+        assert field == Field.quadratic(3) and p._integral[2] is None
+        code, out, err = run(capsys, "check-bounds", _write_doc(tmp_path, doc), "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["field"] == {"quadratic": 3}
+        plain = {"dim": 3, "field": "rational", "vertices": rational}
+        _, out, _ = run(capsys, "check-bounds", _write_doc(tmp_path, plain), "--json")
+        assert {**json.loads(out), "field": {"quadratic": 3}} == report
 
     @pytest.mark.parametrize("command", ["hvector", "check-bounds", "ih"])
     @pytest.mark.parametrize("where", ["numerator", "denominator", "pair part"])
@@ -536,8 +554,7 @@ class TestTranslationReporting:
     def test_shifted_input_reports_translation(self, capsys, tmp_path):
         from polyfan import cube
 
-        shifted = cube(2).translate((10, 0))
-        path = write_polytope(tmp_path, "shifted", shifted)
+        path = write_polytope(tmp_path, "shifted", translated(cube(2), (10, 0)))
         code, out, _ = run(capsys, "hvector", path, "--json")
         assert code == 0
         report = json.loads(out)
@@ -552,7 +569,7 @@ class TestTranslationReporting:
         vertices were tested), and report-all gives it a bounds report."""
         from polyfan import cube
 
-        path = write_polytope(tmp_path, "shifted", cube(2).translate((10, 0)))
+        path = write_polytope(tmp_path, "shifted", translated(cube(2), (10, 0)))
         code, out, err = run(capsys, "check-bounds", path, "--json")
         assert (code, err) == (0, "")
         report = json.loads(out)

@@ -8,6 +8,7 @@ the plane the oracle puts through the facet.
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from polyfan import linalg, polytopes
 from polyfan.analysis import Analysis
+from polyfan.cli import main, polytope_to_json
 from polyfan.corpus import cs_corpus, nonsimplicial_cs_3polytope
 from polyfan.fans import support_function
 from polyfan.polytopes import (
@@ -35,7 +37,7 @@ from polyfan.polytopes import (
     random_cs,
     simplex,
 )
-from polyfan.reports import bounds_report
+from polyfan.reports import bounds_report, field_json
 from polyfan.scalars import Field, Quadratic, sign
 
 from oracles import (
@@ -306,6 +308,25 @@ def test_vertex_rows_and_start_simplex_build_no_scalar(d, quadratic_image, count
         assert p.face_lattice().facet_ids() and p.origin_is_interior()
         bounds_report(Analysis(p), field)
     monkeypatch.undo()
+    assert not built, built
+
+
+@pytest.mark.parametrize("d", RADICANDS)
+def test_check_bounds_builds_no_scalar(d, quadratic_image, count_scalars, monkeypatch, tmp_path, capsys):
+    """check-bounds on a vertex file, from reading the file to writing
+    the report, runs on integers: ``cli.main`` on cube(3), cross(3) and
+    the prism over a diamond, over Q and their images over Q(sqrt d),
+    constructs no Fraction and no Quadratic."""
+    field = Field.rational() if d is None else Field.quadratic(d)
+    paths = []
+    for name, p in (("cube-3", cube(3)), ("cross-3", cross_polytope(3)), ("prism", nonsimplicial_cs_3polytope())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(polytope_to_json(p if d is None else quadratic_image(p, d), field, name)))
+        paths.append(str(path))
+    built = count_scalars()
+    outputs = [(main(["check-bounds", path, "--json"]), capsys.readouterr().out) for path in paths]
+    monkeypatch.undo()
+    assert all(code == 0 and json.loads(out)["field"] == field_json(field) for code, out in outputs)
     assert not built, built
 
 

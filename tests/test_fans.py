@@ -33,6 +33,7 @@ from oracles import (
     scalar,
     subfan,
     value_on_ray,
+    translated,
 )
 
 
@@ -71,7 +72,7 @@ class TestFaceFan:
 
     def test_needs_interior_origin(self):
         with pytest.raises(FanError, match="interior"):
-            face_fan(cube(2).translate((F(3), F(3))))
+            face_fan(translated(cube(2), (F(3), F(3))))
 
     def test_down_sets_match_the_all_pairs_scan(self, lattice_polytopes):
         for name, p in lattice_polytopes:
@@ -127,7 +128,7 @@ class TestFaceFan:
                 ), name
             for k in range(-1, p.ambient_dim + 2):
                 scan = tuple(sorted(c for c, cone in fan.cones.items() if cone.dim == k))
-                assert fan.cones_of_dim(k) == scan, name
+                assert tuple(fan.cones_of_dim(k)) == scan, name
 
     def test_a_zero_cone_with_a_ray_is_rejected(self):
         fan = face_fan(cube(2))
@@ -474,7 +475,7 @@ class TestSupportFunction:
         assert conewise_pieces_agree(fan, covectors)
         cid = fan.maximal_ids[0]
         ray = fan.rays[fan.cones[cid].ray_ids[0]]
-        moved = {**covectors, cid: linalg.vec_add(covectors[cid], ray)}
+        moved = {**covectors, cid: tuple(u + x for u, x in zip(covectors[cid], ray))}
         agree = conewise_pieces_agree(fan, moved)
         assert agree == (p.ambient_dim == 1)
         if agree:

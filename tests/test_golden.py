@@ -28,6 +28,8 @@ from polyfan.corpus import cs_corpus, sheaf_corpus
 from polyfan.polytopes import Polytope, cross_polytope, cube, linear_image, random_cs, simplex
 from polyfan.scalars import Field, Quadratic
 
+from oracles import translated
+
 GOLDEN = Path(__file__).parent / "golden"
 
 IH_NAMES = ("cube-2", "cube-3", "cross-2", "cross-3", "prism-over-diamond")
@@ -93,8 +95,8 @@ def _cases():
         out.append((f"check-bounds-{n}", ["check-bounds"], [(n, corpus[n], field)]))
     cube4 = ("sqrt3-cube-4", _quadratic_image(cube(4), 3), q3)
     out.append(("check-bounds-sqrt3-cube-4", ["check-bounds"], [cube4]))
-    shifted = cube(2).translate((Fraction(10), Fraction(0)))
-    out.append(("check-bounds-cube-2-shifted", ["check-bounds"], [("cube-2-shifted", shifted, rational)]))
+    moved = translated(cube(2), (Fraction(10), Fraction(0)))
+    out.append(("check-bounds-cube-2-shifted", ["check-bounds"], [("cube-2-shifted", moved, rational)]))
     out.append(("check-bounds-cube-8", ["check-bounds"], [("cube-8", cube(8), rational)]))
     out.append(("check-bounds-cross-8", ["check-bounds"], [("cross-8", cross_polytope(8), rational)]))
     cs5 = ("random-cs-5d-seed1", random_cs(5, 12, 1), rational)

@@ -28,6 +28,7 @@ from oracles import (
     dual_polytope,
     lattice_by_all_facets,
     rank_vertex_criterion,
+    translated,
 )
 
 
@@ -150,9 +151,8 @@ class TestDual:
             )
 
     def test_dual_needs_interior_origin(self):
-        shifted = cube(2).translate((F(5), F(5)))
         with pytest.raises(PolytopeError, match="interior"):
-            dual_polytope(shifted)
+            dual_polytope(translated(cube(2), (F(5), F(5))))
 
 
 class TestSymmetry:
@@ -187,7 +187,7 @@ class TestSymmetry:
 
 
 def test_symmetry_and_interior_origin_are_decided_once(monkeypatch):
-    ps = (cube(3), simplex(3).translate((F(5), F(0), F(0))))
+    ps = (cube(3), translated(simplex(3), (F(5), F(0), F(0))))
     decided = [(p.is_centrally_symmetric(), p.origin_is_interior()) for p in ps]
     assert decided == [(True, True), (False, False)]
 
@@ -245,8 +245,7 @@ class TestGenerators:
 
 class TestOriginHandling:
     def test_translation_applied_when_needed(self):
-        shifted = cube(2).translate((F(10), F(0)))
-        fixed, shift = ensure_origin_interior(shifted)
+        fixed, shift = ensure_origin_interior(translated(cube(2), (F(10), F(0))))
         assert shift == (F(-10), F(0))
         assert fixed.origin_is_interior()
 
@@ -256,7 +255,10 @@ class TestOriginHandling:
         assert p is cube(2) or p.vertices == cube(2).vertices
 
     def test_centroid(self):
-        assert simplex(3).centroid() == (F(0), F(0), F(0))
+        """The shift is minus the vertex centroid, which for the simplex
+        is the origin."""
+        _, shift = ensure_origin_interior(translated(simplex(3), (F(5), Fraction(1, 2), F(0))))
+        assert shift == (F(-5), Fraction(-1, 2), F(0))
 
 
 class TestDualIncidence:

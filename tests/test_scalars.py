@@ -19,6 +19,8 @@ from polyfan.scalars import (
     to_fraction,
 )
 
+import oracles
+
 
 # The interpreter's limit on the digits of an integer read from a string.
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
@@ -208,21 +210,24 @@ class TestFieldAxioms:
 
 
 class TestSerialization:
+    """A scalar string is read into its integer parts, each (numerator,
+    denominator) in lowest terms with a positive denominator."""
+
     def test_rational_roundtrip(self):
         f = Field.rational()
-        assert f.parse("5/6") == Fraction(5, 6)
-        assert f.parse("-3") == -3
+        assert f.parse("5/6") == ((5, 6),)
+        assert f.parse("-3") == ((-3, 1),)
         assert f.format(Fraction(-3, 7)) == "-3/7"
 
     def test_quadratic_roundtrip(self):
         f = Field.quadratic(2)
-        x = f.parse(["1/2", "-2/3"])
-        assert x == Quadratic(Fraction(1, 2), Fraction(-2, 3), 2)
-        assert f.format(x) == ["1/2", "-2/3"]
+        (a, b), (c, e) = f.parse(["1/2", "-2/3"])
+        assert ((a, b), (c, e)) == ((1, 2), (-2, 3))
+        assert f.format(Quadratic(Fraction(a, b), Fraction(c, e), 2)) == ["1/2", "-2/3"]
 
     def test_quadratic_accepts_plain_rational_strings(self):
         f = Field.quadratic(2)
-        assert f.parse("3/4") == Fraction(3, 4)
+        assert f.parse("3/4") == ((3, 4), (0, 1))
 
     def test_parse_errors(self):
         with pytest.raises(ScalarParseError):
@@ -244,35 +249,48 @@ class TestSerialization:
             Field.quadratic(2).parse(["0", text])
 
     @pytest.mark.parametrize(
-        "text,value", [("0", 0), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2))]
+        "text,value", [("0", 0), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2)), ("2/4", Fraction(1, 2))]
     )
     def test_grammar_accepts_signed_integers_and_quotients(self, text, value):
-        assert Field.rational().parse(text) == value
+        value = Fraction(value)
+        assert Field.rational().parse(text) == ((value.numerator, value.denominator),)
 
-    @given(st.from_regex(scalars._RATIONAL, fullmatch=True))
+    @given(
+        st.one_of(
+            st.integers().map(str),
+            st.tuples(st.integers(), st.integers(0, 10**40)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+            st.from_regex(scalars._RATIONAL, fullmatch=True),
+            st.text(max_size=12),
+        )
+    )
+    @example("2/4")
+    @example("-12/8")
     @example("1/0")
     @example("-0/0")
     @example("9" * (MAX_DIGITS + 1))
     @example("-1/" + "0" * (MAX_DIGITS + 1))
     @example("1" * MAX_DIGITS + "/" + "0" * MAX_DIGITS)
+    @example("+1")
+    @example("1e3")
+    @example("\u0661")
     def test_parse_agrees_with_fraction_of_the_text(self, text):
-        """Every string the grammar accepts parses to Fraction(text), or
-        fails where Fraction(text) fails: a zero denominator with the same
-        ZeroDivisionError, an integer past the interpreter's digit limit
-        as too many digits."""
+        """Every string parses, in both fields, to the parts of the
+        Fraction that the oracle reads from it (p, -p, p/q unreduced,
+        p/0), or fails with the oracle's error text: outside the grammar,
+        a zero denominator, an integer past the interpreter's digit
+        limit."""
         try:
-            expected = Fraction(text)
-        except ZeroDivisionError as exc:
-            message = f"invalid rational {scalars.brief(text)}: {exc}"
-        except ValueError:
-            message = f"invalid rational {scalars.brief(text)}: too many digits"
+            expected = oracles.parse_rational(text)
+        except ScalarParseError as exc:
+            expected = str(exc)
         else:
-            parsed = scalars._parse_fraction(text)
-            assert type(parsed) is Fraction and parsed == expected
-            return
-        with pytest.raises(ScalarParseError) as info:
-            scalars._parse_fraction(text)
-        assert str(info.value) == message
+            expected = (expected.numerator, expected.denominator)
+        for field, item in ((Field.rational(), text), (Field.quadratic(2), ["0", text])):
+            try:
+                got = field.parse(item)[-1]
+            except ScalarParseError as exc:
+                got = str(exc)
+            assert got == expected
 
     def test_to_fraction(self):
         assert to_fraction(q2(3, 0)) == 3
