@@ -52,16 +52,12 @@ class Symmetries(NamedTuple):
 
 class Cone(NamedTuple):
     """A strictly convex cone inside a fan: ``mask`` has bit r set for
-    each extreme ray r, and ``ray_ids`` lists those r ascending.  A
-    face fan has one per face, so the record is a light tuple."""
+    each extreme ray r (:attr:`Fan.ray_ids` lists them).  A face fan has
+    one per face, so the record is a light tuple."""
 
     id: int
     mask: int
     dim: int
-
-    @property
-    def ray_ids(self) -> tuple:
-        return mask_bits(self.mask)
 
 
 class Fan:
@@ -141,6 +137,12 @@ class Fan:
         return {r: tuple(linalg._scalar(x, s, d) for x in row) for r, row in self._ray_rows.items()}
 
     @cached_property
+    def ray_ids(self) -> dict:
+        """Cone id -> the ids of its extreme rays, ascending, read off the
+        masks once."""
+        return {cid: mask_bits(c.mask) for cid, c in self.cones.items()}
+
+    @cached_property
     def radicand(self) -> int | None:
         """d when the rays lie in Q(sqrt d), None over Q."""
         return self._integral[2]
@@ -181,7 +183,7 @@ class Fan:
         cached = self._bases.get(cone_id)
         if cached is None:
             d, ray_rows = self.radicand, self._ray_rows
-            stored = linalg.stored_rows([ray_rows[r] for r in self.cones[cone_id].ray_ids], d)
+            stored = linalg.stored_rows([ray_rows[r] for r in self.ray_ids[cone_id]], d)
             pivots, zero = tuple(sorted(stored)), linalg.ring(d).zero
             rows = tuple(tuple(stored[p].get(c, zero) for c in range(self.ambient_dim)) for p in pivots)
             cached = self._bases[cone_id] = (rows, pivots)
@@ -198,6 +200,11 @@ class Fan:
             for f in mask_bits(self.down[cid] & below):
                 walls.setdefault(f, []).append(cid)
         return walls
+
+    @cached_property
+    def maximal_walls(self) -> dict:
+        """The :meth:`walls` of the maximal cones, found once."""
+        return self.walls(self.maximal_ids)
 
     # -- structural predicates ------------------------------------------
 
@@ -219,7 +226,7 @@ class Fan:
         maximal = self.maximal_ids
         if any(self.cones[cid].dim != n for cid in maximal):
             return False
-        walls = self.walls(maximal)
+        walls = self.maximal_walls
         for f in self.cones_of_dim(n - 1):
             if len(walls.get(f, ())) != 2:
                 return False
@@ -324,7 +331,7 @@ class Fan:
         order = sorted(range(m), key=lambda i: (len(members[color[i]]), i))
         base = [order[p] for p in sorted(linalg.stored_rows(list(zip(*(rows[i] for i in order))), d))]
         masks = self._cone_of_mask
-        rays_of = {c.id: c.ray_ids for c in self.cones.values()}
+        rays_of = self.ray_ids
         nodes = 0
 
         def fits(c, level, images) -> bool:
@@ -443,7 +450,7 @@ class Fan:
             raise FanError("quotient fan needs a cone of dimension >= 1")
         d, pivots = self.radicand, self.cone_basis(cone_id)[1]
         ring = linalg.ring(d)
-        rows = {r: [self._ray_rows[r][p] for p in pivots] for r in c.ray_ids}
+        rows = {r: [self._ray_rows[r][p] for p in pivots] for r in self.ray_ids[cone_id]}
         line = [reduce(ring.add, column) for column in zip(*rows.values())]
         j = next(i for i, x in enumerate(line) if x != ring.zero)
         new_rays = {
@@ -536,7 +543,7 @@ class ConewiseLinear:
         values = {}
         for cid in fan.maximal_ids:
             u = covectors[cid]
-            for r in fan.cones[cid].ray_ids:
+            for r in fan.ray_ids[cid]:
                 value = ring.dot(u, rays[r])
                 if values.setdefault(r, value) != value:
                     raise FanError("conewise values disagree on a shared face")
@@ -583,7 +590,7 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
     fan = cl.fan
     ring, rays, covectors = cl._integral
     dot, neg, add, sign = ring.dot, ring.neg, ring.add, ring.sign
-    for f, pair in fan.walls(fan.maximal_ids).items():
+    for f, pair in fan.maximal_walls.items():
         if len(pair) != 2:
             continue
         a, b = pair
@@ -594,7 +601,7 @@ def _check_strictly_concave(cl: ConewiseLinear) -> None:
             (a, covectors[a], covectors[b]),
             (b, covectors[b], covectors[a]),
         ):
-            for r in fan.cones[cid].ray_ids:
+            for r in fan.ray_ids[cid]:
                 if wall >> r & 1:
                     continue
                 ray = rays[r]

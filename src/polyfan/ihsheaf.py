@@ -58,6 +58,17 @@ depend on the scale of a row.  Every basis extraction and every product
 is verified exactly by the membership test of the kernel, so a product
 outside its half raises instead of silently producing wrong dimensions.
 
+Each map is built once per sheaf and kept under the data that fixes it.
+A restriction from a module with one generator, in degree 0, whose image
+on the target is 1 is the substitution alone: it is kept under the
+substituted integral forms, their denominator D, the degree and the
+target's dimension, so both sides of a global wall and the wall's
+antipode read one matrix.  The wall pairs of a set of cones are found
+once, and their rows over one scale are kept per degree for both halves
+to fold.  A product table depends only on its cones' variable counts and
+generator degrees.  The maps that the construction keeps are dropped
+when :func:`build_mes` returns.
+
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
 sheaf's own construction (the minimal-extension axioms, flabbiness, and
@@ -170,12 +181,20 @@ class MinimalExtensionSheaf:
         self.representatives = tuple(
             c for c in fan.maximal_ids if self.antipode is None or c <= self.antipode[c]
         )
+        # The images on any face of a module whose one generator is the
+        # constant 1.
+        self._constant = ({0: self.ring.one},)
         self._layout: dict = {}
+        # Maps kept under the data that fixes them, each built once (see
+        # restriction_matrix, _substitution, _wall_pairs, wall_rows and
+        # _product_table); build_mes drops those of the construction.
         self._restr: dict = {}
+        self._pairs: dict = {}
+        self._scaled: dict = {}
+        self._tables: dict = {}
         self._substitutions: dict = {}
         self._memos: dict = {}
         self._global: dict = {}
-        self._tables: dict = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -252,48 +271,66 @@ class MinimalExtensionSheaf:
         target variables, times each nonzero block of the image of g.
         The forms substituted are integral with common denominator D, so
         x^a comes out D^|a| times too large; the block of g is multiplied
-        by D^(k - |a|) for k the largest |a|, and the scale is D^k."""
-        key = (src_id, tgt_id, q)
+        by D^(k - |a|) for k the largest |a|, and the scale is D^k.
+
+        Each matrix is built once per sheaf and shared, so no caller may
+        change it.  When the source module is canonical on the target,
+        one generator, in degree 0, whose image there is 1, the matrix is
+        the substitution alone: it is kept under the substituted forms,
+        D, q and the target's dimension at q.  Both sides of a global
+        wall then share one matrix per degree, as do a wall and its
+        antipode (a cone basis depends only on the span) and any two
+        cones with the same spans.  The forms alone would not do: two
+        substitutions with equal forms and different D differ by their
+        scale.  Other matrices are kept per (src, tgt, q), and a target
+        with no coordinates at q, the zero cone above degree 0, gets no
+        rows over scale 1 and keeps nothing."""
+        src_blocks, _ = self.gen_blocks(src_id, q)
+        tgt_blocks, tgt_dim = self.gen_blocks(tgt_id, q)
+        if not tgt_dim:
+            return (), 1
+        module = self.modules[src_id]
+        images = module.images[tgt_id]
+        key, substitution = (src_id, tgt_id, q), None
+        if module.gen_degrees == (0,) and images == self._constant:
+            substitution = self._substitution(src_id, tgt_id)
+            forms, den, _ = substitution
+            key = (forms, den, q, tgt_dim)
         cached = self._restr.get(key)
         if cached is not None:
             return cached
-        src_blocks, _ = self.gen_blocks(src_id, q)
-        tgt_blocks, tgt_dim = self.gen_blocks(tgt_id, q)
+        forms, den, memo = substitution or self._substitution(src_id, tgt_id)
         rows = [{} for _ in range(tgt_dim)]
-        scale = 1
         ring = self.ring
         plus, times, zero, one = ring.add, ring.mul, ring.zero, ring.one
-        if tgt_dim:
-            forms, den, memo = self._substitution(src_id, tgt_id)
-            top = max((q - d_i) // 2 for _, d_i, _, _ in src_blocks)
-            scale = den**top
-            tgt_nv = self.nvars(tgt_id)
-            tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
-            images = self.modules[src_id].images[tgt_id]
-            for gi, d_i, src_off, _ in src_blocks:
-                k = (q - d_i) // 2
-                factor = den ** (top - k)
-                # Nonzero image terms: (row offset of the target generator
-                # block, its monomial index, exponent shift or None, coeff
-                # times factor, or None for 1).
-                pieces = []
-                for gj, d_j, img_off, img_cnt in self.gen_blocks(tgt_id, d_i)[0]:
-                    monos = monomials(tgt_nv, (d_i - d_j) // 2)
-                    index = _monomial_index(tgt_nv, (q - d_j) // 2)
-                    for c, v in images[gi].items():
-                        if img_off <= c < img_off + img_cnt:
-                            shift = monos[c - img_off]
-                            if factor != 1:
-                                v = ring.scale(factor, v)
-                            shift = shift if any(shift) else None
-                            pieces.append((tgt_offset[gj], index, shift, None if v == one else v))
-                src_monos = monomials(self.nvars(src_id), k)
-                for col, alpha in enumerate(src_monos, src_off):
-                    terms = _substituted(memo, forms, alpha, ring)
-                    for off, index, shift, v in pieces:
-                        for mono, c in terms:
-                            row = rows[off + index[tuple(map(add, mono, shift)) if shift else mono]]
-                            row[col] = plus(row.get(col, zero), c if v is None else times(c, v))
+        top = max((q - d_i) // 2 for _, d_i, _, _ in src_blocks)
+        scale = den**top
+        tgt_nv = self.nvars(tgt_id)
+        tgt_offset = {g: off for g, _, off, _ in tgt_blocks}
+        for gi, d_i, src_off, _ in src_blocks:
+            k = (q - d_i) // 2
+            factor = den ** (top - k)
+            # Nonzero image terms: (row offset of the target generator
+            # block, its monomial index, exponent shift or None, coeff
+            # times factor, or None for 1).
+            pieces = []
+            for gj, d_j, img_off, img_cnt in self.gen_blocks(tgt_id, d_i)[0]:
+                monos = monomials(tgt_nv, (d_i - d_j) // 2)
+                index = _monomial_index(tgt_nv, (q - d_j) // 2)
+                for c, v in images[gi].items():
+                    if img_off <= c < img_off + img_cnt:
+                        shift = monos[c - img_off]
+                        if factor != 1:
+                            v = ring.scale(factor, v)
+                        shift = shift if any(shift) else None
+                        pieces.append((tgt_offset[gj], index, shift, None if v == one else v))
+            src_monos = monomials(self.nvars(src_id), k)
+            for col, alpha in enumerate(src_monos, src_off):
+                terms = _substituted(memo, forms, alpha, ring)
+                for off, index, shift, v in pieces:
+                    for mono, c in terms:
+                        row = rows[off + index[tuple(map(add, mono, shift)) if shift else mono]]
+                        row[col] = plus(row.get(col, zero), c if v is None else times(c, v))
         cached = (tuple({c: v for c, v in row.items() if v != zero} for row in rows), scale)
         self._restr[key] = cached
         return cached
@@ -355,40 +392,35 @@ class MinimalExtensionSheaf:
         each wall row of the fan is folded onto the representatives'
         columns, and of each antipodal pair of walls one is kept.
         """
-        fan = self.fan
         offsets, total = self.section_layout(max_ids, q)
         # Per cone: its column offset and, for a folded antipode, which
         # of its coordinates change sign.
         place = {cid: (off, None) for cid, off in zip(max_ids, offsets)}
-        cones = max_ids
         if parity is not None:
-            cones = fan.maximal_ids
             for cid, off in zip(max_ids, offsets):
                 flip = tuple(odd != (parity < 0) for odd in self.odd_coordinates(cid, q))
                 place[self.antipode[cid]] = (off, flip)
-        if len({fan.cones[cid].dim for cid in cones}) > 1:
-            raise SheafError("wall equations need equidimensional cones")
-        pairs = []
-        for f, incident in sorted(fan.walls(cones).items()):
-            if len(incident) == 2:
-                if parity is None or f <= self.antipode[f]:
-                    pairs.append((incident[0], incident[1], f))
-            elif len(incident) > 2:
-                raise SheafError("wall shared by more than two cones")
         ring = self.ring
         neg, plus, zero = ring.neg, ring.add, ring.zero
+        # Both halves fold the same scaled rows of a wall pair, so they
+        # are kept per (a, b, f, q); no other caller repeats a pair at a
+        # degree.
+        kept = self._scaled if parity is not None else {}
         rows = []
-        for a, b, f in pairs:
+        for a, b, f in self._wall_pairs(max_ids, parity is not None):
             (oa, flip_a), (ob, flip_b) = place[a], place[b]
-            # R_a / s_a = R_b / s_b is (s_b / g) R_a = (s_a / g) R_b.
-            rows_a, scale_a = self.restriction_matrix(a, f, q)
-            rows_b, scale_b = self.restriction_matrix(b, f, q)
-            factor_a, factor_b = linalg.cofactors(scale_a, scale_b)
-            for row_a, row_b in zip(rows_a, rows_b):
+            scaled = kept.get((a, b, f, q))
+            if scaled is None:
+                # R_a / s_a = R_b / s_b is (s_b / g) R_a = (s_a / g) R_b.
+                rows_a, scale_a = self.restriction_matrix(a, f, q)
+                rows_b, scale_b = self.restriction_matrix(b, f, q)
+                factor_a, factor_b = linalg.cofactors(scale_a, scale_b)
                 if factor_a != 1:
-                    row_a = {c: ring.scale(factor_a, v) for c, v in row_a.items()}
+                    rows_a = [{c: ring.scale(factor_a, v) for c, v in row.items()} for row in rows_a]
                 if factor_b != 1:
-                    row_b = {c: ring.scale(factor_b, v) for c, v in row_b.items()}
+                    rows_b = [{c: ring.scale(factor_b, v) for c, v in row.items()} for row in rows_b]
+                scaled = kept[a, b, f, q] = tuple(zip(rows_a, rows_b))
+            for row_a, row_b in scaled:
                 row = {oa + c: neg(v) if flip_a and flip_a[c] else v for c, v in row_a.items()}
                 for c, v in row_b.items():
                     if not (flip_b and flip_b[c]):
@@ -403,6 +435,30 @@ class MinimalExtensionSheaf:
                     row[c] = v
                 rows.append(row)
         return rows, total
+
+    def _wall_pairs(self, max_ids: tuple, folded: bool) -> tuple:
+        """The walls (a, b, f) of :meth:`wall_rows`, cone a and cone b
+        meeting in the wall f, found once per sheaf for the given cones
+        and fold.  Folded, they are the walls of every maximal cone, as
+        :attr:`Fan.maximal_walls` finds them, of which the lesser of each
+        antipodal pair is kept."""
+        key = (max_ids, folded)
+        cached = self._pairs.get(key)
+        if cached is None:
+            fan = self.fan
+            cones = fan.maximal_ids if folded else max_ids
+            if len({fan.cones[cid].dim for cid in cones}) > 1:
+                raise SheafError("wall equations need equidimensional cones")
+            walls = fan.maximal_walls if cones == fan.maximal_ids else fan.walls(cones)
+            pairs = []
+            for f, incident in sorted(walls.items()):
+                if len(incident) == 2:
+                    if not folded or f <= self.antipode[f]:
+                        pairs.append((incident[0], incident[1], f))
+                elif len(incident) > 2:
+                    raise SheafError("wall shared by more than two cones")
+            cached = self._pairs[key] = tuple(pairs)
+        return cached
 
     # -- quotients modulo the maximal ideal -----------------------------------
 
@@ -466,12 +522,16 @@ class MinimalExtensionSheaf:
         :func:`linalg.products_rref`: section coordinate c -> (t, k) per
         variable x_j of its cone, for the coordinate t of x_j times its
         monomial and the index k of the form's coefficient of x_j among
-        the covectors laid end to end.  Only the tables over the
-        representatives are kept: both halves' quotients at q + 2 and the
-        Lefschetz maps at q read the same one."""
-        shared = max_ids == self.representatives
-        if shared and q in self._tables:
-            return self._tables[q]
+        the covectors laid end to end.  The table depends only on the
+        layout, each cone's variable count and generator degrees, and on
+        q, so it is kept under those: the boundaries of cones whose
+        facets have one layout share one table, and both halves'
+        quotients at q + 2 and the Lefschetz maps at q read the one over
+        the representatives."""
+        key = (tuple((self.nvars(cid), self.modules[cid].gen_degrees) for cid in max_ids), q)
+        cached = self._tables.get(key)
+        if cached is not None:
+            return cached
         offsets, _ = self.section_layout(max_ids, q)
         out_offsets, _ = self.section_layout(max_ids, q + 2)
         table = {}
@@ -489,8 +549,7 @@ class MinimalExtensionSheaf:
                         for j in range(nv)
                     )
             first += nv
-        if shared:
-            self._tables[q] = table
+        self._tables[key] = table
         return table
 
     def reduce_mod_m(self, q: int, coords: dict, parity: int | None = None) -> dict:
@@ -533,8 +592,10 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     first through the point reflection, and the first from the least cone
     of its orbit under the fan's :attr:`Fan.symmetries` when the faces of
     both are canonical (see the module docstring); any other cone is
-    constructed.  The construction's restriction matrices are dropped on
-    return: the global sections read only those of maximal cones to walls.
+    constructed.  The maps kept while building (restriction matrices,
+    substitutions, wall pairs and product tables) are dropped on return:
+    the global sections read only the maximal cones' restrictions to
+    walls and the representatives' tables, which they build anew.
     """
     if cap is None:
         cap = 2 * (fan.dim + 1)
@@ -551,7 +612,6 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     # The point reflection, as the matrix of its own inverse: -I over 1.
     reflection = (tuple(tuple(ring.neg(ring.one) if i == j else ring.zero for j in range(n)) for i in range(n)), 1)
     symmetries = fan.symmetries
-    one = ({0: ring.one},)
     canonical = 0  # bitset of the cones with one degree-0 generator whose images are all 1
     order = sorted(
         fan.cone_ids(), key=lambda cid: (fan.cones[cid].dim, cid)
@@ -572,9 +632,10 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
             if module is None:
                 module = _construct_module(mes, cid)
         mes.modules[cid] = module
-        if symmetries is not None and module.gen_degrees == (0,) and all(v == one for v in module.images.values()):
+        if symmetries is not None and module.gen_degrees == (0,) and all(v == mes._constant for v in module.images.values()):
             canonical |= 1 << cid
-    mes._restr.clear()
+    for kept in (mes._restr, mes._pairs, mes._tables, mes._substitutions, mes._memos):
+        kept.clear()
     return mes
 
 

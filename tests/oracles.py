@@ -52,6 +52,7 @@ from polyfan.polytopes import (
     PolytopeError,
     _facets,
     _validate_lattice,
+    linear_image,
     mask_bits,
     random_cs,
 )
@@ -419,7 +420,7 @@ def g_by_quotient_fans(fan, cone_id) -> tuple:
     its boundary, g = tau_{< ceil(d/2)}((1 - x) h); simplicial cones have
     g = 1.  Nothing is memoized, so every quotient fan is built anew."""
     cone = fan.cones[cone_id]
-    if len(cone.ray_ids) == cone.dim:
+    if cone.mask.bit_count() == cone.dim:
         return (1,)
     h = h_by_quotient_fans(fan.quotient_fan(cone_id))
     return _trimmed(_poly_mul([1, -1], h)[: (cone.dim + 1) // 2])
@@ -485,7 +486,7 @@ def h_per_face(fan) -> tuple:
 
     for cid in sorted(fan.cones, key=lambda c: fan.cones[c].dim):
         cone = fan.cones[cid]
-        if len(cone.ray_ids) == cone.dim:
+        if cone.mask.bit_count() == cone.dim:
             g[cid] = (1,)
         else:
             h = h_sum(faces_below(fan, cid), cone.dim - 1)
@@ -758,6 +759,23 @@ def lefschetz_tables(mes, matrices: dict) -> tuple:
     return table, minus
 
 
+def unitriangular_image(p, d):
+    """P under the upper unitriangular map over Q(sqrt d) whose entry
+    (i, j), j > i, is 1/(j - i + 1) + sqrt(d)/(i + 2): every image
+    coordinate has a fractional rational and irrational part."""
+    n = p.ambient_dim
+    matrix = tuple(
+        tuple(
+            Fraction(1) if i == j
+            else Quadratic(Fraction(1, j - i + 1), Fraction(1, i + 2), d) if j > i
+            else Fraction(0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return linear_image(p, matrix)
+
+
 def subfan(fan: Fan, ids: set) -> Fan:
     """The fan of a face-closed set of cones of ``fan``, reusing ids."""
     for cid in ids:
@@ -765,7 +783,7 @@ def subfan(fan: Fan, ids: set) -> Fan:
             raise FanError("subfan is not face-closed")
     cones = {cid: fan.cones[cid] for cid in ids}
     down = {cid: bitset(faces_below(fan, cid) & ids) for cid in ids}
-    rays = {r: fan.rays[r] for c in cones.values() for r in c.ray_ids}
+    rays = {r: fan.rays[r] for cid in ids for r in fan.ray_ids[cid]}
     return Fan(fan.ambient_dim, rays, cones, down)
 
 
@@ -783,7 +801,7 @@ def value_on_ray(function, ray_id: int):
     """The value of a conewise-linear function on one ray of its fan,
     read on a maximal cone through the ray."""
     fan = function.fan
-    cid = next(c for c in fan.maximal_ids if ray_id in fan.cones[c].ray_ids)
+    cid = next(c for c in fan.maximal_ids if ray_id in fan.ray_ids[c])
     return sum((a * b for a, b in zip(function.covectors[cid], fan.rays[ray_id])), Fraction(0))
 
 
@@ -800,7 +818,7 @@ def conewise_pieces_agree(fan: Fan, covectors: dict) -> bool:
     face: for every pair of maximal cones, both pieces take the same
     value on each ray of their largest common face."""
     for a, b in combinations(fan.maximal_ids, 2):
-        for ray in map(fan.rays.get, fan.cones[common_face(fan, a, b)].ray_ids):
+        for ray in map(fan.rays.get, fan.ray_ids[common_face(fan, a, b)]):
             values = [sum((x * y for x, y in zip(covectors[c], ray)), Fraction(0)) for c in (a, b)]
             if values[0] != values[1]:
                 return False

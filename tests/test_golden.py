@@ -28,7 +28,7 @@ from polyfan.corpus import cs_corpus, sheaf_corpus
 from polyfan.polytopes import Polytope, cross_polytope, cube, linear_image, random_cs, simplex
 from polyfan.scalars import Field, Quadratic
 
-from oracles import translated
+from oracles import translated, unitriangular_image
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,23 +52,6 @@ def _sqrt2_hexagon():
     return linear_image(hexagon, shear)
 
 
-def _quadratic_image(p, d):
-    """P under the upper unitriangular map over Q(sqrt d) whose entry
-    (i, j), j > i, is 1/(j - i + 1) + sqrt(d)/(i + 2): every image
-    coordinate has a fractional rational and irrational part."""
-    n = p.ambient_dim
-    matrix = tuple(
-        tuple(
-            Fraction(1) if i == j
-            else Quadratic(Fraction(1, j - i + 1), Fraction(1, i + 2), d) if j > i
-            else Fraction(0)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return linear_image(p, matrix)
-
-
 def _sqrt3_diamond():
     """conv{(3+sqrt 3, 0), (5+sqrt 3, 0), (4+sqrt 3, +-1)}: the origin is
     outside, and the translate by minus the centroid is rational."""
@@ -84,7 +67,7 @@ def _cases():
     corpus = dict(cs_corpus())
     out = [(f"ih-{n}", ["ih"], [(n, sheaf[n], rational)]) for n in IH_NAMES]
     out.append(("ih-sqrt2-hexagon", ["ih"], [("sqrt2-hexagon", _sqrt2_hexagon(), q2)]))
-    cross3 = ("sqrt2-cross-3", _quadratic_image(cross_polytope(3), 2), q2)
+    cross3 = ("sqrt2-cross-3", unitriangular_image(cross_polytope(3), 2), q2)
     out.append(("ih-sqrt2-cross-3", ["ih"], [cross3]))
     out.append(("ih-simplex-2", ["ih"], [("simplex-2", simplex(2), rational)]))
     cap10 = ["ih", "--degree-cap", "10"]
@@ -93,7 +76,7 @@ def _cases():
     for n in BOUNDS_NAMES:
         field = q2 if n == "nonrational-bipyramid" else rational
         out.append((f"check-bounds-{n}", ["check-bounds"], [(n, corpus[n], field)]))
-    cube4 = ("sqrt3-cube-4", _quadratic_image(cube(4), 3), q3)
+    cube4 = ("sqrt3-cube-4", unitriangular_image(cube(4), 3), q3)
     out.append(("check-bounds-sqrt3-cube-4", ["check-bounds"], [cube4]))
     moved = translated(cube(2), (Fraction(10), Fraction(0)))
     out.append(("check-bounds-cube-2-shifted", ["check-bounds"], [("cube-2-shifted", moved, rational)]))

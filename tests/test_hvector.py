@@ -190,7 +190,7 @@ def test_the_g_memo_is_keyed_by_dimension():
     same class counts as that cone, and a different g."""
     fan = face_fan(cube(3))
     square = next(c for c in fan.cones_of_dim(3) if not fan.is_simplicial_cone(c))
-    other_ray = next(r for r in fan.rays if r not in fan.cones[square].ray_ids)
+    other_ray = next(r for r in fan.rays if r not in fan.ray_ids[square])
     fake = max(fan.cones) + 1
     cones = dict(fan.cones)
     cones[fake] = Cone(fake, fan.cones[square].mask | 1 << other_ray, 4)

@@ -1,4 +1,5 @@
 import ast
+import copy
 import re
 from collections import Counter
 from fractions import Fraction
@@ -581,28 +582,38 @@ def _dense(rows, ncols):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
-def _assert_restrictions_match_oracle(mes):
-    """Every restriction matrix, rows / scale, is exactly the dense
+def _assert_restriction_matches_oracle(mes, cid, face, q) -> int:
+    """The restriction matrix, rows / scale, is exactly the dense
     oracle's, and its rows hold only nonzero integral entries of the
-    sheaf's ring (ints, or int pairs over Q(sqrt d))."""
-    fan = mes.fan
+    sheaf's ring (ints, or int pairs over Q(sqrt d)); returns the scale."""
     d = mes.ring.d
-    scales = []
-    for cid in fan.cone_ids():
-        for face in sorted(oracles.faces_below(fan, cid)):
-            for q in range(0, mes.cap + 1, 2):
-                expected = dense_restriction_matrix(mes, cid, face, q)
-                rows, scale = mes.restriction_matrix(cid, face, q)
-                assert type(scale) is int and scale > 0
-                got = [{c: oracles.scalar(x, scale, d) for c, x in row.items()} for row in rows]
-                assert _dense(got, mes.module_dim(cid, q)) == expected, (cid, face, q)
-                assert all(x != 0 for row in got for x in row.values())
-                entries = [x for row in rows for x in row.values()]
-                if d is None:
-                    assert all(type(x) is int for x in entries)
-                else:
-                    assert all(type(x) is tuple and list(map(type, x)) == [int, int] for x in entries)
-                scales.append(scale)
+    expected = dense_restriction_matrix(mes, cid, face, q)
+    rows, scale = mes.restriction_matrix(cid, face, q)
+    assert type(scale) is int and scale > 0
+    got = [{c: oracles.scalar(x, scale, d) for c, x in row.items()} for row in rows]
+    assert _dense(got, mes.module_dim(cid, q)) == expected, (cid, face, q)
+    assert all(x != 0 for row in got for x in row.values())
+    entries = [x for row in rows for x in row.values()]
+    if d is None:
+        assert all(type(x) is int for x in entries)
+    else:
+        assert all(type(x) is tuple and list(map(type, x)) == [int, int] for x in entries)
+    return scale
+
+
+def _assert_restrictions_match_oracle(mes):
+    """Every restriction matrix of the sheaf matches the dense oracle.
+    The global sections are built first, so the matrices that their
+    walls share are among those checked."""
+    for q in range(0, mes.cap + 1, 2):
+        mes.global_data(q)
+    fan = mes.fan
+    scales = [
+        _assert_restriction_matches_oracle(mes, cid, face, q)
+        for cid in fan.cone_ids()
+        for face in sorted(oracles.faces_below(fan, cid))
+        for q in range(0, mes.cap + 1, 2)
+    ]
     assert scales
     return scales
 
@@ -625,6 +636,65 @@ class TestRestrictionAgainstDenseOracle:
         # denominators (up to 3), so its matrices carry scales above 1.
         mes = build_mes(face_fan(random_cs(3, 4, 3)), 8)
         assert max(_assert_restrictions_match_oracle(mes)) > 1
+
+    def test_random_polygon(self):
+        _assert_restrictions_match_oracle(build_mes(face_fan(random_cs(2, 5, 4))))
+
+    def test_equal_forms_with_different_denominators_share_no_matrix(self):
+        """The Q(sqrt 2) image of cross(3) of tests/golden has canonical
+        restrictions (one degree-0 generator with image 1) whose
+        substituted forms are equal while their denominators D differ (1
+        and 7).  Each D keeps its own matrix, of scale D^(q/2), and each
+        matrix is the dense oracle's."""
+        mes = build_mes(face_fan(oracles.unitriangular_image(cross_polytope(3), 2)), 8)
+        fan, constant = mes.fan, ({0: mes.ring.one},)
+        by_forms: dict = {}
+        for cid in fan.cone_ids():
+            module = mes.modules[cid]
+            for face in sorted(oracles.faces_below(fan, cid) - {fan.zero_id}):
+                if module.gen_degrees == (0,) and module.images[face] == constant:
+                    forms, den, _ = mes._substitution(cid, face)
+                    by_forms.setdefault(forms, {}).setdefault(den, (cid, face))
+        clashes = [by_den for by_den in by_forms.values() if len(by_den) > 1]
+        assert clashes
+        for by_den in clashes:
+            for q in range(2, mes.cap + 1, 2):
+                matrices = {den: mes.restriction_matrix(cid, face, q) for den, (cid, face) in by_den.items()}
+                assert len({id(m) for m in matrices.values()}) == len(by_den)
+                for den, (cid, face) in by_den.items():
+                    assert _assert_restriction_matches_oracle(mes, cid, face, q) == den ** (q // 2)
+
+
+class TestSharedRestrictions:
+    """Each restriction matrix is built once per sheaf and shared by every
+    pair of cones it serves, and nothing changes a shared matrix."""
+
+    def test_global_walls_of_a_polygon_share_one_matrix_per_antipodal_pair(self):
+        """Every module of a polygon's fan is canonical, and the maximal
+        cones span the plane, so a wall's matrix depends only on its
+        span: with p antipodal pairs of rays the global phase builds p
+        matrices per degree, one per kept wall, which both sides of the
+        wall and of its antipode read (2p when kept per pair of cones).
+        The report computed afterwards leaves them as they were."""
+        p = random_cs(2, 5, 4)
+        a = Analysis(p)
+        mes, fan = a.sheaf, a.fan
+        # The construction's maps are dropped.
+        assert not any((mes._restr, mes._pairs, mes._scaled, mes._tables, mes._substitutions, mes._memos))
+        pairs = len(fan.cones_of_dim(1)) // 2
+        degrees = range(0, mes.cap + 1, 2)
+        for q in degrees:
+            mes.global_data(q)
+        assert Counter(key[2] for key in mes._restr) == {q: pairs for q in degrees}
+        anti = mes.antipode
+        for f, (x, y) in fan.maximal_walls.items():
+            for q in degrees:
+                shared = mes.restriction_matrix(x, f, q)
+                assert mes.restriction_matrix(y, f, q) is shared
+                assert mes.restriction_matrix(anti[x], anti[f], q) is shared
+        snapshot = copy.deepcopy(mes._restr)
+        assert report_passes(ih_report(a, Field.rational(), "polygon"))
+        assert mes._restr == snapshot
 
 
 @pytest.mark.parametrize("name", ["cube-2", "cross-3", "prism-over-diamond"])
