@@ -69,6 +69,10 @@ def _cases():
     out.append(("ih-sqrt2-hexagon", ["ih"], [("sqrt2-hexagon", _sqrt2_hexagon(), q2)]))
     cross3 = ("sqrt2-cross-3", unitriangular_image(cross_polytope(3), 2), q2)
     out.append(("ih-sqrt2-cross-3", ["ih"], [cross3]))
+    cube3 = ("sqrt2-cube-3", unitriangular_image(cube(3), 2), q2)
+    out.append(("ih-sqrt2-cube-3", ["ih"], [cube3]))
+    prism = ("sqrt3-prism-over-diamond", unitriangular_image(sheaf["prism-over-diamond"], 3), q3)
+    out.append(("ih-sqrt3-prism-over-diamond", ["ih"], [prism]))
     out.append(("ih-simplex-2", ["ih"], [("simplex-2", simplex(2), rational)]))
     cap10 = ["ih", "--degree-cap", "10"]
     out.append(("ih-cube-2-cap10", cap10, [("cube-2", sheaf["cube-2"], rational)]))
