@@ -5,11 +5,13 @@ fan can reuse the ids of the parent fan.  A cone's extreme rays are an
 int bitset over ray ids (in a face fan, the face's vertex mask), and its
 proper faces an int bitset over cone ids.  A fan converts its rays to
 integers once, by :func:`linalg.integral_rows` (ints over Q, integer
-pairs over Q(sqrt d)); its field, its antipodes, its cone bases and its
-quotient fans read those rows.  The face fan of a polytope, quotient
-fans of cones, completeness, central symmetry and the linear
-automorphisms of a fan live here, together with conewise-linear support
-functions, which convert their rays and covectors the same way.
+pairs over Q(sqrt d)); its field, antipodes, symmetries and, when first
+asked, its coordinates read those rows: each ray's in a basis of rays,
+ratios of determinants that a linear map keeps (Brion 1996), and each
+cone's, dual to its rays or to the stored rows of theirs.  The face fan of a polytope, quotient fans of cones,
+completeness, central symmetry and the linear automorphisms of a fan
+live here, together with conewise-linear support functions, which
+convert their rays and covectors the same way.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class Fan:
         maximal = known & ~below
         top = self._dim_masks[self.dim]
         self.maximal_ids = tuple(self._dim_ids[self.dim]) if maximal == top else mask_bits(maximal)
-        self._bases: dict = {}
+        self._frames: dict = {}
         self._classes = None  # (dim, g) -> bitset of cones, filled by hvector
         self._antipode = None
 
@@ -168,26 +170,66 @@ class Fan:
     def is_simplicial(self) -> bool:
         return all(self.is_simplicial_cone(cid) for cid in self.cones)
 
-    def cone_basis(self, cone_id: int):
-        """Deterministic coordinates on the linear span of a cone.
+    @cached_property
+    def ambient_coordinates(self) -> tuple:
+        """(basis, coordinates, d): the first rays that span the rays'
+        span, those of the first maximal cone first, and per ray id its
+        coordinates in that basis as a dense integral vector over one
+        implicit positive integer: ints when rational, as on a linear
+        image of a rational fan, else pairs over Q(sqrt d), d None then."""
+        d, rows = self.radicand, self._ray_rows
+        first = self.ray_ids[self.maximal_ids[0]]
+        order = [*first, *(r for r in rows if r not in first)]
+        stored = linalg.stored_rows(list(zip(*(rows[r] for r in order))), d)
+        pivots = sorted(stored)
+        scaled, _ = linalg.common_scale([(stored[p], stored[p][p] if d is None else stored[p][p][0]) for p in pivots], d)
+        if d is not None and not any(y for row in scaled for _, y in row.values()):
+            scaled, d = [{c: x for c, (x, _) in row.items()} for row in scaled], None
+        zero = linalg.ring(d).zero
+        coordinates = {r: tuple(row.get(c, zero) for row in scaled) for c, r in enumerate(order)}
+        return tuple(order[p] for p in pivots), coordinates, d
 
-        Returns (rows, pivots): the stored rows R_p of the elimination of
-        the integral rows of the cone's rays (see :mod:`polyfan.linalg`),
-        in pivot order, and their pivot columns.  The rows are dense and integral in the
-        fan's :class:`linalg.Ring` (ints over Q, int pairs over
-        Q(sqrt d)), each with a positive integer d_p at its pivot p and 0
-        at the other pivots.  The cone's coordinates are the y with x =
-        sum_p y_p R_p, so y_p = x_p / d_p.  The rows depend only on the
-        span, so opposite cones share them.  The zero cone yields no rows.
-        """
-        cached = self._bases.get(cone_id)
+    def cone_coordinates(self, cone_id: int) -> tuple:
+        """(basis, pivots): a cone's variables are the coordinates dual to
+        ``basis``, integral vectors of its span in the
+        :attr:`ambient_coordinates`: on a simplicial cone its rays, so
+        restriction to a face sets the other variables to 0 (``pivots``
+        None), else the stored rows of its rays (see :mod:`polyfan.linalg`),
+        nonzero at their ``pivots`` and 0 at the other pivots.  A cone
+        takes its antipode's basis negated when that has the lesser id."""
+        cached = self._frames.get(cone_id)
         if cached is None:
-            d, ray_rows = self.radicand, self._ray_rows
-            stored = linalg.stored_rows([ray_rows[r] for r in self.ray_ids[cone_id]], d)
-            pivots, zero = tuple(sorted(stored)), linalg.ring(d).zero
-            rows = tuple(tuple(stored[p].get(c, zero) for c in range(self.ambient_dim)) for p in pivots)
-            cached = self._bases[cone_id] = (rows, pivots)
+            anti = self.antipode_map()[cone_id] if self.is_centrally_symmetric() else cone_id
+            _, coordinates, d = self.ambient_coordinates
+            ring = linalg.ring(d)
+            if anti < cone_id:
+                basis, pivots = self.cone_coordinates(anti)
+                cached = tuple(tuple(map(ring.neg, v)) for v in basis), pivots
+            else:
+                vectors = [coordinates[r] for r in self.ray_ids[cone_id]]
+                cached = tuple(vectors), None
+                if len(vectors) > self.cones[cone_id].dim:
+                    stored = linalg.stored_rows(vectors, d)
+                    pivots = tuple(sorted(stored))
+                    cached = tuple(tuple(stored[p].get(c, ring.zero) for c in range(len(vectors[0]))) for p in pivots), pivots
+            self._frames[cone_id] = cached
         return cached
+
+    def coordinate_values(self, cone_id: int, vectors) -> list:
+        """Per variable of a cone, (values, n): its values at the given
+        vectors of the cone's span (on a simplicial cone, vectors of its
+        basis), value k being values[k] / n for sparse integral values and
+        a positive integer n.  With pivots, variable i of a vector is its
+        entry at the pivot of basis vector i over that vector's there."""
+        basis, pivots = self.cone_coordinates(cone_id)
+        ring = linalg.ring(self.ambient_coordinates[2])
+        if pivots is None:
+            return [({k: ring.one for k, w in enumerate(vectors) if w == b}, 1) for b in basis]
+        out = []
+        for b, p in zip(basis, pivots):
+            n = b[p] if ring.d is None else b[p][0]
+            out.append(({k: w[p] if n > 0 else ring.neg(w[p]) for k, w in enumerate(vectors) if w[p] != ring.zero}, abs(n)))
+        return out
 
     def walls(self, max_ids) -> dict:
         """Each codimension-one face of the given cones, which must share
@@ -412,45 +454,27 @@ class Fan:
         permutation of :attr:`symmetries` of the rays of the given cone."""
         return self._cone_of_mask[_permuted(self.cones[cone_id].mask, perm)]
 
-    def linear_map(self, perm: dict) -> tuple:
-        """(rows, n): the matrix of the linear map that sends each ray r to
-        perm[r], for a ray permutation of :attr:`symmetries`, as integral
-        rows over a positive integer n.  It is B' B^-1 for B the first
-        basis among the rays, as columns, and B' their images."""
-        base, inverse, n = self._ray_basis
-        dot = linalg.ring(self.radicand).dot
-        images = list(zip(*(self._ray_rows[perm[b]] for b in base)))
-        return tuple(tuple(dot(row, column) for column in zip(*inverse)) for row in images), n
-
-    @cached_property
-    def _ray_basis(self) -> tuple:
-        """(base, rows, n): the first rays that span the space, in ray
-        order (the pivots of the elimination of the rays as columns), and
-        the inverse of their matrix as integral rows over n."""
-        ids, rows = list(self._ray_rows), self._integral[0]
-        pivots = sorted(linalg.stored_rows(list(zip(*rows)), self.radicand))
-        inverse = _inverse(list(zip(*(rows[p] for p in pivots))), self.radicand)
-        return (tuple(ids[p] for p in pivots), *inverse)
-
     # -- derived fans ----------------------------------------------------
 
     def quotient_fan(self, cone_id: int) -> "Fan":
         """Projection of the boundary of a cone along an interior vector.
 
-        The cone's integral rays, read at the pivots of its
-        :meth:`cone_basis`, are coordinates on its span, and their sum l
-        is interior.  x -> l_j x - x_j l, for j the first nonzero entry of
-        l, has the line of l as kernel and 0 at j, which is dropped.  The
-        result is a complete fan in dimension dim(cone) - 1, with rays in
-        this fan's field, whose face poset is that of the proper faces of
-        the cone; cone and ray ids are inherited.
+        The cone's rays, in its :meth:`cone_coordinates`, are coordinates
+        on its span, and their sum l is interior.  x -> l_j x - x_j l, for
+        j the first nonzero entry of l, has the line of l as kernel and 0
+        at j, which is dropped.  The result is a complete fan in dimension
+        dim(cone) - 1, with rays in the field of the coordinates, whose
+        face poset is that of the proper faces of the cone; cone and ray
+        ids are inherited.
         """
         c = self.cones[cone_id]
         if c.dim < 1:
             raise FanError("quotient fan needs a cone of dimension >= 1")
-        d, pivots = self.radicand, self.cone_basis(cone_id)[1]
-        ring = linalg.ring(d)
-        rows = {r: [self._ray_rows[r][p] for p in pivots] for r in self.ray_ids[cone_id]}
+        _, coordinates, d = self.ambient_coordinates
+        ring, rays = linalg.ring(d), self.ray_ids[cone_id]
+        # Each variable's positive integer is dropped, which rescales an axis.
+        values = self.coordinate_values(cone_id, [coordinates[r] for r in rays])
+        rows = {r: [v.get(k, ring.zero) for v, _ in values] for k, r in enumerate(rays)}
         line = [reduce(ring.add, column) for column in zip(*rows.values())]
         j = next(i for i, x in enumerate(line) if x != ring.zero)
         new_rays = {
@@ -464,7 +488,8 @@ class Fan:
         faces = mask_bits(self.down[cone_id])
         cones = {fid: self.cones[fid] for fid in faces}
         fan = Fan(c.dim - 1, new_rays, cones, {fid: self.down[fid] for fid in faces})
-        if any(len(fan.cone_basis(fid)[1]) != cone.dim for fid, cone in fan.cones.items()):
+        rays = fan._ray_rows
+        if any(len(linalg.stored_rows([rays[r] for r in fan.ray_ids[fid]], fan.radicand)) != cone.dim for fid, cone in cones.items()):
             raise FanError("projection did not preserve cone dimensions")
         return fan
 

@@ -8,66 +8,70 @@ new restriction maps.  The minimal extension sheaf is unique up to
 isomorphism, so it commutes with the fan's linear automorphisms
 (Barthel-Brasselet-Fieseler-Kaup 2002, :attr:`Fan.symmetries`), and a
 cone need not be constructed when a cone of its orbit is built.  Of each
-antipodal pair the second cone is transported from the first through
-the point reflection, a substitution by -I, which keeps every module.
-The first is transported from the least cone of its orbit through a
-group element g when each proper face of both has one generator, in
-degree 0, with every image 1: such a face module is the same coordinate
-data under any linear map, so the images, taken from each face's
-cone-basis coordinates to its image's, define the module of the image
-cone.  Each cone transported through g is checked: its generator
-degrees against its own g-polynomial and its images for gluing across
-each ridge of its boundary.  Any other cone is constructed.
+antipodal pair the second cone takes the first one's module on the
+opposite faces: the point reflection keeps every variable.  The first is
+transported from the least cone of its orbit through a group element g
+when each proper face of both has one generator, in degree 0, with every
+image 1: such a face is simplicial and g permutes its variables.  Each
+cone transported through g is checked: its generator degrees against its
+own g-polynomial and its images for gluing across each ridge of its
+boundary.  Any other cone is constructed.
 
-The global sections are split by parity.  The reflection sends the
-block of a maximal cone sigma to the block of -sigma in the same
-coordinates, with sign (-1)^m on coefficients of ordinary degree m, so
+The variables of a cone are the coordinates dual to a basis of its span
+(:meth:`Fan.cone_coordinates`), read in one basis of the rays' span that
+a linear map of the fan keeps (Brion 1996): on a simplicial cone its
+rays, so restriction to a face sets the other variables to 0, else the
+stored rows of its rays.  The ambient maximal ideal is generated by the
+coordinates of :attr:`Fan.ambient_coordinates`.  So the sheaf of a
+linear image of a fan has the same matrices, and that of a Q(sqrt d)
+image of a rational polytope runs over Q.
+
+The global sections are split by parity.  A cone's basis is its
+antipode's negated, in the same order, so the reflection sends the
+block of a maximal cone sigma to the block of -sigma unchanged, and
 E = E+ (+) E- for its +1 and -1 eigenspaces.  A section in the half
 E^eps is fixed by its blocks on the representatives, one maximal cone
-per antipodal pair: the block of -sigma is eps times the reflected block
-of sigma.  So :meth:`MinimalExtensionSheaf.section_space` folds every
-wall equation onto the representatives' columns, and E^eps is a kernel
-with half the columns; no kernel over all maximal cones and no matrix of
-the reflection is built.  The coordinate functions are odd, so
+per antipodal pair: the block of -sigma is eps times the block of
+sigma.  So :meth:`MinimalExtensionSheaf.section_space` folds every wall
+equation onto the representatives' columns, and E^eps is a kernel with
+half the columns; no kernel over all maximal cones and no matrix of the
+reflection is built.  The coordinate functions are odd, so
 (E/mE)^eps = E^eps / m E^-eps, the quotient of one half by the products
 of the other, and the support function is even, so its Lefschetz maps
 send each half to itself.  A fan that is not centrally symmetric takes
 the same path with no fold and a single half.
 
 All objects are truncated at an even degree cap; linear forms sit in
-degree 2, so degree q holds polynomials of ordinary degree q/2.  The
-variables of a cone are the coordinates y of its span in the stored rows
-R_p of :meth:`Fan.cone_basis`, x = sum_p y_p R_p, so a linear function
-is read off the integral rows: the ambient coordinate x_j is sum_p
-R_p[j] y_p.  Every
+degree 2, so degree q holds polynomials of ordinary degree q/2.  Every
 matrix is sparse rows or columns of :mod:`polyfan.linalg`, kept in its
 integral form from the moment it is built: ints over Q, integer pairs
-over Q(sqrt d), with the arithmetic of the fan's field chosen once as a
-:class:`linalg.Ring`.  A restriction matrix is integral rows with one
-positive integer scale, the matrix being rows / scale.  Generator
-images are integral: a generator may carry any nonzero constant, so
-each lift is scaled to clear its images' denominators.  Section spaces
-are :class:`linalg.Kernel` objects of the integral wall rows.  The one
-quotient modulo the maximal ideal (``MinimalExtensionSheaf.quotient``,
-for boundary fans and the halves of the global sections) forms its
-products of sections with integral linear forms by
-:func:`linalg.products_rref` and keeps the stored rows of their
-elimination, and so do the Lefschetz maps, over the same tables, whose
-products are reduced modulo those rows fraction-free: a rank does not
-depend on the scale of a row.  Every basis extraction and every product
-is verified exactly by the membership test of the kernel, so a product
-outside its half raises instead of silently producing wrong dimensions.
+over Q(sqrt d), with the arithmetic of the cones' coordinates chosen
+once as a :class:`linalg.Ring`.  A restriction matrix is integral rows
+with one positive integer scale, the matrix being rows / scale.
+Generator images are integral: a generator may carry any nonzero
+constant, so each lift is scaled to clear its images' denominators.
+Section spaces are :class:`linalg.Kernel` objects of the integral wall
+rows.  The one quotient modulo the maximal ideal
+(``MinimalExtensionSheaf.quotient``, for boundary fans and the halves of
+the global sections) forms its products of sections with integral
+linear forms by :func:`linalg.products_rref` and keeps the stored rows
+of their elimination, and so do the Lefschetz maps, over the same
+tables, whose products are reduced modulo those rows fraction-free: a
+rank does not depend on the scale of a row.  Every basis extraction and
+every product is verified exactly by the membership test of the kernel,
+so a product outside its half raises instead of silently producing
+wrong dimensions.
 
 Each map is built once per sheaf and kept under the data that fixes it.
 A restriction from a module with one generator, in degree 0, whose image
 on the target is 1 is the substitution alone: it is kept under the
-substituted integral forms, their denominator D, the degree and the
-target's dimension, so both sides of a global wall and the wall's
-antipode read one matrix.  The wall pairs of a set of cones are found
-once, and their rows over one scale are kept per degree for both halves
-to fold.  A product table depends only on its cones' variable counts and
-generator degrees.  The maps that the construction keeps are dropped
-when :func:`build_mes` returns.
+substituted integral forms, their denominator D, the target's variable
+count and the degree, so a wall and its antipode read one matrix, and
+each pair of cones finds its key once.  The wall pairs of a set of cones
+are found once, and their rows over one scale are kept per degree for
+both halves to fold.  A product table depends only on its cones'
+variable counts and generator degrees.  The maps that the construction
+keeps are dropped when :func:`build_mes` returns.
 
 This module computes the sheaf's invariants: Poincare series, refined
 series and Lefschetz rank tables.  Its only predicates verify the
@@ -79,7 +83,7 @@ the identities a report checks are decided in :mod:`polyfan.checks`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add
 
 from . import hvector, linalg
@@ -169,8 +173,9 @@ class MinimalExtensionSheaf:
     def __init__(self, fan: Fan, cap: int):
         self.fan = fan
         self.cap = cap
-        # The arithmetic of every integral row and vector of the sheaf.
-        self.ring = linalg.ring(fan.radicand)
+        # The arithmetic of every integral row and vector of the sheaf, that
+        # of the coordinates: ints on a linear image of a rational fan.
+        self.ring = linalg.ring(fan.ambient_coordinates[2])
         self.modules: dict = {}
         # On a centrally symmetric fan: the cone involution, the halves of
         # the global sections by the reflection's eigenvalue, and one
@@ -188,11 +193,11 @@ class MinimalExtensionSheaf:
         # Maps kept under the data that fixes them, each built once (see
         # restriction_matrix, _substitution, _wall_pairs, wall_rows and
         # _product_table); build_mes drops those of the construction.
+        self._keys: dict = {}
         self._restr: dict = {}
         self._pairs: dict = {}
         self._scaled: dict = {}
         self._tables: dict = {}
-        self._substitutions: dict = {}
         self._memos: dict = {}
         self._global: dict = {}
 
@@ -222,44 +227,17 @@ class MinimalExtensionSheaf:
     def module_dim(self, cone_id: int, q: int) -> int:
         return self.gen_blocks(cone_id, q)[1]
 
-    def odd_coordinates(self, cone_id: int, q: int) -> tuple:
-        """Per coordinate of E_cone^q, whether its ordinary polynomial
-        degree is odd: the point reflection to the antipodal cone, in the
-        same coordinates, negates exactly those."""
-        blocks = self.gen_blocks(cone_id, q)[0]
-        return tuple((q - d) // 2 % 2 == 1 for _, d, _, count in blocks for _ in range(count))
-
-    def span_substitution_forms(self, src_id: int, tgt_id: int, linear=None) -> tuple:
-        """(forms, D): per source variable, the linear form it restricts to
-        in the target cone's coordinates (the target must span a subspace
-        of the source's span) is forms[i] / D, for integral sparse forms
-        over the target variables and the least positive integer D.  The
-        source variable of pivot p is x_p / d_p, and on the target x_p is
-        sum_t y_t R_t[p].  With ``linear``, the matrix (rows, n) of a
-        linear map that sends the target's span into the source's, each
-        form is the source variable composed with that map: x_p is then
-        sum_t y_t (rows R_t)[p] / n."""
-        src_rows, src_pivots = self.fan.cone_basis(src_id)
-        tgt_rows, _ = self.fan.cone_basis(tgt_id)
-        d, zero = self.ring.d, self.ring.zero
-        n = 1
-        if linear is not None:
-            matrix, n = linear
-            dot = self.ring.dot
-            tgt_rows = [{p: dot(matrix[p], row) for p in src_pivots} for row in tgt_rows]
-        pieces = []
-        for src, p in zip(src_rows, src_pivots):
-            form = {t: row[p] for t, row in enumerate(tgt_rows) if row[p] != zero}
-            pieces.append((form, n * (src[p] if d is None else src[p][0])))
-        return linalg.common_scale(pieces, d)
-
-    def coordinate_forms(self, cones: tuple, coordinates) -> list:
-        """The coordinate functions x_j, j in ``coordinates``, on the given
-        nonzero cones, as the forms of a :meth:`quotient`: per j, the
-        integral covectors of the cones in their coordinates laid end to
-        end, x_j being sum_t y_t R_t[j] on a cone."""
-        bases = [self.fan.cone_basis(c)[0] for c in cones]
-        return [[row[j] for rows in bases for row in rows] for j in coordinates]
+    def coordinate_forms(self, cones: tuple, cone_id: int | None = None) -> list:
+        """The variables of the cone ``cone_id``, or with None the
+        coordinates of :attr:`Fan.ambient_coordinates`, which generate the
+        ambient maximal ideal, as the forms of a :meth:`quotient` on the
+        given cones: per form, each over a constant of its own, its values
+        at their basis vectors laid end to end, its integral covectors."""
+        vectors = [v for c in cones for v in self.fan.cone_coordinates(c)[0]]
+        if cone_id is None:
+            return [list(column) for column in zip(*vectors)]
+        zero = self.ring.zero
+        return [[values.get(k, zero) for k in range(len(vectors))] for values, _ in self.fan.coordinate_values(cone_id, vectors)]
 
     # -- restriction matrices ----------------------------------------------
 
@@ -274,32 +252,24 @@ class MinimalExtensionSheaf:
         by D^(k - |a|) for k the largest |a|, and the scale is D^k.
 
         Each matrix is built once per sheaf and shared, so no caller may
-        change it.  When the source module is canonical on the target,
-        one generator, in degree 0, whose image there is 1, the matrix is
-        the substitution alone: it is kept under the substituted forms,
-        D, q and the target's dimension at q.  Both sides of a global
-        wall then share one matrix per degree, as do a wall and its
-        antipode (a cone basis depends only on the span) and any two
-        cones with the same spans.  The forms alone would not do: two
-        substitutions with equal forms and different D differ by their
-        scale.  Other matrices are kept per (src, tgt, q), and a target
-        with no coordinates at q, the zero cone above degree 0, gets no
-        rows over scale 1 and keeps nothing."""
-        src_blocks, _ = self.gen_blocks(src_id, q)
+        change it.  A pair of cones finds its key once
+        (:meth:`_substitution`), so a hit is two lookups: a module with
+        one generator, in degree 0, whose image on the target is 1 keeps
+        the substitution alone under its forms, D (equal forms over
+        another D differ by the scale), the target's variable count and
+        q, which a wall and its antipode share; any other under (src, tgt,
+        q).  A target with no coordinates at q, the zero cone above
+        degree 0, gets no rows over scale 1 and keeps nothing."""
+        kept = self._keys.get((src_id, tgt_id)) or self._substitution(src_id, tgt_id)
+        cached = self._restr.get((kept[0], q))
+        if cached is not None:
+            return cached
         tgt_blocks, tgt_dim = self.gen_blocks(tgt_id, q)
         if not tgt_dim:
             return (), 1
-        module = self.modules[src_id]
-        images = module.images[tgt_id]
-        key, substitution = (src_id, tgt_id, q), None
-        if module.gen_degrees == (0,) and images == self._constant:
-            substitution = self._substitution(src_id, tgt_id)
-            forms, den, _ = substitution
-            key = (forms, den, q, tgt_dim)
-        cached = self._restr.get(key)
-        if cached is not None:
-            return cached
-        forms, den, memo = substitution or self._substitution(src_id, tgt_id)
+        key, forms, den, memo = kept
+        src_blocks, _ = self.gen_blocks(src_id, q)
+        images = self.modules[src_id].images[tgt_id]
         rows = [{} for _ in range(tgt_dim)]
         ring = self.ring
         plus, times, zero, one = ring.add, ring.mul, ring.zero, ring.one
@@ -332,31 +302,29 @@ class MinimalExtensionSheaf:
                         row = rows[off + index[tuple(map(add, mono, shift)) if shift else mono]]
                         row[col] = plus(row.get(col, zero), c if v is None else times(c, v))
         cached = (tuple({c: v for c, v in row.items() if v != zero} for row in rows), scale)
-        self._restr[key] = cached
+        self._restr[key, q] = cached
         return cached
 
-    def _substitution(self, src_id: int, tgt_id: int, linear=None) -> tuple:
-        """The :meth:`span_substitution_forms`, each form as its nonzero
-        (target variable, coefficient) pairs, their denominator D, and
-        the memo of :func:`_substituted`.  Without ``linear`` they are
-        kept per target cone and source pivots and pivot values, which
-        fix the forms."""
-        rows, pivots = self.fan.cone_basis(src_id)
-        key = (tgt_id, pivots, tuple(row[p] for row, p in zip(rows, pivots)))
-        cached = None if linear else self._substitutions.get(key)
-        if cached is None:
-            sparse, den = self.span_substitution_forms(src_id, tgt_id, linear)
-            forms = tuple(tuple(form.items()) for form in sparse)
-            width = self.nvars(tgt_id)
-            # Equal forms share one memo: many pairs of cones restrict by
-            # the same coordinate forms.
-            memo = self._memos.get(forms)
-            if memo is None:
-                memo = self._memos[forms] = {(0,) * len(forms): (((0,) * width, self.ring.one),)}
-            cached = (forms, den, memo)
-            if not linear:
-                self._substitutions[key] = cached
-        return cached
+    def _substitution(self, src_id: int, tgt_id: int) -> tuple:
+        """(key, forms, D, memo) of the restrictions from a cone to a face,
+        kept per pair: source variable i restricts to forms[i] / D, its
+        values at the face's basis vectors (:meth:`Fan.coordinate_values`)
+        as nonzero (variable, integer) pairs over the least positive D;
+        ``key`` is the one :meth:`restriction_matrix` keeps the matrices
+        under, and ``memo`` the :func:`_substituted` memo of the forms."""
+        basis = self.fan.cone_coordinates(tgt_id)[0]
+        sparse, den = linalg.common_scale(self.fan.coordinate_values(src_id, basis), self.ring.d)
+        forms = tuple(tuple(form.items()) for form in sparse)
+        # Equal forms share one memo: many pairs of cones restrict by the
+        # same coordinate forms.
+        memo = self._memos.get(forms)
+        if memo is None:
+            memo = self._memos[forms] = {(0,) * len(forms): (((0,) * len(basis), self.ring.one),)}
+        module = self.modules[src_id]
+        canonical = module.gen_degrees == (0,) and module.images[tgt_id] == self._constant
+        key = (forms, den, len(basis)) if canonical else (src_id, tgt_id)
+        kept = self._keys[src_id, tgt_id] = (key, forms, den, memo)
+        return kept
 
     # -- section spaces -----------------------------------------------------
 
@@ -388,18 +356,17 @@ class MinimalExtensionSheaf:
 
         A ``parity`` eps of 1 or -1 (``max_ids`` the
         ``representatives``) gives the half E^eps of the global sections:
-        the block of -sigma is eps times the reflected block of sigma, so
-        each wall row of the fan is folded onto the representatives'
-        columns, and of each antipodal pair of walls one is kept.
+        the block of -sigma is eps times the block of sigma, so each wall
+        row of the fan is folded onto the representatives' columns, and of
+        each antipodal pair of walls one is kept.
         """
         offsets, total = self.section_layout(max_ids, q)
-        # Per cone: its column offset and, for a folded antipode, which
-        # of its coordinates change sign.
-        place = {cid: (off, None) for cid, off in zip(max_ids, offsets)}
+        # Per cone: its column offset and whether its block is negated, as
+        # a folded antipode's is in the minus half.
+        place = {cid: (off, False) for cid, off in zip(max_ids, offsets)}
         if parity is not None:
             for cid, off in zip(max_ids, offsets):
-                flip = tuple(odd != (parity < 0) for odd in self.odd_coordinates(cid, q))
-                place[self.antipode[cid]] = (off, flip)
+                place[self.antipode[cid]] = (off, parity < 0)
         ring = self.ring
         neg, plus, zero = ring.neg, ring.add, ring.zero
         # Both halves fold the same scaled rows of a wall pair, so they
@@ -421,9 +388,9 @@ class MinimalExtensionSheaf:
                     rows_b = [{c: ring.scale(factor_b, v) for c, v in row.items()} for row in rows_b]
                 scaled = kept[a, b, f, q] = tuple(zip(rows_a, rows_b))
             for row_a, row_b in scaled:
-                row = {oa + c: neg(v) if flip_a and flip_a[c] else v for c, v in row_a.items()}
+                row = {oa + c: neg(v) if flip_a else v for c, v in row_a.items()}
                 for c, v in row_b.items():
-                    if not (flip_b and flip_b[c]):
+                    if not flip_b:
                         v = neg(v)
                     c += ob
                     # Columns meet only across a wall that is its own antipode.
@@ -505,12 +472,13 @@ class MinimalExtensionSheaf:
     def global_data(self, q: int) -> dict:
         """Per parity, the :meth:`quotient` of that half of the global
         sections at degree q, over the representatives, by the ambient
-        maximal ideal, whose coordinate functions are odd: its products
-        come from the other half at q - 2.  Kept per degree."""
+        maximal ideal, generated by the coordinates dual to the basis of
+        :attr:`Fan.ambient_coordinates`, which are odd: its products come
+        from the other half at q - 2.  Kept per degree."""
         cached = self._global.get(q)
         if cached is None:
             reps = self.representatives
-            forms = self.coordinate_forms(reps, range(self.fan.ambient_dim))
+            forms = self.coordinate_forms(reps)
             below = self.global_data(q - 2) if q >= 2 else {}
             other = {p: below[None if p is None else -p]["sections"] if below else None for p in self.parities}
             cached = self._global[q] = {p: self.quotient(reps, q, forms, other[p], p) for p in self.parities}
@@ -608,9 +576,6 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     if cap > 4 * (fan.dim + 1):
         raise DegreeCapError(f"degree cap {cap} exceeds {4 * (fan.dim + 1)}, twice the default")
     mes = MinimalExtensionSheaf(fan, cap)
-    ring, n = mes.ring, fan.ambient_dim
-    # The point reflection, as the matrix of its own inverse: -I over 1.
-    reflection = (tuple(tuple(ring.neg(ring.one) if i == j else ring.zero for j in range(n)) for i in range(n)), 1)
     symmetries = fan.symmetries
     canonical = 0  # bitset of the cones with one degree-0 generator whose images are all 1
     order = sorted(
@@ -624,7 +589,7 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
             module = ConeModule(cid, (0,), {})
         elif partner is not None and partner != cid and partner in mes.modules:
             # The reflection of a module that glues glues: no check.
-            module = _transport_module(mes, partner, cid, mes.antipode, reflection)
+            module = _transport_module(mes, partner, cid, mes.antipode)
         else:
             module = None
             if symmetries is not None:
@@ -634,7 +599,7 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
         mes.modules[cid] = module
         if symmetries is not None and module.gen_degrees == (0,) and all(v == mes._constant for v in module.images.values()):
             canonical |= 1 << cid
-    for kept in (mes._restr, mes._pairs, mes._tables, mes._substitutions, mes._memos):
+    for kept in (mes._keys, mes._restr, mes._pairs, mes._tables, mes._memos):
         kept.clear()
     return mes
 
@@ -649,11 +614,16 @@ def _transport_in_orbit(mes: MinimalExtensionSheaf, sid: int, rep: int, element:
     fan = mes.fan
     if rep == sid or (fan.down[rep] | fan.down[sid]) & ~canonical:
         return None
-    # g^-1 is read only to substitute in images that are not constant,
-    # which a generator of positive degree has.
-    inverse = fan.linear_map({s: r for r, s in element.items()}) if any(mes.modules[rep].gen_degrees) else None
-    faces = {tau: fan.cone_image(element, tau) for tau in mask_bits(fan.down[rep])}
-    module = _transport_module(mes, rep, sid, faces, inverse)
+    # Each face is simplicial, its basis its rays, so g permutes the
+    # variables: face variable i goes to the place of g(basis ray i).
+    _, coordinates, _ = fan.ambient_coordinates
+    ray_of = {v: r for r, v in coordinates.items()}
+    faces, perms = {}, {}
+    for tau in mask_bits(fan.down[rep]):
+        faces[tau] = image = fan.cone_image(element, tau)
+        place = {v: j for j, v in enumerate(fan.cone_coordinates(image)[0])}
+        perms[tau] = tuple(place[coordinates[element[ray_of[v]]]] for v in fan.cone_coordinates(tau)[0])
+    module = _transport_module(mes, rep, sid, faces, perms)
     _check_transported(mes, module, rep)
     return module
 
@@ -663,9 +633,8 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
     facets = fan.facets_of(sid)
     gen_degrees = []
     lifts = []  # (degree, integral boundary section vector)
-    # The cone's variables on its boundary: at pivot p, d_p times the
-    # variable is the coordinate x_p.
-    forms = mes.coordinate_forms(facets, fan.cone_basis(sid)[1])
+    # The cone's variables on its boundary.
+    forms = mes.coordinate_forms(facets, sid)
     below = None
     for q in range(0, mes.cap + 1, 2):
         data = mes.quotient(facets, q, forms, below, cone=sid)
@@ -723,45 +692,30 @@ def _check_generator_degrees(fan: Fan, sid: int, gen_degrees, origin: int | None
         )
 
 
-def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int, faces: dict, inverse) -> ConeModule:
+def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int, faces: dict, perms=None) -> ConeModule:
     """The module of the cone g(rep) = ``new_id`` from the module of a
     built cone rep, for a linear automorphism g of the fan: the same
-    generator degrees and, on each face g(tau), the image on tau with the
-    variables of tau replaced by the forms they become on g(tau).
-    ``faces`` maps each proper face tau of rep to g(tau), whose module
-    must be the image of the module of tau under g; ``inverse`` is the
-    matrix (integral rows, n) of g^-1, read only for images that are not
-    constant.  A block of generator degree d_j in an image of degree q
-    holds monomials of degree k = (q - d_j) / 2, which the forms, over D,
-    make D^k times too large, so each block is scaled by D^(top - k) for
-    the largest k, and each generator by the least constant that makes
-    all of its images integral."""
-    rep, ring = mes.modules[rep_id], mes.ring
-    plus, times, zero = ring.add, ring.mul, ring.zero
-    per_generator = [[] for _ in rep.gen_degrees]
+    generator degrees and, on each face g(tau) (``faces``), whose module
+    must be the image of tau's, the image on tau with its variables moved:
+    variable i to place perms[tau][i] in g(tau)'s basis, or kept for the
+    point reflection (``perms`` None), as a cone's basis is its
+    antipode's negated."""
+    rep = mes.modules[rep_id]
+    images = {}
     for tau, vecs in rep.images.items():
-        nv, substitution = mes.nvars(tau), None
-        for pieces, q, vec in zip(per_generator, rep.gen_degrees, vecs):
-            blocks = [(off, count, (q - d) // 2) for _, d, off, count in mes.gen_blocks(tau, q)[0]] if q else ()
-            top = max((k for _, _, k in blocks), default=0)
-            if not top:
-                pieces.append((vec, 1))
-                continue
-            if substitution is None:
-                substitution = mes._substitution(tau, faces[tau], inverse)
-            forms, den, memo = substitution
-            out: dict = {}
-            for c, v in vec.items():
-                off, _, k = next(b for b in blocks if b[0] <= c < b[0] + b[1])
-                if top != k:
-                    v = ring.scale(den ** (top - k), v)
-                index = _monomial_index(nv, k)
-                for mono, x in _substituted(memo, forms, monomials(nv, k)[c - off], ring):
-                    t = off + index[mono]
-                    out[t] = plus(out.get(t, zero), times(x, v))
-            pieces.append(({t: x for t, x in out.items() if x != zero}, den**top))
-    scaled = [linalg.common_scale(pieces, ring.d)[0] for pieces in per_generator]
-    return ConeModule(new_id, rep.gen_degrees, {faces[tau]: images for tau, images in zip(rep.images, zip(*scaled))})
+        if perms is not None:
+            # Exponent j of a moved monomial is that of the variable moved to j.
+            nv, moved = mes.nvars(tau), []
+            back = sorted(range(nv), key=perms[tau].__getitem__)
+            for q, vec in zip(rep.gen_degrees, vecs):
+                out = {}
+                for _, d, off, count in mes.gen_blocks(tau, q)[0]:
+                    monos, index = monomials(nv, (q - d) // 2), _monomial_index(nv, (q - d) // 2)
+                    out.update((off + index[tuple(monos[c - off][i] for i in back)], v) for c, v in vec.items() if off <= c < off + count)
+                moved.append(out)
+            vecs = tuple(moved)
+        images[faces[tau]] = vecs
+    return ConeModule(new_id, rep.gen_degrees, images)
 
 
 def _check_transported(mes: MinimalExtensionSheaf, module: ConeModule, origin: int) -> None:
@@ -858,8 +812,8 @@ def kernel_dimensions(mes: MinimalExtensionSheaf) -> dict:
 def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
     """Matrix of the reflection on the basis of the unfolded kernel of
     all global sections at degree q, as sparse columns: the block of cone
-    sigma goes to the block of -sigma with sign (-1)^m on ordinary
-    polynomial degree m.  Column j is (column, n) for the integral
+    sigma goes to the block of -sigma unchanged, since the coordinates of
+    -sigma are those of sigma composed with -I.  Column j is (column, n) for the integral
     coordinates of the image of the :func:`linalg.integral_vector` of
     basis vector j and its positive integer n at the basis vector's free
     column, the true column being column / n (exact; raises if the
@@ -869,16 +823,16 @@ def _involution_on_basis(mes: MinimalExtensionSheaf, q: int):
     max_ids = mes.fan.maximal_ids
     offsets, _ = mes.section_layout(max_ids, q)
     offset_of = dict(zip(max_ids, offsets))
-    target, odd = {}, {}
+    target = {}
     for cid, off in zip(max_ids, offsets):
         partner = offset_of[mes.antipode[cid]]
-        for c, flip in enumerate(mes.odd_coordinates(cid, q)):
-            target[off + c], odd[off + c] = partner + c, flip
-    sections, neg = mes.section_space(max_ids, q), mes.ring.neg
+        for c in range(mes.module_dim(cid, q)):
+            target[off + c] = partner + c
+    sections = mes.section_space(max_ids, q)
     columns = []
     for f in sections.free_cols:
         b = linalg.integral_vector(sections, f)
-        image = {target[c]: neg(v) if odd[c] else v for c, v in b.items()}
+        image = {target[c]: v for c, v in b.items()}
         coords = linalg.integral_coords(sections, image)
         if coords is None:
             raise SheafError("vector is not a section (failed exact membership check)")
@@ -913,13 +867,27 @@ def lefschetz_maps(mes: MinimalExtensionSheaf, s: ConewiseLinear) -> dict:
         raise FanError("support function belongs to a different fan")
     # The integral covectors U of s, for U / n with one n for all cones:
     # s is even iff those of sigma and -sigma are U and -U.
-    ring, _, covectors = s._integral
+    ring, rays, covectors = s._integral
     reps, anti = mes.representatives, mes.antipode
     if anti and any(tuple(map(ring.neg, covectors[c])) != covectors[anti[c]] for c in reps):
         raise FanError("the function is not even under the point reflection")
-    # On a cone, U / n is sum_p y_p (U.R_p) / n, and a form may carry any
-    # nonzero constant, so the form is the U.R_p of every cone.
-    form = [ring.dot(covectors[cid], row) for cid in reps for row in mes.fan.cone_basis(cid)[0]]
+    # On a cone, s is U.R / n at each ray R of the basis of
+    # Fan.ambient_coordinates, so sum_k v_k U.R_k / n at each basis vector
+    # v of the cone.  A form may carry any nonzero constant, so it is made
+    # primitive with a positive integer first, as a linear map of the fan
+    # leaves it; over a rational sheaf it must then be rational.
+    base, times, form = mes.fan.ambient_coordinates[0], ring.mul if mes.ring.d else ring.scale, []
+    for cid in reps:
+        piece = [ring.dot(covectors[cid], rays[r]) for r in base]
+        form += [reduce(ring.add, map(times, v, piece), ring.zero) for v in mes.fan.cone_coordinates(cid)[0]]
+    found = {k: v for k, v in enumerate(form) if v != ring.zero}
+    if found:
+        ring.normalize(found, min(found))
+    if ring.d != mes.ring.d:
+        if any(y for _, y in found.values()):
+            raise FanError("the function's values are not rational multiples of one another")
+        found = {k: x for k, (x, _) in found.items()}
+    form = [found.get(k, mes.ring.zero) for k in range(len(form))]
     out = {}
     for q in range(0, mes.cap, 2):
         table, target = mes._product_table(reps, q), mes.global_data(q + 2)
@@ -981,7 +949,7 @@ def check_minimal_extension_axioms(mes: MinimalExtensionSheaf) -> bool:
             continue
         facets = fan.facets_of(cid)
         module = mes.modules[cid]
-        forms = mes.coordinate_forms(facets, fan.cone_basis(cid)[1])
+        forms = mes.coordinate_forms(facets, cid)
         below = None
         for q in range(0, mes.cap + 1, 2):
             data = mes.quotient(facets, q, forms, below, cone=cid)

@@ -38,9 +38,10 @@ rows are scanned for the new pivot only when it does not.
 
 Every consumer reads the same stored rows R_p, with pivot value d_p (the
 positive integer at p).  R_p is the least integral multiple of the
-reduced row at p, so it depends only on the span of the rows: a cone's
-basis (:meth:`polyfan.fans.Fan.cone_basis`) is the stored rows of its
-rays.  :func:`sparse_rref` divides each by d_p, which is the reduced row
+reduced row at p, so it depends only on the span of the rows: a
+non-simplicial cone's basis (:meth:`polyfan.fans.Fan.cone_coordinates`)
+is the stored rows of its rays' coordinates, which a linear map of the
+rays keeps.  :func:`sparse_rref` divides each by d_p, which is the reduced row
 echelon form exactly, with no modulus and nothing to reconstruct.
 :func:`integral_kernel` keeps them in a :class:`Kernel`, each entry
 once and no scalar basis vector: the basis vector of free column f is

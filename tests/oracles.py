@@ -10,7 +10,10 @@ per face, the face fan's down-sets come from an all-pairs scan of vertex
 masks, and conewise-linear pieces are compared over every pair of
 maximal cones; the dual polytope reverses the face lattice, and
 restriction maps of the sheaf are dense products of a multiplication
-matrix and a substitution matrix.  The sections over a subfan impose
+matrix and a substitution matrix, whose substitution evaluates each
+variable of a cone, the coordinate dual to its basis ray, at the face's
+basis rays, solved in ambient coordinates by the elimination here.  The
+sections over a subfan impose
 every pairwise contact of its maximal cones on those dense matrices, and
 a section is multiplied by a linear form per cone monomial by monomial
 on scalars.  The reflection's eigenspaces come from the global sections
@@ -162,6 +165,19 @@ def linear_symmetries(p: Polytope) -> set:
             if len(set(perm)) == len(perm):
                 found.add(tuple(perm))
     return found
+
+
+def linear_map(fan: Fan, perm: dict) -> tuple:
+    """The dense matrix of scalars of the linear map that sends each ray r
+    of a fan to perm[r], for a ray permutation of its symmetries: B' B^-1
+    for B the first basis among the rays, as columns, by :func:`rref`,
+    and B' their images."""
+    ids = sorted(fan.rays)
+    n = fan.ambient_dim
+    base = [ids[p] for p in rref([[fan.rays[r][i] for r in ids] for i in range(n)])[1]]
+    binv = inverse([[fan.rays[b][i] for b in base] for i in range(n)])
+    images = [[fan.rays[perm[b]][i] for b in base] for i in range(n)]
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*binv)) for row in images)
 
 
 def cleared(values, d=None) -> tuple:
@@ -540,13 +556,41 @@ def mat_mul(a, b):
     ]
 
 
+def in_basis(basis, vectors) -> list:
+    """Per vector of scalars, its coefficients in the given basis vectors
+    of scalars (which must span it), solved by the Gauss-Jordan
+    :func:`rref` of the basis and the vectors as columns."""
+    k = len(basis)
+    reduced, pivots = rref([[*(b[i] for b in basis), *(v[i] for v in vectors)] for i in range(len(basis[0]))])
+    assert pivots == tuple(range(k)), "the basis is dependent or does not span the vectors"
+    return [tuple(row[k + j] for row in reduced) for j in range(len(vectors))]
+
+
+def ambient_basis(fan, cone_id: int) -> list:
+    """The basis vectors of a cone's coordinates as ambient vectors of
+    scalars: sum_k w_k B_k for each basis vector w, in coordinates on the
+    rays B of the fan's ambient basis.  They all come out N times too
+    large, for the integer N that the package leaves implicit, which no
+    coefficient of one basis vector in others sees."""
+    base, _, d = fan.ambient_coordinates
+    rays = [fan.rays[b] for b in base]
+    return [
+        tuple(sum((scalar(x, 1, d) * ray[j] for x, ray in zip(w, rays)), Fraction(0)) for j in range(fan.ambient_dim))
+        for w in fan.cone_coordinates(cone_id)[0]
+    ]
+
+
 def substitution_forms(mes, src_id: int, tgt_id: int) -> tuple:
-    """The sheaf's substitution forms from one cone to a face as dense
-    covectors of scalars: the integral forms divided by their common
-    denominator."""
-    forms, den = mes.span_substitution_forms(src_id, tgt_id)
-    nv, d = mes.nvars(tgt_id), mes.ring.d
-    return tuple(tuple(scalar(form.get(t, 0), den, d) for t in range(nv)) for form in forms)
+    """The restriction of each variable of a cone to a face, in the face's
+    variables, as dense covectors of scalars: the variables are the
+    coordinates dual to each cone's basis vectors, so source variable i
+    is the coefficient i of each of the face's basis vectors in the
+    source's basis, solved in ambient coordinates.  Of the package it
+    reads only the basis vectors of each cone."""
+    src, tgt = (ambient_basis(mes.fan, c) for c in (src_id, tgt_id))
+    if not tgt:
+        return ((),) * len(src)
+    return tuple(zip(*in_basis(src, tgt)))
 
 
 def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
@@ -632,13 +676,19 @@ def multiply_conewise(mes, max_ids, q: int, vec: dict, covectors) -> dict:
 
 def full_quotient(mes, q: int) -> dict:
     """The sheaf's quotient of all global sections at degree q by the
-    ambient maximal ideal, over every maximal cone with no fold: the
-    coordinate function x_j is row[j] on each stored row of a cone's
-    :meth:`Fan.cone_basis`, and the products come from the sections over
-    every maximal cone at q - 2."""
+    ambient maximal ideal, over every maximal cone with no fold, and the
+    products from the sections over every maximal cone at q - 2.  The
+    ideal is generated by the coordinates dual to the first independent
+    rays, by id, which on a cone take their values at its basis vectors,
+    solved in ambient coordinates and cleared into the sheaf's ring, one
+    form at a time."""
     fan = mes.fan
     max_ids = fan.maximal_ids
-    forms = [[row[j] for cid in max_ids for row in fan.cone_basis(cid)[0]] for j in range(fan.ambient_dim)]
+    ids = sorted(fan.rays)
+    base = [ids[p] for p in rref([[fan.rays[r][i] for r in ids] for i in range(fan.ambient_dim)])[1]]
+    vectors = [v for cid in max_ids for v in ambient_basis(fan, cid)]
+    values = in_basis([fan.rays[r] for r in base], vectors)
+    forms = [cleared(form, mes.ring.d)[0] for form in zip(*values)]
     below = mes.section_space(max_ids, q - 2) if q >= 2 else None
     return mes.quotient(max_ids, q, forms, below)
 
@@ -712,15 +762,17 @@ def minus_basis(mes, q: int) -> tuple:
 def lefschetz_matrices(mes, s) -> dict:
     """Per even q below the cap, the dense matrix of multiplication by the
     conewise linear function s from the :func:`full_quotient` at q to the
-    one at q + 2."""
-    max_ids, d = mes.fan.maximal_ids, mes.ring.d
-    covectors = tuple(
-        tuple(
-            sum((scalar(a, 1, d) * b for a, b in zip(row, s.covectors[cid])), Fraction(0))
-            for row in mes.fan.cone_basis(cid)[0]
-        )
+    one at q + 2.  On a cone, s is its values at the cone's basis vectors,
+    in its coordinates; they are divided by one of them, which changes no
+    rank, so that over a rational sheaf they are rational."""
+    fan = mes.fan
+    max_ids = fan.maximal_ids
+    values = [
+        [sum((a * b for a, b in zip(s.covectors[cid], v)), Fraction(0)) for v in ambient_basis(fan, cid)]
         for cid in max_ids
-    )
+    ]
+    lead = next(x for v in values for x in v if x != 0)
+    covectors = tuple(tuple(x / lead for x in v) for v in values)
     out = {}
     for q in range(0, mes.cap, 2):
         data, target = full_quotient(mes, q), full_quotient(mes, q + 2)
@@ -774,6 +826,18 @@ def unitriangular_image(p, d):
         for i in range(n)
     )
     return linear_image(p, matrix)
+
+
+def irrational_quadrilateral_polytope() -> Polytope:
+    """A centrally symmetric 3-polytope with a quadrilateral facet whose
+    fourth vertex has irrational coefficients in the other three: the
+    quadrilateral (1, 0), (0, 1), (-1, 0), (0, -sqrt 2) at height 1 and
+    its negative at height -1.  Its cones' coordinates, and so its sheaf,
+    are over Q(sqrt 2), unlike those of a linear image of a rational
+    polytope."""
+    r2 = Quadratic(0, 1, 2)
+    top = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)), (Fraction(0), -r2)]
+    return Polytope([(x, y, Fraction(1)) for x, y in top] + [(-x, -y, Fraction(-1)) for x, y in top])
 
 
 def subfan(fan: Fan, ids: set) -> Fan:

@@ -28,7 +28,10 @@ from oracles import (
     faces_below,
     from_simplicial_cones,
     inverse,
+    irrational_quadrilateral_polytope,
+    linear_map,
     linear_symmetries,
+    rank,
     rref,
     scalar,
     subfan,
@@ -179,36 +182,69 @@ class TestSubfans:
         assert set(boundary.cones) == faces_below(fan, sigma)
 
 
-def test_cone_basis_equals_the_dense_oracle(quadratic_image):
-    """Every cone basis of the sheaf corpus and of the Q(sqrt 2) and
-    Q(sqrt 3) shear images of its rational members is dense primitive
-    integral rows in the fan's ring, each with a positive integer at its
-    pivot and 0 at the other pivots, which divided by those integers are
-    the reduced row echelon form of the cone's rays by the dense
-    Gauss-Jordan oracle, entry by entry as values."""
-    polytopes = [(name, p) for name, p in sheaf_corpus()]
+def _combination(coefficients, vectors) -> tuple:
+    """sum_i coefficients[i] vectors[i], on scalars."""
+    return tuple(sum((c * v[j] for c, v in zip(coefficients, vectors)), Fraction(0)) for j in range(len(vectors[0])))
+
+
+def test_cone_coordinates_equal_the_dense_oracle(quadratic_image):
+    """The fan's ambient basis is the first independent rays, the first
+    maximal cone's first, and spans; each ray is its coordinates over one
+    integer N in that basis, by the dense Gauss-Jordan oracle.  A simplicial cone's basis is its rays'
+    coordinates; any other cone's spans its rays' coordinates, with a
+    nonzero entry at each pivot and 0 at the other pivots, and each of
+    its rays is the combination of the basis that coordinate_values
+    gives.  A cone takes its antipode's basis negated when that has the
+    lesser id.  The coordinates are ints on every rational polytope and
+    its Q(sqrt 2) and Q(sqrt 3) shear images, which have the source's,
+    and pairs on the nonrational bipyramid and on a polytope with
+    irrational coordinates in its quadrilateral facets."""
+    polytopes = [(name, p, None) for name, p in sheaf_corpus()]
+    polytopes += [("cube-4", cube(4), None), ("irrational-quadrilateral", irrational_quadrilateral_polytope(), None)]
     for d in (2, 3):
         polytopes += [
-            (f"sqrt{d}-{name}", quadratic_image(p, d))
+            (f"sqrt{d}-{name}", quadratic_image(p, d), p)
             for name, p in sheaf_corpus()
             if name != "nonrational-bipyramid"
         ]
-    for name, p in polytopes:
+    for name, p, source in polytopes:
         fan = face_fan(p)
-        d = fan.radicand
-        zero = 0 if d is None else (0, 0)
+        ids, coordinates, d = fan.ambient_coordinates
+        assert d == (2 if name in ("nonrational-bipyramid", "irrational-quadrilateral") else None), name
+        entry = int if d is None else tuple
+        first = fan.ray_ids[fan.maximal_ids[0]]
+        order = [*first, *(r for r in sorted(fan.rays) if r not in first)]
+        base = [fan.rays[r] for r in ids]
+        assert [order[p] for p in rref([[fan.rays[r][j] for r in order] for j in range(fan.ambient_dim)])[1]] == list(ids)
+        assert rank(base) == len(base) == fan.ambient_dim
+        value = {r: [scalar(x, 1, d) for x in coordinates[r]] for r in fan.rays}
+        assert all(type(x) is entry for v in coordinates.values() for x in v)
+        big = next(x / y for x, y in zip(_combination(value[0], base), fan.rays[0]) if y != 0)
+        assert all(_combination(value[r], base) == tuple(big * x for x in fan.rays[r]) for r in fan.rays), name
+        anti = fan.antipode_map()
         for cid in fan.cone_ids():
-            rows, pivots = fan.cone_basis(cid)
-            reduced = []
-            for row, p in zip(rows, pivots):
-                parts = row if d is None else [z for xy in row for z in xy]
-                assert all(type(x) is (int if d is None else tuple) for x in row)
-                assert all(type(z) is int for z in parts) and gcd(*parts) == 1
-                n = row[p] if d is None else row[p][0]
-                assert n > 0 and row[p] == (n if d is None else (n, 0))
-                assert all(row[o] == zero for o in pivots if o != p)
-                reduced.append(tuple(scalar(x, n, d) for x in row))
-            assert (tuple(reduced), pivots) == rref([fan.rays[r] for r in fan.ray_ids[cid]]), (name, cid)
+            rays, cone = fan.ray_ids[cid], fan.cones[cid]
+            basis, pivots = fan.cone_coordinates(cid)
+            assert len(basis) == cone.dim
+            vectors = [[scalar(x, 1, d) for x in v] for v in basis]
+            if anti[cid] < cid:
+                negated, same = fan.cone_coordinates(anti[cid])
+                assert pivots == same and vectors == [[-scalar(x, 1, d) for x in v] for v in negated]
+            if not cone.dim:
+                continue
+            if cone.mask.bit_count() == cone.dim:
+                assert pivots is None and sorted(basis) == sorted(coordinates[r] for r in rays)
+                continue
+            assert rank(vectors) == cone.dim and rank(vectors + [value[r] for r in rays]) == cone.dim
+            for v, p in zip(vectors, pivots):
+                assert v[p] != 0 and all(v[o] == 0 for o in pivots if o != p)
+            for k, r in enumerate(rays):
+                coefficients = [scalar(values.get(k, 0), 1, d) / n for values, n in fan.coordinate_values(cid, [coordinates[r] for r in rays])]
+                assert _combination(coefficients, vectors) == tuple(value[r]), (name, cid, r)
+        if source is not None:
+            rational = face_fan(source)
+            assert fan.ambient_coordinates == rational.ambient_coordinates
+            assert all(fan.cone_coordinates(cid) == rational.cone_coordinates(cid) for cid in fan.cone_ids()), name
 
 
 class TestQuotientFan:
@@ -253,11 +289,11 @@ class TestQuotientFan:
     def test_quotients_of_quadratic_images(self, name, p, d, quadratic_image):
         """The quotient fan of every maximal cone of a Q(sqrt d) shear
         image is complete, keeps the cone's proper faces with their ids,
-        dimensions and down-sets, and has its rays in Q(sqrt d), some of
-        them irrational."""
+        dimensions and down-sets, and has the rays of the source's: they
+        are read off the cone's coordinates, which a linear map keeps, so
+        they are rational."""
         fan = face_fan(quadratic_image(p, d))
         assert fan.radicand == d
-        radicands = set()
         for sigma in fan.maximal_ids:
             q = fan.quotient_fan(sigma)
             assert q.ambient_dim == fan.cones[sigma].dim - 1
@@ -265,10 +301,22 @@ class TestQuotientFan:
             assert set(q.cones) == faces_below(fan, sigma)
             assert all(q.cones[c] == fan.cones[c] and q.down[c] == fan.down[c] for c in q.cones)
             assert set(q.rays) == set(fan.ray_ids[sigma])
+            assert q.radicand is None and q.rays == face_fan(p).quotient_fan(sigma).rays
+
+    def test_quotients_with_irrational_coordinates(self):
+        """The quotient fans of the maximal cones of a polytope whose
+        quadrilateral facets have irrational coordinates are complete,
+        with rays in Q(sqrt 2), irrational exactly over those facets."""
+        fan = face_fan(irrational_quadrilateral_polytope())
+        radicands = set()
+        for sigma in fan.maximal_ids:
+            q = fan.quotient_fan(sigma)
+            assert q.is_complete() and set(q.cones) == faces_below(fan, sigma)
+            assert q.radicand == (None if fan.is_simplicial_cone(sigma) else 2)
             radicands.add(q.radicand)
             for ray in q.rays.values():
-                assert all(type(x) is Fraction or (type(x) is Quadratic and x.d == d and x.b) for x in ray)
-        assert d in radicands and radicands <= {None, d}
+                assert all(type(x) is Fraction or (type(x) is Quadratic and x.d == 2 and x.b) for x in ray)
+        assert radicands == {None, 2}
 
 
 class TestSymmetry:
@@ -365,7 +413,7 @@ class TestLinearAutomorphisms:
     def test_each_cone_is_the_image_of_its_orbit_representative(self, name, quadratic_image):
         """origin[c] = (r, g): g maps the rays of r onto those of c, r is
         the least cone of the orbit, and the matrix of g sends each ray
-        row R to n times the row of its image."""
+        ray to its image (a matrix of the dense oracle)."""
         p = {
             "cube-3": cube(3),
             "cross-3": cross_polytope(3),
@@ -374,17 +422,15 @@ class TestLinearAutomorphisms:
         }[name]
         fan = face_fan(p)
         group = fan.symmetries
-        ring = linalg.ring(fan.radicand)
-        rows = fan._ray_rows
         reps = set()
         for cid, (rep, g) in group.origin.items():
             reps.add(rep)
             assert rep <= cid and fan.cones[rep].dim == fan.cones[cid].dim
             assert fan.cone_image(g, rep) == cid
             assert {g[r] for r in fan.ray_ids[rep]} == set(fan.ray_ids[cid])
-            matrix, n = fan.linear_map(g)
+            matrix = linear_map(fan, g)
             for r, image in g.items():
-                assert tuple(ring.dot(row, rows[r]) for row in matrix) == tuple(ring.scale(n, x) for x in rows[image])
+                assert tuple(sum((a * x for a, x in zip(row, fan.rays[r])), Fraction(0)) for row in matrix) == fan.rays[image]
         # One orbit per dimension: the prism over a square is a
         # parallelepiped, a linear image of cube(3).
         assert len(reps) == fan.dim + 1

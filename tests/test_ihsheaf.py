@@ -6,13 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import polyfan
 from polyfan import fans, hvector, ihsheaf, linalg
 from polyfan.analysis import Analysis
 from polyfan.checks import ih_checks
-from polyfan.corpus import nonsimplicial_cs_3polytope
-from polyfan.fans import ConewiseLinear, FanError, face_fan
+from polyfan.corpus import nonrational_cs_polytope, nonsimplicial_cs_3polytope, sheaf_corpus
+from polyfan.fans import ConewiseLinear, FanError, face_fan, support_function
 from polyfan.hvector import check_cs_bounds, g_polynomial, h_polynomial
 from polyfan.ihsheaf import (
     DegreeCapError,
@@ -30,9 +31,9 @@ from polyfan.ihsheaf import (
     sections_poincare,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
-from polyfan.polytopes import cross_polytope, cube, random_cs, simplex
+from polyfan.polytopes import cross_polytope, cube, linear_image, product, random_cs, simplex
 from polyfan.reports import ih_report, report_passes
-from polyfan.scalars import Field
+from polyfan.scalars import Field, Quadratic
 
 import oracles
 from oracles import from_simplicial_cones, restriction_matrix as dense_restriction_matrix
@@ -259,14 +260,8 @@ class TestReflection:
         # the global quotients are built.
         mes = build_mes(face_fan(cube(3)), 8)
         reps = mes.representatives
-        half = len(mes.section_space(reps, 4, -1).free_cols)
-        odd_coordinates = type(mes).odd_coordinates
-
-        def flipped(self, cone_id, q):
-            odd = odd_coordinates(self, cone_id, q)
-            return (not odd[0],) + odd[1:] if (cone_id, q) == (reps[-1], 4) else odd
-
-        monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
+        half = len(build_mes(mes.fan, 8).section_space(reps, 4, -1).free_cols)
+        _flip_folded_coordinate(monkeypatch, mes.antipode[reps[-1]], 4, 3)
         assert len(mes.section_space(reps, 4, -1).free_cols) < half
         with pytest.raises(SheafError, match=r"^global half [+-]1, degree 4: a product is not a section"):
             mes.global_data(4)
@@ -291,6 +286,21 @@ class TestReflection:
             refined_series(mes)
 
 
+def _flip_folded_coordinate(monkeypatch, cid: int, q: int, c: int) -> None:
+    """Negate column c of every degree-q restriction matrix from cone cid:
+    folded onto its antipode's columns, coordinate c of its block then
+    takes the wrong sign.  A sheaf built before keeps its folded rows."""
+    restriction_matrix = ihsheaf.MinimalExtensionSheaf.restriction_matrix
+
+    def flipped(self, src_id, tgt_id, degree):
+        rows, scale = restriction_matrix(self, src_id, tgt_id, degree)
+        if (src_id, degree) == (cid, q):
+            rows = tuple({k: -v if k == c else v for k, v in row.items()} for row in rows)
+        return rows, scale
+
+    monkeypatch.setattr(ihsheaf.MinimalExtensionSheaf, "restriction_matrix", flipped)
+
+
 class TestLefschetz:
     def test_cube3_rank_pattern(self, sheaf_setups):
         _, _, mes, s = sheaf_setups["cube-3"]
@@ -307,24 +317,19 @@ class TestLefschetz:
 
     def test_product_leaving_its_half_is_rejected(self, monkeypatch):
         # The minus half of cube(3) at degree 4 replaced by a scratch
-        # kernel folded with the sign of coordinate 6 of the last
-        # representative's antipode flipped (as in TestReflection): the
-        # support function times the lift of the minus class at degree 2
-        # leaves it, and the membership check of the product refuses it.
+        # kernel folded with the sign of coordinate 8 of the last
+        # representative's antipode flipped (as in TestReflection), of the
+        # same dimension and another span: the support function times the
+        # lift of the minus class at degree 2 leaves it, and the
+        # membership check of the product refuses it.
         a = Analysis(cube(3), 8)
         mes, reps = a.sheaf, a.sheaf.representatives
         scratch = build_mes(a.fan, 8)
-        odd_coordinates = type(mes).odd_coordinates
-
-        def flipped(self, cone_id, q):
-            odd = odd_coordinates(self, cone_id, q)
-            return odd[:6] + (not odd[6],) + odd[7:] if (cone_id, q) == (reps[-1], 4) else odd
-
-        monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
+        _flip_folded_coordinate(monkeypatch, mes.antipode[reps[-1]], 4, 8)
         broken = scratch.section_space(reps, 4, -1)
         monkeypatch.undo()
         halves = mes.global_data(4)
-        assert len(broken.free_cols) < len(halves[-1]["sections"].free_cols)
+        assert broken.free_cols == halves[-1]["sections"].free_cols and broken != halves[-1]["sections"]
         assert len(mes.global_data(2)[-1]["complement"]) == 1
         mes._global[4] = {**halves, -1: {**halves[-1], "sections": broken}}
         with pytest.raises(SheafError, match="^global half -1, degree 2: a Lefschetz product is not a section of its half$"):
@@ -451,20 +456,23 @@ class TestOrbitTransport:
         assert kernel_dimensions(transported) == kernel_dimensions(plain)
 
     def test_a_map_that_is_not_an_automorphism_is_rejected(self, monkeypatch):
-        """Composing the linear map of one transport with a shear, which
-        is no automorphism of cube(3)'s fan, breaks the gluing of the
-        transported square cone's degree-2 generator."""
-        linear_map = fans.Fan.linear_map
+        """Swapping the two variables of one facet in the first transport
+        of a square cone, where its degree-2 generator's image takes two
+        values, which no automorphism of cube(3)'s fan does while keeping
+        the other facets, breaks the gluing of that generator."""
+        transport = ihsheaf._transport_module
         calls = []
 
-        def sheared(fan, perm):
-            rows, n = linear_map(fan, perm)
-            calls.append(perm)
-            if len(calls) == 1:
-                rows = tuple((row[0], row[1] + row[0], row[2]) for row in rows)
-            return rows, n
+        def swapped(mes, rep_id, new_id, faces, perms=None):
+            images = mes.modules[rep_id].images
+            if perms is not None and any(mes.modules[rep_id].gen_degrees):
+                calls.append(new_id)
+                if len(calls) == 1:
+                    tau = next(t for t, p in perms.items() if len(p) == 2 and images[t][1].get(0) != images[t][1].get(1))
+                    perms = {**perms, tau: perms[tau][::-1]}
+            return transport(mes, rep_id, new_id, faces, perms)
 
-        monkeypatch.setattr(fans.Fan, "linear_map", sheared)
+        monkeypatch.setattr(ihsheaf, "_transport_module", swapped)
         with pytest.raises(SheafError, match=r"^cone \d+ \(transported from cone \d+\): generator 1 does not glue"):
             build_mes(face_fan(cube(3)))
         assert len(calls) == 1
@@ -500,19 +508,15 @@ class TestOrbitTransport:
 
 class TestReflectionEquivariance:
     def test_transport_commutes_with_restriction(self, sheaf_setups):
-        # For antipodal cones, the restriction matrix to an antipodal face
-        # equals the sign-twisted conjugate of the original matrix: the
-        # same scale, and the integral rows twisted.
+        # A cone's basis is its antipode's negated, so the reflection keeps
+        # every variable: the restriction matrix of antipodal cones to
+        # antipodal faces is the original, with no sign.
         _, fan, mes, _ = sheaf_setups["cube-3"]
         anti = fan.antipode_map()
         for sid in fan.cones_of_dim(3):
             for tid in fan.facets_of(sid):
                 for q in (2, 4):
-                    m, scale = mes.restriction_matrix(sid, tid, q)
-                    m_anti, scale_anti = mes.restriction_matrix(anti[sid], anti[tid], q)
-                    twisted = _conjugate_by_reflection(mes, sid, tid, q, m)
-                    assert scale_anti == scale
-                    assert m_anti == twisted
+                    assert mes.restriction_matrix(anti[sid], anti[tid], q) == mes.restriction_matrix(sid, tid, q)
 
     def test_refined_series_invariant_under_linear_maps(self):
         import random
@@ -540,27 +544,69 @@ class TestReflectionEquivariance:
             assert refined_series(build_mes(image_fan, 6)) == reference
 
 
-def _conjugate_by_reflection(mes, sid, tid, q, matrix):
-    """Apply the (-1)^degree coefficient twist on both sides of a
-    degreewise restriction matrix (integer sparse rows)."""
-    src_blocks, src_dim = mes.gen_blocks(sid, q)
-    tgt_blocks, tgt_dim = mes.gen_blocks(tid, q)
-    col_sign = [1] * src_dim
-    for _, d, off, cnt in src_blocks:
-        s = -1 if ((q - d) // 2) % 2 else 1
-        for c in range(off, off + cnt):
-            col_sign[c] = s
-    row_sign = [1] * tgt_dim
-    for _, d, off, cnt in tgt_blocks:
-        s = -1 if ((q - d) // 2) % 2 else 1
-        for r in range(off, off + cnt):
-            row_sign[r] = s
-    assert len(matrix) == tgt_dim
-    assert all(0 <= c < src_dim for row in matrix for c in row)
-    return tuple(
-        {c: row_sign[r] * col_sign[c] * v for c, v in row.items()}
-        for r, row in enumerate(matrix)
-    )
+def _sheaf_data(p) -> dict:
+    """The integral data of the sheaf of P at cap 8 that its coordinates
+    fix: its ring's radicand, the wall rows of all maximal cones and of
+    both halves and the product tables over the representatives per
+    degree, the ambient m-forms and the forms that lefschetz_maps hands
+    to linalg.products_rref for the support function."""
+    fan = face_fan(p)
+    mes = build_mes(fan, 8)
+    reps, degrees = mes.representatives, range(0, mes.cap + 1, 2)
+    seen, products_rref = [], linalg.products_rref
+
+    def spy(source, target, table, forms, select=None):
+        seen.append(forms)
+        return products_rref(source, target, table, forms, select)
+
+    linalg.products_rref = spy
+    try:
+        lefschetz_maps(mes, support_function(p, fan))
+    finally:
+        linalg.products_rref = products_rref
+    return {
+        "d": mes.ring.d,
+        "walls": [mes.wall_rows(fan.maximal_ids, q) for q in degrees],
+        "halves": [mes.wall_rows(reps, q, p) for q in degrees for p in (1, -1)],
+        "tables": [mes._product_table(reps, q) for q in degrees],
+        "m": mes.coordinate_forms(reps),
+        "lefschetz": seen,
+    }
+
+
+SOURCES = {
+    **dict(sheaf_corpus()),
+    "irrational-quadrilateral": oracles.irrational_quadrilateral_polytope(),
+}
+
+
+class TestLinearInvariance:
+    """A cone's variables are dual to a basis of its own rays, so every
+    coefficient of the sheaf is a ratio of determinants of rays, which a
+    linear map keeps: the sheaf of g(P) has the matrices of the sheaf of
+    P, and runs over Q when P is rational, whatever the field of g."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_an_image_has_the_sheaf_of_its_source(self, data):
+        name = data.draw(st.sampled_from(sorted(SOURCES)), label="source")
+        p = SOURCES[name]
+        source = _sheaf_data(p)
+        rational = source["d"] is None
+        d = data.draw(st.sampled_from([None, 2, 3] if rational else [None, source["d"]]), label="field")
+        n = p.ambient_dim
+        part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        entry = part if d is None else st.builds(lambda a, b: Quadratic(a, b, d), part, part)
+        matrix = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), label="g")
+        assume(linalg.rank(matrix) == n)
+        image = _sheaf_data(linear_image(p, matrix))
+        assert image == source
+        assert rational == (name not in ("nonrational-bipyramid", "irrational-quadrilateral"))
+
+    def test_the_nonrational_bipyramid_keeps_pair_arithmetic(self):
+        mes = build_mes(face_fan(nonrational_cs_polytope()))
+        assert mes.ring.d == 2
+        assert all(half["sections"].d == 2 for half in mes.global_data(4).values())
 
 
 class TestCorpusBettiSweep:
@@ -632,20 +678,33 @@ class TestRestrictionAgainstDenseOracle:
         _assert_restrictions_match_oracle(mes)
 
     def test_substitution_forms_with_denominators(self):
-        # The first nonsimplicial random_cs(3, 4, s) has cone bases with
-        # denominators (up to 3), so its matrices carry scales above 1.
-        mes = build_mes(face_fan(random_cs(3, 4, 3)), 8)
-        assert max(_assert_restrictions_match_oracle(mes)) > 1
+        # In the product of two random centrally symmetric polygons some
+        # faces' basis vectors have coordinates over 5 in the bases of
+        # the prism cones above them, so those matrices carry scales
+        # above 1, and each is the dense oracle's.
+        mes = build_mes(face_fan(product(random_cs(2, 3, 0), random_cs(2, 3, 9))), 8)
+        fan = mes.fan
+        pairs = [(c, f) for c in fan.cone_ids() for f in sorted(oracles.faces_below(fan, c)) if mes._substitution(c, f)[2] > 1]
+        assert pairs
+        assert max(_assert_restriction_matches_oracle(mes, c, f, q) for c, f in pairs for q in range(0, mes.cap + 1, 2)) > 1
+
+    def test_irrational_coefficients(self):
+        # Quadrilateral cones whose rays have irrational coordinates in
+        # the fan's basis of rays: the sheaf runs on pairs over Q(sqrt 2).
+        mes = build_mes(face_fan(oracles.irrational_quadrilateral_polytope()), 8)
+        assert mes.ring.d == 2
+        _assert_restrictions_match_oracle(mes)
 
     def test_random_polygon(self):
         _assert_restrictions_match_oracle(build_mes(face_fan(random_cs(2, 5, 4))))
 
-    def test_equal_forms_with_different_denominators_share_no_matrix(self):
-        """The Q(sqrt 2) image of cross(3) of tests/golden has canonical
-        restrictions (one degree-0 generator with image 1) whose
-        substituted forms are equal while their denominators D differ (1
-        and 7).  Each D keeps its own matrix, of scale D^(q/2), and each
-        matrix is the dense oracle's."""
+    def test_equal_forms_with_different_denominators_share_no_matrix(self, monkeypatch):
+        """A restriction from a canonical module (one degree-0 generator
+        with image 1) is kept under its substituted forms and their
+        denominator D.  On the cones' coordinates every such D is 1, so on
+        the Q(sqrt 2) image of cross(3) of tests/golden one pair of cones
+        is given the forms of another with D = 2: each keeps its own
+        matrix, of scale D^(q/2), and the first is the dense oracle's."""
         mes = build_mes(face_fan(oracles.unitriangular_image(cross_polytope(3), 2)), 8)
         fan, constant = mes.fan, ({0: mes.ring.one},)
         by_forms: dict = {}
@@ -653,16 +712,18 @@ class TestRestrictionAgainstDenseOracle:
             module = mes.modules[cid]
             for face in sorted(oracles.faces_below(fan, cid) - {fan.zero_id}):
                 if module.gen_degrees == (0,) and module.images[face] == constant:
-                    forms, den, _ = mes._substitution(cid, face)
-                    by_forms.setdefault(forms, {}).setdefault(den, (cid, face))
-        clashes = [by_den for by_den in by_forms.values() if len(by_den) > 1]
-        assert clashes
-        for by_den in clashes:
-            for q in range(2, mes.cap + 1, 2):
-                matrices = {den: mes.restriction_matrix(cid, face, q) for den, (cid, face) in by_den.items()}
-                assert len({id(m) for m in matrices.values()}) == len(by_den)
-                for den, (cid, face) in by_den.items():
-                    assert _assert_restriction_matches_oracle(mes, cid, face, q) == den ** (q // 2)
+                    key, forms, den, memo = mes._substitution(cid, face)
+                    assert den == 1 and key == (forms, 1, mes.nvars(face))
+                    by_forms.setdefault(forms, []).append((cid, face))
+        first, second = next(pairs for pairs in by_forms.values() if len(pairs) > 1)[:2]
+        (forms, _, width), _, _, memo = mes._keys[second]
+        monkeypatch.setitem(mes._keys, second, ((forms, 2, width), forms, 2, memo))
+        for q in range(2, mes.cap + 1, 2):
+            rows, scale = mes.restriction_matrix(*second, q)
+            kept = mes.restriction_matrix(*first, q)
+            assert rows is not kept[0] and (rows, scale) == (kept[0], 2 ** (q // 2))
+            assert mes.restriction_matrix(*first, q) is kept
+            assert _assert_restriction_matches_oracle(mes, *first, q) == 1
 
 
 class TestSharedRestrictions:
@@ -670,28 +731,27 @@ class TestSharedRestrictions:
     pair of cones it serves, and nothing changes a shared matrix."""
 
     def test_global_walls_of_a_polygon_share_one_matrix_per_antipodal_pair(self):
-        """Every module of a polygon's fan is canonical, and the maximal
-        cones span the plane, so a wall's matrix depends only on its
-        span: with p antipodal pairs of rays the global phase builds p
-        matrices per degree, one per kept wall, which both sides of the
-        wall and of its antipode read (2p when kept per pair of cones).
-        The report computed afterwards leaves them as they were."""
+        """Every module of a polygon's fan is canonical, and a cone's
+        variables are dual to its rays, so a wall's matrix depends only on
+        the place of the wall's ray in the cone's basis: the global phase
+        builds two matrices per degree, the two coordinate projections,
+        which every wall and its antipode read.  The report computed
+        afterwards leaves them as they were."""
         p = random_cs(2, 5, 4)
         a = Analysis(p)
         mes, fan = a.sheaf, a.fan
         # The construction's maps are dropped.
-        assert not any((mes._restr, mes._pairs, mes._scaled, mes._tables, mes._substitutions, mes._memos))
-        pairs = len(fan.cones_of_dim(1)) // 2
+        assert not any((mes._keys, mes._restr, mes._pairs, mes._scaled, mes._tables, mes._memos))
         degrees = range(0, mes.cap + 1, 2)
         for q in degrees:
             mes.global_data(q)
-        assert Counter(key[2] for key in mes._restr) == {q: pairs for q in degrees}
+        assert Counter(q for _, q in mes._restr) == {q: 2 for q in degrees}
         anti = mes.antipode
         for f, (x, y) in fan.maximal_walls.items():
             for q in degrees:
-                shared = mes.restriction_matrix(x, f, q)
-                assert mes.restriction_matrix(y, f, q) is shared
-                assert mes.restriction_matrix(anti[x], anti[f], q) is shared
+                for side in (x, y):
+                    shared = mes.restriction_matrix(side, f, q)
+                    assert mes.restriction_matrix(anti[side], anti[f], q) is shared
         snapshot = copy.deepcopy(mes._restr)
         assert report_passes(ih_report(a, Field.rational(), "polygon"))
         assert mes._restr == snapshot
@@ -699,15 +759,16 @@ class TestSharedRestrictions:
 
 @pytest.mark.parametrize("name", ["cube-2", "cross-3", "prism-over-diamond"])
 def test_quadratic_images_match_their_rational_source(name, sheaf_analyses, quadratic_image):
-    """The sheaf over Q(sqrt 2) and Q(sqrt 3), on integer pair rows,
-    against the sheaf over Q, on integer rows: a shear image of a
-    rational polytope has the source's Betti numbers u, section
+    """A shear image over Q(sqrt 2) and Q(sqrt 3) of a rational polytope
+    has the source's cone coordinates, so its sheaf runs over Q, on
+    integer rows, and has the source's Betti numbers u, section
     dimensions v, refined series and both Lefschetz tables."""
     source = sheaf_analyses[name]
     expected = (source.u, source.v, source.refined, source.rank_table, source.minus_table)
     for d in (2, 3):
         image = Analysis(quadratic_image(source.polytope, d), 8)
-        assert all(half["sections"].d == d for half in image.sheaf.global_data(4).values())
+        assert image.fan.radicand == d and image.sheaf.ring.d is None
+        assert all(half["sections"].d is None for half in image.sheaf.global_data(4).values())
         found = (image.u, image.v, image.refined, image.rank_table, image.minus_table)
         assert found == expected, (name, d)
 
@@ -748,32 +809,29 @@ class TestMembership:
                     assert oracles.basis_coords(sections, broken) is None
 
     def test_reflection_of_a_non_section_is_rejected(self, monkeypatch):
-        # With the sign of one coordinate of one maximal cone's block
-        # wrong, the reflection sends some section outside the sections.
+        # With one maximal cone's block copied onto itself, not onto its
+        # antipode's, the reflection sends some section outside the
+        # sections.
         mes = build_mes(face_fan(cube(3)), 8)
         cid = mes.fan.maximal_ids[0]
-        odd_coordinates = type(mes).odd_coordinates
         assert len(_involution_on_basis(mes, 4)) == len(mes.section_space(mes.fan.maximal_ids, 4).free_cols)
-
-        def flipped(self, cone_id, q):
-            odd = odd_coordinates(self, cone_id, q)
-            return (not odd[0],) + odd[1:] if cone_id == cid else odd
-
-        monkeypatch.setattr(type(mes), "odd_coordinates", flipped)
+        monkeypatch.setitem(mes.antipode, cid, cid)
         with pytest.raises(SheafError, match="not a section"):
             _involution_on_basis(mes, 4)
 
 
-@pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3"])
+@pytest.mark.parametrize("name", ["cube-3", "prism-over-diamond", "sqrt2-cube-3", "nonrational-bipyramid"])
 def test_section_space_hands_linalg_only_integral_rows(name, sheaf_setups, quadratic_image, monkeypatch):
     """Every row that section_space hands to linalg.integral_kernel, for
     the boundary fans and the halves of the global sections, holds only
-    nonzero ints over Q and only pairs of ints over Q(sqrt 2): no
-    Fraction or Quadratic reaches the elimination."""
+    nonzero ints over Q, as on a Q(sqrt 2) image of a rational polytope,
+    and only pairs of ints over Q(sqrt 2), as on the nonrational
+    bipyramid: no Fraction or Quadratic reaches the elimination."""
     if name.startswith("sqrt2-"):
-        polytope, d = quadratic_image(sheaf_setups[name[len("sqrt2-"):]][0], 2), 2
+        polytope = quadratic_image(sheaf_setups[name[len("sqrt2-"):]][0], 2)
     else:
-        polytope, d = sheaf_setups[name][0], None
+        polytope = sheaf_setups[name][0]
+    d = 2 if name == "nonrational-bipyramid" else None
     integral_kernel = linalg.integral_kernel
     calls = []
 
@@ -790,7 +848,7 @@ def test_section_space_hands_linalg_only_integral_rows(name, sheaf_setups, quadr
 
     monkeypatch.setattr(linalg, "integral_kernel", spy)
     a = Analysis(polytope, 8)
-    assert all(ih_report(a, Field.rational() if d is None else Field.quadratic(d))["checks"].values())
+    assert all(ih_report(a, Field(a.fan.radicand))["checks"].values())
     assert calls and all(radicand == d for radicand, _ in calls)
     assert sum(n for _, n in calls) > 100
 
