@@ -8,10 +8,11 @@ integers once, by :func:`linalg.integral_rows` (ints over Q, integer
 pairs over Q(sqrt d)); its field, antipodes, symmetries and, when first
 asked, its coordinates read those rows: each ray's in a basis of rays,
 ratios of determinants that a linear map keeps (Brion 1996), and each
-cone's, dual to its rays or to the stored rows of theirs.  The face fan of a polytope, quotient fans of cones,
-completeness, central symmetry and the linear automorphisms of a fan
-live here, together with conewise-linear support functions, which
-convert their rays and covectors the same way.
+cone's, dual to its rays or to the stored rows of theirs.  The face fan
+of a polytope, quotient fans of cones, completeness, central symmetry
+and the linear automorphisms of a fan live here, together with
+conewise-linear support functions, which convert their rays and
+covectors the same way.
 """
 
 from __future__ import annotations
@@ -488,8 +489,8 @@ class Fan:
         faces = mask_bits(self.down[cone_id])
         cones = {fid: self.cones[fid] for fid in faces}
         fan = Fan(c.dim - 1, new_rays, cones, {fid: self.down[fid] for fid in faces})
-        rays = fan._ray_rows
-        if any(len(linalg.stored_rows([rays[r] for r in fan.ray_ids[fid]], fan.radicand)) != cone.dim for fid, cone in cones.items()):
+        rows = fan._ray_rows
+        if any(len(linalg.stored_rows([rows[r] for r in fan.ray_ids[fid]], fan.radicand)) != cone.dim for fid, cone in cones.items()):
             raise FanError("projection did not preserve cone dimensions")
         return fan
 

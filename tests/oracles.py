@@ -11,10 +11,10 @@ masks, and conewise-linear pieces are compared over every pair of
 maximal cones; the dual polytope reverses the face lattice, and
 restriction maps of the sheaf are dense products of a multiplication
 matrix and a substitution matrix, whose substitution evaluates each
-variable of a cone, the coordinate dual to its basis ray, at the face's
-basis rays, solved in ambient coordinates by the elimination here.  The
-sections over a subfan impose
-every pairwise contact of its maximal cones on those dense matrices, and
+variable of a cone, the coordinate dual to its basis vector, at the
+face's basis vectors, solved in ambient coordinates by the elimination
+here.  The sections over a subfan impose every pairwise contact of its
+maximal cones on those dense matrices, and
 a section is multiplied by a linear form per cone monomial by monomial
 on scalars.  The reflection's eigenspaces come from the global sections
 over every maximal cone, with no fold: the reflection's matrices on that

@@ -567,7 +567,7 @@ def _sheaf_data(p) -> dict:
     return {
         "d": mes.ring.d,
         "walls": [mes.wall_rows(fan.maximal_ids, q) for q in degrees],
-        "halves": [mes.wall_rows(reps, q, p) for q in degrees for p in (1, -1)],
+        "halves": [mes.wall_rows(reps, q, parity) for q in degrees for parity in (1, -1)],
         "tables": [mes._product_table(reps, q) for q in degrees],
         "m": mes.coordinate_forms(reps),
         "lefschetz": seen,
