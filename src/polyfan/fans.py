@@ -112,7 +112,6 @@ class Fan:
         self.maximal_ids = tuple(self._dim_ids[self.dim]) if maximal == top else mask_bits(maximal)
         self._frames: dict = {}
         self._classes = None  # (dim, g) -> bitset of cones, filled by hvector
-        self._antipode = None
 
     def __repr__(self):
         return (
@@ -200,7 +199,7 @@ class Fan:
         takes its antipode's basis negated when that has the lesser id."""
         cached = self._frames.get(cone_id)
         if cached is None:
-            anti = self.antipode_map()[cone_id] if self.is_centrally_symmetric() else cone_id
+            anti = cone_id if self._antipode is None else self._antipode[cone_id]
             _, coordinates, d = self.ambient_coordinates
             ring = linalg.ring(d)
             if anti < cone_id:
@@ -288,29 +287,36 @@ class Fan:
         return len(seen) == len(maximal)
 
     def is_centrally_symmetric(self) -> bool:
-        try:
-            self.antipode_map()
-        except FanError:
-            return False
-        return True
+        return self._antipode is not None
 
     def antipode_map(self) -> dict:
         """Cone-id involution sigma <-> -sigma; raises if not symmetric."""
-        if self._antipode is not None:
-            return self._antipode
-        partner = linalg.antipodes(self._integral)
+        if self._antipode is None:
+            missing = "ray" if self._ray_partners is None else "cone"
+            raise FanError(f"fan is not centrally symmetric (missing {missing})")
+        return self._antipode
+
+    @cached_property
+    def _ray_partners(self) -> list | None:
+        """The :func:`linalg.antipodes` of the rays, found once."""
+        return linalg.antipodes(self._integral)
+
+    @cached_property
+    def _antipode(self) -> dict | None:
+        """The cone involution sigma <-> -sigma, or None when the fan is
+        not centrally symmetric, decided once."""
+        partner = self._ray_partners
         if partner is None:
-            raise FanError("fan is not centrally symmetric (missing ray)")
+            return None
         ids = list(self._ray_rows)
         ray_anti = {r: ids[j] for r, j in zip(ids, partner)}
         cone_lookup = self._cone_of_mask
         mapping = {}
         for c in self.cones.values():
-            image = _permuted(c.mask, ray_anti)
-            if image not in cone_lookup:
-                raise FanError("fan is not centrally symmetric (missing cone)")
-            mapping[c.id] = cone_lookup[image]
-        self._antipode = mapping
+            image = cone_lookup.get(_permuted(c.mask, ray_anti))
+            if image is None:
+                return None
+            mapping[c.id] = image
         return mapping
 
     @cached_property
@@ -349,7 +355,7 @@ class Fan:
             return None
         wv = [tuple(dot(w, v) for w in inverse[0]) for v in rows]
         diagonal = [dot(r, w) for r, w in zip(rows, wv)]
-        antipode = linalg.antipodes(self._integral)
+        antipode = self._ray_partners
         # Q(-v, w) = -Q(v, w), so the classes never split an antipodal pair.
         most = m // 2 if antipode else m
         if len(set(diagonal)) == most:

@@ -4,18 +4,22 @@ For a fan the sheaf is built cone by cone over the skeleton: sections
 over a boundary fan are the equalizer of the facet restriction maps,
 their quotient modulo the degree-two maximal ideal picks the generator
 degrees of the next free module, and chosen homogeneous lifts define the
-new restriction maps.  The minimal extension sheaf is unique up to
+new restriction maps.  A module keeps each lift's blocks on its facets
+only: E_sigma is fixed by its restriction to the boundary, and a
+restriction to a smaller face is a composite of facet restrictions,
+which nothing here needs.  The minimal extension sheaf is unique up to
 isomorphism, so it commutes with the fan's linear automorphisms
 (Barthel-Brasselet-Fieseler-Kaup 2002, :attr:`Fan.symmetries`), and a
 cone need not be constructed when a cone of its orbit is built.  Of each
 antipodal pair the second cone takes the first one's module on the
-opposite faces: the point reflection keeps every variable.  The first is
-transported from the least cone of its orbit through a group element g
-when each proper face of both has one generator, in degree 0, with every
-image 1: such a face is simplicial and g permutes its variables.  Each
-cone transported through g is checked: its generator degrees against its
-own g-polynomial and its images for gluing across each ridge of its
-boundary.  Any other cone is constructed.
+opposite facets: the point reflection keeps every variable.  The first
+is transported from the least cone of its orbit through a group element
+g when every facet of both is simplicial: g permutes such a facet's
+variables, and its module is one generator, in degree 0, with every
+image 1, since its g-polynomial is 1.  Each cone transported through g
+is checked: its generator degrees against its own g-polynomial and its
+images for gluing across each ridge of its boundary.  Any other cone is
+constructed.
 
 The variables of a cone are the coordinates dual to a basis of its span
 (:meth:`Fan.cone_coordinates`), read in one basis of the rays' span that
@@ -48,8 +52,8 @@ integral form from the moment it is built: ints over Q, integer pairs
 over Q(sqrt d), with the arithmetic of the cones' coordinates chosen
 once as a :class:`linalg.Ring`.  A restriction matrix is integral rows
 with one positive integer scale, the matrix being rows / scale.
-Generator images are integral: a generator may carry any nonzero
-constant, so each lift is scaled to clear its images' denominators.
+Generator images are integral: they are blocks of the integral lifts of
+:func:`linalg.integral_vector`.
 Section spaces are :class:`linalg.Kernel` objects of the integral wall
 rows.  The one quotient modulo the maximal ideal
 (``MinimalExtensionSheaf.quotient``, for boundary fans and the halves of
@@ -63,8 +67,8 @@ so a product outside its half raises instead of silently producing
 wrong dimensions.
 
 Each map is built once per sheaf and kept under the data that fixes it.
-A restriction from a module with one generator, in degree 0, whose image
-on the target is 1 is the substitution alone: it is kept under the
+A restriction from a simplicial cone, whose module is one generator, in
+degree 0, with image 1, is the substitution alone: it is kept under the
 substituted integral forms, their denominator D, the target's variable
 count and the degree, so a wall and its antipode read one matrix, and
 each pair of cones finds its key once.  The wall pairs of a set of cones
@@ -89,7 +93,6 @@ from operator import add
 from . import hvector, linalg
 from .fans import ConewiseLinear, Fan, FanError
 from .polynomials import IntPoly, RefinedSeries, coeff, trim
-from .polytopes import mask_bits
 
 
 class DegreeCapError(RuntimeError):
@@ -158,13 +161,13 @@ def _substituted(memo: dict, forms: tuple, alpha: tuple, ring: linalg.Ring) -> t
 
 @dataclass
 class ConeModule:
-    """Free module data of one cone: generator degrees and, per proper
-    face, the image of each generator as an integral coordinate vector
-    there (ints, or pairs over Q(sqrt d))."""
+    """Free module data of one cone: generator degrees and, per facet, the
+    image of each generator as an integral coordinate vector there (ints,
+    or pairs over Q(sqrt d))."""
 
     cone_id: int
     gen_degrees: tuple
-    images: dict  # face_id -> tuple(per generator sparse coefficient vector)
+    images: dict  # facet_id -> tuple(per generator sparse coefficient vector)
 
 
 class MinimalExtensionSheaf:
@@ -186,9 +189,6 @@ class MinimalExtensionSheaf:
         self.representatives = tuple(
             c for c in fan.maximal_ids if self.antipode is None or c <= self.antipode[c]
         )
-        # The images on any face of a module whose one generator is the
-        # constant 1.
-        self._constant = ({0: self.ring.one},)
         self._layout: dict = {}
         # Maps kept under the data that fixes them, each built once (see
         # restriction_matrix, _substitution, _wall_pairs, wall_rows and
@@ -242,20 +242,24 @@ class MinimalExtensionSheaf:
     # -- restriction matrices ----------------------------------------------
 
     def restriction_matrix(self, src_id: int, tgt_id: int, q: int):
-        """Degree-q restriction E_src^q -> E_tgt^q as (rows, scale): integral
-        sparse rows, one per target coordinate, and a positive integer
-        scale, the matrix being rows / scale.  The column of source
-        monomial x^a times generator g holds x^a, substituted into the
-        target variables, times each nonzero block of the image of g.
+        """Degree-q restriction E_src^q -> E_tgt^q from a cone to one of its
+        facets, whose generator images the module keeps, as (rows, scale):
+        integral sparse rows, one per target coordinate, and a positive
+        integer scale, the matrix being rows / scale.  Those pairs are all
+        that the wall rows of the global sections and of a boundary,
+        :func:`kernel_dimensions` and the axiom check ask for.  The column
+        of source monomial x^a times generator g holds x^a, substituted
+        into the target variables, times each nonzero block of the image
+        of g.
         The forms substituted are integral with common denominator D, so
         x^a comes out D^|a| times too large; the block of g is multiplied
         by D^(k - |a|) for k the largest |a|, and the scale is D^k.
 
         Each matrix is built once per sheaf and shared, so no caller may
         change it.  A pair of cones finds its key once
-        (:meth:`_substitution`), so a hit is two lookups: a module with
-        one generator, in degree 0, whose image on the target is 1 keeps
-        the substitution alone under its forms, D (equal forms over
+        (:meth:`_substitution`), so a hit is two lookups: a simplicial
+        source, whose module is one generator, in degree 0, with image 1,
+        keeps the substitution alone under its forms, D (equal forms over
         another D differ by the scale), the target's variable count and
         q, which a wall and its antipode share; any other under (src, tgt,
         q).  A target with no coordinates at q, the zero cone above
@@ -320,9 +324,7 @@ class MinimalExtensionSheaf:
         memo = self._memos.get(forms)
         if memo is None:
             memo = self._memos[forms] = {(0,) * len(forms): (((0,) * len(basis), self.ring.one),)}
-        module = self.modules[src_id]
-        canonical = module.gen_degrees == (0,) and module.images[tgt_id] == self._constant
-        key = (forms, den, len(basis)) if canonical else (src_id, tgt_id)
+        key = (forms, den, len(basis)) if self.fan.is_simplicial_cone(src_id) else (src_id, tgt_id)
         kept = self._keys[src_id, tgt_id] = (key, forms, den, memo)
         return kept
 
@@ -558,8 +560,8 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
     Cones are processed by increasing dimension with deterministic lift
     choices.  The second cone of an antipodal pair is transported from the
     first through the point reflection, and the first from the least cone
-    of its orbit under the fan's :attr:`Fan.symmetries` when the faces of
-    both are canonical (see the module docstring); any other cone is
+    of its orbit under the fan's :attr:`Fan.symmetries` when every facet
+    of both is simplicial (see the module docstring); any other cone is
     constructed.  The maps kept while building (restriction matrices,
     substitutions, wall pairs and product tables) are dropped on return:
     the global sections read only the maximal cones' restrictions to
@@ -577,7 +579,9 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
         raise DegreeCapError(f"degree cap {cap} exceeds {4 * (fan.dim + 1)}, twice the default")
     mes = MinimalExtensionSheaf(fan, cap)
     symmetries = fan.symmetries
-    canonical = 0  # bitset of the cones with one degree-0 generator whose images are all 1
+    if symmetries is not None:
+        # Each ray's id by its coordinates, for the variables that g moves.
+        ray_of = {v: r for r, v in fan.ambient_coordinates[1].items()}
     order = sorted(
         fan.cone_ids(), key=lambda cid: (fan.cones[cid].dim, cid)
     )
@@ -593,33 +597,31 @@ def build_mes(fan: Fan, cap: int | None = None) -> MinimalExtensionSheaf:
         else:
             module = None
             if symmetries is not None:
-                module = _transport_in_orbit(mes, cid, *symmetries.origin[cid], canonical)
+                module = _transport_in_orbit(mes, cid, *symmetries.origin[cid], ray_of)
             if module is None:
                 module = _construct_module(mes, cid)
         mes.modules[cid] = module
-        if symmetries is not None and module.gen_degrees == (0,) and all(v == mes._constant for v in module.images.values()):
-            canonical |= 1 << cid
     for kept in (mes._keys, mes._restr, mes._pairs, mes._tables, mes._memos):
         kept.clear()
     return mes
 
 
-def _transport_in_orbit(mes: MinimalExtensionSheaf, sid: int, rep: int, element: dict, canonical: int):
+def _transport_in_orbit(mes: MinimalExtensionSheaf, sid: int, rep: int, element: dict, ray_of: dict):
     """The module of a cone transported from the least cone ``rep`` of its
     orbit through the group element g (a ray permutation) with g(rep) =
     the cone, checked by :func:`_check_transported`; or None when the
-    cone is its orbit's least or when some proper face of the two cones
-    is not in the bitset ``canonical`` (one degree-0 generator whose
-    images are all 1)."""
+    cone is its orbit's least or when some facet of the two cones is not
+    simplicial.  ``ray_of`` maps each ray's coordinates in
+    :attr:`Fan.ambient_coordinates` to its id."""
     fan = mes.fan
-    if rep == sid or (fan.down[rep] | fan.down[sid]) & ~canonical:
+    facets = fan.facets_of(rep)
+    if rep == sid or not all(map(fan.is_simplicial_cone, facets + fan.facets_of(sid))):
         return None
-    # Each face is simplicial, its basis its rays, so g permutes the
-    # variables: face variable i goes to the place of g(basis ray i).
-    _, coordinates, _ = fan.ambient_coordinates
-    ray_of = {v: r for r, v in coordinates.items()}
+    # Each facet is simplicial, its basis its rays, so g permutes the
+    # variables: facet variable i goes to the place of g(basis ray i).
+    coordinates = fan.ambient_coordinates[1]
     faces, perms = {}, {}
-    for tau in mask_bits(fan.down[rep]):
+    for tau in facets:
         faces[tau] = image = fan.cone_image(element, tau)
         place = {v: j for j, v in enumerate(fan.cone_coordinates(image)[0])}
         perms[tau] = tuple(place[coordinates[element[ray_of[v]]]] for v in fan.cone_coordinates(tau)[0])
@@ -648,31 +650,15 @@ def _construct_module(mes: MinimalExtensionSheaf, sid: int) -> ConeModule:
             if i in data["complement"]:
                 gen_degrees.append(q)
                 lifts.append((q, linalg.integral_vector(sections, f)))
-    proper = sorted(mask_bits(fan.down[sid]), key=lambda c: (-fan.cones[c].dim, c))
-    hosts = [
-        tau if tau in facets else next(f for f in facets if fan.down[f] >> tau & 1) for tau in proper
-    ]
-    per_face = [[] for _ in proper]
+    # The image of a generator on a facet is its integral lift's block there.
+    per_facet = [[] for _ in facets]
     for d, section in lifts:
-        # The image on a facet is the lift's block there, and on a smaller
-        # face the block of a facet through it, restricted: rows / scale.
-        # A generator may carry any nonzero constant, so each one is
-        # scaled to make all of its images integral.
-        offsets, _total = mes.section_layout(facets, d)
-        pieces = []
-        for tau, host in zip(proper, hosts):
-            start = offsets[facets.index(host)]
-            stop = start + mes.module_dim(host, d)
-            block = {c - start: v for c, v in section.items() if start <= c < stop}
-            if host == tau:
-                pieces.append((block, 1))
-            else:
-                rows, scale = mes.restriction_matrix(host, tau, d)
-                pieces.append((linalg.sparse_mat_vec(rows, block, mes.ring.d), scale))
-        for images, image in zip(per_face, linalg.common_scale(pieces, mes.ring.d)[0]):
-            images.append(image)
+        offsets, _ = mes.section_layout(facets, d)
+        for f, start, images in zip(facets, offsets, per_facet):
+            stop = start + mes.module_dim(f, d)
+            images.append({c - start: v for c, v in section.items() if start <= c < stop})
     _check_generator_degrees(fan, sid, gen_degrees)
-    return ConeModule(sid, tuple(gen_degrees), {tau: tuple(v) for tau, v in zip(proper, per_face)})
+    return ConeModule(sid, tuple(gen_degrees), {f: tuple(v) for f, v in zip(facets, per_facet)})
 
 
 def _check_generator_degrees(fan: Fan, sid: int, gen_degrees, origin: int | None = None) -> None:
@@ -695,7 +681,7 @@ def _check_generator_degrees(fan: Fan, sid: int, gen_degrees, origin: int | None
 def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int, faces: dict, perms=None) -> ConeModule:
     """The module of the cone g(rep) = ``new_id`` from the module of a
     built cone rep, for a linear automorphism g of the fan: the same
-    generator degrees and, on each face g(tau) (``faces``), whose module
+    generator degrees and, on each facet g(tau) (``faces``), whose module
     must be the image of tau's, the image on tau with its variables moved:
     variable i to place perms[tau][i] in g(tau)'s basis, or kept for the
     point reflection (``perms`` None), as a cone's basis is its
@@ -721,8 +707,8 @@ def _transport_module(mes: MinimalExtensionSheaf, rep_id: int, new_id: int, face
 def _check_transported(mes: MinimalExtensionSheaf, module: ConeModule, origin: int) -> None:
     """A module transported through a group element: its generator
     degrees follow the cone's own g; its degree-0 generator is the
-    constant 1, with every image {0: 1}, which glues on faces whose
-    modules are canonical; and the images on the facets of each other
+    constant 1, with image {0: 1} on every facet, which glues as each
+    facet is simplicial; and the images on the facets of each other
     generator glue: the wall rows of the boundary at the generator's
     degree vanish on them.  No kernel is built."""
     fan, sid = mes.fan, module.cone_id

@@ -9,8 +9,9 @@ h-polynomial recurses through geometric quotient fans or sums one term
 per face, the face fan's down-sets come from an all-pairs scan of vertex
 masks, and conewise-linear pieces are compared over every pair of
 maximal cones; the dual polytope reverses the face lattice, and
-restriction maps of the sheaf are dense products of a multiplication
-matrix and a substitution matrix, whose substitution evaluates each
+restriction maps of the sheaf to a facet are dense products of a
+multiplication matrix and a substitution matrix, and to a smaller face
+their composites along a chain of facets; the substitution evaluates each
 variable of a cone, the coordinate dual to its basis vector, at the
 face's basis vectors, solved in ambient coordinates by the elimination
 here.  The sections over a subfan impose every pairwise contact of its
@@ -594,10 +595,16 @@ def substitution_forms(mes, src_id: int, tgt_id: int) -> tuple:
 
 
 def restriction_matrix(mes, src_id: int, tgt_id: int, q: int):
-    """Dense degree-q restriction of a sheaf from its generator images
-    (integral vectors, read as scalars): per pair of source and target
-    generator blocks, the multiplication matrix of the image block times
-    the substitution matrix."""
+    """Dense degree-q restriction of a sheaf.  To a facet of the source it
+    comes from the generator images there (integral vectors, read as
+    scalars): per pair of source and target generator blocks, the
+    multiplication matrix of the image block times the substitution
+    matrix.  To a smaller face it is the composite along a chain of
+    facets, each the first that contains the face."""
+    fan = mes.fan
+    if tgt_id not in fan.facets_of(src_id):
+        facet = next(f for f in fan.facets_of(src_id) if tgt_id in faces_below(fan, f))
+        return mat_mul(restriction_matrix(mes, facet, tgt_id, q), restriction_matrix(mes, src_id, facet, q))
     src_blocks, src_dim = mes.gen_blocks(src_id, q)
     tgt_blocks, tgt_dim = mes.gen_blocks(tgt_id, q)
     tgt_offset = {g: off for g, _, off, _ in tgt_blocks}

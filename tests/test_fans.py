@@ -331,6 +331,22 @@ class TestSymmetry:
         with pytest.raises(FanError):
             face_fan(simplex(2)).antipode_map()
 
+    def test_central_symmetry_is_decided_once_per_fan(self, monkeypatch):
+        """A fan keeps a negative answer too: building the sheaf of
+        simplex(4) and its Betti numbers looks for the rays' negatives at
+        most twice, not once per cone."""
+        from polyfan.ihsheaf import build_mes, ih_poincare
+
+        calls, antipodes = [], linalg.antipodes
+        monkeypatch.setattr(linalg, "antipodes", lambda integral: calls.append(1) or antipodes(integral))
+        fan = face_fan(simplex(4))
+        ih_poincare(build_mes(fan))
+        assert 0 < len(calls) <= 2
+        assert not fan.is_centrally_symmetric()
+        with pytest.raises(FanError, match=r"missing ray"):
+            fan.antipode_map()
+        assert len(calls) <= 2
+
     def test_no_self_antipodal_cones_on_corpus(self):
         for p in (cube(2), cube(3), cross_polytope(3), nonrational_cs_polytope()):
             fan = face_fan(p)

@@ -31,7 +31,7 @@ from polyfan.ihsheaf import (
     sections_poincare,
 )
 from polyfan.polynomials import coeff, substitute_t_squared
-from polyfan.polytopes import cross_polytope, cube, linear_image, product, random_cs, simplex
+from polyfan.polytopes import cross_polytope, cube, free_sum, linear_image, product, random_cs, simplex
 from polyfan.reports import ih_report, report_passes
 from polyfan.scalars import Field, Quadratic
 
@@ -506,6 +506,71 @@ class TestOrbitTransport:
         assert info.value.args[0].startswith(f"cone {ray}, ")
 
 
+# The cones that build_mes constructs, per input; the rest are transported.
+CONSTRUCTED = {
+    "cube-2": (1, 5),
+    "cube-3": (1, 9, 21),
+    "cross-2": (1, 5),
+    "cross-3": (1, 7, 19),
+    "prism-over-diamond": (1, 9, 21),
+    "nonrational-bipyramid": (1, 9, 11, 15, 23, 31, 35),
+    "cube-4": (1, 17, 49, 73, 74, 75, 76),
+    "cross-5": (1, 11, 51, 131, 211),
+    "prism": (1, 9, 21),
+    "sqrt2-cube-3": (1, 9, 21),
+    "cube-3+cube-2": (1, 9, 13, 25, 41, 61, 67, 91, *range(147, 160), *range(219, 231)),
+}
+
+
+class TestFacetImages:
+    """A module keeps its generators' images on its facets only, and a
+    cone's module is one degree-0 generator with image 1 exactly when the
+    cone is simplicial: the orbit transport's gate and the shared
+    restriction key read the fan's simpliciality on that account."""
+
+    @pytest.mark.parametrize("name", list(CONSTRUCTED))
+    def test_images_on_facets_and_simplicial_modules(self, name, quadratic_image, monkeypatch):
+        others = {
+            "cube-4": lambda: cube(4),
+            "cross-5": lambda: cross_polytope(5),
+            "prism": nonsimplicial_cs_3polytope,
+            "sqrt2-cube-3": lambda: quadratic_image(cube(3), 2),
+            "cube-3+cube-2": lambda: free_sum(cube(3), cube(2)),
+        }
+        p = others[name]() if name in others else dict(sheaf_corpus())[name]
+        built = _constructed(monkeypatch)
+        mes = build_mes(face_fan(p))
+        fan, constant = mes.fan, ({0: mes.ring.one},)
+        assert tuple(sorted(built)) == CONSTRUCTED[name]
+        for cid, module in mes.modules.items():
+            assert sorted(module.images) == list(fan.facets_of(cid)), cid
+            canonical = module.gen_degrees == (0,) and all(v == constant for v in module.images.values())
+            assert canonical == fan.is_simplicial_cone(cid), cid
+
+    def test_cones_over_3_cubes_are_never_transported_through_their_orbit(self, monkeypatch):
+        """cube(4)'s 4-cones lie over 3-cubes, so their facets are square
+        cones: each antipodal pair of them is constructed once (4 of the 7
+        constructed cones), the other cone of the pair taken by the point
+        reflection, and none is transported through its orbit."""
+        fan = face_fan(cube(4))
+        tops = set(fan.cones_of_dim(4))
+        assert not any(fan.is_simplicial_cone(f) for c in tops for f in fan.facets_of(c))
+        built, transported, transport = _constructed(monkeypatch), [], ihsheaf._transport_in_orbit
+
+        def recorded(mes, sid, *args):
+            module = transport(mes, sid, *args)
+            if module is not None:
+                transported.append(sid)
+            return module
+
+        monkeypatch.setattr(ihsheaf, "_transport_in_orbit", recorded)
+        mes = build_mes(fan)
+        built_tops = tops.intersection(built)
+        assert len(built) == 7 and len(built_tops) == 4
+        assert built_tops | {mes.antipode[c] for c in built_tops} == tops
+        assert transported and not tops.intersection(transported)
+
+
 class TestReflectionEquivariance:
     def test_transport_commutes_with_restriction(self, sheaf_setups):
         # A cone's basis is its antipode's negated, so the reflection keeps
@@ -648,16 +713,17 @@ def _assert_restriction_matches_oracle(mes, cid, face, q) -> int:
 
 
 def _assert_restrictions_match_oracle(mes):
-    """Every restriction matrix of the sheaf matches the dense oracle.
-    The global sections are built first, so the matrices that their
-    walls share are among those checked."""
+    """Every restriction matrix of the sheaf, from a cone to one of its
+    facets, matches the dense oracle.  The global sections are built
+    first, so the matrices that their walls share are among those
+    checked."""
     for q in range(0, mes.cap + 1, 2):
         mes.global_data(q)
     fan = mes.fan
     scales = [
         _assert_restriction_matches_oracle(mes, cid, face, q)
         for cid in fan.cone_ids()
-        for face in sorted(oracles.faces_below(fan, cid))
+        for face in fan.facets_of(cid)
         for q in range(0, mes.cap + 1, 2)
     ]
     assert scales
@@ -679,12 +745,12 @@ class TestRestrictionAgainstDenseOracle:
 
     def test_substitution_forms_with_denominators(self):
         # In the product of two random centrally symmetric polygons some
-        # faces' basis vectors have coordinates over 5 in the bases of
+        # facets' basis vectors have coordinates over 5 in the bases of
         # the prism cones above them, so those matrices carry scales
         # above 1, and each is the dense oracle's.
         mes = build_mes(face_fan(product(random_cs(2, 3, 0), random_cs(2, 3, 9))), 8)
         fan = mes.fan
-        pairs = [(c, f) for c in fan.cone_ids() for f in sorted(oracles.faces_below(fan, c)) if mes._substitution(c, f)[2] > 1]
+        pairs = [(c, f) for c in fan.cone_ids() for f in fan.facets_of(c) if mes._substitution(c, f)[2] > 1]
         assert pairs
         assert max(_assert_restriction_matches_oracle(mes, c, f, q) for c, f in pairs for q in range(0, mes.cap + 1, 2)) > 1
 
@@ -699,19 +765,21 @@ class TestRestrictionAgainstDenseOracle:
         _assert_restrictions_match_oracle(build_mes(face_fan(random_cs(2, 5, 4))))
 
     def test_equal_forms_with_different_denominators_share_no_matrix(self, monkeypatch):
-        """A restriction from a canonical module (one degree-0 generator
-        with image 1) is kept under its substituted forms and their
-        denominator D.  On the cones' coordinates every such D is 1, so on
-        the Q(sqrt 2) image of cross(3) of tests/golden one pair of cones
-        is given the forms of another with D = 2: each keeps its own
-        matrix, of scale D^(q/2), and the first is the dense oracle's."""
+        """A restriction from a simplicial cone, whose module is one
+        degree-0 generator with image 1, is kept under its substituted
+        forms and their denominator D.  On the cones' coordinates every
+        such D is 1, so on the Q(sqrt 2) image of cross(3) of tests/golden
+        one pair of a cone and a facet is given the forms of another with
+        D = 2: each keeps its own matrix, of scale D^(q/2), and the first
+        is the dense oracle's."""
         mes = build_mes(face_fan(oracles.unitriangular_image(cross_polytope(3), 2)), 8)
         fan, constant = mes.fan, ({0: mes.ring.one},)
         by_forms: dict = {}
         for cid in fan.cone_ids():
             module = mes.modules[cid]
-            for face in sorted(oracles.faces_below(fan, cid) - {fan.zero_id}):
-                if module.gen_degrees == (0,) and module.images[face] == constant:
+            for face in fan.facets_of(cid):
+                if face != fan.zero_id and fan.is_simplicial_cone(cid):
+                    assert module.gen_degrees == (0,) and module.images[face] == constant
                     key, forms, den, memo = mes._substitution(cid, face)
                     assert den == 1 and key == (forms, 1, mes.nvars(face))
                     by_forms.setdefault(forms, []).append((cid, face))
@@ -724,6 +792,47 @@ class TestRestrictionAgainstDenseOracle:
             assert rows is not kept[0] and (rows, scale) == (kept[0], 2 ** (q // 2))
             assert mes.restriction_matrix(*first, q) is kept
             assert _assert_restriction_matches_oracle(mes, *first, q) == 1
+
+
+class TestPresheaf:
+    """A module keeps images on its facets only, so a restriction to a
+    smaller face is a composite along facets: the dense oracle's
+    composites through every facet that contains the face agree."""
+
+    @staticmethod
+    def _assert_path_independent(mes):
+        fan, kept = mes.fan, {}
+
+        def dense(src, tgt, q):
+            if (src, tgt, q) not in kept:
+                kept[src, tgt, q] = dense_restriction_matrix(mes, src, tgt, q)
+            return kept[src, tgt, q]
+
+        checked = 0
+        for cid in fan.cone_ids():
+            for face in sorted(oracles.faces_below(fan, cid)):
+                if fan.cones[face].dim > fan.cones[cid].dim - 2:
+                    continue
+                through = [f for f in fan.facets_of(cid) if face in oracles.faces_below(fan, f)]
+                assert len(through) >= 2, (cid, face)
+                for q in range(0, mes.cap + 1, 2):
+                    # The oracle's composite through facet f.
+                    first, *others = (oracles.mat_mul(dense(f, face, q), dense(cid, f, q)) for f in through)
+                    assert all(other == first for other in others), (cid, face, q)
+                    checked += 1
+        assert checked
+
+    def test_sheaf_corpus(self, sheaf_setups):
+        for _, (_, _, mes, _) in sheaf_setups.items():
+            self._assert_path_independent(mes)
+
+    def test_quadratic_image(self, quadratic_image):
+        self._assert_path_independent(build_mes(face_fan(quadratic_image(cube(3), 2)), 8))
+
+    def test_irrational_quadrilateral(self):
+        mes = build_mes(face_fan(oracles.irrational_quadrilateral_polytope()), 8)
+        assert mes.ring.d == 2
+        self._assert_path_independent(mes)
 
 
 class TestSharedRestrictions:
